@@ -119,19 +119,7 @@ def realize_pulse(device: DeviceModel, aa: AxisAngle) -> PulseSpec:
     return PulseSpec(v_x=tuple(v), duration_s=device.pulse_s)
 
 
-def _sequence_survival_device(
-    device: DeviceModel,
-    pulses: list[PulseSpec],
-    draw: NoiseDraw | None,
-    apply_cross: bool,
-) -> float:
-    rho = initialize_singlet()
-    for pulse in pulses:
-        rho = device.simulate_pulse(rho, pulse, draw=draw, apply_cross=apply_cross)
-    return measure_p0(rho)
-
-
-def _run_device_engine(device, cfg, group, interleaved, executor):
+def _run_device_engine(device, cfg, group, interleaved):
     pulse_cache: dict[AxisAngle, PulseSpec] = {}
 
     def pulses_for(aa: AxisAngle) -> PulseSpec:
@@ -148,8 +136,7 @@ def _run_device_engine(device, cfg, group, interleaved, executor):
     if interleaved is not None:
         inter_el = match_element(group, Rotation.from_axis_angle(interleaved))
 
-    def one_cell(args):
-        di, si, depth = args
+    def one_cell(di, si, depth):
         rng = rng_stream(cfg.seed, di, si)
         indices = generate_sequence(rng, depth, group)
         out = []
@@ -170,24 +157,27 @@ def _run_device_engine(device, cfg, group, interleaved, executor):
             for aa in rec.decomposition:
                 seq_pulses.append(pulses_for(aa))
             if cfg.shots is None:
-                out.append(_sequence_survival_device(device, seq_pulses, None, cfg.apply_cross))
+                rho = device.simulate_pulse(initialize_singlet(), seq_pulses, None, cfg.apply_cross)
+                out.append(measure_p0(rho))
             else:
-                hits = 0
+                # per shot: its noise draw, then its readout uniform, from
+                # the shot's own stream
+                draws, uniforms = [], np.empty(cfg.shots)
                 for shot in range(cfg.shots):
                     shot_rng = rng_stream(cfg.seed, di, si, int(flip), shot)
-                    draw = sample_noise(device.noise, shot_rng)
-                    p0 = _sequence_survival_device(device, seq_pulses, draw, cfg.apply_cross)
-                    hits += int(shot_rng.random() < p0)
-                out.append(hits / cfg.shots)
+                    draws.append(sample_noise(device.noise, shot_rng))
+                    uniforms[shot] = shot_rng.random()
+                rho = device.simulate_pulse(
+                    initialize_singlet(), seq_pulses, NoiseDraw.stack(draws), cfg.apply_cross
+                )
+                out.append(np.count_nonzero(uniforms < measure_p0(rho)) / cfg.shots)
         return out
 
-    cells = [
-        (di, si, depth)
+    flat = [
+        one_cell(di, si, depth)
         for di, depth in enumerate(cfg.depths)
         for si in range(cfg.n_sequences)
     ]
-    mapper = map if executor is None else executor.map
-    flat = list(mapper(one_cell, cells))
     surv_id = np.array([r[0] for r in flat]).reshape(len(cfg.depths), cfg.n_sequences)
     surv_fl = np.array([r[1] for r in flat]).reshape(len(cfg.depths), cfg.n_sequences)
     return surv_id, surv_fl
@@ -251,7 +241,6 @@ def run_rb(
     engine: str = "device",
     inject: InjectedError | None = None,
     interleaved: AxisAngle | None = None,
-    executor=None,
 ) -> RbData:
     """Run blind randomized benchmarking and return paired survival data.
 
@@ -264,7 +253,7 @@ def run_rb(
     if engine == "device":
         if device is None:
             raise ValueError("device engine needs a device model")
-        surv_id, surv_fl = _run_device_engine(device, cfg, group, interleaved, executor)
+        surv_id, surv_fl = _run_device_engine(device, cfg, group, interleaved)
     elif engine == "channel":
         surv_id, surv_fl = _run_channel_engine(
             cfg, group, inject or InjectedError(), interleaved
@@ -398,22 +387,15 @@ def interleaved_rb(
     group=None,
     engine: str = "device",
     inject: InjectedError | None = None,
-    executor=None,
 ) -> dict:
     """Reference-plus-interleaved benchmarking of one Clifford gate.
 
     The gate error is the difference of the two per-Clifford error rates;
     a negative difference is reported unchanged.
     """
-    ref = run_rb(device, cfg, group=group, engine=engine, inject=inject, executor=executor)
+    ref = run_rb(device, cfg, group=group, engine=engine, inject=inject)
     inter = run_rb(
-        device,
-        cfg,
-        group=group,
-        engine=engine,
-        inject=inject,
-        interleaved=gate,
-        executor=executor,
+        device, cfg, group=group, engine=engine, inject=inject, interleaved=gate
     )
     fit_ref = fit_rb(ref)
     fit_int = fit_rb(inter)

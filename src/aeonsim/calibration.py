@@ -397,17 +397,15 @@ def sweep_fidelity(
     n_reps: int,
     shots: int | None = None,
     seed: int = 0,
-    executor=None,
     precal_actual: Rotation | None = None,
 ) -> FidelityMap:
     """Measure the germ's twirled fidelity over a barrier-voltage grid.
 
     Per cell, the probe pulse is whatever rotation the device delivers at
     those voltages (exchange law, pulse duration); the germ is composed
-    pulse by pulse and twirled.  Cells are independent work units; rows go
-    through ``executor.map`` when an executor is supplied.  With ``shots``,
-    per-cell binomial sampling uses counter-split RNG streams so results
-    do not depend on scheduling.
+    pulse by pulse and twirled.  With ``shots``, per-cell binomial
+    sampling uses counter-split RNG streams, so each cell's result depends
+    only on the seed and its grid position.
 
     ``precal_actual`` injects a helper pulse differing from the believed
     ``(eta, chi)`` (calibration-transfer error studies).
@@ -447,9 +445,7 @@ def sweep_fidelity(
             err_row[c] = math.sqrt(float(np.sum(est * (1 - est) / shots))) / est.size
         return f_row, err_row
 
-    rows = range(v2.size)
-    mapper = map if executor is None else executor.map
-    results = list(mapper(compute_row, rows))
+    results = [compute_row(r) for r in range(v2.size)]
     f = np.stack([r[0] for r in results])
     err = np.stack([r[1] for r in results])
     return FidelityMap(v1, v2, f, err if shots else None, tuple(pairs), n_reps, cfg)
@@ -728,7 +724,6 @@ def run_calibration(
     pairs: tuple[str, str] | None = None,
     assumed_laws: dict | None = None,
     precal_actual: Rotation | None = None,
-    executor=None,
 ) -> CalibrationResult:
     """Track the germ fidelity peak through an N-doubling schedule and fit
     the final map.
@@ -777,7 +772,6 @@ def run_calibration(
             n_reps,
             shots=options.shots,
             seed=options.seed + stage_idx,
-            executor=executor,
             precal_actual=precal_actual,
         )
         # anchor stage 0 to the nominal solution: germs are identity on a

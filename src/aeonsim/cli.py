@@ -6,7 +6,7 @@ the same inputs and seed are byte-identical.  Exit codes: 0 success,
 2 usage error, 3 numeric or fit failure, 4 configuration error.
 
 Environment overrides (flags win over them): AEON_CONFIG, AEON_SEED,
-AEON_OUT, AEON_THREADS.
+AEON_OUT.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .hilbert import (
     measure_p0,
 )
 from .rotations import AxisAngle
-from .utils import make_executor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,6 +68,14 @@ def parse_linspace(text: str) -> np.ndarray:
 
 def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
+
+
+def _positive_int(text: str) -> int:
+    """Argument type for counts that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -141,22 +148,20 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     v_x[idx[args.pair]] = args.v
     rho0 = initialize_singlet()
     p0 = np.empty(times.size)
-    rng = dev.rng_stream(args.seed, 101)
     for k, t in enumerate(times):
         pulse = dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t))
         if args.shots is None:
-            draw = None
-            rho = device.simulate_pulse(rho0, pulse, draw=draw)
-            p0[k] = measure_p0(rho)
+            p0[k] = measure_p0(device.simulate_pulse(rho0, pulse))
         else:
-            hits = 0
+            # per shot: its noise draw, then its readout uniform, from the
+            # shot's own stream
+            draws, uniforms = [], np.empty(args.shots)
             for shot in range(args.shots):
                 shot_rng = dev.rng_stream(args.seed, 101, k, shot)
-                draw = dev.sample_noise(device.noise, shot_rng)
-                rho = device.simulate_pulse(rho0, pulse, draw=draw)
-                hits += int(shot_rng.random() < measure_p0(rho))
-            p0[k] = hits / args.shots
-    del rng
+                draws.append(dev.sample_noise(device.noise, shot_rng))
+                uniforms[shot] = shot_rng.random()
+            rho = device.simulate_pulse(rho0, pulse, dev.NoiseDraw.stack(draws))
+            p0[k] = np.count_nonzero(uniforms < measure_p0(rho)) / args.shots
     fit = bench.fit_oscillation_decay(times, p0)
     doc = {
         "pair": args.pair,
@@ -188,18 +193,9 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
         seed=args.seed,
     )
     pairs = tuple(args.pairs.split(",")) if args.pairs else None
-    executor = make_executor(args.threads)
-    try:
-        result = cal.run_calibration(
-            device,
-            args.phi_star,
-            args.theta_star,
-            options=options,
-            pairs=pairs,
-            executor=executor,
-        )
-    finally:
-        executor.shutdown()
+    result = cal.run_calibration(
+        device, args.phi_star, args.theta_star, options=options, pairs=pairs
+    )
     _write_text(args.out, result.to_json() + "\n")
     return EXIT_OK
 
@@ -218,45 +214,30 @@ def _rb_common(args, device, interleaved: AxisAngle | None):
         leak_per_pulse=args.inject_leak,
         gate_depol=args.gate_depol,
     )
-    executor = make_executor(args.threads)
-    try:
-        if interleaved is None:
-            data = bench.run_rb(
-                device,
-                cfg,
-                engine=args.engine,
-                inject=inject,
-                executor=executor,
-            )
-            fit = bench.fit_rb(data)
-            out = bench.rb_report(data, fit)
-        else:
-            res = bench.interleaved_rb(
-                device,
-                cfg,
-                interleaved,
-                engine=args.engine,
-                inject=inject,
-                executor=executor,
-            )
-            doc = {
-                "gate": [interleaved.phi, interleaved.theta],
-                "gate_error": res["gate_error"],
-                "gate_leakage": res["gate_leakage"],
-                "reference": {
-                    "p": res["reference"].p,
-                    "error_per_clifford": res["reference"].err_per_clifford,
-                    "leakage_per_clifford": res["reference"].leak_per_clifford,
-                },
-                "interleaved": {
-                    "p": res["interleaved"].p,
-                    "error_per_clifford": res["interleaved"].err_per_clifford,
-                    "leakage_per_clifford": res["interleaved"].leak_per_clifford,
-                },
-            }
-            out = _json_doc(doc)
-    finally:
-        executor.shutdown()
+    if interleaved is None:
+        data = bench.run_rb(device, cfg, engine=args.engine, inject=inject)
+        fit = bench.fit_rb(data)
+        out = bench.rb_report(data, fit)
+    else:
+        res = bench.interleaved_rb(
+            device, cfg, interleaved, engine=args.engine, inject=inject
+        )
+        doc = {
+            "gate": [interleaved.phi, interleaved.theta],
+            "gate_error": res["gate_error"],
+            "gate_leakage": res["gate_leakage"],
+            "reference": {
+                "p": res["reference"].p,
+                "error_per_clifford": res["reference"].err_per_clifford,
+                "leakage_per_clifford": res["reference"].leak_per_clifford,
+            },
+            "interleaved": {
+                "p": res["interleaved"].p,
+                "error_per_clifford": res["interleaved"].err_per_clifford,
+                "leakage_per_clifford": res["interleaved"].leak_per_clifford,
+            },
+        }
+        out = _json_doc(doc)
     _write_text(args.out, out if out.endswith("\n") else out + "\n")
     if args.emit_plot_data and interleaved is None:
         rows = [
@@ -294,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="sampling seed")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument(
-        "--threads", type=int, default=None, help="worker threads (0 = cpu count)"
-    )
-    common.add_argument(
         "--emit-plot-data", default=None, help="also write tidy plot CSV here"
     )
 
@@ -327,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, help="driven pair (12, 13 or 23)")
     p.add_argument("--v", type=float, required=True, help="barrier voltage (V)")
     p.add_argument("--times", required=True, help="duration sweep start:stop:n (s)")
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_rabi)
 
     p = sub.add_parser("calibrate", parents=[common], help="germ peak tracking")
@@ -336,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="1,2,4,8,16,24")
     p.add_argument("--grid", type=int, default=21)
     p.add_argument("--window", type=float, default=0.030, help="first window (V)")
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", type=_positive_int, default=None)
     p.add_argument("--pairs", default=None, help="swept pairs override, e.g. 12,23")
     p.set_defaults(func=_cmd_calibrate)
 
     def add_rb_args(p):
         p.add_argument("--depths", default="1,2,4,8,12,16,24")
-        p.add_argument("--sequences", type=int, default=20)
-        p.add_argument("--shots", type=int, default=None)
+        p.add_argument("--sequences", type=_positive_int, default=20)
+        p.add_argument("--shots", type=_positive_int, default=None)
         p.add_argument("--idle", type=float, default=0.0, help="idle between Cliffords (s)")
         p.add_argument("--cross", action="store_true")
         p.add_argument("--engine", choices=("device", "channel"), default="device")
@@ -377,8 +355,6 @@ def main(argv=None) -> int:
             args.seed = _env_default("AEON_SEED", int, 0)
         if args.out is None:
             args.out = _env_default("AEON_OUT", str, None)
-        if args.threads is None:
-            args.threads = _env_default("AEON_THREADS", int, 1)
         device = (
             dev.default_device() if args.config is None else dev.load_device(args.config)
         )

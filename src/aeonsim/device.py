@@ -121,17 +121,27 @@ class DetuningSensitivity:
     alpha_dimple: float = 0.0
 
 
-def detuning_penalty(plunger_offsets, sensitivities: dict[str, DetuningSensitivity]) -> dict[str, float]:
+def detuning_penalty(plunger_offsets, sensitivities: dict[str, DetuningSensitivity]) -> dict:
     """Multiplicative exchange penalty per pair for virtual plunger offsets
-    (volts, relative to the deep symmetry spot)."""
-    e1, e2, e3 = np.asarray(plunger_offsets, dtype=float)
+    (volts, relative to the deep symmetry spot).
+
+    Offsets of shape ``(..., 3)`` give a penalty array of the batch shape
+    per pair; a single offset vector gives floats.
+    """
+    e = np.asarray(plunger_offsets, dtype=float)
+    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
     eps_t = 0.5 * (e2 - e1)
     eps_d = e3 - 0.5 * (e1 + e2)
     out = {}
     for pair in PAIR_ORDER:
         s = sensitivities.get(pair, DetuningSensitivity())
-        out[pair] = float(np.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2))
+        out[pair] = _scalar_or_array(np.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2))
     return out
+
+
+def _scalar_or_array(x):
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,11 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class NoiseDraw:
-    """One quasi-static noise realization."""
+    """One quasi-static noise realization, or a batch of them.
+
+    A single draw holds offsets of shape ``(6,)`` and ``(3,)``; a batch of
+    ``n`` draws holds ``(n, 6)`` and ``(n, 3)``.
+    """
 
     voltage_offsets_v: np.ndarray
     gradients_hz: np.ndarray
@@ -164,6 +178,14 @@ class NoiseDraw:
     @staticmethod
     def none() -> "NoiseDraw":
         return NoiseDraw(np.zeros(6), np.zeros(3))
+
+    @staticmethod
+    def stack(draws) -> "NoiseDraw":
+        """One batched draw from a sequence of single draws, in order."""
+        return NoiseDraw(
+            np.stack([d.voltage_offsets_v for d in draws]),
+            np.stack([d.gradients_hz for d in draws]),
+        )
 
 
 def sample_noise(noise: NoiseConfig, rng: np.random.Generator) -> NoiseDraw:
@@ -227,20 +249,24 @@ class DeviceModel:
     ) -> ExchangeVector:
         """Exchange couplings (Hz) for virtual barrier voltages (pair order).
 
-        Cross-talk between barriers is opt-in; the detuning penalty applies
-        whenever plunger offsets are nonzero.
+        ``v_x`` of shape ``(..., 3)`` and plunger offsets broadcasting to it
+        give couplings of the batch shape; a single voltage vector gives
+        floats.  Cross-talk between barriers is opt-in; the detuning
+        penalty applies whenever plunger offsets are nonzero.
         """
         v = np.asarray(v_x, dtype=float)
-        if v.shape != (3,):
+        if v.shape[-1:] != (3,):
             raise ValueError(f"expected 3 barrier voltages, got {v.shape}")
         if apply_cross and self.cross is not None:
-            finite = np.where(np.isinf(v), 0.0, v)
-            mixed = self.cross @ finite
-            v = np.where(np.isinf(v), v, mixed)
-        j = {p: float(self.laws[p].j_hz(v[i])) for i, p in enumerate(PAIR_ORDER)}
-        if np.any(np.asarray(plunger_offsets) != 0.0):
-            pen = detuning_penalty(plunger_offsets, self.sensitivities)
+            off = np.isinf(v)
+            mixed = (self.cross @ np.where(off, 0.0, v)[..., None])[..., 0]
+            v = np.where(off, v, mixed)
+        j = {p: self.laws[p].j_hz(v[..., i]) for i, p in enumerate(PAIR_ORDER)}
+        plungers = np.asarray(plunger_offsets, dtype=float)
+        if np.any(plungers != 0.0):
+            pen = detuning_penalty(plungers, self.sensitivities)
             j = {p: j[p] * pen[p] for p in PAIR_ORDER}
+        j = {p: _scalar_or_array(x) for p, x in j.items()}
         return ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])
 
     def voltages_for_exchange(self, j: ExchangeVector) -> np.ndarray:
@@ -252,56 +278,88 @@ class DeviceModel:
         return np.array(out)
 
     def _segments(self, pulse: PulseSpec, draw: NoiseDraw, apply_cross: bool):
-        """Piecewise-constant (ExchangeVector, duration) segments of a pulse."""
-        dv = draw.voltage_offsets_v
-        plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + dv[:3]
-        v_target = np.asarray(pulse.v_x, dtype=float) + dv[3:]
-        segs = []
+        """Piecewise-constant (ExchangeVector, duration) segments of a pulse,
+        in play order, each coupling of the draw's batch shape."""
+        dv = np.asarray(draw.voltage_offsets_v, dtype=float)
+        plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + dv[..., :3]
+        v_target = np.asarray(pulse.v_x, dtype=float) + dv[..., 3:]
+        volts = [v_target]
+        durations = [pulse.duration_s]
         if pulse.ramp_s > 0.0:
-            v_idle = np.full(3, self.idle_v) + dv[3:]
-            dt = pulse.ramp_s / 16.0
-            for k in range(16):
-                frac = (k + 0.5) / 16.0
-                segs.append((v_idle + frac * (v_target - v_idle), plungers, dt))
-        segs.append((v_target, plungers, pulse.duration_s))
-        if pulse.ramp_s > 0.0:
-            dt = pulse.ramp_s / 16.0
-            v_idle = np.full(3, self.idle_v) + dv[3:]
-            for k in range(16):
-                frac = 1.0 - (k + 0.5) / 16.0
-                segs.append((v_idle + frac * (v_target - v_idle), plungers, dt))
-        out = []
-        for v, plungers_k, dt in segs:
-            j = self.exchange_from_voltages(v, plungers_k, apply_cross=apply_cross)
-            out.append((j, dt))
-        return out
+            v_idle = self.idle_v + dv[..., 3:]
+            fracs = (np.arange(16) + 0.5) / 16.0
+            ramp = [v_idle + f * (v_target - v_idle) for f in fracs]
+            volts = ramp + volts + ramp[::-1]
+            durations = [pulse.ramp_s / 16.0] * 16 + durations + [pulse.ramp_s / 16.0] * 16
+        j = self.exchange_from_voltages(np.stack(volts), plungers, apply_cross=apply_cross)
+        return [
+            (ExchangeVector(j12=j.j12[k], j23=j.j23[k], j13=j.j13[k]), dt)
+            for k, dt in enumerate(durations)
+        ]
 
     def simulate_pulse(
         self,
         rho: np.ndarray,
-        pulse: PulseSpec,
+        pulses,
         draw: NoiseDraw | None = None,
         apply_cross: bool = False,
     ) -> np.ndarray:
-        """Propagate a density matrix through one pulse under a noise draw.
+        """Propagate a density matrix through a pulse train under noise.
+
+        ``pulses`` is one :class:`PulseSpec` or a sequence of them, played
+        in order.  ``draw`` is one noise draw (or ``None`` for none) or a
+        batch of ``n`` draws, which gives ``n`` output density matrices.
+        Each distinct pulse of the train is built once for the whole batch,
+        with one propagator call per distinct segment duration; the train
+        is then folded by stacked matrix products and applied to ``rho``
+        once.  An empty train returns ``rho`` as it is.
 
         Barrier cross-talk is opt-in per experiment (``apply_cross``); a
         device without a cross matrix ignores the flag.
+
+        Returns:
+            Density matrices of shape ``batch + (8, 8)``, where the batch
+            shape is ``()`` for a single draw and ``(n,)`` for a batch.
         """
+        rho = hilbert._check_density(rho)
+        if isinstance(pulses, PulseSpec):
+            pulses = (pulses,)
+        if not pulses:
+            return rho
         if draw is None:
             draw = NoiseDraw.none()
         apply_cross = apply_cross and self.cross is not None
         fields = FieldConfig(
             f_uniform_hz=self.fields.f_uniform_hz,
-            gradients_hz=tuple(
-                np.asarray(self.fields.gradients_hz) + draw.gradients_hz
-            ),
+            gradients_hz=np.asarray(self.fields.gradients_hz, dtype=float)
+            + np.asarray(draw.gradients_hz, dtype=float),
         )
-        segments = [
-            (hilbert.build_hamiltonian(j, fields), dt)
-            for j, dt in self._segments(pulse, draw, apply_cross)
-        ]
-        return hilbert.evolve_piecewise(rho, segments)
+        # every segment of every distinct pulse, grouped by duration, so one
+        # propagator call covers each duration of the whole train
+        plan = {p: self._segments(p, draw, apply_cross) for p in dict.fromkeys(pulses)}
+        by_duration: dict[float, list] = {}
+        for segments in plan.values():
+            for j, dt in segments:
+                by_duration.setdefault(dt, []).append(j)
+        unitaries = {}
+        for dt, js in by_duration.items():
+            j = ExchangeVector(
+                j12=np.stack([x.j12 for x in js]),
+                j23=np.stack([x.j23 for x in js]),
+                j13=np.stack([x.j13 for x in js]),
+            )
+            unitaries[dt] = iter(hilbert.propagator(hilbert.build_hamiltonian(j, fields), dt))
+        pulse_u = {}
+        for pulse, segments in plan.items():
+            u = None
+            for _, dt in segments:
+                seg_u = next(unitaries[dt])
+                u = seg_u if u is None else seg_u @ u
+            pulse_u[pulse] = u
+        u = pulse_u[pulses[0]]
+        for pulse in pulses[1:]:
+            u = pulse_u[pulse] @ u
+        return u @ rho @ np.conj(np.swapaxes(u, -1, -2))
 
     def with_noise(self, noise: NoiseConfig) -> "DeviceModel":
         return replace(self, noise=noise)
@@ -425,17 +483,16 @@ def fingerpinch_map(
         h2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
         h8 = hilbert.embed_qubit_unitary(h2)
         rho0 = h8 @ rho0 @ h8.conj().T
+    v1 = np.asarray(v1, dtype=float)
+    v_x = np.full((v1.size, 3), -np.inf)
+    v_x[:, PAIR_ORDER.index(pairs[0])] = v1
     out = np.empty((v2.size, v1.size))
-    idx = {p: i for i, p in enumerate(PAIR_ORDER)}
     for r, vb in enumerate(np.asarray(v2, dtype=float)):
-        for c, va in enumerate(np.asarray(v1, dtype=float)):
-            v_x = np.full(3, -np.inf)
-            v_x[idx[pairs[0]]] = va
-            v_x[idx[pairs[1]]] = vb
-            j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
-            h = hilbert.build_hamiltonian(j, device.fields)
-            rho = hilbert.evolve_const(rho0, h, duration_s)
-            if hadamard:
-                rho = h8 @ rho @ h8.conj().T
-            out[r, c] = hilbert.measure_p0(rho)
+        v_x[:, PAIR_ORDER.index(pairs[1])] = vb
+        j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
+        u = hilbert.propagator(hilbert.build_hamiltonian(j, device.fields), duration_s)
+        rho = u @ rho0 @ np.conj(np.swapaxes(u, -1, -2))
+        if hadamard:
+            rho = h8 @ rho @ h8.conj().T
+        out[r] = hilbert.measure_p0(rho)
     return out

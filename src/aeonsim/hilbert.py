@@ -19,6 +19,7 @@ freedom, and the total-spin-3/2 quadruplet is leakage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,11 @@ _EXCHANGE_TERMS = {
 
 @dataclass(frozen=True)
 class ExchangeVector:
-    """Exchange couplings (Hz) for the three dot pairs."""
+    """Exchange couplings (Hz) for the three dot pairs.
+
+    Each coupling is a float, or an array when the vector describes a
+    batch; the three must then broadcast to one batch shape.
+    """
 
     j12: float
     j23: float
@@ -94,7 +99,8 @@ class FieldConfig:
     Attributes:
         f_uniform_hz: uniform Zeeman splitting in Hz (already converted
             from tesla by the caller or :func:`zeeman_from_tesla`).
-        gradients_hz: per-dot deviations ``b_i`` from the uniform field, Hz.
+        gradients_hz: per-dot deviations ``b_i`` from the uniform field, Hz;
+            a batch of them is an array of shape ``(..., 3)``.
     """
 
     f_uniform_hz: float = 0.0
@@ -112,35 +118,57 @@ def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> n
     H = sum_pairs 2*pi*J_ij S_i.S_j + sum_i 2*pi*(f_B + b_i) S_z,i
 
     Args:
-        j: pairwise exchange couplings in Hz.
-        fields: Zeeman terms; omitted means zero field.
+        j: pairwise exchange couplings in Hz, scalars or arrays.
+        fields: Zeeman terms; omitted means zero field.  Per-dot gradients
+            of shape ``(..., 3)`` describe a batch.
 
     Returns:
-        Hermitian ``(8, 8)`` complex array.
+        Hermitian complex array of shape ``batch + (8, 8)``, where the
+        batch shape broadcasts the couplings' shapes with the gradients'
+        leading shape (``()`` for scalar inputs).
     """
     h = 2.0 * np.pi * (
-        j.j12 * _EXCHANGE_TERMS["12"]
-        + j.j23 * _EXCHANGE_TERMS["23"]
-        + j.j13 * _EXCHANGE_TERMS["13"]
+        _coefficient(j.j12) * _EXCHANGE_TERMS["12"]
+        + _coefficient(j.j23) * _EXCHANGE_TERMS["23"]
+        + _coefficient(j.j13) * _EXCHANGE_TERMS["13"]
     )
     if fields is not None:
-        for dot, b in zip((1, 2, 3), fields.gradients_hz):
-            h = h + 2.0 * np.pi * (fields.f_uniform_hz + b) * SPIN_OPS[dot][2]
+        b = np.asarray(fields.gradients_hz, dtype=float)
+        for k, dot in enumerate((1, 2, 3)):
+            f = _coefficient(fields.f_uniform_hz + b[..., k])
+            h = h + 2.0 * np.pi * f * SPIN_OPS[dot][2]
+    return h
+
+
+def _coefficient(x) -> np.ndarray:
+    """A scalar or batch of scalars, shaped to scale a stack of matrices."""
+    return np.asarray(x, dtype=float)[..., None, None]
+
+
+def _check_hamiltonian(h) -> np.ndarray:
+    """Validate a ``(..., 8, 8)`` stack of Hamiltonians in one pass.
+
+    Each matrix must equal its conjugate transpose within ``np.allclose``'s
+    tolerance, with the absolute part scaled by that matrix's largest entry.
+    """
+    h = np.asarray(h)
+    if h.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected (..., 8, 8) Hamiltonians, got {h.shape}")
+    h_dag = np.conj(np.swapaxes(h, -1, -2))
+    atol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if not np.all(np.abs(h - h_dag) <= atol[..., None, None] + 1e-5 * np.abs(h_dag)):
+        raise ValueError("Hamiltonian is not Hermitian within tolerance")
     return h
 
 
 def eigenspectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, rad/s) and eigenvectors of a Hamiltonian.
+    """Eigenvalues (ascending, rad/s) and eigenvectors of a Hamiltonian,
+    or of each matrix of a ``(..., 8, 8)`` stack.
 
     Raises:
-        ValueError: if ``h`` is not Hermitian within 1e-10.
+        ValueError: if ``h`` is not 8x8 or not Hermitian within 1e-10.
     """
-    h = np.asarray(h)
-    if h.shape != (DIM, DIM):
-        raise ValueError(f"expected an (8, 8) Hamiltonian, got {h.shape}")
-    if not np.allclose(h, h.conj().T, atol=1e-10 * max(1.0, np.abs(h).max())):
-        raise ValueError("Hamiltonian is not Hermitian within tolerance")
-    return np.linalg.eigh(h)
+    return np.linalg.eigh(_check_hamiltonian(h))
 
 
 def _basis_vector(*indices_amplitudes: tuple[int, float]) -> np.ndarray:
@@ -224,58 +252,55 @@ def initialize_singlet() -> np.ndarray:
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a ``(..., 8, 8)`` stack of density matrices in one pass."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"expected an (8, 8) density matrix, got {rho.shape}")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
+    if rho.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected (..., 8, 8) density matrices, got {rho.shape}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(tr.real - 1.0) > 1e-9) or np.any(np.abs(tr.imag) > 1e-9):
         raise ValueError("density matrix trace differs from 1")
     return rho
 
 
 def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
-    """Unitary exp(-i H tau) via eigendecomposition.
+    """Unitaries exp(-i H tau) of a stack of Hamiltonians via one ``eigh``.
 
     Args:
-        h: Hermitian Hamiltonian, rad/s.
-        tau_s: duration in seconds; must be non-negative.
+        h: Hermitian Hamiltonian(s), rad/s, shape ``(..., 8, 8)``.
+        tau_s: one duration in seconds shared by the whole stack; must be
+            finite and non-negative.
+
+    Returns:
+        Unitaries of the same shape as ``h``.
     """
-    if tau_s < 0:
-        raise ValueError(f"negative evolution time: {tau_s}")
-    vals, vecs = eigenspectrum(h)
+    if not math.isfinite(tau_s) or tau_s < 0:
+        raise ValueError(f"evolution time must be finite and non-negative, got {tau_s}")
+    vals, vecs = np.linalg.eigh(_check_hamiltonian(h))
     phase = np.exp(-1j * vals * tau_s)
-    return (vecs * phase) @ vecs.conj().T
+    return (vecs * phase[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
-def evolve_const(rho: np.ndarray, h: np.ndarray, tau_s: float) -> np.ndarray:
-    """Evolve a density matrix under a constant Hamiltonian for ``tau_s``."""
-    rho = _check_density(rho)
-    u = propagator(h, tau_s)
-    return u @ rho @ u.conj().T
+def _population(rho: np.ndarray, proj: np.ndarray):
+    p = np.einsum("ij,...ji->...", proj, rho)
+    bad = (np.abs(p.imag) > 1e-9) | (p.real < -1e-9) | (p.real > 1 + 1e-9)
+    if np.any(bad):
+        raise ValueError(f"projector expectation out of range: {p[bad][0]}")
+    p = np.clip(p.real, 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
-def evolve_piecewise(rho: np.ndarray, segments) -> np.ndarray:
-    """Evolve through ``segments`` = iterable of (hamiltonian, tau_s) in time order."""
-    rho = _check_density(rho)
-    for h, tau_s in segments:
-        u = propagator(h, tau_s)
-        rho = u @ rho @ u.conj().T
-    return rho
+def measure_p0(rho: np.ndarray):
+    """Population of the encoded ``|0>`` subspace (both gauge sectors).
 
-
-def _population(rho: np.ndarray, proj: np.ndarray) -> float:
-    p = np.trace(proj @ rho)
-    if abs(p.imag) > 1e-9 or p.real < -1e-9 or p.real > 1 + 1e-9:
-        raise ValueError(f"projector expectation out of range: {p}")
-    return float(min(1.0, max(0.0, p.real)))
-
-
-def measure_p0(rho: np.ndarray) -> float:
-    """Population of the encoded ``|0>`` subspace (both gauge sectors)."""
+    A single ``(8, 8)`` density matrix gives a float; a ``(..., 8, 8)``
+    stack gives an array of its batch shape.
+    """
     return _population(_check_density(rho), ENCODED.p0)
 
 
-def leakage_population(rho: np.ndarray) -> float:
-    """Population of the total-spin-3/2 quadruplet."""
+def leakage_population(rho: np.ndarray):
+    """Population of the total-spin-3/2 quadruplet; stacks as in
+    :func:`measure_p0`."""
     return _population(_check_density(rho), ENCODED.p_leak)
 
 

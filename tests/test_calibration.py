@@ -12,7 +12,6 @@ from aeonsim import device as dev
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError, DetectionError
 from aeonsim.hilbert import embed_qubit_unitary
-from aeonsim.utils import make_executor
 
 PI = math.pi
 
@@ -261,18 +260,12 @@ def test_helper_axis_error_shifts_phi_only():
 # sweeps and peak finding
 
 
-def test_sweep_shapes_and_thread_determinism():
+def test_sweep_shapes():
     d = dev.default_device()
     cfg = default_cfg()
     v = np.linspace(0.070, 0.078, 9)
-    serial = cal.sweep_fidelity(d, cfg, ("12", "23"), v, v, 2)
-    pool = make_executor(2)
-    try:
-        threaded = cal.sweep_fidelity(d, cfg, ("12", "23"), v, v, 2, executor=pool)
-    finally:
-        pool.shutdown()
-    assert serial.f.shape == (9, 9)
-    np.testing.assert_array_equal(serial.f, threaded.f)
+    fmap = cal.sweep_fidelity(d, cfg, ("12", "23"), v, v, 2)
+    assert fmap.f.shape == (9, 9)
 
 
 def test_sweep_shot_noise_reproducible():

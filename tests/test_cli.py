@@ -61,15 +61,6 @@ def test_calibrate_round_trips_and_is_deterministic(tmp_path):
     assert len(doc["stages"]) == 3
 
 
-def test_calibrate_threads_do_not_change_bytes(tmp_path):
-    args = ["calibrate", "--phi-star", "0.0", "--theta-star", "3.141592653589793",
-            "--schedule", "1,2", "--grid", "11"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(args + ["--threads", "1", "--out", str(a)]) == 0
-    assert run(args + ["--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_rb_channel_json(tmp_path):
     out = tmp_path / "rb.json"
     code = run(["rb", "--engine", "channel", "--inject-depol", "1e-3",
@@ -122,6 +113,21 @@ def test_usage_error_exit_code():
     assert run(["fingerpinch", "--pairs", "12,23", "--v1", "oops",
                 "--v2", "0:1:5"]) == 2
     assert run(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:1e-7:20", "--shots", "0"],
+    ["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:1e-7:20", "--shots", "-3"],
+    ["rb", "--engine", "device", "--shots", "0"],
+    ["rb", "--engine", "channel", "--shots", "0"],
+    ["rb", "--sequences", "0"],
+    ["irb", "--gate-phi", "0", "--gate-theta", "3.14", "--sequences", "-1"],
+    ["irb", "--gate-phi", "0", "--gate-theta", "3.14", "--shots", "0"],
+    ["calibrate", "--phi-star", "0", "--theta-star", "3.14", "--shots", "0"],
+])
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Device model: virtual gates, exchange laws, noise, pulse simulation."""
 
+import dataclasses
 import json
 import math
 
@@ -121,6 +122,87 @@ def test_ramped_pulse_uses_piecewise_segments():
     assert len(segs) == 33  # 16 up, plateau, 16 down
     total = sum(dt for _, dt in segs)
     assert total == pytest.approx(10e-9 + 2 * 2e-9, rel=1e-12)
+
+
+def test_pulse_train_plays_in_order():
+    # a train must play its pulses in time order; the two pulses here do
+    # not commute, so any swap changes the result
+    d = dev.default_device()
+    j_a = hb.ExchangeVector(60e6, 0.0, 0.0)
+    j_b = hb.ExchangeVector(0.0, 55e6, 10e6)
+    pulse_a = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j_a)), duration_s=7e-9)
+    pulse_b = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j_b)), duration_s=9e-9)
+    rho = hb.initialize_singlet()
+    out = d.simulate_pulse(rho, [pulse_a, pulse_b])
+    u = expm(-1j * hb.build_hamiltonian(j_b) * 9e-9) @ expm(-1j * hb.build_hamiltonian(j_a) * 7e-9)
+    np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
+
+
+def _oracle_couplings(d, v, plungers):
+    """Exchange law, cross-talk and detuning penalty, one draw at a time."""
+    off = np.isinf(v)
+    v = np.where(off, v, d.cross @ np.where(off, 0.0, v))
+    e1, e2, e3 = plungers
+    eps_t, eps_d = 0.5 * (e2 - e1), e3 - 0.5 * (e1 + e2)
+    j = {}
+    for i, pair in enumerate(dev.PAIR_ORDER):
+        law, s = d.laws[pair], d.sensitivities[pair]
+        pen = math.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2)
+        j[pair] = law.a_hz * math.exp(law.b_per_v * v[i] + law.c) * pen
+    return hb.ExchangeVector(j["12"], j["23"], j["13"])
+
+
+def _oracle_segments(d, pulse, dv):
+    """(barrier voltages, duration) of each segment of one pulse, in order."""
+    target = np.asarray(pulse.v_x) + dv[3:]
+    segs = [(target, pulse.duration_s)]
+    if pulse.ramp_s > 0.0:
+        idle = d.idle_v + dv[3:]
+        dt = pulse.ramp_s / 16
+        up = [(idle + (k + 0.5) / 16 * (target - idle), dt) for k in range(16)]
+        down = [(idle + (1 - (k + 0.5) / 16) * (target - idle), dt) for k in range(16)]
+        segs = up + segs + down
+    return segs
+
+
+def test_stacked_draws_match_per_draw_oracle():
+    d = dataclasses.replace(
+        dev.default_device(),
+        fields=hb.FieldConfig(2e7, (1e5, -2e5, 3e4)),
+        noise=dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=1e5),
+    )
+    ramped = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
+                           plunger_offsets_v=(2e-3, -1e-3, 5e-4), ramp_s=2e-9)
+    idle = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=20e-9)
+    plain = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
+                          plunger_offsets_v=(0.0, 1e-3, 0.0))
+    train = [ramped, idle, plain, ramped, plain]
+    draws = [dev.sample_noise(d.noise, dev.rng_stream(3, shot)) for shot in range(4)]
+    rho0 = hb.initialize_singlet()
+    out = d.simulate_pulse(rho0, train, dev.NoiseDraw.stack(draws), apply_cross=True)
+    assert out.shape == (4, 8, 8)
+    for draw, got in zip(draws, out):
+        dv = draw.voltage_offsets_v
+        fields = hb.FieldConfig(2e7, tuple(np.asarray(d.fields.gradients_hz) + draw.gradients_hz))
+        rho = rho0
+        for pulse in train:
+            plungers = np.asarray(pulse.plunger_offsets_v) + dv[:3]
+            for v, dt in _oracle_segments(d, pulse, dv):
+                h = hb.build_hamiltonian(_oracle_couplings(d, v, plungers), fields)
+                u = expm(-1j * h * dt)
+                rho = u @ rho @ u.conj().T
+        np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
+        # a single draw through the same train gives the same state
+        one = d.simulate_pulse(rho0, train, draw, apply_cross=True)
+        np.testing.assert_allclose(one, got, rtol=0, atol=1e-14)
+
+
+def test_empty_train_returns_rho_unchanged():
+    d = dev.default_device()
+    rho = hb.initialize_singlet()
+    draws = dev.NoiseDraw(np.full((3, 6), 1e-3), np.full((3, 3), 1e5))
+    for draw in (None, draws):
+        np.testing.assert_array_equal(d.simulate_pulse(rho, [], draw), rho)
 
 
 def test_gradient_noise_causes_leakage():

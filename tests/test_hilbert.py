@@ -94,19 +94,6 @@ def test_propagator_rejects_negative_duration():
         hb.propagator(h, -1e-9)
 
 
-def test_piecewise_evolution_order():
-    # piecewise evolution must apply segments in time order; the segment
-    # Hamiltonians here do not commute so any swap changes the result
-    j_a = hb.ExchangeVector(60e6, 0.0, 0.0)
-    j_b = hb.ExchangeVector(0.0, 55e6, 10e6)
-    h_a = hb.build_hamiltonian(j_a)
-    h_b = hb.build_hamiltonian(j_b)
-    rho = hb.initialize_singlet()
-    out = hb.evolve_piecewise(rho, [(h_a, 7e-9), (h_b, 9e-9)])
-    u = expm(-1j * h_b * 9e-9) @ expm(-1j * h_a * 7e-9)
-    np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
-
-
 def test_population_requires_density_matrix():
     with pytest.raises(ValueError):
         hb.measure_p0(np.eye(8) * 2.0)
@@ -138,6 +125,71 @@ def test_block_and_full_propagators_agree():
             sub = iso.conj().T @ u8 @ iso
             overlap = abs(np.trace(sub.conj().T @ u2)) / 2.0
             assert 1.0 - overlap**2 < 1e-9
+
+
+def random_batch(rng, n, scale=80e6):
+    j = hb.ExchangeVector(*(rng.uniform(0, scale, size=n) for _ in range(3)))
+    fields = hb.FieldConfig(0.5e9, rng.normal(0.0, 2e5, size=(n, 3)))
+    return j, fields
+
+
+def test_stacked_hamiltonian_matches_scalar_build():
+    rng = np.random.default_rng(31)
+    j, fields = random_batch(rng, 6)
+    h = hb.build_hamiltonian(j, fields)
+    assert h.shape == (6, 8, 8)
+    for k in range(6):
+        one = hb.build_hamiltonian(
+            hb.ExchangeVector(float(j.j12[k]), float(j.j23[k]), float(j.j13[k])),
+            hb.FieldConfig(0.5e9, tuple(fields.gradients_hz[k])),
+        )
+        np.testing.assert_array_equal(h[k], one)
+
+
+def test_stacked_propagator_matches_expm_per_matrix():
+    rng = np.random.default_rng(32)
+    j, fields = random_batch(rng, 12)
+    h = hb.build_hamiltonian(j, fields).reshape(3, 4, 8, 8)
+    tau = 17e-9
+    u = hb.propagator(h, tau)
+    assert u.shape == (3, 4, 8, 8)
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_allclose(u[idx], expm(-1j * h[idx] * tau), atol=1e-12)
+
+
+def test_stacked_propagator_matches_qubit_block():
+    rng = np.random.default_rng(33)
+    j, _ = random_batch(rng, 10)
+    tau = 23e-9
+    u8 = hb.propagator(hb.build_hamiltonian(j), tau)
+    for k in range(10):
+        jk = hb.ExchangeVector(float(j.j12[k]), float(j.j23[k]), float(j.j13[k]))
+        u2 = expm(-1j * hb.qubit_block(jk) * tau)
+        for m_index in (0, 1):
+            iso = hb.ENCODED.gauge_sector(m_index)
+            overlap = abs(np.trace(u2.conj().T @ (iso.conj().T @ u8[k] @ iso))) / 2.0
+            assert 1.0 - overlap**2 < 1e-12
+
+
+def test_stacked_inputs_are_validated():
+    rng = np.random.default_rng(34)
+    j, fields = random_batch(rng, 5)
+    h = hb.build_hamiltonian(j, fields)
+    bad = h.copy()
+    bad[3, 0, 1] += 1e3  # one non-Hermitian matrix in the stack
+    with pytest.raises(ValueError):
+        hb.propagator(bad, 1e-9)
+    for tau in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hb.propagator(h, tau)
+    with pytest.raises(ValueError):
+        hb.propagator(h[..., :4], 1e-9)
+    rho = np.stack([hb.initialize_singlet()] * 4)
+    np.testing.assert_allclose(hb.measure_p0(rho), np.ones(4), atol=1e-12)
+    over = rho.copy()
+    over[2] += 0.5 * hb.ENCODED.p0 - 0.25 * hb.ENCODED.p_leak  # trace 1, P0 = 2
+    with pytest.raises(ValueError):
+        hb.measure_p0(over)
 
 
 def test_embed_qubit_unitary_block_structure():
