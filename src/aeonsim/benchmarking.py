@@ -29,20 +29,20 @@ from .calibration import PAIR_INDEX, solve_exchange_for_rotation
 from .device import DeviceModel, NoiseDraw, PulseSpec, rng_stream, sample_noise
 from .errors import FitError
 from .hilbert import ExchangeVector, initialize_singlet, measure_p0
-from .rotations import (
+from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
+    FLIP,
     AxisAngle,
     ONE_J_AXES,
     Rotation,
     canonical_clifford_group,
     avg_pulse_count,
+    cayley_tables,
     compose,
     match_element,
     so3_matrix,
 )
 
 TWO_PI = 2.0 * math.pi
-
-FLIP = Rotation.from_axis_angle(AxisAngle(0.0, math.pi))  # pi about x
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,21 @@ def generate_sequence(rng: np.random.Generator, depth: int, group) -> list[int]:
     return [int(k) for k in rng.integers(0, len(group), size=depth)]
 
 
-def recovery_element(group, net: Rotation, flip: bool):
-    """Group element completing ``net`` to identity or to the bit flip."""
-    target = compose(FLIP, net.inverse()) if flip else net.inverse()
-    return match_element(group, target)
+def recovery_element(group, net: int | Rotation, flip: bool):
+    """Group element completing ``net`` to identity or to the bit flip.
+
+    ``net`` is a list position in ``group``, or a Rotation that is
+    matched to one; the recovery is read from the group's Cayley tables.
+    """
+    if isinstance(net, Rotation):
+        net = _position(group, net)
+    tables = cayley_tables(group)
+    return group[int(tables.flip_inv[net] if flip else tables.inv[net])]
+
+
+def _position(group, r: Rotation) -> int:
+    """List position of the group element equal to ``r``."""
+    return group.index(match_element(group, r))
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +143,29 @@ def _run_device_engine(device, cfg, group, interleaved):
         if cfg.idle_s > 0
         else None
     )
-    inter_el = None
+    tables = cayley_tables(group)
+    mul = tables.mul.tolist()
     if interleaved is not None:
-        inter_el = match_element(group, Rotation.from_axis_angle(interleaved))
+        inter = _position(group, Rotation.from_axis_angle(interleaved))
+        inter_pulse = pulses_for(interleaved)
 
     def one_cell(di, si, depth):
         rng = rng_stream(cfg.seed, di, si)
         indices = generate_sequence(rng, depth, group)
+        body: list[PulseSpec] = []
+        net = tables.identity
+        for k in indices:
+            body.extend(pulses_for(aa) for aa in group[k].decomposition)
+            net = mul[k][net]
+            if interleaved is not None:
+                body.append(inter_pulse)
+                net = mul[inter][net]
+            if idle is not None:
+                body.append(idle)
         out = []
         for flip in (False, True):
-            net = Rotation.identity()
-            seq_pulses: list[PulseSpec] = []
-            for k in indices:
-                el = group[k]
-                for aa in el.decomposition:
-                    seq_pulses.append(pulses_for(aa))
-                net = compose(el.rotation, net)
-                if interleaved is not None:
-                    seq_pulses.append(pulses_for(interleaved))
-                    net = compose(inter_el.rotation, net)
-                if idle is not None:
-                    seq_pulses.append(idle)
             rec = recovery_element(group, net, flip)
-            for aa in rec.decomposition:
-                seq_pulses.append(pulses_for(aa))
+            seq_pulses = body + [pulses_for(aa) for aa in rec.decomposition]
             if cfg.shots is None:
                 rho = device.simulate_pulse(initialize_singlet(), seq_pulses, None, cfg.apply_cross)
                 out.append(measure_p0(rho))
@@ -188,12 +198,20 @@ def _run_device_engine(device, cfg, group, interleaved):
 
 
 def _run_channel_engine(cfg, group, inject: InjectedError, interleaved):
+    """Depolarizing channels commute with every rotation, so a sequence's
+    survival needs only its net element and its pulse counts: after ``n``
+    pulses and ``m`` interleaved gates the recovered Bloch z is
+    ``+-(lam_dep * keep)^n * lam_gate^m`` and the encoded trace ``keep^n``.
+    The factors are multiplied in pulse order, Clifford by Clifford."""
     lam_dep = 1.0 - 2.0 * inject.depol_per_pulse
     keep = 1.0 - inject.leak_per_pulse
     lam_gate = 1.0 - 2.0 * inject.gate_depol
-    inter_el = None
+    tables = cayley_tables(group)
+    mul = tables.mul.tolist()
+    z_step = [(lam_dep * keep) ** el.pulse_count for el in group]
+    trace_step = [keep**el.pulse_count for el in group]
     if interleaved is not None:
-        inter_el = match_element(group, Rotation.from_axis_angle(interleaved))
+        inter = _position(group, Rotation.from_axis_angle(interleaved))
 
     surv_id = np.empty((len(cfg.depths), cfg.n_sequences))
     surv_fl = np.empty_like(surv_id)
@@ -201,29 +219,20 @@ def _run_channel_engine(cfg, group, inject: InjectedError, interleaved):
         for si in range(cfg.n_sequences):
             rng = rng_stream(cfg.seed, di, si)
             indices = generate_sequence(rng, depth, group)
-            net = Rotation.identity()
-            r = np.array([0.0, 0.0, 1.0])
-            trace = 1.0
+            net = tables.identity
+            z, trace = 1.0, 1.0
             for k in indices:
-                el = group[k]
-                n_p = el.pulse_count
-                r = so3_matrix(el.rotation) @ r
-                scale = (lam_dep * keep) ** n_p
-                r = r * scale
-                trace *= keep**n_p
-                net = compose(el.rotation, net)
+                net = mul[k][net]
+                z *= z_step[k]
+                trace *= trace_step[k]
                 if interleaved is not None:
-                    r = so3_matrix(inter_el.rotation) @ r
-                    r = r * (lam_gate * lam_dep * keep)
+                    net = mul[inter][net]
+                    z *= lam_gate * lam_dep * keep
                     trace *= keep
-                    net = compose(inter_el.rotation, net)
             for flip in (False, True):
-                rec = recovery_element(group, net, flip)
-                rr = so3_matrix(rec.rotation) @ r
-                scale = (lam_dep * keep) ** rec.pulse_count
-                rr = rr * scale
-                tr = trace * keep**rec.pulse_count
-                p0 = 0.5 * (tr + rr[2])
+                rec = tables.flip_inv[net] if flip else tables.inv[net]
+                z_rec = (-1.0 if flip else 1.0) * z * z_step[rec]
+                p0 = 0.5 * (trace * trace_step[rec] + z_rec)
                 if cfg.shots is not None:
                     shot_rng = rng_stream(cfg.seed, di, si, int(flip), 1000)
                     p0 = shot_rng.binomial(cfg.shots, min(1.0, max(0.0, p0))) / cfg.shots

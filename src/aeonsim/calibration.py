@@ -40,6 +40,7 @@ from .rotations import (
     canonical_clifford_group,
     compose,
     exchange_to_rotation,
+    quat_multiply,
     so3_matrix,
     to_unitary,
 )
@@ -345,16 +346,6 @@ def _quat_power(w, v, n: int):
     return wn, vn
 
 
-def _quat_multiply(w1, v1, w2, v2):
-    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
-    v = (
-        w1[..., None] * v2
-        + w2[..., None] * v1
-        + np.cross(v1, v2)
-    )
-    return w, v
-
-
 def germ_net_quaternion(
     cfg: GermConfig,
     probe_phi,
@@ -378,14 +369,14 @@ def germ_net_quaternion(
     )
     cw = np.asarray(precal.w, dtype=float)
     cv = np.asarray(precal.v, dtype=float)
-    gw, gv = _quat_multiply(cw, np.broadcast_to(cv, pv.shape), pw, pv)
+    gw, gv = quat_multiply(cw, np.broadcast_to(cv, pv.shape), pw, pv)
     aw, av = _quat_power(gw, gv, 2 * n_reps)
     ax_w = np.cos(0.5 * 2 * cfg.q * n_reps * theta)
     sin_ax = np.sin(0.5 * 2 * cfg.q * n_reps * theta)
     ax_v = np.stack(
         [sin_ax * np.cos(phi), np.zeros_like(phi), sin_ax * np.sin(phi)], axis=-1
     )
-    return _quat_multiply(ax_w, ax_v, aw, av)
+    return quat_multiply(ax_w, ax_v, aw, av)
 
 
 def sweep_fidelity(
@@ -402,8 +393,9 @@ def sweep_fidelity(
     """Measure the germ's twirled fidelity over a barrier-voltage grid.
 
     Per cell, the probe pulse is whatever rotation the device delivers at
-    those voltages (exchange law, pulse duration); the germ is composed
-    pulse by pulse and twirled.  With ``shots``, per-cell binomial
+    those voltages (exchange law, pulse duration).  The whole grid goes
+    through the exchange law, the rotation map, the germ's net rotation
+    and the exact twirl as arrays.  With ``shots``, per-cell binomial
     sampling uses counter-split RNG streams, so each cell's result depends
     only on the seed and its grid position.
 
@@ -413,42 +405,25 @@ def sweep_fidelity(
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     idx = {p: i for i, p in enumerate(PAIR_INDEX)}
-    i1, i2 = idx[pairs[0]], idx[pairs[1]]
-
-    def compute_row(r: int):
-        phis = np.empty(v1.size)
-        thetas = np.empty(v1.size)
-        for c, va in enumerate(v1):
-            v_x = np.full(3, -np.inf)
-            v_x[i1] = va
-            v_x[i2] = v2[r]
-            j = device.exchange_from_voltages(v_x)
-            aa = exchange_to_rotation(j, cfg.pulse_s)
-            phis[c] = aa.phi
-            thetas[c] = aa.theta
-        w, v = germ_net_quaternion(cfg, phis, thetas, n_reps, precal=precal_actual)
-        f_exact = _twirl_from_quaternion(w, v)
-        if shots is None:
-            return f_exact, np.zeros_like(f_exact)
-        z = _clifford_z_columns()
-        proj = np.einsum("cj,kj->ck", v, z)
-        surv = np.clip(w[:, None] ** 2 + proj**2, 0.0, 1.0)
-        f_row = np.empty(v1.size)
-        err_row = np.empty(v1.size)
-        for c in range(v1.size):
-            rng = rng_stream(seed, n_reps, r, c)
-            order = rng.permutation(surv.shape[1])
-            est = np.empty(surv.shape[1])
-            for k in order:
-                est[k] = rng.binomial(shots, surv[c, k]) / shots
-            f_row[c] = est.mean()
-            err_row[c] = math.sqrt(float(np.sum(est * (1 - est) / shots))) / est.size
-        return f_row, err_row
-
-    results = [compute_row(r) for r in range(v2.size)]
-    f = np.stack([r[0] for r in results])
-    err = np.stack([r[1] for r in results])
-    return FidelityMap(v1, v2, f, err if shots else None, tuple(pairs), n_reps, cfg)
+    v_x = np.full((v2.size, v1.size, 3), -np.inf)
+    v_x[..., idx[pairs[0]]] = v1
+    v_x[..., idx[pairs[1]]] = v2[:, None]
+    aa = exchange_to_rotation(device.exchange_from_voltages(v_x), cfg.pulse_s)
+    w, v = germ_net_quaternion(cfg, aa.phi, aa.theta, n_reps, precal=precal_actual)
+    if shots is None:
+        f = _twirl_from_quaternion(w, v)
+        return FidelityMap(v1, v2, f, None, tuple(pairs), n_reps, cfg)
+    proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
+    surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
+    est = np.empty_like(surv)
+    for r, c in np.ndindex(surv.shape[:2]):
+        rng = rng_stream(seed, n_reps, r, c)
+        order = rng.permutation(surv.shape[-1])
+        est[r, c, order] = rng.binomial(shots, surv[r, c, order])
+    est /= shots
+    f = est.mean(axis=-1)
+    err = np.sqrt(np.sum(est * (1 - est) / shots, axis=-1)) / est.shape[-1]
+    return FidelityMap(v1, v2, f, err, tuple(pairs), n_reps, cfg)
 
 
 PAIR_INDEX = ("12", "13", "23")
@@ -540,25 +515,19 @@ class CalFit:
     n_restarts_used: int
 
 
-def _map_model(params, fmap: FidelityMap, a_scales, eta: float):
+def _map_model(params, fmap: FidelityMap, grids, a_scales, eta: float):
     b1, c1, b2, c2, chi = params
     cfg = fmap.cfg
-    vv1, vv2 = np.meshgrid(fmap.v1, fmap.v2)
+    vv1, vv2 = grids
     by_pair = {
         fmap.pairs[0]: a_scales[0] * np.exp(b1 * vv1 + c1),
         fmap.pairs[1]: a_scales[1] * np.exp(b2 * vv2 + c2),
     }
-    j12 = by_pair.get("12", 0.0)
-    j23 = by_pair.get("23", 0.0)
-    j13 = by_pair.get("13", 0.0)
-    j_minus = 0.5 * (j12 - j23)
-    j_plus = 0.5 * (j12 + j23)
-    x = math.sqrt(3.0) * j_minus
-    z = j13 - j_plus
-    omega = np.hypot(x, z)
-    phi = np.arctan2(z, x)
-    theta = TWO_PI * omega * cfg.pulse_s
-    return analytic_fidelity(phi, theta, eta, chi, fmap.n_reps, cfg)
+    j = ExchangeVector(
+        j12=by_pair.get("12", 0.0), j23=by_pair.get("23", 0.0), j13=by_pair.get("13", 0.0)
+    )
+    aa = exchange_to_rotation(j, cfg.pulse_s)
+    return analytic_fidelity(aa.phi, aa.theta, eta, chi, fmap.n_reps, cfg)
 
 
 def fit_final(
@@ -600,8 +569,10 @@ def fit_final(
         start[1] = math.log(j_tgt[0] / a_scales[0]) - start[0] * peak_v[0]
         start[3] = math.log(j_tgt[1] / a_scales[1]) - start[2] * peak_v[1]
 
+    grids = np.meshgrid(fmap.v1, fmap.v2)
+
     def residuals(params):
-        return (_map_model(params, fmap, a_scales, cfg.eta) - data).ravel()
+        return (_map_model(params, fmap, grids, a_scales, cfg.eta) - data).ravel()
 
     best = None
     used = 0

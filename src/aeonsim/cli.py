@@ -78,6 +78,18 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _rate(upper: float):
+    """Argument type for an injected error rate in [0, ``upper``]."""
+
+    def rate(text: str) -> float:
+        x = float(text)
+        if not 0.0 <= x <= upper:
+            raise argparse.ArgumentTypeError(f"must lie in [0, {upper:g}], got {text}")
+        return x
+
+    return rate
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -325,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--idle", type=float, default=0.0, help="idle between Cliffords (s)")
         p.add_argument("--cross", action="store_true")
         p.add_argument("--engine", choices=("device", "channel"), default="device")
-        p.add_argument("--inject-depol", type=float, default=0.0)
-        p.add_argument("--inject-leak", type=float, default=0.0)
-        p.add_argument("--gate-depol", type=float, default=0.0)
+        # a depolarizing rate above 0.5 gives a negative Bloch shrink factor
+        p.add_argument("--inject-depol", type=_rate(0.5), default=0.0)
+        p.add_argument("--inject-leak", type=_rate(1.0), default=0.0)
+        p.add_argument("--gate-depol", type=_rate(0.5), default=0.0)
 
     p = sub.add_parser("rb", parents=[common], help="blind randomized benchmarking")
     add_rb_args(p)

@@ -13,6 +13,7 @@ exchange pair vectors ``(12, 13, 23)`` throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -157,11 +158,17 @@ class NoiseConfig:
     gradient_sigma_hz: float | tuple = 0.0
     seed: int = 0
 
+    @functools.cached_property
     def sigma_v(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.voltage_sigma_v, dtype=float), (6,)).copy()
+        """Per-gate voltage sigmas, shape (6,); a read-only view computed
+        once per config."""
+        return np.broadcast_to(np.asarray(self.voltage_sigma_v, dtype=float), (6,))
 
+    @functools.cached_property
     def sigma_b(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.gradient_sigma_hz, dtype=float), (3,)).copy()
+        """Per-dot gradient sigmas, shape (3,); a read-only view computed
+        once per config."""
+        return np.broadcast_to(np.asarray(self.gradient_sigma_hz, dtype=float), (3,))
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,8 @@ class NoiseDraw:
 def sample_noise(noise: NoiseConfig, rng: np.random.Generator) -> NoiseDraw:
     """Draw quasi-static voltage and gradient offsets from ``rng``."""
     return NoiseDraw(
-        voltage_offsets_v=rng.normal(0.0, 1.0, size=6) * noise.sigma_v(),
-        gradients_hz=rng.normal(0.0, 1.0, size=3) * noise.sigma_b(),
+        voltage_offsets_v=rng.normal(0.0, 1.0, size=6) * noise.sigma_v,
+        gradients_hz=rng.normal(0.0, 1.0, size=3) * noise.sigma_b,
     )
 
 
@@ -388,7 +395,34 @@ def load_device(path) -> DeviceModel:
     return device_from_dict(raw)
 
 
+# Top-level keys of a device config; README.md documents each one.
+CONFIG_KEYS = (
+    "compensation_matrix",
+    "cross_matrix",
+    "exchange_law",
+    "dss",
+    "noise",
+    "fields",
+    "pulse_s",
+    "idle_v",
+)
+
+
 def device_from_dict(raw: dict) -> DeviceModel:
+    """Device from a parsed config object; omitted keys keep the defaults.
+
+    Raises:
+        ConfigError: if ``raw`` is not an object or has a key outside
+            :data:`CONFIG_KEYS`, or a value is invalid.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"device config must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown device config key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(CONFIG_KEYS)}"
+        )
     base = default_device()
     kwargs = {}
     if "compensation_matrix" in raw:

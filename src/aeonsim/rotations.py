@@ -9,6 +9,7 @@ sin phi)``; composed rotations acquire y-components.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -92,19 +93,28 @@ def exchange_to_rotation(j, tau_s: float) -> AxisAngle:
     """Axis and angle of the rotation driven by an exchange pulse.
 
     Args:
-        j: ExchangeVector (Hz).
+        j: ExchangeVector (Hz); its couplings may be floats or arrays that
+            broadcast to one batch shape.
         tau_s: pulse duration, seconds.
 
     Returns:
         AxisAngle with ``phi = atan2(J13 - J_+, sqrt(3) J_-)`` and
-        ``theta = 2*pi * sqrt(3 J_-^2 + (J13 - J_+)^2) * tau``.
+        ``theta = 2*pi * sqrt(3 J_-^2 + (J13 - J_+)^2) * tau``: floats for
+        float couplings, arrays of the batch shape otherwise.  Zero total
+        coupling maps to ``(0, 0)``.
     """
     x = math.sqrt(3.0) * j.j_minus
     z = j.j13 - j.j_plus
-    omega_hz = math.hypot(x, z)
-    if omega_hz == 0.0:
-        return AxisAngle(0.0, 0.0)
-    return AxisAngle(math.atan2(z, x), 2.0 * math.pi * omega_hz * tau_s)
+    if np.ndim(x) == 0 and np.ndim(z) == 0:
+        # math.hypot/atan2 and their numpy forms differ in the last bit for
+        # some inputs; floats keep the math results that reports carry
+        omega_hz = math.hypot(x, z)
+        if omega_hz == 0.0:
+            return AxisAngle(0.0, 0.0)
+        return AxisAngle(math.atan2(z, x), 2.0 * math.pi * omega_hz * tau_s)
+    omega_hz = np.hypot(x, z)
+    phi = np.where(omega_hz == 0.0, 0.0, np.arctan2(z, x))
+    return AxisAngle(phi, 2.0 * math.pi * omega_hz * tau_s)
 
 
 def compose(second: Rotation, first: Rotation) -> Rotation:
@@ -471,6 +481,76 @@ def match_element(group, r: Rotation) -> CliffordElement:
         if _canonical_key(el.rotation) == key:
             return el
     raise ProtocolError("rotation is not an element of the Clifford group")
+
+
+FLIP = Rotation.from_axis_angle(AxisAngle(0.0, math.pi))  # pi about x
+
+
+def quat_multiply(w1, v1, w2, v2):
+    """Quaternion product ``q1 * q2`` (``q2`` applied first), vectorized:
+    scalar parts ``w`` of shape (...) and vector parts ``v`` of (..., 3)."""
+    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
+    v = (
+        w1[..., None] * v2
+        + w2[..., None] * v1
+        + np.cross(v1, v2)
+    )
+    return w, v
+
+
+@dataclass(frozen=True)
+class CayleyTables:
+    """Multiplication and inversion of a 24-element Clifford group by
+    list position.
+
+    ``mul[a, b]`` is the position of ``group[a]`` applied after
+    ``group[b]``; ``inv[a]`` that of the inverse of ``group[a]``;
+    ``flip_inv[a]`` that of that inverse followed by :data:`FLIP`;
+    ``identity`` that of the identity.  The arrays are read-only.
+    """
+
+    mul: np.ndarray
+    inv: np.ndarray
+    flip_inv: np.ndarray
+    identity: int
+
+
+def cayley_tables(group) -> CayleyTables:
+    """Tables of a 24-element Clifford group, built on first use and
+    cached by the group's quaternions.
+
+    Every product is matched to the element of largest ``|<q, q'>|``.
+
+    Raises:
+        ProtocolError: if the group does not have 24 distinct elements, is
+            not closed, or lacks the flip.
+    """
+    q = np.array([[el.rotation.w, *el.rotation.v] for el in group], dtype=float)
+    if q.shape != (24, 4):
+        raise ProtocolError(f"expected 24 Clifford elements, got {len(q)}")
+    return _cayley_tables(q.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _cayley_tables(key: bytes) -> CayleyTables:
+    q = np.frombuffer(key).reshape(24, 4)
+    w, v = q[:, 0], q[:, 1:]
+
+    def match(qw, qv):
+        overlap = np.abs(qw[..., None] * w + qv @ v.T)
+        if np.any(np.max(overlap, axis=-1) < 1.0 - 1e-6):
+            raise ProtocolError("rotation is not an element of the Clifford group")
+        return np.argmax(overlap, axis=-1)
+
+    mul = match(*quat_multiply(w[:, None], v[:, None, :], w[None, :], v[None, :, :]))
+    inv = match(w, -v)
+    flip_inv = match(*quat_multiply(np.asarray(FLIP.w), np.asarray(FLIP.v), w, -v))
+    if np.any(np.sort(mul, axis=-1) != np.arange(24)):
+        raise ProtocolError("Clifford elements are not distinct: a table row is not a permutation")
+    for table in (mul, inv, flip_inv):
+        table.setflags(write=False)
+    identity = match(np.array(1.0), np.zeros(3))
+    return CayleyTables(mul, inv, flip_inv, int(identity))
 
 
 def avg_pulse_count(group) -> float:

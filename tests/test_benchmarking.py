@@ -24,20 +24,25 @@ def test_sequences_deterministic_per_stream():
 
 
 def test_recovery_completes_to_identity_and_flip():
-    grp = rot.canonical_clifford_group()
     rng = np.random.default_rng(2)
     flip = bench.FLIP
-    for _ in range(40):
-        seq = bench.generate_sequence(rng, int(rng.integers(1, 12)), grp)
-        net = rot.Rotation.identity()
-        for k in seq:
-            net = rot.compose(grp[k].rotation, net)
-        rec_i = bench.recovery_element(grp, net, flip=False)
-        total = rot.compose(rec_i.rotation, net)
-        assert total.overlap(rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-9)
-        rec_f = bench.recovery_element(grp, net, flip=True)
-        total = rot.compose(rec_f.rotation, net)
-        assert total.overlap(flip) == pytest.approx(1.0, abs=1e-9)
+    for grp in (rot.canonical_clifford_group(), rot.compile_clifford_group((rot.PHI_M, rot.PHI_N))):
+        tables = rot.cayley_tables(grp)
+        for _ in range(40):
+            seq = bench.generate_sequence(rng, int(rng.integers(1, 12)), grp)
+            net, pos = rot.Rotation.identity(), tables.identity
+            for k in seq:
+                net = rot.compose(grp[k].rotation, net)
+                pos = tables.mul[k, pos]
+            assert grp[pos].rotation.approx_equal(net)  # table fold = compose
+            rec_i = bench.recovery_element(grp, net, flip=False)
+            assert bench.recovery_element(grp, pos, flip=False) is rec_i
+            total = rot.compose(rec_i.rotation, net)
+            assert total.overlap(rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-9)
+            rec_f = bench.recovery_element(grp, net, flip=True)
+            assert bench.recovery_element(grp, pos, flip=True) is rec_f
+            total = rot.compose(rec_f.rotation, net)
+            assert total.overlap(flip) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_realize_pulse_round_trip():
@@ -119,6 +124,66 @@ def test_interleaved_gate_error_may_be_negative():
     )
     assert isinstance(out["gate_error"], float)
     assert abs(out["gate_error"]) < 5e-3
+
+
+def _channel_engine_so3_oracle(cfg, group, inject, interleaved):
+    """Step-by-step channel engine: Bloch vector through each Clifford's
+    SO(3) matrix and per-pulse channel scalings, net rotation by compose."""
+    lam_dep = 1.0 - 2.0 * inject.depol_per_pulse
+    keep = 1.0 - inject.leak_per_pulse
+    lam_gate = 1.0 - 2.0 * inject.gate_depol
+    inter = None
+    if interleaved is not None:
+        inter = rot.match_element(group, rot.Rotation.from_axis_angle(interleaved))
+    surv = np.empty((2, len(cfg.depths), cfg.n_sequences))
+    for di, depth in enumerate(cfg.depths):
+        for si in range(cfg.n_sequences):
+            indices = bench.generate_sequence(dev.rng_stream(cfg.seed, di, si), depth, group)
+            net, r, trace = rot.Rotation.identity(), np.array([0.0, 0.0, 1.0]), 1.0
+            for k in indices:
+                el = group[k]
+                r = rot.so3_matrix(el.rotation) @ r * (lam_dep * keep) ** el.pulse_count
+                trace *= keep**el.pulse_count
+                net = rot.compose(el.rotation, net)
+                if inter is not None:
+                    r = rot.so3_matrix(inter.rotation) @ r * (lam_gate * lam_dep * keep)
+                    trace *= keep
+                    net = rot.compose(inter.rotation, net)
+            for flip in (0, 1):
+                target = rot.compose(bench.FLIP, net.inverse()) if flip else net.inverse()
+                rec = rot.match_element(group, target)
+                rr = rot.so3_matrix(rec.rotation) @ r * (lam_dep * keep) ** rec.pulse_count
+                p0 = 0.5 * (trace * keep**rec.pulse_count + rr[2])
+                if cfg.shots is not None:
+                    shot_rng = dev.rng_stream(cfg.seed, di, si, flip, 1000)
+                    p0 = shot_rng.binomial(cfg.shots, min(1.0, max(0.0, p0))) / cfg.shots
+                surv[flip, di, si] = p0
+    return surv
+
+
+@pytest.mark.parametrize("shots", [None, 40])
+@pytest.mark.parametrize(
+    "group,inject,interleaved",
+    [
+        (None, bench.InjectedError(depol_per_pulse=2e-3, leak_per_pulse=1e-3), None),
+        (None, bench.InjectedError(depol_per_pulse=1e-3, gate_depol=3e-3), rot.AxisAngle(-PI / 2, PI)),
+        ((rot.PHI_Z, rot.PHI_N), bench.InjectedError(depol_per_pulse=1e-3, leak_per_pulse=2e-3),
+         rot.AxisAngle(0.0, PI / 2)),
+    ],
+    ids=["plain", "interleaved", "compiled-interleaved"],
+)
+def test_channel_engine_matches_so3_oracle(group, inject, interleaved, shots):
+    grp = rot.canonical_clifford_group() if group is None else rot.compile_clifford_group(group)
+    cfg = bench.RbConfig(depths=(1, 3, 17, 64), n_sequences=6, shots=shots, seed=29)
+    data = bench.run_rb(None, cfg, group=grp, engine="channel", inject=inject,
+                        interleaved=interleaved)
+    want = _channel_engine_so3_oracle(cfg, grp, inject, interleaved)
+    if shots is None:
+        np.testing.assert_allclose(data.surv_identity, want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(data.surv_flip, want[1], rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(data.surv_identity, want[0])
+        np.testing.assert_array_equal(data.surv_flip, want[1])
 
 
 def test_channel_engine_shot_sampling_reproducible():

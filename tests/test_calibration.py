@@ -278,6 +278,52 @@ def test_sweep_shot_noise_reproducible():
     assert m1.stderr is not None and m1.stderr.max() > 0
 
 
+def _cell_survivals(d, cfg, pairs, va, vb, n_reps):
+    """Per-cell oracle: scalar rotation map, germ composed pulse by pulse,
+    then the 24 twirl terms from the Rotation path."""
+    v_x = np.full(3, -np.inf)
+    v_x[dev.PAIR_ORDER.index(pairs[0])] = va
+    v_x[dev.PAIR_ORDER.index(pairs[1])] = vb
+    aa = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
+    u = rot.compose_sequence(p for _, p in cal.build_germ_sequence(cfg, aa, n_reps))
+    terms = []
+    for el in rot.canonical_clifford_group():
+        net = rot.compose(rot.compose(el.rotation.inverse(), u), el.rotation)
+        terms.append(net.w**2 + net.v[2] ** 2)
+    assert np.mean(terms) == pytest.approx(cal.twirl_fidelity(u)[0], abs=1e-15)
+    return np.clip(terms, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("phi,pairs", [(-PI / 2, ("12", "23")), (0.0, ("12", "13"))])
+def test_sweep_matches_per_cell_oracle(phi, pairs):
+    d, cfg = dev.default_device(), default_cfg(phi=phi)
+    v1 = np.linspace(0.068, 0.080, 5)
+    v2 = np.linspace(0.070, 0.078, 4)
+    fmap = cal.sweep_fidelity(d, cfg, pairs, v1, v2, 3)
+    want = np.array(
+        [[_cell_survivals(d, cfg, pairs, va, vb, 3).mean() for va in v1] for vb in v2]
+    )
+    assert np.ptp(want) > 0.1  # the window shows contrast
+    np.testing.assert_allclose(fmap.f, want, rtol=0, atol=1e-12)
+
+
+def test_sweep_shots_match_per_term_binomial_loop():
+    d, cfg, pairs, shots, seed, n = dev.default_device(), default_cfg(), ("12", "23"), 30, 6, 2
+    v1 = np.linspace(0.070, 0.078, 5)
+    v2 = np.linspace(0.071, 0.077, 4)
+    fmap = cal.sweep_fidelity(d, cfg, pairs, v1, v2, n, shots=shots, seed=seed)
+    for r, vb in enumerate(v2):
+        for c, va in enumerate(v1):
+            surv = _cell_survivals(d, cfg, pairs, va, vb, n)
+            rng = dev.rng_stream(seed, n, r, c)
+            order = rng.permutation(24)
+            est = np.empty(24)
+            for k in order:
+                est[k] = rng.binomial(shots, surv[k]) / shots
+            assert fmap.f[r, c] == est.mean()
+            assert fmap.stderr[r, c] == math.sqrt(float(np.sum(est * (1 - est) / shots))) / 24
+
+
 def test_find_peak_centroid_and_region_choice():
     v = np.linspace(-1, 1, 41)
     xx, yy = np.meshgrid(v, v)

@@ -130,6 +130,28 @@ def test_non_positive_counts_are_usage_errors(argv, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rb", "--engine", "channel", "--inject-depol", "0.7"],
+    ["rb", "--engine", "channel", "--inject-depol", "-0.001"],
+    ["rb", "--engine", "channel", "--inject-depol", "nan"],
+    ["rb", "--engine", "channel", "--inject-leak", "1.5"],
+    ["rb", "--engine", "channel", "--inject-leak", "-0.1"],
+    ["irb", "--engine", "channel", "--gate-phi", "0", "--gate-theta", "3.14",
+     "--gate-depol", "0.51"],
+    ["irb", "--engine", "channel", "--gate-phi", "0", "--gate-theta", "3.14",
+     "--inject-depol", "inf"],
+])
+def test_injected_rates_out_of_range_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    assert "must lie in [0, " in capsys.readouterr().err
+
+
+def test_injected_rate_bounds_are_accepted():
+    args = cli.build_parser().parse_args(
+        ["rb", "--inject-depol", "0.5", "--inject-leak", "1", "--gate-depol", "0"])
+    assert (args.inject_depol, args.inject_leak, args.gate_depol) == (0.5, 1.0, 0.0)
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # too few samples for the oscillation fit
     code = run(["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:100e-9:5",
@@ -145,6 +167,19 @@ def test_config_error_exit_code(tmp_path):
     # single-coupling target axis cannot be calibrated in a wedge
     assert run(["calibrate", "--phi-star", "1.5707963267948966",
                 "--theta-star", "3.141592653589793"]) == 4
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "noise",
+    {"compensation": [[1.0] * 6] * 6},
+    {"noise": {"voltage_sigma_v": 1e-4}, "dss_location_v": [0, 0, 0]},
+])
+def test_config_must_be_an_object_of_known_keys(tmp_path, doc, capsys):
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["spectrum", "--config", str(cfg)]) == 4
+    assert "config error" in capsys.readouterr().err
 
 
 def test_custom_device_config(tmp_path):

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,18 @@ def test_noise_sampling_shapes():
     assert np.asarray(draw.gradients_hz).shape == (3,)
     silent = dev.sample_noise(dev.NoiseConfig(), dev.rng_stream(0, 2))
     assert np.abs(np.asarray(silent.voltage_offsets_v)).max() == 0.0
+
+
+def test_noise_sigmas_are_computed_once_and_draws_keep_their_values():
+    sig_v = (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3)
+    for cfg in (dev.NoiseConfig(1e-3, 2e4), dev.NoiseConfig(sig_v, (1e4, 2e4, 3e4))):
+        assert cfg.sigma_v is cfg.sigma_v and not cfg.sigma_v.flags.writeable
+        draw = dev.sample_noise(cfg, dev.rng_stream(3, 1))
+        rng = dev.rng_stream(3, 1)
+        want_v = rng.normal(0.0, 1.0, size=6) * np.broadcast_to(cfg.voltage_sigma_v, (6,))
+        want_b = rng.normal(0.0, 1.0, size=3) * np.broadcast_to(cfg.gradient_sigma_hz, (3,))
+        np.testing.assert_array_equal(draw.voltage_offsets_v, want_v)
+        np.testing.assert_array_equal(draw.gradients_hz, want_b)
 
 
 def test_exchange_from_voltages_minus_inf_is_exactly_off():
@@ -247,6 +261,14 @@ def test_device_config_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         dev.load_device(path)
+
+
+def test_readme_documents_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Device configuration", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^- `(\w+)`:", section, re.M)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(dev.CONFIG_KEYS)
 
 
 def test_fingerpinch_map_shape_and_symmetry():

@@ -184,3 +184,70 @@ def test_clifford_table_export():
     doc = json.loads(rot.export_clifford_table(grp))
     assert len(doc) == 24
     assert set(doc[0]) >= {"index", "quaternion", "word"}
+
+
+def test_exchange_to_rotation_arrays_match_scalar_calls():
+    rng = np.random.default_rng(17)
+    j12, j23, j13 = (rng.uniform(0.0, 80e6, size=(5, 7)) for _ in range(3))
+    j12[0, :3] = j23[0, :3] = j13[0, :3] = 0.0  # zero total coupling
+    j13[1, :] = 0.0  # two-pair cells
+    j23[2, :] = 0.0
+    tau = 10e-9
+    aa = rot.exchange_to_rotation(ExchangeVector(j12, j23, j13), tau)
+    assert aa.phi.shape == aa.theta.shape == (5, 7)
+    for idx in np.ndindex(5, 7):
+        one = rot.exchange_to_rotation(
+            ExchangeVector(float(j12[idx]), float(j23[idx]), float(j13[idx])), tau
+        )
+        assert type(one.phi) is float and type(one.theta) is float
+        assert aa.phi[idx] == pytest.approx(one.phi, rel=1e-15, abs=1e-15)
+        assert aa.theta[idx] == pytest.approx(one.theta, rel=1e-15, abs=0.0)
+    assert np.all(aa.phi[0, :3] == 0.0) and np.all(aa.theta[0, :3] == 0.0)
+    # an array beside float couplings broadcasts
+    mixed = rot.exchange_to_rotation(ExchangeVector(j12[1], 0.0, 0.0), tau)
+    np.testing.assert_allclose(mixed.phi, rot.PHI_M, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [rot.canonical_clifford_group, lambda: rot.compile_clifford_group((rot.PHI_Z, rot.PHI_N))],
+    ids=["canonical", "compiled"],
+)
+def test_cayley_tables_match_compose_and_match_element(group):
+    grp = group()
+    tables = rot.cayley_tables(grp)
+    pos = {id(el): i for i, el in enumerate(grp)}
+
+    def position(r):
+        return pos[id(rot.match_element(grp, r))]
+
+    for a in range(24):
+        for b in range(24):
+            assert tables.mul[a, b] == position(rot.compose(grp[a].rotation, grp[b].rotation))
+        inverse = grp[a].rotation.inverse()
+        assert tables.inv[a] == position(inverse)
+        assert tables.flip_inv[a] == position(rot.compose(rot.FLIP, inverse))
+    assert tables.identity == position(rot.Rotation.identity())
+    assert not tables.mul.flags.writeable
+    assert rot.cayley_tables(grp) is tables  # cached
+
+
+def test_cayley_tables_reject_non_groups():
+    grp = rot.canonical_clifford_group()
+    with pytest.raises(ProtocolError):
+        rot.cayley_tables(grp[:23])
+    # the Pauli subgroup six times over is closed, but its rows repeat
+    paulis = [
+        rot.CliffordElement(i, rot.Rotation(w, v), (), ())
+        for i, (w, v) in enumerate(
+            [(1.0, (0.0, 0.0, 0.0)), (0.0, (1.0, 0.0, 0.0)), (0.0, (0.0, 1.0, 0.0)),
+             (0.0, (0.0, 0.0, 1.0))]
+        )
+    ]
+    with pytest.raises(ProtocolError, match="permutation"):
+        rot.cayley_tables(paulis * 6)
+    stray = rot.CliffordElement(
+        23, rot.Rotation.from_axis_angle(rot.AxisAngle(0.0, 0.7)), (), ()
+    )
+    with pytest.raises(ProtocolError):
+        rot.cayley_tables(grp[:23] + [stray])
