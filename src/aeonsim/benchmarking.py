@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .calibration import PAIR_INDEX, solve_exchange_for_rotation
-from .device import DeviceModel, NoiseDraw, PulseSpec, rng_stream, sample_noise
+from .device import DeviceModel, NoiseDraw, PulseSpec, rng_stream, rng_streams, sample_noise
 from .errors import FitError
 from .hilbert import ExchangeVector, initialize_singlet, measure_p0
 from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
@@ -149,9 +149,8 @@ def _run_device_engine(device, cfg, group, interleaved):
         inter = _position(group, Rotation.from_axis_angle(interleaved))
         inter_pulse = pulses_for(interleaved)
 
-    def one_cell(di, si, depth):
-        rng = rng_stream(cfg.seed, di, si)
-        indices = generate_sequence(rng, depth, group)
+    def one_cell(di, si, rng):
+        indices = generate_sequence(rng, cfg.depths[di], group)
         body: list[PulseSpec] = []
         net = tables.identity
         for k in indices:
@@ -173,8 +172,8 @@ def _run_device_engine(device, cfg, group, interleaved):
                 # per shot: its noise draw, then its readout uniform, from
                 # the shot's own stream
                 draws, uniforms = [], np.empty(cfg.shots)
-                for shot in range(cfg.shots):
-                    shot_rng = rng_stream(cfg.seed, di, si, int(flip), shot)
+                shot_rngs = rng_streams(cfg.seed, di, si, int(flip), shape=cfg.shots)
+                for shot, shot_rng in enumerate(shot_rngs):
                     draws.append(sample_noise(device.noise, shot_rng))
                     uniforms[shot] = shot_rng.random()
                 rho = device.simulate_pulse(
@@ -183,10 +182,10 @@ def _run_device_engine(device, cfg, group, interleaved):
                 out.append(np.count_nonzero(uniforms < measure_p0(rho)) / cfg.shots)
         return out
 
+    grid = (len(cfg.depths), cfg.n_sequences)
     flat = [
-        one_cell(di, si, depth)
-        for di, depth in enumerate(cfg.depths)
-        for si in range(cfg.n_sequences)
+        one_cell(di, si, rng)
+        for (di, si), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid))
     ]
     surv_id = np.array([r[0] for r in flat]).reshape(len(cfg.depths), cfg.n_sequences)
     surv_fl = np.array([r[1] for r in flat]).reshape(len(cfg.depths), cfg.n_sequences)
@@ -215,31 +214,30 @@ def _run_channel_engine(cfg, group, inject: InjectedError, interleaved):
 
     surv_id = np.empty((len(cfg.depths), cfg.n_sequences))
     surv_fl = np.empty_like(surv_id)
-    for di, depth in enumerate(cfg.depths):
-        for si in range(cfg.n_sequences):
-            rng = rng_stream(cfg.seed, di, si)
-            indices = generate_sequence(rng, depth, group)
-            net = tables.identity
-            z, trace = 1.0, 1.0
-            for k in indices:
-                net = mul[k][net]
-                z *= z_step[k]
-                trace *= trace_step[k]
-                if interleaved is not None:
-                    net = mul[inter][net]
-                    z *= lam_gate * lam_dep * keep
-                    trace *= keep
-            for flip in (False, True):
-                rec = tables.flip_inv[net] if flip else tables.inv[net]
-                z_rec = (-1.0 if flip else 1.0) * z * z_step[rec]
-                p0 = 0.5 * (trace * trace_step[rec] + z_rec)
-                if cfg.shots is not None:
-                    shot_rng = rng_stream(cfg.seed, di, si, int(flip), 1000)
-                    p0 = shot_rng.binomial(cfg.shots, min(1.0, max(0.0, p0))) / cfg.shots
-                if flip:
-                    surv_fl[di, si] = p0
-                else:
-                    surv_id[di, si] = p0
+    sequences = zip(np.ndindex(surv_id.shape), rng_streams(cfg.seed, shape=surv_id.shape))
+    for (di, si), rng in sequences:
+        indices = generate_sequence(rng, cfg.depths[di], group)
+        net = tables.identity
+        z, trace = 1.0, 1.0
+        for k in indices:
+            net = mul[k][net]
+            z *= z_step[k]
+            trace *= trace_step[k]
+            if interleaved is not None:
+                net = mul[inter][net]
+                z *= lam_gate * lam_dep * keep
+                trace *= keep
+        for flip in (False, True):
+            rec = tables.flip_inv[net] if flip else tables.inv[net]
+            z_rec = (-1.0 if flip else 1.0) * z * z_step[rec]
+            p0 = 0.5 * (trace * trace_step[rec] + z_rec)
+            if cfg.shots is not None:
+                shot_rng = rng_stream(cfg.seed, di, si, int(flip), 1000)
+                p0 = shot_rng.binomial(cfg.shots, min(1.0, max(0.0, p0))) / cfg.shots
+            if flip:
+                surv_fl[di, si] = p0
+            else:
+                surv_id[di, si] = p0
     return surv_id, surv_fl
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import least_squares
 
-from .device import DeviceModel, rng_stream
+from .device import DeviceModel, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
 from .hilbert import (
     DIM,
@@ -276,10 +276,12 @@ def chebyshev_u(m: int, x):
     return out
 
 
-def analytic_fidelity(phi, theta, eta: float, chi: float, n_reps: int, cfg: GermConfig):
+def analytic_fidelity(phi, theta, eta: float, chi, n_reps: int, cfg: GermConfig):
     """Closed-form twirled fidelity of the germ at probe (phi, theta).
 
-    The helper rotation is ``R_eta(chi)``.  The composed rotation entering
+    The helper rotation is ``R_eta(chi)``; ``chi`` is a float or an array
+    broadcasting against ``phi`` and ``theta`` (one helper angle per stacked
+    map, say).  The composed rotation entering
     the fringe factors is ``R_eta(chi) * R_phi(q*theta)`` (the q-fold
     repeated probe), and the axis-amplification angle per repetition is the
     accumulated ``2*q*theta`` rather than the bare pulse angle; this is the
@@ -292,7 +294,7 @@ def analytic_fidelity(phi, theta, eta: float, chi: float, n_reps: int, cfg: Germ
     half_chi = 0.5 * chi
     theta_q = q * theta
     # composed rotation R_eta(chi) * R_phi(q theta): quaternion (wc, vc)
-    ch, sh = math.cos(half_chi), math.sin(half_chi)
+    ch, sh = np.cos(half_chi), np.sin(half_chi)
     ct, st = np.cos(0.5 * theta_q), np.sin(0.5 * theta_q)
     wc = ch * ct - sh * st * np.cos(phi - eta)
     vx = ch * st * np.cos(phi) + sh * ct * math.cos(eta)
@@ -416,8 +418,8 @@ def sweep_fidelity(
     proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
     surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
     est = np.empty_like(surv)
-    for r, c in np.ndindex(surv.shape[:2]):
-        rng = rng_stream(seed, n_reps, r, c)
+    cells = zip(np.ndindex(surv.shape[:2]), rng_streams(seed, n_reps, shape=surv.shape[:2]))
+    for (r, c), rng in cells:
         order = rng.permutation(surv.shape[-1])
         est[r, c, order] = rng.binomial(shots, surv[r, c, order])
     est /= shots
@@ -515,8 +517,11 @@ class CalFit:
     n_restarts_used: int
 
 
-def _map_model(params, fmap: FidelityMap, grids, a_scales, eta: float):
-    b1, c1, b2, c2, chi = params
+def _map_model(params, fmap: FidelityMap, grids, a_scales, eta: float) -> np.ndarray:
+    """Model fidelity maps for a ``(k, 5)`` stack of parameter sets
+    ``(B1, C1, B2, C2, chi)``, shape ``(k, ny, nx)``; each map equals the
+    one its parameter set gives alone."""
+    b1, c1, b2, c2, chi = np.asarray(params, dtype=float).T[:, :, None, None]
     cfg = fmap.cfg
     vv1, vv2 = grids
     by_pair = {
@@ -528,6 +533,26 @@ def _map_model(params, fmap: FidelityMap, grids, a_scales, eta: float):
     )
     aa = exchange_to_rotation(j, cfg.pulse_s)
     return analytic_fidelity(aa.phi, aa.theta, eta, chi, fmap.n_reps, cfg)
+
+
+def _two_point_jacobian(residuals_of):
+    """Jacobian callable reproducing scipy's default 2-point rule
+    (``approx_derivative``): step ``h = sqrt(eps) * sign(x) * max(1, |x|)``
+    with sign(0) = +1, realized step ``dx = (x + h) - x`` and column
+    ``(F(x + h e_i) - F(x)) / dx_i``.  ``residuals_of`` maps a ``(k, n)``
+    stack of points to ``(k, m)`` residuals in one call, so ``x`` and its
+    ``n`` steps are evaluated together."""
+    rel_step = math.sqrt(np.finfo(float).eps)
+
+    def jac(x):
+        h = rel_step * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        points = np.tile(x, (x.size + 1, 1))
+        points[1:][np.diag_indices(x.size)] = x + h
+        f = residuals_of(points)
+        dx = (x + h) - x
+        return ((f[1:] - f[0]) / dx[:, None]).T
+
+    return jac
 
 
 def fit_final(
@@ -542,8 +567,9 @@ def fit_final(
 
     Free parameters are B and C of each swept pair's exchange law plus the
     helper angle chi (A is held at its configured scale: A and C shift the
-    same degree of freedom).  Damped least squares with numeric Jacobians,
-    restarted from 8 jittered seeds around the assumed laws.
+    same degree of freedom).  Damped least squares with forward-difference
+    Jacobians (the point and its five steps evaluated as one stacked model
+    call), restarted from 8 jittered seeds around the assumed laws.
 
     When ``peak_v`` is given (the measured peak of this map), each start's
     C offsets are chosen so the model's calibration point sits on that
@@ -571,13 +597,18 @@ def fit_final(
 
     grids = np.meshgrid(fmap.v1, fmap.v2)
 
+    def stacked_residuals(stack):
+        model = _map_model(stack, fmap, grids, a_scales, cfg.eta)
+        return (model - data).reshape(len(stack), -1)
+
     def residuals(params):
-        return (_map_model(params, fmap, grids, a_scales, cfg.eta) - data).ravel()
+        return stacked_residuals(params[None])[0]
+
+    jac = _two_point_jacobian(stacked_residuals)
 
     best = None
     used = 0
-    for k in range(n_restarts):
-        rng = rng_stream(seed, 77, k)
+    for k, rng in enumerate(rng_streams(seed, 77, shape=n_restarts)):
         start = x0.copy()
         if k > 0:
             start[0] *= 1.0 + 0.03 * rng.standard_normal()
@@ -588,7 +619,9 @@ def fit_final(
         if j_tgt is not None:
             pin_offsets(start)
         try:
-            res = least_squares(residuals, start, method="lm", xtol=1e-14, ftol=1e-14)
+            res = least_squares(
+                residuals, start, jac=jac, method="lm", xtol=1e-14, ftol=1e-14
+            )
         except Exception:  # noqa: BLE001 - restart on solver breakdown
             continue
         used = k + 1

@@ -168,8 +168,7 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
             # per shot: its noise draw, then its readout uniform, from the
             # shot's own stream
             draws, uniforms = [], np.empty(args.shots)
-            for shot in range(args.shots):
-                shot_rng = dev.rng_stream(args.seed, 101, k, shot)
+            for shot, shot_rng in enumerate(dev.rng_streams(args.seed, 101, k, shape=args.shots)):
                 draws.append(dev.sample_noise(device.noise, shot_rng))
                 uniforms[shot] = shot_rng.random()
             rho = device.simulate_pulse(rho0, pulse, dev.NoiseDraw.stack(draws))

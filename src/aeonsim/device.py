@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,13 +53,121 @@ DEFAULT_CROSS = np.array(
 )
 
 
-def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic RNG stream split by a counter path.
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).  The
+# array constants are 0-d uint32 arrays, the cheapest operand for the
+# small arrays they meet.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
+_XSHIFT = np.array(16, np.uint32)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-    Streams for different paths are independent regardless of the order in
-    which parallel tasks consume them.
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(n_seed_words: int, n_path_words: int):
+    """SeedSequence's hash constants, which depend only on how many words
+    precede: ``(a, b)`` uint32 pairs of shape ``(n_path_words, 4)`` for
+    mixing the path words into the 4-word pool, then of shape ``(8,)`` for
+    ``generate_state(4, uint64)``; ``a`` is the constant before each
+    ``hashmix`` step and ``b`` the one after."""
+    n_mix = 16 + 4 * max(0, n_seed_words - 4) + 4 * n_path_words
+    mix = [_INIT_A]
+    for _ in range(n_mix):
+        mix.append((mix[-1] * _MULT_A) & _MASK32)
+    gen = [_INIT_B]
+    for _ in range(8):
+        gen.append((gen[-1] * _MULT_B) & _MASK32)
+    mix = np.array(mix[n_mix - 4 * n_path_words :], dtype=np.uint32)
+    gen = np.array(gen, dtype=np.uint32)
+    return (mix[:-1].reshape(-1, 4), mix[1:].reshape(-1, 4)), (gen[:-1], gen[1:])
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_sequence(seed: int):
+    """``SeedSequence(seed)`` (numpy's own seed validation) and the number
+    of 32-bit words its entropy takes."""
+    ss = np.random.SeedSequence(seed)
+    return ss, max(1, (operator.index(seed).bit_length() + 31) // 32)
+
+
+def _pcg64_states(seed: int, paths: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=path)`` for
+    each row of ``paths`` (uint32, shape ``(n, words)``).
+
+    A spawn key only appends words past the seed's entropy, so the pool of
+    ``SeedSequence(seed)`` is shared by every path; the path words are then
+    hashed and mixed into it for all rows at once, as SeedSequence mixes
+    entropy words past its 4-word pool.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+    ss, n_seed_words = _seed_sequence(seed)
+    (mix_a, mix_b), (gen_a, gen_b) = _hash_constants(n_seed_words, paths.shape[1])
+    hashed = (paths[:, :, None] ^ mix_a) * mix_b
+    hashed ^= hashed >> _XSHIFT
+    pool = ss.pool
+    for k in range(paths.shape[1]):
+        pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed[:, k]
+        pool ^= pool >> _XSHIFT
+    pool = np.broadcast_to(pool, (len(paths), 4))
+    # generate_state(4, uint64): eight 32-bit words read as little-endian
+    # pairs, which PCG64 takes as (initstate, initseq) high and low halves
+    words = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ gen_a) * gen_b
+    words ^= words >> _XSHIFT
+    out = []
+    for s_hi, s_lo, q_hi, q_lo in np.ascontiguousarray(words, "<u4").view("<u8").tolist():
+        # PCG64 srandom: two LCG steps from state 0, adding initstate between
+        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
+        out.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def rng_streams(seed: int, *prefix: int, shape):
+    """Deterministic RNG streams ``(seed, *prefix, *index)`` for every index
+    of ``shape``, in C order.
+
+    Each yielded Generator is in exactly the state of
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=prefix
+    + index))``; all states are derived up front in one array pass.  The
+    same Generator object is re-seeded at each step, so a caller takes its
+    draws from one step before advancing and keeps no reference to it.
+    Streams of different paths are independent whatever the order in which
+    they are consumed.
+
+    Raises:
+        ValueError: for a negative seed, or a path entry outside
+            ``[0, 2**32)``.
+    """
+    shape = (operator.index(shape),) if np.ndim(shape) == 0 else tuple(map(operator.index, shape))
+    prefix = [operator.index(x) for x in prefix]
+    for x in prefix + [s - 1 for s in shape]:
+        if not 0 <= x <= _MASK32:
+            raise ValueError(f"stream path entries must lie in [0, 2**32), got {x}")
+    n = math.prod(shape)
+    paths = np.empty((n, len(prefix) + len(shape)), dtype=np.uint32)
+    paths[:, : len(prefix)] = prefix
+    paths[:, len(prefix) :] = np.indices(shape).reshape(len(shape), n).T
+    states = _pcg64_states(seed, paths)
+    bit_gen = np.random.PCG64(_seed_sequence(seed)[0])
+    return _reseeded(np.random.Generator(bit_gen), states)
+
+
+def _reseeded(rng: np.random.Generator, states):
+    for state, inc in states:
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def rng_stream(seed: int, *path: int) -> np.random.Generator:
+    """Deterministic RNG stream split by a counter path: a Generator of its
+    own in the state of ``SeedSequence(seed, spawn_key=path)``, the
+    one-path case of :func:`rng_streams`."""
+    return next(rng_streams(seed, *path, shape=()))
 
 
 @dataclass(frozen=True)
