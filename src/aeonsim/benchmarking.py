@@ -359,7 +359,15 @@ def fit_rb(data: RbData) -> RbFit:
     The difference curve fixes the depolarizing parameter p, the sum curve
     the leakage parameter; error per Clifford combines both, and error per
     pulse divides by the average pulses per Clifford of the group used.
+
+    Raises:
+        FitError: if the data has fewer than 2 distinct depths, from which
+            no decay can be resolved.
     """
+    if len(set(data.depths)) < 2:
+        raise FitError(
+            f"RB fit needs at least 2 distinct depths, got {sorted(set(data.depths))}"
+        )
     diff = np.mean(data.surv_identity - data.surv_flip, axis=1)
     total = np.mean(data.surv_identity + data.surv_flip, axis=1)
     _, amp, p = _fit_exponential(data.depths, diff, with_offset=False)

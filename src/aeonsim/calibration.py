@@ -555,6 +555,21 @@ def _two_point_jacobian(residuals_of):
     return jac
 
 
+def _surface_residuals(fmap: FidelityMap, a_scales):
+    """Residual vector of the surface fit as a function of the parameters
+    ``(B1, C1, B2, C2, chi)``, and its 2-point Jacobian callable."""
+    grids = np.meshgrid(fmap.v1, fmap.v2)
+
+    def stacked(stack):
+        model = _map_model(stack, fmap, grids, a_scales, fmap.cfg.eta)
+        return (model - fmap.f).reshape(len(stack), -1)
+
+    def residuals(params):
+        return stacked(params[None])[0]
+
+    return residuals, _two_point_jacobian(stacked)
+
+
 def fit_final(
     fmap: FidelityMap,
     assumed_laws: dict,
@@ -595,16 +610,7 @@ def fit_final(
         start[1] = math.log(j_tgt[0] / a_scales[0]) - start[0] * peak_v[0]
         start[3] = math.log(j_tgt[1] / a_scales[1]) - start[2] * peak_v[1]
 
-    grids = np.meshgrid(fmap.v1, fmap.v2)
-
-    def stacked_residuals(stack):
-        model = _map_model(stack, fmap, grids, a_scales, cfg.eta)
-        return (model - data).reshape(len(stack), -1)
-
-    def residuals(params):
-        return stacked_residuals(params[None])[0]
-
-    jac = _two_point_jacobian(stacked_residuals)
+    residuals, jac = _surface_residuals(fmap, a_scales)
 
     best = None
     used = 0

@@ -78,6 +78,14 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    """Argument type for ``--seed``: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
+
+
 def _rate(upper: float):
     """Argument type for an injected error rate in [0, ``upper``]."""
 
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="device config JSON")
-    common.add_argument("--seed", type=int, default=None, help="sampling seed")
+    common.add_argument("--seed", type=_seed, default=None, help="sampling seed (>= 0)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument(
         "--emit-plot-data", default=None, help="also write tidy plot CSV here"
@@ -365,6 +373,10 @@ def main(argv=None) -> int:
             args.config = _env_default("AEON_CONFIG", str, None)
         if args.seed is None:
             args.seed = _env_default("AEON_SEED", int, 0)
+            if args.seed < 0:
+                raise ValueError(
+                    f"--seed (from AEON_SEED) must be a non-negative integer, got {args.seed}"
+                )
         if args.out is None:
             args.out = _env_default("AEON_OUT", str, None)
         device = (

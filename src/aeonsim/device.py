@@ -140,9 +140,11 @@ def rng_streams(seed: int, *prefix: int, shape):
     """
     shape = (operator.index(shape),) if np.ndim(shape) == 0 else tuple(map(operator.index, shape))
     prefix = [operator.index(x) for x in prefix]
-    for x in prefix + [s - 1 for s in shape]:
+    for x in prefix:
         if not 0 <= x <= _MASK32:
             raise ValueError(f"stream path entries must lie in [0, 2**32), got {x}")
+    if not all(0 <= s <= _MASK32 + 1 for s in shape):
+        raise ValueError(f"stream shape {shape} has indices outside [0, 2**32)")
     n = math.prod(shape)
     paths = np.empty((n, len(prefix) + len(shape)), dtype=np.uint32)
     paths[:, : len(prefix)] = prefix
@@ -534,41 +536,59 @@ def device_from_dict(raw: dict) -> DeviceModel:
         )
     base = default_device()
     kwargs = {}
-    if "compensation_matrix" in raw:
-        kwargs["compensation"] = CompensationMatrix(np.asarray(raw["compensation_matrix"]))
-    if "cross_matrix" in raw:
-        cm = raw["cross_matrix"]
-        kwargs["cross"] = None if cm is None else np.asarray(cm, dtype=float)
+    try:
+        if "compensation_matrix" in raw:
+            kwargs["compensation"] = CompensationMatrix(np.asarray(raw["compensation_matrix"]))
+        if "cross_matrix" in raw:
+            cm = raw["cross_matrix"]
+            kwargs["cross"] = None if cm is None else np.asarray(cm, dtype=float)
+        if "pulse_s" in raw:
+            kwargs["pulse_s"] = float(raw["pulse_s"])
+        if "idle_v" in raw:
+            kwargs["idle_v"] = float(raw["idle_v"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid device config: {exc}") from exc
     if "exchange_law" in raw:
         laws = dict(base.laws)
-        for pair, d in raw["exchange_law"].items():
+        for pair, d in _config_object(raw["exchange_law"], "exchange_law").items():
             if pair not in PAIR_ORDER:
                 raise ConfigError(f"unknown exchange pair {pair!r}")
+            d = _config_object(d, f"exchange_law.{pair}")
             try:
                 laws[pair] = ExchangeLaw(d["A_hz"], d["B_per_v"], d.get("C", 0.0))
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"bad exchange law for pair {pair}: {exc}") from exc
         kwargs["laws"] = laws
     if "dss" in raw:
-        dss = raw["dss"]
+        dss = _config_object(raw["dss"], "dss")
         if "location_v" in dss:
-            kwargs["dss_location_v"] = tuple(dss["location_v"])
+            try:
+                kwargs["dss_location_v"] = tuple(dss["location_v"])
+            except TypeError as exc:
+                raise ConfigError(f"bad dss.location_v: {exc}") from exc
         if "curvature" in dss:
             sens = {}
-            for pair, ab in dss["curvature"].items():
+            for pair, ab in _config_object(dss["curvature"], "dss.curvature").items():
                 if pair not in PAIR_ORDER:
                     raise ConfigError(f"unknown exchange pair {pair!r}")
+                if not (isinstance(ab, (list, tuple)) and len(ab) == 2):
+                    raise ConfigError(
+                        f"dss.curvature.{pair} must be [alpha_tilt, alpha_dimple], got {ab!r}"
+                    )
                 sens[pair] = DetuningSensitivity(ab[0], ab[1])
             kwargs["sensitivities"] = sens
     if "noise" in raw:
-        n = raw["noise"]
-        kwargs["noise"] = NoiseConfig(
-            voltage_sigma_v=_seq_or_scalar(n.get("voltage_sigma_v", 0.0)),
-            gradient_sigma_hz=_seq_or_scalar(n.get("gradient_sigma_hz", 0.0)),
-            seed=int(n.get("seed", 0)),
-        )
+        n = _config_object(raw["noise"], "noise")
+        try:
+            kwargs["noise"] = NoiseConfig(
+                voltage_sigma_v=_seq_or_scalar(n.get("voltage_sigma_v", 0.0)),
+                gradient_sigma_hz=_seq_or_scalar(n.get("gradient_sigma_hz", 0.0)),
+                seed=int(n.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad noise config: {exc}") from exc
     if "fields" in raw:
-        fr = raw["fields"]
+        fr = _config_object(raw["fields"], "fields")
         try:
             kwargs["fields"] = FieldConfig(
                 f_uniform_hz=float(fr.get("f_uniform_hz", 0.0)),
@@ -576,14 +596,18 @@ def device_from_dict(raw: dict) -> DeviceModel:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad field config: {exc}") from exc
-    if "pulse_s" in raw:
-        kwargs["pulse_s"] = float(raw["pulse_s"])
-    if "idle_v" in raw:
-        kwargs["idle_v"] = float(raw["idle_v"])
     try:
         return replace(base, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid device config: {exc}") from exc
+
+
+def _config_object(value, where: str) -> dict:
+    """``value`` if it is a config object; a ConfigError naming ``where``
+    otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _seq_or_scalar(x):

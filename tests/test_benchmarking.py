@@ -204,6 +204,17 @@ def test_device_rb_with_noise_decays():
     assert diff[0] > diff[-1] + 0.02
 
 
+@pytest.mark.parametrize("depths", [(3,), (2, 2, 2)])
+def test_fit_rb_needs_two_distinct_depths(depths):
+    cfg = bench.RbConfig(depths=depths, n_sequences=3, seed=17)
+    inject = bench.InjectedError(depol_per_pulse=2e-3)
+    data = bench.run_rb(None, cfg, engine="channel", inject=inject)
+    with pytest.raises(FitError, match="at least 2 distinct depths"):
+        bench.fit_rb(data)
+    with pytest.raises(FitError):
+        bench.interleaved_rb(None, cfg, rot.AxisAngle(-PI / 2, PI), engine="channel")
+
+
 def test_flat_sum_reports_unit_lambda():
     cfg = bench.RbConfig(depths=(1, 2, 4, 8), n_sequences=10, seed=17)
     data = bench.run_rb(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative  # least_squares' own rule
 from scipy.special import eval_chebyu
 
 from aeonsim import calibration as cal
@@ -322,6 +323,59 @@ def test_sweep_shots_match_per_term_binomial_loop():
                 est[k] = rng.binomial(shots, surv[k]) / shots
             assert fmap.f[r, c] == est.mean()
             assert fmap.stderr[r, c] == math.sqrt(float(np.sum(est * (1 - est) / shots))) / 24
+
+
+def _fit_problem():
+    d, cfg, pairs = dev.default_device(), default_cfg(), ("12", "23")
+    fmap = cal.sweep_fidelity(
+        d, cfg, pairs, np.linspace(0.0725, 0.0745, 9), np.linspace(0.0726, 0.0746, 7), 4
+    )
+    laws = d.laws
+    x0 = np.array([laws["12"].b_per_v, laws["12"].c, laws["23"].b_per_v, laws["23"].c, cfg.chi])
+    return fmap, (laws["12"].a_hz, laws["23"].a_hz), x0
+
+
+def test_stacked_map_model_equals_per_row_evaluation():
+    fmap, a_scales, x0 = _fit_problem()
+    grids = np.meshgrid(fmap.v1, fmap.v2)
+    rng = np.random.default_rng(8)
+    stack = x0 * (1.0 + 0.01 * rng.standard_normal((6, 5)))
+    stack[0] = x0
+    stack[1, 1] = stack[1, 3] = 0.0
+    stacked = cal._map_model(stack, fmap, grids, a_scales, fmap.cfg.eta)
+    assert stacked.shape == (6,) + fmap.f.shape
+    for k, params in enumerate(stack):
+        row = cal._map_model(params[None], fmap, grids, a_scales, fmap.cfg.eta)[0]
+        assert np.array_equal(stacked[k], row)
+        # a float chi gives the same map as the stacked array chi
+        aa = rot.exchange_to_rotation(
+            dev.ExchangeVector(
+                j12=a_scales[0] * np.exp(params[0] * grids[0] + params[1]),
+                j23=a_scales[1] * np.exp(params[2] * grids[1] + params[3]),
+                j13=0.0,
+            ),
+            fmap.cfg.pulse_s,
+        )
+        scalar = cal.analytic_fidelity(
+            aa.phi, aa.theta, fmap.cfg.eta, float(params[4]), fmap.n_reps, fmap.cfg
+        )
+        assert np.array_equal(stacked[k], scalar)
+
+
+def test_fit_jacobian_equals_scipy_two_point_rule():
+    fmap, a_scales, x0 = _fit_problem()
+    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    points = [x0, x0 * np.array([1.01, 1.0, 0.99, 1.0, 1.02]), x0 + np.array([0.0, 0.3, 0.0, -0.2, 0.05])]
+    points.append(np.array([x0[0], 0.0, x0[2], -0.0, x0[4]]))  # sign(0) steps forward
+    points.append(np.array([x0[0], -0.04, x0[2], 0.03, -0.2]))
+    for x in points:
+        want = approx_derivative(residuals, x, method="2-point")
+        got = jac(x)
+        assert got.shape == want.shape == (fmap.f.size, 5)
+        assert np.array_equal(got, want)
+        assert np.array_equal(residuals(x), (cal._map_model(
+            x[None], fmap, np.meshgrid(fmap.v1, fmap.v2), a_scales, fmap.cfg.eta)[0] - fmap.f
+        ).ravel())
 
 
 def test_find_peak_centroid_and_region_choice():

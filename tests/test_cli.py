@@ -108,6 +108,33 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert out3.read_bytes() == out1.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rb", "--engine", "channel", "--seed", "-1"],
+    ["calibrate", "--phi-star", "0", "--theta-star", "3.14", "--seed", "-7"],
+    ["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:1e-7:20", "--seed", "-2"],
+])
+def test_negative_seed_is_a_usage_error_at_parse_time(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "must be a non-negative integer" in err
+
+
+def test_negative_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("AEON_SEED", "-3")
+    assert run(["rb", "--engine", "channel", "--depths", "1,2", "--sequences", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "AEON_SEED" in err and "non-negative" in err
+    # the flag still wins over the environment
+    assert cli.build_parser().parse_args(["rb", "--seed", "0"]).seed == 0
+
+
+@pytest.mark.parametrize("depths", ["1", "4,4"])
+def test_rb_with_one_distinct_depth_is_a_numeric_failure(depths, tmp_path, capsys):
+    out = tmp_path / "rb.json"
+    assert run(["rb", "--engine", "channel", "--depths", depths, "--out", str(out)]) == 3
+    assert "at least 2 distinct depths" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert run(["rabi", "--pair", "99", "--v", "0.07", "--times", "0:1e-7:20"]) == 2
     assert run(["fingerpinch", "--pairs", "12,23", "--v1", "oops",
@@ -180,6 +207,28 @@ def test_config_must_be_an_object_of_known_keys(tmp_path, doc, capsys):
     cfg.write_text(json.dumps(doc))
     assert run(["spectrum", "--config", str(cfg)]) == 4
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"noise": 5}, "noise"),
+    ({"noise": {"voltage_sigma_v": "high"}}, "noise"),
+    ({"noise": {"seed": [1]}}, "noise"),
+    ({"dss": [1, 2]}, "dss"),
+    ({"dss": {"curvature": {"12": 3}}}, "dss.curvature.12"),
+    ({"dss": {"curvature": [[1, 2]]}}, "dss.curvature"),
+    ({"dss": {"location_v": 5}}, "dss.location_v"),
+    ({"exchange_law": [1]}, "exchange_law"),
+    ({"exchange_law": {"12": 5}}, "exchange_law.12"),
+    ({"fields": "none"}, "fields"),
+    ({"pulse_s": [1e-8]}, "config"),
+    ({"idle_v": "low"}, "config"),
+])
+def test_nested_config_values_of_the_wrong_type_are_config_errors(tmp_path, doc, where, capsys):
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["spectrum", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and where in err
 
 
 def test_custom_device_config(tmp_path):

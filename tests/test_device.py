@@ -67,6 +67,58 @@ def test_rng_streams_are_independent_and_stable():
     assert np.abs(a1 - b).max() > 1e-12
 
 
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**130 + 5)
+STREAM_PATHS = ((0,), (2**32 - 1,), (5, 0), (0, 2**32 - 1, 7), (3, 1, 4, 1), (9, 0, 2**32 - 1, 6, 1))
+
+
+def _oracle(seed, path):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_rng_stream_matches_seed_sequence_oracle(seed):
+    for path in ((),) + STREAM_PATHS:
+        got, want = dev.rng_stream(seed, *path), _oracle(seed, path)
+        assert got.bit_generator.state == want.bit_generator.state
+        np.testing.assert_array_equal(got.random(5), want.random(5))
+        np.testing.assert_array_equal(got.standard_normal(3), want.standard_normal(3))
+        assert got.integers(0, 2**63) == want.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_rng_streams_match_seed_sequence_oracle_in_c_order(seed):
+    for prefix, shape in (((), (4,)), ((2**32 - 1,), (2, 3)), ((0, 7, 1), (3,)), ((1, 2, 3, 4), ())):
+        got = []
+        for rng in dev.rng_streams(seed, *prefix, shape=shape):
+            got.append((rng.bit_generator.state, rng.random(3).tolist()))
+        want = []
+        for index in np.ndindex(shape):
+            oracle = _oracle(seed, prefix + index)
+            want.append((oracle.bit_generator.state, oracle.random(3).tolist()))
+        assert got == want
+
+
+def test_rng_streams_reseed_one_generator_per_call():
+    first, second = list(dev.rng_streams(4, 1, shape=3)), list(dev.rng_streams(4, 1, shape=2))
+    assert first[0] is first[1] is first[2]
+    assert first[0] is not second[0]
+    assert dev.rng_stream(4, 1) is not dev.rng_stream(4, 1)
+    assert list(dev.rng_streams(4, 1, shape=0)) == []
+
+
+@pytest.mark.parametrize("seed,path", [
+    (-1, (0,)),
+    (0, (-1,)),
+    (0, (2**32,)),
+    (0, (1, 2**40)),
+])
+def test_rng_streams_reject_negative_seeds_and_wide_path_entries(seed, path):
+    with pytest.raises(ValueError):
+        dev.rng_stream(seed, *path)
+    with pytest.raises(ValueError):
+        dev.rng_streams(seed, *path, shape=2)
+
+
 def test_noise_sampling_shapes():
     cfg = dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=2e4, seed=0)
     draw = dev.sample_noise(cfg, dev.rng_stream(0, 1))
