@@ -280,8 +280,8 @@ def analytic_fidelity(phi, theta, eta: float, chi, n_reps: int, cfg: GermConfig)
     """Closed-form twirled fidelity of the germ at probe (phi, theta).
 
     The helper rotation is ``R_eta(chi)``; ``chi`` is a float or an array
-    broadcasting against ``phi`` and ``theta`` (one helper angle per stacked
-    map, say).  The composed rotation entering
+    that broadcasts against ``phi`` and ``theta`` (the surface fit passes
+    one per stacked parameter set).  The composed rotation entering
     the fringe factors is ``R_eta(chi) * R_phi(q*theta)`` (the q-fold
     repeated probe), and the axis-amplification angle per repetition is the
     accumulated ``2*q*theta`` rather than the bare pulse angle; this is the
@@ -296,14 +296,15 @@ def analytic_fidelity(phi, theta, eta: float, chi, n_reps: int, cfg: GermConfig)
     # composed rotation R_eta(chi) * R_phi(q theta): quaternion (wc, vc)
     ch, sh = np.cos(half_chi), np.sin(half_chi)
     ct, st = np.cos(0.5 * theta_q), np.sin(0.5 * theta_q)
+    rx, rz = np.cos(phi), np.sin(phi)
     wc = ch * ct - sh * st * np.cos(phi - eta)
-    vx = ch * st * np.cos(phi) + sh * ct * math.cos(eta)
+    vx = ch * st * rx + sh * ct * math.cos(eta)
     vy = -sh * st * np.sin(phi - eta)
-    vz = ch * st * np.sin(phi) + sh * ct * math.sin(eta)
+    vz = ch * st * rz + sh * ct * math.sin(eta)
     sin2_half = 1.0 - wc**2
 
-    rx, rz = np.cos(phi), np.sin(phi)
     alpha = 2.0 * n_reps * q * theta
+    sin2_half_alpha = np.sin(0.5 * alpha) ** 2
 
     s2n = spread_polynomial(2 * n_reps, np.clip(sin2_half, 0.0, 1.0))
     u2n1 = chebyshev_u(2 * n_reps - 1, wc)
@@ -311,9 +312,9 @@ def analytic_fidelity(phi, theta, eta: float, chi, n_reps: int, cfg: GermConfig)
 
     cross_sq = (rx * vz - rz * vx) ** 2 + vy**2
     dot = rx * vx + rz * vz
-    bracket = np.cos(alpha) * s2n + cross_sq * np.sin(0.5 * alpha) ** 2 * u2n1**2
+    bracket = np.cos(alpha) * s2n + cross_sq * sin2_half_alpha * u2n1**2
     term2 = 0.5 * dot * np.sin(alpha) * u4n1
-    return 1.0 - (2.0 / 3.0) * (bracket + term2 + np.sin(0.5 * alpha) ** 2)
+    return 1.0 - (2.0 / 3.0) * (bracket + term2 + sin2_half_alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ def _hash_constants(n_seed_words: int, n_path_words: int):
         gen.append((gen[-1] * _MULT_B) & _MASK32)
     mix = np.array(mix[n_mix - 4 * n_path_words :], dtype=np.uint32)
     gen = np.array(gen, dtype=np.uint32)
+    mix.flags.writeable = gen.flags.writeable = False  # shared by every caller
     return (mix[:-1].reshape(-1, 4), mix[1:].reshape(-1, 4)), (gen[:-1], gen[1:])
 
 
@@ -150,6 +151,8 @@ def rng_streams(seed: int, *prefix: int, shape):
     paths[:, : len(prefix)] = prefix
     paths[:, len(prefix) :] = np.indices(shape).reshape(len(shape), n).T
     states = _pcg64_states(seed, paths)
+    # any PCG64 will do, as it is re-seeded before use; one built from the
+    # cached SeedSequence is the cheapest to construct
     bit_gen = np.random.PCG64(_seed_sequence(seed)[0])
     return _reseeded(np.random.Generator(bit_gen), states)
 
