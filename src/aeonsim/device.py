@@ -158,6 +158,7 @@ def rng_streams(seed: int, *prefix: int, shape):
 
 
 def _reseeded(rng: np.random.Generator, states):
+    """Yield ``rng`` re-seeded to each PCG64 ``(state, inc)`` in turn."""
     for state, inc in states:
         rng.bit_generator.state = {
             "bit_generator": "PCG64",
