@@ -187,8 +187,8 @@ def _run_device_engine(device, cfg, group, interleaved):
         one_cell(di, si, rng)
         for (di, si), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid))
     ]
-    surv_id = np.array([r[0] for r in flat]).reshape(len(cfg.depths), cfg.n_sequences)
-    surv_fl = np.array([r[1] for r in flat]).reshape(len(cfg.depths), cfg.n_sequences)
+    surv_id = np.array([r[0] for r in flat]).reshape(grid)
+    surv_fl = np.array([r[1] for r in flat]).reshape(grid)
     return surv_id, surv_fl
 
 
