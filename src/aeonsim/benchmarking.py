@@ -337,7 +337,7 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
     best = None
     for g in guesses:
         try:
-            res = least_squares(resid, g, method="lm")
+            res = least_squares(resid, g, method="lm", x_scale="jac")
         except Exception:  # noqa: BLE001 - try next start
             continue
         if best is None or res.cost < best.cost:
@@ -361,12 +361,14 @@ def fit_rb(data: RbData) -> RbFit:
     pulse divides by the average pulses per Clifford of the group used.
 
     Raises:
-        FitError: if the data has fewer than 2 distinct depths, from which
-            no decay can be resolved.
+        FitError: if the data has fewer than 3 distinct depths, the number
+            of parameters of the sum-curve model c0 + c1 * lambda^N.
     """
-    if len(set(data.depths)) < 2:
+    distinct = sorted(set(data.depths))
+    if len(distinct) < 3:
         raise FitError(
-            f"RB fit needs at least 2 distinct depths, got {sorted(set(data.depths))}"
+            f"RB fit needs at least 3 distinct depths for the three sum-curve "
+            f"parameters (c0, c1, lambda), got {distinct}"
         )
     diff = np.mean(data.surv_identity - data.surv_flip, axis=1)
     total = np.mean(data.surv_identity + data.surv_flip, axis=1)
@@ -473,6 +475,7 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
                     resid,
                     np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)]),
                     method="lm",
+                    x_scale="jac",
                 )
             except Exception:  # noqa: BLE001 - try next start
                 continue

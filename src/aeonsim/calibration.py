@@ -250,29 +250,49 @@ def spread_polynomial(m: int, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
         raise ValueError("spread polynomial argument outside [0, 1]")
-    a = np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))
-    return np.sin(m * a) ** 2
+    return _spread(m, x)
+
+
+def _spread(m: int, x):
+    """S_m of ``x`` clipped to [0, 1], without a range check."""
+    return np.sin(m * np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))) ** 2
 
 
 def chebyshev_u(m: int, x):
     """Chebyshev polynomial of the second kind, trigonometric evaluation
     for |x| <= 1 and hyperbolic continuation outside."""
+    return _chebyshev_u_orders((m,), x)[0]
+
+
+def _chebyshev_u_orders(orders, x):
+    """U_m(x) for each order in ``orders``, all from one ``arccos`` and one
+    ``sin t``; the inside/outside masks are applied only when some
+    |x| > 1 or ``x`` is 0-d."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     inside = np.abs(x) <= 1.0
-    t = np.arccos(np.clip(x[inside], -1.0, 1.0))
+    split = x.ndim == 0 or not inside.all()
+    t = np.arccos(x[inside] if split else x)
     st = np.sin(t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.sin((m + 1) * t) / st
     # limits at the endpoints where sin(t) vanishes
     ends = st < 1e-9
-    val[ends] = (m + 1) * np.sign(np.cos(t[ends])) ** m
-    out[inside] = val
-    if np.any(~inside):
+    end_sign = np.sign(np.cos(t[ends])) if ends.any() else None
+    if split:
         xo = x[~inside]
         a = np.arccosh(np.abs(xo))
-        hv = np.sinh((m + 1) * a) / np.sinh(a)
-        out[~inside] = np.where(xo > 0, hv, (-1.0) ** m * hv)
+        sinh_a = np.sinh(a)
+    out = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for m in orders:
+            val = np.sin((m + 1) * t) / st
+            if end_sign is not None:
+                val[ends] = (m + 1) * end_sign**m
+            if split:
+                full = np.empty_like(x)
+                full[inside] = val
+                hv = np.sinh((m + 1) * a) / sinh_a
+                full[~inside] = np.where(xo > 0, hv, (-1.0) ** m * hv)
+                val = full
+            out.append(val)
     return out
 
 
@@ -292,23 +312,25 @@ def analytic_fidelity(phi, theta, eta: float, chi, n_reps: int, cfg: GermConfig)
     theta = np.asarray(theta, dtype=float)
     q = cfg.q
     half_chi = 0.5 * chi
-    theta_q = q * theta
+    half_theta_q = 0.5 * (q * theta)
     # composed rotation R_eta(chi) * R_phi(q theta): quaternion (wc, vc)
     ch, sh = np.cos(half_chi), np.sin(half_chi)
-    ct, st = np.cos(0.5 * theta_q), np.sin(0.5 * theta_q)
+    ct, st = np.cos(half_theta_q), np.sin(half_theta_q)
     rx, rz = np.cos(phi), np.sin(phi)
-    wc = ch * ct - sh * st * np.cos(phi - eta)
-    vx = ch * st * rx + sh * ct * math.cos(eta)
-    vy = -sh * st * np.sin(phi - eta)
-    vz = ch * st * rz + sh * ct * math.sin(eta)
+    # each product is formed once; -(sh*st*s) equals -sh*st*s bit for bit
+    phi_eta = phi - eta
+    ch_st, sh_ct, sh_st = ch * st, sh * ct, sh * st
+    wc = ch * ct - sh_st * np.cos(phi_eta)
+    vx = ch_st * rx + sh_ct * math.cos(eta)
+    vy = -(sh_st * np.sin(phi_eta))
+    vz = ch_st * rz + sh_ct * math.sin(eta)
     sin2_half = 1.0 - wc**2
 
     alpha = 2.0 * n_reps * q * theta
     sin2_half_alpha = np.sin(0.5 * alpha) ** 2
 
-    s2n = spread_polynomial(2 * n_reps, np.clip(sin2_half, 0.0, 1.0))
-    u2n1 = chebyshev_u(2 * n_reps - 1, wc)
-    u4n1 = chebyshev_u(4 * n_reps - 1, wc)
+    s2n = _spread(2 * n_reps, sin2_half)
+    u2n1, u4n1 = _chebyshev_u_orders((2 * n_reps - 1, 4 * n_reps - 1), wc)
 
     cross_sq = (rx * vz - rz * vx) ** 2 + vy**2
     dot = rx * vx + rz * vz
@@ -418,12 +440,17 @@ def sweep_fidelity(
         return FidelityMap(v1, v2, f, None, tuple(pairs), n_reps, cfg)
     proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
     surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
-    est = np.empty_like(surv)
-    cells = zip(np.ndindex(surv.shape[:2]), rng_streams(seed, n_reps, shape=surv.shape[:2]))
-    for (r, c), rng in cells:
-        order = rng.permutation(surv.shape[-1])
-        est[r, c, order] = rng.binomial(shots, surv[r, c, order])
-    est /= shots
+    rows = surv.reshape(-1, surv.shape[-1])
+    orders = np.empty(rows.shape, dtype=np.intp)
+    draws = np.empty(rows.shape)
+    streams = rng_streams(seed, n_reps, shape=surv.shape[:2])
+    for i, (row, rng) in enumerate(zip(rows, streams)):
+        order = rng.permutation(row.size)
+        orders[i] = order
+        draws[i] = rng.binomial(shots, row[order])
+    est = np.empty_like(rows)
+    np.put_along_axis(est, orders, draws, axis=1)
+    est = est.reshape(surv.shape) / shots
     f = est.mean(axis=-1)
     err = np.sqrt(np.sum(est * (1 - est) / shots, axis=-1)) / est.shape[-1]
     return FidelityMap(v1, v2, f, err, tuple(pairs), n_reps, cfg)
@@ -518,16 +545,17 @@ class CalFit:
     n_restarts_used: int
 
 
-def _map_model(params, fmap: FidelityMap, grids, a_scales, eta: float) -> np.ndarray:
+def _map_model(params, fmap: FidelityMap, a_scales, eta: float) -> np.ndarray:
     """Model fidelity maps for a ``(k, 5)`` stack of parameter sets
     ``(B1, C1, B2, C2, chi)``, shape ``(k, ny, nx)``; each map equals the
-    one its parameter set gives alone."""
+    one its parameter set gives alone.  Each exchange law is evaluated on
+    its own voltage axis, ``(k, 1, nx)`` and ``(k, ny, 1)``, and the
+    rotation map broadcasts them over the grid."""
     b1, c1, b2, c2, chi = np.asarray(params, dtype=float).T[:, :, None, None]
     cfg = fmap.cfg
-    vv1, vv2 = grids
     by_pair = {
-        fmap.pairs[0]: a_scales[0] * np.exp(b1 * vv1 + c1),
-        fmap.pairs[1]: a_scales[1] * np.exp(b2 * vv2 + c2),
+        fmap.pairs[0]: a_scales[0] * np.exp(b1 * fmap.v1 + c1),
+        fmap.pairs[1]: a_scales[1] * np.exp(b2 * fmap.v2[:, None] + c2),
     }
     j = ExchangeVector(
         j12=by_pair.get("12", 0.0), j23=by_pair.get("23", 0.0), j13=by_pair.get("13", 0.0)
@@ -536,39 +564,52 @@ def _map_model(params, fmap: FidelityMap, grids, a_scales, eta: float) -> np.nda
     return analytic_fidelity(aa.phi, aa.theta, eta, chi, fmap.n_reps, cfg)
 
 
-def _two_point_jacobian(residuals_of):
-    """Jacobian callable reproducing scipy's default 2-point rule
-    (``approx_derivative``): step ``h = sqrt(eps) * sign(x) * max(1, |x|)``
-    with sign(0) = +1, realized step ``dx = (x + h) - x`` and column
-    ``(F(x + h e_i) - F(x)) / dx_i``.  ``residuals_of`` maps a ``(k, n)``
-    stack of points to ``(k, m)`` residuals in one call, so ``x`` and its
-    ``n`` steps are evaluated together."""
-    rel_step = math.sqrt(np.finfo(float).eps)
-
-    def jac(x):
-        h = rel_step * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-        points = np.tile(x, (x.size + 1, 1))
-        points[1:][np.diag_indices(x.size)] = x + h
-        f = residuals_of(points)
-        dx = (x + h) - x
-        return ((f[1:] - f[0]) / dx[:, None]).T
-
-    return jac
-
-
 def _surface_residuals(fmap: FidelityMap, a_scales):
     """Residual vector of the surface fit as a function of the parameters
-    ``(B1, C1, B2, C2, chi)``, and its 2-point Jacobian callable."""
-    grids = np.meshgrid(fmap.v1, fmap.v2)
+    ``(B1, C1, B2, C2, chi)``, and its 2-point Jacobian callable.
+
+    The two share one memo, keyed on the exact bytes of ``x``: a Jacobian
+    at the point of the last residual call reuses that residual and
+    evaluates only the five stepped points, and a Jacobian at the point of
+    the last Jacobian call returns a copy of it (MINPACK's ``lmder`` asks
+    for the Jacobian right after the residuals at an accepted iterate,
+    and ``least_squares`` once more at its final point).  The Jacobian
+    repeats scipy's default 2-point rule (``approx_derivative``): step
+    ``h = sqrt(eps) * sign(x) * max(1, |x|)`` with sign(0) = +1, realized
+    step ``dx = (x + h) - x`` and column ``(F(x + h e_i) - F(x)) / dx_i``.
+    """
+    rel_step = math.sqrt(np.finfo(float).eps)
+    last_f = last_jac = (None, None)  # (bytes of x, value)
 
     def stacked(stack):
-        model = _map_model(stack, fmap, grids, a_scales, fmap.cfg.eta)
+        model = _map_model(stack, fmap, a_scales, fmap.cfg.eta)
         return (model - fmap.f).reshape(len(stack), -1)
 
     def residuals(params):
-        return stacked(params[None])[0]
+        nonlocal last_f
+        f = stacked(params[None])[0]
+        last_f = (params.tobytes(), f)
+        return f.copy()
 
-    return residuals, _two_point_jacobian(stacked)
+    def jac(x):
+        nonlocal last_jac
+        key = x.tobytes()
+        if last_jac[0] == key:
+            return last_jac[1].copy().T
+        h = rel_step * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        points = np.tile(x, (x.size + 1, 1))
+        points[1:][np.diag_indices(x.size)] = x + h
+        if last_f[0] == key:
+            f0, f_steps = last_f[1], stacked(points[1:])
+        else:
+            f = stacked(points)
+            f0, f_steps = f[0], f[1:]
+        dx = (x + h) - x
+        jac_t = (f_steps - f0) / dx[:, None]
+        last_jac = (key, jac_t)
+        return jac_t.copy().T
+
+    return residuals, jac
 
 
 def fit_final(
@@ -584,8 +625,10 @@ def fit_final(
     Free parameters are B and C of each swept pair's exchange law plus the
     helper angle chi (A is held at its configured scale: A and C shift the
     same degree of freedom).  Damped least squares with forward-difference
-    Jacobians (the point and its five steps evaluated as one stacked model
-    call), restarted from 8 jittered seeds around the assumed laws.
+    Jacobians (the five steps evaluated as one stacked model call, the
+    point reused from the residual call before it), restarted from 8
+    jittered seeds around the assumed laws.  ``x_scale="jac"`` pins
+    MINPACK's variable scaling, whose default changed in scipy 1.16.
 
     When ``peak_v`` is given (the measured peak of this map), each start's
     C offsets are chosen so the model's calibration point sits on that
@@ -627,7 +670,13 @@ def fit_final(
             pin_offsets(start)
         try:
             res = least_squares(
-                residuals, start, jac=jac, method="lm", xtol=1e-14, ftol=1e-14
+                residuals,
+                start,
+                jac=jac,
+                method="lm",
+                x_scale="jac",
+                xtol=1e-14,
+                ftol=1e-14,
             )
         except Exception:  # noqa: BLE001 - restart on solver breakdown
             continue

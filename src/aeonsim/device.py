@@ -552,6 +552,9 @@ def device_from_dict(raw: dict) -> DeviceModel:
             kwargs["idle_v"] = float(raw["idle_v"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid device config: {exc}") from exc
+    pulse_s = kwargs.get("pulse_s")
+    if pulse_s is not None and not (math.isfinite(pulse_s) and pulse_s > 0.0):
+        raise ConfigError(f"pulse_s must be finite and > 0, got {raw['pulse_s']!r}")
     if "exchange_law" in raw:
         laws = dict(base.laws)
         for pair, d in _config_object(raw["exchange_law"], "exchange_law").items():
@@ -584,13 +587,18 @@ def device_from_dict(raw: dict) -> DeviceModel:
     if "noise" in raw:
         n = _config_object(raw["noise"], "noise")
         try:
-            kwargs["noise"] = NoiseConfig(
+            noise = NoiseConfig(
                 voltage_sigma_v=_seq_or_scalar(n.get("voltage_sigma_v", 0.0)),
                 gradient_sigma_hz=_seq_or_scalar(n.get("gradient_sigma_hz", 0.0)),
                 seed=int(n.get("seed", 0)),
             )
+            sigmas = {"voltage_sigma_v": noise.sigma_v, "gradient_sigma_hz": noise.sigma_b}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad noise config: {exc}") from exc
+        for key, sigma in sigmas.items():
+            if not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
+                raise ConfigError(f"noise.{key} must be finite and >= 0, got {n[key]!r}")
+        kwargs["noise"] = noise
     if "fields" in raw:
         fr = _config_object(raw["fields"], "fields")
         try:

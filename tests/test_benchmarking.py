@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,12 +205,13 @@ def test_device_rb_with_noise_decays():
     assert diff[0] > diff[-1] + 0.02
 
 
-@pytest.mark.parametrize("depths", [(3,), (2, 2, 2)])
-def test_fit_rb_needs_two_distinct_depths(depths):
+@pytest.mark.parametrize("depths", [(3,), (2, 2, 2), (1, 2), (4, 1, 4, 1)])
+def test_fit_rb_needs_three_distinct_depths(depths):
     cfg = bench.RbConfig(depths=depths, n_sequences=3, seed=17)
     inject = bench.InjectedError(depol_per_pulse=2e-3)
     data = bench.run_rb(None, cfg, engine="channel", inject=inject)
-    with pytest.raises(FitError, match="at least 2 distinct depths"):
+    named = re.escape(str(sorted(set(depths))))
+    with pytest.raises(FitError, match=f"at least 3 distinct depths.*got {named}"):
         bench.fit_rb(data)
     with pytest.raises(FitError):
         bench.interleaved_rb(None, cfg, rot.AxisAngle(-PI / 2, PI), engine="channel")

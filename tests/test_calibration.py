@@ -40,6 +40,61 @@ def perturbed_device(b_factor=1.015, c_shift=0.02):
     )
 
 
+def _unshared_spread_polynomial(m, x):
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+        raise ValueError("spread polynomial argument outside [0, 1]")
+    a = np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))
+    return np.sin(m * a) ** 2
+
+
+def _unshared_chebyshev_u(m, x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    inside = np.abs(x) <= 1.0
+    t = np.arccos(np.clip(x[inside], -1.0, 1.0))
+    st = np.sin(t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        val = np.sin((m + 1) * t) / st
+    ends = st < 1e-9
+    val[ends] = (m + 1) * np.sign(np.cos(t[ends])) ** m
+    out[inside] = val
+    if np.any(~inside):
+        xo = x[~inside]
+        a = np.arccosh(np.abs(xo))
+        hv = np.sinh((m + 1) * a) / np.sinh(a)
+        out[~inside] = np.where(xo > 0, hv, (-1.0) ** m * hv)
+    return out
+
+
+def _unshared_analytic_fidelity(phi, theta, eta, chi, n_reps, cfg):
+    """The surface as it was written before its shared terms: every
+    product and both Chebyshev orders evaluated on their own."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    q = cfg.q
+    half_chi = 0.5 * chi
+    theta_q = q * theta
+    ch, sh = np.cos(half_chi), np.sin(half_chi)
+    ct, st = np.cos(0.5 * theta_q), np.sin(0.5 * theta_q)
+    rx, rz = np.cos(phi), np.sin(phi)
+    wc = ch * ct - sh * st * np.cos(phi - eta)
+    vx = ch * st * rx + sh * ct * math.cos(eta)
+    vy = -sh * st * np.sin(phi - eta)
+    vz = ch * st * rz + sh * ct * math.sin(eta)
+    sin2_half = 1.0 - wc**2
+    alpha = 2.0 * n_reps * q * theta
+    sin2_half_alpha = np.sin(0.5 * alpha) ** 2
+    s2n = _unshared_spread_polynomial(2 * n_reps, np.clip(sin2_half, 0.0, 1.0))
+    u2n1 = _unshared_chebyshev_u(2 * n_reps - 1, wc)
+    u4n1 = _unshared_chebyshev_u(4 * n_reps - 1, wc)
+    cross_sq = (rx * vz - rz * vx) ** 2 + vy**2
+    dot = rx * vx + rz * vz
+    bracket = np.cos(alpha) * s2n + cross_sq * sin2_half_alpha * u2n1**2
+    term2 = 0.5 * dot * np.sin(alpha) * u4n1
+    return 1.0 - (2.0 / 3.0) * (bracket + term2 + sin2_half_alpha)
+
+
 # ---------------------------------------------------------------------------
 # geometry helpers
 
@@ -195,6 +250,22 @@ def test_chebyshev_against_scipy():
         )
 
 
+def test_shared_chebyshev_kernel_equals_chebyshev_u():
+    rng = np.random.default_rng(33)
+    inside = np.concatenate([rng.uniform(-1, 1, 300), [1.0, -1.0, 0.0, 1 - 2**-53]])
+    # with |x| > 1 the masked inside/outside path runs; at x = +-1, sin t < 1e-9
+    outside = np.concatenate([inside, [1.0 + 2**-52, -1.0 - 2**-52, 1.5, -3.0]])
+    for x in (inside, outside, inside.reshape(2, -1, 2), outside[-6:], np.float64(0.3), 1.0):
+        for orders in ((1, 3), (7, 15), (47, 95)):
+            got = cal._chebyshev_u_orders(orders, x)
+            assert len(got) == len(orders)
+            for m, u in zip(orders, got):
+                want = _unshared_chebyshev_u(m, x)
+                assert u.shape == want.shape == np.shape(x)
+                assert np.array_equal(u, want)
+                assert np.array_equal(cal.chebyshev_u(m, x), want)
+
+
 # ---------------------------------------------------------------------------
 # analytic fidelity surface
 
@@ -225,6 +296,23 @@ def test_analytic_fidelity_matches_twirl_oracle():
         f = float(cal.analytic_fidelity(phi, theta, cfg.eta, cfg.chi, n, cfg))
         worst = max(worst, abs(f - f_ref))
     assert worst < 1e-9
+
+
+def test_analytic_fidelity_equals_unshared_reference():
+    rng = np.random.default_rng(14)
+    for theta_star, n, k in ((PI, 24, 6), (PI / 2, 5, 3), (3 * PI / 2, 1, 1)):
+        cfg = cal.GermConfig.for_target(float(rng.uniform(-PI, PI)), theta_star)
+        phi = cfg.phi_star + rng.normal(0, 0.3, (k, 21, 21))
+        theta = cfg.theta_star * (1 + rng.normal(0, 0.1, (k, 21, 21)))
+        chi = cfg.chi + rng.normal(0, 0.05, (k, 1, 1))
+        got = cal.analytic_fidelity(phi, theta, cfg.eta, chi, n, cfg)
+        assert got.shape == (k, 21, 21)
+        assert np.array_equal(got, _unshared_analytic_fidelity(phi, theta, cfg.eta, chi, n, cfg))
+    # floats in, one value out, also at the calibration point
+    cfg = default_cfg()
+    for phi, theta in ((-1.45, 3.0), (cfg.phi_star, cfg.theta_star)):
+        got = cal.analytic_fidelity(phi, theta, cfg.eta, cfg.chi, 6, cfg)
+        assert got == _unshared_analytic_fidelity(phi, theta, cfg.eta, cfg.chi, 6, cfg)
 
 
 def test_fringe_spacing_and_slope_scaling():
@@ -342,10 +430,10 @@ def test_stacked_map_model_equals_per_row_evaluation():
     stack = x0 * (1.0 + 0.01 * rng.standard_normal((6, 5)))
     stack[0] = x0
     stack[1, 1] = stack[1, 3] = 0.0
-    stacked = cal._map_model(stack, fmap, grids, a_scales, fmap.cfg.eta)
+    stacked = cal._map_model(stack, fmap, a_scales, fmap.cfg.eta)
     assert stacked.shape == (6,) + fmap.f.shape
     for k, params in enumerate(stack):
-        row = cal._map_model(params[None], fmap, grids, a_scales, fmap.cfg.eta)[0]
+        row = cal._map_model(params[None], fmap, a_scales, fmap.cfg.eta)[0]
         assert np.array_equal(stacked[k], row)
         # a float chi gives the same map as the stacked array chi
         aa = rot.exchange_to_rotation(
@@ -374,8 +462,61 @@ def test_fit_jacobian_equals_scipy_two_point_rule():
         assert got.shape == want.shape == (fmap.f.size, 5)
         assert np.array_equal(got, want)
         assert np.array_equal(residuals(x), (cal._map_model(
-            x[None], fmap, np.meshgrid(fmap.v1, fmap.v2), a_scales, fmap.cfg.eta)[0] - fmap.f
+            x[None], fmap, a_scales, fmap.cfg.eta)[0] - fmap.f
         ).ravel())
+
+
+def _counting_model_rows(monkeypatch):
+    """Patch the fit's model so each call adds its stack height to a count."""
+    rows = [0]
+    model = cal._map_model
+
+    def counted(params, *args):
+        rows[0] += len(params)
+        return model(params, *args)
+
+    monkeypatch.setattr(cal, "_map_model", counted)
+    return rows
+
+
+def test_fit_jacobian_memo_reuses_residual_and_repeats(monkeypatch):
+    fmap, a_scales, x0 = _fit_problem()
+    x, y, z = x0, x0 * np.array([1.01, 1.0, 0.99, 1.0, 1.02]), x0 + 0.01
+    want = {}
+    for p in (x, z):
+        residuals, _ = cal._surface_residuals(fmap, a_scales)
+        want[p.tobytes()] = approx_derivative(residuals, p, method="2-point")
+    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    rows = _counting_model_rows(monkeypatch)
+    cases = [
+        (x, lambda: residuals(x), 5),  # the Jacobian follows residuals at x
+        (x, lambda: None, 0),  # least_squares' trailing jac at the same x
+        (z, lambda: residuals(y), 6),  # the last residual call was elsewhere
+    ]
+    for p, before, n_rows in cases:
+        before()
+        start = rows[0]
+        got = jac(p)
+        assert rows[0] - start == n_rows
+        assert got.shape == (fmap.f.size, 5)
+        assert np.array_equal(got, want[p.tobytes()])
+
+
+def test_fit_jacobian_memo_survives_caller_mutation():
+    fmap, a_scales, x0 = _fit_problem()
+    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    want = approx_derivative(residuals, x0, method="2-point")
+    f = residuals(x0)
+    f_want = f.copy()
+    f[:] = 0.0  # the memo keeps its own residual
+    got = jac(x0)
+    assert np.array_equal(got, want)
+    got[:] = np.nan  # and its own Jacobian, fresh or repeated
+    again = jac(x0)
+    assert np.array_equal(again, want)
+    again[:] = np.nan
+    assert np.array_equal(jac(x0), want)
+    assert np.array_equal(residuals(x0), f_want)
 
 
 def test_find_peak_centroid_and_region_choice():

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from aeonsim import cli
+from aeonsim import device as dev
 
 
 def run(argv):
@@ -87,7 +88,7 @@ def test_irb_channel_json(tmp_path):
 
 def test_json_keys_are_sorted(tmp_path):
     out = tmp_path / "rb.json"
-    run(["rb", "--engine", "channel", "--depths", "1,2", "--sequences", "3",
+    run(["rb", "--engine", "channel", "--depths", "1,2,4", "--sequences", "3",
          "--out", str(out)])
     doc = out.read_text()
     assert json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n" == doc
@@ -132,7 +133,19 @@ def test_negative_env_seed_is_a_usage_error(monkeypatch, capsys):
 def test_rb_with_one_distinct_depth_is_a_numeric_failure(depths, tmp_path, capsys):
     out = tmp_path / "rb.json"
     assert run(["rb", "--engine", "channel", "--depths", depths, "--out", str(out)]) == 3
-    assert "at least 2 distinct depths" in capsys.readouterr().err
+    assert "at least 3 distinct depths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inject", [[], ["--inject-depol", "1e-3", "--inject-leak", "1e-3"]])
+def test_rb_with_two_distinct_depths_is_a_numeric_failure(inject, tmp_path, capsys):
+    # three sum-curve parameters (c0, c1, lambda) cannot be fitted to two
+    # depths: noise-free this used to report p = 1, injected a failed fit
+    out = tmp_path / "rb.json"
+    argv = ["rb", "--engine", "channel", "--depths", "1,2", "--out", str(out)] + inject
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "at least 3 distinct depths" in err and "got [1, 2]" in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():
@@ -229,6 +242,35 @@ def test_nested_config_values_of_the_wrong_type_are_config_errors(tmp_path, doc,
     assert run(["spectrum", "--config", str(cfg)]) == 4
     err = capsys.readouterr().err
     assert "config error" in err and where in err
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"pulse_s": 0}, "pulse_s"),
+    ({"pulse_s": -1e-9}, "pulse_s"),
+    ({"pulse_s": float("nan")}, "pulse_s"),
+    ({"pulse_s": float("inf")}, "pulse_s"),
+    ({"noise": {"voltage_sigma_v": -1e-4}}, "noise.voltage_sigma_v"),
+    ({"noise": {"voltage_sigma_v": [0, 0, 0, 0, 0, float("inf")]}}, "noise.voltage_sigma_v"),
+    ({"noise": {"gradient_sigma_hz": [1e3, -1.0, 0]}}, "noise.gradient_sigma_hz"),
+    ({"noise": {"gradient_sigma_hz": float("nan")}}, "noise.gradient_sigma_hz"),
+    ({"noise": {"voltage_sigma_v": [1e-4, 1e-4]}}, "noise"),
+])
+def test_out_of_range_pulse_and_noise_are_config_errors(tmp_path, doc, where, capsys):
+    # {"pulse_s": 0} used to crash `rb --engine device` with ZeroDivisionError
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["rb", "--engine", "device", "--config", str(cfg), "--depths", "1,2,4",
+            "--sequences", "1", "--out", str(tmp_path / "rb.json")]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and where in err
+
+
+def test_range_edges_of_pulse_and_noise_are_accepted():
+    d = dev.device_from_dict({"pulse_s": 1e-300, "noise": {
+        "voltage_sigma_v": [0, 1e-4, 0, 0, 0, 0], "gradient_sigma_hz": 0}})
+    assert d.pulse_s == 1e-300
+    assert d.noise.sigma_v[1] == 1e-4 and not d.noise.sigma_b.any()
 
 
 def test_custom_device_config(tmp_path):
