@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .calibration import PAIR_INDEX, solve_exchange_for_rotation
-from .device import DeviceModel, NoiseDraw, PulseSpec, rng_stream, rng_streams, sample_noise
+from .device import (
+    PAIR_ORDER, DeviceModel, NoiseDraw, PulseSpec, rng_stream, rng_streams, sample_noise
+)
 from .errors import FitError
 from .hilbert import ExchangeVector, initialize_singlet, measure_p0
 from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
@@ -39,7 +40,9 @@ from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for p
     cayley_tables,
     compose,
     match_element,
+    pairs_for_axis,
     so3_matrix,
+    solve_exchange_for_rotation,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -118,11 +121,9 @@ def realize_pulse(device: DeviceModel, aa: AxisAngle) -> PulseSpec:
     j = None
     for pair, axis_phi in ONE_J_AXES.items():
         if abs((aa.phi - axis_phi + math.pi) % TWO_PI - math.pi) < 1e-9:
-            j = {p: (omega if p == pair else 0.0) for p in PAIR_INDEX}
+            j = {p: (omega if p == pair else 0.0) for p in PAIR_ORDER}
             break
     if j is None:
-        from .calibration import pairs_for_axis
-
         j = solve_exchange_for_rotation(aa.phi, omega, pairs_for_axis(aa.phi))
     v = device.voltages_for_exchange(
         ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import least_squares
 
-from .device import DeviceModel, rng_streams
+from .device import PAIR_ORDER, DeviceModel, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
 from .hilbert import (
     DIM,
@@ -40,68 +40,14 @@ from .rotations import (
     canonical_clifford_group,
     compose,
     exchange_to_rotation,
+    pairs_for_axis,
     quat_multiply,
     so3_matrix,
+    solve_exchange_for_rotation,
     to_unitary,
 )
 
 TWO_PI = 2.0 * math.pi
-
-# Swept-pair wedge per target axis: positive couplings of these two pairs
-# reach axis angles strictly between their single-coupling axes.
-_WEDGES = (
-    (("12", "13"), (-math.pi / 6.0, math.pi / 2.0)),
-    (("13", "23"), (math.pi / 2.0, 7.0 * math.pi / 6.0)),
-    (("12", "23"), (-5.0 * math.pi / 6.0, -math.pi / 6.0)),
-)
-
-
-def pairs_for_axis(phi: float) -> tuple[str, str]:
-    """The two exchange pairs whose positive couplings realize axis ``phi``."""
-    for pairs, (lo, hi) in _WEDGES:
-        d = (phi - lo) % TWO_PI
-        width = (hi - lo) % TWO_PI
-        if 1e-12 < d < width - 1e-12:
-            return pairs
-    raise ConfigError(
-        f"axis phi={phi:.6f} lies on a single-coupling axis; pick the pair "
-        "explicitly"
-    )
-
-
-def solve_exchange_for_rotation(
-    phi: float, omega_hz: float, pairs: tuple[str, str]
-) -> dict[str, float]:
-    """Couplings (Hz) of the two active pairs so the pulse rotates about
-    ``phi`` at total rate ``omega_hz``; the third pair stays at zero.
-
-    Raises:
-        ConfigError: if the axis is not reachable with non-negative
-            couplings of the given pairs.
-    """
-    x = omega_hz * math.cos(phi)
-    z = omega_hz * math.sin(phi)
-    active = set(pairs)
-    if active == {"12", "23"}:
-        j_minus = x / math.sqrt(3.0)
-        j_plus = -z
-        j = {"12": j_plus + j_minus, "23": j_plus - j_minus, "13": 0.0}
-    elif active == {"12", "13"}:
-        j12 = 2.0 * x / math.sqrt(3.0)
-        j = {"12": j12, "13": z + 0.5 * j12, "23": 0.0}
-    elif active == {"13", "23"}:
-        j23 = -2.0 * x / math.sqrt(3.0)
-        j = {"23": j23, "13": z + 0.5 * j23, "12": 0.0}
-    else:
-        raise ConfigError(f"unknown pair combination {pairs}")
-    for p in pairs:
-        if j[p] < -1e-9:
-            raise ConfigError(
-                f"axis phi={phi:.6f} needs negative J{p}; not reachable with "
-                f"pairs {pairs}"
-            )
-        j[p] = max(0.0, j[p])
-    return j
 
 
 def choose_germ_exponent(theta_star: float, max_q: int = 16) -> tuple[int, int]:
@@ -429,7 +375,7 @@ def sweep_fidelity(
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    idx = {p: i for i, p in enumerate(PAIR_INDEX)}
+    idx = {p: i for i, p in enumerate(PAIR_ORDER)}
     v_x = np.full((v2.size, v1.size, 3), -np.inf)
     v_x[..., idx[pairs[0]]] = v1
     v_x[..., idx[pairs[1]]] = v2[:, None]
@@ -454,9 +400,6 @@ def sweep_fidelity(
     f = est.mean(axis=-1)
     err = np.sqrt(np.sum(est * (1 - est) / shots, axis=-1)) / est.shape[-1]
     return FidelityMap(v1, v2, f, err, tuple(pairs), n_reps, cfg)
-
-
-PAIR_INDEX = ("12", "13", "23")
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +651,7 @@ def fitted_rotation_at(
         pairs[1]: fit.laws[pairs[1]].a_hz
         * math.exp(fit.laws[pairs[1]].b_per_v * v2 + fit.laws[pairs[1]].c),
     }
-    j = {p: j_active.get(p, 0.0) for p in PAIR_INDEX}
+    j = {p: j_active.get(p, 0.0) for p in PAIR_ORDER}
     return exchange_to_rotation(
         ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"]), pulse_s
     )

@@ -86,16 +86,25 @@ def _seed(text: str) -> int:
     return n
 
 
-def _rate(upper: float):
-    """Argument type for an injected error rate in [0, ``upper``]."""
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """Argument type for a comma-separated list of positive integers."""
+    return tuple(_positive_int(x) for x in text.split(","))
 
-    def rate(text: str) -> float:
+
+def _real(lo: float = -math.inf, hi: float = math.inf, *, open_lo: bool = False):
+    """Argument type for a finite float in [``lo``, ``hi``], or in
+    (``lo``, ``hi``] with ``open_lo``."""
+    left = "(" if open_lo else "["
+    right = "]" if math.isfinite(hi) else ")"
+    want = f"lie in {left}{lo:g}, {hi:g}{right}" if math.isfinite(lo) else "be finite"
+
+    def real(text: str) -> float:
         x = float(text)
-        if not 0.0 <= x <= upper:
-            raise argparse.ArgumentTypeError(f"must lie in [0, {upper:g}], got {text}")
+        if not (math.isfinite(x) and lo <= x <= hi) or (open_lo and x == lo):
+            raise argparse.ArgumentTypeError(f"must {want}, got {text}")
         return x
 
-    return rate
+    return real
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -205,7 +214,7 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
 
 def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
     options = cal.CalibrationOptions(
-        schedule=parse_int_list(args.schedule),
+        schedule=args.schedule,
         grid_points=args.grid,
         window0_v=args.window,
         shots=args.shots,
@@ -328,11 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rabi)
 
     p = sub.add_parser("calibrate", parents=[common], help="germ peak tracking")
-    p.add_argument("--phi-star", type=float, required=True, help="target axis (rad)")
-    p.add_argument("--theta-star", type=float, required=True, help="target angle (rad)")
-    p.add_argument("--schedule", default="1,2,4,8,16,24")
+    p.add_argument("--phi-star", type=_real(), required=True, help="target axis (rad)")
+    p.add_argument("--theta-star", type=_real(), required=True, help="target angle (rad)")
+    p.add_argument("--schedule", type=_positive_ints, default="1,2,4,8,16,24")
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--window", type=float, default=0.030, help="first window (V)")
+    p.add_argument("--window", type=_real(0.0, open_lo=True), default=0.030,
+                   help="first window (V)")
     p.add_argument("--shots", type=_positive_int, default=None)
     p.add_argument("--pairs", default=None, help="swept pairs override, e.g. 12,23")
     p.set_defaults(func=_cmd_calibrate)
@@ -341,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depths", default="1,2,4,8,12,16,24")
         p.add_argument("--sequences", type=_positive_int, default=20)
         p.add_argument("--shots", type=_positive_int, default=None)
-        p.add_argument("--idle", type=float, default=0.0, help="idle between Cliffords (s)")
+        p.add_argument("--idle", type=_real(0.0), default=0.0, help="idle between Cliffords (s)")
         p.add_argument("--cross", action="store_true")
         p.add_argument("--engine", choices=("device", "channel"), default="device")
         # a depolarizing rate above 0.5 gives a negative Bloch shrink factor
-        p.add_argument("--inject-depol", type=_rate(0.5), default=0.0)
-        p.add_argument("--inject-leak", type=_rate(1.0), default=0.0)
-        p.add_argument("--gate-depol", type=_rate(0.5), default=0.0)
+        p.add_argument("--inject-depol", type=_real(0.0, 0.5), default=0.0)
+        p.add_argument("--inject-leak", type=_real(0.0, 1.0), default=0.0)
+        p.add_argument("--gate-depol", type=_real(0.0, 0.5), default=0.0)
 
     p = sub.add_parser("rb", parents=[common], help="blind randomized benchmarking")
     add_rb_args(p)
@@ -355,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("irb", parents=[common], help="interleaved benchmarking")
     add_rb_args(p)
-    p.add_argument("--gate-phi", type=float, required=True)
-    p.add_argument("--gate-theta", type=float, required=True)
+    p.add_argument("--gate-phi", type=_real(), required=True)
+    p.add_argument("--gate-theta", type=_real(), required=True)
     p.set_defaults(func=_cmd_irb)
 
     return parser

@@ -200,12 +200,6 @@ class CompensationMatrix:
             raise ValueError(f"expected 6 physical gate voltages, got {v.shape}")
         return self.matrix @ v
 
-    def devirtualize(self, v_virtual) -> np.ndarray:
-        v = np.asarray(v_virtual, dtype=float)
-        if v.shape != (6,):
-            raise ValueError(f"expected 6 virtual gate voltages, got {v.shape}")
-        return np.linalg.solve(self.matrix, v)
-
 
 @dataclass(frozen=True)
 class ExchangeLaw:
@@ -482,9 +476,6 @@ class DeviceModel:
         for pulse in pulses[1:]:
             u = pulse_u[pulse] @ u
         return u @ rho @ np.conj(np.swapaxes(u, -1, -2))
-
-    def with_noise(self, noise: NoiseConfig) -> "DeviceModel":
-        return replace(self, noise=noise)
 
 
 def default_device() -> DeviceModel:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 G_FACTOR = 2.0
 """Electron g-factor used for tesla -> Hz conversion (fixed by design)."""
 
@@ -87,9 +85,6 @@ class ExchangeVector:
     def j_minus(self) -> float:
         """(J12 - J23) / 2."""
         return 0.5 * (self.j12 - self.j23)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.j12, self.j23, self.j13)
 
 
 @dataclass(frozen=True)
@@ -319,12 +314,6 @@ def qubit_block(j: ExchangeVector) -> np.ndarray:
     )
 
 
-def project_qubit(op: np.ndarray, m_index: int = 0) -> np.ndarray:
-    """Restrict an (8, 8) operator to the qubit block of one gauge sector."""
-    iso = ENCODED.gauge_sector(m_index)
-    return iso.conj().T @ np.asarray(op) @ iso
-
-
 def embed_qubit_unitary(u2: np.ndarray) -> np.ndarray:
     """Lift a 2x2 qubit unitary to the 8-dim space.
 
@@ -338,39 +327,3 @@ def embed_qubit_unitary(u2: np.ndarray) -> np.ndarray:
         u8 += iso @ u2 @ iso.conj().T
     return u8
 
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    """Serialize a complex matrix as row-major CSV of re,im pairs.
-
-    The first line is a header naming each column; basis order is the
-    module-level product basis (``|s1 s2 s3>``, dot 1 most significant,
-    spin-up first).
-    """
-    m = np.asarray(m, dtype=complex)
-    cols = []
-    for c in range(m.shape[1]):
-        cols.extend([f"re{c}", f"im{c}"])
-    lines = [",".join(cols)]
-    for row in m:
-        parts = []
-        for z in row:
-            parts.extend([repr(float(z.real)), repr(float(z.imag))])
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    """Inverse of :func:`matrix_to_csv`."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty matrix CSV")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            vals = [float(x) for x in ln.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad matrix CSV value: {exc}") from exc
-        if len(vals) % 2:
-            raise ConfigError("matrix CSV row has an odd number of columns")
-        rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
-    return np.array(rows, dtype=complex)

@@ -10,13 +10,12 @@ sin phi)``; composed rotations acquire y-components.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 
 # Axis angles phi of the rotations driven by a single exchange coupling:
 # J13 alone is +z, J12 alone is 30 degrees below +x, J23 alone its mirror.
@@ -25,6 +24,8 @@ PHI_M = -math.pi / 6.0
 PHI_N = -5.0 * math.pi / 6.0
 
 ONE_J_AXES = {"13": PHI_Z, "12": PHI_M, "23": PHI_N}
+
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,85 @@ def exchange_to_rotation(j, tau_s: float) -> AxisAngle:
     return AxisAngle(phi, 2.0 * math.pi * omega_hz * tau_s)
 
 
+# Swept-pair wedge per target axis: positive couplings of these two pairs
+# reach axis angles strictly between their single-coupling axes.
+_WEDGES = (
+    (("12", "13"), (-math.pi / 6.0, math.pi / 2.0)),
+    (("13", "23"), (math.pi / 2.0, 7.0 * math.pi / 6.0)),
+    (("12", "23"), (-5.0 * math.pi / 6.0, -math.pi / 6.0)),
+)
+
+
+def pairs_for_axis(phi: float) -> tuple[str, str]:
+    """The two exchange pairs whose positive couplings realize axis ``phi``."""
+    for pairs, (lo, hi) in _WEDGES:
+        d = (phi - lo) % _TWO_PI
+        width = (hi - lo) % _TWO_PI
+        if 1e-12 < d < width - 1e-12:
+            return pairs
+    raise ConfigError(
+        f"axis phi={phi:.6f} lies on a single-coupling axis; pick the pair "
+        "explicitly"
+    )
+
+
+def solve_exchange_for_rotation(
+    phi: float, omega_hz: float, pairs: tuple[str, str]
+) -> dict[str, float]:
+    """Couplings (Hz) of the two active pairs so the pulse rotates about
+    ``phi`` at total rate ``omega_hz``; the third pair stays at zero.
+
+    Raises:
+        ConfigError: if the axis is not reachable with non-negative
+            couplings of the given pairs.
+    """
+    x = omega_hz * math.cos(phi)
+    z = omega_hz * math.sin(phi)
+    active = set(pairs)
+    if active == {"12", "23"}:
+        j_minus = x / math.sqrt(3.0)
+        j_plus = -z
+        j = {"12": j_plus + j_minus, "23": j_plus - j_minus, "13": 0.0}
+    elif active == {"12", "13"}:
+        j12 = 2.0 * x / math.sqrt(3.0)
+        j = {"12": j12, "13": z + 0.5 * j12, "23": 0.0}
+    elif active == {"13", "23"}:
+        j23 = -2.0 * x / math.sqrt(3.0)
+        j = {"23": j23, "13": z + 0.5 * j23, "12": 0.0}
+    else:
+        raise ConfigError(f"unknown pair combination {pairs}")
+    for p in pairs:
+        if j[p] < -1e-9:
+            raise ConfigError(
+                f"axis phi={phi:.6f} needs negative J{p}; not reachable with "
+                f"pairs {pairs}"
+            )
+        j[p] = max(0.0, j[p])
+    return j
+
+
+def _product(w1, x1, y1, z1, w2, x2, y2, z2):
+    """Components of the quaternion product ``q1 * q2`` (``q2`` applied
+    first); floats, or arrays that broadcast."""
+    return (
+        w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2),
+        w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+        w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2),
+        w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2),
+    )
+
+
 def compose(second: Rotation, first: Rotation) -> Rotation:
     """Rotation equivalent to applying ``first`` then ``second``."""
-    w1, v1 = second.w, np.array(second.v)
-    w2, v2 = first.w, np.array(first.v)
-    w = w1 * w2 - float(v1 @ v2)
-    v = w1 * v2 + w2 * v1 + np.cross(v1, v2)
-    return Rotation(w, tuple(v))
+    w, x, y, z = _product(second.w, *second.v, first.w, *first.v)
+    return Rotation(w, (x, y, z))
+
+
+def quat_multiply(w1, v1, w2, v2):
+    """Quaternion product ``q1 * q2`` (``q2`` applied first), vectorized:
+    scalar parts ``w`` of shape (...) and vector parts ``v`` of (..., 3)."""
+    w, *v = _product(w1, *np.moveaxis(v1, -1, 0), w2, *np.moveaxis(v2, -1, 0))
+    return w, np.stack(v, axis=-1)
 
 
 def compose_sequence(pulses) -> Rotation:
@@ -280,8 +353,6 @@ def clifford_generators_2j() -> list[tuple[AxisAngle, Rotation]]:
 
 # ---------------------------------------------------------------------------
 # Decomposition over two fixed single-coupling axes
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _axis_vec(phi: float) -> np.ndarray:
@@ -486,18 +557,6 @@ def match_element(group, r: Rotation) -> CliffordElement:
 FLIP = Rotation.from_axis_angle(AxisAngle(0.0, math.pi))  # pi about x
 
 
-def quat_multiply(w1, v1, w2, v2):
-    """Quaternion product ``q1 * q2`` (``q2`` applied first), vectorized:
-    scalar parts ``w`` of shape (...) and vector parts ``v`` of (..., 3)."""
-    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
-    v = (
-        w1[..., None] * v2
-        + w2[..., None] * v1
-        + np.cross(v1, v2)
-    )
-    return w, v
-
-
 @dataclass(frozen=True)
 class CayleyTables:
     """Multiplication and inversion of a 24-element Clifford group by
@@ -558,16 +617,3 @@ def avg_pulse_count(group) -> float:
     els = list(group)
     return sum(el.pulse_count for el in els) / len(els)
 
-
-def export_clifford_table(group) -> str:
-    """JSON array of {index, quaternion, word} for a compiled Clifford set."""
-    rows = []
-    for el in group:
-        rows.append(
-            {
-                "index": el.index,
-                "quaternion": [el.rotation.w, *el.rotation.v],
-                "word": [[aa.phi, aa.theta] for aa in el.decomposition],
-            }
-        )
-    return json.dumps(rows, indent=2, sort_keys=True)

@@ -191,7 +191,7 @@ def test_c06_closed_loop_calibration_nine_targets():
     t0 = time.perf_counter()
     d = perturbed_device()
     nominal = dev.default_device().laws
-    order = {p: i for i, p in enumerate(cal.PAIR_INDEX)}
+    order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     worst_phi = worst_theta = 0.0
     for phi_star in (0.0, PI, -PI / 2):  # +x, -x, -z
         for theta_star in (PI / 2, PI, 3 * PI / 2):
@@ -286,7 +286,7 @@ def test_c09_helper_error_signatures():
     eps = 0.02
     actual = rot.Rotation.from_axis_angle(rot.AxisAngle(-PI / 2 + PI / 2 + eps, PI))
     res = cal.run_calibration(d, -PI / 2, PI, precal_actual=actual)
-    order = {p: i for i, p in enumerate(cal.PAIR_INDEX)}
+    order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     v_x = np.full(3, -np.inf)
     for p in res.pairs:
         v_x[order[p]] = res.final[f"v_x{p}"]

@@ -1,5 +1,6 @@
 """Benchmarking: sequences, recovery, engines, decay fits."""
 
+import dataclasses
 import json
 import math
 import re
@@ -62,16 +63,26 @@ def test_realize_pulse_round_trip():
         assert back.theta == pytest.approx(aa.theta, rel=1e-9)
 
 
-def test_noiseless_device_rb_is_exact():
-    d = dev.default_device()
+@pytest.mark.parametrize("engine", ["device", "channel"])
+def test_noiseless_device_rb_is_exact(engine):
+    # a noise-free device and a zero-injection channel are two routes to
+    # the same survivals
     cfg = bench.RbConfig(depths=(1, 3, 6), n_sequences=3, seed=7)
-    data = bench.run_rb(d, cfg, engine="device")
+    runs = {
+        "device": bench.run_rb(dev.default_device(), cfg, engine="device"),
+        "channel": bench.run_rb(None, cfg, engine="channel"),
+    }
+    data = runs[engine]
     np.testing.assert_allclose(data.surv_identity, 1.0, atol=1e-9)
     np.testing.assert_allclose(data.surv_flip, 0.0, atol=1e-9)
     fit = bench.fit_rb(data)
-    assert fit.p == pytest.approx(1.0, abs=1e-9)
+    assert fit.p == 1.0
     assert fit.lam == 1.0
     assert fit.leak_per_clifford == 0.0
+    for curve in ("surv_identity", "surv_flip"):
+        np.testing.assert_allclose(
+            getattr(runs["device"], curve), getattr(runs["channel"], curve), rtol=0, atol=1e-12
+        )
 
 
 def test_channel_engine_depolarizing_recovery():
@@ -196,8 +207,9 @@ def test_channel_engine_shot_sampling_reproducible():
 
 
 def test_device_rb_with_noise_decays():
-    d = dev.default_device().with_noise(
-        dev.NoiseConfig(voltage_sigma_v=4e-4, gradient_sigma_hz=0.0, seed=5)
+    d = dataclasses.replace(
+        dev.default_device(),
+        noise=dev.NoiseConfig(voltage_sigma_v=4e-4, gradient_sigma_hz=0.0, seed=5),
     )
     cfg = bench.RbConfig(depths=(1, 6, 12), n_sequences=4, shots=30, seed=3)
     data = bench.run_rb(d, cfg, engine="device")
@@ -265,3 +277,23 @@ def test_rb_report_format():
     assert doc["fit"]["avg_pulses_per_clifford"] == pytest.approx(11.0 / 6.0)
     # keys are sorted for byte-stable output
     assert bench.rb_report(data, fit) == bench.rb_report(data, fit)
+
+
+def test_benchmarking_binds_nothing_from_calibration():
+    # the rotation map (pairs_for_axis, solve_exchange_for_rotation) and the
+    # pair order live in rotations and device; RB does not need calibration
+    import ast
+    import inspect
+
+    from aeonsim import calibration
+
+    tree = ast.parse(inspect.getsource(bench))
+    imported = [
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+         for alias in node.names]
+    assert not any(m and m.endswith("calibration") for m in imported)
+    assert not [
+        name for name, obj in vars(bench).items()
+        if obj is calibration or getattr(obj, "__module__", None) == calibration.__name__
+    ]

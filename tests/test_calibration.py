@@ -550,7 +550,7 @@ def test_run_calibration_recovers_target():
     res = cal.run_calibration(d, -PI / 2, PI, assumed_laws=nominal)
     vf = [res.final[f"v_x{p}"] for p in res.pairs]
     v_x = np.full(3, -np.inf)
-    order = {p: i for i, p in enumerate(cal.PAIR_INDEX)}
+    order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     for p, vv in zip(res.pairs, vf):
         v_x[order[p]] = vv
     aa = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
@@ -580,7 +580,7 @@ def test_helper_error_transfers_to_fitted_axis():
     res = cal.run_calibration(d, -PI / 2, PI, precal_actual=actual)
     vf = [res.final[f"v_x{p}"] for p in res.pairs]
     v_x = np.full(3, -np.inf)
-    order = {p: i for i, p in enumerate(cal.PAIR_INDEX)}
+    order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     for p, vv in zip(res.pairs, vf):
         v_x[order[p]] = vv
     aa_true = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)

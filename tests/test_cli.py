@@ -192,6 +192,40 @@ def test_injected_rate_bounds_are_accepted():
     assert (args.inject_depol, args.inject_leak, args.gate_depol) == (0.5, 1.0, 0.0)
 
 
+CAL = ["calibrate", "--phi-star", "0", "--theta-star", "3.14"]
+
+
+@pytest.mark.parametrize("argv", [
+    CAL + ["--schedule", "-1"],
+    CAL + ["--schedule", "0"],
+    CAL + ["--schedule", "1,2,0"],
+    CAL + ["--window", "0"],
+    CAL + ["--window", "-0.03"],
+    CAL + ["--window", "nan"],
+    ["calibrate", "--phi-star", "nan", "--theta-star", "3.14"],
+    ["calibrate", "--phi-star", "0", "--theta-star", "inf"],
+    ["rb", "--engine", "device", "--idle", "nan"],
+    ["rb", "--engine", "device", "--idle", "-1"],
+    ["rb", "--engine", "device", "--idle", "inf"],
+    ["irb", "--gate-phi", "nan", "--gate-theta", "3.14"],
+    ["irb", "--gate-phi", "0", "--gate-theta", "inf"],
+])
+def test_out_of_range_flags_are_usage_errors(argv, tmp_path, capsys):
+    # --schedule -1 used to run a stage with N = -1, --idle nan to write
+    # "idle_s": NaN, and --phi-star nan to exit as a config error
+    argv = argv + ["--out", str(tmp_path / "out.json"),
+                   "--emit-plot-data", str(tmp_path / "plot.csv")]
+    assert run(argv) == 2
+    assert "must " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_flag_range_edges_are_accepted():
+    args = cli.build_parser().parse_args(CAL + ["--schedule", "1", "--window", "1e-300"])
+    assert (args.schedule, args.window) == ((1,), 1e-300)
+    assert cli.build_parser().parse_args(["rb", "--idle", "0"]).idle == 0.0
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # too few samples for the oscillation fit
     code = run(["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:100e-9:5",

@@ -24,14 +24,6 @@ def test_compensation_first_column_frozen():
     np.testing.assert_allclose(out, [1.0, -0.19, 0.06, 0.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_compensation_round_trip():
-    d = dev.default_device()
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=6)
-    back = d.compensation.devirtualize(d.compensation.virtualize(v))
-    np.testing.assert_allclose(back, v, atol=1e-12)
-
-
 def test_compensation_rejects_barrier_feedback():
     m = np.eye(6)
     m[3, 0] = 0.2  # barriers must not feed back on plungers

@@ -206,19 +206,3 @@ def test_embed_qubit_unitary_block_structure():
     for m_index in (0, 1):
         iso = hb.ENCODED.gauge_sector(m_index)
         np.testing.assert_allclose(iso.conj().T @ u8 @ iso, q, atol=1e-12)
-
-
-def test_matrix_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    path = tmp_path / "m.csv"
-    path.write_text(hb.matrix_to_csv(m))
-    back = hb.matrix_from_csv(path.read_text())
-    np.testing.assert_array_equal(back, m)
-
-
-def test_matrix_csv_rejects_garbage():
-    from aeonsim.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        hb.matrix_from_csv("re0,im0\nnot-a-number,0\n")

@@ -1,6 +1,5 @@
 """Rotation algebra, pulse-axis mapping and Clifford compilation."""
 
-import json
 import math
 
 import numpy as np
@@ -179,13 +178,6 @@ def test_match_element_rejects_non_member():
         rot.match_element(grp, rot.Rotation.from_axis_angle(rot.AxisAngle(0.0, 0.7)))
 
 
-def test_clifford_table_export():
-    grp = rot.canonical_clifford_group()
-    doc = json.loads(rot.export_clifford_table(grp))
-    assert len(doc) == 24
-    assert set(doc[0]) >= {"index", "quaternion", "word"}
-
-
 def test_exchange_to_rotation_arrays_match_scalar_calls():
     rng = np.random.default_rng(17)
     j12, j23, j13 = (rng.uniform(0.0, 80e6, size=(5, 7)) for _ in range(3))
@@ -251,3 +243,83 @@ def test_cayley_tables_reject_non_groups():
     )
     with pytest.raises(ProtocolError):
         rot.cayley_tables(grp[:23] + [stray])
+
+
+# The quaternion products as written before they shared one component
+# product: numpy arrays and np.cross.  Kept here as the bit-exact oracles.
+def _np_cross_product(second, first):
+    w1, v1 = second.w, np.array(second.v)
+    w2, v2 = first.w, np.array(first.v)
+    return w1 * w2 - float(v1 @ v2), w1 * v2 + w2 * v1 + np.cross(v1, v2)
+
+
+def _np_cross_compose(second, first):
+    w, v = _np_cross_product(second, first)
+    return rot.Rotation(w, tuple(v))
+
+
+def _np_cross_quat_multiply(w1, v1, w2, v2):
+    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
+    v = w1[..., None] * v2 + w2[..., None] * v1 + np.cross(v1, v2)
+    return w, v
+
+
+def _unit_quaternions(rng, shape):
+    q = rng.normal(size=shape + (4,))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    return q[..., 0], q[..., 1:]
+
+
+@pytest.mark.parametrize("shape1,shape2", [
+    ((300,), (300,)),
+    ((5, 1), (1, 7)),  # an outer product, as the Cayley table builds it
+    ((), (4, 6)),  # one quaternion against a grid, as the germ sweep does
+])
+def test_quat_multiply_equals_np_cross_oracle(shape1, shape2):
+    rng = np.random.default_rng(31)
+    w1, v1 = _unit_quaternions(rng, shape1)
+    w2, v2 = _unit_quaternions(rng, shape2)
+    w, v = rot.quat_multiply(w1, v1, w2, v2)
+    w_ref, v_ref = _np_cross_quat_multiply(np.asarray(w1), v1, np.asarray(w2), v2)
+    assert w.shape == w_ref.shape and v.shape == v_ref.shape
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def test_compose_equals_quat_multiply_and_np_cross_oracle():
+    rng = np.random.default_rng(32)
+    w1, v1 = _unit_quaternions(rng, (300,))
+    w2, v2 = _unit_quaternions(rng, (300,))
+    w, v = rot.quat_multiply(w1, v1, w2, v2)
+    for k in range(300):
+        # Python floats, as Rotation holds them
+        a = rot.Rotation(float(w1[k]), tuple(map(float, v1[k])))
+        b = rot.Rotation(float(w2[k]), tuple(map(float, v2[k])))
+        got = rot._product(a.w, *a.v, b.w, *b.v)
+        assert got == (w[k], *v[k])
+        assert rot.compose(a, b) == rot.Rotation(got[0], got[1:])
+        # the old vector part is elementwise numpy and matches bit for bit;
+        # its scalar part went through a BLAS dot, which may fuse
+        # multiply-adds, so it can differ in the last place
+        old_w, old_v = _np_cross_product(a, b)
+        assert got[1:] == tuple(old_v)
+        assert abs(got[0] - old_w) <= math.ulp(1.0)
+
+
+def test_clifford_groups_equal_np_cross_compose_oracle(monkeypatch):
+    def quaternions(group):
+        return [(el.rotation.w, *el.rotation.v) for el in group]
+
+    def words(group):
+        return [tuple((aa.phi, aa.theta) for aa in el.decomposition) for el in group]
+
+    axes = (rot.PHI_M, rot.PHI_N)
+    canonical = rot.canonical_clifford_group()
+    compiled = rot.compile_clifford_group(axes)
+    monkeypatch.setattr(rot, "compose", _np_cross_compose)
+    monkeypatch.setattr(rot, "_CANONICAL", None)
+    canonical_ref = rot.canonical_clifford_group()
+    compiled_ref = rot.compile_clifford_group(axes)
+    assert quaternions(canonical) == quaternions(canonical_ref)
+    assert quaternions(compiled) == quaternions(compiled_ref)
+    assert words(canonical) == words(canonical_ref)
+    assert words(compiled) == words(compiled_ref)
