@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .device import (
-    PAIR_ORDER, DeviceModel, NoiseDraw, PulseSpec, rng_stream, rng_streams, sample_noise
+from .device import (  # noqa: F401 - sample_noise stays bound for perfbench's tracer
+    PAIR_ORDER, DeviceModel, PulseSpec, rng_stream, rng_streams, sample_noise
 )
 from .errors import FitError
-from .hilbert import ExchangeVector, initialize_singlet, measure_p0
+from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
     FLIP,
     AxisAngle,
@@ -150,11 +150,14 @@ def _run_device_engine(device, cfg, group, interleaved):
         inter = _position(group, Rotation.from_axis_angle(interleaved))
         inter_pulse = pulses_for(interleaved)
 
-    def one_cell(di, si, rng):
-        indices = generate_sequence(rng, cfg.depths[di], group)
+    # the identity and flip trains of every sequence, in stream path order
+    # (depth, sequence, flip), played as one batch
+    grid = (len(cfg.depths), cfg.n_sequences)
+    trains = []
+    for (di, _), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid)):
         body: list[PulseSpec] = []
         net = tables.identity
-        for k in indices:
+        for k in generate_sequence(rng, cfg.depths[di], group):
             body.extend(pulses_for(aa) for aa in group[k].decomposition)
             net = mul[k][net]
             if interleaved is not None:
@@ -162,35 +165,11 @@ def _run_device_engine(device, cfg, group, interleaved):
                 net = mul[inter][net]
             if idle is not None:
                 body.append(idle)
-        out = []
         for flip in (False, True):
             rec = recovery_element(group, net, flip)
-            seq_pulses = body + [pulses_for(aa) for aa in rec.decomposition]
-            if cfg.shots is None:
-                rho = device.simulate_pulse(initialize_singlet(), seq_pulses, None, cfg.apply_cross)
-                out.append(measure_p0(rho))
-            else:
-                # per shot: its noise draw, then its readout uniform, from
-                # the shot's own stream
-                draws, uniforms = [], np.empty(cfg.shots)
-                shot_rngs = rng_streams(cfg.seed, di, si, int(flip), shape=cfg.shots)
-                for shot, shot_rng in enumerate(shot_rngs):
-                    draws.append(sample_noise(device.noise, shot_rng))
-                    uniforms[shot] = shot_rng.random()
-                rho = device.simulate_pulse(
-                    initialize_singlet(), seq_pulses, NoiseDraw.stack(draws), cfg.apply_cross
-                )
-                out.append(np.count_nonzero(uniforms < measure_p0(rho)) / cfg.shots)
-        return out
-
-    grid = (len(cfg.depths), cfg.n_sequences)
-    flat = [
-        one_cell(di, si, rng)
-        for (di, si), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid))
-    ]
-    surv_id = np.array([r[0] for r in flat]).reshape(grid)
-    surv_fl = np.array([r[1] for r in flat]).reshape(grid)
-    return surv_id, surv_fl
+            trains.append(body + [pulses_for(aa) for aa in rec.decomposition])
+    surv = device.survival(trains, grid + (2,), cfg.shots, cfg.seed, (), cfg.apply_cross)
+    return surv[..., 0].copy(), surv[..., 1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,11 @@ from .errors import (
     FitError,
     ProtocolError,
 )
-from .hilbert import (
+from .hilbert import (  # noqa: F401 - measure_p0 stays bound for perfbench's tracer
     ExchangeVector,
     FieldConfig,
     build_hamiltonian,
     eigenspectrum,
-    initialize_singlet,
     measure_p0,
 )
 from .rotations import AxisAngle
@@ -61,9 +60,19 @@ def parse_linspace(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:npoints, got {text!r}")
     start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep endpoints must be finite, got {text!r}")
     if n < 2:
         raise ValueError(f"sweep needs at least 2 points, got {n}")
     return np.linspace(start, stop, n)
+
+
+def _sweep(text: str) -> np.ndarray:
+    """Argument type for an inclusive sweep ``start:stop:npoints``."""
+    try:
+        return parse_linspace(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -107,6 +116,16 @@ def _real(lo: float = -math.inf, hi: float = math.inf, *, open_lo: bool = False)
     return real
 
 
+def _two_pairs(text: str) -> tuple[str, str]:
+    """Argument type for two distinct exchange pairs, e.g. ``12,23``."""
+    pairs = tuple(text.split(","))
+    if len(pairs) != 2 or pairs[0] == pairs[1] or not set(pairs) <= set(dev.PAIR_ORDER):
+        raise argparse.ArgumentTypeError(
+            f"must be two distinct pairs of {', '.join(dev.PAIR_ORDER)}, got {text!r}"
+        )
+    return pairs
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -123,7 +142,24 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _json_doc(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool = False) -> None:
+    """Usage error if an exchange law overflows at barrier voltages
+    ``v_x`` (pair order, shape ``(..., 3)``); ``names`` gives, per swept
+    pair, the argument that sets its voltage.
+
+    Each coupling is monotone in each barrier voltage, with or without
+    cross-talk, so the corners of a voltage grid bound it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
+    for pair, name in names.items():
+        if not np.all(np.isfinite(getattr(j, f"j{pair}"))):
+            raise ValueError(
+                f"{name}: the exchange law of pair {pair} overflows at these barrier voltages"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +180,14 @@ def _cmd_spectrum(args, device: dev.DeviceModel) -> int:
 
 
 def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
-    pairs = tuple(args.pairs.split(","))
-    if len(pairs) != 2:
-        raise ValueError(f"need two pairs, got {args.pairs!r}")
-    v1 = parse_linspace(args.v1)
-    v2 = parse_linspace(args.v2)
+    pairs, v1, v2 = args.pairs, args.v1, args.v2
+    corners = np.full((2, 2, 3), -np.inf)
+    corners[..., dev.PAIR_ORDER.index(pairs[0])] = v1[[0, -1]][:, None]
+    corners[..., dev.PAIR_ORDER.index(pairs[1])] = v2[[0, -1]]
+    names = {pairs[0]: "--v1", pairs[1]: "--v2"}
+    if args.cross:
+        names = dict.fromkeys(pairs, "--v1/--v2 with --cross")
+    _check_exchange(device, corners, names, args.cross)
     p0 = dev.fingerpinch_map(
         device,
         pairs,
@@ -169,27 +208,15 @@ def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
 
 
 def _cmd_rabi(args, device: dev.DeviceModel) -> int:
-    times = parse_linspace(args.times)
+    times = args.times
     idx = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     if args.pair not in idx:
         raise ValueError(f"unknown pair {args.pair!r}")
     v_x = np.full(3, -np.inf)
     v_x[idx[args.pair]] = args.v
-    rho0 = initialize_singlet()
-    p0 = np.empty(times.size)
-    for k, t in enumerate(times):
-        pulse = dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t))
-        if args.shots is None:
-            p0[k] = measure_p0(device.simulate_pulse(rho0, pulse))
-        else:
-            # per shot: its noise draw, then its readout uniform, from the
-            # shot's own stream
-            draws, uniforms = [], np.empty(args.shots)
-            for shot, shot_rng in enumerate(dev.rng_streams(args.seed, 101, k, shape=args.shots)):
-                draws.append(dev.sample_noise(device.noise, shot_rng))
-                uniforms[shot] = shot_rng.random()
-            rho = device.simulate_pulse(rho0, pulse, dev.NoiseDraw.stack(draws))
-            p0[k] = np.count_nonzero(uniforms < measure_p0(rho)) / args.shots
+    _check_exchange(device, v_x, {args.pair: "--v"})
+    trains = [(dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)),) for t in times]
+    p0 = device.survival(trains, times.shape, args.shots, args.seed, (101,))
     fit = bench.fit_oscillation_decay(times, p0)
     doc = {
         "pair": args.pair,
@@ -309,30 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[common], help="triple-dot energy levels")
-    p.add_argument("--j12", type=float, default=0.0, help="J12 in Hz")
-    p.add_argument("--j23", type=float, default=0.0, help="J23 in Hz")
-    p.add_argument("--j13", type=float, default=0.0, help="J13 in Hz")
-    p.add_argument("--f-uniform", type=float, default=0.0, help="uniform Zeeman (Hz)")
-    p.add_argument("--b1", type=float, default=0.0, help="dot-1 gradient (Hz)")
-    p.add_argument("--b2", type=float, default=0.0, help="dot-2 gradient (Hz)")
-    p.add_argument("--b3", type=float, default=0.0, help="dot-3 gradient (Hz)")
+    p.add_argument("--j12", type=_real(), default=0.0, help="J12 in Hz")
+    p.add_argument("--j23", type=_real(), default=0.0, help="J23 in Hz")
+    p.add_argument("--j13", type=_real(), default=0.0, help="J13 in Hz")
+    p.add_argument("--f-uniform", type=_real(), default=0.0, help="uniform Zeeman (Hz)")
+    p.add_argument("--b1", type=_real(), default=0.0, help="dot-1 gradient (Hz)")
+    p.add_argument("--b2", type=_real(), default=0.0, help="dot-2 gradient (Hz)")
+    p.add_argument("--b3", type=_real(), default=0.0, help="dot-3 gradient (Hz)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(
         "fingerpinch", parents=[common], help="two-barrier survival map"
     )
-    p.add_argument("--pairs", required=True, help="swept pairs, e.g. 12,23")
-    p.add_argument("--v1", required=True, help="first sweep start:stop:n (V)")
-    p.add_argument("--v2", required=True, help="second sweep start:stop:n (V)")
+    p.add_argument("--pairs", type=_two_pairs, required=True, help="swept pairs, e.g. 12,23")
+    p.add_argument("--v1", type=_sweep, required=True, help="first sweep start:stop:n (V)")
+    p.add_argument("--v2", type=_sweep, required=True, help="second sweep start:stop:n (V)")
     p.add_argument("--hadamard", action="store_true", help="sandwich with Hadamards")
-    p.add_argument("--duration", type=float, default=None, help="pulse length (s)")
+    p.add_argument("--duration", type=_real(0.0), default=None, help="pulse length (s)")
     p.add_argument("--cross", action="store_true", help="apply barrier cross-talk")
     p.set_defaults(func=_cmd_fingerpinch)
 
     p = sub.add_parser("rabi", parents=[common], help="single-pair duration sweep")
     p.add_argument("--pair", required=True, help="driven pair (12, 13 or 23)")
-    p.add_argument("--v", type=float, required=True, help="barrier voltage (V)")
-    p.add_argument("--times", required=True, help="duration sweep start:stop:n (s)")
+    p.add_argument("--v", type=_real(), required=True, help="barrier voltage (V)")
+    p.add_argument("--times", type=_sweep, required=True, help="duration sweep start:stop:n (s)")
     p.add_argument("--shots", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_rabi)
 

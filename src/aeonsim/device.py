@@ -14,6 +14,7 @@ exchange pair vectors ``(12, 13, 23)`` throughout.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -52,6 +53,13 @@ DEFAULT_CROSS = np.array(
     ]
 )
 
+
+# simulate_pulse propagates a batch in blocks of at most this many stacked
+# 8x8 matrices, so its memory does not grow with the number of rows.
+BLOCK_MATRICES = 256
+
+# A ramp rises (and falls) in this many piecewise-constant slices.
+_RAMP_SLICES = 16
 
 # Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).  The
@@ -123,17 +131,22 @@ def _pcg64_states(seed: int, paths: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
+# Stream states are derived this many paths at a time, so a long loop
+# never holds every state at once.
+_STREAM_CHUNK = 512
+
+
 def rng_streams(seed: int, *prefix: int, shape):
     """Deterministic RNG streams ``(seed, *prefix, *index)`` for every index
     of ``shape``, in C order.
 
     Each yielded Generator is in exactly the state of
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=prefix
-    + index))``; all states are derived up front in one array pass.  The
-    same Generator object is re-seeded at each step, so a caller takes its
-    draws from one step before advancing and keeps no reference to it.
-    Streams of different paths are independent whatever the order in which
-    they are consumed.
+    + index))``; the states are derived in array passes of at most 512
+    paths.  The same Generator object is re-seeded at each step, so a
+    caller takes its draws from one step before advancing and keeps no
+    reference to it.  Streams of different paths are independent whatever
+    the order in which they are consumed.
 
     Raises:
         ValueError: for a negative seed, or a path entry outside
@@ -146,27 +159,29 @@ def rng_streams(seed: int, *prefix: int, shape):
             raise ValueError(f"stream path entries must lie in [0, 2**32), got {x}")
     if not all(0 <= s <= _MASK32 + 1 for s in shape):
         raise ValueError(f"stream shape {shape} has indices outside [0, 2**32)")
-    n = math.prod(shape)
-    paths = np.empty((n, len(prefix) + len(shape)), dtype=np.uint32)
-    paths[:, : len(prefix)] = prefix
-    paths[:, len(prefix) :] = np.indices(shape).reshape(len(shape), n).T
-    states = _pcg64_states(seed, paths)
     # any PCG64 will do, as it is re-seeded before use; one built from the
-    # cached SeedSequence is the cheapest to construct
+    # cached SeedSequence is the cheapest to construct (and validates seed)
     bit_gen = np.random.PCG64(_seed_sequence(seed)[0])
-    return _reseeded(np.random.Generator(bit_gen), states)
+    return _reseeded(np.random.Generator(bit_gen), seed, prefix, shape)
 
 
-def _reseeded(rng: np.random.Generator, states):
-    """Yield ``rng`` re-seeded to each PCG64 ``(state, inc)`` in turn."""
-    for state, inc in states:
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+def _reseeded(rng: np.random.Generator, seed: int, prefix: list[int], shape: tuple):
+    """Yield ``rng`` re-seeded to the stream of each path in turn."""
+    n = math.prod(shape)
+    for lo in range(0, n, _STREAM_CHUNK):
+        flat = np.arange(lo, min(n, lo + _STREAM_CHUNK))
+        paths = np.empty((flat.size, len(prefix) + len(shape)), dtype=np.uint32)
+        paths[:, : len(prefix)] = prefix
+        if shape:
+            paths[:, len(prefix) :] = np.array(np.unravel_index(flat, shape)).T
+        for state, inc in _pcg64_states(seed, paths):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
@@ -279,6 +294,14 @@ class NoiseConfig:
         once per config."""
         return np.broadcast_to(np.asarray(self.gradient_sigma_hz, dtype=float), (3,))
 
+    @functools.cached_property
+    def sigmas(self) -> np.ndarray:
+        """Voltage then gradient sigmas, shape (9,), in the order
+        :func:`sample_noise` draws them; read-only, computed once."""
+        out = np.concatenate([self.sigma_v, self.sigma_b])
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class NoiseDraw:
@@ -305,11 +328,31 @@ class NoiseDraw:
 
 
 def sample_noise(noise: NoiseConfig, rng: np.random.Generator) -> NoiseDraw:
-    """Draw quasi-static voltage and gradient offsets from ``rng``."""
-    return NoiseDraw(
-        voltage_offsets_v=rng.normal(0.0, 1.0, size=6) * noise.sigma_v,
-        gradients_hz=rng.normal(0.0, 1.0, size=3) * noise.sigma_b,
-    )
+    """Draw quasi-static voltage and gradient offsets from ``rng``: nine
+    standard normals, the six gate offsets first."""
+    z = rng.standard_normal(9) * noise.sigmas
+    return NoiseDraw(voltage_offsets_v=z[:6], gradients_hz=z[6:])
+
+
+def sample_shots(noise: NoiseConfig, seed: int, *prefix: int, shape):
+    """Noise draws and readout uniforms of the shots ``(seed, *prefix,
+    *index)`` for every index of ``shape``, in C order.
+
+    Each shot takes its noise draw (:func:`sample_noise`), then one readout
+    uniform, from its own stream; all streams come from one
+    :func:`rng_streams` call.
+
+    Returns:
+        A batched :class:`NoiseDraw` with one row per shot, and the
+        uniforms, shape ``(n,)``.
+    """
+    n = math.prod(np.atleast_1d(shape).tolist())
+    offsets, gradients, uniforms = np.empty((n, 6)), np.empty((n, 3)), np.empty(n)
+    for k, rng in enumerate(rng_streams(seed, *prefix, shape=shape)):
+        draw = sample_noise(noise, rng)
+        offsets[k], gradients[k] = draw.voltage_offsets_v, draw.gradients_hz
+        uniforms[k] = rng.random()
+    return NoiseDraw(offsets, gradients), uniforms
 
 
 @dataclass(frozen=True)
@@ -403,10 +446,11 @@ class DeviceModel:
         durations = [pulse.duration_s]
         if pulse.ramp_s > 0.0:
             v_idle = self.idle_v + dv[..., 3:]
-            fracs = (np.arange(16) + 0.5) / 16.0
+            fracs = (np.arange(_RAMP_SLICES) + 0.5) / _RAMP_SLICES
             ramp = [v_idle + f * (v_target - v_idle) for f in fracs]
             volts = ramp + volts + ramp[::-1]
-            durations = [pulse.ramp_s / 16.0] * 16 + durations + [pulse.ramp_s / 16.0] * 16
+            step = pulse.ramp_s / _RAMP_SLICES
+            durations = [step] * _RAMP_SLICES + durations + [step] * _RAMP_SLICES
         j = self.exchange_from_voltages(np.stack(volts), plungers, apply_cross=apply_cross)
         return [
             (ExchangeVector(j12=j.j12[k], j23=j.j23[k], j13=j.j13[k]), dt)
@@ -419,63 +463,201 @@ class DeviceModel:
         pulses,
         draw: NoiseDraw | None = None,
         apply_cross: bool = False,
+        readout=None,
     ) -> np.ndarray:
-        """Propagate a density matrix through a pulse train under noise.
+        """Propagate a density matrix through pulse trains under noise.
 
-        ``pulses`` is one :class:`PulseSpec` or a sequence of them, played
-        in order.  ``draw`` is one noise draw (or ``None`` for none) or a
-        batch of ``n`` draws, which gives ``n`` output density matrices.
-        Each distinct pulse of the train is built once for the whole batch,
-        with one propagator call per distinct segment duration; the train
-        is then folded by stacked matrix products and applied to ``rho``
-        once.  An empty train returns ``rho`` as it is.
+        ``pulses`` is one :class:`PulseSpec`, a train of them played in
+        order, or a list of trains, one per row of the batch.  ``draw`` is
+        one noise draw (or ``None`` for none) shared by every row, or a
+        batch of ``n`` draws, one per row; a single train with a batch of
+        draws plays on ``n`` rows.
+
+        Rows are worked through in blocks of at most :data:`BLOCK_MATRICES`
+        stacked 8x8 matrices, cut between runs of rows that share one train
+        object wherever a run fits.  Per block, each distinct pulse is built
+        once for the rows that play it, with one propagator call per
+        distinct segment duration; each row's train is then folded in play
+        order and applied to ``rho``.  ``readout`` (``measure_p0``, say) is
+        applied to each block's density matrices before the next block is
+        built, and its results are returned in place of the matrices.  A
+        row with an empty train keeps ``rho``; a single empty train returns
+        ``rho`` as it is.
 
         Barrier cross-talk is opt-in per experiment (``apply_cross``); a
         device without a cross matrix ignores the flag.
 
         Returns:
-            Density matrices of shape ``batch + (8, 8)``, where the batch
-            shape is ``()`` for a single draw and ``(n,)`` for a batch.
+            Density matrices of shape ``batch + (8, 8)``, or the readout of
+            the batch shape, which is ``()`` for a single train with at most
+            one draw and ``(rows,)`` otherwise.
         """
         rho = hilbert._check_density(rho)
         if isinstance(pulses, PulseSpec):
             pulses = (pulses,)
         if not pulses:
             return rho
-        if draw is None:
-            draw = NoiseDraw.none()
-        apply_cross = apply_cross and self.cross is not None
-        fields = FieldConfig(
-            f_uniform_hz=self.fields.f_uniform_hz,
-            gradients_hz=np.asarray(self.fields.gradients_hz, dtype=float)
-            + np.asarray(draw.gradients_hz, dtype=float),
+        draw = NoiseDraw.none() if draw is None else draw
+        offsets = np.asarray(draw.voltage_offsets_v, dtype=float)
+        single = isinstance(pulses[0], PulseSpec)
+        if single:
+            trains = [pulses] * (len(offsets) if offsets.ndim == 2 else 1)
+        else:
+            trains = pulses
+            if offsets.ndim == 2 and len(offsets) != len(trains):
+                raise ValueError(f"{len(offsets)} noise draws for {len(trains)} trains")
+        # a shared draw is the same draw on every row
+        n_rows = len(trains)
+        gradients = np.asarray(draw.gradients_hz, dtype=float).reshape(-1, 3)
+        draws = NoiseDraw(
+            np.broadcast_to(offsets.reshape(-1, 6), (n_rows, 6)),
+            np.broadcast_to(gradients, (n_rows, 3)),
         )
+        apply_cross = apply_cross and self.cross is not None
+        out = []
+        for block in _blocks(trains):
+            states = self._block_states(rho, block, draws, apply_cross)
+            out.append(states if readout is None else readout(states))
+        out = np.concatenate(out)
+        return out[0] if single and offsets.ndim == 1 else out
+
+    def _block_states(self, rho, block, draws: NoiseDraw, apply_cross: bool) -> np.ndarray:
+        """Density matrices of one block's rows, given as ``(train, lo,
+        hi)`` runs of rows of the batch, with one draw per row."""
+        # the rows playing each distinct pulse, and for each run the
+        # position of its first row among them
+        plays: dict[PulseSpec, list[np.ndarray]] = {}
+        size: dict[PulseSpec, int] = {}
+        firsts = []
+        for train, lo, hi in block:
+            first = {}
+            for p in dict.fromkeys(train):
+                first[p] = size.get(p, 0)
+                size[p] = first[p] + hi - lo
+                plays.setdefault(p, []).append(np.arange(lo, hi))
+            firsts.append(first)
         # every segment of every distinct pulse, grouped by duration, so one
-        # propagator call covers each duration of the whole train
-        plan = {p: self._segments(p, draw, apply_cross) for p in dict.fromkeys(pulses)}
+        # propagator call covers each duration of the block
         by_duration: dict[float, list] = {}
-        for segments in plan.values():
+        pulse_durations = []
+        for p, rows in plays.items():
+            rows = np.concatenate(rows)
+            draw = NoiseDraw(draws.voltage_offsets_v[rows], draws.gradients_hz[rows])
+            segments = self._segments(p, draw, apply_cross)
             for j, dt in segments:
-                by_duration.setdefault(dt, []).append(j)
-        unitaries = {}
-        for dt, js in by_duration.items():
-            j = ExchangeVector(
-                j12=np.stack([x.j12 for x in js]),
-                j23=np.stack([x.j23 for x in js]),
-                j13=np.stack([x.j13 for x in js]),
-            )
-            unitaries[dt] = iter(hilbert.propagator(hilbert.build_hamiltonian(j, fields), dt))
-        pulse_u = {}
-        for pulse, segments in plan.items():
+                by_duration.setdefault(dt, []).append((j, rows))
+            pulse_durations.append([dt for _, dt in segments])
+        unitaries = {dt: iter(self._unitaries(js, draws, dt)) for dt, js in by_duration.items()}
+        table, base, n_table = [], {}, 0
+        for p, durations in zip(plays, pulse_durations):
             u = None
-            for _, dt in segments:
+            for dt in durations:
                 seg_u = next(unitaries[dt])
                 u = seg_u if u is None else seg_u @ u
-            pulse_u[pulse] = u
-        u = pulse_u[pulses[0]]
-        for pulse in pulses[1:]:
-            u = pulse_u[pulse] @ u
-        return u @ rho @ np.conj(np.swapaxes(u, -1, -2))
+            base[p], n_table = n_table, n_table + len(u)
+            table.append(u)
+        # table positions of each row's pulses in play order
+        n_rows = block[-1][2] - block[0][1]
+        lengths = np.repeat([len(t) for t, _, _ in block], [hi - lo for _, lo, hi in block])
+        pos = np.zeros((n_rows, lengths.max()), dtype=np.intp)
+        r = 0
+        for (train, lo, hi), first in zip(block, firsts):
+            steps = np.array([base[p] + first[p] for p in train], dtype=np.intp)
+            pos[r : r + hi - lo, : len(train)] = steps + np.arange(hi - lo)[:, None]
+            r += hi - lo
+        if not pos.size:
+            return np.repeat(rho[None], n_rows, axis=0)
+        # rows sorted by train length, so that the rows still playing at a
+        # step form a prefix
+        order = np.argsort(-lengths, kind="stable")
+        playing = np.count_nonzero(lengths[:, None] > np.arange(pos.shape[1]), axis=0)
+        pos, table = pos[order[: playing[0]]], np.concatenate(table)
+        u = table[pos[:, 0]]
+        for k in range(1, pos.shape[1]):
+            u[: playing[k]] = table[pos[: playing[k], k]] @ u[: playing[k]]
+        del table, unitaries
+        u_rho = u @ rho
+        # conjugated in place, which leaves the layout np.conj would give
+        states = u_rho @ np.conj(u, out=u).swapaxes(-1, -2)
+        if playing[0] < n_rows or np.any(order[1:] < order[:-1]):
+            ordered = np.empty((n_rows, hilbert.DIM, hilbert.DIM), dtype=complex)
+            ordered[order[: playing[0]]] = states
+            ordered[order[playing[0] :]] = rho
+            states = ordered
+        return states
+
+    def _unitaries(self, items, draws: NoiseDraw, dt: float) -> list[np.ndarray]:
+        """Propagators of ``(ExchangeVector, rows)`` segment stacks that
+        share duration ``dt``, one stack per item, from propagator calls of
+        at most :data:`BLOCK_MATRICES` matrices."""
+        j = [np.concatenate([getattr(x, f) for x, _ in items]) for f in ("j12", "j23", "j13")]
+        gradients = np.asarray(self.fields.gradients_hz, dtype=float) + draws.gradients_hz[
+            np.concatenate([rows for _, rows in items])
+        ]
+        u = []
+        for k in range(0, len(gradients), BLOCK_MATRICES):
+            part = slice(k, k + BLOCK_MATRICES)
+            fields = FieldConfig(self.fields.f_uniform_hz, gradients[part])
+            h = hilbert.build_hamiltonian(ExchangeVector(*(c[part] for c in j)), fields)
+            u.append(hilbert.propagator(h, dt))
+        u = u[0] if len(u) == 1 else np.concatenate(u)
+        return np.split(u, np.cumsum([len(rows) for _, rows in items[:-1]]))
+
+    def survival(self, trains, shape, shots=None, seed: int = 0, prefix=(), apply_cross=False):
+        """Encoded ``|0>`` survival after each train, played from the
+        outer-pair singlet.
+
+        ``trains`` lists one train per index of ``shape`` in C order.
+        Without shots the survival is ``p0`` itself.  With ``shots``, each
+        train is played once per shot, with the shot's noise draw from
+        stream ``(seed, *prefix, *index, shot)``, and its survival is the
+        fraction of shots whose readout uniform from the same stream falls
+        below ``p0``.
+
+        Returns:
+            Array of shape ``shape``.
+        """
+        rho0 = hilbert.initialize_singlet()
+        if shots is None:
+            p0 = self.simulate_pulse(rho0, trains, None, apply_cross, readout=hilbert.measure_p0)
+            return p0.reshape(shape)
+        draws, uniforms = sample_shots(self.noise, seed, *prefix, shape=tuple(shape) + (shots,))
+        rows = [train for train in trains for _ in range(shots)]
+        p0 = self.simulate_pulse(rho0, rows, draws, apply_cross, readout=hilbert.measure_p0)
+        hits = np.count_nonzero((uniforms < p0).reshape(-1, shots), axis=1)
+        return (hits / shots).reshape(shape)
+
+
+def _blocks(trains) -> list[list[tuple]]:
+    """Split the rows of a batch into blocks of ``(train, lo, hi)`` runs of
+    rows that share one train object.
+
+    A row stacks one matrix per segment of each distinct pulse of its
+    train (at least one).  A block takes whole runs while they fit in
+    :data:`BLOCK_MATRICES`; only a run that does not fit in a block of its
+    own is cut within, and a single row over the cap is a block alone.
+    """
+    blocks, block, used, lo = [], [], 0, 0
+    for _, run in itertools.groupby(trains, key=id):
+        run = list(run)
+        train, hi = run[0], lo + len(run)
+        segments = (1 + 2 * _RAMP_SLICES if p.ramp_s > 0.0 else 1 for p in dict.fromkeys(train))
+        cost = max(1, sum(segments))
+        while lo < hi:
+            if used + (hi - lo) * cost <= BLOCK_MATRICES:
+                block.append((train, lo, hi))
+                used += (hi - lo) * cost
+                lo = hi
+            elif block:
+                blocks.append(block)
+                block, used = [], 0
+            else:
+                step = max(1, BLOCK_MATRICES // cost)
+                blocks.append([(train, lo, lo + step)])
+                lo += step
+    if block:
+        blocks.append(block)
+    return blocks
 
 
 def default_device() -> DeviceModel:
@@ -653,16 +835,19 @@ def fingerpinch_map(
         h2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
         h8 = hilbert.embed_qubit_unitary(h2)
         rho0 = h8 @ rho0 @ h8.conj().T
-    v1 = np.asarray(v1, dtype=float)
-    v_x = np.full((v1.size, 3), -np.inf)
-    v_x[:, PAIR_ORDER.index(pairs[0])] = v1
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    # whole grid rows per propagator call, as many as fit in the block cap
+    rows = max(1, BLOCK_MATRICES // v1.size)
     out = np.empty((v2.size, v1.size))
-    for r, vb in enumerate(np.asarray(v2, dtype=float)):
-        v_x[:, PAIR_ORDER.index(pairs[1])] = vb
+    for r in range(0, v2.size, rows):
+        vb = v2[r : r + rows]
+        v_x = np.full((vb.size, v1.size, 3), -np.inf)
+        v_x[..., PAIR_ORDER.index(pairs[0])] = v1
+        v_x[..., PAIR_ORDER.index(pairs[1])] = vb[:, None]
         j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
         u = hilbert.propagator(hilbert.build_hamiltonian(j, device.fields), duration_s)
         rho = u @ rho0 @ np.conj(np.swapaxes(u, -1, -2))
         if hadamard:
             rho = h8 @ rho @ h8.conj().T
-        out[r] = hilbert.measure_p0(rho)
+        out[r : r + rows] = hilbert.measure_p0(rho)
     return out

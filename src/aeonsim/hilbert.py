@@ -122,16 +122,19 @@ def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> n
         batch shape broadcasts the couplings' shapes with the gradients'
         leading shape (``()`` for scalar inputs).
     """
-    h = 2.0 * np.pi * (
-        _coefficient(j.j12) * _EXCHANGE_TERMS["12"]
-        + _coefficient(j.j23) * _EXCHANGE_TERMS["23"]
-        + _coefficient(j.j13) * _EXCHANGE_TERMS["13"]
-    )
+    b = np.asarray(fields.gradients_hz if fields is not None else (0.0,) * 3, dtype=float)
+    batch = np.broadcast_shapes(np.shape(j.j12), np.shape(j.j23), np.shape(j.j13), b.shape[:-1])
+    # summed in place, in the order of the formula, so no more than one
+    # full-size temporary is alive at a time
+    h = np.empty(batch + (DIM, DIM), dtype=complex)
+    np.multiply(_coefficient(j.j12), _EXCHANGE_TERMS["12"], out=h)
+    h += _coefficient(j.j23) * _EXCHANGE_TERMS["23"]
+    h += _coefficient(j.j13) * _EXCHANGE_TERMS["13"]
+    h *= 2.0 * np.pi
     if fields is not None:
-        b = np.asarray(fields.gradients_hz, dtype=float)
         for k, dot in enumerate((1, 2, 3)):
             f = _coefficient(fields.f_uniform_hz + b[..., k])
-            h = h + 2.0 * np.pi * f * SPIN_OPS[dot][2]
+            h += 2.0 * np.pi * f * SPIN_OPS[dot][2]
     return h
 
 
@@ -149,9 +152,15 @@ def _check_hamiltonian(h) -> np.ndarray:
     h = np.asarray(h)
     if h.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected (..., 8, 8) Hamiltonians, got {h.shape}")
-    h_dag = np.conj(np.swapaxes(h, -1, -2))
-    atol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    if not np.all(np.abs(h - h_dag) <= atol[..., None, None] + 1e-5 * np.abs(h_dag)):
+    mag = np.abs(h)
+    atol = 1e-10 * np.maximum(1.0, mag.max(axis=(-2, -1)))
+    # |h - h^dagger| <= atol + 1e-5 |h^dagger|, with |h^dagger| read off |h|
+    # transposed and each full-size temporary reused in place
+    diff = np.conj(np.swapaxes(h, -1, -2))
+    np.subtract(h, diff, out=diff)
+    bound = np.multiply(np.swapaxes(mag, -1, -2), 1e-5)
+    bound += atol[..., None, None]
+    if not np.all(np.abs(diff) <= bound):
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
     return h
 
@@ -271,8 +280,9 @@ def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
     if not math.isfinite(tau_s) or tau_s < 0:
         raise ValueError(f"evolution time must be finite and non-negative, got {tau_s}")
     vals, vecs = np.linalg.eigh(_check_hamiltonian(h))
-    phase = np.exp(-1j * vals * tau_s)
-    return (vecs * phase[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    left = vecs * np.exp(-1j * vals * tau_s)[..., None, :]
+    # conjugated in place, which leaves the layout np.conj would give
+    return left @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
 
 
 def _population(rho: np.ndarray, proj: np.ndarray):

@@ -355,6 +355,12 @@ def clifford_generators_2j() -> list[tuple[AxisAngle, Rotation]]:
 # Decomposition over two fixed single-coupling axes
 
 
+def _dot3(a, b) -> float:
+    """Dot product of two 3-vectors from plain products and sums, so that
+    it does not depend on how a BLAS build rounds ``a @ b``."""
+    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+
+
 def _axis_vec(phi: float) -> np.ndarray:
     return np.array([math.cos(phi), 0.0, math.sin(phi)])
 
@@ -374,7 +380,7 @@ def _three_word_solutions(target: Rotation, a: np.ndarray, b: np.ndarray):
     vector part along ``a`` fix (alpha+gamma, beta); the remaining vector
     components fix the split of alpha+gamma.
     """
-    c = float(a @ b)
+    c = _dot3(a, b)
     e1 = b - c * a
     n1 = np.linalg.norm(e1)
     if n1 < 1e-12:
@@ -385,7 +391,7 @@ def _three_word_solutions(target: Rotation, a: np.ndarray, b: np.ndarray):
     for sgn in (1.0, -1.0):
         w = sgn * target.w
         v = sgn * np.array(target.v)
-        p = float(v @ a)
+        p = _dot3(v, a)
         s2 = (1.0 - w * w - p * p) / (1.0 - c * c)
         if s2 < -1e-12 or s2 > 1.0 + 1e-12:
             continue
@@ -405,7 +411,7 @@ def _three_word_solutions(target: Rotation, a: np.ndarray, b: np.ndarray):
                 Rotation.about(a, -sigma), Rotation(w, tuple(v))
             )
             b_rot = np.array(m.v) / s_half
-            alpha = math.atan2(-float(b_rot @ e2) / n1, float(b_rot @ e1) / n1)
+            alpha = math.atan2(-_dot3(b_rot, e2) / n1, _dot3(b_rot, e1) / n1)
             gamma = sigma - alpha
             out.append((alpha, beta, gamma))
     return out
@@ -430,7 +436,7 @@ def _try_length(target, axes_phi, length, tol):
             nv = np.linalg.norm(v)
             if nv < 1e-12:
                 continue
-            d = float(v @ ax) / nv
+            d = _dot3(v, ax) / nv
             if abs(abs(d) - 1.0) < 1e-9:
                 theta = target.angle if d > 0 else _TWO_PI - target.angle
                 record([(phi, theta)])

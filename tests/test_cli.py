@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -315,3 +316,35 @@ def test_custom_device_config(tmp_path):
     code = run(["fingerpinch", "--config", str(cfg), "--pairs", "12,23",
                 "--v1", "0.05:0.08:5", "--v2", "0.05:0.08:5", "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["rabi", "--pair", "12", "--v", "nan", "--times", "0:1e-7:10"], "--v"),
+    (["rabi", "--pair", "12", "--v", "inf", "--times", "0:1e-7:10"], "--v"),
+    (["rabi", "--pair", "12", "--v", "20", "--times", "0:1e-7:10"], "--v"),
+    (["rabi", "--pair", "12", "--v", "0.07", "--times", "0:nan:10"], "--times"),
+    (["spectrum", "--j12", "nan"], "--j12"),
+    (["spectrum", "--j23", "inf"], "--j23"),
+    (["spectrum", "--j13=-inf"], "--j13"),
+    (["fingerpinch", "--pairs", "12,23", "--v1", "0:1e300:3", "--v2", "0:0.1:3"], "--v1"),
+    (["fingerpinch", "--pairs", "12,23", "--v1", "0:0.1:3", "--v2", "0:inf:3"], "--v2"),
+    (["fingerpinch", "--pairs", "12,23", "--v1", "0:0.1:3", "--v2=-1e3:0:3", "--cross"],
+     "--v1/--v2 with --cross"),
+    (["fingerpinch", "--pairs", "12,14", "--v1", "0:0.1:3", "--v2", "0:0.1:3"], "--pairs"),
+    (["fingerpinch", "--pairs", "12,23", "--v1", "0:0.1:3", "--v2", "0:0.1:3",
+      "--duration", "nan"], "--duration"),
+])
+def test_device_experiment_inputs_are_usage_errors(argv, flag, tmp_path, capsys):
+    # these used to exit through "Hamiltonian is not Hermitian" and leak
+    # overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Hermitian" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_json_documents_refuse_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._json_doc({"x": math.nan})

@@ -332,3 +332,200 @@ def test_fingerpinch_hadamard_changes_contrast():
     plain = dev.fingerpinch_map(d, ("12", "23"), v, v, apply_cross=False)
     had = dev.fingerpinch_map(d, ("12", "23"), v, v, hadamard=True, apply_cross=False)
     assert np.abs(plain - had).max() > 0.05
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel: every row of a batch, blocked, against one train at a time
+
+
+def _one_train_oracle(d, rho, train, draw, apply_cross):
+    """One train under one draw (or none), unblocked: each distinct pulse
+    built once, one propagator call per segment duration, the train folded
+    by matrix products."""
+    if not train:
+        return rho
+    draw = dev.NoiseDraw.none() if draw is None else draw
+    fields = hb.FieldConfig(
+        d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
+    )
+    plan = {p: d._segments(p, draw, apply_cross and d.cross is not None) for p in dict.fromkeys(train)}
+    by_duration = {}
+    for segments in plan.values():
+        for j, dt in segments:
+            by_duration.setdefault(dt, []).append(j)
+    unitaries = {}
+    for dt, js in by_duration.items():
+        j = hb.ExchangeVector(*(np.stack([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
+        unitaries[dt] = iter(hb.propagator(hb.build_hamiltonian(j, fields), dt))
+    pulse_u = {}
+    for pulse, segments in plan.items():
+        u = None
+        for _, dt in segments:
+            seg_u = next(unitaries[dt])
+            u = seg_u if u is None else seg_u @ u
+        pulse_u[pulse] = u
+    u = pulse_u[train[0]]
+    for pulse in train[1:]:
+        u = pulse_u[pulse] @ u
+    return u @ rho @ np.conj(np.swapaxes(u, -1, -2))
+
+
+def _noisy_device():
+    return dataclasses.replace(
+        dev.default_device(),
+        fields=hb.FieldConfig(2e7, (1e5, -2e5, 3e4)),
+        noise=dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=1e5),
+    )
+
+
+RAMPED = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
+                       plunger_offsets_v=(2e-3, -1e-3, 5e-4), ramp_s=2e-9)
+IDLE = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=20e-9)
+PLAIN = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
+                      plunger_offsets_v=(0.0, 1e-3, 0.0))
+OTHER = dev.PulseSpec(v_x=(0.071, 0.069, -np.inf), duration_s=10e-9)
+
+
+def _mixed_trains(n_runs):
+    """Runs of rows sharing a train: ramped pulses, two segment durations,
+    an empty train among them, lengths from 0 to 6."""
+    shapes = [[RAMPED, IDLE, PLAIN], [PLAIN, OTHER], [], [OTHER, RAMPED, PLAIN, IDLE, OTHER, PLAIN],
+              [IDLE], [PLAIN, PLAIN, OTHER, RAMPED]]
+    rows = []
+    for k in range(n_runs):
+        train = list(shapes[k % len(shapes)])
+        rows += [train] * (1 + k % 4)
+    return rows
+
+
+@pytest.mark.parametrize("apply_cross", [False, True])
+@pytest.mark.parametrize("with_draws", [False, True])
+def test_batched_rows_equal_one_train_at_a_time(apply_cross, with_draws):
+    d = _noisy_device()
+    rows = _mixed_trains(24)
+    rho0 = hb.initialize_singlet()
+    draws = [dev.sample_noise(d.noise, dev.rng_stream(5, r)) for r in range(len(rows))]
+    batch = dev.NoiseDraw.stack(draws) if with_draws else None
+    assert len(dev._blocks(rows)) > 2  # the batch spans several blocks
+    out = d.simulate_pulse(rho0, rows, batch, apply_cross)
+    p0 = d.simulate_pulse(rho0, rows, batch, apply_cross, readout=hb.measure_p0)
+    assert out.shape == (len(rows), 8, 8) and p0.shape == (len(rows),)
+    for r, train in enumerate(rows):
+        want = _one_train_oracle(d, rho0, train, draws[r] if with_draws else None, apply_cross)
+        assert np.array_equal(out[r], want), r
+        assert p0[r] == hb.measure_p0(want), r
+
+
+def test_rows_with_empty_trains_keep_rho():
+    d = _noisy_device()
+    rho = hb.initialize_singlet()
+    out = d.simulate_pulse(rho, [[], [PLAIN], []])
+    assert np.array_equal(out[0], rho) and np.array_equal(out[2], rho)
+    assert not np.array_equal(out[1], rho)
+    assert np.array_equal(d.simulate_pulse(rho, [[], []]), np.stack([rho, rho]))
+
+
+def test_single_train_with_a_batch_of_draws_equals_per_row_trains():
+    d = _noisy_device()
+    draws = dev.NoiseDraw.stack([dev.sample_noise(d.noise, dev.rng_stream(9, s)) for s in range(300)])
+    train = [RAMPED, PLAIN]  # 34 matrices a row, so 300 rows take 40 blocks
+    rho0 = hb.initialize_singlet()
+    shared = d.simulate_pulse(rho0, train, draws)
+    assert np.array_equal(shared, d.simulate_pulse(rho0, [train] * 300, draws))
+    assert np.array_equal(shared[123], _one_train_oracle(d, rho0, train, dev.NoiseDraw(
+        draws.voltage_offsets_v[123], draws.gradients_hz[123]), False))
+
+
+def test_blocks_cut_between_runs_and_respect_the_cap():
+    rabi = []
+    for t in range(10):
+        train = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9 * (t + 1))]
+        rabi += [train] * 50
+    blocks = dev._blocks(rabi)
+    assert [sum(hi - lo for _, lo, hi in b) for b in blocks] == [250, 250]
+    assert all(hi - lo == 50 for b in blocks for _, lo, hi in b)
+    # a run larger than the cap is cut within; a row over the cap is alone
+    big = dev._blocks([[PLAIN]] * 600)
+    assert [(b[0][1], b[-1][2]) for b in big] == [(0, 256), (256, 512), (512, 600)]
+    ramps = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9, ramp_s=k * 1e-10)
+             for k in range(1, 10)]
+    wide = dev._blocks([ramps, ramps, [PLAIN]])
+    assert [[(lo, hi) for _, lo, hi in b] for b in wide] == [[(0, 1)], [(1, 2)], [(2, 3)]]
+
+
+def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
+    sizes = []
+    propagator = hb.propagator
+
+    def spy(h, tau_s):
+        sizes.append(math.prod(h.shape[:-2]))
+        return propagator(h, tau_s)
+
+    monkeypatch.setattr(hb, "propagator", spy)
+    d = _noisy_device()
+    times = np.linspace(1e-9, 100e-9, 20)
+    trains = [(dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)),) for t in times]
+    d.survival(trains, times.shape, 60, 3, (101,))
+    assert sizes == [60] * 20  # whole runs per block: one call per duration
+    sizes.clear()
+    rows = _mixed_trains(40)
+    d.survival(rows, (len(rows),), 7, 3)
+    assert max(sizes) <= dev.BLOCK_MATRICES
+    # one row over the cap: its 320 ramp slices of one duration take two calls
+    sizes.clear()
+    ramps = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9, ramp_s=2e-9,
+                           plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(10)]
+    d.simulate_pulse(hb.initialize_singlet(), ramps)
+    assert sorted(sizes) == [10, 64, 256]
+    sizes.clear()
+    v = np.linspace(0.05, 0.08, 41)
+    dev.fingerpinch_map(d, ("12", "23"), v, v)
+    assert sizes == [246] * 6 + [41 * 5]
+
+
+def test_survival_equals_the_per_train_shot_loop():
+    d = _noisy_device()
+    rows = _mixed_trains(6)
+    shape, shots, seed = (len(rows),), 4, 17
+    got = d.survival(rows, shape, shots, seed, (3,), apply_cross=True)
+    rho0 = hb.initialize_singlet()
+    for k, train in enumerate(rows):
+        hits = 0
+        for rng in dev.rng_streams(seed, 3, k, shape=shots):
+            draw = dev.NoiseDraw(rng.normal(0.0, 1.0, 6) * d.noise.sigma_v,
+                                 rng.normal(0.0, 1.0, 3) * d.noise.sigma_b)
+            hits += rng.random() < hb.measure_p0(_one_train_oracle(d, rho0, train, draw, True))
+        assert got[k] == hits / shots
+    clean = d.survival(rows, shape)
+    assert all(clean[k] == hb.measure_p0(_one_train_oracle(d, rho0, t, None, False))
+               for k, t in enumerate(rows))
+
+
+def test_sample_shots_equals_the_per_shot_loop():
+    noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
+    draws, uniforms = dev.sample_shots(noise, 11, 101, shape=(7, 5))
+    assert draws.voltage_offsets_v.shape == (35, 6) and uniforms.shape == (35,)
+    k = 0
+    for t in range(7):
+        for rng in dev.rng_streams(11, 101, t, shape=5):
+            want = dev.sample_noise(noise, rng)
+            assert np.array_equal(draws.voltage_offsets_v[k], want.voltage_offsets_v)
+            assert np.array_equal(draws.gradients_hz[k], want.gradients_hz)
+            assert uniforms[k] == rng.random()
+            k += 1
+
+
+def test_sample_noise_draws_nine_normals_as_six_then_three():
+    noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
+    for seed in range(300):
+        draw = dev.sample_noise(noise, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(draw.voltage_offsets_v, rng.normal(0.0, 1.0, 6) * noise.sigma_v)
+        assert np.array_equal(draw.gradients_hz, rng.normal(0.0, 1.0, 3) * noise.sigma_b)
+
+
+def test_rng_streams_cross_chunk_boundaries_like_the_oracle():
+    got = [rng.bit_generator.state for rng in dev.rng_streams(2**40 + 7, 5, shape=(13, 100))]
+    assert len(got) == 1300 > 2 * dev._STREAM_CHUNK
+    for index, state in zip(np.ndindex(13, 100), got):
+        assert state == _oracle(2**40 + 7, (5,) + index).bit_generator.state

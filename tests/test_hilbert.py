@@ -206,3 +206,61 @@ def test_embed_qubit_unitary_block_structure():
     for m_index in (0, 1):
         iso = hb.ENCODED.gauge_sector(m_index)
         np.testing.assert_allclose(iso.conj().T @ u8 @ iso, q, atol=1e-12)
+
+
+def _old_build(j, fields):
+    """The out-of-place formula build_hamiltonian sums in place."""
+    h = 2.0 * np.pi * (
+        np.asarray(j.j12, dtype=float)[..., None, None] * hb._EXCHANGE_TERMS["12"]
+        + np.asarray(j.j23, dtype=float)[..., None, None] * hb._EXCHANGE_TERMS["23"]
+        + np.asarray(j.j13, dtype=float)[..., None, None] * hb._EXCHANGE_TERMS["13"]
+    )
+    b = np.asarray(fields.gradients_hz, dtype=float)
+    for k, dot in enumerate((1, 2, 3)):
+        f = np.asarray(fields.f_uniform_hz + b[..., k])[..., None, None]
+        h = h + 2.0 * np.pi * f * hb.SPIN_OPS[dot][2]
+    return h
+
+
+def test_in_place_build_and_propagator_equal_the_plain_formulas():
+    rng = np.random.default_rng(36)
+    j, fields = random_batch(rng, 7)
+    mixed = [  # couplings and gradients of different batch shapes
+        (j, fields),
+        (hb.ExchangeVector(3e7, j.j23, 0.0), fields),
+        (hb.ExchangeVector(3e7, 1e7, 2e6), fields),
+        (hb.ExchangeVector(j.j12[:, None], j.j23[None, :], 5e6), hb.FieldConfig(1e8, (1e5, 0.0, -2e5))),
+    ]
+    for jj, ff in mixed:
+        h = hb.build_hamiltonian(jj, ff)
+        assert np.array_equal(h, _old_build(jj, ff))
+        vals, vecs = np.linalg.eigh(h)
+        old = (vecs * np.exp(-1j * vals * 9e-9)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+        assert np.array_equal(hb.propagator(h, 9e-9), old)
+    assert np.array_equal(hb.build_hamiltonian(hb.ExchangeVector(1e7, 2e7, 0.0)),
+                          _old_build(hb.ExchangeVector(1e7, 2e7, 0.0), hb.FieldConfig()))
+
+
+def test_hermiticity_check_keeps_its_verdicts():
+    def old_ok(h):
+        h_dag = np.conj(np.swapaxes(h, -1, -2))
+        atol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+        return bool(np.all(np.abs(h - h_dag) <= atol[..., None, None] + 1e-5 * np.abs(h_dag)))
+
+    rng = np.random.default_rng(37)
+    j, fields = random_batch(rng, 4)
+    base = hb.build_hamiltonian(j, fields)
+    verdicts = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for eps in (0.0, 1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e9, np.nan, np.inf):
+            for where in ((0, 0, 1), (2, 3, 3), (1, 5, 2)):
+                h = base.copy()
+                h[where] += eps * (1 + 1j)
+                try:
+                    hb._check_hamiltonian(h)
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == old_ok(h), (eps, where)
+                verdicts.add(ok)
+    assert verdicts == {True, False}

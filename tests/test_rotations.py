@@ -323,3 +323,17 @@ def test_clifford_groups_equal_np_cross_compose_oracle(monkeypatch):
     assert quaternions(compiled) == quaternions(compiled_ref)
     assert words(canonical) == words(canonical_ref)
     assert words(compiled) == words(compiled_ref)
+
+
+@pytest.mark.parametrize("axes", [(rot.PHI_Z, rot.PHI_N), (rot.PHI_Z, rot.PHI_M), (rot.PHI_M, rot.PHI_N)])
+def test_plain_dot_products_keep_the_compiled_words(axes, monkeypatch):
+    # the solver used to take its 3-vector dots with ``@``; the words must
+    # not change, and the angles only in the last bits
+    plain = rot.compile_clifford_group(axes)
+    monkeypatch.setattr(rot, "_dot3", lambda a, b: float(np.asarray(a) @ np.asarray(b)))
+    blas = rot.compile_clifford_group(axes)
+    for p, b in zip(plain, blas):
+        assert [aa.phi for aa in p.decomposition] == [aa.phi for aa in b.decomposition]
+        for pa, ba in zip(p.decomposition, b.decomposition):
+            assert abs(pa.theta - ba.theta) <= 1e-12
+
