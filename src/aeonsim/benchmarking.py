@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .device import (  # noqa: F401 - sample_noise stays bound for perfbench's tracer
     PAIR_ORDER, DeviceModel, PulseSpec, rng_stream, rng_streams, sample_noise
 )
 from .errors import FitError
+from .fitting import levenberg_marquardt
 from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
     FLIP,
@@ -317,7 +317,7 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
     best = None
     for g in guesses:
         try:
-            res = least_squares(resid, g, method="lm", x_scale="jac")
+            res = levenberg_marquardt(resid, g)
         except Exception:  # noqa: BLE001 - try next start
             continue
         if best is None or res.cost < best.cost:
@@ -451,11 +451,8 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
     for ph0 in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi):
         for tdec in (span, 0.3 * span, 3.0 * span):
             try:
-                res = least_squares(
-                    resid,
-                    np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)]),
-                    method="lm",
-                    x_scale="jac",
+                res = levenberg_marquardt(
+                    resid, np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)])
                 )
             except Exception:  # noqa: BLE001 - try next start
                 continue

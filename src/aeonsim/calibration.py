@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import least_squares
 
 from .device import PAIR_ORDER, DeviceModel, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
+from .fitting import levenberg_marquardt, two_point
 from .hilbert import (
     DIM,
     ExchangeVector,
@@ -511,48 +511,16 @@ def _surface_residuals(fmap: FidelityMap, a_scales):
     """Residual vector of the surface fit as a function of the parameters
     ``(B1, C1, B2, C2, chi)``, and its 2-point Jacobian callable.
 
-    The two share one memo, keyed on the exact bytes of ``x``: a Jacobian
-    at the point of the last residual call reuses that residual and
-    evaluates only the five stepped points, and a Jacobian at the point of
-    the last Jacobian call returns a copy of it (MINPACK's ``lmder`` asks
-    for the Jacobian right after the residuals at an accepted iterate,
-    and ``least_squares`` once more at its final point).  The Jacobian
-    repeats scipy's default 2-point rule (``approx_derivative``): step
-    ``h = sqrt(eps) * sign(x) * max(1, |x|)`` with sign(0) = +1, realized
-    step ``dx = (x + h) - x`` and column ``(F(x + h e_i) - F(x)) / dx_i``.
+    Both come from :func:`fitting.two_point`, so they share its memo and
+    scipy's 2-point rule; the Jacobian's five stepped points are evaluated
+    as one stacked model call.
     """
-    rel_step = math.sqrt(np.finfo(float).eps)
-    last_f = last_jac = (None, None)  # (bytes of x, value)
 
     def stacked(stack):
         model = _map_model(stack, fmap, a_scales, fmap.cfg.eta)
         return (model - fmap.f).reshape(len(stack), -1)
 
-    def residuals(params):
-        nonlocal last_f
-        f = stacked(params[None])[0]
-        last_f = (params.tobytes(), f)
-        return f.copy()
-
-    def jac(x):
-        nonlocal last_jac
-        key = x.tobytes()
-        if last_jac[0] == key:
-            return last_jac[1].copy().T
-        h = rel_step * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-        points = np.tile(x, (x.size + 1, 1))
-        points[1:][np.diag_indices(x.size)] = x + h
-        if last_f[0] == key:
-            f0, f_steps = last_f[1], stacked(points[1:])
-        else:
-            f = stacked(points)
-            f0, f_steps = f[0], f[1:]
-        dx = (x + h) - x
-        jac_t = (f_steps - f0) / dx[:, None]
-        last_jac = (key, jac_t)
-        return jac_t.copy().T
-
-    return residuals, jac
+    return two_point(lambda params: stacked(params[None])[0], stacked)
 
 
 def fit_final(
@@ -567,11 +535,11 @@ def fit_final(
 
     Free parameters are B and C of each swept pair's exchange law plus the
     helper angle chi (A is held at its configured scale: A and C shift the
-    same degree of freedom).  Damped least squares with forward-difference
-    Jacobians (the five steps evaluated as one stacked model call, the
-    point reused from the residual call before it), restarted from 8
-    jittered seeds around the assumed laws.  ``x_scale="jac"`` pins
-    MINPACK's variable scaling, whose default changed in scipy 1.16.
+    same degree of freedom).  Damped least squares
+    (:func:`fitting.levenberg_marquardt`) with forward-difference Jacobians
+    (the five steps evaluated as one stacked model call, the point reused
+    from the residual call before it), restarted from 8 jittered seeds
+    around the assumed laws.
 
     When ``peak_v`` is given (the measured peak of this map), each start's
     C offsets are chosen so the model's calibration point sits on that
@@ -612,15 +580,7 @@ def fit_final(
         if j_tgt is not None:
             pin_offsets(start)
         try:
-            res = least_squares(
-                residuals,
-                start,
-                jac=jac,
-                method="lm",
-                x_scale="jac",
-                xtol=1e-14,
-                ftol=1e-14,
-            )
+            res = levenberg_marquardt(residuals, start, jac=jac, xtol=1e-14, ftol=1e-14)
         except Exception:  # noqa: BLE001 - restart on solver breakdown
             continue
         used = k + 1

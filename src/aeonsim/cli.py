@@ -43,6 +43,11 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
+# Largest magnitude (Hz) of a spectrum coupling or field: with all seven at
+# this size, 2*pi times their sum stays far inside the float range, so the
+# Hamiltonian, its Hermiticity check and its spectrum stay finite.
+MAX_SPECTRUM_HZ = 1e300
+
 
 def _env_default(name: str, cast, fallback):
     raw = os.environ.get(name)
@@ -336,13 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[common], help="triple-dot energy levels")
-    p.add_argument("--j12", type=_real(), default=0.0, help="J12 in Hz")
-    p.add_argument("--j23", type=_real(), default=0.0, help="J23 in Hz")
-    p.add_argument("--j13", type=_real(), default=0.0, help="J13 in Hz")
-    p.add_argument("--f-uniform", type=_real(), default=0.0, help="uniform Zeeman (Hz)")
-    p.add_argument("--b1", type=_real(), default=0.0, help="dot-1 gradient (Hz)")
-    p.add_argument("--b2", type=_real(), default=0.0, help="dot-2 gradient (Hz)")
-    p.add_argument("--b3", type=_real(), default=0.0, help="dot-3 gradient (Hz)")
+    hz = _real(-MAX_SPECTRUM_HZ, MAX_SPECTRUM_HZ)
+    p.add_argument("--j12", type=hz, default=0.0, help="J12 in Hz")
+    p.add_argument("--j23", type=hz, default=0.0, help="J23 in Hz")
+    p.add_argument("--j13", type=hz, default=0.0, help="J13 in Hz")
+    p.add_argument("--f-uniform", type=hz, default=0.0, help="uniform Zeeman (Hz)")
+    p.add_argument("--b1", type=hz, default=0.0, help="dot-1 gradient (Hz)")
+    p.add_argument("--b2", type=hz, default=0.0, help="dot-2 gradient (Hz)")
+    p.add_argument("--b3", type=hz, default=0.0, help="dot-3 gradient (Hz)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(

@@ -19,6 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -327,32 +328,36 @@ class NoiseDraw:
         )
 
 
-def sample_noise(noise: NoiseConfig, rng: np.random.Generator) -> NoiseDraw:
+def sample_noise(noise: NoiseConfig, rng: np.random.Generator, out=None):
     """Draw quasi-static voltage and gradient offsets from ``rng``: nine
-    standard normals, the six gate offsets first."""
-    z = rng.standard_normal(9) * noise.sigmas
-    return NoiseDraw(voltage_offsets_v=z[:6], gradients_hz=z[6:])
+    standard normals, the six gate offsets first, scaled by the sigmas.
+
+    With ``out``, a C-contiguous float 9-vector, the same nine offsets are
+    written there and ``out`` is returned in place of a :class:`NoiseDraw`.
+    """
+    z = rng.standard_normal(9) if out is None else rng.standard_normal(out=out)
+    np.multiply(z, noise.sigmas, out=z)
+    return z if out is not None else NoiseDraw(voltage_offsets_v=z[:6], gradients_hz=z[6:])
 
 
 def sample_shots(noise: NoiseConfig, seed: int, *prefix: int, shape):
     """Noise draws and readout uniforms of the shots ``(seed, *prefix,
     *index)`` for every index of ``shape``, in C order.
 
-    Each shot takes its noise draw (:func:`sample_noise`), then one readout
-    uniform, from its own stream; all streams come from one
-    :func:`rng_streams` call.
+    Each shot takes its noise draw (:func:`sample_noise`, written into its
+    row of one ``(n, 9)`` buffer), then one readout uniform, from its own
+    stream; all streams come from one :func:`rng_streams` call.
 
     Returns:
-        A batched :class:`NoiseDraw` with one row per shot, and the
-        uniforms, shape ``(n,)``.
+        A batched :class:`NoiseDraw` with one row per shot (views of the
+        buffer), and the uniforms, shape ``(n,)``.
     """
     n = math.prod(np.atleast_1d(shape).tolist())
-    offsets, gradients, uniforms = np.empty((n, 6)), np.empty((n, 3)), np.empty(n)
+    z, uniforms = np.empty((n, 9)), np.empty(n)
     for k, rng in enumerate(rng_streams(seed, *prefix, shape=shape)):
-        draw = sample_noise(noise, rng)
-        offsets[k], gradients[k] = draw.voltage_offsets_v, draw.gradients_hz
+        sample_noise(noise, rng, out=z[k])
         uniforms[k] = rng.random()
-    return NoiseDraw(offsets, gradients), uniforms
+    return NoiseDraw(z[:, :6], z[:, 6:]), uniforms
 
 
 @dataclass(frozen=True)
@@ -523,24 +528,31 @@ class DeviceModel:
 
     def _block_states(self, rho, block, draws: NoiseDraw, apply_cross: bool) -> np.ndarray:
         """Density matrices of one block's rows, given as ``(train, lo,
-        hi)`` runs of rows of the batch, with one draw per row."""
-        # the rows playing each distinct pulse, and for each run the
-        # position of its first row among them
-        plays: dict[PulseSpec, list[np.ndarray]] = {}
-        size: dict[PulseSpec, int] = {}
+        hi)`` runs of rows of the batch (each train resolved by
+        :func:`_blocks`), with one draw per row."""
+        # a slot per distinct pulse of the block, the rows playing it, and
+        # for each run the slot of each of its distinct pulses and the
+        # position of its first row among the rows playing that slot
+        slots: dict[PulseSpec, int] = {}
+        plays: list[list[np.ndarray]] = []
+        size: list[int] = []
         firsts = []
         for train, lo, hi in block:
-            first = {}
-            for p in dict.fromkeys(train):
-                first[p] = size.get(p, 0)
-                size[p] = first[p] + hi - lo
-                plays.setdefault(p, []).append(np.arange(lo, hi))
-            firsts.append(first)
+            run_slots = np.empty(len(train.pulses), dtype=np.intp)
+            first = np.empty(len(train.pulses), dtype=np.intp)
+            for i, p in enumerate(train.pulses):
+                run_slots[i] = slot = slots.setdefault(p, len(slots))
+                if slot == len(plays):
+                    plays.append([])
+                    size.append(0)
+                first[i], size[slot] = size[slot], size[slot] + hi - lo
+                plays[slot].append(np.arange(lo, hi))
+            firsts.append((run_slots, first))
         # every segment of every distinct pulse, grouped by duration, so one
         # propagator call covers each duration of the block
         by_duration: dict[float, list] = {}
         pulse_durations = []
-        for p, rows in plays.items():
+        for p, rows in zip(slots, plays):
             rows = np.concatenate(rows)
             draw = NoiseDraw(draws.voltage_offsets_v[rows], draws.gradients_hz[rows])
             segments = self._segments(p, draw, apply_cross)
@@ -548,22 +560,22 @@ class DeviceModel:
                 by_duration.setdefault(dt, []).append((j, rows))
             pulse_durations.append([dt for _, dt in segments])
         unitaries = {dt: iter(self._unitaries(js, draws, dt)) for dt, js in by_duration.items()}
-        table, base, n_table = [], {}, 0
-        for p, durations in zip(plays, pulse_durations):
+        table = []
+        for durations in pulse_durations:
             u = None
             for dt in durations:
                 seg_u = next(unitaries[dt])
                 u = seg_u if u is None else seg_u @ u
-            base[p], n_table = n_table, n_table + len(u)
             table.append(u)
+        base = np.cumsum([0] + [len(u) for u in table[:-1]])
         # table positions of each row's pulses in play order
         n_rows = block[-1][2] - block[0][1]
-        lengths = np.repeat([len(t) for t, _, _ in block], [hi - lo for _, lo, hi in block])
+        lengths = np.repeat([len(t.index) for t, _, _ in block], [hi - lo for _, lo, hi in block])
         pos = np.zeros((n_rows, lengths.max()), dtype=np.intp)
         r = 0
-        for (train, lo, hi), first in zip(block, firsts):
-            steps = np.array([base[p] + first[p] for p in train], dtype=np.intp)
-            pos[r : r + hi - lo, : len(train)] = steps + np.arange(hi - lo)[:, None]
+        for (train, lo, hi), (run_slots, first) in zip(block, firsts):
+            steps = (base[run_slots] + first)[train.index]
+            pos[r : r + hi - lo, : len(steps)] = steps + np.arange(hi - lo)[:, None]
             r += hi - lo
         if not pos.size:
             return np.repeat(rho[None], n_rows, axis=0)
@@ -628,9 +640,33 @@ class DeviceModel:
         return (hits / shots).reshape(shape)
 
 
+class _Train(NamedTuple):
+    """A train resolved once: its distinct pulses in first-play order, and
+    the position among them of each pulse it plays."""
+
+    pulses: tuple
+    index: np.ndarray
+
+
+def _resolve(train) -> _Train:
+    """Resolve a train, hashing each distinct pulse object once: trains
+    repeat a few shared :class:`PulseSpec` objects, whose hash walks their
+    fields."""
+    slots: dict[PulseSpec, int] = {}
+    by_id: dict[int, int] = {}
+    index = []
+    for p in train:
+        slot = by_id.get(id(p))
+        if slot is None:
+            slot = by_id[id(p)] = slots.setdefault(p, len(slots))
+        index.append(slot)
+    return _Train(tuple(slots), np.array(index, dtype=np.intp))
+
+
 def _blocks(trains) -> list[list[tuple]]:
     """Split the rows of a batch into blocks of ``(train, lo, hi)`` runs of
-    rows that share one train object.
+    rows that share one train object, each train resolved (:class:`_Train`)
+    once per object.
 
     A row stacks one matrix per segment of each distinct pulse of its
     train (at least one).  A block takes whole runs while they fit in
@@ -638,10 +674,13 @@ def _blocks(trains) -> list[list[tuple]]:
     own is cut within, and a single row over the cap is a block alone.
     """
     blocks, block, used, lo = [], [], 0, 0
-    for _, run in itertools.groupby(trains, key=id):
+    resolved: dict[int, _Train] = {}
+    for key, run in itertools.groupby(trains, key=id):
         run = list(run)
-        train, hi = run[0], lo + len(run)
-        segments = (1 + 2 * _RAMP_SLICES if p.ramp_s > 0.0 else 1 for p in dict.fromkeys(train))
+        if key not in resolved:
+            resolved[key] = _resolve(run[0])
+        train, hi = resolved[key], lo + len(run)
+        segments = (1 + 2 * _RAMP_SLICES if p.ramp_s > 0.0 else 1 for p in train.pulses)
         cost = max(1, sum(segments))
         while lo < hi:
             if used + (hi - lo) * cost <= BLOCK_MATRICES:

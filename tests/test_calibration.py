@@ -490,7 +490,7 @@ def test_fit_jacobian_memo_reuses_residual_and_repeats(monkeypatch):
     rows = _counting_model_rows(monkeypatch)
     cases = [
         (x, lambda: residuals(x), 5),  # the Jacobian follows residuals at x
-        (x, lambda: None, 0),  # least_squares' trailing jac at the same x
+        (x, lambda: None, 0),  # a repeated Jacobian at the same x (leastsq's check, then lmder)
         (z, lambda: residuals(y), 6),  # the last residual call was elsewhere
     ]
     for p, before, n_rows in cases:

@@ -345,6 +345,30 @@ def test_device_experiment_inputs_are_usage_errors(argv, flag, tmp_path, capsys)
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--j12", "--j23", "--j13", "--f-uniform", "--b1", "--b2", "--b3"])
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "1e301"])
+def test_spectrum_overflowing_couplings_and_fields_are_usage_errors(flag, value, tmp_path, capsys):
+    # these used to overflow in build_hamiltonian, leak RuntimeWarnings and
+    # exit through "Hamiltonian is not Hermitian"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["spectrum", f"{flag}={value}", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "1e+300" in err and "Hermitian" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_spectrum_takes_every_input_at_its_bound(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--j12=1e300", "--j23=1e300", "--j13=1e300", "--f-uniform=1e300",
+            "--b1=1e300", "--b2=-1e300", "--b3=1e300", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 0
+    energies = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(energies) == 8 and all(math.isfinite(e) for e in energies)
+
+
 def test_json_documents_refuse_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._json_doc({"x": math.nan})

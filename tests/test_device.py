@@ -515,6 +515,64 @@ def test_sample_shots_equals_the_per_shot_loop():
             k += 1
 
 
+def test_sample_noise_into_a_row_equals_the_returned_draw():
+    noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
+    buf = np.full((3, 9), np.nan)
+    for seed in range(50):
+        rng, into = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = dev.sample_noise(noise, rng)
+        got = dev.sample_noise(noise, into, out=buf[1])
+        assert got.base is buf and np.shares_memory(got, buf[1])
+        assert np.array_equal(buf[1, :6], want.voltage_offsets_v)
+        assert np.array_equal(buf[1, 6:], want.gradients_hz)
+        assert np.isnan(buf[[0, 2]]).all()  # other rows untouched
+        assert into.random() == rng.random()  # both leave the stream alike
+
+
+def _counting_pulse_hashes(monkeypatch):
+    calls = [0]
+    pulse_hash = dev.PulseSpec.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return pulse_hash(self)
+
+    monkeypatch.setattr(dev.PulseSpec, "__hash__", counted)
+    return calls
+
+
+def test_pulses_are_hashed_once_per_distinct_object_and_run(monkeypatch):
+    d = _noisy_device()
+    rng = np.random.default_rng(3)
+    shared = [RAMPED, IDLE, PLAIN, OTHER]
+    # 10 trains of 60 pulses from 4 shared objects, 5 rows (shots) each
+    trains = [[shared[k] for k in rng.integers(0, 4, size=60)] for _ in range(10)]
+    for train in trains:
+        train[:4] = shared
+    rows = [train for train in trains for _ in range(5)]
+    draws, _ = dev.sample_shots(d.noise, 4, shape=50)
+    want = [_one_train_oracle(d, hb.initialize_singlet(), rows[r], dev.NoiseDraw(
+        draws.voltage_offsets_v[r], draws.gradients_hz[r]), False) for r in (0, 7, 49)]
+    runs = sum(len(block) for block in dev._blocks(rows))
+    calls = _counting_pulse_hashes(monkeypatch)
+    out = d.simulate_pulse(hb.initialize_singlet(), rows, draws)
+    # one hash per distinct object when each train is resolved, and one
+    # per distinct pulse of each run of a block; per played pulse, none
+    assert runs == len(trains) and calls[0] <= 4 * len(trains) + 4 * runs
+    for r, w in zip((0, 7, 49), want):
+        assert np.array_equal(out[r], w)
+
+
+def test_resolve_merges_equal_pulse_objects():
+    twin = dataclasses.replace(PLAIN)
+    assert twin is not PLAIN and twin == PLAIN
+    train = dev._resolve([PLAIN, IDLE, twin, PLAIN, IDLE])
+    assert train.pulses == (PLAIN, IDLE)
+    assert train.index.tolist() == [0, 1, 0, 0, 1]
+    empty = dev._resolve([])
+    assert empty.pulses == () and empty.index.shape == (0,)
+
+
 def test_sample_noise_draws_nine_normals_as_six_then_three():
     noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
     for seed in range(300):

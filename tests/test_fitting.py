@@ -1,0 +1,196 @@
+"""The one Levenberg-Marquardt driver: same iterates as scipy's
+least_squares with the 2-point rule, the edges least_squares has, and no
+repeated work at the start point."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative  # least_squares' own rule
+
+from aeonsim import benchmarking as bench
+from aeonsim import calibration as cal
+from aeonsim import device as dev
+from aeonsim import fitting
+
+PI = math.pi
+SRC = Path(fitting.__file__).parent
+# from 1.16 on, least_squares(method="lm") without a jac takes the 2-point
+# rule through lmder too; before, it ran MINPACK's lmdif
+PLAIN_IS_TWO_POINT = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 16)
+
+
+def _record_fits(monkeypatch, module):
+    """Spy on ``module``'s driver binding: each call's residual function,
+    start, keywords and result (or the exception it raised)."""
+    calls = []
+
+    def spy(fun, x0, **kw):
+        start = np.array(x0, dtype=float)
+        try:
+            res = fitting.levenberg_marquardt(fun, x0, **kw)
+        except ValueError as exc:
+            calls.append((fun, start, kw, exc))
+            raise
+        calls.append((fun, start, kw, res))
+        return res
+
+    monkeypatch.setattr(module, "levenberg_marquardt", spy)
+    return calls
+
+
+def _assert_scipy_iterates(calls, check_plain):
+    for fun, start, kw, res in calls:
+        kw = {k: v for k, v in kw.items() if k != "jac"}
+
+        def two_point(x):
+            return approx_derivative(fun, x, method="2-point")
+
+        refs = [lambda: least_squares(fun, start, jac=two_point, method="lm", x_scale="jac", **kw)]
+        if check_plain and PLAIN_IS_TWO_POINT:
+            refs.append(lambda: least_squares(fun, start, method="lm", x_scale="jac", **kw))
+        for ref in refs:
+            if isinstance(res, Exception):
+                with pytest.raises(ValueError):
+                    ref()
+                continue
+            want = ref()
+            assert np.array_equal(res.x, want.x)
+            assert res.cost == want.cost
+
+
+def _rabi_data():
+    """Binomial shots of a slow Gaussian-damped oscillation; one of the
+    fit's twelve starts runs out of evaluations on it."""
+    rng = np.random.default_rng(1)
+    t = np.linspace(0, 200e-9, 100)
+    f, t_dec = rng.uniform(20e6, 80e6), rng.uniform(50e-9, 2e-6)
+    p = 0.5 + 0.45 * np.cos(2 * PI * f * t) * np.exp(-((t / t_dec) ** 2))
+    return t, rng.binomial(50, np.clip(p, 0, 1)) / 50
+
+
+def test_oscillation_fit_takes_scipy_two_point_iterates(monkeypatch):
+    calls = _record_fits(monkeypatch, bench)
+    bench.fit_oscillation_decay(*_rabi_data())
+    assert len(calls) == 12
+    assert any(res.nfev == 100 * 5 for *_, res in calls)  # maxfev exhausted
+    _assert_scipy_iterates(calls, check_plain=True)
+
+
+def test_rb_fits_take_scipy_two_point_iterates(monkeypatch):
+    calls = _record_fits(monkeypatch, bench)
+    cfg = bench.RbConfig(depths=(1, 4, 16, 64, 256), n_sequences=10, shots=100, seed=3)
+    inject = bench.InjectedError(depol_per_pulse=1e-3, leak_per_pulse=1e-3)
+    bench.fit_rb(bench.run_rb(None, cfg, engine="channel", inject=inject))
+    # three guesses for the difference curve (log-linear seed first), three
+    # for the sum curve
+    assert [len(start) for _, start, _, _ in calls] == [2, 2, 2, 3, 3, 3]
+    _assert_scipy_iterates(calls, check_plain=True)
+
+
+def _surface_problem():
+    d, cfg = dev.default_device(), cal.GermConfig.for_target(-PI / 2, PI)
+    fmap = cal.sweep_fidelity(
+        d, cfg, ("12", "23"), np.linspace(0.0725, 0.0745, 9), np.linspace(0.0726, 0.0746, 7), 4,
+        shots=200, seed=5,
+    )
+    return fmap, d.laws
+
+
+def test_surface_fit_restarts_take_scipy_two_point_iterates(monkeypatch):
+    calls = _record_fits(monkeypatch, cal)
+    fmap, laws = _surface_problem()
+    cal.fit_final(fmap, laws, n_restarts=2)
+    assert len(calls) == 2 and all(kw["jac"] is not None for _, _, kw, _ in calls)
+    _assert_scipy_iterates(calls, check_plain=False)
+
+
+def test_non_finite_start_and_too_few_residuals_raise():
+    def fun(x):
+        return np.array([1.0, x[0] - 2.0, math.inf if x[1] == 0.0 else x[1] - 1.5])
+
+    with pytest.raises(ValueError, match="not finite"):
+        fitting.levenberg_marquardt(fun, [1.0, 0.0])
+    with pytest.raises(ValueError, match="not finite"):
+        fitting.levenberg_marquardt(lambda x: x * np.nan, [1.0, 2.0])
+    with pytest.raises(ValueError, match="2 residuals"):
+        fitting.levenberg_marquardt(lambda x: x[:2] - 1.0, [1.0, 2.0, 3.0])
+    assert fitting.levenberg_marquardt(fun, [1.0, 1.5]).cost == pytest.approx(0.5)
+
+
+def test_start_point_is_evaluated_once():
+    depths = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    y = 0.9 * 0.95**depths + 0.05
+    x0 = np.array([0.0, 1.0, 0.9])
+    seen = []
+
+    def fun(x):
+        seen.append(x.tobytes())
+        return x[0] + x[1] * x[2] ** depths - y
+
+    res = fitting.levenberg_marquardt(fun, x0)
+    assert res.cost < 1e-20
+    assert seen.count(x0.tobytes()) == 1
+
+
+def test_surface_start_point_is_one_model_map(monkeypatch):
+    fmap, laws = _surface_problem()
+    a_scales = (laws["12"].a_hz, laws["23"].a_hz)
+    x0 = np.array([laws["12"].b_per_v, laws["12"].c, laws["23"].b_per_v, laws["23"].c, PI])
+    rows = []
+    model = cal._map_model
+
+    def counted(params, *args):
+        rows.extend(p.tobytes() for p in np.asarray(params))
+        return model(params, *args)
+
+    monkeypatch.setattr(cal, "_map_model", counted)
+    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    fitting.levenberg_marquardt(residuals, x0, jac=jac, xtol=1e-14, ftol=1e-14)
+    assert rows.count(x0.tobytes()) == 1
+
+
+def test_two_point_jacobian_is_scipys_rule_with_and_without_a_stack():
+    t = np.linspace(0.0, 3.0, 40)
+
+    def fun(x):
+        return x[0] * np.exp(-x[1] * t) + math.sin(x[2]) - np.cos(t)
+
+    def stacked(points):
+        return np.array([fun(p) for p in points])
+
+    for x in ([0.5, 1.2, 0.0], [-3.0, 1e-3, -0.0], [2e5, -7.0, 1e-300]):
+        x = np.array(x)
+        want = approx_derivative(fun, x, method="2-point")
+        for residuals, jac in (fitting.two_point(fun), fitting.two_point(fun, stacked)):
+            got = jac(x)
+            assert got.shape == (t.size, 3) and np.array_equal(got, want)
+            got[:] = np.nan  # the memo keeps its own copy
+            assert np.array_equal(jac(x), want)
+            f = residuals(x)
+            f[:] = np.nan
+            assert np.array_equal(residuals(x), fun(x))
+
+
+def _names_least_squares(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] == "least_squares":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "least_squares":
+            return True
+        if isinstance(node, ast.Name) and node.id == "least_squares":
+            return True
+    return False
+
+
+def test_no_source_module_uses_least_squares():
+    modules = sorted(SRC.glob("*.py"))
+    assert {m.name for m in modules} >= {"benchmarking.py", "calibration.py", "fitting.py"}
+    for path in modules:
+        assert not _names_least_squares(ast.parse(path.read_text())), path.name
+    assert _names_least_squares(ast.parse("from scipy.optimize import least_squares"))
+    assert _names_least_squares(ast.parse("scipy.optimize.least_squares(f, x)"))
