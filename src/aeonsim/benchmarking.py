@@ -423,7 +423,10 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
 
     A fit whose envelope does not decay over the sampled span reports
     ``t_decay_s = inf`` (and an infinite oscillation count if the
-    frequency is finite).
+    frequency is finite).  A flat curve, whose span is below 1e-12 as in
+    :func:`_fit_exponential`, reports its mean as the baseline, amplitude,
+    frequency and phase 0, and infinite ``t_decay_s`` and oscillation
+    count.
 
     Raises:
         FitError: if no start converges.
@@ -432,6 +435,9 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
     y = np.asarray(y, dtype=float)
     if t.size < 8:
         raise FitError("need at least 8 samples to fit an oscillating decay")
+    if float(y.max() - y.min()) < 1e-12:
+        # flat curve: no oscillation resolvable
+        return OscillationFit(float(np.mean(y)), 0.0, 0.0, 0.0, math.inf, math.inf)
     span = float(t.max() - t.min())
     b0 = float(np.mean(y))
     a0 = 0.5 * float(y.max() - y.min())

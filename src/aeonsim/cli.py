@@ -80,6 +80,15 @@ def _sweep(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _span(text: str) -> np.ndarray:
+    """Argument type for a sweep ``start:stop:npoints`` over a range of
+    nonzero width."""
+    grid = _sweep(text)
+    if grid[0] == grid[-1]:
+        raise argparse.ArgumentTypeError(f"sweep endpoints must differ, got {text!r}")
+    return grid
+
+
 def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rabi", parents=[common], help="single-pair duration sweep")
     p.add_argument("--pair", required=True, help="driven pair (12, 13 or 23)")
     p.add_argument("--v", type=_real(), required=True, help="barrier voltage (V)")
-    p.add_argument("--times", type=_sweep, required=True, help="duration sweep start:stop:n (s)")
+    p.add_argument("--times", type=_span, required=True, help="duration sweep start:stop:n (s)")
     p.add_argument("--shots", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_rabi)
 

@@ -56,7 +56,8 @@ DEFAULT_CROSS = np.array(
 
 
 # simulate_pulse propagates a batch in blocks of at most this many stacked
-# 8x8 matrices, so its memory does not grow with the number of rows.
+# segment propagators (each a pair of 3x3 S_z sector blocks), so its memory
+# does not grow with the number of rows.
 BLOCK_MATRICES = 256
 
 # A ramp rises (and falls) in this many piecewise-constant slices.
@@ -478,16 +479,21 @@ class DeviceModel:
         batch of ``n`` draws, one per row; a single train with a batch of
         draws plays on ``n`` rows.
 
-        Rows are worked through in blocks of at most :data:`BLOCK_MATRICES`
-        stacked 8x8 matrices, cut between runs of rows that share one train
-        object wherever a run fits.  Per block, each distinct pulse is built
-        once for the rows that play it, with one propagator call per
-        distinct segment duration; each row's train is then folded in play
-        order and applied to ``rho``.  ``readout`` (``measure_p0``, say) is
-        applied to each block's density matrices before the next block is
-        built, and its results are returned in place of the matrices.  A
-        row with an empty train keeps ``rho``; a single empty train returns
-        ``rho`` as it is.
+        ``rho`` is taken apart into its weighted eigenvectors, split by S_z
+        sector (:func:`hilbert.sector_state`), and the trains act on those
+        vectors.  Rows are worked through in blocks of at most
+        :data:`BLOCK_MATRICES` stacked segment propagators, cut between
+        runs of rows that share one train object wherever a run fits.  Per
+        block, each distinct pulse is built once for the rows that play
+        it, every segment of the block in one
+        :func:`hilbert.sector_propagator` call; each row's vectors are then
+        carried through its train in play order.  ``readout`` (``measure_p0``, say) is applied
+        to each block's density matrices, assembled from the vectors,
+        before the next block is built, and its results are returned in
+        place of the matrices; ``measure_p0`` itself is read off the
+        vectors (:func:`hilbert.sector_p0`) without assembling them.  A
+        row with an empty train keeps ``rho``; a single empty train
+        returns ``rho`` as it is.
 
         Barrier cross-talk is opt-in per experiment (``apply_cross``); a
         device without a cross matrix ignores the flag.
@@ -502,6 +508,7 @@ class DeviceModel:
             pulses = (pulses,)
         if not pulses:
             return rho
+        state = hilbert.sector_state(rho)
         draw = NoiseDraw.none() if draw is None else draw
         offsets = np.asarray(draw.voltage_offsets_v, dtype=float)
         single = isinstance(pulses[0], PulseSpec)
@@ -521,15 +528,21 @@ class DeviceModel:
         apply_cross = apply_cross and self.cross is not None
         out = []
         for block in _blocks(trains):
-            states = self._block_states(rho, block, draws, apply_cross)
+            played, idle = self._block_states(state, block, draws, apply_cross)
+            if readout is hilbert.measure_p0:
+                out.append(hilbert.sector_p0(played.vectors))
+                continue
+            states = hilbert.sector_density(played)
+            states[idle] = rho
             out.append(states if readout is None else readout(states))
         out = np.concatenate(out)
         return out[0] if single and offsets.ndim == 1 else out
 
-    def _block_states(self, rho, block, draws: NoiseDraw, apply_cross: bool) -> np.ndarray:
-        """Density matrices of one block's rows, given as ``(train, lo,
-        hi)`` runs of rows of the batch (each train resolved by
-        :func:`_blocks`), with one draw per row."""
+    def _block_states(self, state, block, draws: NoiseDraw, apply_cross: bool):
+        """The :class:`hilbert.SectorState` of one block's rows after their
+        trains, given as ``(train, lo, hi)`` runs of rows of the batch
+        (each train resolved by :func:`_blocks`), with one draw per row;
+        and the positions in the block of the rows with an empty train."""
         # a slot per distinct pulse of the block, the rows playing it, and
         # for each run the slot of each of its distinct pulses and the
         # position of its first row among the rows playing that slot
@@ -548,28 +561,31 @@ class DeviceModel:
                 first[i], size[slot] = size[slot], size[slot] + hi - lo
                 plays[slot].append(np.arange(lo, hi))
             firsts.append((run_slots, first))
-        # every segment of every distinct pulse, grouped by duration, so one
-        # propagator call covers each duration of the block
-        by_duration: dict[float, list] = {}
-        pulse_durations = []
+        n_rows = block[-1][2] - block[0][1]
+        vectors = np.repeat(state.vectors[None], n_rows, axis=0)
+        ends = np.repeat(state.ends[None], n_rows, axis=0)
+        if not slots:  # every train of the block is empty
+            return hilbert.SectorState(vectors, ends, state.coherent), np.arange(n_rows)
+        # every segment of every distinct pulse, in play order, for the rows
+        # that play it; one propagator call covers the block
+        items, n_segments = [], []
         for p, rows in zip(slots, plays):
             rows = np.concatenate(rows)
             draw = NoiseDraw(draws.voltage_offsets_v[rows], draws.gradients_hz[rows])
             segments = self._segments(p, draw, apply_cross)
-            for j, dt in segments:
-                by_duration.setdefault(dt, []).append((j, rows))
-            pulse_durations.append([dt for _, dt in segments])
-        unitaries = {dt: iter(self._unitaries(js, draws, dt)) for dt, js in by_duration.items()}
-        table = []
-        for durations in pulse_durations:
-            u = None
-            for dt in durations:
-                seg_u = next(unitaries[dt])
-                u = seg_u if u is None else seg_u @ u
+            items += [(j, rows, dt) for j, dt in segments]
+            n_segments.append(len(segments))
+        unitaries = self._unitaries(items, draws)
+        table, phase_table = [], []
+        for n in n_segments:
+            u, ph = next(unitaries)
+            for _ in range(n - 1):
+                seg_u, seg_ph = next(unitaries)
+                u, ph = seg_u @ u, seg_ph * ph
             table.append(u)
+            phase_table.append(ph)
         base = np.cumsum([0] + [len(u) for u in table[:-1]])
         # table positions of each row's pulses in play order
-        n_rows = block[-1][2] - block[0][1]
         lengths = np.repeat([len(t.index) for t, _, _ in block], [hi - lo for _, lo, hi in block])
         pos = np.zeros((n_rows, lengths.max()), dtype=np.intp)
         r = 0
@@ -577,43 +593,44 @@ class DeviceModel:
             steps = (base[run_slots] + first)[train.index]
             pos[r : r + hi - lo, : len(steps)] = steps + np.arange(hi - lo)[:, None]
             r += hi - lo
-        if not pos.size:
-            return np.repeat(rho[None], n_rows, axis=0)
         # rows sorted by train length, so that the rows still playing at a
         # step form a prefix
         order = np.argsort(-lengths, kind="stable")
         playing = np.count_nonzero(lengths[:, None] > np.arange(pos.shape[1]), axis=0)
         pos, table = pos[order[: playing[0]]], np.concatenate(table)
-        u = table[pos[:, 0]]
+        psi = table[pos[:, 0]] @ state.vectors
         for k in range(1, pos.shape[1]):
-            u[: playing[k]] = table[pos[: playing[k], k]] @ u[: playing[k]]
-        del table, unitaries
-        u_rho = u @ rho
-        # conjugated in place, which leaves the layout np.conj would give
-        states = u_rho @ np.conj(u, out=u).swapaxes(-1, -2)
-        if playing[0] < n_rows or np.any(order[1:] < order[:-1]):
-            ordered = np.empty((n_rows, hilbert.DIM, hilbert.DIM), dtype=complex)
-            ordered[order[: playing[0]]] = states
-            ordered[order[playing[0] :]] = rho
-            states = ordered
-        return states
+            psi[: playing[k]] = table[pos[: playing[k], k]] @ psi[: playing[k]]
+        vectors[order[: playing[0]]] = psi
+        if state.ends.any():  # else they stay zero, whatever their phases
+            # the phases of states 0 and 7 commute: one product per row
+            phases = np.concatenate(phase_table)[pos]
+            phases[np.arange(pos.shape[1]) >= lengths[order[: playing[0]], None]] = 1.0
+            ends[order[: playing[0]]] = np.prod(phases, axis=1)[..., None] * state.ends
+        return hilbert.SectorState(vectors, ends, state.coherent), order[playing[0] :]
 
-    def _unitaries(self, items, draws: NoiseDraw, dt: float) -> list[np.ndarray]:
-        """Propagators of ``(ExchangeVector, rows)`` segment stacks that
-        share duration ``dt``, one stack per item, from propagator calls of
-        at most :data:`BLOCK_MATRICES` matrices."""
-        j = [np.concatenate([getattr(x, f) for x, _ in items]) for f in ("j12", "j23", "j13")]
+    def _unitaries(self, items, draws: NoiseDraw):
+        """Sector unitaries and m_S = +-3/2 phases of ``(ExchangeVector,
+        rows, duration)`` segment stacks, one pair of stacks per item in
+        turn, from :func:`hilbert.sector_propagator` calls of at most
+        :data:`BLOCK_MATRICES` rows."""
+        j = [np.concatenate([getattr(x, f) for x, _, _ in items]) for f in ("j12", "j23", "j13")]
+        sizes = [len(rows) for _, rows, _ in items]
         gradients = np.asarray(self.fields.gradients_hz, dtype=float) + draws.gradients_hz[
-            np.concatenate([rows for _, rows in items])
+            np.concatenate([rows for _, rows, _ in items])
         ]
-        u = []
+        durations = np.repeat([dt for _, _, dt in items], sizes)
+        u, ph = [], []
         for k in range(0, len(gradients), BLOCK_MATRICES):
             part = slice(k, k + BLOCK_MATRICES)
             fields = FieldConfig(self.fields.f_uniform_hz, gradients[part])
-            h = hilbert.build_hamiltonian(ExchangeVector(*(c[part] for c in j)), fields)
-            u.append(hilbert.propagator(h, dt))
-        u = u[0] if len(u) == 1 else np.concatenate(u)
-        return np.split(u, np.cumsum([len(rows) for _, rows in items[:-1]]))
+            couplings = ExchangeVector(*(c[part] for c in j))
+            part_u, part_ph = hilbert.sector_propagator(couplings, fields, durations[part])
+            u.append(part_u)
+            ph.append(part_ph)
+        u, ph = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (u, ph))
+        cuts = np.cumsum(sizes[:-1])
+        return zip(np.split(u, cuts), np.split(ph, cuts))
 
     def survival(self, trains, shape, shots=None, seed: int = 0, prefix=(), apply_cross=False):
         """Encoded ``|0>`` survival after each train, played from the
@@ -734,22 +751,27 @@ CONFIG_KEYS = (
     "idle_v",
 )
 
+# Keys of the config's nested objects, by section; each exchange_law.<pair>
+# takes the law's keys.
+SECTION_KEYS = {
+    "exchange_law.<pair>": ("A_hz", "B_per_v", "C"),
+    "dss": ("curvature", "location_v"),
+    "noise": ("voltage_sigma_v", "gradient_sigma_hz", "seed"),
+    "fields": ("f_uniform_hz", "gradients_hz"),
+}
+
 
 def device_from_dict(raw: dict) -> DeviceModel:
     """Device from a parsed config object; omitted keys keep the defaults.
 
     Raises:
         ConfigError: if ``raw`` is not an object or has a key outside
-            :data:`CONFIG_KEYS`, or a value is invalid.
+            :data:`CONFIG_KEYS`, a section has a key outside its
+            :data:`SECTION_KEYS`, or a value is invalid.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"device config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown device config key(s) {', '.join(map(repr, unknown))}; "
-            f"known keys: {', '.join(CONFIG_KEYS)}"
-        )
+    _check_keys(raw, CONFIG_KEYS, "device config")
     base = default_device()
     kwargs = {}
     try:
@@ -772,14 +794,14 @@ def device_from_dict(raw: dict) -> DeviceModel:
         for pair, d in _config_object(raw["exchange_law"], "exchange_law").items():
             if pair not in PAIR_ORDER:
                 raise ConfigError(f"unknown exchange pair {pair!r}")
-            d = _config_object(d, f"exchange_law.{pair}")
+            d = _config_object(d, f"exchange_law.{pair}", SECTION_KEYS["exchange_law.<pair>"])
             try:
                 laws[pair] = ExchangeLaw(d["A_hz"], d["B_per_v"], d.get("C", 0.0))
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"bad exchange law for pair {pair}: {exc}") from exc
         kwargs["laws"] = laws
     if "dss" in raw:
-        dss = _config_object(raw["dss"], "dss")
+        dss = _config_object(raw["dss"], "dss", SECTION_KEYS["dss"])
         if "location_v" in dss:
             try:
                 kwargs["dss_location_v"] = tuple(dss["location_v"])
@@ -797,7 +819,7 @@ def device_from_dict(raw: dict) -> DeviceModel:
                 sens[pair] = DetuningSensitivity(ab[0], ab[1])
             kwargs["sensitivities"] = sens
     if "noise" in raw:
-        n = _config_object(raw["noise"], "noise")
+        n = _config_object(raw["noise"], "noise", SECTION_KEYS["noise"])
         try:
             noise = NoiseConfig(
                 voltage_sigma_v=_seq_or_scalar(n.get("voltage_sigma_v", 0.0)),
@@ -812,7 +834,7 @@ def device_from_dict(raw: dict) -> DeviceModel:
                 raise ConfigError(f"noise.{key} must be finite and >= 0, got {n[key]!r}")
         kwargs["noise"] = noise
     if "fields" in raw:
-        fr = _config_object(raw["fields"], "fields")
+        fr = _config_object(raw["fields"], "fields", SECTION_KEYS["fields"])
         try:
             kwargs["fields"] = FieldConfig(
                 f_uniform_hz=float(fr.get("f_uniform_hz", 0.0)),
@@ -826,12 +848,23 @@ def device_from_dict(raw: dict) -> DeviceModel:
         raise ConfigError(f"invalid device config: {exc}") from exc
 
 
-def _config_object(value, where: str) -> dict:
-    """``value`` if it is a config object; a ConfigError naming ``where``
-    otherwise."""
+def _config_object(value, where: str, keys=None) -> dict:
+    """``value`` if it is a config object, with no key outside ``keys``
+    when they are given; a ConfigError naming ``where`` otherwise."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    if keys is not None:
+        _check_keys(value, keys, where)
     return value
+
+
+def _check_keys(obj: dict, keys, where: str) -> None:
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(keys)}"
+        )
 
 
 def _seq_or_scalar(x):
@@ -874,6 +907,9 @@ def fingerpinch_map(
         h2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
         h8 = hilbert.embed_qubit_unitary(h2)
         rho0 = h8 @ rho0 @ h8.conj().T
+        # the embedded Hadamard acts within each S_z sector
+        h_sectors = hilbert.sector_blocks(h8)
+    state = hilbert.sector_state(rho0)
     v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
     # whole grid rows per propagator call, as many as fit in the block cap
     rows = max(1, BLOCK_MATRICES // v1.size)
@@ -884,9 +920,9 @@ def fingerpinch_map(
         v_x[..., PAIR_ORDER.index(pairs[0])] = v1
         v_x[..., PAIR_ORDER.index(pairs[1])] = vb[:, None]
         j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
-        u = hilbert.propagator(hilbert.build_hamiltonian(j, device.fields), duration_s)
-        rho = u @ rho0 @ np.conj(np.swapaxes(u, -1, -2))
+        u, _ = hilbert.sector_propagator(j, device.fields, duration_s)
+        psi = u @ state.vectors
         if hadamard:
-            rho = h8 @ rho @ h8.conj().T
-        out[r : r + rows] = hilbert.measure_p0(rho)
+            psi = h_sectors @ psi
+        out[r : r + rows] = hilbert.sector_p0(psi)
     return out

@@ -1,9 +1,18 @@
 """Exact dynamics of three exchange-coupled spins-1/2.
 
-Everything in this module works on the full 8-dimensional product space of
-three spins.  The product basis is ordered ``|s1 s2 s3>`` with dot 1 as the
-most significant bit and spin-up before spin-down, i.e. index
+States and operators live on the 8-dimensional product space of three
+spins.  The product basis is ordered ``|s1 s2 s3>`` with dot 1 as the most
+significant bit and spin-up before spin-down, i.e. index
 ``4*d1 + 2*d2 + d3`` where ``d_i = 0`` for up and ``1`` for down.
+
+Exchange and longitudinal Zeeman terms conserve total S_z, so every
+Hamiltonian here is block diagonal on the product states of equal m_S: the
+two sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
+each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  The pulse
+kernel works in those blocks (:func:`sector_propagator`, with states held
+as sector vectors by :class:`SectorState`); the dense 8x8 route
+(:func:`build_hamiltonian`, :func:`propagator`, :func:`measure_p0`) stays
+as the reference the sector route is tested against.
 
 Exchange couplings and magnetic fields are given in Hz; the factor of 2*pi
 that converts them to angular frequencies is applied exactly once, inside
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,25 +132,103 @@ def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> n
         batch shape broadcasts the couplings' shapes with the gradients'
         leading shape (``()`` for scalar inputs).
     """
+    return _hamiltonian(j, fields, _EXCHANGE_TERMS, _ZEEMAN_TERMS, complex)
+
+
+_ZEEMAN_TERMS = {dot: SPIN_OPS[dot][2] for dot in (1, 2, 3)}
+
+# Product-basis indices of the m_S = +1/2 and -1/2 sectors, and of the
+# m_S = +3/2 and -3/2 states.
+SECTORS = np.array([[1, 2, 4], [3, 5, 6]])
+_ENDS = np.array([0, 7])
+
+# The entries of the S_z blocks, flattened: the two 3x3 sector blocks (18
+# entries), then the two m_S = +-3/2 diagonal entries.  Every term of the
+# Hamiltonian is real there.
+_BLOCK_ROWS = np.concatenate([np.repeat(SECTORS, 3, axis=1).ravel(), _ENDS])
+_BLOCK_COLS = np.concatenate([np.tile(SECTORS, 3).ravel(), _ENDS])
+_BLOCK_EXCHANGE = {p: op[_BLOCK_ROWS, _BLOCK_COLS].real for p, op in _EXCHANGE_TERMS.items()}
+_BLOCK_ZEEMAN = {dot: op[_BLOCK_ROWS, _BLOCK_COLS].real for dot, op in _ZEEMAN_TERMS.items()}
+
+
+def _hamiltonian(j: ExchangeVector, fields: FieldConfig | None, exchange, zeeman, dtype):
+    """The Hamiltonian of :func:`build_hamiltonian` over the operator
+    tables ``exchange`` (per pair) and ``zeeman`` (S_z per dot): the
+    whole matrices, or their entries in the S_z blocks."""
     b = np.asarray(fields.gradients_hz if fields is not None else (0.0,) * 3, dtype=float)
     batch = np.broadcast_shapes(np.shape(j.j12), np.shape(j.j23), np.shape(j.j13), b.shape[:-1])
+    tail = exchange["12"].shape
+
+    def coefficient(x):
+        # a scalar or batch of scalars, shaped to scale a stack of tables
+        return np.asarray(x, dtype=float)[(...,) + (None,) * len(tail)]
+
     # summed in place, in the order of the formula, so no more than one
     # full-size temporary is alive at a time
-    h = np.empty(batch + (DIM, DIM), dtype=complex)
-    np.multiply(_coefficient(j.j12), _EXCHANGE_TERMS["12"], out=h)
-    h += _coefficient(j.j23) * _EXCHANGE_TERMS["23"]
-    h += _coefficient(j.j13) * _EXCHANGE_TERMS["13"]
+    h = np.empty(batch + tail, dtype=dtype)
+    np.multiply(coefficient(j.j12), exchange["12"], out=h)
+    h += coefficient(j.j23) * exchange["23"]
+    h += coefficient(j.j13) * exchange["13"]
     h *= 2.0 * np.pi
     if fields is not None:
         for k, dot in enumerate((1, 2, 3)):
-            f = _coefficient(fields.f_uniform_hz + b[..., k])
-            h += 2.0 * np.pi * f * SPIN_OPS[dot][2]
+            f = coefficient(fields.f_uniform_hz + b[..., k])
+            h += 2.0 * np.pi * f * zeeman[dot]
     return h
 
 
-def _coefficient(x) -> np.ndarray:
-    """A scalar or batch of scalars, shaped to scale a stack of matrices."""
-    return np.asarray(x, dtype=float)[..., None, None]
+def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None):
+    """The S_z blocks of :func:`build_hamiltonian`, built straight from the
+    couplings and fields with the same terms in the same order.
+
+    Returns:
+        ``(blocks, ends)``: the real m_S = +1/2 and -1/2 blocks on the
+        product states :data:`SECTORS`, shape ``batch + (2, 3, 3)``, and
+        the energies of states 0 and 7 (m_S = +3/2, -3/2), shape
+        ``batch + (2,)``; the batch shape is that of
+        :func:`build_hamiltonian`.
+
+    Raises:
+        ValueError: if an entry is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _hamiltonian(j, fields, _BLOCK_EXCHANGE, _BLOCK_ZEEMAN, float)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Hamiltonian is not finite")
+    return h[..., :18].reshape(h.shape[:-1] + (2, 3, 3)), h[..., 18:]
+
+
+def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
+    """Unitaries exp(-i H tau) of :func:`build_hamiltonian`, block by S_z
+    sector, from one real ``eigh`` of the whole stack of sector blocks.
+
+    Args:
+        j, fields: couplings and fields as for :func:`build_hamiltonian`.
+        tau_s: durations in seconds, finite and non-negative: one for the
+            whole stack, or an array that broadcasts to its batch shape.
+
+    Returns:
+        ``(u, phases)``: the sector unitaries on the product states
+        :data:`SECTORS`, shape ``batch + (2, 3, 3)``, and the phases
+        picked up by states 0 and 7, shape ``batch + (2,)``.
+
+    Raises:
+        ValueError: for a non-finite Hamiltonian or a bad duration.
+    """
+    tau = np.asarray(tau_s, dtype=float)
+    valid = np.isfinite(tau) & (tau >= 0)
+    if not np.all(valid):
+        raise ValueError(f"evolution time must be finite and non-negative, got {tau[~valid].flat[0]}")
+    blocks, ends = _sector_hamiltonian(j, fields)
+    vals, vecs = np.linalg.eigh(blocks)
+    angle = -1j * tau[..., None]
+    left = vecs * np.exp(vals * angle[..., None])[..., None, :]
+    # V diag(phases) V^T summed over the three eigenvectors' outer products,
+    # where matmul would make one BLAS call per 3x3 matrix
+    u = left[..., :, 0, None] * vecs[..., None, :, 0]
+    for k in (1, 2):
+        u += left[..., :, k, None] * vecs[..., None, :, k]
+    return u, np.exp(ends * angle)
 
 
 def _check_hamiltonian(h) -> np.ndarray:
@@ -280,13 +368,18 @@ def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
     if not math.isfinite(tau_s) or tau_s < 0:
         raise ValueError(f"evolution time must be finite and non-negative, got {tau_s}")
     vals, vecs = np.linalg.eigh(_check_hamiltonian(h))
-    left = vecs * np.exp(-1j * vals * tau_s)[..., None, :]
+    left = vecs * np.exp(vals * (-1j * tau_s))[..., None, :]
     # conjugated in place, which leaves the layout np.conj would give
     return left @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
 
 
 def _population(rho: np.ndarray, proj: np.ndarray):
-    p = np.einsum("ij,...ji->...", proj, rho)
+    return _checked_population(np.einsum("ij,...ji->...", proj, rho))
+
+
+def _checked_population(p):
+    """Real part of a population, clipped to [0, 1], after checking that it
+    lies there within 1e-9 with no imaginary part."""
     bad = (np.abs(p.imag) > 1e-9) | (p.real < -1e-9) | (p.real > 1 + 1e-9)
     if np.any(bad):
         raise ValueError(f"projector expectation out of range: {p[bad][0]}")
@@ -307,6 +400,95 @@ def leakage_population(rho: np.ndarray):
     """Population of the total-spin-3/2 quadruplet; stacks as in
     :func:`measure_p0`."""
     return _population(_check_density(rho), ENCODED.p_leak)
+
+
+def sector_blocks(op: np.ndarray) -> np.ndarray:
+    """The m_S = +1/2 and -1/2 blocks of ``(..., 8, 8)`` operators on the
+    product states :data:`SECTORS`, shape ``(..., 2, 3, 3)``."""
+    return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
+
+
+class SectorState(NamedTuple):
+    """Density matrices as weighted vectors of the S_z sectors.
+
+    ``vectors`` holds the m_S = +1/2 and -1/2 parts, on the product states
+    :data:`SECTORS`, of ``r`` column vectors, shape ``(..., 2, 3, r)``, and
+    ``ends`` their amplitudes on states 0 and 7, shape ``(..., 2, r)``;
+    rho is the sum of the columns' projectors.  With ``coherent`` false the
+    state has no coherence between S_z blocks, and each block's part of a
+    column is a vector of its own, contributing to that block only.
+    """
+
+    vectors: np.ndarray
+    ends: np.ndarray
+    coherent: bool
+
+
+# True on the entries of an 8x8 operator that lie within one S_z block
+_M_S = np.diag(SZ_TOTAL).real
+_IN_BLOCK = _M_S[:, None] == _M_S[None, :]
+
+
+def sector_state(rho: np.ndarray) -> SectorState:
+    """One ``(8, 8)`` density matrix as sector vectors: the square roots of
+    its eigenvalues times its eigenvectors, one eigendecomposition per S_z
+    block when it has no coherence between blocks (the encoded states
+    have none), one of the whole matrix otherwise.  Eigenvalues within
+    numpy's rank tolerance of zero give no column.
+
+    Raises:
+        ValueError: if ``rho`` is not one ``(8, 8)`` matrix of unit trace.
+    """
+    rho = _check_density(rho)
+    if rho.shape != (DIM, DIM):
+        raise ValueError(f"expected one (8, 8) density matrix, got {rho.shape}")
+    coherent = bool(np.any(rho[~_IN_BLOCK]))
+    if coherent:
+        weights, vecs = np.linalg.eigh(rho)
+        weights = np.clip(weights, 0.0, None)
+        amplitudes = vecs * np.sqrt(weights)
+        vectors, ends = amplitudes[SECTORS], amplitudes[_ENDS]
+        column_weights = weights
+    else:
+        weights, vecs = np.linalg.eigh(sector_blocks(rho))
+        weights = np.clip(weights, 0.0, None)
+        vectors = vecs * np.sqrt(weights)[:, None, :]
+        # the blocks' parts of a column are independent vectors, so each
+        # m_S = +-3/2 population can ride in the last column
+        populations = np.clip(rho[_ENDS, _ENDS].real, 0.0, None)
+        ends = np.zeros((2, 3), dtype=complex)
+        ends[:, -1] = np.sqrt(populations)
+        column_weights = weights.max(axis=0)
+        column_weights[-1] = max(column_weights[-1], populations.max())
+    keep = column_weights > DIM * np.finfo(float).eps * column_weights.max()
+    return SectorState(vectors[..., keep], ends[..., keep], coherent)
+
+
+def sector_density(state: SectorState) -> np.ndarray:
+    """The density matrices ``(..., 8, 8)`` of a :class:`SectorState`."""
+    vectors, ends, coherent = state
+    columns = np.zeros(vectors.shape[:-3] + (DIM, vectors.shape[-1]), dtype=complex)
+    columns[..., SECTORS, :] = vectors
+    columns[..., _ENDS, :] = ends
+    rho = columns @ np.conj(columns).swapaxes(-1, -2)
+    if not coherent:
+        rho *= _IN_BLOCK  # the blocks' parts of a column are not one vector
+    return rho
+
+
+# The encoded |0> of each sector on the product states SECTORS
+_ZERO_SECTORS = np.stack([ENCODED.zero[m][SECTORS[m]] for m in (0, 1)])
+
+
+def sector_p0(vectors: np.ndarray):
+    """Population of the encoded ``|0>`` subspace of sector vectors
+    ``(..., 2, 3, r)`` (:attr:`SectorState.vectors`), with the range check
+    and clip of :func:`measure_p0`: a float for ``(2, 3, r)``, an array of
+    the batch shape otherwise."""
+    amplitudes = np.einsum("mi,...mik->...mk", _ZERO_SECTORS.conj(), vectors)
+    return _checked_population(
+        np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=(-2, -1))
+    )
 
 
 def qubit_block(j: ExchangeVector) -> np.ndarray:

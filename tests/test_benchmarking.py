@@ -264,6 +264,19 @@ def test_oscillation_fit_rejects_noise():
         bench.fit_oscillation_decay(t, rng.normal(size=t.size))
 
 
+def test_flat_oscillation_curve_reports_no_oscillation():
+    # a flat trace used to be fitted with a tiny amplitude and a decay time
+    t = np.linspace(0, 1e-7, 20)
+    for y in (np.ones(t.size), 0.3 + 1e-13 * np.cos(2 * PI * 5e7 * t)):
+        fit = bench.fit_oscillation_decay(t, y)
+        assert fit.baseline == float(np.mean(y))
+        assert fit.amplitude == fit.omega == fit.phase == 0.0
+        assert math.isinf(fit.t_decay_s) and math.isinf(fit.n_oscillations)
+    # just above the threshold the curve is fitted
+    fit = bench.fit_oscillation_decay(t, 0.3 + 1e-11 * np.cos(2 * PI * 5e7 * t))
+    assert fit.amplitude > 0.0 and fit.omega > 0.0
+
+
 def test_rb_report_format():
     cfg = bench.RbConfig(depths=(1, 2, 4), n_sequences=5, seed=1)
     data = bench.run_rb(

@@ -210,6 +210,8 @@ CAL = ["calibrate", "--phi-star", "0", "--theta-star", "3.14"]
     ["rb", "--engine", "device", "--idle", "inf"],
     ["irb", "--gate-phi", "nan", "--gate-theta", "3.14"],
     ["irb", "--gate-phi", "0", "--gate-theta", "inf"],
+    ["rabi", "--pair", "12", "--v", "0.07", "--times", "0:0:20"],
+    ["rabi", "--pair", "12", "--v", "0.07", "--times", "3e-9:3e-9:5"],
 ])
 def test_out_of_range_flags_are_usage_errors(argv, tmp_path, capsys):
     # --schedule -1 used to run a stage with N = -1, --idle nan to write
@@ -299,6 +301,45 @@ def test_out_of_range_pulse_and_noise_are_config_errors(tmp_path, doc, where, ca
     assert run(argv) == 4
     err = capsys.readouterr().err
     assert "config error" in err and where in err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"noise": {"voltage_sigma": 1e-4}}, "'voltage_sigma'"),
+    ({"fields": {"f_uniform": 1e6}}, "'f_uniform'"),
+    ({"exchange_law": {"12": {"A_hz": 1e6, "B_per_v": 52.983, "c": 0.3}}}, "'c'"),
+    ({"dss": {"curvatures": {"12": [2e3, 8e2]}}}, "'curvatures'"),
+])
+def test_unknown_nested_config_keys_are_config_errors(tmp_path, doc, key, capsys):
+    # each of these used to run with the key dropped
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["rabi", "--pair", "12", "--v", "0.07", "--times", "0:1e-7:20",
+            "--config", str(cfg), "--out", str(tmp_path / "rabi.json")]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and f"unknown {next(iter(doc))}" in err
+    assert not (tmp_path / "rabi.json").exists()
+
+
+def test_known_nested_config_keys_are_accepted():
+    d = dev.device_from_dict({
+        "exchange_law": {"12": {"A_hz": 2e6, "B_per_v": 50.0, "C": 0.1}},
+        "dss": {"curvature": {"12": [1.0, 2.0]}, "location_v": [0.0, 0.0, 0.0]},
+        "noise": {"voltage_sigma_v": 1e-4, "gradient_sigma_hz": 3e4, "seed": 9},
+        "fields": {"f_uniform_hz": 1e9, "gradients_hz": [1.0, 0.0, -1.0]},
+    })
+    assert d.laws["12"].c == 0.1 and d.noise.seed == 9 and d.dss_location_v == (0.0, 0.0, 0.0)
+
+
+def test_flat_rabi_trace_reports_no_oscillation(tmp_path):
+    # J13 alone leaves the outer-pair singlet in place, so p0 stays at 1
+    out = tmp_path / "rabi.json"
+    assert run(["rabi", "--pair", "13", "--v", "0.07", "--times", "0:100e-9:20",
+                "--out", str(out)]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["amplitude"] == fit["frequency_hz"] == fit["phase_rad"] == 0.0
+    assert fit["t_decay_s"] is None and fit["n_oscillations"] is None
+    assert fit["baseline"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_range_edges_of_pulse_and_noise_are_accepted():

@@ -313,6 +313,9 @@ def test_readme_documents_exactly_the_config_keys():
     documented = re.findall(r"^- `(\w+)`:", section, re.M)
     assert len(documented) == len(set(documented))
     assert set(documented) == set(dev.CONFIG_KEYS)
+    for where, keys in dev.SECTION_KEYS.items():
+        assert f"`{where.split('.')[0]}`" in section
+        assert all(f"`{key}`" in section for key in keys), where
 
 
 def test_fingerpinch_map_shape_and_symmetry():
@@ -339,11 +342,15 @@ def test_fingerpinch_hadamard_changes_contrast():
 
 
 def _one_train_oracle(d, rho, train, draw, apply_cross):
-    """One train under one draw (or none), unblocked: each distinct pulse
-    built once, one propagator call per segment duration, the train folded
-    by matrix products."""
+    """One train under one draw (or none), unblocked, on the sector route:
+    each distinct pulse built once, one sector_propagator call per segment
+    duration, and the train folded on the sector vectors of ``rho``.
+
+    Returns the density matrix and p0 after the train.
+    """
+    state = hb.sector_state(rho)
     if not train:
-        return rho
+        return rho, hb.sector_p0(state.vectors)
     draw = dev.NoiseDraw.none() if draw is None else draw
     fields = hb.FieldConfig(
         d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
@@ -356,18 +363,35 @@ def _one_train_oracle(d, rho, train, draw, apply_cross):
     unitaries = {}
     for dt, js in by_duration.items():
         j = hb.ExchangeVector(*(np.stack([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
-        unitaries[dt] = iter(hb.propagator(hb.build_hamiltonian(j, fields), dt))
+        unitaries[dt] = zip(*hb.sector_propagator(j, fields, dt))
     pulse_u = {}
     for pulse, segments in plan.items():
-        u = None
+        u = ph = None
         for _, dt in segments:
-            seg_u = next(unitaries[dt])
-            u = seg_u if u is None else seg_u @ u
-        pulse_u[pulse] = u
-    u = pulse_u[train[0]]
-    for pulse in train[1:]:
-        u = pulse_u[pulse] @ u
-    return u @ rho @ np.conj(np.swapaxes(u, -1, -2))
+            seg_u, seg_ph = next(unitaries[dt])
+            u, ph = (seg_u, seg_ph) if u is None else (seg_u @ u, seg_ph * ph)
+        pulse_u[pulse] = u, ph
+    psi, phase = state.vectors, None
+    for pulse in train:
+        u, ph = pulse_u[pulse]
+        psi, phase = u @ psi, ph if phase is None else ph * phase
+    out = hb.SectorState(psi, phase[:, None] * state.ends, state.coherent)
+    return hb.sector_density(out), hb.sector_p0(psi)
+
+
+def _dense_train(d, rho, train, draw, apply_cross):
+    """The dense reference: one train under one draw, every segment's 8x8
+    propagator from expm of build_hamiltonian, applied to ``rho``."""
+    draw = dev.NoiseDraw.none() if draw is None else draw
+    dv = np.asarray(draw.voltage_offsets_v, dtype=float)
+    fields = hb.FieldConfig(
+        d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
+    )
+    for pulse in train:
+        for j, dt in d._segments(pulse, dev.NoiseDraw(dv, draw.gradients_hz), apply_cross and d.cross is not None):
+            u = expm(-1j * hb.build_hamiltonian(j, fields) * dt)
+            rho = u @ rho @ u.conj().T
+    return rho
 
 
 def _noisy_device():
@@ -411,9 +435,57 @@ def test_batched_rows_equal_one_train_at_a_time(apply_cross, with_draws):
     p0 = d.simulate_pulse(rho0, rows, batch, apply_cross, readout=hb.measure_p0)
     assert out.shape == (len(rows), 8, 8) and p0.shape == (len(rows),)
     for r, train in enumerate(rows):
-        want = _one_train_oracle(d, rho0, train, draws[r] if with_draws else None, apply_cross)
+        draw = draws[r] if with_draws else None
+        want, want_p0 = _one_train_oracle(d, rho0, train, draw, apply_cross)
         assert np.array_equal(out[r], want), r
-        assert p0[r] == hb.measure_p0(want), r
+        assert p0[r] == want_p0, r
+        dense = _dense_train(d, rho0, train, draw, apply_cross)
+        np.testing.assert_allclose(out[r], dense, rtol=0, atol=1e-12)
+        assert abs(p0[r] - hb.measure_p0(dense)) < 1e-12
+
+
+def _random_density(rng, rank):
+    a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("rank", [1, 3, 8])
+def test_any_rho_plays_through_its_eigenvectors(rank):
+    # states with coherence between S_z sectors and weight on m_S = +-3/2
+    d = _noisy_device()
+    rho = _random_density(np.random.default_rng(rank), rank)
+    rows = _mixed_trains(8)
+    draws = [dev.sample_noise(d.noise, dev.rng_stream(6, r)) for r in range(len(rows))]
+    batch = dev.NoiseDraw.stack(draws)
+    out = d.simulate_pulse(rho, rows, batch, True)
+    leak = d.simulate_pulse(rho, rows, batch, True, readout=hb.leakage_population)
+    p0 = d.simulate_pulse(rho, rows, batch, True, readout=hb.measure_p0)
+    for r, train in enumerate(rows):
+        want = _dense_train(d, rho, train, draws[r], True)
+        np.testing.assert_allclose(out[r], want, rtol=0, atol=1e-12)
+        assert abs(leak[r] - hb.leakage_population(want)) < 1e-12
+        assert abs(p0[r] - hb.measure_p0(want)) < 1e-12
+        if not train:
+            assert np.array_equal(out[r], rho)
+
+
+@pytest.mark.parametrize("hadamard", [False, True])
+def test_fingerpinch_matches_the_dense_route(hadamard):
+    d = dataclasses.replace(_noisy_device(), fields=hb.FieldConfig(2e7, (1e5, -2e5, 3e4)))
+    v1, v2 = np.linspace(0.05, 0.08, 9), np.linspace(0.04, 0.09, 7)
+    got = dev.fingerpinch_map(d, ("12", "13"), v1, v2, hadamard=hadamard, apply_cross=True)
+    h8 = hb.embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+    rho0 = hb.initialize_singlet()
+    if hadamard:
+        rho0 = h8 @ rho0 @ h8.conj().T
+    for r, c in np.ndindex(got.shape):
+        j = d.exchange_from_voltages(np.array([v1[c], v2[r], -np.inf]), apply_cross=True)
+        u = expm(-1j * hb.build_hamiltonian(j, d.fields) * d.pulse_s)
+        rho = u @ rho0 @ u.conj().T
+        if hadamard:
+            rho = h8 @ rho @ h8.conj().T
+        assert abs(got[r, c] - hb.measure_p0(rho)) < 1e-12
 
 
 def test_rows_with_empty_trains_keep_rho():
@@ -432,8 +504,10 @@ def test_single_train_with_a_batch_of_draws_equals_per_row_trains():
     rho0 = hb.initialize_singlet()
     shared = d.simulate_pulse(rho0, train, draws)
     assert np.array_equal(shared, d.simulate_pulse(rho0, [train] * 300, draws))
-    assert np.array_equal(shared[123], _one_train_oracle(d, rho0, train, dev.NoiseDraw(
-        draws.voltage_offsets_v[123], draws.gradients_hz[123]), False))
+    draw = dev.NoiseDraw(draws.voltage_offsets_v[123], draws.gradients_hz[123])
+    assert np.array_equal(shared[123], _one_train_oracle(d, rho0, train, draw, False)[0])
+    np.testing.assert_allclose(shared[123], _dense_train(d, rho0, train, draw, False),
+                               rtol=0, atol=1e-12)
 
 
 def test_blocks_cut_between_runs_and_respect_the_cap():
@@ -455,28 +529,35 @@ def test_blocks_cut_between_runs_and_respect_the_cap():
 
 def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
     sizes = []
-    propagator = hb.propagator
+    sector_propagator = hb.sector_propagator
 
-    def spy(h, tau_s):
-        sizes.append(math.prod(h.shape[:-2]))
-        return propagator(h, tau_s)
+    def spy(j, fields, tau_s):
+        sizes.append(math.prod(np.broadcast_shapes(
+            *(np.shape(c) for c in (j.j12, j.j23, j.j13)), np.shape(fields.gradients_hz)[:-1])))
+        return sector_propagator(j, fields, tau_s)
 
-    monkeypatch.setattr(hb, "propagator", spy)
+    def dense(*args):
+        raise AssertionError("the kernel never takes the dense route")
+
+    monkeypatch.setattr(hb, "sector_propagator", spy)
+    monkeypatch.setattr(hb, "propagator", dense)
+    monkeypatch.setattr(hb, "build_hamiltonian", dense)
     d = _noisy_device()
     times = np.linspace(1e-9, 100e-9, 20)
     trains = [(dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)),) for t in times]
     d.survival(trains, times.shape, 60, 3, (101,))
-    assert sizes == [60] * 20  # whole runs per block: one call per duration
+    assert sizes == [240] * 5  # whole runs per block: one call per block
     sizes.clear()
     rows = _mixed_trains(40)
     d.survival(rows, (len(rows),), 7, 3)
     assert max(sizes) <= dev.BLOCK_MATRICES
-    # one row over the cap: its 320 ramp slices of one duration take two calls
+    assert len(sizes) == len(dev._blocks([t for t in rows for _ in range(7)]))
+    # one row over the cap: its 330 segments take two calls
     sizes.clear()
     ramps = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9, ramp_s=2e-9,
                            plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(10)]
     d.simulate_pulse(hb.initialize_singlet(), ramps)
-    assert sorted(sizes) == [10, 64, 256]
+    assert sizes == [256, 74]
     sizes.clear()
     v = np.linspace(0.05, 0.08, 41)
     dev.fingerpinch_map(d, ("12", "23"), v, v)
@@ -494,11 +575,14 @@ def test_survival_equals_the_per_train_shot_loop():
         for rng in dev.rng_streams(seed, 3, k, shape=shots):
             draw = dev.NoiseDraw(rng.normal(0.0, 1.0, 6) * d.noise.sigma_v,
                                  rng.normal(0.0, 1.0, 3) * d.noise.sigma_b)
-            hits += rng.random() < hb.measure_p0(_one_train_oracle(d, rho0, train, draw, True))
+            p0 = _one_train_oracle(d, rho0, train, draw, True)[1]
+            assert abs(p0 - hb.measure_p0(_dense_train(d, rho0, train, draw, True))) < 1e-12
+            hits += rng.random() < p0
         assert got[k] == hits / shots
     clean = d.survival(rows, shape)
-    assert all(clean[k] == hb.measure_p0(_one_train_oracle(d, rho0, t, None, False))
-               for k, t in enumerate(rows))
+    for k, t in enumerate(rows):
+        assert clean[k] == _one_train_oracle(d, rho0, t, None, False)[1]
+        assert abs(clean[k] - hb.measure_p0(_dense_train(d, rho0, t, None, False))) < 1e-12
 
 
 def test_sample_shots_equals_the_per_shot_loop():
@@ -551,16 +635,19 @@ def test_pulses_are_hashed_once_per_distinct_object_and_run(monkeypatch):
         train[:4] = shared
     rows = [train for train in trains for _ in range(5)]
     draws, _ = dev.sample_shots(d.noise, 4, shape=50)
-    want = [_one_train_oracle(d, hb.initialize_singlet(), rows[r], dev.NoiseDraw(
-        draws.voltage_offsets_v[r], draws.gradients_hz[r]), False) for r in (0, 7, 49)]
+    picked = [(rows[r], dev.NoiseDraw(draws.voltage_offsets_v[r], draws.gradients_hz[r]))
+              for r in (0, 7, 49)]
+    want = [_one_train_oracle(d, hb.initialize_singlet(), t, w, False)[0] for t, w in picked]
+    dense = [_dense_train(d, hb.initialize_singlet(), t, w, False) for t, w in picked]
     runs = sum(len(block) for block in dev._blocks(rows))
     calls = _counting_pulse_hashes(monkeypatch)
     out = d.simulate_pulse(hb.initialize_singlet(), rows, draws)
     # one hash per distinct object when each train is resolved, and one
     # per distinct pulse of each run of a block; per played pulse, none
     assert runs == len(trains) and calls[0] <= 4 * len(trains) + 4 * runs
-    for r, w in zip((0, 7, 49), want):
+    for r, w, ref in zip((0, 7, 49), want, dense):
         assert np.array_equal(out[r], w)
+        np.testing.assert_allclose(out[r], ref, rtol=0, atol=1e-12)
 
 
 def test_resolve_merges_equal_pulse_objects():

@@ -1,6 +1,7 @@
 """Three-spin Hilbert space: Hamiltonian, encoding, propagation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,145 @@ def test_hermiticity_check_keeps_its_verdicts():
                 assert ok == old_ok(h), (eps, where)
                 verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# S_z sectors: the premise of the pulse kernel, and its agreement with the
+# dense route
+
+SZ_BLOCKS = ([0], [1, 2, 4], [3, 5, 6], [7])
+
+
+def test_hamiltonian_is_zero_outside_the_sz_blocks():
+    rng = np.random.default_rng(40)
+    in_block = np.zeros((8, 8), dtype=bool)
+    for block in SZ_BLOCKS:
+        in_block[np.ix_(block, block)] = True
+    j, fields = random_batch(rng, 50)
+    fields = hb.FieldConfig(float(rng.normal(0.0, 1e9)), fields.gradients_hz)
+    for h in (hb.build_hamiltonian(j, fields), hb.build_hamiltonian(j)):
+        assert np.all(h[:, ~in_block] == 0.0)
+        assert np.any(h[:, in_block] != 0.0)
+    assert np.array_equal(hb.SECTORS, [SZ_BLOCKS[1], SZ_BLOCKS[2]])
+
+
+def test_sector_hamiltonian_equals_the_dense_blocks_bit_for_bit():
+    rng = np.random.default_rng(41)
+    j, fields = random_batch(rng, 7)
+    cases = [
+        (j, fields),
+        (j, None),
+        (hb.ExchangeVector(3e7, j.j23, 0.0), fields),
+        (hb.ExchangeVector(j.j12[:, None], j.j23[None, :], 5e6), hb.FieldConfig(1e8, (1e5, 0.0, -2e5))),
+        (hb.ExchangeVector(1e7, 2e7, 0.0), hb.FieldConfig()),
+        (hb.ExchangeVector(-4e6, 1e300, 7e299), hb.FieldConfig(-1e300, (1e299, 0.0, 3.0))),
+    ]
+    for jj, ff in cases:
+        h = hb.build_hamiltonian(jj, ff)
+        blocks, ends = hb._sector_hamiltonian(jj, ff)
+        assert blocks.shape == h.shape[:-2] + (2, 3, 3) and ends.shape == h.shape[:-2] + (2,)
+        dense = hb.sector_blocks(h)
+        assert np.array_equal(blocks, dense.real) and not np.any(dense.imag)
+        assert np.array_equal(ends, h[..., [0, 7], [0, 7]].real)
+
+
+def _sector_evolve(rho, j, fields, tau):
+    """rho and p0 after exp(-i H tau), on the sector route."""
+    state = hb.sector_state(rho)
+    u, phases = hb.sector_propagator(j, fields, tau)
+    moved = hb.SectorState(u @ state.vectors, phases[..., None] * state.ends, state.coherent)
+    return hb.sector_density(moved), hb.sector_p0(moved.vectors)
+
+
+def _random_density(rng, rank=8):
+    a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _states():
+    rng = np.random.default_rng(42)
+    plus = np.zeros(8, dtype=complex)
+    plus[[0, 1, 4]] = (0.6, 0.48j, -0.64)  # m_S = +3/2 and +1/2 together
+    h2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+    h8 = hb.embed_qubit_unitary(h2)
+    return {
+        "singlet": hb.initialize_singlet(),
+        "hadamard singlet": h8 @ hb.initialize_singlet() @ h8.conj().T,
+        "mixed": np.eye(8, dtype=complex) / 8,
+        "coherent": _random_density(rng),
+        "coherent rank 2": _random_density(rng, 2),
+        "with m=3/2": np.outer(plus, plus.conj()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_states()))
+def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
+    rho = _states()[name]
+    rng = np.random.default_rng(43)
+    j, fields = random_batch(rng, 12)
+    zero = np.zeros(12)
+    cases = [
+        (j, fields, 17e-9),  # noise-like gradients on a uniform field
+        (hb.ExchangeVector(zero, zero, zero), fields, 40e-9),  # J = 0: diagonal, degenerate
+        (hb.ExchangeVector(0.0, 0.0, 0.0), None, 1e-6),  # a zero-field idle
+        (hb.ExchangeVector(0.0, 0.0, 0.0), hb.FieldConfig(), 1e-6),
+        (hb.ExchangeVector(1e300, 3e299, 7e299), hb.FieldConfig(2e299, (1e299, 0.0, -5e298)), 1e-300),
+        (hb.ExchangeVector(np.array([1e300, 0.0]), 0.0, 0.0), None, 2e-300),
+    ]
+    for jj, ff, tau in cases:
+        h = hb.build_hamiltonian(jj, ff)
+        got, p0 = _sector_evolve(rho, jj, ff, tau)
+        assert got.shape == h.shape and np.shape(p0) == h.shape[:-2]
+        for idx in np.ndindex(h.shape[:-2]):
+            u = expm(-1j * h[idx] * tau)
+            want = u @ rho @ u.conj().T
+            np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-12)
+            assert abs(np.asarray(p0)[idx] - hb.measure_p0(want)) < 1e-12
+
+
+def test_sector_state_factors_the_density_matrix():
+    for name, rho in _states().items():
+        state = hb.sector_state(rho)
+        np.testing.assert_allclose(hb.sector_density(state), rho, rtol=0, atol=1e-15, err_msg=name)
+        assert state.coherent == name.startswith("coherent") or name == "with m=3/2"
+        assert abs(hb.sector_p0(state.vectors) - hb.measure_p0(rho)) < 1e-15
+    # the encoded states: one vector per sector, (1, 0, -1)/sqrt(2) with weight 1/2
+    singlet = hb.sector_state(hb.initialize_singlet())
+    assert singlet.vectors.shape == (2, 3, 1) and not singlet.ends.any()
+    np.testing.assert_allclose(np.abs(singlet.vectors[..., 0]), [[0.5, 0, 0.5]] * 2, atol=1e-16)
+    with pytest.raises(ValueError):
+        hb.sector_state(np.stack([hb.initialize_singlet()] * 2))
+    with pytest.raises(ValueError):
+        hb.sector_state(2.0 * hb.initialize_singlet())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sector_propagator_rejects_non_finite_input(bad):
+    arr = np.array([1e7, bad, 2e7])
+    cases = [
+        (hb.ExchangeVector(bad, 1e7, 0.0), None),
+        (hb.ExchangeVector(arr, 1e7, 0.0), hb.FieldConfig()),
+        (hb.ExchangeVector(1e7, 1e7, 0.0), hb.FieldConfig(bad)),
+        (hb.ExchangeVector(1e7, 1e7, 0.0), hb.FieldConfig(1e9, np.array([[0.0, bad, 0.0]]))),
+        (hb.ExchangeVector(1e308, 1e308, 1e308), hb.FieldConfig(1e308, (1e308,) * 3)),  # overflows
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j, fields in cases:
+            with pytest.raises(ValueError, match="not finite"):
+                hb.sector_propagator(j, fields, 1e-9)
+        for tau in (bad, -1e-9, np.array([1e-9, bad]), np.array([1e-9, -1e-9])):
+            with pytest.raises(ValueError):
+                hb.sector_propagator(hb.ExchangeVector(np.full(2, 1e7), 0.0, 0.0), None, tau)
+
+
+def test_sector_propagator_takes_a_duration_per_row():
+    rng = np.random.default_rng(44)
+    j, fields = random_batch(rng, 6)
+    taus = rng.uniform(0.0, 50e-9, 6)
+    u, phases = hb.sector_propagator(j, fields, taus)
+    for k in range(6):
+        jk = hb.ExchangeVector(j.j12[k : k + 1], j.j23[k : k + 1], j.j13[k : k + 1])
+        one = hb.sector_propagator(jk, hb.FieldConfig(0.5e9, fields.gradients_hz[k : k + 1]), taus[k])
+        assert np.array_equal(u[k], one[0][0]) and np.array_equal(phases[k], one[1][0])
