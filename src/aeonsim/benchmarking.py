@@ -28,7 +28,7 @@ from .device import (  # noqa: F401 - sample_noise stays bound for perfbench's t
     PAIR_ORDER, DeviceModel, PulseSpec, rng_stream, rng_streams, sample_noise
 )
 from .errors import FitError
-from .fitting import levenberg_marquardt
+from .fitting import levenberg_marquardt, two_point
 from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
     FLIP,
@@ -132,43 +132,48 @@ def realize_pulse(device: DeviceModel, aa: AxisAngle) -> PulseSpec:
 
 
 def _run_device_engine(device, cfg, group, interleaved):
-    pulse_cache: dict[AxisAngle, PulseSpec] = {}
+    """Survivals of every sequence's identity and flip trains, played as
+    integer trains over one table of the experiment's distinct pulses."""
+    table: dict[PulseSpec, int] = {}
+    slot_of: dict[AxisAngle, int] = {}
 
-    def pulses_for(aa: AxisAngle) -> PulseSpec:
-        if aa not in pulse_cache:
-            pulse_cache[aa] = realize_pulse(device, aa)
-        return pulse_cache[aa]
+    def slot_for(aa: AxisAngle) -> int:
+        if aa not in slot_of:
+            slot_of[aa] = table.setdefault(realize_pulse(device, aa), len(table))
+        return slot_of[aa]
 
-    idle = (
-        PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=cfg.idle_s)
-        if cfg.idle_s > 0
-        else None
-    )
-    tables = cayley_tables(group)
-    mul = tables.mul.tolist()
+    # the slots of each Clifford's pulses, and of a sequence step: the
+    # Clifford, then the interleaved gate and the idle
+    cliffords = [np.array([slot_for(aa) for aa in el.decomposition], dtype=np.intp)
+                 for el in group]
+    extra = []
     if interleaved is not None:
         inter = _position(group, Rotation.from_axis_angle(interleaved))
-        inter_pulse = pulses_for(interleaved)
+        extra.append(slot_for(interleaved))
+    if cfg.idle_s > 0:
+        idle = PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=cfg.idle_s)
+        extra.append(table.setdefault(idle, len(table)))
+    steps = [np.concatenate([c, np.array(extra, dtype=np.intp)]) for c in cliffords]
+    tables = cayley_tables(group)
+    mul = tables.mul.tolist()
 
     # the identity and flip trains of every sequence, in stream path order
     # (depth, sequence, flip), played as one batch
     grid = (len(cfg.depths), cfg.n_sequences)
     trains = []
     for (di, _), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid)):
-        body: list[PulseSpec] = []
+        body = []
         net = tables.identity
         for k in generate_sequence(rng, cfg.depths[di], group):
-            body.extend(pulses_for(aa) for aa in group[k].decomposition)
+            body.append(steps[k])
             net = mul[k][net]
             if interleaved is not None:
-                body.append(inter_pulse)
                 net = mul[inter][net]
-            if idle is not None:
-                body.append(idle)
-        for flip in (False, True):
-            rec = recovery_element(group, net, flip)
-            trains.append(body + [pulses_for(aa) for aa in rec.decomposition])
-    surv = device.survival(trains, grid + (2,), cfg.shots, cfg.seed, (), cfg.apply_cross)
+        for rec in (tables.inv[net], tables.flip_inv[net]):
+            trains.append(np.concatenate(body + [cliffords[rec]]))
+    surv = device.survival(
+        list(table), trains, grid + (2,), cfg.shots, cfg.seed, (), cfg.apply_cross
+    )
     return surv[..., 0].copy(), surv[..., 1].copy()
 
 
@@ -291,8 +296,8 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
     if with_offset:
         # allow r slightly above 1 so the optimizer can cross the boundary
         # freely; non-decaying results are discarded by the caller
-        def resid(x):
-            c0, c1, r = x
+        def stacked(x):
+            c0, c1, r = x.T[..., None]
             return c0 + c1 * np.clip(r, 0.0, 1.05) ** depths - y
 
         guesses = [
@@ -301,8 +306,8 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
             np.array([np.mean(y), span, 0.9]),
         ]
     else:
-        def resid(x):
-            c1, r = x
+        def stacked(x):
+            c1, r = x.T[..., None]
             return c1 * np.clip(r, 0.0, 1.0) ** depths - y
 
         slope = None
@@ -315,9 +320,10 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
             guesses.insert(0, np.array([slope[0], min(1.0, slope[1])]))
 
     best = None
+    resid, jac = two_point(lambda x: stacked(x[None])[0], stacked)
     for g in guesses:
         try:
-            res = levenberg_marquardt(resid, g)
+            res = levenberg_marquardt(resid, g, jac=jac)
         except Exception:  # noqa: BLE001 - try next start
             continue
         if best is None or res.cost < best.cost:
@@ -448,17 +454,19 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
     freqs = np.fft.rfftfreq(tu.size, tu[1] - tu[0])
     w0 = TWO_PI * freqs[int(np.argmax(spec))] if spec.size > 1 else 0.0
 
-    def resid(x):
-        b, a, w, ph, log_g = x
-        damp = np.exp(-np.minimum(t**2 * math.exp(min(log_g, 700.0)), 700.0))
+    def stacked(x):
+        b, a, w, ph, log_g = x.T[..., None]
+        rate = [math.exp(min(v, 700.0)) for v in log_g[:, 0].tolist()]
+        damp = np.exp(-np.minimum(t**2 * np.array(rate)[:, None], 700.0))
         return b + a * np.cos(w * t + ph) * damp - y
 
     best = None
+    resid, jac = two_point(lambda x: stacked(x[None])[0], stacked)
     for ph0 in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi):
         for tdec in (span, 0.3 * span, 3.0 * span):
             try:
                 res = levenberg_marquardt(
-                    resid, np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)])
+                    resid, np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)]), jac=jac
                 )
             except Exception:  # noqa: BLE001 - try next start
                 continue

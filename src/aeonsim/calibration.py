@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .device import PAIR_ORDER, DeviceModel, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
@@ -415,6 +414,51 @@ class PeakEstimate:
     cells: int
 
 
+# The one-cell Gaussian of find_peak, truncated at four cells, with the
+# weights and the order of sums of scipy.ndimage.gaussian_filter(sigma=1).
+_SMOOTH_RADIUS = 4
+_SMOOTH_WEIGHTS = np.exp(-0.5 / 1.0 * np.arange(-_SMOOTH_RADIUS, _SMOOTH_RADIUS + 1) ** 2)
+_SMOOTH_WEIGHTS /= _SMOOTH_WEIGHTS.sum()
+
+
+def _smooth(f: np.ndarray) -> np.ndarray:
+    """A 2-D map filtered with the one-cell Gaussian, edges extended by
+    their nearest cell: axis 0, then axis 1, each output cell summing
+    ``x[i] w[0]`` and then ``(x[i - j] + x[i + j]) w[j]`` for j = 4 to 1."""
+    r, w = _SMOOTH_RADIUS, _SMOOTH_WEIGHTS[_SMOOTH_RADIUS:]
+    for _ in range(2):  # each pass filters axis 0 and transposes
+        n = f.shape[0]
+        x = np.pad(f, ((r, r), (0, 0)), mode="edge")
+        out = x[r : r + n] * w[0]
+        for j in range(r, 0, -1):
+            out += (x[r - j : r - j + n] + x[r + j : r + j + n]) * w[j]
+        f = out.T
+    return np.ascontiguousarray(f)
+
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 4-connected regions of a 2-D mask, numbered from 1 in the raster
+    order of their first cell (scipy.ndimage.label's numbering), and their
+    count."""
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    rows, cols = mask.shape
+    cells = mask.tolist()
+    n = 0
+    for r0, c0 in zip(*np.nonzero(mask)):
+        if labels[r0, c0]:
+            continue
+        n += 1
+        labels[r0, c0] = n
+        stack = [(r0, c0)]
+        while stack:
+            r, c = stack.pop()
+            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if 0 <= rr < rows and 0 <= cc < cols and cells[rr][cc] and not labels[rr, cc]:
+                    labels[rr, cc] = n
+                    stack.append((rr, cc))
+    return labels, n
+
+
 def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) -> PeakEstimate:
     """Locate the tracked fidelity peak on a map.
 
@@ -432,12 +476,12 @@ def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) ->
     f = np.asarray(fmap.f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise DetectionError("fidelity map contains non-finite values")
-    smooth = ndimage.gaussian_filter(f, sigma=1.0, mode="nearest")
+    smooth = _smooth(f)
     fmax, fmin = float(smooth.max()), float(smooth.min())
     if fmax - fmin <= 1e-9 * max(abs(fmax), 1e-30):
         raise DetectionError("fidelity map is flat; no peak to detect")
     mask = smooth >= 0.80 * fmax
-    labels, n_regions = ndimage.label(mask)
+    labels, n_regions = _label(mask)
     if n_regions == 0:
         raise DetectionError("no cells above the 80% threshold")
 

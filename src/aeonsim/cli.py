@@ -48,6 +48,11 @@ EXIT_CONFIG = 4
 # Hamiltonian, its Hermiticity check and its spectrum stay finite.
 MAX_SPECTRUM_HZ = 1e300
 
+# Longest rabi duration (s).  The oscillation fit scales each squared
+# duration by a decay rate of at most exp(700) ~ 1e304, which stays finite
+# up to here.
+MAX_TIME_S = 1.0
+
 
 def _env_default(name: str, cast, fallback):
     raw = os.environ.get(name)
@@ -89,8 +94,15 @@ def _span(text: str) -> np.ndarray:
     return grid
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _times(text: str) -> np.ndarray:
+    """Argument type for the ``rabi`` duration sweep: a :func:`_span` with
+    both endpoints in [0, :data:`MAX_TIME_S`]."""
+    grid = _span(text)
+    if not (0.0 <= min(grid[0], grid[-1]) and max(grid[0], grid[-1]) <= MAX_TIME_S):
+        raise argparse.ArgumentTypeError(
+            f"durations must lie in [0, {MAX_TIME_S:g}] s, got {text!r}"
+        )
+    return grid
 
 
 def _positive_int(text: str) -> int:
@@ -109,9 +121,21 @@ def _seed(text: str) -> int:
     return n
 
 
-def _positive_ints(text: str) -> tuple[int, ...]:
-    """Argument type for a comma-separated list of positive integers."""
-    return tuple(_positive_int(x) for x in text.split(","))
+def _ints(lo: int):
+    """Argument type for a comma-separated list of integers >= ``lo``."""
+
+    def ints(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            values = ()
+        if not values or min(values) < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be a comma-separated list of integers >= {lo}, got {text!r}"
+            )
+        return values
+
+    return ints
 
 
 def _real(lo: float = -math.inf, hi: float = math.inf, *, open_lo: bool = False):
@@ -229,8 +253,10 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     v_x = np.full(3, -np.inf)
     v_x[idx[args.pair]] = args.v
     _check_exchange(device, v_x, {args.pair: "--v"})
-    trains = [(dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)),) for t in times]
-    p0 = device.survival(trains, times.shape, args.shots, args.seed, (101,))
+    # one single-pulse train per duration
+    pulses = [dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)) for t in times]
+    trains = np.arange(times.size)[:, None]
+    p0 = device.survival(pulses, trains, times.shape, args.shots, args.seed, (101,))
     fit = bench.fit_oscillation_decay(times, p0)
     doc = {
         "pair": args.pair,
@@ -271,7 +297,7 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
 
 def _rb_common(args, device, interleaved: AxisAngle | None):
     cfg = bench.RbConfig(
-        depths=parse_int_list(args.depths),
+        depths=args.depths,
         n_sequences=args.sequences,
         shots=args.shots,
         seed=args.seed,
@@ -374,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rabi", parents=[common], help="single-pair duration sweep")
     p.add_argument("--pair", required=True, help="driven pair (12, 13 or 23)")
     p.add_argument("--v", type=_real(), required=True, help="barrier voltage (V)")
-    p.add_argument("--times", type=_span, required=True, help="duration sweep start:stop:n (s)")
+    p.add_argument("--times", type=_times, required=True,
+                   help=f"duration sweep start:stop:n (s), within [0, {MAX_TIME_S:g}]")
     p.add_argument("--shots", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_rabi)
 
     p = sub.add_parser("calibrate", parents=[common], help="germ peak tracking")
     p.add_argument("--phi-star", type=_real(), required=True, help="target axis (rad)")
     p.add_argument("--theta-star", type=_real(), required=True, help="target angle (rad)")
-    p.add_argument("--schedule", type=_positive_ints, default="1,2,4,8,16,24")
+    p.add_argument("--schedule", type=_ints(1), default="1,2,4,8,16,24")
     p.add_argument("--grid", type=int, default=21)
     p.add_argument("--window", type=_real(0.0, open_lo=True), default=0.030,
                    help="first window (V)")
@@ -390,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     def add_rb_args(p):
-        p.add_argument("--depths", default="1,2,4,8,12,16,24")
+        p.add_argument("--depths", type=_ints(0), default="1,2,4,8,12,16,24",
+                       help="sequence depths, comma-separated integers >= 0")
         p.add_argument("--sequences", type=_positive_int, default=20)
         p.add_argument("--shots", type=_positive_int, default=None)
         p.add_argument("--idle", type=_real(0.0), default=0.0, help="idle between Cliffords (s)")

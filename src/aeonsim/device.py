@@ -14,7 +14,6 @@ exchange pair vectors ``(12, 13, 23)`` throughout.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -317,10 +316,6 @@ class NoiseDraw:
     gradients_hz: np.ndarray
 
     @staticmethod
-    def none() -> "NoiseDraw":
-        return NoiseDraw(np.zeros(6), np.zeros(3))
-
-    @staticmethod
     def stack(draws) -> "NoiseDraw":
         """One batched draw from a sequence of single draws, in order."""
         return NoiseDraw(
@@ -442,278 +437,217 @@ class DeviceModel:
             out.append(-np.inf if val == 0.0 else self.laws[pair].v_for(val))
         return np.array(out)
 
-    def _segments(self, pulse: PulseSpec, draw: NoiseDraw, apply_cross: bool):
-        """Piecewise-constant (ExchangeVector, duration) segments of a pulse,
-        in play order, each coupling of the draw's batch shape."""
-        dv = np.asarray(draw.voltage_offsets_v, dtype=float)
-        plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + dv[..., :3]
-        v_target = np.asarray(pulse.v_x, dtype=float) + dv[..., 3:]
-        volts = [v_target]
-        durations = [pulse.duration_s]
-        if pulse.ramp_s > 0.0:
-            v_idle = self.idle_v + dv[..., 3:]
-            fracs = (np.arange(_RAMP_SLICES) + 0.5) / _RAMP_SLICES
-            ramp = [v_idle + f * (v_target - v_idle) for f in fracs]
-            volts = ramp + volts + ramp[::-1]
-            step = pulse.ramp_s / _RAMP_SLICES
-            durations = [step] * _RAMP_SLICES + durations + [step] * _RAMP_SLICES
-        j = self.exchange_from_voltages(np.stack(volts), plungers, apply_cross=apply_cross)
-        return [
-            (ExchangeVector(j12=j.j12[k], j23=j.j23[k], j13=j.j13[k]), dt)
-            for k, dt in enumerate(durations)
-        ]
-
     def simulate_pulse(
         self,
-        rho: np.ndarray,
         pulses,
-        draw: NoiseDraw | None = None,
+        trains,
+        draws: NoiseDraw | None = None,
         apply_cross: bool = False,
-        readout=None,
     ) -> np.ndarray:
-        """Propagate a density matrix through pulse trains under noise.
+        """Encoded ``|0>`` population after each row's pulse train, played
+        from the outer-pair singlet: the one pulse kernel.
 
-        ``pulses`` is one :class:`PulseSpec`, a train of them played in
-        order, or a list of trains, one per row of the batch.  ``draw`` is
-        one noise draw (or ``None`` for none) shared by every row, or a
-        batch of ``n`` draws, one per row; a single train with a batch of
-        draws plays on ``n`` rows.
+        ``pulses`` is the experiment's table of :class:`PulseSpec` (each
+        distinct pulse once), and each of ``trains`` an integer array of
+        positions in it, in play order.  ``draws`` is a batch of noise
+        draws, one per row; with ``s = rows / len(trains)``, rows ``k*s``
+        to ``(k+1)*s - 1`` play train ``k``.  Without ``draws`` each train
+        plays once, without noise.  Barrier cross-talk is opt-in
+        (``apply_cross``); a device without a cross matrix ignores the
+        flag.
 
-        ``rho`` is taken apart into its weighted eigenvectors, split by S_z
-        sector (:func:`hilbert.sector_state`), and the trains act on those
-        vectors.  Rows are worked through in blocks of at most
-        :data:`BLOCK_MATRICES` stacked segment propagators, cut between
-        runs of rows that share one train object wherever a run fits.  Per
-        block, each distinct pulse is built once for the rows that play
-        it, every segment of the block in one
-        :func:`hilbert.sector_propagator` call; each row's vectors are then
-        carried through its train in play order.  ``readout`` (``measure_p0``, say) is applied
-        to each block's density matrices, assembled from the vectors,
-        before the next block is built, and its results are returned in
-        place of the matrices; ``measure_p0`` itself is read off the
-        vectors (:func:`hilbert.sector_p0`) without assembling them.  A
-        row with an empty train keeps ``rho``; a single empty train
-        returns ``rho`` as it is.
-
-        Barrier cross-talk is opt-in per experiment (``apply_cross``); a
-        device without a cross matrix ignores the flag.
+        The rows are worked through in blocks (:func:`_blocks`) of at most
+        :data:`BLOCK_MATRICES` stacked segment propagators.  Per block, one
+        :meth:`exchange_from_voltages` call and one
+        :func:`hilbert.sector_propagator` call per 256 segments cover every
+        segment of every distinct pulse, for the rows that play it; each
+        row then carries the singlet's sector vectors through its train in
+        play order, and p0 is read off them (:func:`hilbert.sector_p0`).
+        A row with an empty train keeps the singlet.
 
         Returns:
-            Density matrices of shape ``batch + (8, 8)``, or the readout of
-            the batch shape, which is ``()`` for a single train with at most
-            one draw and ``(rows,)`` otherwise.
+            p0 per row, shape ``(rows,)``.
+
+        Raises:
+            ValueError: if the draws do not split evenly among the trains,
+                or a train holds a position outside the table.
         """
-        rho = hilbert._check_density(rho)
-        if isinstance(pulses, PulseSpec):
-            pulses = (pulses,)
-        if not pulses:
-            return rho
-        state = hilbert.sector_state(rho)
-        draw = NoiseDraw.none() if draw is None else draw
-        offsets = np.asarray(draw.voltage_offsets_v, dtype=float)
-        single = isinstance(pulses[0], PulseSpec)
-        if single:
-            trains = [pulses] * (len(offsets) if offsets.ndim == 2 else 1)
+        n_trains = len(trains)
+        if draws is None:
+            offsets, gradients = np.zeros((n_trains, 6)), np.zeros((n_trains, 3))
         else:
-            trains = pulses
-            if offsets.ndim == 2 and len(offsets) != len(trains):
-                raise ValueError(f"{len(offsets)} noise draws for {len(trains)} trains")
-        # a shared draw is the same draw on every row
-        n_rows = len(trains)
-        gradients = np.asarray(draw.gradients_hz, dtype=float).reshape(-1, 3)
-        draws = NoiseDraw(
-            np.broadcast_to(offsets.reshape(-1, 6), (n_rows, 6)),
-            np.broadcast_to(gradients, (n_rows, 3)),
-        )
+            offsets = np.asarray(draws.voltage_offsets_v, dtype=float).reshape(-1, 6)
+            gradients = np.asarray(draws.gradients_hz, dtype=float).reshape(-1, 3)
+        shots, rest = divmod(len(offsets), n_trains) if n_trains else (0, len(offsets))
+        if rest or len(gradients) != len(offsets):
+            raise ValueError(
+                f"{len(offsets)} noise draws do not split evenly among {n_trains} trains"
+            )
+        table = _Table.of(pulses)
+        lengths = np.fromiter(map(len, trains), dtype=np.intp, count=n_trains)
+        flat = np.concatenate([np.empty(0, dtype=np.intp), *trains]).astype(np.intp, copy=False)
+        if flat.size and not 0 <= flat.min() <= flat.max() < len(table.segments):
+            raise ValueError(f"trains index a table of {len(table.segments)} pulses")
+        # each train's slots, padded to the longest, and the slots it uses
+        padded = np.zeros((n_trains, lengths.max(initial=0)), dtype=np.intp)
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
+        uses = np.zeros((n_trains, len(table.segments)), dtype=bool)
+        uses[np.repeat(np.arange(n_trains), lengths), flat] = True
         apply_cross = apply_cross and self.cross is not None
-        out = []
-        for block in _blocks(trains):
-            played, idle = self._block_states(state, block, draws, apply_cross)
-            if readout is hilbert.measure_p0:
-                out.append(hilbert.sector_p0(played.vectors))
-                continue
-            states = hilbert.sector_density(played)
-            states[idle] = rho
-            out.append(states if readout is None else readout(states))
-        out = np.concatenate(out)
-        return out[0] if single and offsets.ndim == 1 else out
+        out = np.empty(len(offsets))
+        for lo, hi in _blocks(np.maximum(1, uses @ table.segments), shots):
+            rows = np.arange(lo, hi) // shots  # the train of each row
+            out[lo:hi] = self._block_p0(
+                table, uses[rows], padded[rows], lengths[rows],
+                offsets[lo:hi], gradients[lo:hi], apply_cross,
+            )
+        return out
 
-    def _block_states(self, state, block, draws: NoiseDraw, apply_cross: bool):
-        """The :class:`hilbert.SectorState` of one block's rows after their
-        trains, given as ``(train, lo, hi)`` runs of rows of the batch
-        (each train resolved by :func:`_blocks`), with one draw per row;
-        and the positions in the block of the rows with an empty train."""
-        # a slot per distinct pulse of the block, the rows playing it, and
-        # for each run the slot of each of its distinct pulses and the
-        # position of its first row among the rows playing that slot
-        slots: dict[PulseSpec, int] = {}
-        plays: list[list[np.ndarray]] = []
-        size: list[int] = []
-        firsts = []
-        for train, lo, hi in block:
-            run_slots = np.empty(len(train.pulses), dtype=np.intp)
-            first = np.empty(len(train.pulses), dtype=np.intp)
-            for i, p in enumerate(train.pulses):
-                run_slots[i] = slot = slots.setdefault(p, len(slots))
-                if slot == len(plays):
-                    plays.append([])
-                    size.append(0)
-                first[i], size[slot] = size[slot], size[slot] + hi - lo
-                plays[slot].append(np.arange(lo, hi))
-            firsts.append((run_slots, first))
-        n_rows = block[-1][2] - block[0][1]
-        vectors = np.repeat(state.vectors[None], n_rows, axis=0)
-        ends = np.repeat(state.ends[None], n_rows, axis=0)
-        if not slots:  # every train of the block is empty
-            return hilbert.SectorState(vectors, ends, state.coherent), np.arange(n_rows)
-        # every segment of every distinct pulse, in play order, for the rows
-        # that play it; one propagator call covers the block
-        items, n_segments = [], []
-        for p, rows in zip(slots, plays):
-            rows = np.concatenate(rows)
-            draw = NoiseDraw(draws.voltage_offsets_v[rows], draws.gradients_hz[rows])
-            segments = self._segments(p, draw, apply_cross)
-            items += [(j, rows, dt) for j, dt in segments]
-            n_segments.append(len(segments))
-        unitaries = self._unitaries(items, draws)
-        table, phase_table = [], []
-        for n in n_segments:
-            u, ph = next(unitaries)
-            for _ in range(n - 1):
-                seg_u, seg_ph = next(unitaries)
-                u, ph = seg_u @ u, seg_ph * ph
-            table.append(u)
-            phase_table.append(ph)
-        base = np.cumsum([0] + [len(u) for u in table[:-1]])
-        # table positions of each row's pulses in play order
-        lengths = np.repeat([len(t.index) for t, _, _ in block], [hi - lo for _, lo, hi in block])
-        pos = np.zeros((n_rows, lengths.max()), dtype=np.intp)
-        r = 0
-        for (train, lo, hi), (run_slots, first) in zip(block, firsts):
-            steps = (base[run_slots] + first)[train.index]
-            pos[r : r + hi - lo, : len(steps)] = steps + np.arange(hi - lo)[:, None]
-            r += hi - lo
-        # rows sorted by train length, so that the rows still playing at a
-        # step form a prefix
-        order = np.argsort(-lengths, kind="stable")
-        playing = np.count_nonzero(lengths[:, None] > np.arange(pos.shape[1]), axis=0)
-        pos, table = pos[order[: playing[0]]], np.concatenate(table)
-        psi = table[pos[:, 0]] @ state.vectors
-        for k in range(1, pos.shape[1]):
-            psi[: playing[k]] = table[pos[: playing[k], k]] @ psi[: playing[k]]
-        vectors[order[: playing[0]]] = psi
-        if state.ends.any():  # else they stay zero, whatever their phases
-            # the phases of states 0 and 7 commute: one product per row
-            phases = np.concatenate(phase_table)[pos]
-            phases[np.arange(pos.shape[1]) >= lengths[order[: playing[0]], None]] = 1.0
-            ends[order[: playing[0]]] = np.prod(phases, axis=1)[..., None] * state.ends
-        return hilbert.SectorState(vectors, ends, state.coherent), order[playing[0] :]
-
-    def _unitaries(self, items, draws: NoiseDraw):
-        """Sector unitaries and m_S = +-3/2 phases of ``(ExchangeVector,
-        rows, duration)`` segment stacks, one pair of stacks per item in
-        turn, from :func:`hilbert.sector_propagator` calls of at most
-        :data:`BLOCK_MATRICES` rows."""
-        j = [np.concatenate([getattr(x, f) for x, _, _ in items]) for f in ("j12", "j23", "j13")]
-        sizes = [len(rows) for _, rows, _ in items]
-        gradients = np.asarray(self.fields.gradients_hz, dtype=float) + draws.gradients_hz[
-            np.concatenate([rows for _, rows, _ in items])
-        ]
-        durations = np.repeat([dt for _, _, dt in items], sizes)
-        u, ph = [], []
-        for k in range(0, len(gradients), BLOCK_MATRICES):
-            part = slice(k, k + BLOCK_MATRICES)
+    def _block_p0(self, table, uses, slots, lengths, dv, db, apply_cross: bool):
+        """p0 after the trains of one block's rows, given per row the
+        table slots it uses, its padded train of slots, the train's length
+        and its draw (voltage offsets ``dv``, gradients ``db``)."""
+        vectors = np.repeat(_SINGLET[None], len(lengths), axis=0)
+        used = np.flatnonzero(uses.any(axis=0))
+        if used.size == 0:  # every train of the block is empty
+            return hilbert.sector_p0(vectors)
+        # a (slot, row) pair per distinct pulse of the block and row that
+        # plays it, ordered by slot, then row; and every segment of every
+        # pair, ordered by slot, segment, then row
+        plays = uses[:, used]
+        pair_slot, pair_row = np.nonzero(plays.T)
+        count = np.count_nonzero(plays, axis=0)
+        n_seg = table.segments[used]
+        first_pair = np.cumsum(count) - count
+        first_item = np.cumsum(count * n_seg) - count * n_seg
+        item_slot = np.repeat(np.arange(used.size), count * n_seg)
+        local = np.arange(item_slot.size) - first_item[item_slot]
+        seg, k = np.divmod(local, count[item_slot])
+        row, pulse = pair_row[first_pair[item_slot] + k], used[item_slot]
+        # the piecewise-constant voltages of every segment, one front-end call
+        target = table.v_x[pulse] + dv[row, 3:]
+        durations = table.duration_s[pulse]
+        ramp = (n_seg[item_slot] > 1) & (seg != _RAMP_SLICES)
+        if ramp.any():
+            fracs = _RAMP_FRACS[np.minimum(seg, 2 * _RAMP_SLICES - seg)[ramp], None]
+            idle = self.idle_v + dv[row[ramp], 3:]
+            target[ramp] = idle + fracs * (target[ramp] - idle)
+            durations[ramp] = table.ramp_s[pulse[ramp]] / _RAMP_SLICES
+        plungers = table.plungers[pulse] + dv[row, :3]
+        j = self.exchange_from_voltages(target, plungers, apply_cross=apply_cross)
+        gradients = np.asarray(self.fields.gradients_hz, dtype=float) + db[row]
+        u = np.empty((len(row), 2, 3, 3), dtype=complex)
+        for lo in range(0, len(row), BLOCK_MATRICES):
+            part = slice(lo, lo + BLOCK_MATRICES)
+            couplings = ExchangeVector(j.j12[part], j.j23[part], j.j13[part])
             fields = FieldConfig(self.fields.f_uniform_hz, gradients[part])
-            couplings = ExchangeVector(*(c[part] for c in j))
-            part_u, part_ph = hilbert.sector_propagator(couplings, fields, durations[part])
-            u.append(part_u)
-            ph.append(part_ph)
-        u, ph = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (u, ph))
-        cuts = np.cumsum(sizes[:-1])
-        return zip(np.split(u, cuts), np.split(ph, cuts))
+            u[part] = hilbert.sector_propagator(couplings, fields, durations[part])[0]
+        # each pair's pulse unitary, its segments multiplied in play order
+        at = first_item[pair_slot] + np.arange(pair_slot.size) - first_pair[pair_slot]
+        pulse_u = u[at]
+        ramped = np.flatnonzero(n_seg[pair_slot] > 1)
+        if ramped.size:
+            at, stride = at[ramped], count[pair_slot[ramped]]
+            for g in range(1, 1 + 2 * _RAMP_SLICES):
+                pulse_u[ramped] = u[at + g * stride] @ pulse_u[ramped]
+        # the pair each row plays at each step, rows sorted by train length
+        # so that the rows still playing at a step form a prefix
+        pair_of = np.zeros((len(lengths), used.size), dtype=np.intp)
+        pair_of[pair_row, pair_slot] = np.arange(pair_slot.size)
+        column = np.zeros(len(table.segments), dtype=np.intp)  # of each used slot
+        column[used] = np.arange(used.size)
+        width = lengths.max()
+        order = np.argsort(-lengths, kind="stable")
+        playing = np.count_nonzero(lengths[:, None] > np.arange(width), axis=0)
+        order = order[: playing[0]]
+        pos = pair_of[order[:, None], column[slots[order, :width]]]
+        psi = pulse_u[pos[:, 0]] @ _SINGLET
+        for step in range(1, width):
+            psi[: playing[step]] = pulse_u[pos[: playing[step], step]] @ psi[: playing[step]]
+        vectors[order] = psi
+        return hilbert.sector_p0(vectors)
 
-    def survival(self, trains, shape, shots=None, seed: int = 0, prefix=(), apply_cross=False):
+    def survival(self, pulses, trains, shape, shots=None, seed: int = 0, prefix=(),
+                 apply_cross=False):
         """Encoded ``|0>`` survival after each train, played from the
         outer-pair singlet.
 
-        ``trains`` lists one train per index of ``shape`` in C order.
-        Without shots the survival is ``p0`` itself.  With ``shots``, each
-        train is played once per shot, with the shot's noise draw from
-        stream ``(seed, *prefix, *index, shot)``, and its survival is the
-        fraction of shots whose readout uniform from the same stream falls
-        below ``p0``.
+        ``pulses`` and ``trains`` are as for :meth:`simulate_pulse`, one
+        train per index of ``shape`` in C order.  Without shots the
+        survival is ``p0`` itself.  With ``shots``, each train is played
+        once per shot, with the shot's noise draw from stream ``(seed,
+        *prefix, *index, shot)``, and its survival is the fraction of shots
+        whose readout uniform from the same stream falls below ``p0``; all
+        of an experiment's rows go through one :meth:`simulate_pulse` call.
 
         Returns:
             Array of shape ``shape``.
         """
-        rho0 = hilbert.initialize_singlet()
         if shots is None:
-            p0 = self.simulate_pulse(rho0, trains, None, apply_cross, readout=hilbert.measure_p0)
-            return p0.reshape(shape)
+            return self.simulate_pulse(pulses, trains, None, apply_cross).reshape(shape)
         draws, uniforms = sample_shots(self.noise, seed, *prefix, shape=tuple(shape) + (shots,))
-        rows = [train for train in trains for _ in range(shots)]
-        p0 = self.simulate_pulse(rho0, rows, draws, apply_cross, readout=hilbert.measure_p0)
+        p0 = self.simulate_pulse(pulses, trains, draws, apply_cross)
         hits = np.count_nonzero((uniforms < p0).reshape(-1, shots), axis=1)
         return (hits / shots).reshape(shape)
 
 
-class _Train(NamedTuple):
-    """A train resolved once: its distinct pulses in first-play order, and
-    the position among them of each pulse it plays."""
+# Every kernel row starts from the outer-pair singlet's sector vectors: one
+# vector per sector, the encoded |0> times the square root of 1/2.
+_SINGLET = hilbert.sector_state(hilbert.initialize_singlet())
+_SINGLET.flags.writeable = False
 
-    pulses: tuple
-    index: np.ndarray
-
-
-def _resolve(train) -> _Train:
-    """Resolve a train, hashing each distinct pulse object once: trains
-    repeat a few shared :class:`PulseSpec` objects, whose hash walks their
-    fields."""
-    slots: dict[PulseSpec, int] = {}
-    by_id: dict[int, int] = {}
-    index = []
-    for p in train:
-        slot = by_id.get(id(p))
-        if slot is None:
-            slot = by_id[id(p)] = slots.setdefault(p, len(slots))
-        index.append(slot)
-    return _Train(tuple(slots), np.array(index, dtype=np.intp))
+# The voltage fraction from idle to target of each rising ramp slice.
+_RAMP_FRACS = (np.arange(_RAMP_SLICES) + 0.5) / _RAMP_SLICES
 
 
-def _blocks(trains) -> list[list[tuple]]:
-    """Split the rows of a batch into blocks of ``(train, lo, hi)`` runs of
-    rows that share one train object, each train resolved (:class:`_Train`)
-    once per object.
+class _Table(NamedTuple):
+    """A pulse table as arrays, one row per pulse, and the number of
+    piecewise-constant segments each pulse plays."""
 
-    A row stacks one matrix per segment of each distinct pulse of its
-    train (at least one).  A block takes whole runs while they fit in
-    :data:`BLOCK_MATRICES`; only a run that does not fit in a block of its
-    own is cut within, and a single row over the cap is a block alone.
+    v_x: np.ndarray
+    plungers: np.ndarray
+    duration_s: np.ndarray
+    ramp_s: np.ndarray
+    segments: np.ndarray
+
+    @classmethod
+    def of(cls, pulses) -> "_Table":
+        ramp_s = np.array([p.ramp_s for p in pulses], dtype=float)
+        return cls(
+            np.array([p.v_x for p in pulses], dtype=float).reshape(-1, 3),
+            np.array([p.plunger_offsets_v for p in pulses], dtype=float).reshape(-1, 3),
+            np.array([p.duration_s for p in pulses], dtype=float),
+            ramp_s,
+            np.where(ramp_s > 0.0, 1 + 2 * _RAMP_SLICES, 1),
+        )
+
+
+def _blocks(costs, shots: int) -> list[tuple[int, int]]:
+    """Cut the rows of a batch into blocks ``[lo, hi)``, where train ``k``
+    plays the run of rows ``k*shots`` to ``(k+1)*shots - 1`` and each of
+    them stacks ``costs[k]`` matrices (one per segment of each distinct
+    pulse of the train, at least one).
+
+    A block takes whole runs while they fit in :data:`BLOCK_MATRICES`; only
+    a run that does not fit in a block of its own is cut within, and a
+    single row over the cap is a block alone.
     """
-    blocks, block, used, lo = [], [], 0, 0
-    resolved: dict[int, _Train] = {}
-    for key, run in itertools.groupby(trains, key=id):
-        run = list(run)
-        if key not in resolved:
-            resolved[key] = _resolve(run[0])
-        train, hi = resolved[key], lo + len(run)
-        segments = (1 + 2 * _RAMP_SLICES if p.ramp_s > 0.0 else 1 for p in train.pulses)
-        cost = max(1, sum(segments))
+    cuts, used, lo = [0], 0, 0
+    for cost in np.asarray(costs).tolist():
+        hi = lo + shots
         while lo < hi:
             if used + (hi - lo) * cost <= BLOCK_MATRICES:
-                block.append((train, lo, hi))
                 used += (hi - lo) * cost
                 lo = hi
-            elif block:
-                blocks.append(block)
-                block, used = [], 0
+            elif used:
+                cuts.append(lo)
+                used = 0
             else:
-                step = max(1, BLOCK_MATRICES // cost)
-                blocks.append([(train, lo, lo + step)])
-                lo += step
-    if block:
-        blocks.append(block)
-    return blocks
+                lo += max(1, BLOCK_MATRICES // cost)
+                cuts.append(lo)
+    if cuts[-1] != lo:
+        cuts.append(lo)
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def default_device() -> DeviceModel:
@@ -909,7 +843,7 @@ def fingerpinch_map(
         rho0 = h8 @ rho0 @ h8.conj().T
         # the embedded Hadamard acts within each S_z sector
         h_sectors = hilbert.sector_blocks(h8)
-    state = hilbert.sector_state(rho0)
+    vectors = hilbert.sector_state(rho0)
     v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
     # whole grid rows per propagator call, as many as fit in the block cap
     rows = max(1, BLOCK_MATRICES // v1.size)
@@ -921,7 +855,7 @@ def fingerpinch_map(
         v_x[..., PAIR_ORDER.index(pairs[1])] = vb[:, None]
         j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
         u, _ = hilbert.sector_propagator(j, device.fields, duration_s)
-        psi = u @ state.vectors
+        psi = u @ vectors
         if hadamard:
             psi = h_sectors @ psi
         out[r : r + rows] = hilbert.sector_p0(psi)

@@ -38,9 +38,11 @@ def two_point(fun, stacked=None):
     """Residuals of ``fun`` and their 2-point Jacobian, sharing one memo.
 
     ``stacked``, when given, maps a ``(k, n)`` stack of points to the
-    ``(k, m)`` stack of their residuals in one call, row ``i`` equal to
-    ``fun`` of point ``i``; without it each stepped point is one ``fun``
-    call, so a model that takes scalars through ``math`` sees scalars.
+    ``(k, m)`` stack of their residuals in one call, row ``i`` equal bit
+    for bit to ``fun`` of point ``i``, and a Jacobian evaluates its ``n``
+    stepped points in that one call; every fit of the package passes one
+    (a model that takes a scalar through ``math`` does so per row).
+    Without it each stepped point is one ``fun`` call.
 
     The memo is keyed on the exact bytes of the point.  Residuals at the
     point of the last residual call are a copy of those; a Jacobian there
@@ -65,8 +67,9 @@ def two_point(fun, stacked=None):
         if last_jac[0] != key:
             residuals(x)
             h = _REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-            points = np.tile(x, (x.size, 1))
-            points[np.diag_indices(x.size)] = x + h
+            points = np.empty((x.size, x.size))
+            points[:] = x
+            points.flat[:: x.size + 1] = x + h
             if stacked is None:
                 f_steps = np.array([fun(p) for p in points], dtype=float)
             else:

@@ -10,7 +10,7 @@ Hamiltonian here is block diagonal on the product states of equal m_S: the
 two sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
 each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  The pulse
 kernel works in those blocks (:func:`sector_propagator`, with states held
-as sector vectors by :class:`SectorState`); the dense 8x8 route
+as sector vectors by :func:`sector_state`); the dense 8x8 route
 (:func:`build_hamiltonian`, :func:`propagator`, :func:`measure_p0`) stays
 as the reference the sector route is tested against.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +58,6 @@ def _embed(op: np.ndarray, dot: int) -> np.ndarray:
 SPIN_OPS = {
     dot: tuple(_embed(c, dot) for c in (_SX, _SY, _SZ)) for dot in (1, 2, 3)
 }
-
-SZ_TOTAL = sum(SPIN_OPS[d][2] for d in (1, 2, 3))
 
 
 def _dot_product(i: int, j: int) -> np.ndarray:
@@ -213,7 +210,8 @@ def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
         picked up by states 0 and 7, shape ``batch + (2,)``.
 
     Raises:
-        ValueError: for a non-finite Hamiltonian or a bad duration.
+        ValueError: for a non-finite Hamiltonian, a bad duration, or a
+            phase (energy times duration) that is not finite.
     """
     tau = np.asarray(tau_s, dtype=float)
     valid = np.isfinite(tau) & (tau >= 0)
@@ -221,6 +219,11 @@ def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
         raise ValueError(f"evolution time must be finite and non-negative, got {tau[~valid].flat[0]}")
     blocks, ends = _sector_hamiltonian(j, fields)
     vals, vecs = np.linalg.eigh(blocks)
+    # each phase below is exactly -1j times one of these products
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = (vals * tau[..., None, None], ends * tau[..., None])
+    if not all(np.isfinite(p).all() for p in phases):
+        raise ValueError("evolution phase (energy times duration) is not finite")
     angle = -1j * tau[..., None]
     left = vecs * np.exp(vals * angle[..., None])[..., None, :]
     # V diag(phases) V^T summed over the three eigenvectors' outer products,
@@ -408,33 +411,18 @@ def sector_blocks(op: np.ndarray) -> np.ndarray:
     return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
 
 
-class SectorState(NamedTuple):
-    """Density matrices as weighted vectors of the S_z sectors.
+def sector_state(rho: np.ndarray) -> np.ndarray:
+    """The sector vectors of one ``(8, 8)`` density matrix: the square
+    roots of the eigenvalues of its m_S = +1/2 and -1/2 blocks times their
+    eigenvectors, on the product states :data:`SECTORS`, shape
+    ``(2, 3, r)``.  Columns whose weight is within numpy's rank tolerance
+    of zero in both blocks are dropped, so the outer-pair singlet is one
+    vector per sector.
 
-    ``vectors`` holds the m_S = +1/2 and -1/2 parts, on the product states
-    :data:`SECTORS`, of ``r`` column vectors, shape ``(..., 2, 3, r)``, and
-    ``ends`` their amplitudes on states 0 and 7, shape ``(..., 2, r)``;
-    rho is the sum of the columns' projectors.  With ``coherent`` false the
-    state has no coherence between S_z blocks, and each block's part of a
-    column is a vector of its own, contributing to that block only.
-    """
-
-    vectors: np.ndarray
-    ends: np.ndarray
-    coherent: bool
-
-
-# True on the entries of an 8x8 operator that lie within one S_z block
-_M_S = np.diag(SZ_TOTAL).real
-_IN_BLOCK = _M_S[:, None] == _M_S[None, :]
-
-
-def sector_state(rho: np.ndarray) -> SectorState:
-    """One ``(8, 8)`` density matrix as sector vectors: the square roots of
-    its eigenvalues times its eigenvectors, one eigendecomposition per S_z
-    block when it has no coherence between blocks (the encoded states
-    have none), one of the whole matrix otherwise.  Eigenvalues within
-    numpy's rank tolerance of zero give no column.
+    Every propagator here is block diagonal and the encoded ``|0>`` lies
+    within the two sectors, so :func:`sector_p0` of the propagated vectors
+    is the ``p0`` of the propagated ``rho``; its coherences between blocks
+    and its m_S = +-3/2 populations do not enter.
 
     Raises:
         ValueError: if ``rho`` is not one ``(8, 8)`` matrix of unit trace.
@@ -442,38 +430,12 @@ def sector_state(rho: np.ndarray) -> SectorState:
     rho = _check_density(rho)
     if rho.shape != (DIM, DIM):
         raise ValueError(f"expected one (8, 8) density matrix, got {rho.shape}")
-    coherent = bool(np.any(rho[~_IN_BLOCK]))
-    if coherent:
-        weights, vecs = np.linalg.eigh(rho)
-        weights = np.clip(weights, 0.0, None)
-        amplitudes = vecs * np.sqrt(weights)
-        vectors, ends = amplitudes[SECTORS], amplitudes[_ENDS]
-        column_weights = weights
-    else:
-        weights, vecs = np.linalg.eigh(sector_blocks(rho))
-        weights = np.clip(weights, 0.0, None)
-        vectors = vecs * np.sqrt(weights)[:, None, :]
-        # the blocks' parts of a column are independent vectors, so each
-        # m_S = +-3/2 population can ride in the last column
-        populations = np.clip(rho[_ENDS, _ENDS].real, 0.0, None)
-        ends = np.zeros((2, 3), dtype=complex)
-        ends[:, -1] = np.sqrt(populations)
-        column_weights = weights.max(axis=0)
-        column_weights[-1] = max(column_weights[-1], populations.max())
+    weights, vecs = np.linalg.eigh(sector_blocks(rho))
+    weights = np.clip(weights, 0.0, None)
+    vectors = vecs * np.sqrt(weights)[:, None, :]
+    column_weights = weights.max(axis=0)
     keep = column_weights > DIM * np.finfo(float).eps * column_weights.max()
-    return SectorState(vectors[..., keep], ends[..., keep], coherent)
-
-
-def sector_density(state: SectorState) -> np.ndarray:
-    """The density matrices ``(..., 8, 8)`` of a :class:`SectorState`."""
-    vectors, ends, coherent = state
-    columns = np.zeros(vectors.shape[:-3] + (DIM, vectors.shape[-1]), dtype=complex)
-    columns[..., SECTORS, :] = vectors
-    columns[..., _ENDS, :] = ends
-    rho = columns @ np.conj(columns).swapaxes(-1, -2)
-    if not coherent:
-        rho *= _IN_BLOCK  # the blocks' parts of a column are not one vector
-    return rho
+    return vectors[..., keep]
 
 
 # The encoded |0> of each sector on the product states SECTORS
@@ -482,7 +444,7 @@ _ZERO_SECTORS = np.stack([ENCODED.zero[m][SECTORS[m]] for m in (0, 1)])
 
 def sector_p0(vectors: np.ndarray):
     """Population of the encoded ``|0>`` subspace of sector vectors
-    ``(..., 2, 3, r)`` (:attr:`SectorState.vectors`), with the range check
+    ``(..., 2, 3, r)`` (:func:`sector_state`), with the range check
     and clip of :func:`measure_p0`: a float for ``(2, 3, r)``, an array of
     the batch shape otherwise."""
     amplitudes = np.einsum("mi,...mik->...mk", _ZERO_SECTORS.conj(), vectors)

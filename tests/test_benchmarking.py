@@ -10,6 +10,7 @@ import pytest
 
 from aeonsim import benchmarking as bench
 from aeonsim import device as dev
+from aeonsim import fitting
 from aeonsim import rotations as rot
 from aeonsim.errors import FitError
 
@@ -310,3 +311,107 @@ def test_benchmarking_binds_nothing_from_calibration():
         name for name, obj in vars(bench).items()
         if obj is calibration or getattr(obj, "__module__", None) == calibration.__name__
     ]
+
+
+# ---------------------------------------------------------------------------
+# Stacked fit Jacobians: each stacked row is the per-point residual, bit for
+# bit, so the fits take the iterates of one residual call per column
+
+
+def _oscillation_resid(t, y):
+    """The oscillation model one point at a time."""
+    def resid(x):
+        b, a, w, ph, log_g = x
+        damp = np.exp(-np.minimum(t**2 * math.exp(min(log_g, 700.0)), 700.0))
+        return b + a * np.cos(w * t + ph) * damp - y
+    return resid
+
+
+def _decay_resid(depths, y, with_offset):
+    """The RB decay model one point at a time."""
+    depths = np.asarray(depths, dtype=float)
+    if with_offset:
+        return lambda x: x[0] + x[1] * np.clip(x[2], 0.0, 1.05) ** depths - y
+    return lambda x: x[0] * np.clip(x[1], 0.0, 1.0) ** depths - y
+
+
+def _spy_two_point(monkeypatch, oracles=None):
+    """Record the (fun, stacked) pairs the fits hand to two_point; with
+    ``oracles``, fit through the i-th oracle's per-column Jacobian instead."""
+    seen = []
+
+    def spy(fun, stacked=None):
+        seen.append((fun, stacked))
+        if oracles is not None:
+            return fitting.two_point(oracles[len(seen) - 1])
+        return fitting.two_point(fun, stacked)
+
+    monkeypatch.setattr(bench, "two_point", spy)
+    return seen
+
+
+def _rabi_curve():
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 200e-9, 60)
+    p = 0.5 + 0.45 * np.cos(2 * PI * 45e6 * t + 0.3) * np.exp(-((t / 150e-9) ** 2))
+    return t, rng.binomial(40, p) / 40
+
+
+def _rb_curves():
+    cfg = bench.RbConfig(depths=(1, 4, 16, 64, 256), n_sequences=6, shots=80, seed=4)
+    inject = bench.InjectedError(depol_per_pulse=1e-3, leak_per_pulse=2e-3)
+    data = bench.run_rb(None, cfg, engine="channel", inject=inject)
+    diff = np.mean(data.surv_identity - data.surv_flip, axis=1)
+    total = np.mean(data.surv_identity + data.surv_flip, axis=1)
+    return data, [_decay_resid(data.depths, diff, False), _decay_resid(data.depths, total, True)]
+
+
+def _assert_rows_and_jacobians_equal(fun, stacked, oracle, points):
+    rows = stacked(points)
+    for x, row in zip(points, rows):
+        assert np.array_equal(row, oracle(x)) and np.array_equal(fun(x), oracle(x))
+        # the stacked Jacobian equals the one built column by column
+        assert np.array_equal(fitting.two_point(fun, stacked)[1](x),
+                              fitting.two_point(oracle)[1](x))
+
+
+def test_oscillation_stack_rows_equal_the_per_point_residual(monkeypatch):
+    t, y = _rabi_curve()
+    seen = _spy_two_point(monkeypatch)
+    bench.fit_oscillation_decay(t, y)
+    ((fun, stacked),) = seen
+    rng = np.random.default_rng(12)
+    points = np.column_stack([
+        rng.uniform(0, 1, 40), rng.uniform(-1, 1, 40), rng.uniform(0, 6e8, 40),
+        rng.uniform(-PI, PI, 40),
+        # the decay rate below, at and above the clamp at exp(700)
+        np.concatenate([rng.uniform(-40, 40, 34), [700.0, 699.9999999, 700.0000001, 1e4,
+                                                   -1e4, 33.0]]),
+    ])
+    _assert_rows_and_jacobians_equal(fun, stacked, _oscillation_resid(t, y), points)
+
+
+def test_decay_stack_rows_equal_the_per_point_residual(monkeypatch):
+    data, oracles = _rb_curves()
+    seen = _spy_two_point(monkeypatch)
+    bench.fit_rb(data)
+    assert len(seen) == 2
+    rng = np.random.default_rng(13)
+    # r clipped at 0, 1 and 1.05, and just inside and outside each clip
+    r = np.concatenate([rng.uniform(-0.2, 1.3, 30),
+                        [0.0, -1e-17, 1e-17, 1.0, 1.0 - 1e-16, 1.0 + 1e-16, 1.05, 1.0500000001, 2.0]])
+    c = rng.uniform(-1, 1, (r.size, 2))
+    for (fun, stacked), oracle, points in zip(
+            seen, oracles, (np.column_stack([c[:, 0], r]), np.column_stack([c, r]))):
+        _assert_rows_and_jacobians_equal(fun, stacked, oracle, points)
+
+
+def test_fits_equal_the_per_row_oracle_fits(monkeypatch):
+    t, y = _rabi_curve()
+    data, oracles = _rb_curves()
+    stacked = (bench.fit_oscillation_decay(t, y), bench.fit_rb(data))
+    _spy_two_point(monkeypatch, [_oscillation_resid(t, y)])
+    per_row = [bench.fit_oscillation_decay(t, y)]
+    _spy_two_point(monkeypatch, oracles)
+    per_row.append(bench.fit_rb(data))
+    assert stacked == tuple(per_row)

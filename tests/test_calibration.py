@@ -586,3 +586,45 @@ def test_helper_error_transfers_to_fitted_axis():
     aa_true = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
     shift = (res.final["phi"] - aa_true.phi + PI) % (2 * PI) - PI
     assert shift == pytest.approx(-eps, abs=0.1 * eps)
+
+
+# ---------------------------------------------------------------------------
+# find_peak's smoothing and region labels: numpy versions of
+# scipy.ndimage.gaussian_filter(sigma=1, mode="nearest") and ndimage.label
+
+
+def test_smooth_equals_scipy_gaussian_filter_bit_for_bit():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(60)
+    for k in range(3000):
+        shape = tuple(rng.integers(1, 40, size=2))
+        f = rng.random(shape) * (1e-3, 1.0, 1e3)[k % 3]
+        want = ndimage.gaussian_filter(f, sigma=1.0, mode="nearest")
+        got = cal._smooth(f)
+        assert np.array_equal(got, want), shape
+        assert got.flags.c_contiguous
+
+
+def test_label_equals_scipy_label():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(61)
+    for k in range(2000):
+        shape = tuple(rng.integers(1, 26, size=2))
+        mask = rng.random(shape) < (0.2, 0.5, 0.8)[k % 3]
+        want, n_want = ndimage.label(mask)
+        got, n_got = cal._label(mask)
+        assert n_got == n_want and np.array_equal(got, want), shape
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, aeonsim.cli; sys.exit(2 * ('scipy.ndimage' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, check=False).returncode == 0

@@ -413,3 +413,46 @@ def test_spectrum_takes_every_input_at_its_bound(tmp_path):
 def test_json_documents_refuse_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._json_doc({"x": math.nan})
+
+
+RABI = ["rabi", "--pair", "12", "--v", "0.0738"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (RABI + ["--times=-1e-9:1e-7:20"], "--times"),
+    (RABI + ["--times", "1e-7:-1e-9:20"], "--times"),
+    (RABI + ["--times", "0:1e300:20"], "--times"),
+    (RABI + ["--times", "0:1.5:20"], "--times"),
+    (["rb", "--engine", "channel", "--depths", ""], "--depths"),
+    (["rb", "--engine", "channel", "--depths", "1,-2,4"], "--depths"),
+    (["rb", "--engine", "channel", "--depths", "1,,2"], "--depths"),
+    (["rb", "--engine", "device", "--depths=-1,2,4"], "--depths"),
+    (["irb", "--gate-phi", "0", "--gate-theta", "3.14", "--depths", "1,2.5,4"], "--depths"),
+])
+def test_bad_durations_and_depths_are_usage_errors_naming_the_flag(argv, flag, tmp_path, capsys):
+    # --times=-1e-9:... used to fail inside the propagator, 0:1e300:20 to
+    # leak overflow warnings and exit 3, and --depths '' or 1,-2,4 to
+    # print int()'s or numpy's message without the flag
+    argv = argv + ["--out", str(tmp_path / "out.json"),
+                   "--emit-plot-data", str(tmp_path / "plot.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "must " in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_duration_and_depth_edges_are_accepted(tmp_path):
+    parser = cli.build_parser()
+    times = parser.parse_args(RABI + ["--times", f"{cli.MAX_TIME_S!r}:0:5"]).times
+    assert (times[0], times[-1]) == (cli.MAX_TIME_S, 0.0)
+    assert parser.parse_args(["rb", "--depths", "0,1,2"]).depths == (0, 1, 2)
+    assert parser.parse_args(["irb", "--gate-phi", "0", "--gate-theta", "1"]).depths == (
+        1, 2, 4, 8, 12, 16, 24)
+    # the longest durations run through the kernel and the fit without
+    # an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(RABI + ["--times", "0:1:40", "--out", str(tmp_path / "rabi.json")])
+    assert code in (0, 3)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from aeonsim import benchmarking as bench
 from aeonsim import device as dev
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
@@ -161,39 +162,69 @@ def test_voltages_for_exchange_round_trip():
     assert back.j13 == 0.0
 
 
+def _table(trains):
+    """The table of the distinct pulses of ``trains`` (merged by equality,
+    as the device RB engine merges them) and each train as integer
+    positions in it."""
+    slots = {}
+    index = [np.array([slots.setdefault(p, len(slots)) for p in t], dtype=np.intp) for t in trains]
+    return list(slots), index
+
+
+def _kernel_p0(d, trains, draws=None, apply_cross=False):
+    """The kernel's p0 per row for trains given as lists of pulses."""
+    return d.simulate_pulse(*_table(trains), draws, apply_cross)
+
+
+def _dense_p0(rho, unitaries):
+    for u in unitaries:
+        rho = u @ rho @ u.conj().T
+    return hb.measure_p0(rho)
+
+
 def test_simulate_pulse_matches_direct_propagator():
     d = dev.default_device()
     j = hb.ExchangeVector(j12=42e6, j23=13e6, j13=7e6)
     pulse = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j)), duration_s=10e-9)
-    rho = hb.initialize_singlet()
-    out = d.simulate_pulse(rho, pulse)
+    (p0,) = _kernel_p0(d, [[pulse]])
     u = expm(-1j * hb.build_hamiltonian(j) * 10e-9)
-    np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
+    assert abs(p0 - _dense_p0(hb.initialize_singlet(), [u])) < 1e-12
+    assert p0 < 0.9  # the pulse moves the state
 
 
-def test_ramped_pulse_uses_piecewise_segments():
+def test_ramped_pulse_uses_piecewise_segments(monkeypatch):
     d = dev.default_device()
     pulse = dev.PulseSpec(
         v_x=(0.06, -np.inf, 0.05), duration_s=10e-9, ramp_s=2e-9
     )
-    segs = d._segments(pulse, dev.NoiseDraw.none(), False)
-    assert len(segs) == 33  # 16 up, plateau, 16 down
-    total = sum(dt for _, dt in segs)
-    assert total == pytest.approx(10e-9 + 2 * 2e-9, rel=1e-12)
+    taus = []
+    sector_propagator = hb.sector_propagator
+
+    def spy(j, fields, tau_s):
+        taus.extend(np.broadcast_to(tau_s, np.shape(j.j12)).tolist())
+        return sector_propagator(j, fields, tau_s)
+
+    monkeypatch.setattr(hb, "sector_propagator", spy)
+    _kernel_p0(d, [[pulse]])
+    assert len(taus) == 33  # 16 up, plateau, 16 down
+    assert taus[16] == 10e-9 and set(taus[:16] + taus[17:]) == {2e-9 / 16}
+    assert sum(taus) == pytest.approx(10e-9 + 2 * 2e-9, rel=1e-12)
 
 
 def test_pulse_train_plays_in_order():
-    # a train must play its pulses in time order; the two pulses here do
-    # not commute, so any swap changes the result
+    # a train must play its pulses in time order; the three pulses here do
+    # not commute, so a swap of the first two changes the result
     d = dev.default_device()
-    j_a = hb.ExchangeVector(60e6, 0.0, 0.0)
-    j_b = hb.ExchangeVector(0.0, 55e6, 10e6)
-    pulse_a = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j_a)), duration_s=7e-9)
-    pulse_b = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j_b)), duration_s=9e-9)
-    rho = hb.initialize_singlet()
-    out = d.simulate_pulse(rho, [pulse_a, pulse_b])
-    u = expm(-1j * hb.build_hamiltonian(j_b) * 9e-9) @ expm(-1j * hb.build_hamiltonian(j_a) * 7e-9)
-    np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-9)
+    js = [hb.ExchangeVector(60e6, 0.0, 0.0), hb.ExchangeVector(0.0, 55e6, 10e6),
+          hb.ExchangeVector(30e6, 45e6, 0.0)]
+    taus = (7e-9, 9e-9, 5e-9)
+    a, b, c = (dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j)), duration_s=tau)
+               for j, tau in zip(js, taus))
+    abc, bac = _kernel_p0(d, [[a, b, c], [b, a, c]])
+    u_a, u_b, u_c = (expm(-1j * hb.build_hamiltonian(j) * tau) for j, tau in zip(js, taus))
+    assert abs(abc - _dense_p0(hb.initialize_singlet(), [u_a, u_b, u_c])) < 1e-12
+    assert abs(bac - _dense_p0(hb.initialize_singlet(), [u_b, u_a, u_c])) < 1e-12
+    assert abs(abc - bac) > 1e-3
 
 
 def _oracle_couplings(d, v, plungers):
@@ -236,41 +267,45 @@ def test_stacked_draws_match_per_draw_oracle():
                           plunger_offsets_v=(0.0, 1e-3, 0.0))
     train = [ramped, idle, plain, ramped, plain]
     draws = [dev.sample_noise(d.noise, dev.rng_stream(3, shot)) for shot in range(4)]
-    rho0 = hb.initialize_singlet()
-    out = d.simulate_pulse(rho0, train, dev.NoiseDraw.stack(draws), apply_cross=True)
-    assert out.shape == (4, 8, 8)
+    out = _kernel_p0(d, [train], dev.NoiseDraw.stack(draws), apply_cross=True)
+    assert out.shape == (4,)
     for draw, got in zip(draws, out):
         dv = draw.voltage_offsets_v
         fields = hb.FieldConfig(2e7, tuple(np.asarray(d.fields.gradients_hz) + draw.gradients_hz))
-        rho = rho0
+        unitaries = []
         for pulse in train:
             plungers = np.asarray(pulse.plunger_offsets_v) + dv[:3]
             for v, dt in _oracle_segments(d, pulse, dv):
                 h = hb.build_hamiltonian(_oracle_couplings(d, v, plungers), fields)
-                u = expm(-1j * h * dt)
-                rho = u @ rho @ u.conj().T
-        np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
-        # a single draw through the same train gives the same state
-        one = d.simulate_pulse(rho0, train, draw, apply_cross=True)
-        np.testing.assert_allclose(one, got, rtol=0, atol=1e-14)
+                unitaries.append(expm(-1j * h * dt))
+        assert abs(got - _dense_p0(hb.initialize_singlet(), unitaries)) < 1e-12
+        # the draw alone, as a batch of one, gives the same p0
+        one = _kernel_p0(d, [train], dev.NoiseDraw.stack([draw]), apply_cross=True)
+        assert one[0] == got
 
 
 def test_empty_train_returns_rho_unchanged():
+    # an empty train leaves the singlet, so its p0 is the singlet's
     d = dev.default_device()
-    rho = hb.initialize_singlet()
+    singlet = hb.sector_p0(hb.sector_state(hb.initialize_singlet()))
+    assert singlet == pytest.approx(1.0, abs=1e-15)
     draws = dev.NoiseDraw(np.full((3, 6), 1e-3), np.full((3, 3), 1e5))
     for draw in (None, draws):
-        np.testing.assert_array_equal(d.simulate_pulse(rho, [], draw), rho)
+        assert np.array_equal(_kernel_p0(d, [[]], draw), [singlet] * (1 if draw is None else 3))
+    assert _kernel_p0(d, []).shape == (0,)
 
 
 def test_gradient_noise_causes_leakage():
+    # at J = 0 a gradient rotates the singlet out of the encoded subspace
     d = dev.default_device()
-    draw = dev.NoiseDraw(
-        voltage_offsets_v=(0.0,) * 6, gradients_hz=(2e6, -1e6, 0.5e6)
-    )
+    draw = dev.NoiseDraw(np.zeros((1, 6)), np.array([[2e6, -1e6, 0.5e6]]))
     pulse = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=400e-9)
-    rho = d.simulate_pulse(hb.initialize_singlet(), pulse, draw=draw)
+    (p0,) = _kernel_p0(d, [[pulse]], draw)
+    fields = hb.FieldConfig(0.0, draw.gradients_hz[0])
+    u = expm(-1j * hb.build_hamiltonian(hb.ExchangeVector(0.0, 0.0, 0.0), fields) * 400e-9)
+    rho = u @ hb.initialize_singlet() @ u.conj().T
     assert hb.leakage_population(rho) > 1e-4
+    assert abs(p0 - hb.measure_p0(rho)) < 1e-12 and p0 < 1.0 - 1e-4
 
 
 def test_device_config_round_trip(tmp_path):
@@ -341,21 +376,36 @@ def test_fingerpinch_hadamard_changes_contrast():
 # Batched kernel: every row of a batch, blocked, against one train at a time
 
 
-def _one_train_oracle(d, rho, train, draw, apply_cross):
-    """One train under one draw (or none), unblocked, on the sector route:
-    each distinct pulse built once, one sector_propagator call per segment
-    duration, and the train folded on the sector vectors of ``rho``.
+def _segments(d, pulse, draw, apply_cross):
+    """(ExchangeVector, duration) of each segment of one pulse under one
+    draw, in play order: the front end one pulse at a time."""
+    dv = np.asarray(draw.voltage_offsets_v, dtype=float)
+    plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + dv[:3]
+    target = np.asarray(pulse.v_x, dtype=float) + dv[3:]
+    volts, durations = [target], [pulse.duration_s]
+    if pulse.ramp_s > 0.0:
+        idle = d.idle_v + dv[3:]
+        ramp = [idle + f * (target - idle) for f in (np.arange(16) + 0.5) / 16]
+        volts = ramp + volts + ramp[::-1]
+        durations = [pulse.ramp_s / 16] * 16 + durations + [pulse.ramp_s / 16] * 16
+    j = d.exchange_from_voltages(np.stack(volts), plungers, apply_cross=apply_cross)
+    return [(hb.ExchangeVector(j.j12[k], j.j23[k], j.j13[k]), dt) for k, dt in enumerate(durations)]
 
-    Returns the density matrix and p0 after the train.
-    """
-    state = hb.sector_state(rho)
+
+def _one_train_oracle(d, train, draw, apply_cross, rho=None):
+    """p0 after one train under one draw (or none), unblocked, on the sector
+    route: each distinct pulse built once, one sector_propagator call per
+    segment duration, and the train folded on the sector vectors of
+    ``rho`` (the singlet by default)."""
+    vectors = hb.sector_state(hb.initialize_singlet() if rho is None else rho)
     if not train:
-        return rho, hb.sector_p0(state.vectors)
-    draw = dev.NoiseDraw.none() if draw is None else draw
+        return hb.sector_p0(vectors)
+    draw = dev.NoiseDraw(np.zeros(6), np.zeros(3)) if draw is None else draw
     fields = hb.FieldConfig(
         d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
     )
-    plan = {p: d._segments(p, draw, apply_cross and d.cross is not None) for p in dict.fromkeys(train)}
+    cross = apply_cross and d.cross is not None
+    plan = {p: _segments(d, p, draw, cross) for p in dict.fromkeys(train)}
     by_duration = {}
     for segments in plan.values():
         for j, dt in segments:
@@ -363,32 +413,28 @@ def _one_train_oracle(d, rho, train, draw, apply_cross):
     unitaries = {}
     for dt, js in by_duration.items():
         j = hb.ExchangeVector(*(np.stack([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
-        unitaries[dt] = zip(*hb.sector_propagator(j, fields, dt))
+        unitaries[dt] = iter(hb.sector_propagator(j, fields, dt)[0])
     pulse_u = {}
     for pulse, segments in plan.items():
-        u = ph = None
+        u = None
         for _, dt in segments:
-            seg_u, seg_ph = next(unitaries[dt])
-            u, ph = (seg_u, seg_ph) if u is None else (seg_u @ u, seg_ph * ph)
-        pulse_u[pulse] = u, ph
-    psi, phase = state.vectors, None
+            seg_u = next(unitaries[dt])
+            u = seg_u if u is None else seg_u @ u
+        pulse_u[pulse] = u
     for pulse in train:
-        u, ph = pulse_u[pulse]
-        psi, phase = u @ psi, ph if phase is None else ph * phase
-    out = hb.SectorState(psi, phase[:, None] * state.ends, state.coherent)
-    return hb.sector_density(out), hb.sector_p0(psi)
+        vectors = pulse_u[pulse] @ vectors
+    return hb.sector_p0(vectors)
 
 
 def _dense_train(d, rho, train, draw, apply_cross):
     """The dense reference: one train under one draw, every segment's 8x8
     propagator from expm of build_hamiltonian, applied to ``rho``."""
-    draw = dev.NoiseDraw.none() if draw is None else draw
-    dv = np.asarray(draw.voltage_offsets_v, dtype=float)
+    draw = dev.NoiseDraw(np.zeros(6), np.zeros(3)) if draw is None else draw
     fields = hb.FieldConfig(
         d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
     )
     for pulse in train:
-        for j, dt in d._segments(pulse, dev.NoiseDraw(dv, draw.gradients_hz), apply_cross and d.cross is not None):
+        for j, dt in _segments(d, pulse, draw, apply_cross and d.cross is not None):
             u = expm(-1j * hb.build_hamiltonian(j, fields) * dt)
             rho = u @ rho @ u.conj().T
     return rho
@@ -412,7 +458,7 @@ OTHER = dev.PulseSpec(v_x=(0.071, 0.069, -np.inf), duration_s=10e-9)
 
 def _mixed_trains(n_runs):
     """Runs of rows sharing a train: ramped pulses, two segment durations,
-    an empty train among them, lengths from 0 to 6."""
+    J = 0 (the idle), an empty train among them, lengths from 0 to 6."""
     shapes = [[RAMPED, IDLE, PLAIN], [PLAIN, OTHER], [], [OTHER, RAMPED, PLAIN, IDLE, OTHER, PLAIN],
               [IDLE], [PLAIN, PLAIN, OTHER, RAMPED]]
     rows = []
@@ -422,25 +468,26 @@ def _mixed_trains(n_runs):
     return rows
 
 
+def _costs(trains):
+    """Matrices a row of each train stacks: a segment per distinct pulse."""
+    return [max(1, sum(33 if p.ramp_s > 0 else 1 for p in set(t))) for t in trains]
+
+
 @pytest.mark.parametrize("apply_cross", [False, True])
 @pytest.mark.parametrize("with_draws", [False, True])
 def test_batched_rows_equal_one_train_at_a_time(apply_cross, with_draws):
+    # ramps, cross-talk, noise draws and J = 0, each row its own train
     d = _noisy_device()
     rows = _mixed_trains(24)
-    rho0 = hb.initialize_singlet()
     draws = [dev.sample_noise(d.noise, dev.rng_stream(5, r)) for r in range(len(rows))]
     batch = dev.NoiseDraw.stack(draws) if with_draws else None
-    assert len(dev._blocks(rows)) > 2  # the batch spans several blocks
-    out = d.simulate_pulse(rho0, rows, batch, apply_cross)
-    p0 = d.simulate_pulse(rho0, rows, batch, apply_cross, readout=hb.measure_p0)
-    assert out.shape == (len(rows), 8, 8) and p0.shape == (len(rows),)
+    assert len(dev._blocks(_costs(rows), 1)) > 2  # the batch spans several blocks
+    p0 = _kernel_p0(d, rows, batch, apply_cross)
+    assert p0.shape == (len(rows),)
     for r, train in enumerate(rows):
         draw = draws[r] if with_draws else None
-        want, want_p0 = _one_train_oracle(d, rho0, train, draw, apply_cross)
-        assert np.array_equal(out[r], want), r
-        assert p0[r] == want_p0, r
-        dense = _dense_train(d, rho0, train, draw, apply_cross)
-        np.testing.assert_allclose(out[r], dense, rtol=0, atol=1e-12)
+        assert p0[r] == _one_train_oracle(d, train, draw, apply_cross), r
+        dense = _dense_train(d, hb.initialize_singlet(), train, draw, apply_cross)
         assert abs(p0[r] - hb.measure_p0(dense)) < 1e-12
 
 
@@ -452,22 +499,15 @@ def _random_density(rng, rank):
 
 @pytest.mark.parametrize("rank", [1, 3, 8])
 def test_any_rho_plays_through_its_eigenvectors(rank):
-    # states with coherence between S_z sectors and weight on m_S = +-3/2
+    # p0 of states with coherence between S_z sectors and weight on
+    # m_S = +-3/2 after noisy trains, read off their sector vectors alone
     d = _noisy_device()
     rho = _random_density(np.random.default_rng(rank), rank)
     rows = _mixed_trains(8)
     draws = [dev.sample_noise(d.noise, dev.rng_stream(6, r)) for r in range(len(rows))]
-    batch = dev.NoiseDraw.stack(draws)
-    out = d.simulate_pulse(rho, rows, batch, True)
-    leak = d.simulate_pulse(rho, rows, batch, True, readout=hb.leakage_population)
-    p0 = d.simulate_pulse(rho, rows, batch, True, readout=hb.measure_p0)
-    for r, train in enumerate(rows):
-        want = _dense_train(d, rho, train, draws[r], True)
-        np.testing.assert_allclose(out[r], want, rtol=0, atol=1e-12)
-        assert abs(leak[r] - hb.leakage_population(want)) < 1e-12
-        assert abs(p0[r] - hb.measure_p0(want)) < 1e-12
-        if not train:
-            assert np.array_equal(out[r], rho)
+    for train, draw in zip(rows, draws):
+        want = hb.measure_p0(_dense_train(d, rho, train, draw, True))
+        assert abs(_one_train_oracle(d, train, draw, True, rho) - want) < 1e-12
 
 
 @pytest.mark.parametrize("hadamard", [False, True])
@@ -489,75 +529,84 @@ def test_fingerpinch_matches_the_dense_route(hadamard):
 
 
 def test_rows_with_empty_trains_keep_rho():
+    # rows with an empty train keep the singlet's p0, next to rows that play
     d = _noisy_device()
-    rho = hb.initialize_singlet()
-    out = d.simulate_pulse(rho, [[], [PLAIN], []])
-    assert np.array_equal(out[0], rho) and np.array_equal(out[2], rho)
-    assert not np.array_equal(out[1], rho)
-    assert np.array_equal(d.simulate_pulse(rho, [[], []]), np.stack([rho, rho]))
+    singlet = hb.sector_p0(hb.sector_state(hb.initialize_singlet()))
+    out = _kernel_p0(d, [[], [PLAIN], []])
+    assert out[0] == out[2] == singlet and out[1] < singlet - 1e-3
+    assert np.array_equal(_kernel_p0(d, [[], []]), [singlet, singlet])
 
 
 def test_single_train_with_a_batch_of_draws_equals_per_row_trains():
     d = _noisy_device()
     draws = dev.NoiseDraw.stack([dev.sample_noise(d.noise, dev.rng_stream(9, s)) for s in range(300)])
-    train = [RAMPED, PLAIN]  # 34 matrices a row, so 300 rows take 40 blocks
-    rho0 = hb.initialize_singlet()
-    shared = d.simulate_pulse(rho0, train, draws)
-    assert np.array_equal(shared, d.simulate_pulse(rho0, [train] * 300, draws))
+    train = [RAMPED, PLAIN]  # 34 matrices a row, so 300 rows take 43 blocks of 7
+    table, (index,) = _table([train])
+    shared = d.simulate_pulse(table, [index], draws)
+    assert len(dev._blocks([34], 300)) == 43
+    assert np.array_equal(shared, d.simulate_pulse(table, [index] * 300, draws))
     draw = dev.NoiseDraw(draws.voltage_offsets_v[123], draws.gradients_hz[123])
-    assert np.array_equal(shared[123], _one_train_oracle(d, rho0, train, draw, False)[0])
-    np.testing.assert_allclose(shared[123], _dense_train(d, rho0, train, draw, False),
-                               rtol=0, atol=1e-12)
+    assert shared[123] == _one_train_oracle(d, train, draw, False)
+    dense = _dense_train(d, hb.initialize_singlet(), train, draw, False)
+    assert abs(shared[123] - hb.measure_p0(dense)) < 1e-12
+    with pytest.raises(ValueError, match="split evenly"):
+        d.simulate_pulse(table, [index] * 7, draws)
+    with pytest.raises(ValueError, match="table of 2 pulses"):
+        d.simulate_pulse(table, [np.array([0, 2])])
 
 
 def test_blocks_cut_between_runs_and_respect_the_cap():
-    rabi = []
-    for t in range(10):
-        train = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9 * (t + 1))]
-        rabi += [train] * 50
-    blocks = dev._blocks(rabi)
-    assert [sum(hi - lo for _, lo, hi in b) for b in blocks] == [250, 250]
-    assert all(hi - lo == 50 for b in blocks for _, lo, hi in b)
+    # ten one-pulse trains of 50 shots each, as in a Rabi sweep
+    assert dev._blocks([1] * 10, 50) == [(0, 250), (250, 500)]
     # a run larger than the cap is cut within; a row over the cap is alone
-    big = dev._blocks([[PLAIN]] * 600)
-    assert [(b[0][1], b[-1][2]) for b in big] == [(0, 256), (256, 512), (512, 600)]
-    ramps = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9, ramp_s=k * 1e-10)
-             for k in range(1, 10)]
-    wide = dev._blocks([ramps, ramps, [PLAIN]])
-    assert [[(lo, hi) for _, lo, hi in b] for b in wide] == [[(0, 1)], [(1, 2)], [(2, 3)]]
+    assert dev._blocks([1], 600) == [(0, 256), (256, 512), (512, 600)]
+    assert dev._blocks([9 * 33, 9 * 33, 1], 1) == [(0, 1), (1, 2), (2, 3)]
+    # the remainder of a cut run shares its block with the next runs
+    assert dev._blocks([100, 1], 3) == [(0, 2), (2, 6)]
+    assert dev._blocks([5], 0) == dev._blocks([], 4) == []
 
 
 def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
-    sizes = []
+    sizes, front_end = [], []
     sector_propagator = hb.sector_propagator
+    exchange_from_voltages = dev.DeviceModel.exchange_from_voltages
 
     def spy(j, fields, tau_s):
         sizes.append(math.prod(np.broadcast_shapes(
             *(np.shape(c) for c in (j.j12, j.j23, j.j13)), np.shape(fields.gradients_hz)[:-1])))
         return sector_propagator(j, fields, tau_s)
 
+    def front_end_spy(self, v_x, *args, **kwargs):
+        front_end.append(np.shape(v_x)[:-1])
+        return exchange_from_voltages(self, v_x, *args, **kwargs)
+
     def dense(*args):
         raise AssertionError("the kernel never takes the dense route")
 
     monkeypatch.setattr(hb, "sector_propagator", spy)
+    monkeypatch.setattr(dev.DeviceModel, "exchange_from_voltages", front_end_spy)
     monkeypatch.setattr(hb, "propagator", dense)
     monkeypatch.setattr(hb, "build_hamiltonian", dense)
     d = _noisy_device()
     times = np.linspace(1e-9, 100e-9, 20)
-    trains = [(dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)),) for t in times]
-    d.survival(trains, times.shape, 60, 3, (101,))
+    pulses = [dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)) for t in times]
+    d.survival(pulses, np.arange(20)[:, None], times.shape, 60, 3, (101,))
     assert sizes == [240] * 5  # whole runs per block: one call per block
+    assert front_end == [(240,)] * 5  # one front-end call per block
     sizes.clear()
+    front_end.clear()
     rows = _mixed_trains(40)
-    d.survival(rows, (len(rows),), 7, 3)
+    table, index = _table(rows)
+    d.survival(table, index, (len(rows),), 7, 3)
     assert max(sizes) <= dev.BLOCK_MATRICES
-    assert len(sizes) == len(dev._blocks([t for t in rows for _ in range(7)]))
-    # one row over the cap: its 330 segments take two calls
+    assert len(sizes) == len(front_end) == len(dev._blocks(_costs(rows), 7))
+    # one row over the cap: its 330 segments take two calls, one front end
     sizes.clear()
+    front_end.clear()
     ramps = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9, ramp_s=2e-9,
                            plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(10)]
-    d.simulate_pulse(hb.initialize_singlet(), ramps)
-    assert sizes == [256, 74]
+    _kernel_p0(d, [ramps])
+    assert sizes == [256, 74] and front_end == [(330,)]
     sizes.clear()
     v = np.linspace(0.05, 0.08, 41)
     dev.fingerpinch_map(d, ("12", "23"), v, v)
@@ -568,20 +617,21 @@ def test_survival_equals_the_per_train_shot_loop():
     d = _noisy_device()
     rows = _mixed_trains(6)
     shape, shots, seed = (len(rows),), 4, 17
-    got = d.survival(rows, shape, shots, seed, (3,), apply_cross=True)
+    table, index = _table(rows)
+    got = d.survival(table, index, shape, shots, seed, (3,), apply_cross=True)
     rho0 = hb.initialize_singlet()
     for k, train in enumerate(rows):
         hits = 0
         for rng in dev.rng_streams(seed, 3, k, shape=shots):
             draw = dev.NoiseDraw(rng.normal(0.0, 1.0, 6) * d.noise.sigma_v,
                                  rng.normal(0.0, 1.0, 3) * d.noise.sigma_b)
-            p0 = _one_train_oracle(d, rho0, train, draw, True)[1]
+            p0 = _one_train_oracle(d, train, draw, True)
             assert abs(p0 - hb.measure_p0(_dense_train(d, rho0, train, draw, True))) < 1e-12
             hits += rng.random() < p0
         assert got[k] == hits / shots
-    clean = d.survival(rows, shape)
+    clean = d.survival(table, index, shape)
     for k, t in enumerate(rows):
-        assert clean[k] == _one_train_oracle(d, rho0, t, None, False)[1]
+        assert clean[k] == _one_train_oracle(d, t, None, False)
         assert abs(clean[k] - hb.measure_p0(_dense_train(d, rho0, t, None, False))) < 1e-12
 
 
@@ -625,39 +675,63 @@ def _counting_pulse_hashes(monkeypatch):
     return calls
 
 
-def test_pulses_are_hashed_once_per_distinct_object_and_run(monkeypatch):
-    d = _noisy_device()
-    rng = np.random.default_rng(3)
-    shared = [RAMPED, IDLE, PLAIN, OTHER]
-    # 10 trains of 60 pulses from 4 shared objects, 5 rows (shots) each
-    trains = [[shared[k] for k in rng.integers(0, 4, size=60)] for _ in range(10)]
-    for train in trains:
-        train[:4] = shared
-    rows = [train for train in trains for _ in range(5)]
-    draws, _ = dev.sample_shots(d.noise, 4, shape=50)
-    picked = [(rows[r], dev.NoiseDraw(draws.voltage_offsets_v[r], draws.gradients_hz[r]))
-              for r in (0, 7, 49)]
-    want = [_one_train_oracle(d, hb.initialize_singlet(), t, w, False)[0] for t, w in picked]
-    dense = [_dense_train(d, hb.initialize_singlet(), t, w, False) for t, w in picked]
-    runs = sum(len(block) for block in dev._blocks(rows))
+def _rb_trains(monkeypatch, cfg, interleaved=None):
+    """The pulse table and integer trains device RB hands to survival."""
+    seen = []
+    survival = dev.DeviceModel.survival
+
+    def spy(self, pulses, trains, *args, **kwargs):
+        seen.append((pulses, trains))
+        return survival(self, pulses, trains, *args, **kwargs)
+
+    monkeypatch.setattr(dev.DeviceModel, "survival", spy)
+    bench.run_rb(dev.default_device(), cfg, interleaved=interleaved)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_pulses_are_hashed_once_per_distinct_rotation(monkeypatch):
+    cfg = bench.RbConfig(depths=(1, 8, 24), n_sequences=6, shots=2, idle_s=5e-9)
     calls = _counting_pulse_hashes(monkeypatch)
-    out = d.simulate_pulse(hb.initialize_singlet(), rows, draws)
-    # one hash per distinct object when each train is resolved, and one
-    # per distinct pulse of each run of a block; per played pulse, none
-    assert runs == len(trains) and calls[0] <= 4 * len(trains) + 4 * runs
-    for r, w, ref in zip((0, 7, 49), want, dense):
-        assert np.array_equal(out[r], w)
-        np.testing.assert_allclose(out[r], ref, rtol=0, atol=1e-12)
+    table, trains = _rb_trains(monkeypatch, cfg)
+    rotations = {aa for el in rot.canonical_clifford_group() for aa in el.decomposition}
+    # one hash per realized rotation, and one for the idle; the kernel
+    # plays integer trains and hashes no pulse
+    assert calls[0] <= len(rotations) + 1
+    d = _noisy_device()
+    draws, _ = dev.sample_shots(d.noise, 4, shape=2 * len(trains))
+    calls = _counting_pulse_hashes(monkeypatch)
+    d.simulate_pulse(table, trains, draws)
+    assert calls[0] == 0
 
 
-def test_resolve_merges_equal_pulse_objects():
-    twin = dataclasses.replace(PLAIN)
-    assert twin is not PLAIN and twin == PLAIN
-    train = dev._resolve([PLAIN, IDLE, twin, PLAIN, IDLE])
-    assert train.pulses == (PLAIN, IDLE)
-    assert train.index.tolist() == [0, 1, 0, 0, 1]
-    empty = dev._resolve([])
-    assert empty.pulses == () and empty.index.shape == (0,)
+@pytest.mark.parametrize("interleaved", [None, rot.AxisAngle(-math.pi / 2, math.pi)])
+def test_device_rb_table_merges_equal_pulses(monkeypatch, interleaved):
+    # the integer trains spell out the pulses the engine played as
+    # PulseSpec lists: each Clifford's pulses, the interleaved gate, the
+    # idle, then the recovery to the identity or the flip
+    d = dev.default_device()
+    cfg = bench.RbConfig(depths=(0, 2, 5), n_sequences=3, idle_s=4e-9, seed=8)
+    table, trains = _rb_trains(monkeypatch, cfg, interleaved)
+    assert len(set(table)) == len(table)
+    group = rot.canonical_clifford_group()
+    tables = rot.cayley_tables(group)
+    idle = dev.PulseSpec(v_x=(-np.inf,) * 3, duration_s=4e-9)
+    want = []
+    for (di, _), rng in zip(np.ndindex(3, 3), dev.rng_streams(8, shape=(3, 3))):
+        body, net = [], tables.identity
+        for k in bench.generate_sequence(rng, cfg.depths[di], group):
+            body += [bench.realize_pulse(d, aa) for aa in group[k].decomposition]
+            net = tables.mul[k, net]
+            if interleaved is not None:
+                body.append(bench.realize_pulse(d, interleaved))
+                net = tables.mul[group.index(rot.match_element(
+                    group, rot.Rotation.from_axis_angle(interleaved))), net]
+            body.append(idle)
+        for flip in (False, True):
+            rec = bench.recovery_element(group, int(net), flip)
+            want.append(body + [bench.realize_pulse(d, aa) for aa in rec.decomposition])
+    assert [[table[i] for i in t] for t in trains] == want
 
 
 def test_sample_noise_draws_nine_normals_as_six_then_three():

@@ -307,14 +307,6 @@ def test_sector_hamiltonian_equals_the_dense_blocks_bit_for_bit():
         assert np.array_equal(ends, h[..., [0, 7], [0, 7]].real)
 
 
-def _sector_evolve(rho, j, fields, tau):
-    """rho and p0 after exp(-i H tau), on the sector route."""
-    state = hb.sector_state(rho)
-    u, phases = hb.sector_propagator(j, fields, tau)
-    moved = hb.SectorState(u @ state.vectors, phases[..., None] * state.ends, state.coherent)
-    return hb.sector_density(moved), hb.sector_p0(moved.vectors)
-
-
 def _random_density(rng, rank=8):
     a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
     rho = a @ a.conj().T
@@ -339,7 +331,10 @@ def _states():
 
 @pytest.mark.parametrize("name", list(_states()))
 def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
+    # the sector unitaries and phases are the blocks of expm, and p0 read
+    # off the propagated sector vectors is p0 of the propagated state
     rho = _states()[name]
+    vectors = hb.sector_state(rho)
     rng = np.random.default_rng(43)
     j, fields = random_batch(rng, 12)
     zero = np.zeros(12)
@@ -353,25 +348,32 @@ def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
     ]
     for jj, ff, tau in cases:
         h = hb.build_hamiltonian(jj, ff)
-        got, p0 = _sector_evolve(rho, jj, ff, tau)
-        assert got.shape == h.shape and np.shape(p0) == h.shape[:-2]
+        u, phases = hb.sector_propagator(jj, ff, tau)
+        p0 = hb.sector_p0(u @ vectors)
+        assert u.shape == h.shape[:-2] + (2, 3, 3) and np.shape(p0) == h.shape[:-2]
         for idx in np.ndindex(h.shape[:-2]):
-            u = expm(-1j * h[idx] * tau)
-            want = u @ rho @ u.conj().T
-            np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-12)
+            full = expm(-1j * h[idx] * tau)
+            np.testing.assert_allclose(u[idx], hb.sector_blocks(full), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(phases[idx], full[[0, 7], [0, 7]], rtol=0, atol=1e-12)
+            want = full @ rho @ full.conj().T
             assert abs(np.asarray(p0)[idx] - hb.measure_p0(want)) < 1e-12
 
 
 def test_sector_state_factors_the_density_matrix():
+    # the vectors factor both sector blocks of rho, whatever lies outside them
     for name, rho in _states().items():
-        state = hb.sector_state(rho)
-        np.testing.assert_allclose(hb.sector_density(state), rho, rtol=0, atol=1e-15, err_msg=name)
-        assert state.coherent == name.startswith("coherent") or name == "with m=3/2"
-        assert abs(hb.sector_p0(state.vectors) - hb.measure_p0(rho)) < 1e-15
+        vectors = hb.sector_state(rho)
+        blocks = vectors @ vectors.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(blocks, hb.sector_blocks(rho), rtol=0, atol=1e-15, err_msg=name)
+        assert abs(hb.sector_p0(vectors) - hb.measure_p0(rho)) < 1e-15
     # the encoded states: one vector per sector, (1, 0, -1)/sqrt(2) with weight 1/2
     singlet = hb.sector_state(hb.initialize_singlet())
-    assert singlet.vectors.shape == (2, 3, 1) and not singlet.ends.any()
-    np.testing.assert_allclose(np.abs(singlet.vectors[..., 0]), [[0.5, 0, 0.5]] * 2, atol=1e-16)
+    assert singlet.shape == (2, 3, 1)
+    np.testing.assert_allclose(np.abs(singlet[..., 0]), [[0.5, 0, 0.5]] * 2, atol=1e-16)
+    # no weight in either sector: no column, and p0 = 0
+    up = np.zeros((8, 8), dtype=complex)
+    up[0, 0] = 1.0
+    assert hb.sector_state(up).shape == (2, 3, 0) and hb.sector_p0(hb.sector_state(up)) == 0.0
     with pytest.raises(ValueError):
         hb.sector_state(np.stack([hb.initialize_singlet()] * 2))
     with pytest.raises(ValueError):
@@ -407,3 +409,21 @@ def test_sector_propagator_takes_a_duration_per_row():
         jk = hb.ExchangeVector(j.j12[k : k + 1], j.j23[k : k + 1], j.j13[k : k + 1])
         one = hb.sector_propagator(jk, hb.FieldConfig(0.5e9, fields.gradients_hz[k : k + 1]), taus[k])
         assert np.array_equal(u[k], one[0][0]) and np.array_equal(phases[k], one[1][0])
+
+
+def test_sector_propagator_rejects_an_overflowing_phase():
+    # finite couplings and a finite duration whose product overflows
+    cases = [
+        (hb.ExchangeVector(4e7, 1e7, 0.0), None, 1e300),
+        (hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), hb.FieldConfig(), np.array([1e-9, 1e300])),
+        (hb.ExchangeVector(0.0, 0.0, 0.0), hb.FieldConfig(1e9), 1e300),  # the m_S = +-3/2 phases
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j, fields, tau in cases:
+            with pytest.raises(ValueError, match="phase .* is not finite"):
+                hb.sector_propagator(j, fields, tau)
+        # a zero energy has a zero phase at any finite duration
+        u, _ = hb.sector_propagator(hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), None,
+                                    np.array([1e300, 1e290]))
+        assert np.all(np.isfinite(u))
