@@ -31,7 +31,6 @@ from .errors import FitError
 from .fitting import levenberg_marquardt, two_point
 from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
-    FLIP,
     AxisAngle,
     ONE_J_AXES,
     Rotation,
@@ -86,18 +85,6 @@ class RbData:
 def generate_sequence(rng: np.random.Generator, depth: int, group) -> list[int]:
     """Uniformly random Clifford indices for one sequence."""
     return [int(k) for k in rng.integers(0, len(group), size=depth)]
-
-
-def recovery_element(group, net: int | Rotation, flip: bool):
-    """Group element completing ``net`` to identity or to the bit flip.
-
-    ``net`` is a list position in ``group``, or a Rotation that is
-    matched to one; the recovery is read from the group's Cayley tables.
-    """
-    if isinstance(net, Rotation):
-        net = _position(group, net)
-    tables = cayley_tables(group)
-    return group[int(tables.flip_inv[net] if flip else tables.inv[net])]
 
 
 def _position(group, r: Rotation) -> int:

@@ -26,13 +26,7 @@ import numpy as np
 from .device import PAIR_ORDER, DeviceModel, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
 from .fitting import levenberg_marquardt, two_point
-from .hilbert import (
-    DIM,
-    ExchangeVector,
-    embed_qubit_unitary,
-    initialize_singlet,
-    measure_p0,
-)
+from .hilbert import ExchangeVector
 from .rotations import (
     AxisAngle,
     Rotation,
@@ -43,7 +37,6 @@ from .rotations import (
     quat_multiply,
     so3_matrix,
     solve_exchange_for_rotation,
-    to_unitary,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -116,54 +109,21 @@ def build_germ_sequence(
 # Twirled survival fidelity
 
 
-def twirl_fidelity(
-    u,
-    cliffords=None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Clifford-twirled survival fidelity of a net operation.
+def twirl_fidelity(u: Rotation) -> tuple[float, float]:
+    """Clifford-twirled survival fidelity of a net rotation, exactly.
 
     Averages ``|<0| C_i^dag U C_i |0>|^2`` over the 24 single-qubit
-    Cliffords.  ``u`` may be a Rotation (two-level path) or an (8, 8)
-    propagator, in which case the Cliffords act identically on both gauge
-    sectors and survival is the encoded-``|0>`` population.
-
-    With ``shots`` given, each term is replaced by a binomial estimate with
-    that many shots, in randomized term order.
+    Cliffords, one quaternion product pair per term: the reference that
+    the closed form :func:`analytic_fidelity` is tested against.
 
     Returns:
-        (fidelity, standard error); the standard error is 0 exactly in the
-        shot-free case.
+        (fidelity, standard error); the standard error is exactly 0.
     """
-    group = canonical_clifford_group() if cliffords is None else list(cliffords)
     survivals = []
-    if isinstance(u, Rotation):
-        for el in group:
-            net = compose(compose(el.rotation.inverse(), u), el.rotation)
-            survivals.append(net.w**2 + net.v[2] ** 2)
-    else:
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (DIM, DIM):
-            raise ValueError(f"expected Rotation or (8, 8) propagator, got {u.shape}")
-        rho0 = initialize_singlet()
-        for el in group:
-            c8 = embed_qubit_unitary(to_unitary(el.rotation))
-            v = c8.conj().T @ u @ c8
-            survivals.append(measure_p0(v @ rho0 @ v.conj().T))
-    survivals = np.asarray(survivals)
-    if shots is None:
-        return float(np.mean(survivals)), 0.0
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if rng is None:
-        rng = np.random.default_rng()
-    order = rng.permutation(len(survivals))
-    est = np.empty(len(survivals))
-    for k in order:
-        est[k] = rng.binomial(shots, min(1.0, max(0.0, survivals[k]))) / shots
-    stderr = math.sqrt(float(np.sum(est * (1.0 - est) / shots))) / len(est)
-    return float(np.mean(est)), stderr
+    for el in canonical_clifford_group():
+        net = compose(compose(el.rotation.inverse(), u), el.rotation)
+        survivals.append(net.w**2 + net.v[2] ** 2)
+    return float(np.mean(survivals)), 0.0
 
 
 _Z_COLUMNS: np.ndarray | None = None
@@ -190,29 +150,18 @@ def _twirl_from_quaternion(w, v):
 # Analytic fidelity surface
 
 
-def spread_polynomial(m: int, x):
-    """Spread polynomial S_m: S_m(sin^2 a) = sin^2(m a), for x in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("spread polynomial argument outside [0, 1]")
-    return _spread(m, x)
-
-
 def _spread(m: int, x):
-    """S_m of ``x`` clipped to [0, 1], without a range check."""
+    """Spread polynomial S_m, with S_m(sin^2 a) = sin^2(m a), of ``x``
+    clipped to [0, 1]."""
     return np.sin(m * np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))) ** 2
 
 
-def chebyshev_u(m: int, x):
-    """Chebyshev polynomial of the second kind, trigonometric evaluation
-    for |x| <= 1 and hyperbolic continuation outside."""
-    return _chebyshev_u_orders((m,), x)[0]
-
-
 def _chebyshev_u_orders(orders, x):
-    """U_m(x) for each order in ``orders``, all from one ``arccos`` and one
-    ``sin t``; the inside/outside masks are applied only when some
-    |x| > 1 or ``x`` is 0-d."""
+    """Chebyshev polynomials of the second kind U_m(x), for each order in
+    ``orders``: trigonometric evaluation for |x| <= 1 and hyperbolic
+    continuation outside, all from one ``arccos`` and one ``sin t``; the
+    inside/outside masks are applied only when some |x| > 1 or ``x`` is
+    0-d."""
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) <= 1.0
     split = x.ndim == 0 or not inside.all()

@@ -12,6 +12,7 @@ AEON_OUT.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -235,11 +236,8 @@ def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
         duration_s=args.duration,
         apply_cross=args.cross,
     )
-    rows = [
-        (float(v1[c]), float(v2[r]), float(p0[r, c]))
-        for r in range(v2.size)
-        for c in range(v1.size)
-    ]
+    v1_cells = v1.tolist()
+    rows = [(a, b, p) for b, row in zip(v2.tolist(), p0.tolist()) for a, p in zip(v1_cells, row)]
     header = [f"v_x{pairs[0]} (V)", f"v_x{pairs[1]} (V)", "p0 (1)"]
     _write_text(args.out, _csv(header, rows))
     return EXIT_OK
@@ -442,10 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -18,7 +18,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from . import hilbert
 from .errors import ConfigError
 from .hilbert import ExchangeVector, FieldConfig
 
-VIRTUAL_GATE_ORDER = ("p1", "p2", "p3", "x12", "x13", "x23")
 PAIR_ORDER = ("12", "13", "23")
 
 # Compensation matrix of the reference device: virtual = C @ physical.
@@ -55,12 +53,10 @@ DEFAULT_CROSS = np.array(
 
 
 # simulate_pulse propagates a batch in blocks of at most this many stacked
-# segment propagators (each a pair of 3x3 S_z sector blocks), so its memory
-# does not grow with the number of rows.
+# pulse propagators (each a pair of 3x3 S_z sector blocks), and no
+# sector_propagator call takes more, so memory does not grow with the
+# number of rows or pulses.
 BLOCK_MATRICES = 256
-
-# A ramp rises (and falls) in this many piecewise-constant slices.
-_RAMP_SLICES = 16
 
 # Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).  The
@@ -210,12 +206,6 @@ class CompensationMatrix:
             raise ConfigError("compensation matrix is singular")
         object.__setattr__(self, "matrix", m)
 
-    def virtualize(self, v_physical) -> np.ndarray:
-        v = np.asarray(v_physical, dtype=float)
-        if v.shape != (6,):
-            raise ValueError(f"expected 6 physical gate voltages, got {v.shape}")
-        return self.matrix @ v
-
 
 @dataclass(frozen=True)
 class ExchangeLaw:
@@ -315,14 +305,6 @@ class NoiseDraw:
     voltage_offsets_v: np.ndarray
     gradients_hz: np.ndarray
 
-    @staticmethod
-    def stack(draws) -> "NoiseDraw":
-        """One batched draw from a sequence of single draws, in order."""
-        return NoiseDraw(
-            np.stack([d.voltage_offsets_v for d in draws]),
-            np.stack([d.gradients_hz for d in draws]),
-        )
-
 
 def sample_noise(noise: NoiseConfig, rng: np.random.Generator, out=None):
     """Draw quasi-static voltage and gradient offsets from ``rng``: nine
@@ -358,19 +340,16 @@ def sample_shots(noise: NoiseConfig, seed: int, *prefix: int, shape):
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One exchange pulse in virtual-voltage space.
+    """One square exchange pulse in virtual-voltage space.
 
     ``v_x`` holds the three virtual barrier voltages (pair order); ``-inf``
     keeps a coupling switched off exactly.  ``plunger_offsets_v`` are
-    virtual plunger excursions relative to the deep symmetry spot.  A
-    nonzero ``ramp_s`` adds linear voltage rise and fall of that duration,
-    each sliced into 16 piecewise-constant segments.
+    virtual plunger excursions relative to the deep symmetry spot.
     """
 
     v_x: tuple[float, float, float]
     duration_s: float
     plunger_offsets_v: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    ramp_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -387,7 +366,7 @@ class DeviceModel:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     fields: FieldConfig = FieldConfig()
     pulse_s: float = 10e-9
-    idle_v: float = -0.5
+    idle_v: float = -0.5  # stored; no experiment reads it, as every pulse is square
 
     def __post_init__(self):
         if self.cross is not None:
@@ -456,14 +435,13 @@ class DeviceModel:
         (``apply_cross``); a device without a cross matrix ignores the
         flag.
 
-        The rows are worked through in blocks (:func:`_blocks`) of at most
-        :data:`BLOCK_MATRICES` stacked segment propagators.  Per block, one
-        :meth:`exchange_from_voltages` call and one
-        :func:`hilbert.sector_propagator` call per 256 segments cover every
-        segment of every distinct pulse, for the rows that play it; each
-        row then carries the singlet's sector vectors through its train in
-        play order, and p0 is read off them (:func:`hilbert.sector_p0`).
-        A row with an empty train keeps the singlet.
+        Each row needs one propagator per distinct pulse of its train.  The
+        rows are worked through in blocks (:func:`_blocks`) of at most
+        :data:`BLOCK_MATRICES` such propagators, each block built by
+        :meth:`_propagators`; each row then carries the singlet's sector
+        vectors through its train in play order, and p0 is read off them
+        (:func:`hilbert.sector_p0`).  A row with an empty train keeps the
+        singlet.
 
         Returns:
             p0 per row, shape ``(rows,)``.
@@ -472,7 +450,7 @@ class DeviceModel:
             ValueError: if the draws do not split evenly among the trains,
                 or a train holds a position outside the table.
         """
-        n_trains = len(trains)
+        n_trains, n_table = len(trains), len(pulses)
         if draws is None:
             offsets, gradients = np.zeros((n_trains, 6)), np.zeros((n_trains, 3))
         else:
@@ -483,89 +461,63 @@ class DeviceModel:
             raise ValueError(
                 f"{len(offsets)} noise draws do not split evenly among {n_trains} trains"
             )
-        table = _Table.of(pulses)
         lengths = np.fromiter(map(len, trains), dtype=np.intp, count=n_trains)
         flat = np.concatenate([np.empty(0, dtype=np.intp), *trains]).astype(np.intp, copy=False)
-        if flat.size and not 0 <= flat.min() <= flat.max() < len(table.segments):
-            raise ValueError(f"trains index a table of {len(table.segments)} pulses")
-        # each train's slots, padded to the longest, and the slots it uses
+        if flat.size and not 0 <= flat.min() <= flat.max() < n_table:
+            raise ValueError(f"trains index a table of {n_table} pulses")
+        # the distinct (train, pulse) pairs, by train then slot, and the
+        # pair each train position plays, as an offset into its train's
+        # pairs, padded to the longest train
+        train_of = np.repeat(np.arange(n_trains), lengths)
+        pairs, play = np.unique(train_of * n_table + flat, return_inverse=True)
+        pair_train, pair_slot = np.divmod(pairs, max(1, n_table))
+        distinct = np.bincount(pair_train, minlength=n_trains)
+        first = np.cumsum(distinct) - distinct
         padded = np.zeros((n_trains, lengths.max(initial=0)), dtype=np.intp)
-        padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
-        uses = np.zeros((n_trains, len(table.segments)), dtype=bool)
-        uses[np.repeat(np.arange(n_trains), lengths), flat] = True
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = play - first[train_of]
+        v_x = np.array([p.v_x for p in pulses], dtype=float).reshape(-1, 3)
+        plungers = np.array([p.plunger_offsets_v for p in pulses], dtype=float).reshape(-1, 3)
+        durations = np.array([p.duration_s for p in pulses], dtype=float)
         apply_cross = apply_cross and self.cross is not None
         out = np.empty(len(offsets))
-        for lo, hi in _blocks(np.maximum(1, uses @ table.segments), shots):
-            rows = np.arange(lo, hi) // shots  # the train of each row
-            out[lo:hi] = self._block_p0(
-                table, uses[rows], padded[rows], lengths[rows],
-                offsets[lo:hi], gradients[lo:hi], apply_cross,
+        for lo, hi in _blocks(np.maximum(1, distinct), shots):
+            trains_of_rows = np.arange(lo, hi) // shots
+            count = distinct[trains_of_rows]
+            # one item per distinct pulse of each row, by row then slot
+            item_row = np.repeat(np.arange(hi - lo), count)
+            item_first = np.cumsum(count) - count
+            pulse = pair_slot[np.arange(item_row.size) + (first[trains_of_rows] - item_first)[item_row]]
+            dv = offsets[lo:hi][item_row]
+            u = self._propagators(
+                v_x[pulse] + dv[:, 3:], durations[pulse],
+                plungers[pulse] + dv[:, :3], gradients[lo:hi][item_row], apply_cross,
             )
+            out[lo:hi] = _play(u, padded[trains_of_rows] + item_first[:, None],
+                               lengths[trains_of_rows])
         return out
 
-    def _block_p0(self, table, uses, slots, lengths, dv, db, apply_cross: bool):
-        """p0 after the trains of one block's rows, given per row the
-        table slots it uses, its padded train of slots, the train's length
-        and its draw (voltage offsets ``dv``, gradients ``db``)."""
-        vectors = np.repeat(_SINGLET[None], len(lengths), axis=0)
-        used = np.flatnonzero(uses.any(axis=0))
-        if used.size == 0:  # every train of the block is empty
-            return hilbert.sector_p0(vectors)
-        # a (slot, row) pair per distinct pulse of the block and row that
-        # plays it, ordered by slot, then row; and every segment of every
-        # pair, ordered by slot, segment, then row
-        plays = uses[:, used]
-        pair_slot, pair_row = np.nonzero(plays.T)
-        count = np.count_nonzero(plays, axis=0)
-        n_seg = table.segments[used]
-        first_pair = np.cumsum(count) - count
-        first_item = np.cumsum(count * n_seg) - count * n_seg
-        item_slot = np.repeat(np.arange(used.size), count * n_seg)
-        local = np.arange(item_slot.size) - first_item[item_slot]
-        seg, k = np.divmod(local, count[item_slot])
-        row, pulse = pair_row[first_pair[item_slot] + k], used[item_slot]
-        # the piecewise-constant voltages of every segment, one front-end call
-        target = table.v_x[pulse] + dv[row, 3:]
-        durations = table.duration_s[pulse]
-        ramp = (n_seg[item_slot] > 1) & (seg != _RAMP_SLICES)
-        if ramp.any():
-            fracs = _RAMP_FRACS[np.minimum(seg, 2 * _RAMP_SLICES - seg)[ramp], None]
-            idle = self.idle_v + dv[row[ramp], 3:]
-            target[ramp] = idle + fracs * (target[ramp] - idle)
-            durations[ramp] = table.ramp_s[pulse[ramp]] / _RAMP_SLICES
-        plungers = table.plungers[pulse] + dv[row, :3]
-        j = self.exchange_from_voltages(target, plungers, apply_cross=apply_cross)
-        gradients = np.asarray(self.fields.gradients_hz, dtype=float) + db[row]
-        u = np.empty((len(row), 2, 3, 3), dtype=complex)
-        for lo in range(0, len(row), BLOCK_MATRICES):
+    def _propagators(self, v_x, durations, plungers, gradient_offsets, apply_cross: bool):
+        """Sector propagators ``(n, 2, 3, 3)`` of ``n`` square pulses.
+
+        ``v_x`` holds the barrier voltages, shape ``(n, 3)``; ``durations``,
+        the plunger offsets and the per-dot gradient offsets (added to the
+        device's gradients) broadcast to ``(n,)`` and ``(n, 3)``.  One
+        :meth:`exchange_from_voltages` call gives every coupling, and one
+        :func:`hilbert.sector_propagator` call per :data:`BLOCK_MATRICES`
+        pulses gives the propagators.
+        """
+        n = len(v_x)
+        j = self.exchange_from_voltages(v_x, plungers, apply_cross=apply_cross)
+        gradients = np.asarray(self.fields.gradients_hz, dtype=float) + gradient_offsets
+        gradients = np.broadcast_to(gradients, (n, 3))
+        durations = np.broadcast_to(durations, (n,))
+        u = np.empty((n, 2, 3, 3), dtype=complex)
+        for lo in range(0, n, BLOCK_MATRICES):
             part = slice(lo, lo + BLOCK_MATRICES)
             couplings = ExchangeVector(j.j12[part], j.j23[part], j.j13[part])
             fields = FieldConfig(self.fields.f_uniform_hz, gradients[part])
             u[part] = hilbert.sector_propagator(couplings, fields, durations[part])[0]
-        # each pair's pulse unitary, its segments multiplied in play order
-        at = first_item[pair_slot] + np.arange(pair_slot.size) - first_pair[pair_slot]
-        pulse_u = u[at]
-        ramped = np.flatnonzero(n_seg[pair_slot] > 1)
-        if ramped.size:
-            at, stride = at[ramped], count[pair_slot[ramped]]
-            for g in range(1, 1 + 2 * _RAMP_SLICES):
-                pulse_u[ramped] = u[at + g * stride] @ pulse_u[ramped]
-        # the pair each row plays at each step, rows sorted by train length
-        # so that the rows still playing at a step form a prefix
-        pair_of = np.zeros((len(lengths), used.size), dtype=np.intp)
-        pair_of[pair_row, pair_slot] = np.arange(pair_slot.size)
-        column = np.zeros(len(table.segments), dtype=np.intp)  # of each used slot
-        column[used] = np.arange(used.size)
-        width = lengths.max()
-        order = np.argsort(-lengths, kind="stable")
-        playing = np.count_nonzero(lengths[:, None] > np.arange(width), axis=0)
-        order = order[: playing[0]]
-        pos = pair_of[order[:, None], column[slots[order, :width]]]
-        psi = pulse_u[pos[:, 0]] @ _SINGLET
-        for step in range(1, width):
-            psi[: playing[step]] = pulse_u[pos[: playing[step], step]] @ psi[: playing[step]]
-        vectors[order] = psi
-        return hilbert.sector_p0(vectors)
+        return u
 
     def survival(self, pulses, trains, shape, shots=None, seed: int = 0, prefix=(),
                  apply_cross=False):
@@ -596,37 +548,31 @@ class DeviceModel:
 _SINGLET = hilbert.sector_state(hilbert.initialize_singlet())
 _SINGLET.flags.writeable = False
 
-# The voltage fraction from idle to target of each rising ramp slice.
-_RAMP_FRACS = (np.arange(_RAMP_SLICES) + 0.5) / _RAMP_SLICES
 
-
-class _Table(NamedTuple):
-    """A pulse table as arrays, one row per pulse, and the number of
-    piecewise-constant segments each pulse plays."""
-
-    v_x: np.ndarray
-    plungers: np.ndarray
-    duration_s: np.ndarray
-    ramp_s: np.ndarray
-    segments: np.ndarray
-
-    @classmethod
-    def of(cls, pulses) -> "_Table":
-        ramp_s = np.array([p.ramp_s for p in pulses], dtype=float)
-        return cls(
-            np.array([p.v_x for p in pulses], dtype=float).reshape(-1, 3),
-            np.array([p.plunger_offsets_v for p in pulses], dtype=float).reshape(-1, 3),
-            np.array([p.duration_s for p in pulses], dtype=float),
-            ramp_s,
-            np.where(ramp_s > 0.0, 1 + 2 * _RAMP_SLICES, 1),
-        )
+def _play(u, pos, lengths) -> np.ndarray:
+    """p0 after each row's train, played from the singlet: row ``r`` plays
+    the propagators ``u[pos[r, s]]`` for ``s < lengths[r]``, in order."""
+    vectors = np.repeat(_SINGLET[None], len(lengths), axis=0)
+    width = lengths.max(initial=0)
+    if width:
+        # rows sorted by train length, so that the rows still playing at a
+        # step form a prefix
+        order = np.argsort(-lengths, kind="stable")
+        playing = np.count_nonzero(lengths[:, None] > np.arange(width), axis=0)
+        order = order[: playing[0]]
+        pos = pos[order]
+        psi = u[pos[:, 0]] @ _SINGLET
+        for step in range(1, width):
+            psi[: playing[step]] = u[pos[: playing[step], step]] @ psi[: playing[step]]
+        vectors[order] = psi
+    return hilbert.sector_p0(vectors)
 
 
 def _blocks(costs, shots: int) -> list[tuple[int, int]]:
     """Cut the rows of a batch into blocks ``[lo, hi)``, where train ``k``
     plays the run of rows ``k*shots`` to ``(k+1)*shots - 1`` and each of
-    them stacks ``costs[k]`` matrices (one per segment of each distinct
-    pulse of the train, at least one).
+    them stacks ``costs[k]`` matrices (one per distinct pulse of the train,
+    at least one).
 
     A block takes whole runs while they fit in :data:`BLOCK_MATRICES`; only
     a run that does not fit in a block of its own is cut within, and a
@@ -845,7 +791,7 @@ def fingerpinch_map(
         h_sectors = hilbert.sector_blocks(h8)
     vectors = hilbert.sector_state(rho0)
     v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
-    # whole grid rows per propagator call, as many as fit in the block cap
+    # whole grid rows per block, as many as fit in the block cap
     rows = max(1, BLOCK_MATRICES // v1.size)
     out = np.empty((v2.size, v1.size))
     for r in range(0, v2.size, rows):
@@ -853,10 +799,8 @@ def fingerpinch_map(
         v_x = np.full((vb.size, v1.size, 3), -np.inf)
         v_x[..., PAIR_ORDER.index(pairs[0])] = v1
         v_x[..., PAIR_ORDER.index(pairs[1])] = vb[:, None]
-        j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
-        u, _ = hilbert.sector_propagator(j, device.fields, duration_s)
-        psi = u @ vectors
+        psi = device._propagators(v_x.reshape(-1, 3), duration_s, 0.0, 0.0, apply_cross) @ vectors
         if hadamard:
             psi = h_sectors @ psi
-        out[r : r + rows] = hilbert.sector_p0(psi)
+        out[r : r + rows] = hilbert.sector_p0(psi).reshape(vb.size, v1.size)
     return out

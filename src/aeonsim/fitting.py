@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 _REL_STEP = math.sqrt(np.finfo(float).eps)
 
@@ -92,6 +91,9 @@ def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-
         ValueError: if the residuals at ``x0`` are not finite, or fewer
             than the parameters.
     """
+    # imported here, so that commands which fit nothing never load scipy
+    from scipy.optimize import leastsq
+
     if jac is None:
         fun, jac = two_point(fun)
     x0 = np.array(x0, dtype=float)

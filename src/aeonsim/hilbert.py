@@ -399,12 +399,6 @@ def measure_p0(rho: np.ndarray):
     return _population(_check_density(rho), ENCODED.p0)
 
 
-def leakage_population(rho: np.ndarray):
-    """Population of the total-spin-3/2 quadruplet; stacks as in
-    :func:`measure_p0`."""
-    return _population(_check_density(rho), ENCODED.p_leak)
-
-
 def sector_blocks(op: np.ndarray) -> np.ndarray:
     """The m_S = +1/2 and -1/2 blocks of ``(..., 8, 8)`` operators on the
     product states :data:`SECTORS`, shape ``(..., 2, 3, 3)``."""

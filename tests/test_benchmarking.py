@@ -28,7 +28,7 @@ def test_sequences_deterministic_per_stream():
 
 def test_recovery_completes_to_identity_and_flip():
     rng = np.random.default_rng(2)
-    flip = bench.FLIP
+    flip = rot.FLIP
     for grp in (rot.canonical_clifford_group(), rot.compile_clifford_group((rot.PHI_M, rot.PHI_N))):
         tables = rot.cayley_tables(grp)
         for _ in range(40):
@@ -38,12 +38,12 @@ def test_recovery_completes_to_identity_and_flip():
                 net = rot.compose(grp[k].rotation, net)
                 pos = tables.mul[k, pos]
             assert grp[pos].rotation.approx_equal(net)  # table fold = compose
-            rec_i = bench.recovery_element(grp, net, flip=False)
-            assert bench.recovery_element(grp, pos, flip=False) is rec_i
+            assert grp.index(rot.match_element(grp, net)) == pos
+            # the engines read the recovery off the tables
+            rec_i = grp[int(tables.inv[pos])]
             total = rot.compose(rec_i.rotation, net)
             assert total.overlap(rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-9)
-            rec_f = bench.recovery_element(grp, net, flip=True)
-            assert bench.recovery_element(grp, pos, flip=True) is rec_f
+            rec_f = grp[int(tables.flip_inv[pos])]
             total = rot.compose(rec_f.rotation, net)
             assert total.overlap(flip) == pytest.approx(1.0, abs=1e-9)
 
@@ -163,7 +163,7 @@ def _channel_engine_so3_oracle(cfg, group, inject, interleaved):
                     trace *= keep
                     net = rot.compose(inter.rotation, net)
             for flip in (0, 1):
-                target = rot.compose(bench.FLIP, net.inverse()) if flip else net.inverse()
+                target = rot.compose(rot.FLIP, net.inverse()) if flip else net.inverse()
                 rec = rot.match_element(group, target)
                 rr = rot.so3_matrix(rec.rotation) @ r * (lam_dep * keep) ** rec.pulse_count
                 p0 = 0.5 * (trace * keep**rec.pulse_count + rr[2])

@@ -21,7 +21,7 @@ def test_compensation_first_column_frozen():
     d = dev.default_device()
     v = np.zeros(6)
     v[0] = 1.0
-    out = d.compensation.virtualize(v)
+    out = d.compensation.matrix @ v
     np.testing.assert_allclose(out, [1.0, -0.19, 0.06, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -176,6 +176,12 @@ def _kernel_p0(d, trains, draws=None, apply_cross=False):
     return d.simulate_pulse(*_table(trains), draws, apply_cross)
 
 
+def _stack(draws):
+    """One batched draw from a sequence of single draws, in order."""
+    return dev.NoiseDraw(np.stack([d.voltage_offsets_v for d in draws]),
+                         np.stack([d.gradients_hz for d in draws]))
+
+
 def _dense_p0(rho, unitaries):
     for u in unitaries:
         rho = u @ rho @ u.conj().T
@@ -190,25 +196,6 @@ def test_simulate_pulse_matches_direct_propagator():
     u = expm(-1j * hb.build_hamiltonian(j) * 10e-9)
     assert abs(p0 - _dense_p0(hb.initialize_singlet(), [u])) < 1e-12
     assert p0 < 0.9  # the pulse moves the state
-
-
-def test_ramped_pulse_uses_piecewise_segments(monkeypatch):
-    d = dev.default_device()
-    pulse = dev.PulseSpec(
-        v_x=(0.06, -np.inf, 0.05), duration_s=10e-9, ramp_s=2e-9
-    )
-    taus = []
-    sector_propagator = hb.sector_propagator
-
-    def spy(j, fields, tau_s):
-        taus.extend(np.broadcast_to(tau_s, np.shape(j.j12)).tolist())
-        return sector_propagator(j, fields, tau_s)
-
-    monkeypatch.setattr(hb, "sector_propagator", spy)
-    _kernel_p0(d, [[pulse]])
-    assert len(taus) == 33  # 16 up, plateau, 16 down
-    assert taus[16] == 10e-9 and set(taus[:16] + taus[17:]) == {2e-9 / 16}
-    assert sum(taus) == pytest.approx(10e-9 + 2 * 2e-9, rel=1e-12)
 
 
 def test_pulse_train_plays_in_order():
@@ -241,33 +228,20 @@ def _oracle_couplings(d, v, plungers):
     return hb.ExchangeVector(j["12"], j["23"], j["13"])
 
 
-def _oracle_segments(d, pulse, dv):
-    """(barrier voltages, duration) of each segment of one pulse, in order."""
-    target = np.asarray(pulse.v_x) + dv[3:]
-    segs = [(target, pulse.duration_s)]
-    if pulse.ramp_s > 0.0:
-        idle = d.idle_v + dv[3:]
-        dt = pulse.ramp_s / 16
-        up = [(idle + (k + 0.5) / 16 * (target - idle), dt) for k in range(16)]
-        down = [(idle + (1 - (k + 0.5) / 16) * (target - idle), dt) for k in range(16)]
-        segs = up + segs + down
-    return segs
-
-
 def test_stacked_draws_match_per_draw_oracle():
     d = dataclasses.replace(
         dev.default_device(),
         fields=hb.FieldConfig(2e7, (1e5, -2e5, 3e4)),
         noise=dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=1e5),
     )
-    ramped = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
-                           plunger_offsets_v=(2e-3, -1e-3, 5e-4), ramp_s=2e-9)
+    shifted = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
+                            plunger_offsets_v=(2e-3, -1e-3, 5e-4))
     idle = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=20e-9)
     plain = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
                           plunger_offsets_v=(0.0, 1e-3, 0.0))
-    train = [ramped, idle, plain, ramped, plain]
+    train = [shifted, idle, plain, shifted, plain]
     draws = [dev.sample_noise(d.noise, dev.rng_stream(3, shot)) for shot in range(4)]
-    out = _kernel_p0(d, [train], dev.NoiseDraw.stack(draws), apply_cross=True)
+    out = _kernel_p0(d, [train], _stack(draws), apply_cross=True)
     assert out.shape == (4,)
     for draw, got in zip(draws, out):
         dv = draw.voltage_offsets_v
@@ -275,12 +249,11 @@ def test_stacked_draws_match_per_draw_oracle():
         unitaries = []
         for pulse in train:
             plungers = np.asarray(pulse.plunger_offsets_v) + dv[:3]
-            for v, dt in _oracle_segments(d, pulse, dv):
-                h = hb.build_hamiltonian(_oracle_couplings(d, v, plungers), fields)
-                unitaries.append(expm(-1j * h * dt))
+            j = _oracle_couplings(d, np.asarray(pulse.v_x) + dv[3:], plungers)
+            unitaries.append(expm(-1j * hb.build_hamiltonian(j, fields) * pulse.duration_s))
         assert abs(got - _dense_p0(hb.initialize_singlet(), unitaries)) < 1e-12
         # the draw alone, as a batch of one, gives the same p0
-        one = _kernel_p0(d, [train], dev.NoiseDraw.stack([draw]), apply_cross=True)
+        one = _kernel_p0(d, [train], _stack([draw]), apply_cross=True)
         assert one[0] == got
 
 
@@ -304,7 +277,7 @@ def test_gradient_noise_causes_leakage():
     fields = hb.FieldConfig(0.0, draw.gradients_hz[0])
     u = expm(-1j * hb.build_hamiltonian(hb.ExchangeVector(0.0, 0.0, 0.0), fields) * 400e-9)
     rho = u @ hb.initialize_singlet() @ u.conj().T
-    assert hb.leakage_population(rho) > 1e-4
+    assert np.trace(hb.ENCODED.p_leak @ rho).real > 1e-4  # quadruplet population
     assert abs(p0 - hb.measure_p0(rho)) < 1e-12 and p0 < 1.0 - 1e-4
 
 
@@ -376,26 +349,19 @@ def test_fingerpinch_hadamard_changes_contrast():
 # Batched kernel: every row of a batch, blocked, against one train at a time
 
 
-def _segments(d, pulse, draw, apply_cross):
-    """(ExchangeVector, duration) of each segment of one pulse under one
-    draw, in play order: the front end one pulse at a time."""
+def _couplings(d, pulse, draw, apply_cross):
+    """The couplings of one pulse under one draw: the front end one pulse
+    at a time."""
     dv = np.asarray(draw.voltage_offsets_v, dtype=float)
     plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + dv[:3]
     target = np.asarray(pulse.v_x, dtype=float) + dv[3:]
-    volts, durations = [target], [pulse.duration_s]
-    if pulse.ramp_s > 0.0:
-        idle = d.idle_v + dv[3:]
-        ramp = [idle + f * (target - idle) for f in (np.arange(16) + 0.5) / 16]
-        volts = ramp + volts + ramp[::-1]
-        durations = [pulse.ramp_s / 16] * 16 + durations + [pulse.ramp_s / 16] * 16
-    j = d.exchange_from_voltages(np.stack(volts), plungers, apply_cross=apply_cross)
-    return [(hb.ExchangeVector(j.j12[k], j.j23[k], j.j13[k]), dt) for k, dt in enumerate(durations)]
+    return d.exchange_from_voltages(target, plungers, apply_cross=apply_cross)
 
 
 def _one_train_oracle(d, train, draw, apply_cross, rho=None):
     """p0 after one train under one draw (or none), unblocked, on the sector
     route: each distinct pulse built once, one sector_propagator call per
-    segment duration, and the train folded on the sector vectors of
+    pulse duration, and the train folded on the sector vectors of
     ``rho`` (the singlet by default)."""
     vectors = hb.sector_state(hb.initialize_singlet() if rho is None else rho)
     if not train:
@@ -405,38 +371,30 @@ def _one_train_oracle(d, train, draw, apply_cross, rho=None):
         d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
     )
     cross = apply_cross and d.cross is not None
-    plan = {p: _segments(d, p, draw, cross) for p in dict.fromkeys(train)}
     by_duration = {}
-    for segments in plan.values():
-        for j, dt in segments:
-            by_duration.setdefault(dt, []).append(j)
-    unitaries = {}
-    for dt, js in by_duration.items():
-        j = hb.ExchangeVector(*(np.stack([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
-        unitaries[dt] = iter(hb.sector_propagator(j, fields, dt)[0])
+    for pulse in dict.fromkeys(train):
+        by_duration.setdefault(pulse.duration_s, []).append(pulse)
     pulse_u = {}
-    for pulse, segments in plan.items():
-        u = None
-        for _, dt in segments:
-            seg_u = next(unitaries[dt])
-            u = seg_u if u is None else seg_u @ u
-        pulse_u[pulse] = u
+    for dt, pulses in by_duration.items():
+        js = [_couplings(d, p, draw, cross) for p in pulses]
+        j = hb.ExchangeVector(*(np.array([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
+        pulse_u.update(zip(pulses, hb.sector_propagator(j, fields, dt)[0]))
     for pulse in train:
         vectors = pulse_u[pulse] @ vectors
     return hb.sector_p0(vectors)
 
 
 def _dense_train(d, rho, train, draw, apply_cross):
-    """The dense reference: one train under one draw, every segment's 8x8
+    """The dense reference: one train under one draw, every pulse's 8x8
     propagator from expm of build_hamiltonian, applied to ``rho``."""
     draw = dev.NoiseDraw(np.zeros(6), np.zeros(3)) if draw is None else draw
     fields = hb.FieldConfig(
         d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
     )
     for pulse in train:
-        for j, dt in _segments(d, pulse, draw, apply_cross and d.cross is not None):
-            u = expm(-1j * hb.build_hamiltonian(j, fields) * dt)
-            rho = u @ rho @ u.conj().T
+        j = _couplings(d, pulse, draw, apply_cross and d.cross is not None)
+        u = expm(-1j * hb.build_hamiltonian(j, fields) * pulse.duration_s)
+        rho = u @ rho @ u.conj().T
     return rho
 
 
@@ -448,8 +406,8 @@ def _noisy_device():
     )
 
 
-RAMPED = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
-                       plunger_offsets_v=(2e-3, -1e-3, 5e-4), ramp_s=2e-9)
+SHIFTED = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
+                        plunger_offsets_v=(2e-3, -1e-3, 5e-4))
 IDLE = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=20e-9)
 PLAIN = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
                       plunger_offsets_v=(0.0, 1e-3, 0.0))
@@ -457,10 +415,10 @@ OTHER = dev.PulseSpec(v_x=(0.071, 0.069, -np.inf), duration_s=10e-9)
 
 
 def _mixed_trains(n_runs):
-    """Runs of rows sharing a train: ramped pulses, two segment durations,
+    """Runs of rows sharing a train: plunger offsets, three pulse durations,
     J = 0 (the idle), an empty train among them, lengths from 0 to 6."""
-    shapes = [[RAMPED, IDLE, PLAIN], [PLAIN, OTHER], [], [OTHER, RAMPED, PLAIN, IDLE, OTHER, PLAIN],
-              [IDLE], [PLAIN, PLAIN, OTHER, RAMPED]]
+    shapes = [[SHIFTED, IDLE, PLAIN], [PLAIN, OTHER], [], [OTHER, SHIFTED, PLAIN, IDLE, OTHER, PLAIN],
+              [IDLE], [PLAIN, PLAIN, OTHER, SHIFTED]]
     rows = []
     for k in range(n_runs):
         train = list(shapes[k % len(shapes)])
@@ -469,18 +427,19 @@ def _mixed_trains(n_runs):
 
 
 def _costs(trains):
-    """Matrices a row of each train stacks: a segment per distinct pulse."""
-    return [max(1, sum(33 if p.ramp_s > 0 else 1 for p in set(t))) for t in trains]
+    """Matrices a row of each train stacks: one per distinct pulse."""
+    return [max(1, len(set(t))) for t in trains]
 
 
 @pytest.mark.parametrize("apply_cross", [False, True])
 @pytest.mark.parametrize("with_draws", [False, True])
-def test_batched_rows_equal_one_train_at_a_time(apply_cross, with_draws):
-    # ramps, cross-talk, noise draws and J = 0, each row its own train
+def test_batched_rows_equal_one_train_at_a_time(monkeypatch, apply_cross, with_draws):
+    # plunger offsets, cross-talk, noise draws and J = 0, each row its own train
     d = _noisy_device()
     rows = _mixed_trains(24)
     draws = [dev.sample_noise(d.noise, dev.rng_stream(5, r)) for r in range(len(rows))]
-    batch = dev.NoiseDraw.stack(draws) if with_draws else None
+    batch = _stack(draws) if with_draws else None
+    monkeypatch.setattr(dev, "BLOCK_MATRICES", 16)
     assert len(dev._blocks(_costs(rows), 1)) > 2  # the batch spans several blocks
     p0 = _kernel_p0(d, rows, batch, apply_cross)
     assert p0.shape == (len(rows),)
@@ -539,11 +498,11 @@ def test_rows_with_empty_trains_keep_rho():
 
 def test_single_train_with_a_batch_of_draws_equals_per_row_trains():
     d = _noisy_device()
-    draws = dev.NoiseDraw.stack([dev.sample_noise(d.noise, dev.rng_stream(9, s)) for s in range(300)])
-    train = [RAMPED, PLAIN]  # 34 matrices a row, so 300 rows take 43 blocks of 7
+    draws = _stack([dev.sample_noise(d.noise, dev.rng_stream(9, s)) for s in range(300)])
+    train = [SHIFTED, PLAIN]  # 2 matrices a row, so 300 rows take 3 blocks of 128
     table, (index,) = _table([train])
     shared = d.simulate_pulse(table, [index], draws)
-    assert len(dev._blocks([34], 300)) == 43
+    assert len(dev._blocks([2], 300)) == 3
     assert np.array_equal(shared, d.simulate_pulse(table, [index] * 300, draws))
     draw = dev.NoiseDraw(draws.voltage_offsets_v[123], draws.gradients_hz[123])
     assert shared[123] == _one_train_oracle(d, train, draw, False)
@@ -600,13 +559,13 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
     d.survival(table, index, (len(rows),), 7, 3)
     assert max(sizes) <= dev.BLOCK_MATRICES
     assert len(sizes) == len(front_end) == len(dev._blocks(_costs(rows), 7))
-    # one row over the cap: its 330 segments take two calls, one front end
+    # one row over the cap: its 300 distinct pulses take two calls, one front end
     sizes.clear()
     front_end.clear()
-    ramps = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9, ramp_s=2e-9,
-                           plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(10)]
-    _kernel_p0(d, [ramps])
-    assert sizes == [256, 74] and front_end == [(330,)]
+    many = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9,
+                          plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(300)]
+    _kernel_p0(d, [many])
+    assert sizes == [256, 44] and front_end == [(300,)]
     sizes.clear()
     v = np.linspace(0.05, 0.08, 41)
     dev.fingerpinch_map(d, ("12", "23"), v, v)
@@ -729,7 +688,7 @@ def test_device_rb_table_merges_equal_pulses(monkeypatch, interleaved):
                     group, rot.Rotation.from_axis_angle(interleaved))), net]
             body.append(idle)
         for flip in (False, True):
-            rec = bench.recovery_element(group, int(net), flip)
+            rec = group[int(tables.flip_inv[net] if flip else tables.inv[net])]
             want.append(body + [bench.realize_pulse(d, aa) for aa in rec.decomposition])
     assert [[table[i] for i in t] for t in trains] == want
 
@@ -748,3 +707,21 @@ def test_rng_streams_cross_chunk_boundaries_like_the_oracle():
     assert len(got) == 1300 > 2 * dev._STREAM_CHUNK
     for index, state in zip(np.ndindex(13, 100), got):
         assert state == _oracle(2**40 + 7, (5,) + index).bit_generator.state
+
+
+def test_kernel_memory_does_not_grow_with_trains_times_table():
+    # a Rabi-shaped sweep: 3,000 single-pulse trains over a 3,000-pulse table
+    import tracemalloc
+
+    d = dev.default_device()
+    times = np.linspace(1e-9, 200e-9, 3000)
+    pulses = [dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)) for t in times]
+    trains = np.arange(times.size)[:, None]
+    tracemalloc.start()
+    try:
+        p0 = d.survival(pulses, trains, times.shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p0.shape == times.shape
+    assert peak < 10e6, peak

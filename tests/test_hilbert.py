@@ -76,7 +76,7 @@ def test_initial_state_is_singlet_mixture():
     rho = hb.initialize_singlet()
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert hb.measure_p0(rho) == pytest.approx(1.0, abs=1e-12)
-    assert hb.leakage_population(rho) == pytest.approx(0.0, abs=1e-12)
+    assert np.trace(hb.ENCODED.p_leak @ rho).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_propagator_unitary_and_matches_expm():
