@@ -54,6 +54,12 @@ MAX_SPECTRUM_HZ = 1e300
 # up to here.
 MAX_TIME_S = 1.0
 
+# Largest ``--depths`` entry and most points of one sweep: caps far above
+# any experiment (depths up to 512, sweeps up to 100 points) that keep a
+# typo from asking for gigabytes.
+MAX_DEPTH = 100_000
+MAX_SWEEP_POINTS = 1001
+
 
 def _env_default(name: str, cast, fallback):
     raw = os.environ.get(name)
@@ -66,7 +72,8 @@ def _env_default(name: str, cast, fallback):
 
 
 def parse_linspace(text: str) -> np.ndarray:
-    """Parse an inclusive sweep 'start:stop:npoints' into a grid."""
+    """Parse an inclusive sweep 'start:stop:npoints' into a grid of at most
+    :data:`MAX_SWEEP_POINTS` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:npoints, got {text!r}")
@@ -75,6 +82,8 @@ def parse_linspace(text: str) -> np.ndarray:
         raise ValueError(f"sweep endpoints must be finite, got {text!r}")
     if n < 2:
         raise ValueError(f"sweep needs at least 2 points, got {n}")
+    if n > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep must have at most {MAX_SWEEP_POINTS} points, got {n}")
     return np.linspace(start, stop, n)
 
 
@@ -122,17 +131,19 @@ def _seed(text: str) -> int:
     return n
 
 
-def _ints(lo: int):
-    """Argument type for a comma-separated list of integers >= ``lo``."""
+def _ints(lo: int, hi: int | None = None):
+    """Argument type for a comma-separated list of integers >= ``lo`` and,
+    given ``hi``, <= ``hi``."""
+    want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
 
     def ints(text: str) -> tuple[int, ...]:
         try:
             values = tuple(int(x) for x in text.split(","))
         except ValueError:
             values = ()
-        if not values or min(values) < lo:
+        if not values or min(values) < lo or (hi is not None and max(values) > hi):
             raise argparse.ArgumentTypeError(
-                f"must be a comma-separated list of integers >= {lo}, got {text!r}"
+                f"must be a comma-separated list of integers {want}, got {text!r}"
             )
         return values
 
@@ -278,6 +289,10 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
 
 
 def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
+    try:
+        cal.choose_germ_exponent(args.theta_star)
+    except ConfigError as exc:
+        raise ValueError(f"--theta-star: {exc}") from exc
     options = cal.CalibrationOptions(
         schedule=args.schedule,
         grid_points=args.grid,
@@ -415,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     def add_rb_args(p):
-        p.add_argument("--depths", type=_ints(0), default="1,2,4,8,12,16,24",
-                       help="sequence depths, comma-separated integers >= 0")
+        p.add_argument("--depths", type=_ints(0, MAX_DEPTH), default="1,2,4,8,12,16,24",
+                       help=f"sequence depths, comma-separated integers in [0, {MAX_DEPTH}]")
         p.add_argument("--sequences", type=_positive_int, default=20)
         p.add_argument("--shots", type=_positive_int, default=None)
         p.add_argument("--idle", type=_real(0.0), default=0.0, help="idle between Cliffords (s)")

@@ -2,19 +2,26 @@
 
 The oscillation-decay fit, both RB decay curves and the calibration surface
 fit all minimize half a sum of squared residuals with MINPACK's ``lmder``,
-called through :func:`scipy.optimize.leastsq` with the settings that
-``least_squares(method="lm", x_scale="jac")`` passes it: ``gtol = 1e-8``,
-``maxfev = 100 n``, ``factor = 100`` and MINPACK's own variable scaling
-(``diag=None``).  The Jacobian follows scipy's default 2-point rule
-(``approx_derivative``): step ``h = sqrt(eps) * sign(x) * max(1, |x|)``
-with sign(0) = +1, realized step ``dx = (x + h) - x``, column
-``(F(x + h e_i) - F(x)) / dx_i``.  A fit therefore takes the iterates of
+with the settings that ``least_squares(method="lm", x_scale="jac")`` passes
+it: ``gtol = 1e-8``, ``maxfev = 100 n``, ``factor = 100`` and MINPACK's own
+variable scaling (``diag=None``).  The driver calls ``_lmder`` in scipy's
+private ``scipy/optimize/_minpack`` extension module, with the arguments
+:func:`scipy.optimize.leastsq` passes it, and loads that one extension from
+scipy's installed ``optimize/`` directory: ``scipy.optimize``'s package
+``__init__`` (linalg, sparse, linprog, f2py) never runs.  (On its first
+call the extension may import ``scipy._lib._ccallback``, and with it
+scipy's light top-level ``__init__``; scipy 1.17's does.)  The Jacobian
+follows scipy's default 2-point rule (``approx_derivative``): step
+``h = sqrt(eps) * sign(x) * max(1, |x|)`` with sign(0) = +1, realized step
+``dx = (x + h) - x``, column ``(F(x + h e_i) - F(x)) / dx_i``.  A fit
+therefore takes the iterates of
 ``least_squares(fun, x0, jac=<that rule>, method="lm", x_scale="jac")`` on
 every supported scipy, without its per-evaluation bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,15 +50,13 @@ def two_point(fun, stacked=None):
     (a model that takes a scalar through ``math`` does so per row).
     Without it each stepped point is one ``fun`` call.
 
-    The memo is keyed on the exact bytes of the point.  Residuals at the
-    point of the last residual call are a copy of those; a Jacobian there
-    reuses them and evaluates only the ``n`` stepped points; a Jacobian at
-    the point of the last Jacobian call is a copy of it.  (``leastsq``
-    checks the residuals and the Jacobian at the start point before MINPACK
-    asks for both again, and MINPACK asks for the Jacobian right after the
-    residuals at each accepted iterate.)
+    The memo is keyed on the exact bytes of the point: residuals at the
+    point of the last residual call are a copy of those, and a Jacobian
+    there reuses them and evaluates only the ``n`` stepped points.  (MINPACK
+    asks for the Jacobian right after the residuals at each accepted
+    iterate, the start point included.)
     """
-    last_f = last_jac = (None, None)  # (bytes of x, value)
+    last_f = (None, None)  # (bytes of x, value)
 
     def residuals(x):
         nonlocal last_f
@@ -61,23 +66,49 @@ def two_point(fun, stacked=None):
         return last_f[1].copy()
 
     def jac(x):
-        nonlocal last_jac
-        key = x.tobytes()
-        if last_jac[0] != key:
-            residuals(x)
-            h = _REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-            points = np.empty((x.size, x.size))
-            points[:] = x
-            points.flat[:: x.size + 1] = x + h
-            if stacked is None:
-                f_steps = np.array([fun(p) for p in points], dtype=float)
-            else:
-                f_steps = stacked(points)
-            dx = (x + h) - x
-            last_jac = (key, (f_steps - last_f[1]) / dx[:, None])
-        return last_jac[1].copy().T
+        f = residuals(x)
+        h = _REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        points = np.empty((x.size, x.size))
+        points[:] = x
+        points.flat[:: x.size + 1] = x + h
+        if stacked is None:
+            f_steps = np.array([fun(p) for p in points], dtype=float)
+        else:
+            f_steps = stacked(points)
+        dx = (x + h) - x
+        return ((f_steps - f) / dx[:, None]).T
 
     return residuals, jac
+
+
+@functools.cache
+def _lmder():
+    """``_lmder`` of scipy's ``optimize/_minpack`` extension, loaded from
+    its file so that ``scipy.optimize``'s package ``__init__`` never runs.
+
+    Raises:
+        ImportError: if scipy is not installed, or has no such extension
+            or function.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None:
+        dirs = [os.path.join(root, "optimize") for root in scipy_spec.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_minpack", dirs)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "_lmder"):
+                return module._lmder
+    from importlib import metadata  # its PackageNotFoundError is an ImportError
+
+    raise ImportError(
+        f"scipy {metadata.version('scipy')} has no MINPACK extension "
+        "optimize/_minpack with _lmder; the fits need scipy >= 1.10"
+    )
 
 
 def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-8) -> LmFit:
@@ -90,21 +121,19 @@ def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-
     Raises:
         ValueError: if the residuals at ``x0`` are not finite, or fewer
             than the parameters.
+        ImportError: if scipy's MINPACK extension cannot be loaded.
     """
-    # imported here, so that commands which fit nothing never load scipy
-    from scipy.optimize import leastsq
-
     if jac is None:
         fun, jac = two_point(fun)
+    # MINPACK iterates in this array's buffer: the caller's x0 stays as it was
     x0 = np.array(x0, dtype=float)
     f0 = fun(x0)
     if not np.all(np.isfinite(f0)):
         raise ValueError("residuals are not finite at the start point")
     if f0.size < x0.size:
         raise ValueError(f"{f0.size} residuals cannot fit {x0.size} parameters")
-    x, _, info, _, _ = leastsq(
-        fun, x0, Dfun=jac, full_output=True, col_deriv=False, ftol=ftol, xtol=xtol,
-        gtol=1e-8, maxfev=100 * x0.size, factor=100, diag=None,
-    )
+    # the arguments leastsq(fun, x0, Dfun=jac, full_output=True, ftol=ftol,
+    # xtol=xtol, gtol=1e-8, maxfev=100 n, factor=100) passes
+    x, info, _ = _lmder()(fun, jac, x0, (), 1, 0, ftol, xtol, 1e-8, 100 * x0.size, 100, None)
     f = info["fvec"]
     return LmFit(x=x, cost=0.5 * np.dot(f, f), nfev=int(info["nfev"]))

@@ -474,7 +474,7 @@ def _counting_model_rows(monkeypatch):
     return rows
 
 
-def test_fit_jacobian_memo_reuses_residual_and_repeats(monkeypatch):
+def test_fit_jacobian_memo_reuses_the_residual(monkeypatch):
     fmap, a_scales, x0 = _fit_problem()
     x, y, z = x0, x0 * np.array([1.01, 1.0, 0.99, 1.0, 1.02]), x0 + 0.01
     want = {}
@@ -485,7 +485,6 @@ def test_fit_jacobian_memo_reuses_residual_and_repeats(monkeypatch):
     rows = _counting_model_rows(monkeypatch)
     cases = [
         (x, lambda: residuals(x), 5),  # the Jacobian follows residuals at x
-        (x, lambda: None, 0),  # a repeated Jacobian at the same x (leastsq's check, then lmder)
         (z, lambda: residuals(y), 6),  # the last residual call was elsewhere
     ]
     for p, before, n_rows in cases:
@@ -506,10 +505,7 @@ def test_fit_jacobian_memo_survives_caller_mutation():
     f[:] = 0.0  # the memo keeps its own residual
     got = jac(x0)
     assert np.array_equal(got, want)
-    got[:] = np.nan  # and its own Jacobian, fresh or repeated
-    again = jac(x0)
-    assert np.array_equal(again, want)
-    again[:] = np.nan
+    got[:] = np.nan  # a Jacobian handed out is the caller's own
     assert np.array_equal(jac(x0), want)
     assert np.array_equal(residuals(x0), f_want)
 
@@ -631,7 +627,21 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
         "assert cli.main(['fingerpinch', '--pairs', '12,23', '--v1', '0.05:0.08:4',"
         " '--v2', '0.05:0.08:3', '--hadamard', '--out', sys.argv[1]]) == 0\n"
     )
+    # commands that fit run with scipy.optimize unimportable and load
+    # neither it nor scipy.linalg
+    fit_code = (
+        "import sys; sys.modules['scipy.optimize'] = None; from aeonsim import cli\n"
+        "assert cli.main(['rabi', '--pair', '12', '--v', '0.0738', '--times', '0:100e-9:30',"
+        " '--shots', '50', '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(['calibrate', '--phi-star', '0', '--theta-star', '3.141592653589793',"
+        " '--schedule', '1,2', '--grid', '11', '--out', sys.argv[1]]) == 0\n"
+        "assert sys.modules.pop('scipy.optimize') is None\n"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))]\n"
+        "assert not loaded, loaded\n"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
         run = subprocess.run([sys.executable, "-c", code, out], env=env, check=False)
+        assert run.returncode == 0
+        run = subprocess.run([sys.executable, "-c", fit_code, out], env=env, check=False)
         assert run.returncode == 0

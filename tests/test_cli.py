@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -428,16 +429,32 @@ RABI = ["rabi", "--pair", "12", "--v", "0.0738"]
     (["rb", "--engine", "channel", "--depths", "1,,2"], "--depths"),
     (["rb", "--engine", "device", "--depths=-1,2,4"], "--depths"),
     (["irb", "--gate-phi", "0", "--gate-theta", "3.14", "--depths", "1,2.5,4"], "--depths"),
+    (["rb", "--engine", "channel", "--depths", "1,2,1000000000"], "--depths"),
+    (["irb", "--gate-phi", "0", "--gate-theta", "3.14", "--depths", f"1,2,{cli.MAX_DEPTH + 1}"],
+     "--depths"),
+    (["fingerpinch", "--pairs", "12,23", "--v1", "0:0.1:3", "--v2", "0:0.1:100000000"], "--v2"),
+    (["fingerpinch", "--pairs", "12,23", "--v1", f"0:0.1:{cli.MAX_SWEEP_POINTS + 1}",
+      "--v2", "0:0.1:3"], "--v1"),
+    (RABI + ["--times", "0:1e-7:1000000000000"], "--times"),
 ])
 def test_bad_durations_and_depths_are_usage_errors_naming_the_flag(argv, flag, tmp_path, capsys):
     # --times=-1e-9:... used to fail inside the propagator, 0:1e300:20 to
     # leak overflow warnings and exit 3, and --depths '' or 1,-2,4 to
-    # print int()'s or numpy's message without the flag
+    # print int()'s or numpy's message without the flag; rb --depths
+    # 1,2,1000000000 and fingerpinch --v2 0:0.1:100000000 asked for
+    # gigabytes and ended in a MemoryError, and are now refused before
+    # anything of that size is allocated
     argv = argv + ["--out", str(tmp_path / "out.json"),
                    "--emit-plot-data", str(tmp_path / "plot.csv")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(argv) == 2
+    cli._parser()  # built once per process, outside the traced allocations
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 2
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "must " in err
     assert not any(tmp_path.iterdir())
@@ -448,6 +465,10 @@ def test_duration_and_depth_edges_are_accepted(tmp_path):
     times = parser.parse_args(RABI + ["--times", f"{cli.MAX_TIME_S!r}:0:5"]).times
     assert (times[0], times[-1]) == (cli.MAX_TIME_S, 0.0)
     assert parser.parse_args(["rb", "--depths", "0,1,2"]).depths == (0, 1, 2)
+    assert parser.parse_args(["rb", "--depths", f"0,{cli.MAX_DEPTH}"]).depths == (0, cli.MAX_DEPTH)
+    args = parser.parse_args(["fingerpinch", "--pairs", "12,23", "--v1", "0:1:2",
+                              "--v2", f"0:1:{cli.MAX_SWEEP_POINTS}"])
+    assert args.v2.size == cli.MAX_SWEEP_POINTS
     assert parser.parse_args(["irb", "--gate-phi", "0", "--gate-theta", "1"]).depths == (
         1, 2, 4, 8, 12, 16, 24)
     # the longest durations run through the kernel and the fit without
@@ -456,3 +477,12 @@ def test_duration_and_depth_edges_are_accepted(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         code = run(RABI + ["--times", "0:1:40", "--out", str(tmp_path / "rabi.json")])
     assert code in (0, 3)
+
+
+def test_theta_star_without_a_germ_exponent_is_a_usage_error(tmp_path, capsys):
+    # used to exit 4 as a config error that did not name the flag
+    out = tmp_path / "cal.json"
+    assert run(["calibrate", "--phi-star", "0", "--theta-star", "3.14159", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--theta-star" in err and "germ exponent" in err
+    assert not out.exists()

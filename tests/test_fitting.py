@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, leastsq
 from scipy.optimize._numdiff import approx_derivative  # least_squares' own rule
 
 from aeonsim import benchmarking as bench
@@ -44,12 +44,24 @@ def _record_fits(monkeypatch, module):
 
 
 def _assert_scipy_iterates(calls, check_plain):
+    """Each recorded fit against least_squares with the 2-point rule (x and
+    cost) and against the public leastsq wrapper of the same lmder call
+    (x, final residuals and evaluation count), bit for bit."""
     for fun, start, kw, res in calls:
         kw = {k: v for k, v in kw.items() if k != "jac"}
 
         def two_point(x):
             return approx_derivative(fun, x, method="2-point")
 
+        if not isinstance(res, Exception):
+            tols = {"ftol": 1e-8, "xtol": 1e-8, **kw}  # the driver's defaults
+            x, _, info, _, _ = leastsq(
+                fun, start, Dfun=two_point, full_output=True, gtol=1e-8,
+                maxfev=100 * start.size, factor=100, **tols,
+            )
+            assert np.array_equal(res.x, x)
+            assert res.cost == 0.5 * np.dot(info["fvec"], info["fvec"])
+            assert res.nfev == info["nfev"]
         refs = [lambda: least_squares(fun, start, jac=two_point, method="lm", x_scale="jac", **kw)]
         if check_plain and PLAIN_IS_TWO_POINT:
             refs.append(lambda: least_squares(fun, start, method="lm", x_scale="jac", **kw))
@@ -169,20 +181,36 @@ def test_two_point_jacobian_is_scipys_rule_with_and_without_a_stack():
         for residuals, jac in (fitting.two_point(fun), fitting.two_point(fun, stacked)):
             got = jac(x)
             assert got.shape == (t.size, 3) and np.array_equal(got, want)
-            got[:] = np.nan  # the memo keeps its own copy
+            got[:] = np.nan  # each call returns a fresh Jacobian
             assert np.array_equal(jac(x), want)
             f = residuals(x)
             f[:] = np.nan
             assert np.array_equal(residuals(x), fun(x))
 
 
-def _names_least_squares(tree) -> bool:
+_FORBIDDEN = {"least_squares", "leastsq"}
+
+
+def _in_scipy_optimize(module: str) -> bool:
+    return module.split(".")[:2] == ["scipy", "optimize"]
+
+
+def _uses_scipy_optimize(tree) -> bool:
+    """Whether a module imports scipy.optimize (in any spelling), or names
+    least_squares or leastsq."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.alias) and node.name.split(".")[-1] == "least_squares":
+        if isinstance(node, ast.Import) and any(_in_scipy_optimize(a.name) for a in node.names):
             return True
-        if isinstance(node, ast.Attribute) and node.attr == "least_squares":
+        if isinstance(node, ast.ImportFrom) and node.module is not None and (
+            _in_scipy_optimize(node.module)
+            or node.module == "scipy" and any(a.name == "optimize" for a in node.names)
+        ):
             return True
-        if isinstance(node, ast.Name) and node.id == "least_squares":
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] in _FORBIDDEN:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in _FORBIDDEN | {"optimize"}:
+            return True
+        if isinstance(node, ast.Name) and node.id in _FORBIDDEN:
             return True
     return False
 
@@ -191,6 +219,17 @@ def test_no_source_module_uses_least_squares():
     modules = sorted(SRC.glob("*.py"))
     assert {m.name for m in modules} >= {"benchmarking.py", "calibration.py", "fitting.py"}
     for path in modules:
-        assert not _names_least_squares(ast.parse(path.read_text())), path.name
-    assert _names_least_squares(ast.parse("from scipy.optimize import least_squares"))
-    assert _names_least_squares(ast.parse("scipy.optimize.least_squares(f, x)"))
+        assert not _uses_scipy_optimize(ast.parse(path.read_text())), path.name
+    for code in (
+        "from scipy.optimize import least_squares",
+        "scipy.optimize.least_squares(f, x)",
+        "from scipy.optimize import leastsq",
+        "leastsq(f, x)",
+        "import scipy.optimize",
+        "import scipy.optimize._minpack as m",
+        "from scipy.optimize._minpack import _lmder",
+        "from scipy import optimize",
+        "import scipy; scipy.optimize",
+    ):
+        assert _uses_scipy_optimize(ast.parse(code)), code
+    assert not _uses_scipy_optimize(ast.parse("import scipy.special"))
