@@ -115,20 +115,21 @@ def _times(text: str) -> np.ndarray:
     return grid
 
 
-def _positive_int(text: str) -> int:
-    """Argument type for counts that must be at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
+def _int(lo: int, hi: int | None = None):
+    """Argument type for an integer >= ``lo`` and, given ``hi``, <= ``hi``."""
+    names = {0: "a non-negative integer", 1: "a positive integer"}
+    want = names.get(lo, f"an integer >= {lo}") if hi is None else f"an integer in [{lo}, {hi}]"
 
+    def integer(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return n
 
-def _seed(text: str) -> int:
-    """Argument type for ``--seed``: a non-negative integer."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
-    return n
+    return integer
 
 
 def _ints(lo: int, hi: int | None = None):
@@ -203,8 +204,7 @@ def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool
     Each coupling is monotone in each barrier voltage, with or without
     cross-talk, so the corners of a voltage grid bound it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
+    j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
     for pair, name in names.items():
         if not np.all(np.isfinite(getattr(j, f"j{pair}"))):
             raise ValueError(
@@ -256,11 +256,8 @@ def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
 
 def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     times = args.times
-    idx = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
-    if args.pair not in idx:
-        raise ValueError(f"unknown pair {args.pair!r}")
     v_x = np.full(3, -np.inf)
-    v_x[idx[args.pair]] = args.v
+    v_x[dev.PAIR_ORDER.index(args.pair)] = args.v
     _check_exchange(device, v_x, {args.pair: "--v"})
     # one single-pulse train per duration
     pulses = [dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)) for t in times]
@@ -300,9 +297,8 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
         shots=args.shots,
         seed=args.seed,
     )
-    pairs = tuple(args.pairs.split(",")) if args.pairs else None
     result = cal.run_calibration(
-        device, args.phi_star, args.theta_star, options=options, pairs=pairs
+        device, args.phi_star, args.theta_star, options=options, pairs=args.pairs
     )
     _write_text(args.out, result.to_json() + "\n")
     return EXIT_OK
@@ -380,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="device config JSON")
-    common.add_argument("--seed", type=_seed, default=None, help="sampling seed (>= 0)")
+    common.add_argument("--seed", type=_int(0), default=None, help="sampling seed (>= 0)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument(
         "--emit-plot-data", default=None, help="also write tidy plot CSV here"
@@ -411,29 +407,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fingerpinch)
 
     p = sub.add_parser("rabi", parents=[common], help="single-pair duration sweep")
-    p.add_argument("--pair", required=True, help="driven pair (12, 13 or 23)")
+    p.add_argument("--pair", choices=dev.PAIR_ORDER, required=True, help="driven pair")
     p.add_argument("--v", type=_real(), required=True, help="barrier voltage (V)")
     p.add_argument("--times", type=_times, required=True,
                    help=f"duration sweep start:stop:n (s), within [0, {MAX_TIME_S:g}]")
-    p.add_argument("--shots", type=_positive_int, default=None)
+    p.add_argument("--shots", type=_int(1), default=None)
     p.set_defaults(func=_cmd_rabi)
 
     p = sub.add_parser("calibrate", parents=[common], help="germ peak tracking")
     p.add_argument("--phi-star", type=_real(), required=True, help="target axis (rad)")
     p.add_argument("--theta-star", type=_real(), required=True, help="target angle (rad)")
     p.add_argument("--schedule", type=_ints(1), default="1,2,4,8,16,24")
-    p.add_argument("--grid", type=int, default=21)
+    p.add_argument("--grid", type=_int(1, MAX_SWEEP_POINTS), default=21,
+                   help="points per sweep axis")
     p.add_argument("--window", type=_real(0.0, open_lo=True), default=0.030,
                    help="first window (V)")
-    p.add_argument("--shots", type=_positive_int, default=None)
-    p.add_argument("--pairs", default=None, help="swept pairs override, e.g. 12,23")
+    p.add_argument("--shots", type=_int(1), default=None)
+    p.add_argument("--pairs", type=_two_pairs, default=None,
+                   help="swept pairs override, e.g. 12,23")
     p.set_defaults(func=_cmd_calibrate)
 
     def add_rb_args(p):
         p.add_argument("--depths", type=_ints(0, MAX_DEPTH), default="1,2,4,8,12,16,24",
                        help=f"sequence depths, comma-separated integers in [0, {MAX_DEPTH}]")
-        p.add_argument("--sequences", type=_positive_int, default=20)
-        p.add_argument("--shots", type=_positive_int, default=None)
+        p.add_argument("--sequences", type=_int(1), default=20)
+        p.add_argument("--shots", type=_int(1), default=None)
         p.add_argument("--idle", type=_real(0.0), default=0.0, help="idle between Cliffords (s)")
         p.add_argument("--cross", action="store_true")
         p.add_argument("--engine", choices=("device", "channel"), default="device")

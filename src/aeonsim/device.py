@@ -202,7 +202,9 @@ class CompensationMatrix:
             raise ConfigError("compensation matrix lower-left block must be zero")
         if not np.allclose(m[3:, 3:], np.eye(3), atol=1e-12):
             raise ConfigError("compensation matrix lower-right block must be identity")
-        if abs(np.linalg.det(m)) < 1e-12:
+        # |det| < 1e-12, from the log-determinant, which cannot overflow
+        sign, log_det = np.linalg.slogdet(m)
+        if sign == 0 or log_det < math.log(1e-12):
             raise ConfigError("compensation matrix is singular")
         object.__setattr__(self, "matrix", m)
 
@@ -391,20 +393,23 @@ class DeviceModel:
         ``v_x`` of shape ``(..., 3)`` and plunger offsets broadcasting to it
         give couplings of the batch shape; a single voltage vector gives
         floats.  Cross-talk between barriers is opt-in; the detuning
-        penalty applies whenever plunger offsets are nonzero.
+        penalty applies whenever plunger offsets are nonzero.  A coupling
+        that overflows is left non-finite, without a warning, for the
+        caller to check (:func:`hilbert.sector_propagator` refuses it).
         """
         v = np.asarray(v_x, dtype=float)
         if v.shape[-1:] != (3,):
             raise ValueError(f"expected 3 barrier voltages, got {v.shape}")
-        if apply_cross and self.cross is not None:
-            off = np.isinf(v)
-            mixed = (self.cross @ np.where(off, 0.0, v)[..., None])[..., 0]
-            v = np.where(off, v, mixed)
-        j = {p: self.laws[p].j_hz(v[..., i]) for i, p in enumerate(PAIR_ORDER)}
         plungers = np.asarray(plunger_offsets, dtype=float)
-        if np.any(plungers != 0.0):
-            pen = detuning_penalty(plungers, self.sensitivities)
-            j = {p: j[p] * pen[p] for p in PAIR_ORDER}
+        with np.errstate(over="ignore", invalid="ignore"):
+            if apply_cross and self.cross is not None:
+                off = np.isinf(v)
+                mixed = (self.cross @ np.where(off, 0.0, v)[..., None])[..., 0]
+                v = np.where(off, v, mixed)
+            j = {p: self.laws[p].j_hz(v[..., i]) for i, p in enumerate(PAIR_ORDER)}
+            if np.any(plungers != 0.0):
+                pen = detuning_penalty(plungers, self.sensitivities)
+                j = {p: j[p] * pen[p] for p in PAIR_ORDER}
         j = {p: _scalar_or_array(x) for p, x in j.items()}
         return ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])
 
@@ -614,141 +619,129 @@ def load_device(path) -> DeviceModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read device config {path}: {exc}") from exc
     return device_from_dict(raw)
 
 
-# Top-level keys of a device config; README.md documents each one.
-CONFIG_KEYS = (
-    "compensation_matrix",
-    "cross_matrix",
-    "exchange_law",
-    "dss",
-    "noise",
-    "fields",
-    "pulse_s",
-    "idle_v",
-)
+# Largest magnitude of a config number: far inside the float range, so
+# that sums of a few of them, or a sigma times a normal draw, stay finite.
+MAX_CONFIG_MAGNITUDE = 1e300
 
-# Keys of the config's nested objects, by section; each exchange_law.<pair>
-# takes the law's keys.
-SECTION_KEYS = {
-    "exchange_law.<pair>": ("A_hz", "B_per_v", "C"),
-    "dss": ("curvature", "location_v"),
-    "noise": ("voltage_sigma_v", "gradient_sigma_hz", "seed"),
-    "fields": ("f_uniform_hz", "gradients_hz"),
+# One row per config leaf, by its path: the shapes it may take (``()`` a
+# number, ``(n,)`` a list of n numbers, ``(n, m)`` an n x m matrix, None
+# JSON null) and the range of its numbers, each of which must also be of
+# magnitude <= MAX_CONFIG_MAGNITUDE; an integer range takes JSON integers
+# only.  README.md words each row with :func:`_want`.
+CONFIG_SCHEMA = {
+    "compensation_matrix": (((6, 6),), "any"),
+    "cross_matrix": (((3, 3), None), "any"),
+    **{f"exchange_law.{p}.{key}": (((),), rng) for p in PAIR_ORDER
+       for key, rng in (("A_hz", "> 0"), ("B_per_v", "> 0"), ("C", "any"))},
+    **{f"dss.curvature.{p}": (((2,),), "any") for p in PAIR_ORDER},
+    "dss.location_v": (((3,),), "any"),
+    "noise.voltage_sigma_v": (((), (6,)), ">= 0"),
+    "noise.gradient_sigma_hz": (((), (3,)), ">= 0"),
+    "noise.seed": (((),), "integer >= 0"),
+    "fields.f_uniform_hz": (((),), "any"),
+    "fields.gradients_hz": (((3,),), "any"),
+    "pulse_s": (((),), "> 0"),
+    "idle_v": (((),), "any"),
 }
 
 
 def device_from_dict(raw: dict) -> DeviceModel:
-    """Device from a parsed config object; omitted keys keep the defaults.
+    """Device from a parsed config object; an omitted leaf of
+    :data:`CONFIG_SCHEMA` keeps the default device's value, but a given
+    ``dss.curvature`` replaces every pair's curvature.
 
     Raises:
-        ConfigError: if ``raw`` is not an object or has a key outside
-            :data:`CONFIG_KEYS`, a section has a key outside its
-            :data:`SECTION_KEYS`, or a value is invalid.
+        ConfigError: naming the path of the first key outside the schema,
+            non-object section or bad leaf, or of a matrix that fails its
+            own checks.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"device config must be a JSON object, got {type(raw).__name__}")
-    _check_keys(raw, CONFIG_KEYS, "device config")
-    base = default_device()
-    kwargs = {}
-    try:
-        if "compensation_matrix" in raw:
-            kwargs["compensation"] = CompensationMatrix(np.asarray(raw["compensation_matrix"]))
-        if "cross_matrix" in raw:
-            cm = raw["cross_matrix"]
-            kwargs["cross"] = None if cm is None else np.asarray(cm, dtype=float)
-        if "pulse_s" in raw:
-            kwargs["pulse_s"] = float(raw["pulse_s"])
-        if "idle_v" in raw:
-            kwargs["idle_v"] = float(raw["idle_v"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid device config: {exc}") from exc
-    pulse_s = kwargs.get("pulse_s")
-    if pulse_s is not None and not (math.isfinite(pulse_s) and pulse_s > 0.0):
-        raise ConfigError(f"pulse_s must be finite and > 0, got {raw['pulse_s']!r}")
-    if "exchange_law" in raw:
-        laws = dict(base.laws)
-        for pair, d in _config_object(raw["exchange_law"], "exchange_law").items():
-            if pair not in PAIR_ORDER:
-                raise ConfigError(f"unknown exchange pair {pair!r}")
-            d = _config_object(d, f"exchange_law.{pair}", SECTION_KEYS["exchange_law.<pair>"])
-            try:
-                laws[pair] = ExchangeLaw(d["A_hz"], d["B_per_v"], d.get("C", 0.0))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"bad exchange law for pair {pair}: {exc}") from exc
-        kwargs["laws"] = laws
-    if "dss" in raw:
-        dss = _config_object(raw["dss"], "dss", SECTION_KEYS["dss"])
-        if "location_v" in dss:
-            try:
-                kwargs["dss_location_v"] = tuple(dss["location_v"])
-            except TypeError as exc:
-                raise ConfigError(f"bad dss.location_v: {exc}") from exc
-        if "curvature" in dss:
-            sens = {}
-            for pair, ab in _config_object(dss["curvature"], "dss.curvature").items():
-                if pair not in PAIR_ORDER:
-                    raise ConfigError(f"unknown exchange pair {pair!r}")
-                if not (isinstance(ab, (list, tuple)) and len(ab) == 2):
-                    raise ConfigError(
-                        f"dss.curvature.{pair} must be [alpha_tilt, alpha_dimple], got {ab!r}"
-                    )
-                sens[pair] = DetuningSensitivity(ab[0], ab[1])
-            kwargs["sensitivities"] = sens
-    if "noise" in raw:
-        n = _config_object(raw["noise"], "noise", SECTION_KEYS["noise"])
-        try:
-            noise = NoiseConfig(
-                voltage_sigma_v=_seq_or_scalar(n.get("voltage_sigma_v", 0.0)),
-                gradient_sigma_hz=_seq_or_scalar(n.get("gradient_sigma_hz", 0.0)),
-                seed=int(n.get("seed", 0)),
-            )
-            sigmas = {"voltage_sigma_v": noise.sigma_v, "gradient_sigma_hz": noise.sigma_b}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad noise config: {exc}") from exc
-        for key, sigma in sigmas.items():
-            if not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
-                raise ConfigError(f"noise.{key} must be finite and >= 0, got {n[key]!r}")
-        kwargs["noise"] = noise
-    if "fields" in raw:
-        fr = _config_object(raw["fields"], "fields", SECTION_KEYS["fields"])
-        try:
-            kwargs["fields"] = FieldConfig(
-                f_uniform_hz=float(fr.get("f_uniform_hz", 0.0)),
-                gradients_hz=tuple(fr.get("gradients_hz", (0.0, 0.0, 0.0))),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad field config: {exc}") from exc
-    try:
-        return replace(base, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid device config: {exc}") from exc
+    cfg, base = _config(raw, ""), default_device()
+    laws, dss = {}, cfg.get("dss", {})
+    for p, law in base.laws.items():
+        d = cfg.get("exchange_law", {}).get(p, {})
+        laws[p] = ExchangeLaw(d.get("A_hz", law.a_hz), d.get("B_per_v", law.b_per_v),
+                              d.get("C", law.c))
+    compensation = base.compensation
+    if "compensation_matrix" in cfg:
+        compensation = _under("compensation_matrix", CompensationMatrix, cfg["compensation_matrix"])
+    curvature = dss.get("curvature")
+    return _under(
+        "cross_matrix", replace, base, compensation=compensation, laws=laws,
+        cross=cfg.get("cross_matrix", base.cross),
+        sensitivities=base.sensitivities if curvature is None else {
+            p: DetuningSensitivity(*ab) for p, ab in curvature.items()},
+        dss_location_v=dss.get("location_v", base.dss_location_v),
+        noise=replace(base.noise, **cfg.get("noise", {})),
+        fields=replace(base.fields, **cfg.get("fields", {})),
+        pulse_s=cfg.get("pulse_s", base.pulse_s), idle_v=cfg.get("idle_v", base.idle_v),
+    )
 
 
-def _config_object(value, where: str, keys=None) -> dict:
-    """``value`` if it is a config object, with no key outside ``keys``
-    when they are given; a ConfigError naming ``where`` otherwise."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-    if keys is not None:
-        _check_keys(value, keys, where)
-    return value
-
-
-def _check_keys(obj: dict, keys, where: str) -> None:
-    unknown = sorted(set(obj) - set(keys))
+def _config(obj, path: str) -> dict:
+    """The config object ``obj`` at ``path`` (``""`` for the top level),
+    with every key checked against :data:`CONFIG_SCHEMA` and every leaf
+    converted by :func:`_leaf`."""
+    where, prefix = path or "device config", f"{path}." if path else ""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    known = dict.fromkeys(k[len(prefix):].split(".")[0] for k in CONFIG_SCHEMA
+                          if k.startswith(prefix))
+    unknown = [key for key in obj if key not in known]
     if unknown:
-        raise ConfigError(
-            f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-            f"known keys: {', '.join(keys)}"
-        )
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"known keys: {', '.join(known)}")
+    return {key: _leaf(prefix + key, value) if prefix + key in CONFIG_SCHEMA
+            else _config(value, prefix + key) for key, value in obj.items()}
 
 
-def _seq_or_scalar(x):
-    return tuple(x) if isinstance(x, (list, tuple)) else float(x)
+def _leaf(path: str, value):
+    """Config leaf ``path``: a number as parsed, a list as a tuple, a
+    matrix as a float array, or None, if ``value`` is of its row's shapes
+    and range."""
+    shapes, rng = CONFIG_SCHEMA[path]
+    if value is None and None in shapes:
+        return None
+    kind = int if rng.startswith("integer") else (int, float)
+    fits = any(s is not None and _fits(value, s, kind) for s in shapes)
+    a, bound = np.array(value, dtype=float) if fits else None, rng.removeprefix("integer ")
+    if a is None or not (bound == "any" or np.all(a > 0 if bound == "> 0" else a >= 0)):
+        raise ConfigError(f"{path} must be {_want(shapes, rng)} (JSON numbers of magnitude "
+                          f"<= {MAX_CONFIG_MAGNITUDE:g}), got {value!r:.80}")
+    return value if a.ndim == 0 else tuple(value) if a.ndim == 1 else a
+
+
+def _fits(value, shape, kind) -> bool:
+    """Whether ``value`` is a number of ``kind`` (never a bool) and of
+    magnitude <= :data:`MAX_CONFIG_MAGNITUDE`, or nested lists of them, of
+    ``shape``."""
+    if not shape:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and abs(value) <= MAX_CONFIG_MAGNITUDE)
+    return (isinstance(value, (list, tuple)) and len(value) == shape[0]
+            and all(_fits(v, shape[1:], kind) for v in value))
+
+
+def _want(shapes, rng: str) -> str:
+    """A schema row in words, e.g. ``a number > 0``."""
+    noun = "an integer" if rng.startswith("integer") else "a number"
+    text = " or ".join("null" if s is None else f"a {s[0]}x{s[1]} matrix" if len(s) == 2
+                       else f"a list of {s[0]} numbers" if s else noun for s in shapes)
+    bound = rng.removeprefix("integer ")
+    return text if bound == "any" else f"{text}{', each' if len(shapes) > 1 else ''} {bound}"
+
+
+def _under(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the ConfigError of a structural
+    check reported under the config key ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def fingerpinch_map(

@@ -195,6 +195,8 @@ def test_injected_rate_bounds_are_accepted():
 
 
 CAL = ["calibrate", "--phi-star", "0", "--theta-star", "3.14"]
+# a target that calibrates (3.14 has no germ exponent)
+CAL_PI = ["calibrate", "--phi-star", "0", "--theta-star", "3.141592653589793"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -375,10 +377,15 @@ def test_custom_device_config(tmp_path):
     (["fingerpinch", "--pairs", "12,14", "--v1", "0:0.1:3", "--v2", "0:0.1:3"], "--pairs"),
     (["fingerpinch", "--pairs", "12,23", "--v1", "0:0.1:3", "--v2", "0:0.1:3",
       "--duration", "nan"], "--duration"),
+    (CAL_PI + ["--pairs", "12"], "--pairs"),
+    (CAL_PI + ["--pairs", "12,12"], "--pairs"),
+    (CAL_PI + ["--pairs", "12,14"], "--pairs"),
+    (["rabi", "--pair", "14", "--v", "0.07", "--times", "0:1e-7:20"], "--pair"),
 ])
 def test_device_experiment_inputs_are_usage_errors(argv, flag, tmp_path, capsys):
     # these used to exit through "Hamiltonian is not Hermitian" and leak
-    # overflow warnings
+    # overflow warnings; calibrate --pairs 12, 12,12 and 12,14 used to exit
+    # 4 with "unknown pair combination"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -436,6 +443,10 @@ RABI = ["rabi", "--pair", "12", "--v", "0.0738"]
     (["fingerpinch", "--pairs", "12,23", "--v1", f"0:0.1:{cli.MAX_SWEEP_POINTS + 1}",
       "--v2", "0:0.1:3"], "--v1"),
     (RABI + ["--times", "0:1e-7:1000000000000"], "--times"),
+    (CAL_PI + ["--grid", "100000"], "--grid"),
+    (CAL_PI + ["--grid", f"{cli.MAX_SWEEP_POINTS + 1}"], "--grid"),
+    (CAL_PI + ["--grid", "0"], "--grid"),
+    (CAL_PI + ["--grid", "-3"], "--grid"),
 ])
 def test_bad_durations_and_depths_are_usage_errors_naming_the_flag(argv, flag, tmp_path, capsys):
     # --times=-1e-9:... used to fail inside the propagator, 0:1e300:20 to
@@ -443,7 +454,8 @@ def test_bad_durations_and_depths_are_usage_errors_naming_the_flag(argv, flag, t
     # print int()'s or numpy's message without the flag; rb --depths
     # 1,2,1000000000 and fingerpinch --v2 0:0.1:100000000 asked for
     # gigabytes and ended in a MemoryError, and are now refused before
-    # anything of that size is allocated
+    # anything of that size is allocated; calibrate --grid 100000 asked for
+    # 224 GiB, and --grid 0 or -3 exited with numpy's messages
     argv = argv + ["--out", str(tmp_path / "out.json"),
                    "--emit-plot-data", str(tmp_path / "plot.csv")]
     cli._parser()  # built once per process, outside the traced allocations

@@ -316,14 +316,16 @@ def test_device_config_rejects_malformed_json(tmp_path):
 
 
 def test_readme_documents_exactly_the_config_keys():
+    # one entry per schema row, nested leaves included, with the pair
+    # written as <pair>, and each entry opens with its row's shape and range
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Device configuration", 1)[1].split("\n## ", 1)[0]
-    documented = re.findall(r"^- `(\w+)`:", section, re.M)
-    assert len(documented) == len(set(documented))
-    assert set(documented) == set(dev.CONFIG_KEYS)
-    for where, keys in dev.SECTION_KEYS.items():
-        assert f"`{where.split('.')[0]}`" in section
-        assert all(f"`{key}`" in section for key in keys), where
+    entries = re.findall(r"^- `([^`]+)`: ([^.]+)\.", section, re.M)
+    documented = {path: " ".join(text.split()) for path, text in entries}
+    assert len(entries) == len(documented)
+    expected = {re.sub(r"\.(12|13|23)\b", ".<pair>", path): dev._want(*row)
+                for path, row in dev.CONFIG_SCHEMA.items()}
+    assert documented == expected
 
 
 def test_fingerpinch_map_shape_and_symmetry():
