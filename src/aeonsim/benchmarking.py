@@ -308,13 +308,16 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
 
     best = None
     resid, jac = two_point(lambda x: stacked(x[None])[0], stacked)
-    for g in guesses:
-        try:
-            res = levenberg_marquardt(resid, g, jac=jac)
-        except Exception:  # noqa: BLE001 - try next start
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
+    # r^N of a trial r > 1 overflows from depths of ~15,000; MINPACK rejects
+    # the infinite residuals, whatever the warning filters
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in guesses:
+            try:
+                res = levenberg_marquardt(resid, g, jac=jac)
+            except Exception:  # noqa: BLE001 - try next start
+                continue
+            if best is None or res.cost < best.cost:
+                best = res
     if best is None:
         raise FitError("exponential decay fit failed for all starts")
     if with_offset:
@@ -351,7 +354,8 @@ def fit_rb(data: RbData) -> RbFit:
     # in length; keep the decay model only when it is an actual decay
     # (lam < 1, positive excess over the asymptote) and beats a flat line
     # decisively, otherwise report no resolvable leakage
-    model = c0 + c1 * lam ** np.asarray(data.depths, dtype=float)
+    with np.errstate(over="ignore"):  # lam up to 1.05: an infinite rss_decay
+        model = c0 + c1 * lam ** np.asarray(data.depths, dtype=float)
     rss_decay = float(np.sum((model - total) ** 2))
     rss_flat = float(np.sum((total - total.mean()) ** 2))
     if lam >= 1.0 or c1 <= 0.0 or rss_flat <= 3.0 * rss_decay:

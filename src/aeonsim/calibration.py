@@ -420,7 +420,7 @@ def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) ->
 
     Raises:
         DetectionError: if the map has no contrast (flat within 1e-9
-            relative) or no usable region.
+            relative), no usable region, or a region whose spread overflows.
     """
     f = np.asarray(fmap.f, dtype=float)
     if not np.all(np.isfinite(f)):
@@ -441,8 +441,11 @@ def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) ->
         wr = wts[rows, cols]
         c1 = float(np.sum(fmap.v1[cols] * wr) / total)
         c2 = float(np.sum(fmap.v2[rows] * wr) / total)
-        s1 = float(np.sqrt(np.sum((fmap.v1[cols] - c1) ** 2 * wr) / total))
-        s2 = float(np.sqrt(np.sum((fmap.v2[rows] - c2) ** 2 * wr) / total))
+        with np.errstate(over="ignore"):  # voltages beyond ~1e154 V
+            s1 = float(np.sqrt(np.sum((fmap.v1[cols] - c1) ** 2 * wr) / total))
+            s2 = float(np.sqrt(np.sum((fmap.v2[rows] - c2) ** 2 * wr) / total))
+        if not math.isfinite(s1 + s2):
+            raise DetectionError("the peak's spread overflows: sweep voltages too large")
         return c1, c2, s1, s2, rows.size
 
     if previous is None:
@@ -573,7 +576,9 @@ def fit_final(
         if j_tgt is not None:
             pin_offsets(start)
         try:
-            res = levenberg_marquardt(residuals, start, jac=jac, xtol=1e-14, ftol=1e-14)
+            # a trial step's law may overflow; MINPACK rejects that step
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = levenberg_marquardt(residuals, start, jac=jac, xtol=1e-14, ftol=1e-14)
         except Exception:  # noqa: BLE001 - restart on solver breakdown
             continue
         used = k + 1
@@ -657,7 +662,7 @@ class CalibrationResult:
             "fit": self.fit,
             "final": self.final,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -694,6 +699,8 @@ def run_calibration(
     Raises:
         CalibrationDiverged: if a stage's peak jumps by more than
             ``max_jump_windows`` windows.
+        DetectionError: if a stage's sweep centre, or a swept pair's
+            exchange at the edges of its window, is not finite.
     """
     cfg = GermConfig.for_target(phi_star, theta_star, eta=eta, chi=chi)
     cfg = GermConfig(
@@ -716,6 +723,14 @@ def run_calibration(
         if stage_idx > 0:
             shrink = options.schedule[stage_idx - 1] / n_reps
             window = max(window * shrink, 3.0 * resolution)
+        for c, pair in zip(center, pairs):
+            with np.errstate(over="ignore"):
+                j = device.laws[pair].j_hz([c - window / 2, c + window / 2])
+            if not (math.isfinite(c) and np.all(np.isfinite(j))):
+                raise DetectionError(
+                    f"stage {stage_idx} (N={n_reps}): the exchange of pair {pair} is not "
+                    f"finite over the sweep window centred at {c:.6g} V"
+                )
         v1 = np.linspace(center[0] - window / 2, center[0] + window / 2, options.grid_points)
         v2 = np.linspace(center[1] - window / 2, center[1] + window / 2, options.grid_points)
         resolution = window / (options.grid_points - 1)

@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DetectionError,
     FitError,
+    NonFiniteError,
     ProtocolError,
 )
 from .hilbert import (  # noqa: F401 - measure_p0 stays bound for perfbench's tracer
@@ -61,120 +62,116 @@ MAX_DEPTH = 100_000
 MAX_SWEEP_POINTS = 1001
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+# One row per argument: the commands that take it ("*": all), its flag,
+# kind, range, default (``...``: required), the environment variable that
+# stands in for an absent flag, and help.  The range is the allowed values
+# of a choice, or an interval for a number, each entry of an integer list
+# or both endpoints of a sweep (a "span" is a sweep whose endpoints differ).
+# :func:`_convert` is every row's argparse ``type``.
+FINITE = "(-inf, inf)"
+ARGV_SCHEMA = (
+    ("*", "--config", "path", None, None, "AEON_CONFIG", "device config JSON"),
+    ("*", "--seed", "integer", "[0, inf)", 0, "AEON_SEED", "sampling seed"),
+    ("*", "--out", "path", None, None, "AEON_OUT", "output path (default stdout)"),
+    ("*", "--emit-plot-data", "path", None, None, None, "also write tidy plot CSV here"),
+    *(("spectrum", flag, "real", f"[-{MAX_SPECTRUM_HZ:g}, {MAX_SPECTRUM_HZ:g}]", 0.0, None, text)
+      for flag, text in (("--j12", "J12 (Hz)"), ("--j23", "J23 (Hz)"), ("--j13", "J13 (Hz)"),
+                         ("--f-uniform", "uniform Zeeman (Hz)"), ("--b1", "dot-1 gradient (Hz)"),
+                         ("--b2", "dot-2 gradient (Hz)"), ("--b3", "dot-3 gradient (Hz)"))),
+    ("fingerpinch", "--pairs", "pairs", None, ..., None, "swept pairs, e.g. 12,23"),
+    ("fingerpinch", "--v1", "sweep", FINITE, ..., None, "first barrier sweep (V)"),
+    ("fingerpinch", "--v2", "sweep", FINITE, ..., None, "second barrier sweep (V)"),
+    ("fingerpinch", "--hadamard", "switch", None, False, None, "sandwich with Hadamards"),
+    ("fingerpinch", "--duration", "real", "[0, inf)", None, None,
+     "pulse length (s), default the device's"),
+    ("fingerpinch rb irb", "--cross", "switch", None, False, None, "apply barrier cross-talk"),
+    ("rabi", "--pair", "choice", dev.PAIR_ORDER, ..., None, "driven pair"),
+    ("rabi", "--v", "real", FINITE, ..., None, "barrier voltage (V)"),
+    ("rabi", "--times", "span", f"[0, {MAX_TIME_S:g}]", ..., None, "duration sweep (s)"),
+    ("rabi calibrate rb irb", "--shots", "integer", "[1, inf)", None, None,
+     "shots per point, default exact probabilities"),
+    ("calibrate", "--phi-star", "real", FINITE, ..., None, "target axis (rad)"),
+    ("calibrate", "--theta-star", "real", FINITE, ..., None, "target angle (rad)"),
+    ("calibrate", "--schedule", "integers", "[1, inf)", "1,2,4,8,16,24", None,
+     "germ repetitions per stage"),
+    ("calibrate", "--grid", "integer", f"[1, {MAX_SWEEP_POINTS}]", 21, None,
+     "points per sweep axis"),
+    ("calibrate", "--window", "real", "(0, inf)", 0.030, None, "first window (V)"),
+    ("calibrate", "--pairs", "pairs", None, None, None, "swept pairs override, e.g. 12,23"),
+    ("rb irb", "--depths", "integers", f"[0, {MAX_DEPTH}]", "1,2,4,8,12,16,24", None,
+     "sequence depths"),
+    ("rb irb", "--sequences", "integer", "[1, inf)", 20, None, "random sequences per depth"),
+    ("rb irb", "--idle", "real", "[0, inf)", 0.0, None, "idle between Cliffords (s)"),
+    ("rb irb", "--engine", "choice", ("device", "channel"), "device", None,
+     "pulses on the device model, or injected channels"),
+    # a depolarizing rate above 0.5 gives a negative Bloch shrink factor
+    ("rb irb", "--inject-depol", "real", "[0, 0.5]", 0.0, None,
+     "injected depolarizing rate per pulse"),
+    ("rb irb", "--inject-leak", "real", "[0, 1]", 0.0, None, "injected leakage rate per pulse"),
+    ("rb irb", "--gate-depol", "real", "[0, 0.5]", 0.0, None,
+     "injected depolarizing rate of the interleaved gate"),
+    ("irb", "--gate-phi", "real", FINITE, ..., None, "interleaved gate axis (rad)"),
+    ("irb", "--gate-theta", "real", FINITE, ..., None, "interleaved gate angle (rad)"),
+)
+
+
+def _want(kind: str, rng) -> str:
+    """What an argument of ``kind`` and range ``rng`` must be, as its usage
+    error (``must <this>, got <text>``) and README.md word it."""
+    within = "finite" if rng == FINITE else f"in {rng}"
+    if kind == "integer":
+        return {"[0, inf)": "be a non-negative integer",
+                "[1, inf)": "be a positive integer"}.get(rng, f"be an integer {within}")
+    if kind == "integers":
+        return f"be a comma-separated list of integers {within}"
+    if kind == "real":
+        return "be finite" if rng == FINITE else f"lie in {rng}"
+    if kind in ("sweep", "span"):
+        return (f"be a sweep start:stop:n of 2 to {MAX_SWEEP_POINTS} points whose endpoints are "
+                f"{'distinct and ' if kind == 'span' else ''}{within}")
+    if kind == "pairs":
+        return f"be two distinct pairs of {', '.join(dev.PAIR_ORDER)}"
+    if kind == "choice":
+        return f"be one of {', '.join(rng)}"
+    return "take no value" if kind == "switch" else "be a path"
+
+
+def _convert(kind: str, rng, text: str):
+    """The value of an argument of ``kind`` and range ``rng`` from its
+    text: the argparse ``type`` of its row, bound by ``functools.partial``.
+
+    Raises:
+        argparse.ArgumentTypeError: ``must <want>, got <text>``, with the
+            words of :func:`_want`.
+    """
+    if kind == "path":
+        return text
+    lo, hi = map(float, rng[1:-1].split(",")) if rng else (0.0, 0.0)
+
+    def inside(x) -> bool:
+        return (lo < x if rng[0] == "(" else lo <= x) and (x < hi if rng[-1] == ")" else x <= hi)
+
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} value {raw!r}: {exc}") from exc
-
-
-def parse_linspace(text: str) -> np.ndarray:
-    """Parse an inclusive sweep 'start:stop:npoints' into a grid of at most
-    :data:`MAX_SWEEP_POINTS` points."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:npoints, got {text!r}")
-    start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"sweep endpoints must be finite, got {text!r}")
-    if n < 2:
-        raise ValueError(f"sweep needs at least 2 points, got {n}")
-    if n > MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep must have at most {MAX_SWEEP_POINTS} points, got {n}")
-    return np.linspace(start, stop, n)
-
-
-def _sweep(text: str) -> np.ndarray:
-    """Argument type for an inclusive sweep ``start:stop:npoints``."""
-    try:
-        return parse_linspace(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _span(text: str) -> np.ndarray:
-    """Argument type for a sweep ``start:stop:npoints`` over a range of
-    nonzero width."""
-    grid = _sweep(text)
-    if grid[0] == grid[-1]:
-        raise argparse.ArgumentTypeError(f"sweep endpoints must differ, got {text!r}")
-    return grid
-
-
-def _times(text: str) -> np.ndarray:
-    """Argument type for the ``rabi`` duration sweep: a :func:`_span` with
-    both endpoints in [0, :data:`MAX_TIME_S`]."""
-    grid = _span(text)
-    if not (0.0 <= min(grid[0], grid[-1]) and max(grid[0], grid[-1]) <= MAX_TIME_S):
-        raise argparse.ArgumentTypeError(
-            f"durations must lie in [0, {MAX_TIME_S:g}] s, got {text!r}"
-        )
-    return grid
-
-
-def _int(lo: int, hi: int | None = None):
-    """Argument type for an integer >= ``lo`` and, given ``hi``, <= ``hi``."""
-    names = {0: "a non-negative integer", 1: "a positive integer"}
-    want = names.get(lo, f"an integer >= {lo}") if hi is None else f"an integer in [{lo}, {hi}]"
-
-    def integer(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            n = None
-        if n is None or n < lo or (hi is not None and n > hi):
-            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
-        return n
-
-    return integer
-
-
-def _ints(lo: int, hi: int | None = None):
-    """Argument type for a comma-separated list of integers >= ``lo`` and,
-    given ``hi``, <= ``hi``."""
-    want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-
-    def ints(text: str) -> tuple[int, ...]:
-        try:
-            values = tuple(int(x) for x in text.split(","))
-        except ValueError:
-            values = ()
-        if not values or min(values) < lo or (hi is not None and max(values) > hi):
-            raise argparse.ArgumentTypeError(
-                f"must be a comma-separated list of integers {want}, got {text!r}"
-            )
-        return values
-
-    return ints
-
-
-def _real(lo: float = -math.inf, hi: float = math.inf, *, open_lo: bool = False):
-    """Argument type for a finite float in [``lo``, ``hi``], or in
-    (``lo``, ``hi``] with ``open_lo``."""
-    left = "(" if open_lo else "["
-    right = "]" if math.isfinite(hi) else ")"
-    want = f"lie in {left}{lo:g}, {hi:g}{right}" if math.isfinite(lo) else "be finite"
-
-    def real(text: str) -> float:
-        x = float(text)
-        if not (math.isfinite(x) and lo <= x <= hi) or (open_lo and x == lo):
-            raise argparse.ArgumentTypeError(f"must {want}, got {text}")
-        return x
-
-    return real
-
-
-def _two_pairs(text: str) -> tuple[str, str]:
-    """Argument type for two distinct exchange pairs, e.g. ``12,23``."""
-    pairs = tuple(text.split(","))
-    if len(pairs) != 2 or pairs[0] == pairs[1] or not set(pairs) <= set(dev.PAIR_ORDER):
-        raise argparse.ArgumentTypeError(
-            f"must be two distinct pairs of {', '.join(dev.PAIR_ORDER)}, got {text!r}"
-        )
-    return pairs
+        if kind == "integers":
+            value = tuple(map(int, text.split(",")))
+            ok = all(map(inside, value))
+        elif kind == "pairs":
+            value = tuple(text.split(","))
+            ok = len(value) == 2 and value[0] != value[1] and set(value) <= set(dev.PAIR_ORDER)
+        elif kind in ("sweep", "span"):  # refused before its grid is allocated
+            start, stop, n = text.split(":")
+            start, stop, n = float(start), float(stop), int(n)
+            ok = (inside(start) and inside(stop) and 2 <= n <= MAX_SWEEP_POINTS
+                  and (kind == "sweep" or start != stop))
+            value = np.linspace(start, stop, n) if ok else None
+        else:
+            value = (int if kind == "integer" else float)(text)
+            ok = inside(value)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must {_want(kind, rng)}, got {text!r}")
+    return value
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -238,15 +235,14 @@ def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
     if args.cross:
         names = dict.fromkeys(pairs, "--v1/--v2 with --cross")
     _check_exchange(device, corners, names, args.cross)
-    p0 = dev.fingerpinch_map(
-        device,
-        pairs,
-        v1,
-        v2,
-        hadamard=args.hadamard,
-        duration_s=args.duration,
-        apply_cross=args.cross,
-    )
+    try:
+        p0 = dev.fingerpinch_map(device, pairs, v1, v2, hadamard=args.hadamard,
+                                 duration_s=args.duration, apply_cross=args.cross)
+    except NonFiniteError as exc:
+        # the couplings are finite (checked above): the duration overflowed
+        if args.duration is None:
+            raise
+        raise ValueError(f"--duration: {exc}") from None
     v1_cells = v1.tolist()
     rows = [(a, b, p) for b, row in zip(v2.tolist(), p0.tolist()) for a, p in zip(v1_cells, row)]
     header = [f"v_x{pairs[0]} (V)", f"v_x{pairs[1]} (V)", "p0 (1)"]
@@ -361,6 +357,12 @@ def _cmd_rb(args, device: dev.DeviceModel) -> int:
 
 def _cmd_irb(args, device: dev.DeviceModel) -> int:
     gate = AxisAngle(args.gate_phi, args.gate_theta)
+    if args.engine == "device":
+        try:
+            bench.realize_pulse(device, gate)
+        except ValueError as exc:
+            raise ValueError(
+                f"--gate-phi/--gate-theta: no single pulse plays this gate: {exc}") from None
     return _rb_common(args, device, gate)
 
 
@@ -368,88 +370,51 @@ def _cmd_irb(args, device: dev.DeviceModel) -> int:
 # Parser
 
 
+# The commands: function and help.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "triple-dot energy levels"),
+    "fingerpinch": (_cmd_fingerpinch, "two-barrier survival map"),
+    "rabi": (_cmd_rabi, "single-pair duration sweep"),
+    "calibrate": (_cmd_calibrate, "germ peak tracking"),
+    "rb": (_cmd_rb, "blind randomized benchmarking"),
+    "irb": (_cmd_irb, "interleaved benchmarking"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser: one subcommand per command, each taking the rows of
+    :data:`ARGV_SCHEMA` that name it.  An argument with an environment
+    variable parses to None when its flag is absent."""
     parser = argparse.ArgumentParser(
         prog="aeonsim",
         description="Simulation and calibration toolchain for exchange-only "
         "triple-dot spin qubits.",
     )
+    arguments = {name: [] for name in ("*", *_COMMANDS)}
+    for names, flag, kind, rng, default, env, text in ARGV_SCHEMA:
+        options = {"help": text}
+        if kind == "switch":
+            options["action"] = "store_true"
+        elif kind == "choice":
+            options["choices"] = rng
+        else:
+            options["type"] = functools.partial(_convert, kind, rng)
+        if default is ...:
+            options["required"] = True
+        else:
+            options["default"] = None if env else default
+        for name in names.split():
+            arguments[name].append((flag, options))
+    # the arguments of every command go in once, and each command copies them
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="device config JSON")
-    common.add_argument("--seed", type=_int(0), default=None, help="sampling seed (>= 0)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--emit-plot-data", default=None, help="also write tidy plot CSV here"
-    )
-
+    for flag, options in arguments["*"]:
+        common.add_argument(flag, **options)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", parents=[common], help="triple-dot energy levels")
-    hz = _real(-MAX_SPECTRUM_HZ, MAX_SPECTRUM_HZ)
-    p.add_argument("--j12", type=hz, default=0.0, help="J12 in Hz")
-    p.add_argument("--j23", type=hz, default=0.0, help="J23 in Hz")
-    p.add_argument("--j13", type=hz, default=0.0, help="J13 in Hz")
-    p.add_argument("--f-uniform", type=hz, default=0.0, help="uniform Zeeman (Hz)")
-    p.add_argument("--b1", type=hz, default=0.0, help="dot-1 gradient (Hz)")
-    p.add_argument("--b2", type=hz, default=0.0, help="dot-2 gradient (Hz)")
-    p.add_argument("--b3", type=hz, default=0.0, help="dot-3 gradient (Hz)")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser(
-        "fingerpinch", parents=[common], help="two-barrier survival map"
-    )
-    p.add_argument("--pairs", type=_two_pairs, required=True, help="swept pairs, e.g. 12,23")
-    p.add_argument("--v1", type=_sweep, required=True, help="first sweep start:stop:n (V)")
-    p.add_argument("--v2", type=_sweep, required=True, help="second sweep start:stop:n (V)")
-    p.add_argument("--hadamard", action="store_true", help="sandwich with Hadamards")
-    p.add_argument("--duration", type=_real(0.0), default=None, help="pulse length (s)")
-    p.add_argument("--cross", action="store_true", help="apply barrier cross-talk")
-    p.set_defaults(func=_cmd_fingerpinch)
-
-    p = sub.add_parser("rabi", parents=[common], help="single-pair duration sweep")
-    p.add_argument("--pair", choices=dev.PAIR_ORDER, required=True, help="driven pair")
-    p.add_argument("--v", type=_real(), required=True, help="barrier voltage (V)")
-    p.add_argument("--times", type=_times, required=True,
-                   help=f"duration sweep start:stop:n (s), within [0, {MAX_TIME_S:g}]")
-    p.add_argument("--shots", type=_int(1), default=None)
-    p.set_defaults(func=_cmd_rabi)
-
-    p = sub.add_parser("calibrate", parents=[common], help="germ peak tracking")
-    p.add_argument("--phi-star", type=_real(), required=True, help="target axis (rad)")
-    p.add_argument("--theta-star", type=_real(), required=True, help="target angle (rad)")
-    p.add_argument("--schedule", type=_ints(1), default="1,2,4,8,16,24")
-    p.add_argument("--grid", type=_int(1, MAX_SWEEP_POINTS), default=21,
-                   help="points per sweep axis")
-    p.add_argument("--window", type=_real(0.0, open_lo=True), default=0.030,
-                   help="first window (V)")
-    p.add_argument("--shots", type=_int(1), default=None)
-    p.add_argument("--pairs", type=_two_pairs, default=None,
-                   help="swept pairs override, e.g. 12,23")
-    p.set_defaults(func=_cmd_calibrate)
-
-    def add_rb_args(p):
-        p.add_argument("--depths", type=_ints(0, MAX_DEPTH), default="1,2,4,8,12,16,24",
-                       help=f"sequence depths, comma-separated integers in [0, {MAX_DEPTH}]")
-        p.add_argument("--sequences", type=_int(1), default=20)
-        p.add_argument("--shots", type=_int(1), default=None)
-        p.add_argument("--idle", type=_real(0.0), default=0.0, help="idle between Cliffords (s)")
-        p.add_argument("--cross", action="store_true")
-        p.add_argument("--engine", choices=("device", "channel"), default="device")
-        # a depolarizing rate above 0.5 gives a negative Bloch shrink factor
-        p.add_argument("--inject-depol", type=_real(0.0, 0.5), default=0.0)
-        p.add_argument("--inject-leak", type=_real(0.0, 1.0), default=0.0)
-        p.add_argument("--gate-depol", type=_real(0.0, 0.5), default=0.0)
-
-    p = sub.add_parser("rb", parents=[common], help="blind randomized benchmarking")
-    add_rb_args(p)
-    p.set_defaults(func=_cmd_rb)
-
-    p = sub.add_parser("irb", parents=[common], help="interleaved benchmarking")
-    add_rb_args(p)
-    p.add_argument("--gate-phi", type=_real(), required=True)
-    p.add_argument("--gate-theta", type=_real(), required=True)
-    p.set_defaults(func=_cmd_irb)
-
+    for name, (func, text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text, parents=[common])
+        for flag, options in arguments[name]:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -465,16 +430,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.config is None:
-            args.config = _env_default("AEON_CONFIG", str, None)
-        if args.seed is None:
-            args.seed = _env_default("AEON_SEED", int, 0)
-            if args.seed < 0:
-                raise ValueError(
-                    f"--seed (from AEON_SEED) must be a non-negative integer, got {args.seed}"
-                )
-        if args.out is None:
-            args.out = _env_default("AEON_OUT", str, None)
+        for _, flag, kind, rng, default, env, _ in ARGV_SCHEMA:
+            dest = flag[2:].replace("-", "_")
+            if env is not None and getattr(args, dest) is None:
+                raw = os.environ.get(env)
+                try:
+                    setattr(args, dest, default if raw is None else _convert(kind, rng, raw))
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{flag} (from {env}): {exc}") from None
         device = (
             dev.default_device() if args.config is None else dev.load_device(args.config)
         )
@@ -482,7 +445,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"aeonsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, DetectionError, CalibrationDiverged, ProtocolError) as exc:
+    except (FitError, DetectionError, CalibrationDiverged, ProtocolError, NonFiniteError) as exc:
         print(f"aeonsim: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import hilbert
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .hilbert import ExchangeVector, FieldConfig
 
 PAIR_ORDER = ("12", "13", "23")
@@ -539,11 +539,21 @@ class DeviceModel:
 
         Returns:
             Array of shape ``shape``.
+
+        Raises:
+            NonFiniteError: naming the noise config if a shot's draw alone
+                overflows the kernel.
         """
         if shots is None:
             return self.simulate_pulse(pulses, trains, None, apply_cross).reshape(shape)
         draws, uniforms = sample_shots(self.noise, seed, *prefix, shape=tuple(shape) + (shots,))
-        p0 = self.simulate_pulse(pulses, trains, draws, apply_cross)
+        try:
+            p0 = self.simulate_pulse(pulses, trains, draws, apply_cross)
+        except NonFiniteError as exc:
+            # without noise this raises when the noise is not the cause
+            self.simulate_pulse(pulses, trains, None, apply_cross)
+            raise NonFiniteError(f"{exc}: a shot's noise draw (config noise.voltage_sigma_v, "
+                                 "noise.gradient_sigma_hz) overflows the pulse kernel") from None
         hits = np.count_nonzero((uniforms < p0).reshape(-1, shots), axis=1)
         return (hits / shots).reshape(shape)
 

@@ -5,6 +5,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration (matrices, germ constraints, files)."""
 
 
+class NonFiniteError(ValueError):
+    """A pulse-kernel quantity (a Hamiltonian entry, an evolution phase)
+    overflowed to a value that is not finite."""
+
+
 class ProtocolError(RuntimeError):
     """A structural requirement of a procedure failed, e.g. a generator set
     that does not close into the 24-element Clifford group."""

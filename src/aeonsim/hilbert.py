@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 G_FACTOR = 2.0
 """Electron g-factor used for tesla -> Hz conversion (fixed by design)."""
 
@@ -186,12 +188,12 @@ def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None):
         :func:`build_hamiltonian`.
 
     Raises:
-        ValueError: if an entry is not finite.
+        NonFiniteError: if an entry is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = _hamiltonian(j, fields, _BLOCK_EXCHANGE, _BLOCK_ZEEMAN, float)
     if not np.all(np.isfinite(h)):
-        raise ValueError("Hamiltonian is not finite")
+        raise NonFiniteError("Hamiltonian is not finite")
     return h[..., :18].reshape(h.shape[:-1] + (2, 3, 3)), h[..., 18:]
 
 
@@ -210,8 +212,8 @@ def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
         picked up by states 0 and 7, shape ``batch + (2,)``.
 
     Raises:
-        ValueError: for a non-finite Hamiltonian, a bad duration, or a
-            phase (energy times duration) that is not finite.
+        ValueError: for a bad duration, and its NonFiniteError for a
+            Hamiltonian or phase (energy times duration) that is not finite.
     """
     tau = np.asarray(tau_s, dtype=float)
     valid = np.isfinite(tau) & (tau >= 0)
@@ -223,7 +225,7 @@ def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
     with np.errstate(over="ignore", invalid="ignore"):
         phases = (vals * tau[..., None, None], ends * tau[..., None])
     if not all(np.isfinite(p).all() for p in phases):
-        raise ValueError("evolution phase (energy times duration) is not finite")
+        raise NonFiniteError("evolution phase (energy times duration) is not finite")
     angle = -1j * tau[..., None]
     left = vecs * np.exp(vals * angle[..., None])[..., None, :]
     # V diag(phases) V^T summed over the three eigenvectors' outer products,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -498,3 +499,85 @@ def test_theta_star_without_a_germ_exponent_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--theta-star" in err and "germ exponent" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "-3"])
+def test_env_seed_is_checked_as_the_flag_is(value, monkeypatch, capsys):
+    # AEON_SEED=abc used to exit 4 as a config error
+    monkeypatch.setenv("AEON_SEED", value)
+    assert run(["spectrum"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed (from AEON_SEED): must be a non-negative integer" in err
+    monkeypatch.setenv("AEON_SEED", "7")
+    assert run(["spectrum", "--out", os.devnull]) == 0
+
+
+STAGE_0 = "stage 0 (N=1): the exchange of pair 12 is not finite over the sweep window centred"
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (CAL_PI + ["--window", "1e300"], None, f"{STAGE_0} at 0.0765503 V"),
+    (CAL_PI, {"exchange_law": {"12": {"A_hz": 1e-308}}}, f"{STAGE_0} at inf V"),
+    (["calibrate", "--phi-star", "2", "--theta-star", "1.5707963267948966", "--grid", "5",
+      "--schedule", "1,2", "--shots", "2"],
+     {"exchange_law": {"23": {"A_hz": 1e300, "B_per_v": 1e10, "C": 1e300},
+                       "13": {"A_hz": 1e-10, "B_per_v": 1e-300, "C": 700}}},
+     "the peak's spread overflows"),
+])
+def test_calibration_sweep_that_overflows_fails_without_warnings(argv, doc, message, tmp_path,
+                                                                 capsys):
+    # the first two used to leak five RuntimeWarnings before the fidelity
+    # map's check, the third to write a stage stderr of Infinity and exit 0
+    if doc is not None:
+        (tmp_path / "dev.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(tmp_path / "dev.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "cal.json")]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert not (tmp_path / "cal.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:1e-7:20", "--shots", "2"],
+    ["rb", "--engine", "device", "--shots", "2", "--depths", "1,2,4", "--sequences", "2"],
+])
+def test_noise_draw_that_overflows_is_a_numeric_failure_naming_the_noise(argv, tmp_path, capsys):
+    # used to exit 2, a usage error, with "Hamiltonian is not finite" alone
+    (tmp_path / "dev.json").write_text(json.dumps({"noise": {"voltage_sigma_v": 1.0}}))
+    argv = argv + ["--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "noise.voltage_sigma_v" in err and "noise.gradient_sigma_hz" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fingerpinch", "--pairs", "12,23", "--v1", "0.05:0.08:3", "--v2", "0.05:0.08:3",
+      "--duration", "1e300"], "--duration: evolution phase"),
+    (["irb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1",
+      "--gate-phi", "1.5707963267948966", "--gate-theta=-1.5707963267948966"],
+     "--gate-phi/--gate-theta: no single pulse plays this gate"),
+])
+def test_kernel_side_usage_errors_name_the_flag(argv, flag, tmp_path, capsys):
+    # both used to exit 2 with a message that named no flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sum_curve_fit_at_the_depth_cap_ignores_the_warning_filter(tmp_path):
+    # a trial lambda above 1 overflows lambda^N at depth 100,000: the fit
+    # used to leak overflow warnings, and under -W error to fail
+    argv = ["irb", "--engine", "channel", "--depths", f"0,1,{cli.MAX_DEPTH}", "--sequences", "1",
+            "--shots", "2", "--gate-depol", "0.5", "--gate-phi", "0", "--gate-theta", "0", "--out"]
+    for action, name in (("error", "a.json"), ("ignore", "b.json")):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert run(argv + [str(tmp_path / name)]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
