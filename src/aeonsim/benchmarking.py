@@ -7,7 +7,7 @@ survival curves isolates depolarization (``a * p^N``); their sum isolates
 leakage out of the encoded subspace (``c0 + c1 * lam^N``), which single
 shots cannot otherwise separate from qubit error.
 
-Two engines share the sequence generator.  The device engine plays every
+Two engines share one sequence walker.  The device engine plays every
 pulse of every Clifford on the simulated device (fresh quasi-static noise
 draw per shot).  The channel engine replaces physical noise with injected
 per-pulse depolarizing and leakage channels and computes survivals in one
@@ -30,13 +30,12 @@ from .device import (  # noqa: F401 - sample_noise stays bound for perfbench's t
 from .errors import FitError
 from .fitting import levenberg_marquardt, two_point
 from .hilbert import ExchangeVector
-from .rotations import (  # noqa: F401 - compose and so3_matrix stay bound for perfbench's tracer
+from .rotations import (  # noqa: F401 - compose, match_element and so3_matrix stay bound for perfbench's tracer
     AxisAngle,
     ONE_J_AXES,
     Rotation,
     canonical_clifford_group,
     avg_pulse_count,
-    cayley_tables,
     compose,
     match_element,
     pairs_for_axis,
@@ -87,9 +86,21 @@ def generate_sequence(rng: np.random.Generator, depth: int, group) -> list[int]:
     return [int(k) for k in rng.integers(0, len(group), size=depth)]
 
 
-def _position(group, r: Rotation) -> int:
-    """List position of the group element equal to ``r``."""
-    return group.index(match_element(group, r))
+def _sequences(cfg: RbConfig, group, interleaved: AxisAngle | None):
+    """Each (depth, sequence) cell's Clifford indices and the position of
+    its net element, in stream path order: ``(di, si, indices, net)``.
+    The interleaved gate, when given, follows every Clifford."""
+    inter = None if interleaved is None else group.position(Rotation.from_axis_angle(interleaved))
+    mul = group.mul.tolist()
+    grid = (len(cfg.depths), cfg.n_sequences)
+    for (di, si), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid)):
+        indices = generate_sequence(rng, cfg.depths[di], group)
+        net = group.identity
+        for k in indices:
+            net = mul[k][net]
+            if inter is not None:
+                net = mul[inter][net]
+        yield di, si, indices, net
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +110,12 @@ def _position(group, r: Rotation) -> int:
 def realize_pulse(device: DeviceModel, aa: AxisAngle) -> PulseSpec:
     """Voltages that make the device play rotation ``aa`` in one pulse.
 
+    A negative angle plays as the positive one about the opposite axis.
     Axes matching a single coupling use that pair alone; anything else is
     solved in its two-pair wedge.
     """
+    if aa.theta < 0:
+        aa = AxisAngle(aa.phi + math.pi, -aa.theta)
     omega = aa.theta / (TWO_PI * device.pulse_s)
     if omega == 0.0:
         return PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=device.pulse_s)
@@ -135,32 +149,21 @@ def _run_device_engine(device, cfg, group, interleaved):
                  for el in group]
     extra = []
     if interleaved is not None:
-        inter = _position(group, Rotation.from_axis_angle(interleaved))
         extra.append(slot_for(interleaved))
     if cfg.idle_s > 0:
         idle = PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=cfg.idle_s)
         extra.append(table.setdefault(idle, len(table)))
     steps = [np.concatenate([c, np.array(extra, dtype=np.intp)]) for c in cliffords]
-    tables = cayley_tables(group)
-    mul = tables.mul.tolist()
 
     # the identity and flip trains of every sequence, in stream path order
     # (depth, sequence, flip), played as one batch
-    grid = (len(cfg.depths), cfg.n_sequences)
     trains = []
-    for (di, _), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid)):
-        body = []
-        net = tables.identity
-        for k in generate_sequence(rng, cfg.depths[di], group):
-            body.append(steps[k])
-            net = mul[k][net]
-            if interleaved is not None:
-                net = mul[inter][net]
-        for rec in (tables.inv[net], tables.flip_inv[net]):
+    for _, _, indices, net in _sequences(cfg, group, interleaved):
+        body = [steps[k] for k in indices]
+        for rec in (group.inv[net], group.flip_inv[net]):
             trains.append(np.concatenate(body + [cliffords[rec]]))
-    surv = device.survival(
-        list(table), trains, grid + (2,), cfg.shots, cfg.seed, (), cfg.apply_cross
-    )
+    grid = (len(cfg.depths), cfg.n_sequences, 2)
+    surv = device.survival(list(table), trains, grid, cfg.shots, cfg.seed, (), cfg.apply_cross)
     return surv[..., 0].copy(), surv[..., 1].copy()
 
 
@@ -177,30 +180,21 @@ def _run_channel_engine(cfg, group, inject: InjectedError, interleaved):
     lam_dep = 1.0 - 2.0 * inject.depol_per_pulse
     keep = 1.0 - inject.leak_per_pulse
     lam_gate = 1.0 - 2.0 * inject.gate_depol
-    tables = cayley_tables(group)
-    mul = tables.mul.tolist()
     z_step = [(lam_dep * keep) ** el.pulse_count for el in group]
     trace_step = [keep**el.pulse_count for el in group]
-    if interleaved is not None:
-        inter = _position(group, Rotation.from_axis_angle(interleaved))
 
     surv_id = np.empty((len(cfg.depths), cfg.n_sequences))
     surv_fl = np.empty_like(surv_id)
-    sequences = zip(np.ndindex(surv_id.shape), rng_streams(cfg.seed, shape=surv_id.shape))
-    for (di, si), rng in sequences:
-        indices = generate_sequence(rng, cfg.depths[di], group)
-        net = tables.identity
+    for di, si, indices, net in _sequences(cfg, group, interleaved):
         z, trace = 1.0, 1.0
         for k in indices:
-            net = mul[k][net]
             z *= z_step[k]
             trace *= trace_step[k]
             if interleaved is not None:
-                net = mul[inter][net]
                 z *= lam_gate * lam_dep * keep
                 trace *= keep
         for flip in (False, True):
-            rec = tables.flip_inv[net] if flip else tables.inv[net]
+            rec = group.flip_inv[net] if flip else group.inv[net]
             z_rec = (-1.0 if flip else 1.0) * z * z_step[rec]
             p0 = 0.5 * (trace * trace_step[rec] + z_rec)
             if cfg.shots is not None:
@@ -338,7 +332,8 @@ def fit_rb(data: RbData) -> RbFit:
 
     Raises:
         FitError: if the data has fewer than 3 distinct depths, the number
-            of parameters of the sum-curve model c0 + c1 * lambda^N.
+            of parameters of the sum-curve model c0 + c1 * lambda^N, or
+            no start of the difference-curve fit converges.
     """
     distinct = sorted(set(data.depths))
     if len(distinct) < 3:
@@ -349,11 +344,14 @@ def fit_rb(data: RbData) -> RbFit:
     diff = np.mean(data.surv_identity - data.surv_flip, axis=1)
     total = np.mean(data.surv_identity + data.surv_flip, axis=1)
     _, amp, p = _fit_exponential(data.depths, diff, with_offset=False)
-    c0, c1, lam = _fit_exponential(data.depths, total, with_offset=True)
+    try:
+        c0, c1, lam = _fit_exponential(data.depths, total, with_offset=True)
+    except FitError:
+        c0, c1, lam = 0.0, 0.0, 1.0
     # the sum curve carries scatter from the two recovery words differing
-    # in length; keep the decay model only when it is an actual decay
-    # (lam < 1, positive excess over the asymptote) and beats a flat line
-    # decisively, otherwise report no resolvable leakage
+    # in length; keep the decay model only when it converged to an actual
+    # decay (lam < 1, positive excess over the asymptote) and beats a flat
+    # line decisively, otherwise report no resolvable leakage
     with np.errstate(over="ignore"):  # lam up to 1.05: an infinite rss_decay
         model = c0 + c1 * lam ** np.asarray(data.depths, dtype=float)
     rss_decay = float(np.sum((model - total) ** 2))

@@ -174,12 +174,15 @@ def _convert(kind: str, rng, text: str):
     return value
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str, flag: str = "--out") -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _csv(header: list[str], rows) -> str:
@@ -277,7 +280,7 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     _write_text(args.out, _json_doc(doc))
     if args.emit_plot_data:
         rows = [(float(t), float(p)) for t, p in zip(times, p0)]
-        _write_text(args.emit_plot_data, _csv(["time (s)", "p0 (1)"], rows))
+        _write_text(args.emit_plot_data, _csv(["time (s)", "p0 (1)"], rows), "--emit-plot-data")
     return EXIT_OK
 
 
@@ -347,6 +350,7 @@ def _rb_common(args, device, interleaved: AxisAngle | None):
         _write_text(
             args.emit_plot_data,
             _csv(["depth (1)", "survival_identity (1)", "survival_flip (1)"], rows),
+            "--emit-plot-data",
         )
     return EXIT_OK
 
@@ -356,14 +360,7 @@ def _cmd_rb(args, device: dev.DeviceModel) -> int:
 
 
 def _cmd_irb(args, device: dev.DeviceModel) -> int:
-    gate = AxisAngle(args.gate_phi, args.gate_theta)
-    if args.engine == "device":
-        try:
-            bench.realize_pulse(device, gate)
-        except ValueError as exc:
-            raise ValueError(
-                f"--gate-phi/--gate-theta: no single pulse plays this gate: {exc}") from None
-    return _rb_common(args, device, gate)
+    return _rb_common(args, device, AxisAngle(args.gate_phi, args.gate_theta))
 
 
 # ---------------------------------------------------------------------------

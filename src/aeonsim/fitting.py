@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FitError
+
 _REL_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -121,6 +123,7 @@ def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-
     Raises:
         ValueError: if the residuals at ``x0`` are not finite, or fewer
             than the parameters.
+        FitError: if MINPACK stops at its evaluation limit (status 5).
         ImportError: if scipy's MINPACK extension cannot be loaded.
     """
     if jac is None:
@@ -134,6 +137,8 @@ def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-
         raise ValueError(f"{f0.size} residuals cannot fit {x0.size} parameters")
     # the arguments leastsq(fun, x0, Dfun=jac, full_output=True, ftol=ftol,
     # xtol=xtol, gtol=1e-8, maxfev=100 n, factor=100) passes
-    x, info, _ = _lmder()(fun, jac, x0, (), 1, 0, ftol, xtol, 1e-8, 100 * x0.size, 100, None)
+    x, info, status = _lmder()(fun, jac, x0, (), 1, 0, ftol, xtol, 1e-8, 100 * x0.size, 100, None)
+    if status == 5:
+        raise FitError(f"no convergence within {info['nfev']} residual evaluations")
     f = info["fvec"]
     return LmFit(x=x, cost=0.5 * np.dot(f, f), nfev=int(info["nfev"]))

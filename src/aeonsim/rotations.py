@@ -4,13 +4,17 @@ Rotations are unit quaternions ``(w, v)`` identified up to global sign,
 mapping to SU(2) as ``U = w*I - i*(v . sigma)``.  A pulse with axis angle
 ``phi`` (axis in the xz-plane of the Bloch sphere) and rotation angle
 ``theta`` has ``w = cos(theta/2)`` and ``v = sin(theta/2)*(cos phi, 0,
-sin phi)``; composed rotations acquire y-components.
+sin phi)``; composed rotations acquire y-components.  The 24 Cliffords
+are one :class:`CliffordGroup`: the elements, their multiplication and
+inversion tables, and one membership test (within 1e-9, component by
+component, up to sign).
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,12 +234,6 @@ def so3_matrix(r: Rotation) -> np.ndarray:
     )
 
 
-def is_clifford_rotation(r: Rotation, tol: float = 1e-9) -> bool:
-    """True if the rotation permutes the signed Pauli axes."""
-    m = so3_matrix(r)
-    return bool(np.all(np.min(np.abs(m[None, ...] - np.array([-1.0, 0.0, 1.0])[:, None, None]), axis=0) < tol))
-
-
 @dataclass(frozen=True)
 class CliffordElement:
     """One of the 24 single-qubit Clifford rotations.
@@ -254,90 +252,116 @@ class CliffordElement:
         return len(self.decomposition)
 
 
-def _canonical_key(r: Rotation) -> tuple:
-    q = np.array([r.w, *r.v])
-    for c in q:
-        if abs(c) > 1e-6:
-            if c < 0:
-                q = -q
-            break
-    return tuple(np.round(q, 9))
+FLIP = Rotation.from_axis_angle(AxisAngle(0.0, math.pi))  # pi about x
 
 
-def generate_clifford_group(generators) -> list[CliffordElement]:
+def _quaternions(rotations) -> np.ndarray:
+    """Rows ``(w, x, y, z)`` of the rotations, shape (n, 4)."""
+    return np.array([[r.w, *r.v] for r in rotations], dtype=float).reshape(-1, 4)
+
+
+def _nearest(q: np.ndarray, targets: np.ndarray):
+    """The one matcher of rotations to group elements: for each target
+    quaternion (last axis of ``targets``), the row of ``q`` of largest
+    ``|<q, t>|``, and whether that row lies within 1e-9 of the target,
+    component by component, up to sign."""
+    k = np.argmax(np.abs(targets @ q.T), axis=-1)
+    near = q[k]
+    d = np.minimum(np.abs(near - targets).max(axis=-1), np.abs(near + targets).max(axis=-1))
+    return k, d <= 1e-9
+
+
+def _positions(q: np.ndarray, w, v) -> np.ndarray:
+    """Rows of ``q`` that match the quaternions ``(w, v)``, or ProtocolError."""
+    k, ok = _nearest(q, np.concatenate([np.expand_dims(w, -1), v], axis=-1))
+    if not ok.all():
+        raise ProtocolError("rotation is not an element of the Clifford group")
+    return k
+
+
+@dataclass(frozen=True, eq=False)
+class CliffordGroup(Sequence):
+    """The 24 single-qubit Clifford rotations in a fixed order, and their
+    tables by position: a read-only sequence of :class:`CliffordElement`.
+
+    ``mul[a, b]`` is the position of ``self[a]`` applied after ``self[b]``;
+    ``inv[a]`` that of the inverse of ``self[a]``; ``flip_inv[a]`` that of
+    that inverse followed by :data:`FLIP`; ``identity`` that of the
+    identity.  The arrays are read-only.
+    """
+
+    elements: tuple[CliffordElement, ...]
+    mul: np.ndarray
+    inv: np.ndarray
+    flip_inv: np.ndarray
+    identity: int
+
+    def __getitem__(self, k):
+        return self.elements[k]
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def position(self, r: Rotation) -> int:
+        """Position of the element within 1e-9 of ``r``, component by
+        component, up to sign; ProtocolError if there is none."""
+        return int(_positions(_quaternions(el.rotation for el in self), r.w, np.array(r.v)))
+
+
+def generate_clifford_group(generators) -> CliffordGroup:
     """Breadth-first closure of Clifford generators, up to global phase.
 
     Args:
-        generators: list of (AxisAngle, Rotation) or Rotation entries; each
-            must itself be a Clifford rotation.
+        generators: (AxisAngle, Rotation) pairs, one per pulse.
 
     Returns:
-        The 24 Clifford elements with minimal words (lexicographic
-        tie-break over generator index order).
+        The 24 Clifford elements with minimal words (lexicographic tie-break
+        over generator index order), identity first, and their tables.
 
     Raises:
-        ProtocolError: if a generator is not Clifford, or the closure does
-            not reach exactly 24 elements within word length 8.
+        ProtocolError: if the closure does not reach exactly 24 elements
+            within word length 8, or these are not the Clifford group.
     """
-    gens: list[tuple[AxisAngle | None, Rotation]] = []
-    for g in generators:
-        if isinstance(g, Rotation):
-            gens.append((None, g))
-        else:
-            aa, rot = g
-            gens.append((aa, rot))
-    for i, (_, rot) in enumerate(gens):
-        if not is_clifford_rotation(rot):
-            raise ProtocolError(
-                f"generator {i} is not a Clifford rotation (axis/angle do not "
-                f"permute the Pauli axes)"
-            )
-
-    identity = Rotation.identity()
-    seen = {_canonical_key(identity): (identity, ())}
-    frontier = [(identity, ())]
+    gens = list(generators)
+    found = [(Rotation.identity(), ())]
+    frontier = list(found)
     depth = 0
-    while len(seen) < 24 and depth < 8:
+    while len(found) < 24 and depth < 8:
         depth += 1
-        new_frontier = []
-        for base, word in frontier:
-            for gi, (_, rot) in enumerate(gens):
-                cand = compose(rot, base)
-                key = _canonical_key(cand)
-                if key not in seen:
-                    entry = (cand, word + (gi,))
-                    seen[key] = entry
-                    new_frontier.append(entry)
-        frontier = new_frontier
-        if not frontier:
-            break
-    if len(seen) != 24:
+        cands = [(compose(rot, base), word + (gi,))
+                 for base, word in frontier for gi, (_, rot) in enumerate(gens)]
+        q = _quaternions(r for r, _ in cands)
+        _, known = _nearest(_quaternions(r for r, _ in found), q)
+        fresh = np.flatnonzero(~known)
+        frontier = []
+        while fresh.size:  # the first of each new rotation joins; its repeats do not
+            frontier.append(cands[fresh[0]])
+            _, repeat = _nearest(q[fresh[:1]], q[fresh])
+            fresh = fresh[~repeat]
+        found += frontier
+    if len(found) != 24:
         raise ProtocolError(
             f"generator set does not close into the 24-element Clifford "
-            f"group within depth 8 (reached {len(seen)} elements)"
+            f"group within depth 8 (reached {len(found)} elements)"
         )
 
-    elements = []
-    for idx, (rot, word) in enumerate(seen.values()):
-        decomp = []
-        for gi in word:
-            aa, grot = gens[gi]
-            if aa is None:
-                aa = _axis_angle_of(grot)
-            decomp.append(aa)
-        elements.append(CliffordElement(idx, rot, word, tuple(decomp)))
-    return elements
-
-
-def _axis_angle_of(r: Rotation) -> AxisAngle:
-    """AxisAngle of an xz-plane rotation (raises if the axis has y)."""
-    x, y, z = r.v
-    if abs(y) > 1e-9:
-        raise ValueError("rotation axis is not in the xz-plane")
-    theta = r.angle
-    if theta < 1e-12:
-        return AxisAngle(0.0, 0.0)
-    return AxisAngle(math.atan2(z, x), theta)
+    q = _quaternions(r for r, _ in found)
+    w, v = q[:, 0], q[:, 1:]
+    mul = _positions(q, *quat_multiply(w[:, None], v[:, None], w, v))
+    inv = _positions(q, w, -v)
+    flip_inv = _positions(q, *quat_multiply(np.asarray(FLIP.w), np.asarray(FLIP.v), w, -v))
+    for table in (mul, inv, flip_inv):
+        table.setflags(write=False)
+    elements = tuple(
+        CliffordElement(i, r, word, tuple(gens[g][0] for g in word))
+        for i, (r, word) in enumerate(found)
+    )
+    group = CliffordGroup(elements, mul, inv, flip_inv, 0)
+    # a closed set of 24 rotations that holds the quarter turns about x and
+    # z is the Clifford group
+    for phi in (0.0, PHI_Z):
+        group.position(Rotation.from_axis_angle(AxisAngle(phi, math.pi / 2.0)))
+    return group
 
 
 def clifford_generators_2j() -> list[tuple[AxisAngle, Rotation]]:
@@ -520,25 +544,25 @@ def decompose_rotation(
 
 def compile_clifford_group(
     axes_phi: tuple[float, float], max_pulses: int = 4
-) -> list[CliffordElement]:
+) -> CliffordGroup:
     """The 24 Clifford rotations compiled as minimal-length pulse words
     about two single-coupling axes (continuous pulse angles).
 
-    The search is breadth-first over word length, so each element's
+    The rotations, their order and tables are the canonical group's.  The
+    search is breadth-first over word length, so each element's
     ``decomposition`` has the fewest pulses possible; the identity needs 0.
     """
     group = canonical_clifford_group()
-    out = []
-    for el in group:
-        decomp = decompose_rotation(el.rotation, axes_phi, max_pulses)
-        out.append(CliffordElement(el.index, el.rotation, el.word, decomp))
-    return out
+    return dataclasses.replace(group, elements=tuple(
+        dataclasses.replace(el, decomposition=decompose_rotation(el.rotation, axes_phi, max_pulses))
+        for el in group
+    ))
 
 
-_CANONICAL: list[CliffordElement] | None = None
+_CANONICAL: CliffordGroup | None = None
 
 
-def canonical_clifford_group() -> list[CliffordElement]:
+def canonical_clifford_group() -> CliffordGroup:
     """The 24 Clifford rotations over the nine calibrated two-coupling
     pulses (deterministic indexing, identity first, minimal words)."""
     global _CANONICAL
@@ -547,79 +571,16 @@ def canonical_clifford_group() -> list[CliffordElement]:
     return _CANONICAL
 
 
-def match_element(group, r: Rotation) -> CliffordElement:
+def match_element(group: CliffordGroup, r: Rotation) -> CliffordElement:
     """Group element equal to ``r`` up to global phase.
 
     Raises:
-        ProtocolError: if ``r`` is not in the group (within 1e-6).
+        ProtocolError: if ``r`` is not in the group (see
+            :meth:`CliffordGroup.position`).
     """
-    key = _canonical_key(r)
-    for el in group:
-        if _canonical_key(el.rotation) == key:
-            return el
-    raise ProtocolError("rotation is not an element of the Clifford group")
-
-
-FLIP = Rotation.from_axis_angle(AxisAngle(0.0, math.pi))  # pi about x
-
-
-@dataclass(frozen=True)
-class CayleyTables:
-    """Multiplication and inversion of a 24-element Clifford group by
-    list position.
-
-    ``mul[a, b]`` is the position of ``group[a]`` applied after
-    ``group[b]``; ``inv[a]`` that of the inverse of ``group[a]``;
-    ``flip_inv[a]`` that of that inverse followed by :data:`FLIP`;
-    ``identity`` that of the identity.  The arrays are read-only.
-    """
-
-    mul: np.ndarray
-    inv: np.ndarray
-    flip_inv: np.ndarray
-    identity: int
-
-
-def cayley_tables(group) -> CayleyTables:
-    """Tables of a 24-element Clifford group, built on first use and
-    cached by the group's quaternions.
-
-    Every product is matched to the element of largest ``|<q, q'>|``.
-
-    Raises:
-        ProtocolError: if the group does not have 24 distinct elements, is
-            not closed, or lacks the flip.
-    """
-    q = np.array([[el.rotation.w, *el.rotation.v] for el in group], dtype=float)
-    if q.shape != (24, 4):
-        raise ProtocolError(f"expected 24 Clifford elements, got {len(q)}")
-    return _cayley_tables(q.tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _cayley_tables(key: bytes) -> CayleyTables:
-    q = np.frombuffer(key).reshape(24, 4)
-    w, v = q[:, 0], q[:, 1:]
-
-    def match(qw, qv):
-        overlap = np.abs(qw[..., None] * w + qv @ v.T)
-        if np.any(np.max(overlap, axis=-1) < 1.0 - 1e-6):
-            raise ProtocolError("rotation is not an element of the Clifford group")
-        return np.argmax(overlap, axis=-1)
-
-    mul = match(*quat_multiply(w[:, None], v[:, None, :], w[None, :], v[None, :, :]))
-    inv = match(w, -v)
-    flip_inv = match(*quat_multiply(np.asarray(FLIP.w), np.asarray(FLIP.v), w, -v))
-    if np.any(np.sort(mul, axis=-1) != np.arange(24)):
-        raise ProtocolError("Clifford elements are not distinct: a table row is not a permutation")
-    for table in (mul, inv, flip_inv):
-        table.setflags(write=False)
-    identity = match(np.array(1.0), np.zeros(3))
-    return CayleyTables(mul, inv, flip_inv, int(identity))
+    return group[group.position(r)]
 
 
 def avg_pulse_count(group) -> float:
     """Mean decomposition length over a Clifford set (identity counts 0)."""
-    els = list(group)
-    return sum(el.pulse_count for el in els) / len(els)
-
+    return sum(el.pulse_count for el in group) / len(group)

@@ -149,9 +149,10 @@ def _strict_json(text):
            "--config", "<huge-noise>"), {}))
 @example((("fingerpinch", "--pairs", "12,23", "--v1", "0.05:0.08:3", "--v2", "0.05:0.08:3",
            "--duration", "1e300"), {}))
-# found by this test: an interleaved gate the device engine cannot play
-# exited 2 naming no flag, and the sum-curve fit at the depth cap leaked
-# overflow warnings (and failed under -W error)
+# found by this test: an interleaved gate of negative angle exited 2 on the
+# device engine naming no flag (it now plays about the opposite axis), and
+# the sum-curve fit at the depth cap leaked overflow warnings (and failed
+# under -W error; none of its starts converges, so it reports no leakage)
 @example((("irb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1", "--gate-phi",
            "1.5707963267948966", "--gate-theta=-1.5707963267948966"), {}))
 @example((("irb", "--engine", "channel", "--depths", "0,1,100000", "--sequences", "1", "--shots",

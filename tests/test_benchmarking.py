@@ -30,20 +30,20 @@ def test_recovery_completes_to_identity_and_flip():
     rng = np.random.default_rng(2)
     flip = rot.FLIP
     for grp in (rot.canonical_clifford_group(), rot.compile_clifford_group((rot.PHI_M, rot.PHI_N))):
-        tables = rot.cayley_tables(grp)
         for _ in range(40):
             seq = bench.generate_sequence(rng, int(rng.integers(1, 12)), grp)
-            net, pos = rot.Rotation.identity(), tables.identity
+            net, pos = rot.Rotation.identity(), grp.identity
             for k in seq:
                 net = rot.compose(grp[k].rotation, net)
-                pos = tables.mul[k, pos]
+                pos = grp.mul[k, pos]
             assert grp[pos].rotation.approx_equal(net)  # table fold = compose
+            assert grp.position(net) == pos
             assert grp.index(rot.match_element(grp, net)) == pos
             # the engines read the recovery off the tables
-            rec_i = grp[int(tables.inv[pos])]
+            rec_i = grp[int(grp.inv[pos])]
             total = rot.compose(rec_i.rotation, net)
             assert total.overlap(rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-9)
-            rec_f = grp[int(tables.flip_inv[pos])]
+            rec_f = grp[int(grp.flip_inv[pos])]
             total = rot.compose(rec_f.rotation, net)
             assert total.overlap(flip) == pytest.approx(1.0, abs=1e-9)
 

@@ -8,8 +8,10 @@ import warnings
 
 import pytest
 
+from aeonsim import benchmarking as bench
 from aeonsim import cli
 from aeonsim import device as dev
+from aeonsim import rotations as rot
 
 
 def run(argv):
@@ -558,12 +560,9 @@ def test_noise_draw_that_overflows_is_a_numeric_failure_naming_the_noise(argv, t
 @pytest.mark.parametrize("argv,flag", [
     (["fingerpinch", "--pairs", "12,23", "--v1", "0.05:0.08:3", "--v2", "0.05:0.08:3",
       "--duration", "1e300"], "--duration: evolution phase"),
-    (["irb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1",
-      "--gate-phi", "1.5707963267948966", "--gate-theta=-1.5707963267948966"],
-     "--gate-phi/--gate-theta: no single pulse plays this gate"),
 ])
 def test_kernel_side_usage_errors_name_the_flag(argv, flag, tmp_path, capsys):
-    # both used to exit 2 with a message that named no flag
+    # used to exit 2 with a message that named no flag
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -581,3 +580,56 @@ def test_sum_curve_fit_at_the_depth_cap_ignores_the_warning_filter(tmp_path):
             warnings.simplefilter(action)
             assert run(argv + [str(tmp_path / name)]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+IRB = ["irb", "--depths", "1,2,4", "--sequences", "2", "--gate-depol", "1e-3"]
+
+
+@pytest.mark.parametrize("phi,theta,code", [
+    # pi/2 about +z: the w and z components move by 0.354 of the angle offset
+    (math.pi / 2, math.pi / 2, 0),
+    (math.pi / 2, math.pi / 2 + 1e-9, 0),  # 3.5e-10 from the element; used to exit 3
+    (math.pi / 2, math.pi / 2 + 2.5e-9, 0),  # 8.8e-10
+    (math.pi / 2, math.pi / 2 + 3.2e-9, 3),  # 1.13e-9
+    (math.pi / 2, math.pi / 2 + 1e-6, 3),
+    # pi about -z: w moves by half the offset
+    (-math.pi / 2, math.pi + 1e-9, 0),  # 5e-10
+    (-math.pi / 2, math.pi + 1.9e-9, 0),  # 9.5e-10
+    (-math.pi / 2, math.pi + 2.2e-9, 3),  # 1.1e-9
+])
+def test_interleaved_gate_is_a_clifford_within_1e_9(phi, theta, code, tmp_path):
+    argv = IRB + ["--engine", "channel", f"--gate-phi={phi!r}", f"--gate-theta={theta!r}",
+                  "--out", str(tmp_path / "irb.json")]
+    assert run(argv) == code
+
+
+@pytest.mark.parametrize("phi,theta", [
+    (math.pi / 2, math.pi / 2), (0.0, math.pi / 2), (-math.pi / 2, math.pi), (math.pi, 1.5 * math.pi),
+])
+def test_both_engines_play_a_gate_of_either_sign(phi, theta, tmp_path):
+    # a negative angle is the positive one about the opposite axis
+    d = dev.default_device()
+    assert bench.realize_pulse(d, rot.AxisAngle(phi, -theta)) == bench.realize_pulse(
+        d, rot.AxisAngle(phi + math.pi, theta))
+    for engine in ("device", "channel"):
+        for sign in (1.0, -1.0):
+            out = tmp_path / f"{engine}{sign}.json"
+            argv = IRB + ["--engine", engine, f"--gate-phi={phi!r}",
+                          f"--gate-theta={sign * theta!r}", "--out", str(out)]
+            assert run(argv) == 0, (engine, sign)
+            assert json.loads(out.read_text())["gate"] == [phi, sign * theta]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["spectrum", "--out", "{bad}"], "--out"),
+    (["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:1e-7:20", "--out", "{ok}",
+      "--emit-plot-data", "{bad}"], "--emit-plot-data"),
+    (["rb", "--engine", "channel", "--depths", "1,2,4", "--sequences", "2", "--out", "{ok}",
+      "--emit-plot-data", "{bad}"], "--emit-plot-data"),
+])
+def test_unwritable_output_names_its_flag(argv, flag, tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x.csv")
+    argv = [a.format(bad=bad, ok=tmp_path / "ok.json") for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aeonsim: {flag}: ") and bad in err

@@ -676,21 +676,20 @@ def test_device_rb_table_merges_equal_pulses(monkeypatch, interleaved):
     table, trains = _rb_trains(monkeypatch, cfg, interleaved)
     assert len(set(table)) == len(table)
     group = rot.canonical_clifford_group()
-    tables = rot.cayley_tables(group)
     idle = dev.PulseSpec(v_x=(-np.inf,) * 3, duration_s=4e-9)
     want = []
     for (di, _), rng in zip(np.ndindex(3, 3), dev.rng_streams(8, shape=(3, 3))):
-        body, net = [], tables.identity
+        body, net = [], group.identity
         for k in bench.generate_sequence(rng, cfg.depths[di], group):
             body += [bench.realize_pulse(d, aa) for aa in group[k].decomposition]
-            net = tables.mul[k, net]
+            net = group.mul[k, net]
             if interleaved is not None:
                 body.append(bench.realize_pulse(d, interleaved))
-                net = tables.mul[group.index(rot.match_element(
+                net = group.mul[group.index(rot.match_element(
                     group, rot.Rotation.from_axis_angle(interleaved))), net]
             body.append(idle)
         for flip in (False, True):
-            rec = group[int(tables.flip_inv[net] if flip else tables.inv[net])]
+            rec = group[int(group.flip_inv[net] if flip else group.inv[net])]
             want.append(body + [bench.realize_pulse(d, aa) for aa in rec.decomposition])
     assert [[table[i] for i in t] for t in trains] == want
 

@@ -16,6 +16,7 @@ from aeonsim import benchmarking as bench
 from aeonsim import calibration as cal
 from aeonsim import device as dev
 from aeonsim import fitting
+from aeonsim.errors import FitError
 
 PI = math.pi
 SRC = Path(fitting.__file__).parent
@@ -33,7 +34,7 @@ def _record_fits(monkeypatch, module):
         start = np.array(x0, dtype=float)
         try:
             res = fitting.levenberg_marquardt(fun, x0, **kw)
-        except ValueError as exc:
+        except (ValueError, FitError) as exc:
             calls.append((fun, start, kw, exc))
             raise
         calls.append((fun, start, kw, res))
@@ -46,30 +47,35 @@ def _record_fits(monkeypatch, module):
 def _assert_scipy_iterates(calls, check_plain):
     """Each recorded fit against least_squares with the 2-point rule (x and
     cost) and against the public leastsq wrapper of the same lmder call
-    (x, final residuals and evaluation count), bit for bit."""
+    (x, final residuals and evaluation count), bit for bit; a start the
+    driver refused at maxfev (FitError) stopped there in both."""
     for fun, start, kw, res in calls:
         kw = {k: v for k, v in kw.items() if k != "jac"}
 
         def two_point(x):
             return approx_derivative(fun, x, method="2-point")
 
-        if not isinstance(res, Exception):
-            tols = {"ftol": 1e-8, "xtol": 1e-8, **kw}  # the driver's defaults
-            x, _, info, _, _ = leastsq(
-                fun, start, Dfun=two_point, full_output=True, gtol=1e-8,
-                maxfev=100 * start.size, factor=100, **tols,
-            )
-            assert np.array_equal(res.x, x)
-            assert res.cost == 0.5 * np.dot(info["fvec"], info["fvec"])
-            assert res.nfev == info["nfev"]
         refs = [lambda: least_squares(fun, start, jac=two_point, method="lm", x_scale="jac", **kw)]
         if check_plain and PLAIN_IS_TWO_POINT:
             refs.append(lambda: least_squares(fun, start, method="lm", x_scale="jac", **kw))
-        for ref in refs:
-            if isinstance(res, Exception):
+        if isinstance(res, ValueError):
+            for ref in refs:
                 with pytest.raises(ValueError):
                     ref()
-                continue
+            continue
+        tols = {"ftol": 1e-8, "xtol": 1e-8, **kw}  # the driver's defaults
+        x, _, info, _, status = leastsq(
+            fun, start, Dfun=two_point, full_output=True, gtol=1e-8,
+            maxfev=100 * start.size, factor=100, **tols,
+        )
+        if isinstance(res, FitError):
+            assert status == 5  # maxfev reached
+            assert all(ref().status == 0 for ref in refs)  # least_squares' code for it
+            continue
+        assert np.array_equal(res.x, x)
+        assert res.cost == 0.5 * np.dot(info["fvec"], info["fvec"])
+        assert res.nfev == info["nfev"]
+        for ref in refs:
             want = ref()
             assert np.array_equal(res.x, want.x)
             assert res.cost == want.cost
@@ -89,8 +95,15 @@ def test_oscillation_fit_takes_scipy_two_point_iterates(monkeypatch):
     calls = _record_fits(monkeypatch, bench)
     bench.fit_oscillation_decay(*_rabi_data())
     assert len(calls) == 12
-    assert any(res.nfev == 100 * 5 for *_, res in calls)  # maxfev exhausted
+    assert any(isinstance(res, FitError) for *_, res in calls)  # maxfev exhausted
     _assert_scipy_iterates(calls, check_plain=True)
+
+
+def test_a_start_stopped_at_maxfev_is_a_fit_error():
+    # MINPACK status 5: 100 evaluations for one parameter, with the residual
+    # still falling; it used to come back as a fit
+    with pytest.raises(FitError, match="100 residual evaluations"):
+        fitting.levenberg_marquardt(lambda x: np.array([np.exp(x[0]) - 1e-300, 0.0 * x[0]]), [10.0])
 
 
 def test_rb_fits_take_scipy_two_point_iterates(monkeypatch):

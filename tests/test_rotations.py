@@ -109,20 +109,20 @@ def test_group_closure_under_composition():
 
 def test_clifford_detection():
     grp = rot.canonical_clifford_group()
-    for el in grp:
-        assert rot.is_clifford_rotation(el.rotation)
-    assert not rot.is_clifford_rotation(
-        rot.Rotation.from_axis_angle(rot.AxisAngle(0.3, 1.0))
-    )
+    for i, el in enumerate(grp):
+        assert grp.position(el.rotation) == i
+    with pytest.raises(ProtocolError):
+        grp.position(rot.Rotation.from_axis_angle(rot.AxisAngle(0.3, 1.0)))
+
+
+def _pulses(*axis_angles):
+    return [(aa, rot.Rotation.from_axis_angle(aa)) for aa in axis_angles]
 
 
 def test_single_coupling_quarter_turns_do_not_close():
     # 90-degree pulses about two tilted single-coupling axes are not
     # Clifford rotations, so breadth-first closure must refuse them
-    gens = [
-        rot.Rotation.from_axis_angle(rot.AxisAngle(rot.PHI_Z, math.pi / 2)),
-        rot.Rotation.from_axis_angle(rot.AxisAngle(rot.PHI_N, math.pi / 2)),
-    ]
+    gens = _pulses(rot.AxisAngle(rot.PHI_Z, math.pi / 2), rot.AxisAngle(rot.PHI_N, math.pi / 2))
     with pytest.raises(ProtocolError):
         rot.generate_clifford_group(gens)
 
@@ -207,42 +207,67 @@ def test_exchange_to_rotation_arrays_match_scalar_calls():
 )
 def test_cayley_tables_match_compose_and_match_element(group):
     grp = group()
-    tables = rot.cayley_tables(grp)
     pos = {id(el): i for i, el in enumerate(grp)}
 
     def position(r):
-        return pos[id(rot.match_element(grp, r))]
+        assert pos[id(rot.match_element(grp, r))] == grp.position(r)
+        return grp.position(r)
 
     for a in range(24):
         for b in range(24):
-            assert tables.mul[a, b] == position(rot.compose(grp[a].rotation, grp[b].rotation))
+            assert grp.mul[a, b] == position(rot.compose(grp[a].rotation, grp[b].rotation))
         inverse = grp[a].rotation.inverse()
-        assert tables.inv[a] == position(inverse)
-        assert tables.flip_inv[a] == position(rot.compose(rot.FLIP, inverse))
-    assert tables.identity == position(rot.Rotation.identity())
-    assert not tables.mul.flags.writeable
-    assert rot.cayley_tables(grp) is tables  # cached
+        assert grp.inv[a] == position(inverse)
+        assert grp.flip_inv[a] == position(rot.compose(rot.FLIP, inverse))
+    assert grp.identity == position(rot.Rotation.identity())
+    assert not grp.mul.flags.writeable
+    # a compiled group keeps the canonical rotations, order and tables
+    canonical = rot.canonical_clifford_group()
+    assert [el.rotation for el in grp] == [el.rotation for el in canonical]
+    assert grp.mul is canonical.mul and grp.flip_inv is canonical.flip_inv
 
 
 def test_cayley_tables_reject_non_groups():
+    z = rot.PHI_Z
+    # pi turns about x and z close into the four Pauli rotations only
+    with pytest.raises(ProtocolError, match="reached 4 elements"):
+        rot.generate_clifford_group(_pulses(rot.AxisAngle(0.0, math.pi), rot.AxisAngle(z, math.pi)))
+    # closed sets of 24 rotations that are not the Clifford group: the
+    # cyclic group about z, and the dihedral group that adds the flip
+    for gens in (
+        _pulses(rot.AxisAngle(z, math.pi / 12), rot.AxisAngle(z, math.pi / 3)),
+        _pulses(rot.AxisAngle(z, math.pi / 6), rot.AxisAngle(0.0, math.pi)),
+    ):
+        with pytest.raises(ProtocolError, match="not an element"):
+            rot.generate_clifford_group(gens)
+
+
+def _offset(q, e, d):
+    """Unit quaternion at componentwise distance ~d from ``q``, moved
+    along the unit quaternion ``e`` orthogonal to it."""
+    a = d / np.abs(e).max()
+    return math.cos(a) * q + math.sin(a) * e
+
+
+@pytest.mark.parametrize("d", [1e-12, 3.5e-10, 9e-10, 1.1e-9, 1e-6])
+def test_position_accepts_exactly_the_rotations_within_1e_9(d):
     grp = rot.canonical_clifford_group()
-    with pytest.raises(ProtocolError):
-        rot.cayley_tables(grp[:23])
-    # the Pauli subgroup six times over is closed, but its rows repeat
-    paulis = [
-        rot.CliffordElement(i, rot.Rotation(w, v), (), ())
-        for i, (w, v) in enumerate(
-            [(1.0, (0.0, 0.0, 0.0)), (0.0, (1.0, 0.0, 0.0)), (0.0, (0.0, 1.0, 0.0)),
-             (0.0, (0.0, 0.0, 1.0))]
-        )
-    ]
-    with pytest.raises(ProtocolError, match="permutation"):
-        rot.cayley_tables(paulis * 6)
-    stray = rot.CliffordElement(
-        23, rot.Rotation.from_axis_angle(rot.AxisAngle(0.0, 0.7)), (), ()
-    )
-    with pytest.raises(ProtocolError):
-        rot.cayley_tables(grp[:23] + [stray])
+    rng = np.random.default_rng(5)
+    for i, el in enumerate(grp):
+        q = np.array([el.rotation.w, *el.rotation.v])
+        for sign in (1.0, -1.0):
+            e = rng.standard_normal(4)
+            e -= (e @ q) * q
+            e /= np.linalg.norm(e)
+            moved = sign * _offset(q, e, d)
+            dist = min(np.abs(moved - q).max(), np.abs(moved + q).max())
+            assert dist == pytest.approx(d, rel=1e-3)
+            r = rot.Rotation(moved[0], tuple(moved[1:]))
+            if d <= 1e-9:
+                assert grp.position(r) == i
+            else:
+                with pytest.raises(ProtocolError):
+                    grp.position(r)
 
 
 # The quaternion products as written before they shared one component
