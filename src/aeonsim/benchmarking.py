@@ -28,7 +28,7 @@ from .device import (  # noqa: F401 - sample_noise stays bound for perfbench's t
     PAIR_ORDER, DeviceModel, PulseSpec, rng_stream, rng_streams, sample_noise
 )
 from .errors import FitError
-from .fitting import levenberg_marquardt, two_point
+from .fitting import best_of_starts
 from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose, match_element and so3_matrix stay bound for perfbench's tracer
     AxisAngle,
@@ -263,12 +263,12 @@ class RbFit:
     avg_pulses: float
 
 
-def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12):
+def _fit_exponential(depths, y, with_offset: bool):
     """Least-squares fit of y = c0 + c1 * r^N (c0 optionally fixed at 0)."""
     depths = np.asarray(depths, dtype=float)
     y = np.asarray(y, dtype=float)
     span = float(y.max() - y.min())
-    if span < flat_threshold:
+    if span < 1e-12:
         # flat curve: no decay resolvable
         if with_offset:
             return float(np.mean(y)), 0.0, 1.0
@@ -300,20 +300,10 @@ def _fit_exponential(depths, y, with_offset: bool, flat_threshold: float = 1e-12
         if slope is not None:
             guesses.insert(0, np.array([slope[0], min(1.0, slope[1])]))
 
-    best = None
-    resid, jac = two_point(lambda x: stacked(x[None])[0], stacked)
     # r^N of a trial r > 1 overflows from depths of ~15,000; MINPACK rejects
     # the infinite residuals, whatever the warning filters
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in guesses:
-            try:
-                res = levenberg_marquardt(resid, g, jac=jac)
-            except Exception:  # noqa: BLE001 - try next start
-                continue
-            if best is None or res.cost < best.cost:
-                best = res
-    if best is None:
-        raise FitError("exponential decay fit failed for all starts")
+        best, _ = best_of_starts(stacked, guesses)
     if with_offset:
         c0, c1, r = best.x
         r = min(max(r, 0.0), 1.05)
@@ -449,23 +439,14 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
         damp = np.exp(-np.minimum(t**2 * np.array(rate)[:, None], 700.0))
         return b + a * np.cos(w * t + ph) * damp - y
 
-    best = None
-    resid, jac = two_point(lambda x: stacked(x[None])[0], stacked)
-    for ph0 in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi):
-        for tdec in (span, 0.3 * span, 3.0 * span):
-            try:
-                res = levenberg_marquardt(
-                    resid, np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)]), jac=jac
-                )
-            except Exception:  # noqa: BLE001 - try next start
-                continue
-            if best is None or res.cost < best.cost:
-                best = res
-    if best is None:
-        raise FitError("oscillating decay fit failed for all starts")
+    starts = [
+        np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)])
+        for ph0 in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
+        for tdec in (span, 0.3 * span, 3.0 * span)
+    ]
+    best, _ = best_of_starts(stacked, starts)
     b, a, w, ph, log_g = best.x
     t_decay = math.inf if log_g < -1400.0 else math.exp(-0.5 * log_g)
-    rms = math.sqrt(2.0 * best.cost / y.size)
     if t_decay > 50.0 * span:
         # envelope not resolved within the window: report no decay
         t_decay = math.inf
@@ -474,8 +455,8 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
     w = abs(w)
     ph = (ph + math.pi) % TWO_PI - math.pi
     n_osc = (w * t_decay / TWO_PI) if math.isfinite(t_decay) else math.inf
-    if rms > 0.2 * max(abs(a), 1e-12):
-        raise FitError(f"oscillating decay fit residual {rms:.3g} too large", rms)
+    if best.rms > 0.2 * max(abs(a), 1e-12):
+        raise FitError(f"oscillating decay fit residual {best.rms:.3g} too large", best.rms)
     return OscillationFit(
         baseline=float(b),
         amplitude=float(a),

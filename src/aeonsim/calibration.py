@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import PAIR_ORDER, DeviceModel, rng_streams
+from .device import PAIR_ORDER, DeviceModel, ExchangeLaw, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
-from .fitting import levenberg_marquardt, two_point
+from .fitting import best_of_starts
 from .hilbert import ExchangeVector
 from .rotations import (
     AxisAngle,
@@ -42,21 +42,21 @@ from .rotations import (
 TWO_PI = 2.0 * math.pi
 
 
-def choose_germ_exponent(theta_star: float, max_q: int = 16) -> tuple[int, int]:
+def choose_germ_exponent(theta_star: float) -> tuple[int, int]:
     """Smallest q >= 1 with ``q * theta_star = s * pi`` for odd integer s.
 
     Raises:
-        ConfigError: if no such q exists up to ``max_q`` (the target angle
-            must be an odd-over-integer rational multiple of pi).
+        ConfigError: if no such q exists up to 16 (the target angle must be
+            an odd-over-integer rational multiple of pi).
     """
-    for q in range(1, max_q + 1):
+    for q in range(1, 17):
         x = q * theta_star / math.pi
         s = round(x)
         if abs(x - s) < 1e-9 and s % 2 == 1 and s > 0:
             return q, s
     raise ConfigError(
         f"target angle {theta_star:.6f} has no odd-multiple-of-pi germ "
-        f"exponent q <= {max_q}"
+        "exponent q <= 16"
     )
 
 
@@ -73,17 +73,11 @@ class GermConfig:
     pulse_s: float = 10e-9
 
     @staticmethod
-    def for_target(
-        phi_star: float,
-        theta_star: float,
-        eta: float | None = None,
-        chi: float = math.pi,
-        pulse_s: float = 10e-9,
-    ) -> "GermConfig":
+    def for_target(phi_star: float, theta_star: float, pulse_s: float = 10e-9) -> "GermConfig":
+        """The germ of a target, with the helper ``R_eta(pi)`` about the
+        axis a quarter turn past the target's, ``eta = phi_star + pi/2``."""
         q, s = choose_germ_exponent(theta_star)
-        if eta is None:
-            eta = phi_star + math.pi / 2.0
-        return GermConfig(phi_star, theta_star, q, s, eta, chi, pulse_s)
+        return GermConfig(phi_star, theta_star, q, s, phi_star + math.pi / 2.0, math.pi, pulse_s)
 
 
 def build_germ_sequence(
@@ -468,15 +462,6 @@ def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) ->
 
 
 @dataclass(frozen=True)
-class LawFit:
-    """Fitted exponential law of one pair (A held at its configured scale)."""
-
-    a_hz: float
-    b_per_v: float
-    c: float
-
-
-@dataclass(frozen=True)
 class CalFit:
     laws: dict
     chi: float
@@ -504,19 +489,16 @@ def _map_model(params, fmap: FidelityMap, a_scales, eta: float) -> np.ndarray:
 
 
 def _surface_residuals(fmap: FidelityMap, a_scales):
-    """Residual vector of the surface fit as a function of the parameters
-    ``(B1, C1, B2, C2, chi)``, and its 2-point Jacobian callable.
-
-    Both come from :func:`fitting.two_point`, so they share its memo and
-    scipy's 2-point rule; the Jacobian's five stepped points are evaluated
-    as one stacked model call.
-    """
+    """The surface fit's stacked residual model: a ``(k, 5)`` stack of
+    parameter sets ``(B1, C1, B2, C2, chi)`` to the ``(k, cells)`` stack of
+    their residuals, so that a Jacobian's five stepped points are one model
+    call."""
 
     def stacked(stack):
         model = _map_model(stack, fmap, a_scales, fmap.cfg.eta)
         return (model - fmap.f).reshape(len(stack), -1)
 
-    return two_point(lambda params: stacked(params[None])[0], stacked)
+    return stacked
 
 
 def fit_final(
@@ -525,17 +507,15 @@ def fit_final(
     peak_v: tuple[float, float] | None = None,
     seed: int = 0,
     n_restarts: int = 8,
-    max_residual: float = 0.05,
 ) -> CalFit:
     """Fit the analytic fidelity surface to the final map.
 
     Free parameters are B and C of each swept pair's exchange law plus the
     helper angle chi (A is held at its configured scale: A and C shift the
-    same degree of freedom).  Damped least squares
-    (:func:`fitting.levenberg_marquardt`) with forward-difference Jacobians
-    (the five steps evaluated as one stacked model call, the point reused
-    from the residual call before it), restarted from 8 jittered seeds
-    around the assumed laws.
+    same degree of freedom).  :func:`fitting.best_of_starts` runs damped
+    least squares from the assumed laws and ``n_restarts - 1`` jittered
+    copies of them, in order, and stops early once a start's RMS residual
+    falls below 1e-10, which only a noise-free map reaches.
 
     When ``peak_v`` is given (the measured peak of this map), each start's
     C offsets are chosen so the model's calibration point sits on that
@@ -543,28 +523,17 @@ def fit_final(
     fringe and the fit converges to a shifted law.
 
     Raises:
-        FitError: if no restart converges to residual RMS below
-            ``max_residual``.
+        FitError: if no start converges, or the best one's RMS residual
+            exceeds 0.05.
     """
     cfg = fmap.cfg
     law1, law2 = assumed_laws[fmap.pairs[0]], assumed_laws[fmap.pairs[1]]
     a_scales = (law1.a_hz, law2.a_hz)
     x0 = np.array([law1.b_per_v, law1.c, law2.b_per_v, law2.c, cfg.chi])
-    data = fmap.f
-    j_tgt = None
     if peak_v is not None:
         omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
-        j = solve_exchange_for_rotation(cfg.phi_star, omega, fmap.pairs)
-        j_tgt = (j[fmap.pairs[0]], j[fmap.pairs[1]])
-
-    def pin_offsets(start):
-        start[1] = math.log(j_tgt[0] / a_scales[0]) - start[0] * peak_v[0]
-        start[3] = math.log(j_tgt[1] / a_scales[1]) - start[2] * peak_v[1]
-
-    residuals, jac = _surface_residuals(fmap, a_scales)
-
-    best = None
-    used = 0
+        j_tgt = solve_exchange_for_rotation(cfg.phi_star, omega, fmap.pairs)
+    starts = []
     for k, rng in enumerate(rng_streams(seed, 77, shape=n_restarts)):
         start = x0.copy()
         if k > 0:
@@ -573,57 +542,41 @@ def fit_final(
             start[1] += 0.05 * rng.standard_normal()
             start[3] += 0.05 * rng.standard_normal()
             start[4] += 0.05 * rng.standard_normal()
-        if j_tgt is not None:
-            pin_offsets(start)
-        try:
-            # a trial step's law may overflow; MINPACK rejects that step
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = levenberg_marquardt(residuals, start, jac=jac, xtol=1e-14, ftol=1e-14)
-        except Exception:  # noqa: BLE001 - restart on solver breakdown
-            continue
-        used = k + 1
-        if best is None or res.cost < best.cost:
-            best = res
-        if math.sqrt(2.0 * best.cost / data.size) < 1e-10:
-            break
-    if best is None:
-        raise FitError("all fit restarts failed")
-    rms = math.sqrt(2.0 * best.cost / data.size)
-    if rms > max_residual:
-        raise FitError(f"fidelity surface fit residual {rms:.3g} too large", rms)
+        if peak_v is not None:
+            start[1] = math.log(j_tgt[fmap.pairs[0]] / a_scales[0]) - start[0] * peak_v[0]
+            start[3] = math.log(j_tgt[fmap.pairs[1]] / a_scales[1]) - start[2] * peak_v[1]
+        starts.append(start)
+    # a trial step's law may overflow; MINPACK rejects that step
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, used = best_of_starts(
+            _surface_residuals(fmap, a_scales), starts, stop_rms=1e-10, xtol=1e-14, ftol=1e-14
+        )
+    if best.rms > 0.05:
+        raise FitError(f"fidelity surface fit residual {best.rms:.3g} too large", best.rms)
     b1, c1, b2, c2, chi = best.x
     laws = {
-        fmap.pairs[0]: LawFit(a_scales[0], float(b1), float(c1)),
-        fmap.pairs[1]: LawFit(a_scales[1], float(b2), float(c2)),
+        fmap.pairs[0]: ExchangeLaw(a_scales[0], float(b1), float(c1)),
+        fmap.pairs[1]: ExchangeLaw(a_scales[1], float(b2), float(c2)),
     }
-    return CalFit(laws=laws, chi=float(chi), residual_rms=rms, n_restarts_used=used)
+    return CalFit(laws=laws, chi=float(chi), residual_rms=best.rms, n_restarts_used=used)
 
 
 def fitted_rotation_at(
     fit: CalFit, pairs: tuple[str, str], v1: float, v2: float, pulse_s: float
 ) -> AxisAngle:
     """Probe rotation the fitted model assigns to a voltage point."""
-    j_active = {
-        pairs[0]: fit.laws[pairs[0]].a_hz
-        * math.exp(fit.laws[pairs[0]].b_per_v * v1 + fit.laws[pairs[0]].c),
-        pairs[1]: fit.laws[pairs[1]].a_hz
-        * math.exp(fit.laws[pairs[1]].b_per_v * v2 + fit.laws[pairs[1]].c),
-    }
-    j = {p: j_active.get(p, 0.0) for p in PAIR_ORDER}
-    return exchange_to_rotation(
-        ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"]), pulse_s
-    )
+    j = dict.fromkeys(PAIR_ORDER, 0.0)
+    for p, v in zip(pairs, (v1, v2)):
+        law = fit.laws[p]
+        j[p] = law.a_hz * math.exp(law.b_per_v * v + law.c)
+    return exchange_to_rotation(ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"]), pulse_s)
 
 
 def solve_fit_voltages(fit: CalFit, cfg: GermConfig, pairs: tuple[str, str]):
     """Voltages where the fitted laws put the probe exactly on target."""
     omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
     j = solve_exchange_for_rotation(cfg.phi_star, omega, pairs)
-    out = []
-    for p, v in zip(pairs, (j[pairs[0]], j[pairs[1]])):
-        law = fit.laws[p]
-        out.append((math.log(v / law.a_hz) - law.c) / law.b_per_v)
-    return tuple(out)
+    return tuple(fit.laws[p].v_for(j[p]) for p in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +625,6 @@ class CalibrationOptions:
     window0_v: float = 0.030
     shots: int | None = None
     seed: int = 0
-    max_jump_windows: float = 1.5
 
 
 def run_calibration(
@@ -680,8 +632,6 @@ def run_calibration(
     phi_star: float,
     theta_star: float,
     options: CalibrationOptions = CalibrationOptions(),
-    eta: float | None = None,
-    chi: float = math.pi,
     pairs: tuple[str, str] | None = None,
     assumed_laws: dict | None = None,
     precal_actual: Rotation | None = None,
@@ -694,18 +644,16 @@ def run_calibration(
     previous grid resolution) and re-centers on the peak found by
     :func:`find_peak`.  The last stage's map is fitted with
     :func:`fit_final` and the fitted laws are solved for the voltages that
-    put the probe on target.
+    put the probe on target.  The germ is :meth:`GermConfig.for_target` at
+    the device's pulse length.
 
     Raises:
-        CalibrationDiverged: if a stage's peak jumps by more than
-            ``max_jump_windows`` windows.
+        CalibrationDiverged: if a stage's peak jumps by more than 1.5
+            windows.
         DetectionError: if a stage's sweep centre, or a swept pair's
             exchange at the edges of its window, is not finite.
     """
-    cfg = GermConfig.for_target(phi_star, theta_star, eta=eta, chi=chi)
-    cfg = GermConfig(
-        cfg.phi_star, cfg.theta_star, cfg.q, cfg.s, cfg.eta, cfg.chi, device.pulse_s
-    )
+    cfg = GermConfig.for_target(phi_star, theta_star, device.pulse_s)
     if pairs is None:
         pairs = pairs_for_axis(phi_star)
     laws = dict(device.laws) if assumed_laws is None else dict(assumed_laws)
@@ -752,7 +700,7 @@ def run_calibration(
         peak = find_peak(fmap, previous=anchor)
         if prev_peak is not None:
             jump = math.hypot(peak.v1 - prev_peak[0], peak.v2 - prev_peak[1])
-            if jump > options.max_jump_windows * window:
+            if jump > 1.5 * window:
                 raise CalibrationDiverged(
                     f"peak jumped {jump:.4g} V at stage N={n_reps}", stage_idx
                 )

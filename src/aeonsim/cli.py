@@ -37,6 +37,7 @@ from .hilbert import (  # noqa: F401 - measure_p0 stays bound for perfbench's tr
     build_hamiltonian,
     eigenspectrum,
     measure_p0,
+    sector_propagator,
 )
 from .rotations import AxisAngle
 
@@ -196,10 +197,10 @@ def _json_doc(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool = False) -> None:
-    """Usage error if an exchange law overflows at barrier voltages
-    ``v_x`` (pair order, shape ``(..., 3)``); ``names`` gives, per swept
-    pair, the argument that sets its voltage.
+def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool = False):
+    """The couplings at barrier voltages ``v_x`` (pair order, shape
+    ``(..., 3)``), or a usage error if an exchange law overflows there;
+    ``names`` gives, per swept pair, the argument that sets its voltage.
 
     Each coupling is monotone in each barrier voltage, with or without
     cross-talk, so the corners of a voltage grid bound it.
@@ -210,6 +211,7 @@ def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool
             raise ValueError(
                 f"{name}: the exchange law of pair {pair} overflows at these barrier voltages"
             )
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,12 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     times = args.times
     v_x = np.full(3, -np.inf)
     v_x[dev.PAIR_ORDER.index(args.pair)] = args.v
-    _check_exchange(device, v_x, {args.pair: "--v"})
+    j = _check_exchange(device, v_x, {args.pair: "--v"})
+    try:  # the pulse kernel's Hamiltonian, and its phase over the longest pulse
+        sector_propagator(j, device.fields, float(times.max()))
+    except NonFiniteError as exc:
+        raise ValueError(f"--v: the exchange of pair {args.pair} at this barrier voltage "
+                         f"overflows the pulse kernel ({exc})") from None
     # one single-pulse train per duration
     pulses = [dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)) for t in times]
     trains = np.arange(times.size)[:, None]

@@ -542,21 +542,34 @@ class DeviceModel:
 
         Raises:
             NonFiniteError: naming the noise config if a shot's draw alone
-                overflows the kernel.
+                overflows the kernel, else naming the cross-talk and the
+                exchange laws if the noise-free run overflows only with
+                cross-talk.
         """
-        if shots is None:
-            return self.simulate_pulse(pulses, trains, None, apply_cross).reshape(shape)
-        draws, uniforms = sample_shots(self.noise, seed, *prefix, shape=tuple(shape) + (shots,))
+        draws = uniforms = None
+        if shots is not None:
+            draws, uniforms = sample_shots(self.noise, seed, *prefix, shape=tuple(shape) + (shots,))
         try:
             p0 = self.simulate_pulse(pulses, trains, draws, apply_cross)
         except NonFiniteError as exc:
-            # without noise this raises when the noise is not the cause
-            self.simulate_pulse(pulses, trains, None, apply_cross)
-            raise NonFiniteError(f"{exc}: a shot's noise draw (config noise.voltage_sigma_v, "
-                                 "noise.gradient_sigma_hz) overflows the pulse kernel") from None
+            # rerun without the noise, then also without the cross-talk: the
+            # first input whose removal keeps the run finite is named
+            for cause, cross in ((_NOISE, apply_cross), (_CROSS, False)):
+                try:
+                    self.simulate_pulse(pulses, trains, None, cross)
+                except NonFiniteError as remaining:
+                    exc = remaining
+                    continue
+                raise NonFiniteError(f"{exc}: {cause} overflows the pulse kernel") from None
+            raise exc from None
+        if shots is None:
+            return p0.reshape(shape)
         hits = np.count_nonzero((uniforms < p0).reshape(-1, shots), axis=1)
         return (hits / shots).reshape(shape)
 
+
+_NOISE = "a shot's noise draw (config noise.voltage_sigma_v, noise.gradient_sigma_hz)"
+_CROSS = "--cross cross-talk (config cross_matrix) on the exchange laws (config exchange_law)"
 
 # Every kernel row starts from the outer-pair singlet's sector vectors: one
 # vector per sector, the encoded |0> times the square root of 1/2.

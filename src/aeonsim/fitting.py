@@ -1,10 +1,12 @@
-"""One Levenberg-Marquardt driver for every fit.
+"""One multi-start Levenberg-Marquardt driver for every fit.
 
 The oscillation-decay fit, both RB decay curves and the calibration surface
-fit all minimize half a sum of squared residuals with MINPACK's ``lmder``,
-with the settings that ``least_squares(method="lm", x_scale="jac")`` passes
-it: ``gtol = 1e-8``, ``maxfev = 100 n``, ``factor = 100`` and MINPACK's own
-variable scaling (``diag=None``).  The driver calls ``_lmder`` in scipy's
+each hand :func:`best_of_starts` a stacked residual model and their starts.
+From each start, :func:`levenberg_marquardt` minimizes half the sum of
+squared residuals with MINPACK's ``lmder``, with the settings that
+``least_squares(method="lm", x_scale="jac")`` passes it: ``gtol = 1e-8``,
+``maxfev = 100 n``, ``factor = 100`` and MINPACK's own variable scaling
+(``diag=None``).  It calls ``_lmder`` in scipy's
 private ``scipy/optimize/_minpack`` extension module, with the arguments
 :func:`scipy.optimize.leastsq` passes it, and loads that one extension from
 scipy's installed ``optimize/`` directory: ``scipy.optimize``'s package
@@ -34,11 +36,12 @@ _REL_STEP = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class LmFit:
-    """Final point of a fit, half its sum of squared residuals, and the
-    number of residual evaluations MINPACK made."""
+    """Final point of a fit, half its sum of squared residuals, their root
+    mean square, and the number of residual evaluations MINPACK made."""
 
     x: np.ndarray
     cost: float
+    rms: float
     nfev: int
 
 
@@ -113,12 +116,11 @@ def _lmder():
     )
 
 
-def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-8) -> LmFit:
+def levenberg_marquardt(fun, x0, jac, ftol: float = 1e-8, xtol: float = 1e-8) -> LmFit:
     """Minimize ``0.5 * |fun(x)|^2`` from ``x0`` with MINPACK's ``lmder``.
 
-    Without ``jac`` the residuals and Jacobian are :func:`two_point` of
-    ``fun``; a caller passing ``jac`` passes the memoized pair that
-    :func:`two_point` returns, so that the start point is evaluated once.
+    ``fun`` and ``jac`` are the memoized pair that :func:`two_point`
+    returns, so that the start point is evaluated once.
 
     Raises:
         ValueError: if the residuals at ``x0`` are not finite, or fewer
@@ -126,8 +128,6 @@ def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-
         FitError: if MINPACK stops at its evaluation limit (status 5).
         ImportError: if scipy's MINPACK extension cannot be loaded.
     """
-    if jac is None:
-        fun, jac = two_point(fun)
     # MINPACK iterates in this array's buffer: the caller's x0 stays as it was
     x0 = np.array(x0, dtype=float)
     f0 = fun(x0)
@@ -141,4 +141,40 @@ def levenberg_marquardt(fun, x0, jac=None, ftol: float = 1e-8, xtol: float = 1e-
     if status == 5:
         raise FitError(f"no convergence within {info['nfev']} residual evaluations")
     f = info["fvec"]
-    return LmFit(x=x, cost=0.5 * np.dot(f, f), nfev=int(info["nfev"]))
+    cost = 0.5 * np.dot(f, f)
+    return LmFit(x=x, cost=cost, rms=math.sqrt(2.0 * cost / f.size), nfev=int(info["nfev"]))
+
+
+def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances):
+    """The best :func:`levenberg_marquardt` fit of a stacked residual model
+    over a list of starts.
+
+    ``stacked`` maps a ``(k, n)`` stack of points to the ``(k, m)`` stack
+    of their residuals, as for :func:`two_point`, whose memoized pair is
+    built once and shared by every start.  The starts run in order, each
+    with ``tolerances``; a start that raises is skipped.  The lowest cost
+    wins, and on a tie the earliest start.  With ``stop_rms`` the starts
+    stop once the winner's RMS residual falls below it.
+
+    Returns:
+        ``(fit, used)``: the winning fit, and the number of starts up to
+        and including the last one that converged.
+
+    Raises:
+        FitError: if no start converges.
+    """
+    residuals, jac = two_point(lambda x: stacked(x[None])[0], stacked)
+    best, used = None, 0
+    for k, start in enumerate(starts, 1):
+        try:
+            res = levenberg_marquardt(residuals, start, jac=jac, **tolerances)
+        except Exception:  # noqa: BLE001 - a start that breaks down is skipped
+            continue
+        used = k
+        if best is None or res.cost < best.cost:
+            best = res
+        if stop_rms is not None and best.rms < stop_rms:
+            break
+    if best is None:
+        raise FitError(f"none of the {len(starts)} starts of the fit converged")
+    return best, used

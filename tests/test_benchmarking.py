@@ -335,18 +335,23 @@ def _decay_resid(depths, y, with_offset):
     return lambda x: x[0] * np.clip(x[1], 0.0, 1.0) ** depths - y
 
 
+# the unpatched rule, which the spies below and the row checks call
+TWO_POINT = fitting.two_point
+
+
 def _spy_two_point(monkeypatch, oracles=None):
-    """Record the (fun, stacked) pairs the fits hand to two_point; with
-    ``oracles``, fit through the i-th oracle's per-column Jacobian instead."""
+    """Record the (fun, stacked) pairs the multi-start driver hands to
+    two_point; with ``oracles``, fit through the i-th oracle's per-column
+    Jacobian instead."""
     seen = []
 
     def spy(fun, stacked=None):
         seen.append((fun, stacked))
         if oracles is not None:
-            return fitting.two_point(oracles[len(seen) - 1])
-        return fitting.two_point(fun, stacked)
+            return TWO_POINT(oracles[len(seen) - 1])
+        return TWO_POINT(fun, stacked)
 
-    monkeypatch.setattr(bench, "two_point", spy)
+    monkeypatch.setattr(fitting, "two_point", spy)
     return seen
 
 
@@ -371,8 +376,7 @@ def _assert_rows_and_jacobians_equal(fun, stacked, oracle, points):
     for x, row in zip(points, rows):
         assert np.array_equal(row, oracle(x)) and np.array_equal(fun(x), oracle(x))
         # the stacked Jacobian equals the one built column by column
-        assert np.array_equal(fitting.two_point(fun, stacked)[1](x),
-                              fitting.two_point(oracle)[1](x))
+        assert np.array_equal(TWO_POINT(fun, stacked)[1](x), TWO_POINT(oracle)[1](x))
 
 
 def test_oscillation_stack_rows_equal_the_per_point_residual(monkeypatch):

@@ -10,6 +10,7 @@ from scipy.special import eval_chebyu
 
 from aeonsim import calibration as cal
 from aeonsim import device as dev
+from aeonsim import fitting
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError, DetectionError
 from aeonsim import hilbert as hb
@@ -418,6 +419,13 @@ def _fit_problem():
     return fmap, (laws["12"].a_hz, laws["23"].a_hz), x0
 
 
+def _surface_pair(fmap, a_scales):
+    """The residuals and Jacobian the multi-start driver builds over the
+    surface fit's stacked model."""
+    stacked = cal._surface_residuals(fmap, a_scales)
+    return fitting.two_point(lambda x: stacked(x[None])[0], stacked)
+
+
 def test_stacked_map_model_equals_per_row_evaluation():
     fmap, a_scales, x0 = _fit_problem()
     grids = np.meshgrid(fmap.v1, fmap.v2)
@@ -447,7 +455,7 @@ def test_stacked_map_model_equals_per_row_evaluation():
 
 def test_fit_jacobian_equals_scipy_two_point_rule():
     fmap, a_scales, x0 = _fit_problem()
-    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    residuals, jac = _surface_pair(fmap, a_scales)
     points = [x0, x0 * np.array([1.01, 1.0, 0.99, 1.0, 1.02]), x0 + np.array([0.0, 0.3, 0.0, -0.2, 0.05])]
     points.append(np.array([x0[0], 0.0, x0[2], -0.0, x0[4]]))  # sign(0) steps forward
     points.append(np.array([x0[0], -0.04, x0[2], 0.03, -0.2]))
@@ -479,9 +487,9 @@ def test_fit_jacobian_memo_reuses_the_residual(monkeypatch):
     x, y, z = x0, x0 * np.array([1.01, 1.0, 0.99, 1.0, 1.02]), x0 + 0.01
     want = {}
     for p in (x, z):
-        residuals, _ = cal._surface_residuals(fmap, a_scales)
+        residuals, _ = _surface_pair(fmap, a_scales)
         want[p.tobytes()] = approx_derivative(residuals, p, method="2-point")
-    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    residuals, jac = _surface_pair(fmap, a_scales)
     rows = _counting_model_rows(monkeypatch)
     cases = [
         (x, lambda: residuals(x), 5),  # the Jacobian follows residuals at x
@@ -498,7 +506,7 @@ def test_fit_jacobian_memo_reuses_the_residual(monkeypatch):
 
 def test_fit_jacobian_memo_survives_caller_mutation():
     fmap, a_scales, x0 = _fit_problem()
-    residuals, jac = cal._surface_residuals(fmap, a_scales)
+    residuals, jac = _surface_pair(fmap, a_scales)
     want = approx_derivative(residuals, x0, method="2-point")
     f = residuals(x0)
     f_want = f.copy()

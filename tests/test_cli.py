@@ -557,6 +557,42 @@ def test_noise_draw_that_overflows_is_a_numeric_failure_naming_the_noise(argv, t
     assert not (tmp_path / "out.json").exists()
 
 
+HUGE_LAW = {"exchange_law": {"12": {"A_hz": 1e300, "B_per_v": 1}}}
+
+
+def test_rabi_coupling_that_overflows_the_kernel_is_a_usage_error_naming_v(tmp_path, capsys):
+    # J = 4e307 Hz is finite, but its phase over the pulse is not: this used
+    # to exit 3 with "evolution phase (energy times duration) is not finite"
+    (tmp_path / "dev.json").write_text(json.dumps(HUGE_LAW))
+    argv = ["rabi", "--pair", "12", "--v", "17.5", "--times", "0:200e-9:20",
+            "--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "rabi.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--v: the exchange of pair 12 at this barrier voltage" in err and "overflows the pulse kernel" in err
+    assert not (tmp_path / "rabi.json").exists()
+    # a voltage the kernel can play still runs
+    assert run(argv[:4] + ["1"] + argv[5:]) in (0, 3)
+    assert "--v" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--shots", "2"]])
+def test_cross_talk_that_overflows_the_kernel_names_cross_and_the_laws(extra, tmp_path, capsys):
+    # cross-talk from the -673 V barrier of pair 12 overflows another pair's
+    # law; this used to exit 3 with "Hamiltonian is not finite" alone
+    (tmp_path / "dev.json").write_text(json.dumps(HUGE_LAW))
+    argv = ["rb", "--engine", "device", "--depths", "1,2,4", "--sequences", "2",
+            "--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "rb.json")] + extra
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--cross"]) == 3
+        err = capsys.readouterr().err
+        assert "--cross" in err and "exchange_law" in err and "noise" not in err
+        assert not (tmp_path / "rb.json").exists()
+        assert run(argv) == 0  # the same laws without cross-talk
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["fingerpinch", "--pairs", "12,23", "--v1", "0.05:0.08:3", "--v2", "0.05:0.08:3",
       "--duration", "1e300"], "--duration: evolution phase"),

@@ -25,22 +25,30 @@ SRC = Path(fitting.__file__).parent
 PLAIN_IS_TWO_POINT = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 16)
 
 
-def _record_fits(monkeypatch, module):
-    """Spy on ``module``'s driver binding: each call's residual function,
-    start, keywords and result (or the exception it raised)."""
+def _lm(fun, x0, **kw):
+    """One fit of a plain residual function through its two_point pair."""
+    residuals, jac = fitting.two_point(fun)
+    return fitting.levenberg_marquardt(residuals, x0, jac, **kw)
+
+
+def _record_fits(monkeypatch):
+    """Spy on the binding of ``levenberg_marquardt`` that the multi-start
+    driver calls: each call's residual function, start, keywords and result
+    (or the exception it raised)."""
     calls = []
+    levenberg_marquardt = fitting.levenberg_marquardt
 
     def spy(fun, x0, **kw):
         start = np.array(x0, dtype=float)
         try:
-            res = fitting.levenberg_marquardt(fun, x0, **kw)
+            res = levenberg_marquardt(fun, x0, **kw)
         except (ValueError, FitError) as exc:
             calls.append((fun, start, kw, exc))
             raise
         calls.append((fun, start, kw, res))
         return res
 
-    monkeypatch.setattr(module, "levenberg_marquardt", spy)
+    monkeypatch.setattr(fitting, "levenberg_marquardt", spy)
     return calls
 
 
@@ -92,7 +100,7 @@ def _rabi_data():
 
 
 def test_oscillation_fit_takes_scipy_two_point_iterates(monkeypatch):
-    calls = _record_fits(monkeypatch, bench)
+    calls = _record_fits(monkeypatch)
     bench.fit_oscillation_decay(*_rabi_data())
     assert len(calls) == 12
     assert any(isinstance(res, FitError) for *_, res in calls)  # maxfev exhausted
@@ -103,11 +111,11 @@ def test_a_start_stopped_at_maxfev_is_a_fit_error():
     # MINPACK status 5: 100 evaluations for one parameter, with the residual
     # still falling; it used to come back as a fit
     with pytest.raises(FitError, match="100 residual evaluations"):
-        fitting.levenberg_marquardt(lambda x: np.array([np.exp(x[0]) - 1e-300, 0.0 * x[0]]), [10.0])
+        _lm(lambda x: np.array([np.exp(x[0]) - 1e-300, 0.0 * x[0]]), [10.0])
 
 
 def test_rb_fits_take_scipy_two_point_iterates(monkeypatch):
-    calls = _record_fits(monkeypatch, bench)
+    calls = _record_fits(monkeypatch)
     cfg = bench.RbConfig(depths=(1, 4, 16, 64, 256), n_sequences=10, shots=100, seed=3)
     inject = bench.InjectedError(depol_per_pulse=1e-3, leak_per_pulse=1e-3)
     bench.fit_rb(bench.run_rb(None, cfg, engine="channel", inject=inject))
@@ -127,11 +135,38 @@ def _surface_problem():
 
 
 def test_surface_fit_restarts_take_scipy_two_point_iterates(monkeypatch):
-    calls = _record_fits(monkeypatch, cal)
+    calls = _record_fits(monkeypatch)
     fmap, laws = _surface_problem()
     cal.fit_final(fmap, laws, n_restarts=2)
     assert len(calls) == 2 and all(kw["jac"] is not None for _, _, kw, _ in calls)
     _assert_scipy_iterates(calls, check_plain=False)
+
+
+def test_best_of_starts_runs_starts_in_order_and_keeps_the_earliest_best(monkeypatch):
+    # x^2 = 1 from mirrored starts: the iterates mirror each other bit for
+    # bit and end at -1 and +1 at one cost
+    def stacked(points):
+        return points**2 - 1.0
+
+    nan, plus, minus, inf = (np.array([v]) for v in (math.nan, 2.0, -2.0, math.inf))
+    calls = _record_fits(monkeypatch)
+    fit, used = fitting.best_of_starts(stacked, [nan, plus, minus, inf], xtol=1e-12)
+    assert [start.tobytes() for _, start, _, _ in calls] == [
+        x.tobytes() for x in (nan, plus, minus, inf)]
+    assert all(kw["xtol"] == 1e-12 for _, _, kw, _ in calls)
+    (*_, skipped), (*_, first), (*_, second), _ = calls
+    assert isinstance(skipped, ValueError)
+    assert first.cost == second.cost and first.x[0] == -second.x[0] > 0
+    # the tie goes to the earlier start; the raising starts are skipped, and
+    # the count ends at the last start that converged
+    assert fit is first and used == 3
+    fit, used = fitting.best_of_starts(stacked, [minus, plus])
+    assert fit.x[0] == second.x[0] and used == 2
+    # the starts stop once the best RMS falls below stop_rms
+    fit, used = fitting.best_of_starts(stacked, [nan, plus, minus], stop_rms=1e-6)
+    assert fit.rms < 1e-6 and fit.x[0] == first.x[0] and used == 2
+    with pytest.raises(FitError, match="none of the 2 starts of the fit converged"):
+        fitting.best_of_starts(stacked, [nan, inf])
 
 
 def test_non_finite_start_and_too_few_residuals_raise():
@@ -139,12 +174,12 @@ def test_non_finite_start_and_too_few_residuals_raise():
         return np.array([1.0, x[0] - 2.0, math.inf if x[1] == 0.0 else x[1] - 1.5])
 
     with pytest.raises(ValueError, match="not finite"):
-        fitting.levenberg_marquardt(fun, [1.0, 0.0])
+        _lm(fun, [1.0, 0.0])
     with pytest.raises(ValueError, match="not finite"):
-        fitting.levenberg_marquardt(lambda x: x * np.nan, [1.0, 2.0])
+        _lm(lambda x: x * np.nan, [1.0, 2.0])
     with pytest.raises(ValueError, match="2 residuals"):
-        fitting.levenberg_marquardt(lambda x: x[:2] - 1.0, [1.0, 2.0, 3.0])
-    assert fitting.levenberg_marquardt(fun, [1.0, 1.5]).cost == pytest.approx(0.5)
+        _lm(lambda x: x[:2] - 1.0, [1.0, 2.0, 3.0])
+    assert _lm(fun, [1.0, 1.5]).cost == pytest.approx(0.5)
 
 
 def test_start_point_is_evaluated_once():
@@ -157,7 +192,7 @@ def test_start_point_is_evaluated_once():
         seen.append(x.tobytes())
         return x[0] + x[1] * x[2] ** depths - y
 
-    res = fitting.levenberg_marquardt(fun, x0)
+    res = _lm(fun, x0)
     assert res.cost < 1e-20
     assert seen.count(x0.tobytes()) == 1
 
@@ -174,8 +209,7 @@ def test_surface_start_point_is_one_model_map(monkeypatch):
         return model(params, *args)
 
     monkeypatch.setattr(cal, "_map_model", counted)
-    residuals, jac = cal._surface_residuals(fmap, a_scales)
-    fitting.levenberg_marquardt(residuals, x0, jac=jac, xtol=1e-14, ftol=1e-14)
+    fitting.best_of_starts(cal._surface_residuals(fmap, a_scales), [x0], xtol=1e-14, ftol=1e-14)
     assert rows.count(x0.tobytes()) == 1
 
 
@@ -246,3 +280,46 @@ def test_no_source_module_uses_least_squares():
     ):
         assert _uses_scipy_optimize(ast.parse(code)), code
     assert not _uses_scipy_optimize(ast.parse("import scipy.special"))
+
+
+_DRIVER_PARTS = {"levenberg_marquardt", "two_point"}
+
+
+def _callers_of_driver_parts(tree) -> set:
+    """The names of ``levenberg_marquardt`` or ``two_point`` a module
+    imports, calls or reads as an attribute, each with the function it
+    sits in (None at module level)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = (node.name.split(".")[-1] if isinstance(node, ast.alias)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in _DRIVER_PARTS:
+            found.add((name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_multi_start_driver_runs_levenberg_marquardt():
+    # every fit hands its stacked model and starts to fitting.best_of_starts;
+    # a hand-written start loop elsewhere names one of these two
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "fitting.py":
+            assert not _callers_of_driver_parts(ast.parse(path.read_text())), path.name
+    found = _callers_of_driver_parts(ast.parse((SRC / "fitting.py").read_text()))
+    assert found == {("levenberg_marquardt", "best_of_starts"), ("two_point", "best_of_starts")}
+    for code in (
+        "from .fitting import levenberg_marquardt",
+        "from .fitting import two_point as pair",
+        "from . import fitting\ndef f(): fitting.levenberg_marquardt(r, x, j)",
+        "import aeonsim.fitting\naeonsim.fitting.two_point(f)",
+        "def fit(): return two_point(f)",
+    ):
+        assert _callers_of_driver_parts(ast.parse(code)), code
+    assert not _callers_of_driver_parts(ast.parse("from .fitting import best_of_starts"))
