@@ -197,13 +197,18 @@ def _json_doc(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool = False):
-    """The couplings at barrier voltages ``v_x`` (pair order, shape
-    ``(..., 3)``), or a usage error if an exchange law overflows there;
-    ``names`` gives, per swept pair, the argument that sets its voltage.
+def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool,
+                    duration_s: float, duration_flag: str | None):
+    """Raise an error naming the input that makes the pulse kernel overflow
+    at barrier voltages ``v_x`` (pair order, shape ``(..., 3)``); ``names``
+    gives, per swept pair, the argument that sets its voltage.
 
-    Each coupling is monotone in each barrier voltage, with or without
-    cross-talk, so the corners of a voltage grid bound it.
+    An exchange law that overflows, or a kernel Hamiltonian that does at
+    zero duration, is a usage error naming ``names``.  A kernel phase that
+    overflows only over ``duration_s`` is a usage error naming
+    ``duration_flag``, or a numeric failure naming the config's ``pulse_s``
+    when that is None.  Each coupling is monotone in each barrier voltage,
+    with or without cross-talk, so the corners of a voltage grid bound it.
     """
     j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
     for pair, name in names.items():
@@ -211,7 +216,22 @@ def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool
             raise ValueError(
                 f"{name}: the exchange law of pair {pair} overflows at these barrier voltages"
             )
-    return j
+    try:
+        sector_propagator(j, device.fields, duration_s)
+    except NonFiniteError as exc:
+        try:  # couplings that fail at zero duration too are to blame
+            sector_propagator(j, device.fields, 0.0)
+        except NonFiniteError:
+            many = len(names) > 1
+            raise ValueError(
+                f"{'/'.join(dict.fromkeys(names.values()))}: the exchange of "
+                f"{'pairs' if many else 'pair'} {' and '.join(names)} at "
+                f"{'these barrier voltages' if many else 'this barrier voltage'} "
+                f"overflows the pulse kernel ({exc})"
+            ) from None
+        if duration_flag is None:
+            raise NonFiniteError(f"config pulse_s: {exc}") from None
+        raise ValueError(f"{duration_flag}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +259,11 @@ def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
     names = {pairs[0]: "--v1", pairs[1]: "--v2"}
     if args.cross:
         names = dict.fromkeys(pairs, "--v1/--v2 with --cross")
-    _check_exchange(device, corners, names, args.cross)
-    try:
-        p0 = dev.fingerpinch_map(device, pairs, v1, v2, hadamard=args.hadamard,
-                                 duration_s=args.duration, apply_cross=args.cross)
-    except NonFiniteError as exc:
-        # the couplings are finite (checked above): the duration overflowed
-        if args.duration is None:
-            raise
-        raise ValueError(f"--duration: {exc}") from None
+    duration = device.pulse_s if args.duration is None else args.duration
+    _check_exchange(device, corners, names, apply_cross=args.cross, duration_s=duration,
+                    duration_flag=None if args.duration is None else "--duration")
+    p0 = dev.fingerpinch_map(device, pairs, v1, v2, hadamard=args.hadamard,
+                             duration_s=duration, apply_cross=args.cross)
     v1_cells = v1.tolist()
     rows = [(a, b, p) for b, row in zip(v2.tolist(), p0.tolist()) for a, p in zip(v1_cells, row)]
     header = [f"v_x{pairs[0]} (V)", f"v_x{pairs[1]} (V)", "p0 (1)"]
@@ -259,12 +275,8 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     times = args.times
     v_x = np.full(3, -np.inf)
     v_x[dev.PAIR_ORDER.index(args.pair)] = args.v
-    j = _check_exchange(device, v_x, {args.pair: "--v"})
-    try:  # the pulse kernel's Hamiltonian, and its phase over the longest pulse
-        sector_propagator(j, device.fields, float(times.max()))
-    except NonFiniteError as exc:
-        raise ValueError(f"--v: the exchange of pair {args.pair} at this barrier voltage "
-                         f"overflows the pulse kernel ({exc})") from None
+    _check_exchange(device, v_x, {args.pair: "--v"}, apply_cross=False,
+                    duration_s=float(times.max()), duration_flag="--times")
     # one single-pulse train per duration
     pulses = [dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)) for t in times]
     trains = np.arange(times.size)[:, None]

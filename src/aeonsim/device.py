@@ -1,9 +1,10 @@
 """Voltage-level model of a triple-dot device.
 
-The model maps physical gate voltages to virtual gates through a
-compensation matrix, virtual barrier voltages to exchange couplings through
+The model maps virtual barrier voltages to exchange couplings through
 per-pair exponential laws (with optional exchange cross-talk), and virtual
-plunger offsets to a multiplicative detuning penalty on each coupling.
+plunger offsets to a multiplicative detuning penalty on each coupling.  It
+stores the compensation matrix from physical to virtual gates, but no
+experiment reads it yet: every command takes virtual voltages.
 Quasi-static Gaussian noise draws perturb the virtual voltages and add a
 magnetic gradient; a draw is held fixed for the duration of one shot.
 

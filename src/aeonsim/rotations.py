@@ -389,20 +389,15 @@ def _axis_vec(phi: float) -> np.ndarray:
     return np.array([math.cos(phi), 0.0, math.sin(phi)])
 
 
-def _norm_angle(t: float) -> float:
-    return t % _TWO_PI
-
-
-def _nontrivial(t: float, eps: float = 1e-9) -> bool:
-    t = _norm_angle(t)
-    return eps < t < _TWO_PI - eps
+def _nontrivial(t: float) -> bool:
+    return 1e-9 < t % _TWO_PI < _TWO_PI - 1e-9
 
 
 def _three_word_solutions(target: Rotation, a: np.ndarray, b: np.ndarray):
-    """All (alpha, beta, gamma) with R_a(gamma) R_b(beta) R_a(alpha) = target
-    up to phase.  Closed form: the scalar part and the component of the
-    vector part along ``a`` fix (alpha+gamma, beta); the remaining vector
-    components fix the split of alpha+gamma.
+    """The (alpha, beta, gamma) with R_a(gamma) R_b(beta) R_a(alpha) = target
+    up to phase, one per sign of cos(beta/2).  Closed form: the scalar part
+    and the component of the vector part along ``a`` fix (alpha+gamma, beta);
+    the remaining vector components fix the split of alpha+gamma.
     """
     c = _dot3(a, b)
     e1 = b - c * a
@@ -411,150 +406,96 @@ def _three_word_solutions(target: Rotation, a: np.ndarray, b: np.ndarray):
         return []
     e1 = e1 / n1
     e2 = np.cross(a, e1)
+    w, v = target.w, np.array(target.v)
+    p = _dot3(v, a)
+    s2 = (1.0 - w * w - p * p) / (1.0 - c * c)
+    if s2 < -1e-12 or s2 > 1.0 + 1e-12:
+        return []
+    s_half = math.sqrt(min(1.0, max(0.0, s2)))
     out = []
-    for sgn in (1.0, -1.0):
-        w = sgn * target.w
-        v = sgn * np.array(target.v)
-        p = _dot3(v, a)
-        s2 = (1.0 - w * w - p * p) / (1.0 - c * c)
-        if s2 < -1e-12 or s2 > 1.0 + 1e-12:
+    for c_sign in (1.0, -1.0):
+        c_half = c_sign * math.sqrt(max(0.0, 1.0 - s_half * s_half))
+        den = complex(c_half, c * s_half)
+        if abs(den) < 1e-15:
             continue
-        s_half = math.sqrt(min(1.0, max(0.0, s2)))
-        for c_sign in (1.0, -1.0):
-            c_half = c_sign * math.sqrt(max(0.0, 1.0 - s_half * s_half))
-            den = complex(c_half, c * s_half)
-            if abs(den) < 1e-15:
-                continue
-            sigma = 2.0 * np.angle(complex(w, p) / den)
-            beta = 2.0 * math.atan2(s_half, c_half)
-            if s_half < 1e-9:
-                # beta degenerate: word collapses to a pure-a rotation
-                out.append((0.0, beta, sigma))
-                continue
-            m = compose(
-                Rotation.about(a, -sigma), Rotation(w, tuple(v))
-            )
-            b_rot = np.array(m.v) / s_half
-            alpha = math.atan2(-_dot3(b_rot, e2) / n1, _dot3(b_rot, e1) / n1)
-            gamma = sigma - alpha
-            out.append((alpha, beta, gamma))
+        sigma = 2.0 * np.angle(complex(w, p) / den)
+        beta = 2.0 * math.atan2(s_half, c_half)
+        if s_half < 1e-9:
+            # beta degenerate: word collapses to a pure-a rotation
+            out.append((0.0, beta, sigma))
+            continue
+        m = compose(Rotation.about(a, -sigma), target)
+        b_rot = np.array(m.v) / s_half
+        alpha = math.atan2(-_dot3(b_rot, e2) / n1, _dot3(b_rot, e1) / n1)
+        gamma = sigma - alpha
+        out.append((alpha, beta, gamma))
     return out
 
 
-def _try_length(target, axes_phi, length, tol):
-    """Words of exactly ``length`` alternating pulses, preferring the
-    caller's first axis as the starting pulse."""
-    a0, a1 = _axis_vec(axes_phi[0]), _axis_vec(axes_phi[1])
-    candidates = []
+def _candidate_words(target: Rotation, axes_phi: tuple[float, float]):
+    """Time-ordered ``(phi, theta)`` pulses of the candidate words for
+    ``target``, each axis in turn as ``a`` (the caller's first axis first):
+    every a-b-a solution, then every b-a-b-a word whose leading ``R_b(delta)``
+    leaves the remainder ``target * R_b(-delta)`` farthest inside the a-b-a
+    region.
 
-    def record(pulses):
-        word = tuple(AxisAngle(phi, _norm_angle(t)) for phi, t in pulses)
-        if all(_nontrivial(aa.theta) for aa in word):
-            net = compose_sequence(word)
-            if net.approx_equal(target, tol):
-                candidates.append(word)
-
-    if length == 1:
-        for phi, ax in ((axes_phi[0], a0), (axes_phi[1], a1)):
-            v = np.array(target.v)
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            d = _dot3(v, ax) / nv
-            if abs(abs(d) - 1.0) < 1e-9:
-                theta = target.angle if d > 0 else _TWO_PI - target.angle
-                record([(phi, theta)])
-            if candidates:
-                return candidates[0]
-        return None
-
-    # Alternating solves; (pa, pb) = axis roles with pattern a.b.a
-    role_orders = [
-        (axes_phi[0], a0, axes_phi[1], a1),
-        (axes_phi[1], a1, axes_phi[0], a0),
-    ]
-    if length == 2:
-        for phi_a, a, phi_b, b in role_orders:
-            for alpha, beta, gamma in _three_word_solutions(target, a, b):
-                if not _nontrivial(alpha):
-                    record([(phi_b, beta), (phi_a, gamma)])
-                if not _nontrivial(gamma):
-                    record([(phi_a, alpha), (phi_b, beta)])
-            if candidates:
-                return candidates[0]
-        return None
-    if length == 3:
-        for phi_a, a, phi_b, b in role_orders:
-            for alpha, beta, gamma in _three_word_solutions(target, a, b):
-                record([(phi_a, alpha), (phi_b, beta), (phi_a, gamma)])
-            if candidates:
-                return candidates[0]
-        return None
-    if length == 4:
-        # One leading pulse delta reduces to the three-word problem; the
-        # family is one-parameter, so scan delta on a fixed grid.
-        for phi_a, a, phi_b, b in role_orders:
-            for delta in np.linspace(0.0, _TWO_PI, 1441)[1:-1]:
-                lead = Rotation.about(b, delta)
-                residual = compose(target, lead.inverse())
-                for alpha, beta, gamma in _three_word_solutions(residual, a, b):
-                    record(
-                        [
-                            (phi_b, delta),
-                            (phi_a, alpha),
-                            (phi_b, beta),
-                            (phi_a, gamma),
-                        ]
-                    )
-                if candidates:
-                    return candidates[0]
-        return None
-    return None
+    The remainder's (scalar, a-component) is ``cos(delta/2) u + sin(delta/2)
+    t``, and an a-b-a word exists when its squared length is at least
+    ``(a.b)^2``; ``delta = atan2(2 u.t, |u|^2 - |t|^2)`` maximises it.
+    """
+    w, v = target.w, np.array(target.v)
+    for phi_a, phi_b in (axes_phi, axes_phi[::-1]):
+        a, b = _axis_vec(phi_a), _axis_vec(phi_b)
+        for alpha, beta, gamma in _three_word_solutions(target, a, b):
+            yield (phi_a, alpha), (phi_b, beta), (phi_a, gamma)
+        # (scalar, a-component) pairs, padded to 3-vectors for _dot3
+        u = (w, _dot3(v, a), 0.0)
+        t = (_dot3(v, b), -w * _dot3(a, b) - _dot3(np.cross(v, b), a), 0.0)
+        delta = math.atan2(2.0 * _dot3(u, t), _dot3(u, u) - _dot3(t, t))
+        rest = compose(target, Rotation.about(b, -delta))
+        for alpha, beta, gamma in _three_word_solutions(rest, a, b):
+            yield (phi_b, delta), (phi_a, alpha), (phi_b, beta), (phi_a, gamma)
 
 
-def decompose_rotation(
-    target: Rotation,
-    axes_phi: tuple[float, float],
-    max_pulses: int = 4,
-    tol: float = 1e-9,
-) -> tuple[AxisAngle, ...]:
+def decompose_rotation(target: Rotation, axes_phi: tuple[float, float]) -> tuple[AxisAngle, ...]:
     """Minimal pulse sequence about two fixed xz-plane axes realizing
     ``target`` up to global phase.
 
-    Word lengths are searched breadth-first (0, 1, ..., ``max_pulses``) with
-    alternating-axis patterns, the caller's first axis preferred as the
-    starting pulse; pulse angles are solved in closed form and lie in
-    (0, 2*pi).
+    Each candidate word of :func:`_candidate_words` (at most 4 pulses, angles
+    in closed form) drops its trivial pulses; the shortest that composes to
+    ``target`` within 1e-9 wins, the earliest on a tie.  Pulse angles lie
+    in (0, 2*pi).
 
     Raises:
-        ProtocolError: if no decomposition within ``max_pulses`` pulses
-            exists at the tolerance.
+        ProtocolError: if no candidate composes to ``target``.
     """
-    if target.approx_equal(Rotation.identity(), tol):
+    if target.approx_equal(Rotation.identity()):
         return ()
-    for length in range(1, max_pulses + 1):
-        word = _try_length(target, axes_phi, length, tol)
-        if word is not None:
-            return word
-    raise ProtocolError(
-        f"no pulse decomposition of length <= {max_pulses} found for target "
-        f"rotation (angle {target.angle:.6f})"
-    )
+    best = None
+    for pulses in _candidate_words(target, axes_phi):
+        word = tuple(AxisAngle(phi, t % _TWO_PI) for phi, t in pulses if _nontrivial(t))
+        if best is None or len(word) < len(best):
+            if compose_sequence(word).approx_equal(target):
+                best = word
+    if best is None:
+        raise ProtocolError(
+            f"no pulse decomposition of at most 4 pulses found for target "
+            f"rotation (angle {target.angle:.6f})"
+        )
+    return best
 
 
-def compile_clifford_group(
-    axes_phi: tuple[float, float], max_pulses: int = 4
-) -> CliffordGroup:
+def compile_clifford_group(axes_phi: tuple[float, float]) -> CliffordGroup:
     """The 24 Clifford rotations compiled as minimal-length pulse words
     about two single-coupling axes (continuous pulse angles).
 
-    The rotations, their order and tables are the canonical group's.  The
-    search is breadth-first over word length, so each element's
-    ``decomposition`` has the fewest pulses possible; the identity needs 0.
+    The rotations, their order and tables are the canonical group's; each
+    element's ``decomposition`` is :func:`decompose_rotation`'s word, so the
+    identity needs 0 pulses and no element more than 4.
     """
     group = canonical_clifford_group()
     return dataclasses.replace(group, elements=tuple(
-        dataclasses.replace(el, decomposition=decompose_rotation(el.rotation, axes_phi, max_pulses))
+        dataclasses.replace(el, decomposition=decompose_rotation(el.rotation, axes_phi))
         for el in group
     ))
 

@@ -3,8 +3,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +100,24 @@ def test_json_keys_are_sorted(tmp_path):
          "--out", str(out)])
     doc = out.read_text()
     assert json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n" == doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["rabi", "--pair", "12", "--v", "0.0738", "--shots", "50", "--times", "0:200e-9:20"],
+    ["rb", "--engine", "device", "--shots", "3", "--depths", "1,2,4", "--sequences", "2"],
+], ids=["rabi", "rb"])
+def test_shot_runs_are_byte_identical_across_processes(argv, tmp_path):
+    # fresh interpreters with different string hashing: no shot draw may
+    # depend on set or dict order, nor on state left by an earlier run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("AEON_")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outs = [tmp_path / f"{seed}.json" for seed in "01"]
+    procs = [subprocess.Popen([sys.executable, "-m", "aeonsim.cli", *argv, "--out", str(out)],
+                              env=dict(env, PYTHONHASHSEED=out.stem))
+             for out in outs]
+    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -604,6 +625,38 @@ def test_kernel_side_usage_errors_name_the_flag(argv, flag, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [["--duration", "1e-9"], []])
+def test_fingerpinch_coupling_that_overflows_the_kernel_names_the_voltages(extra, tmp_path,
+                                                                           capsys):
+    # the couplings at the sweep corners overflow the kernel at any duration:
+    # this used to blame --duration (exit 2), or without it to exit 3
+    # naming no input
+    laws = {"exchange_law": dict.fromkeys(("12", "23"), {"A_hz": 1e300, "B_per_v": 1})}
+    (tmp_path / "dev.json").write_text(json.dumps(laws))
+    argv = ["fingerpinch", "--pairs", "12,23", "--v1", "17:17.5:3", "--v2", "17:17.5:3",
+            "--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "fp.csv")] + extra
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aeonsim: --v1/--v2: the exchange of pairs 12 and 23 at these barrier "
+                          "voltages overflows the pulse kernel")
+    assert "--duration" not in err
+    assert not (tmp_path / "fp.csv").exists()
+
+
+def test_fingerpinch_config_pulse_that_overflows_the_kernel_names_pulse_s(tmp_path, capsys):
+    # couplings the kernel plays at zero duration, over a 1e300 s pulse
+    (tmp_path / "dev.json").write_text(json.dumps({"pulse_s": 1e300}))
+    argv = ["fingerpinch", "--pairs", "12,23", "--v1", "0.05:0.08:3", "--v2", "0.05:0.08:3",
+            "--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "fp.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+        assert "config pulse_s: evolution phase" in capsys.readouterr().err
+        assert run(argv + ["--duration", "1e-8"]) == 0  # the flag wins over the config
 
 
 def test_sum_curve_fit_at_the_depth_cap_ignores_the_warning_filter(tmp_path):

@@ -362,3 +362,21 @@ def test_plain_dot_products_keep_the_compiled_words(axes, monkeypatch):
         for pa, ba in zip(p.decomposition, b.decomposition):
             assert abs(pa.theta - ba.theta) <= 1e-12
 
+
+@pytest.mark.parametrize("axes", [(rot.PHI_Z, rot.PHI_N), (rot.PHI_Z, rot.PHI_M), (rot.PHI_M, rot.PHI_N)])
+def test_word_lengths_equal_the_rotation_matrix_oracle(axes):
+    # an a-b-a word exists when R moves a by at most the angle between the
+    # axes, a.Ra >= 2(a.b)^2 - 1, read off R alone; the caller's first axis
+    # is preferred as a, and where neither axis qualifies one leading b
+    # pulse makes a four-pulse word
+    a, b = (np.array([math.cos(phi), 0.0, math.sin(phi)]) for phi in axes)
+    floor = 2.0 * (a @ b) ** 2 - 1.0
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        target = random_rotation(rng)
+        r = rot.so3_matrix(target)
+        word = rot.decompose_rotation(target, axes)
+        want = "aba" if a @ r @ a >= floor else "bab" if b @ r @ b >= floor else "baba"
+        assert "".join("ab"[axes.index(aa.phi)] for aa in word) == want
+        assert rot.compose_sequence(word).approx_equal(target)
+        assert all(0.0 < aa.theta < 2.0 * math.pi for aa in word)
