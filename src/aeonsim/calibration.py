@@ -103,21 +103,18 @@ def build_germ_sequence(
 # Twirled survival fidelity
 
 
-def twirl_fidelity(u: Rotation) -> tuple[float, float]:
+def twirl_fidelity(u: Rotation) -> float:
     """Clifford-twirled survival fidelity of a net rotation, exactly.
 
     Averages ``|<0| C_i^dag U C_i |0>|^2`` over the 24 single-qubit
     Cliffords, one quaternion product pair per term: the reference that
     the closed form :func:`analytic_fidelity` is tested against.
-
-    Returns:
-        (fidelity, standard error); the standard error is exactly 0.
     """
     survivals = []
     for el in canonical_clifford_group():
         net = compose(compose(el.rotation.inverse(), u), el.rotation)
         survivals.append(net.w**2 + net.v[2] ** 2)
-    return float(np.mean(survivals)), 0.0
+    return float(np.mean(survivals))
 
 
 _Z_COLUMNS: np.ndarray | None = None

@@ -2,9 +2,9 @@
 
 The model maps virtual barrier voltages to exchange couplings through
 per-pair exponential laws (with optional exchange cross-talk), and virtual
-plunger offsets to a multiplicative detuning penalty on each coupling.  It
-stores the compensation matrix from physical to virtual gates, but no
-experiment reads it yet: every command takes virtual voltages.
+plunger offsets to a multiplicative detuning penalty on each coupling.
+Every command takes virtual voltages, so the model holds no
+physical-to-virtual transform.
 Quasi-static Gaussian noise draws perturb the virtual voltages and add a
 magnetic gradient; a draw is held fixed for the duration of one shot.
 
@@ -27,20 +27,6 @@ from .errors import ConfigError, NonFiniteError
 from .hilbert import ExchangeVector, FieldConfig
 
 PAIR_ORDER = ("12", "13", "23")
-
-# Compensation matrix of the reference device: virtual = C @ physical.
-# Lower-left block zero and lower-right identity, so barrier gates are
-# already virtual and plungers pick up barrier cross-capacitance.
-DEFAULT_COMPENSATION = np.array(
-    [
-        [1.00, 0.19, 0.18, 0.51, 0.67, 0.21],
-        [-0.19, 1.00, 0.20, 0.38, 0.36, 0.49],
-        [0.06, 0.20, 1.00, 0.16, 0.98, 0.53],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-    ]
-)
 
 # Relative cross-response of each exchange coupling to the other barrier
 # gates (rows/columns in pair order 12, 13, 23).
@@ -190,27 +176,6 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class CompensationMatrix:
-    """Virtual gate transform ``v_virtual = C @ v_physical``."""
-
-    matrix: np.ndarray = field(default_factory=lambda: DEFAULT_COMPENSATION.copy())
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (6, 6):
-            raise ConfigError(f"compensation matrix must be 6x6, got {m.shape}")
-        if not np.allclose(m[3:, :3], 0.0, atol=1e-12):
-            raise ConfigError("compensation matrix lower-left block must be zero")
-        if not np.allclose(m[3:, 3:], np.eye(3), atol=1e-12):
-            raise ConfigError("compensation matrix lower-right block must be identity")
-        # |det| < 1e-12, from the log-determinant, which cannot overflow
-        sign, log_det = np.linalg.slogdet(m)
-        if sign == 0 or log_det < math.log(1e-12):
-            raise ConfigError("compensation matrix is singular")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class ExchangeLaw:
     """Exponential barrier-voltage law ``J = A * exp(B*V + C)`` (J in Hz)."""
 
@@ -274,7 +239,6 @@ class NoiseConfig:
 
     voltage_sigma_v: float | tuple = 0.0
     gradient_sigma_hz: float | tuple = 0.0
-    seed: int = 0
 
     @functools.cached_property
     def sigma_v(self) -> np.ndarray:
@@ -359,17 +323,14 @@ class PulseSpec:
 class DeviceModel:
     """Ground-truth device used by the simulated experiments."""
 
-    compensation: CompensationMatrix = field(default_factory=CompensationMatrix)
     laws: dict = field(
         default_factory=lambda: {p: ExchangeLaw(1.0e6, 52.983, 0.0) for p in PAIR_ORDER}
     )
     cross: np.ndarray | None = field(default_factory=lambda: DEFAULT_CROSS.copy())
     sensitivities: dict = field(default_factory=dict)
-    dss_location_v: tuple[float, float, float] = (0.0, 0.0, 0.0)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     fields: FieldConfig = FieldConfig()
     pulse_s: float = 10e-9
-    idle_v: float = -0.5  # stored; no experiment reads it, as every pulse is square
 
     def __post_init__(self):
         if self.cross is not None:
@@ -626,9 +587,8 @@ def _blocks(costs, shots: int) -> list[tuple[int, int]]:
 
 
 def default_device() -> DeviceModel:
-    """Reference device: printed compensation and cross matrices, exchange
-    laws spanning 1 MHz at 0 V to 200 MHz at 100 mV, moderate detuning
-    curvature, no noise."""
+    """Reference device: printed cross matrix, exchange laws spanning 1 MHz
+    at 0 V to 200 MHz at 100 mV, moderate detuning curvature, no noise."""
     return DeviceModel(
         sensitivities={
             "12": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
@@ -655,22 +615,18 @@ MAX_CONFIG_MAGNITUDE = 1e300
 # One row per config leaf, by its path: the shapes it may take (``()`` a
 # number, ``(n,)`` a list of n numbers, ``(n, m)`` an n x m matrix, None
 # JSON null) and the range of its numbers, each of which must also be of
-# magnitude <= MAX_CONFIG_MAGNITUDE; an integer range takes JSON integers
-# only.  README.md words each row with :func:`_want`.
+# magnitude <= MAX_CONFIG_MAGNITUDE.  README.md words each row with
+# :func:`_want`.
 CONFIG_SCHEMA = {
-    "compensation_matrix": (((6, 6),), "any"),
     "cross_matrix": (((3, 3), None), "any"),
     **{f"exchange_law.{p}.{key}": (((),), rng) for p in PAIR_ORDER
        for key, rng in (("A_hz", "> 0"), ("B_per_v", "> 0"), ("C", "any"))},
     **{f"dss.curvature.{p}": (((2,),), "any") for p in PAIR_ORDER},
-    "dss.location_v": (((3,),), "any"),
     "noise.voltage_sigma_v": (((), (6,)), ">= 0"),
     "noise.gradient_sigma_hz": (((), (3,)), ">= 0"),
-    "noise.seed": (((),), "integer >= 0"),
     "fields.f_uniform_hz": (((),), "any"),
     "fields.gradients_hz": (((3,),), "any"),
     "pulse_s": (((),), "> 0"),
-    "idle_v": (((),), "any"),
 }
 
 
@@ -690,19 +646,15 @@ def device_from_dict(raw: dict) -> DeviceModel:
         d = cfg.get("exchange_law", {}).get(p, {})
         laws[p] = ExchangeLaw(d.get("A_hz", law.a_hz), d.get("B_per_v", law.b_per_v),
                               d.get("C", law.c))
-    compensation = base.compensation
-    if "compensation_matrix" in cfg:
-        compensation = _under("compensation_matrix", CompensationMatrix, cfg["compensation_matrix"])
     curvature = dss.get("curvature")
     return _under(
-        "cross_matrix", replace, base, compensation=compensation, laws=laws,
+        "cross_matrix", replace, base, laws=laws,
         cross=cfg.get("cross_matrix", base.cross),
         sensitivities=base.sensitivities if curvature is None else {
             p: DetuningSensitivity(*ab) for p, ab in curvature.items()},
-        dss_location_v=dss.get("location_v", base.dss_location_v),
         noise=replace(base.noise, **cfg.get("noise", {})),
         fields=replace(base.fields, **cfg.get("fields", {})),
-        pulse_s=cfg.get("pulse_s", base.pulse_s), idle_v=cfg.get("idle_v", base.idle_v),
+        pulse_s=cfg.get("pulse_s", base.pulse_s),
     )
 
 
@@ -730,33 +682,29 @@ def _leaf(path: str, value):
     shapes, rng = CONFIG_SCHEMA[path]
     if value is None and None in shapes:
         return None
-    kind = int if rng.startswith("integer") else (int, float)
-    fits = any(s is not None and _fits(value, s, kind) for s in shapes)
-    a, bound = np.array(value, dtype=float) if fits else None, rng.removeprefix("integer ")
-    if a is None or not (bound == "any" or np.all(a > 0 if bound == "> 0" else a >= 0)):
+    fits = any(s is not None and _fits(value, s) for s in shapes)
+    a = np.array(value, dtype=float) if fits else None
+    if a is None or not (rng == "any" or np.all(a > 0 if rng == "> 0" else a >= 0)):
         raise ConfigError(f"{path} must be {_want(shapes, rng)} (JSON numbers of magnitude "
                           f"<= {MAX_CONFIG_MAGNITUDE:g}), got {value!r:.80}")
     return value if a.ndim == 0 else tuple(value) if a.ndim == 1 else a
 
 
-def _fits(value, shape, kind) -> bool:
-    """Whether ``value`` is a number of ``kind`` (never a bool) and of
-    magnitude <= :data:`MAX_CONFIG_MAGNITUDE`, or nested lists of them, of
-    ``shape``."""
+def _fits(value, shape) -> bool:
+    """Whether ``value`` is a number (never a bool) of magnitude <=
+    :data:`MAX_CONFIG_MAGNITUDE`, or nested lists of them, of ``shape``."""
     if not shape:
-        return (isinstance(value, kind) and not isinstance(value, bool)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and abs(value) <= MAX_CONFIG_MAGNITUDE)
     return (isinstance(value, (list, tuple)) and len(value) == shape[0]
-            and all(_fits(v, shape[1:], kind) for v in value))
+            and all(_fits(v, shape[1:]) for v in value))
 
 
 def _want(shapes, rng: str) -> str:
     """A schema row in words, e.g. ``a number > 0``."""
-    noun = "an integer" if rng.startswith("integer") else "a number"
     text = " or ".join("null" if s is None else f"a {s[0]}x{s[1]} matrix" if len(s) == 2
-                       else f"a list of {s[0]} numbers" if s else noun for s in shapes)
-    bound = rng.removeprefix("integer ")
-    return text if bound == "any" else f"{text}{', each' if len(shapes) > 1 else ''} {bound}"
+                       else f"a list of {s[0]} numbers" if s else "a number" for s in shapes)
+    return text if rng == "any" else f"{text}{', each' if len(shapes) > 1 else ''} {rng}"
 
 
 def _under(path: str, build, *args, **kwargs):

@@ -236,15 +236,11 @@ def so3_matrix(r: Rotation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliffordElement:
-    """One of the 24 single-qubit Clifford rotations.
-
-    ``word`` indexes into the generator list that produced the group (empty
-    for the identity); ``decomposition`` is the same word as concrete pulses.
-    """
+    """One of the 24 single-qubit Clifford rotations and the pulses that
+    realize it (none for the identity)."""
 
     index: int
     rotation: Rotation
-    word: tuple[int, ...]
     decomposition: tuple[AxisAngle, ...]
 
     @property
@@ -353,7 +349,7 @@ def generate_clifford_group(generators) -> CliffordGroup:
     for table in (mul, inv, flip_inv):
         table.setflags(write=False)
     elements = tuple(
-        CliffordElement(i, r, word, tuple(gens[g][0] for g in word))
+        CliffordElement(i, r, tuple(gens[g][0] for g in word))
         for i, (r, word) in enumerate(found)
     )
     group = CliffordGroup(elements, mul, inv, flip_inv, 0)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` for a one-line verdict per
 criterion; add ``-s`` to see the measured numbers behind each verdict.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -33,17 +34,7 @@ def perturbed_device(b_factor=1.015, c_shift=0.02):
         p: dev.ExchangeLaw(law.a_hz, law.b_per_v * b_factor, law.c + c_shift)
         for p, law in d.laws.items()
     }
-    return d.__class__(
-        compensation=d.compensation,
-        laws=laws,
-        cross=None,
-        sensitivities=d.sensitivities,
-        dss_location_v=d.dss_location_v,
-        noise=d.noise,
-        fields=d.fields,
-        pulse_s=d.pulse_s,
-        idle_v=d.idle_v,
-    )
+    return dataclasses.replace(d, laws=laws, cross=None)
 
 
 def test_c01_uniform_exchange_gap_and_level_topology():
@@ -129,7 +120,7 @@ def test_c04_analytic_fidelity_matches_clifford_twirl():
             n,
         )
         net = rot.compose_sequence([aa for _, aa in seq])
-        f_ref, _ = cal.twirl_fidelity(net)
+        f_ref = cal.twirl_fidelity(net)
         f = float(cal.analytic_fidelity(phi, theta, eta, chi, n, cfg))
         worst = max(worst, abs(f - f_ref))
     assert worst <= 1e-9
@@ -140,7 +131,7 @@ def test_c04_analytic_fidelity_matches_clifford_twirl():
             seq = cal.build_germ_sequence(
                 cfg, rot.AxisAngle(cfg.phi_star, cfg.theta_star), n
             )
-            f_ref, _ = cal.twirl_fidelity(rot.compose_sequence([a for _, a in seq]))
+            f_ref = cal.twirl_fidelity(rot.compose_sequence([a for _, a in seq]))
             f = float(
                 cal.analytic_fidelity(
                     cfg.phi_star, cfg.theta_star, cfg.eta, cfg.chi, n, cfg

@@ -210,7 +210,7 @@ def test_channel_engine_shot_sampling_reproducible():
 def test_device_rb_with_noise_decays():
     d = dataclasses.replace(
         dev.default_device(),
-        noise=dev.NoiseConfig(voltage_sigma_v=4e-4, gradient_sigma_hz=0.0, seed=5),
+        noise=dev.NoiseConfig(voltage_sigma_v=4e-4, gradient_sigma_hz=0.0),
     )
     cfg = bench.RbConfig(depths=(1, 6, 12), n_sequences=4, shots=30, seed=3)
     data = bench.run_rb(d, cfg, engine="device")

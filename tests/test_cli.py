@@ -289,16 +289,16 @@ def test_config_must_be_an_object_of_known_keys(tmp_path, doc, capsys):
 @pytest.mark.parametrize("doc,where", [
     ({"noise": 5}, "noise"),
     ({"noise": {"voltage_sigma_v": "high"}}, "noise"),
-    ({"noise": {"seed": [1]}}, "noise"),
+    ({"noise": {"gradient_sigma_hz": [1]}}, "noise"),
     ({"dss": [1, 2]}, "dss"),
     ({"dss": {"curvature": {"12": 3}}}, "dss.curvature.12"),
     ({"dss": {"curvature": [[1, 2]]}}, "dss.curvature"),
-    ({"dss": {"location_v": 5}}, "dss.location_v"),
+    ({"fields": {"gradients_hz": 5}}, "fields.gradients_hz"),
     ({"exchange_law": [1]}, "exchange_law"),
     ({"exchange_law": {"12": 5}}, "exchange_law.12"),
     ({"fields": "none"}, "fields"),
     ({"pulse_s": [1e-8]}, "config"),
-    ({"idle_v": "low"}, "config"),
+    ({"cross_matrix": "low"}, "config"),
 ])
 def test_nested_config_values_of_the_wrong_type_are_config_errors(tmp_path, doc, where, capsys):
     cfg = tmp_path / "dev.json"
@@ -335,6 +335,12 @@ def test_out_of_range_pulse_and_noise_are_config_errors(tmp_path, doc, where, ca
     ({"fields": {"f_uniform": 1e6}}, "'f_uniform'"),
     ({"exchange_law": {"12": {"A_hz": 1e6, "B_per_v": 52.983, "c": 0.3}}}, "'c'"),
     ({"dss": {"curvatures": {"12": [2e3, 8e2]}}}, "'curvatures'"),
+    # keys that no command read, accepted and ignored by earlier versions
+    ({"noise": {"seed": 9}}, "'seed'"),
+    ({"dss": {"location_v": [0.0, 0.0, 0.0]}}, "'location_v'"),
+    ({"idle_v": -0.5}, "'idle_v'"),
+    ({"compensation_matrix": [[float(i == k) for k in range(6)] for i in range(6)]},
+     "'compensation_matrix'"),
 ])
 def test_unknown_nested_config_keys_are_config_errors(tmp_path, doc, key, capsys):
     # each of these used to run with the key dropped
@@ -344,18 +350,20 @@ def test_unknown_nested_config_keys_are_config_errors(tmp_path, doc, key, capsys
             "--config", str(cfg), "--out", str(tmp_path / "rabi.json")]
     assert run(argv) == 4
     err = capsys.readouterr().err
-    assert "config error" in err and key in err and f"unknown {next(iter(doc))}" in err
+    section, value = next(iter(doc.items()))
+    where = section if isinstance(value, dict) else "device config"
+    assert "config error" in err and key in err and f"unknown {where}" in err
     assert not (tmp_path / "rabi.json").exists()
 
 
 def test_known_nested_config_keys_are_accepted():
     d = dev.device_from_dict({
         "exchange_law": {"12": {"A_hz": 2e6, "B_per_v": 50.0, "C": 0.1}},
-        "dss": {"curvature": {"12": [1.0, 2.0]}, "location_v": [0.0, 0.0, 0.0]},
-        "noise": {"voltage_sigma_v": 1e-4, "gradient_sigma_hz": 3e4, "seed": 9},
+        "dss": {"curvature": {"12": [1.0, 2.0]}},
+        "noise": {"voltage_sigma_v": 1e-4, "gradient_sigma_hz": 3e4},
         "fields": {"f_uniform_hz": 1e9, "gradients_hz": [1.0, 0.0, -1.0]},
     })
-    assert d.laws["12"].c == 0.1 and d.noise.seed == 9 and d.dss_location_v == (0.0, 0.0, 0.0)
+    assert d.laws["12"].c == 0.1 and d.noise.gradient_sigma_hz == 3e4
 
 
 def test_flat_rabi_trace_reports_no_oscillation(tmp_path):

@@ -17,12 +17,10 @@ from aeonsim.errors import ConfigError
 
 NAN, INF = math.nan, math.inf
 EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-EYE6 = [[float(i == k) for k in range(6)] for i in range(6)]
 
 # Every config leaf, written out: a valid value, values of a wrong length
 # or shape, and numbers outside its range.
 LEAVES = {
-    "compensation_matrix": (EYE6, [EYE6[:5], [row[:5] for row in EYE6]], []),
     "cross_matrix": (EYE3, [EYE3[:2], [row[:2] for row in EYE3], [1.0, 1.0, 1.0]], []),
     "exchange_law.12.A_hz": (1e6, [[1e6]], [0, -1e6]),
     "exchange_law.12.B_per_v": (52.983, [[52.983]], [0, -1.0]),
@@ -36,14 +34,11 @@ LEAVES = {
     "dss.curvature.12": ([2e3, 8e2], [[2e3], [2e3, 8e2, 1.0]], []),
     "dss.curvature.13": ([5e2, 2e3], [[5e2], [5e2, 2e3, 1.0]], []),
     "dss.curvature.23": ([2e3, 8e2], [[2e3], [2e3, 8e2, 1.0]], []),
-    "dss.location_v": ([0.0, 0.0, 0.0], [[1, 2], [0.0] * 4], []),
     "noise.voltage_sigma_v": (1e-4, [[1e-4] * 5, [1e-4] * 7], [-1e-4, [0, 0, 0, 0, 0, -1e-4]]),
     "noise.gradient_sigma_hz": (3e4, [[3e4] * 2, [3e4] * 4], [-1.0, [1e3, -1.0, 0]]),
-    "noise.seed": (9, [[9]], [-1, 1.5]),
     "fields.f_uniform_hz": (1e9, [[1e9]], []),
     "fields.gradients_hz": ([100.0, 0.0, -50.0], [[1, 2], [0.0] * 4], []),
     "pulse_s": (10e-9, [[10e-9]], [0, -1e-9]),
-    "idle_v": (-0.5, [[-0.5]], []),
 }
 
 
@@ -118,10 +113,7 @@ CAL = ["calibrate", "--phi-star", "-1.5707963267948966", "--theta-star", "3.1415
     ('{"fields": {"gradients_hz": [NaN, 0, 0]}}', "fields.gradients_hz", RABI_SHOTS),
     ('{"fields": {"f_uniform_hz": 1e309}}', "fields.f_uniform_hz", RABI_SHOTS),
     ('{"pulse_s": true}', "pulse_s", RB),
-    ('{"noise": {"seed": 1.5}}', "noise.seed", RABI_SHOTS),
     ('{"cross_matrix": [[1, NaN, 0], [0, 1, 0], [0, 0, 1]]}', "cross_matrix", RB),
-    ('{"idle_v": NaN}', "idle_v", RB),
-    ('{"dss": {"location_v": [1, 2]}}', "dss.location_v", RB),
     ('{"exchange_law": {"12": {"A_hz": 1e6, "B_per_v": 52.983, "C": 1e400}}}',
      "exchange_law.12.C", RB),
 ])
@@ -133,7 +125,7 @@ def test_malformed_configs_exit_4_on_the_commands_they_used_to_break(text, path,
     assert code == 4 and f"config error: {path} must be " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", [b'{"pulse_s": 1e-8, "idle_v": "\xff"}', b"[" * 100_000],
+@pytest.mark.parametrize("text", [b'{"pulse_s": 1e-8, "fields": "\xff"}', b"[" * 100_000],
                          ids=["invalid-utf8", "deep-nesting"])
 def test_unreadable_config_files_are_config_errors(text, workdir, capsys):
     # invalid UTF-8 used to exit 2 as a usage error, and nesting too deep
@@ -144,15 +136,10 @@ def test_unreadable_config_files_are_config_errors(text, workdir, capsys):
     assert "cannot read device config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc,path", [
-    ({"compensation_matrix": [[0.0] * 6] * 3 + EYE6[3:]}, "compensation_matrix: "),
-    ({"compensation_matrix": [[1.0] * 6] + EYE6[1:3] + [[1.0] * 6] + EYE6[4:]},
-     "compensation_matrix: "),
-    ({"cross_matrix": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "cross_matrix: "),
-])
-def test_structural_matrix_checks_are_reported_under_their_key(doc, path):
-    with pytest.raises(ConfigError, match=f"^{path}"):
-        dev.device_from_dict(doc)
+def test_structural_matrix_checks_are_reported_under_their_key():
+    with pytest.raises(ConfigError, match="^cross_matrix: "):
+        dev.device_from_dict({"cross_matrix": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]]})
 
 
 # -- fuzz over config documents -------------------------------------------
@@ -168,20 +155,16 @@ def _vec(n, elem=FINITE):
 
 
 VALID = {
-    "compensation_matrix": _vec(3, _vec(6)).map(lambda rows: rows + EYE6[3:]),
     "cross_matrix": st.one_of(st.none(), _vec(6).map(
         lambda o: [[1, o[0], o[1]], [o[2], 1, o[3]], [o[4], o[5], 1]])),
     **{f"exchange_law.{p}.{k}": s for p in ("12", "13", "23")
        for k, s in (("A_hz", POSITIVE), ("B_per_v", POSITIVE), ("C", FINITE))},
     **{f"dss.curvature.{p}": _vec(2) for p in ("12", "13", "23")},
-    "dss.location_v": _vec(3),
     "noise.voltage_sigma_v": st.one_of(NON_NEGATIVE, _vec(6, NON_NEGATIVE)),
     "noise.gradient_sigma_hz": st.one_of(NON_NEGATIVE, _vec(3, NON_NEGATIVE)),
-    "noise.seed": st.integers(min_value=0),
     "fields.f_uniform_hz": FINITE,
     "fields.gradients_hz": _vec(3),
     "pulse_s": POSITIVE,
-    "idle_v": FINITE,
 }
 # values no leaf takes: no leaf is a list of 1 or 7 numbers
 INVALID = st.sampled_from(["x", True, [], {}, NAN, INF, -INF, 1e301, -1e301, [NAN], [1.0] * 7])
@@ -239,9 +222,7 @@ def test_fuzzed_config_documents_fail_cleanly_or_run(case):
         try:
             dev.device_from_dict(doc)
         except ConfigError as exc:
-            # the one check no leaf's row can express
-            singular = str(exc) == "compensation_matrix: compensation matrix is singular"
-            assert broken or singular, f"valid config refused: {exc}"
+            assert broken, f"valid config refused: {exc}"
             return
         assert broken is None, f"broken ({broken}) config accepted: {doc!r}"
         with tempfile.TemporaryDirectory() as tmp:

@@ -17,21 +17,6 @@ from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError
 
 
-def test_compensation_first_column_frozen():
-    d = dev.default_device()
-    v = np.zeros(6)
-    v[0] = 1.0
-    out = d.compensation.matrix @ v
-    np.testing.assert_allclose(out, [1.0, -0.19, 0.06, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_compensation_rejects_barrier_feedback():
-    m = np.eye(6)
-    m[3, 0] = 0.2  # barriers must not feed back on plungers
-    with pytest.raises(ConfigError):
-        dev.CompensationMatrix(m)
-
-
 def test_exchange_law_anchors():
     law = dev.ExchangeLaw(a_hz=1e6, b_per_v=52.983, c=0.0)
     assert law.j_hz(0.0) == pytest.approx(1e6, rel=1e-12)
@@ -113,7 +98,7 @@ def test_rng_streams_reject_negative_seeds_and_wide_path_entries(seed, path):
 
 
 def test_noise_sampling_shapes():
-    cfg = dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=2e4, seed=0)
+    cfg = dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=2e4)
     draw = dev.sample_noise(cfg, dev.rng_stream(0, 1))
     assert np.asarray(draw.voltage_offsets_v).shape == (6,)
     assert np.asarray(draw.gradients_hz).shape == (3,)
@@ -287,7 +272,7 @@ def test_device_config_round_trip(tmp_path):
             "12": {"A_hz": 2e6, "B_per_v": 50.0, "C": 0.1},
         },
         "cross_matrix": [[1, -0.08, -0.08], [-0.24, 1, -0.18], [-0.15, -0.19, 1]],
-        "noise": {"voltage_sigma_v": 1e-4, "gradient_sigma_hz": 3e4, "seed": 9},
+        "noise": {"voltage_sigma_v": 1e-4, "gradient_sigma_hz": 3e4},
         "pulse_s": 8e-9,
         "fields": {"f_uniform_hz": 1e9, "gradients_hz": [100.0, 0.0, -50.0]},
     }
@@ -297,7 +282,7 @@ def test_device_config_round_trip(tmp_path):
     assert d.laws["12"].a_hz == 2e6
     assert d.laws["13"].a_hz == 1e6  # untouched default
     assert d.pulse_s == 8e-9
-    assert d.noise.seed == 9
+    assert d.noise.gradient_sigma_hz == 3e4
     assert d.fields.f_uniform_hz == 1e9
 
 
