@@ -366,7 +366,6 @@ def interleaved_rb(
     device: DeviceModel | None,
     cfg: RbConfig,
     gate: AxisAngle,
-    group=None,
     engine: str = "device",
     inject: InjectedError | None = None,
 ) -> dict:
@@ -375,10 +374,8 @@ def interleaved_rb(
     The gate error is the difference of the two per-Clifford error rates;
     a negative difference is reported unchanged.
     """
-    ref = run_rb(device, cfg, group=group, engine=engine, inject=inject)
-    inter = run_rb(
-        device, cfg, group=group, engine=engine, inject=inject, interleaved=gate
-    )
+    ref = run_rb(device, cfg, engine=engine, inject=inject)
+    inter = run_rb(device, cfg, engine=engine, inject=inject, interleaved=gate)
     fit_ref = fit_rb(ref)
     fit_int = fit_rb(inter)
     return {

@@ -241,22 +241,12 @@ class NoiseConfig:
     gradient_sigma_hz: float | tuple = 0.0
 
     @functools.cached_property
-    def sigma_v(self) -> np.ndarray:
-        """Per-gate voltage sigmas, shape (6,); a read-only view computed
-        once per config."""
-        return np.broadcast_to(np.asarray(self.voltage_sigma_v, dtype=float), (6,))
-
-    @functools.cached_property
-    def sigma_b(self) -> np.ndarray:
-        """Per-dot gradient sigmas, shape (3,); a read-only view computed
-        once per config."""
-        return np.broadcast_to(np.asarray(self.gradient_sigma_hz, dtype=float), (3,))
-
-    @functools.cached_property
     def sigmas(self) -> np.ndarray:
-        """Voltage then gradient sigmas, shape (9,), in the order
-        :func:`sample_noise` draws them; read-only, computed once."""
-        out = np.concatenate([self.sigma_v, self.sigma_b])
+        """The six per-gate voltage sigmas then the three per-dot gradient
+        sigmas, shape (9,), in the order :func:`sample_noise` draws them;
+        read-only, computed once per config."""
+        out = np.concatenate([np.broadcast_to(self.voltage_sigma_v, (6,)),
+                              np.broadcast_to(self.gradient_sigma_hz, (3,))], dtype=float)
         out.flags.writeable = False
         return out
 
@@ -533,16 +523,11 @@ class DeviceModel:
 _NOISE = "a shot's noise draw (config noise.voltage_sigma_v, noise.gradient_sigma_hz)"
 _CROSS = "--cross cross-talk (config cross_matrix) on the exchange laws (config exchange_law)"
 
-# Every kernel row starts from the outer-pair singlet's sector vectors: one
-# vector per sector, the encoded |0> times the square root of 1/2.
-_SINGLET = hilbert.sector_state(hilbert.initialize_singlet())
-_SINGLET.flags.writeable = False
-
 
 def _play(u, pos, lengths) -> np.ndarray:
     """p0 after each row's train, played from the singlet: row ``r`` plays
     the propagators ``u[pos[r, s]]`` for ``s < lengths[r]``, in order."""
-    vectors = np.repeat(_SINGLET[None], len(lengths), axis=0)
+    vectors = np.repeat(hilbert.SINGLET_SECTORS[None], len(lengths), axis=0)
     width = lengths.max(initial=0)
     if width:
         # rows sorted by train length, so that the rows still playing at a
@@ -551,7 +536,7 @@ def _play(u, pos, lengths) -> np.ndarray:
         playing = np.count_nonzero(lengths[:, None] > np.arange(width), axis=0)
         order = order[: playing[0]]
         pos = pos[order]
-        psi = u[pos[:, 0]] @ _SINGLET
+        psi = u[pos[:, 0]] @ hilbert.SINGLET_SECTORS
         for step in range(1, width):
             psi[: playing[step]] = u[pos[: playing[step], step]] @ psi[: playing[step]]
         vectors[order] = psi
@@ -665,11 +650,11 @@ def _config(obj, path: str) -> dict:
     where, prefix = path or "device config", f"{path}." if path else ""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    known = dict.fromkeys(k[len(prefix):].split(".")[0] for k in CONFIG_SCHEMA
+    known = dict.fromkeys(prefix + k[len(prefix):].split(".")[0] for k in CONFIG_SCHEMA
                           if k.startswith(prefix))
-    unknown = [key for key in obj if key not in known]
+    unknown = [prefix + key for key in obj if prefix + key not in known]
     if unknown:
-        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+        raise ConfigError(f"unknown device config key(s) {', '.join(map(repr, unknown))}; "
                           f"known keys: {', '.join(known)}")
     return {key: _leaf(prefix + key, value) if prefix + key in CONFIG_SCHEMA
             else _config(value, prefix + key) for key, value in obj.items()}
@@ -721,20 +706,24 @@ def fingerpinch_map(
     pairs: tuple[str, str],
     v1: np.ndarray,
     v2: np.ndarray,
+    *,
+    duration_s: float,
+    apply_cross: bool,
     hadamard: bool = False,
-    duration_s: float | None = None,
-    apply_cross: bool | None = None,
 ) -> np.ndarray:
     """P0 landscape of a fixed-duration exchange pulse over a barrier
-    voltage grid (the classic fingerpinch pattern of concentric arcs).
+    voltage grid (the classic fingerpinch pattern of concentric arcs),
+    played from the outer-pair singlet.
 
     Args:
         pairs: the two swept pairs, e.g. ``("12", "23")``; the third
             coupling stays off.
         v1, v2: swept virtual barrier voltages.
+        duration_s: the pulse duration, s.
+        apply_cross: apply the device's barrier cross-talk (ignored by a
+            device without a cross matrix).
         hadamard: sandwich the pulse between ideal Hadamard rotations
             (needed to resolve rotations about the x-like axes).
-        apply_cross: override the device's cross-talk default.
 
     Returns:
         Array of shape ``(len(v2), len(v1))`` with P0 per cell.
@@ -744,17 +733,12 @@ def fingerpinch_map(
             raise ConfigError(f"unknown exchange pair {p!r}")
     if pairs[0] == pairs[1]:
         raise ConfigError("fingerpinch needs two distinct pairs")
-    duration_s = device.pulse_s if duration_s is None else duration_s
-    if apply_cross is None:
-        apply_cross = device.cross is not None
-    rho0 = hilbert.initialize_singlet()
+    vectors = hilbert.SINGLET_SECTORS
     if hadamard:
         h2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
-        h8 = hilbert.embed_qubit_unitary(h2)
-        rho0 = h8 @ rho0 @ h8.conj().T
         # the embedded Hadamard acts within each S_z sector
-        h_sectors = hilbert.sector_blocks(h8)
-    vectors = hilbert.sector_state(rho0)
+        h_sectors = hilbert.sector_blocks(hilbert.embed_qubit_unitary(h2))
+        vectors = h_sectors @ vectors
     v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
     # whole grid rows per block, as many as fit in the block cap
     rows = max(1, BLOCK_MATRICES // v1.size)

@@ -9,10 +9,11 @@ Exchange and longitudinal Zeeman terms conserve total S_z, so every
 Hamiltonian here is block diagonal on the product states of equal m_S: the
 two sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
 each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  The pulse
-kernel works in those blocks (:func:`sector_propagator`, with states held
-as sector vectors by :func:`sector_state`); the dense 8x8 route
-(:func:`build_hamiltonian`, :func:`propagator`, :func:`measure_p0`) stays
-as the reference the sector route is tested against.
+kernel works in those blocks (:func:`sector_propagator`), starting from
+the outer-pair singlet's sector vectors (:data:`SINGLET_SECTORS`); the
+dense 8x8 route (:func:`initialize_singlet`, :func:`build_hamiltonian`,
+:func:`propagator`, :func:`measure_p0`) stays as the reference the sector
+route is tested against.
 
 Exchange couplings and magnetic fields are given in Hz; the factor of 2*pi
 that converts them to angular frequencies is applied exactly once, inside
@@ -34,12 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-
-G_FACTOR = 2.0
-"""Electron g-factor used for tesla -> Hz conversion (fixed by design)."""
-
-BOHR_MAGNETON_HZ_PER_T = 13.996244936e9
-"""mu_B / h in Hz/T."""
 
 DIM = 8
 
@@ -101,19 +96,13 @@ class FieldConfig:
     """Magnetic field environment.
 
     Attributes:
-        f_uniform_hz: uniform Zeeman splitting in Hz (already converted
-            from tesla by the caller or :func:`zeeman_from_tesla`).
+        f_uniform_hz: uniform Zeeman splitting in Hz.
         gradients_hz: per-dot deviations ``b_i`` from the uniform field, Hz;
             a batch of them is an array of shape ``(..., 3)``.
     """
 
     f_uniform_hz: float = 0.0
     gradients_hz: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
-def zeeman_from_tesla(b_tesla: float) -> float:
-    """Uniform Zeeman frequency (Hz) of a field given in tesla, g = 2."""
-    return G_FACTOR * BOHR_MAGNETON_HZ_PER_T * b_tesla
 
 
 def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> np.ndarray:
@@ -348,17 +337,6 @@ def initialize_singlet() -> np.ndarray:
     )
 
 
-def _check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate a ``(..., 8, 8)`` stack of density matrices in one pass."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"expected (..., 8, 8) density matrices, got {rho.shape}")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    if np.any(np.abs(tr.real - 1.0) > 1e-9) or np.any(np.abs(tr.imag) > 1e-9):
-        raise ValueError("density matrix trace differs from 1")
-    return rho
-
-
 def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
     """Unitaries exp(-i H tau) of a stack of Hamiltonians via one ``eigh``.
 
@@ -378,10 +356,6 @@ def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
     return left @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
 
 
-def _population(rho: np.ndarray, proj: np.ndarray):
-    return _checked_population(np.einsum("ij,...ji->...", proj, rho))
-
-
 def _checked_population(p):
     """Real part of a population, clipped to [0, 1], after checking that it
     lies there within 1e-9 with no imaginary part."""
@@ -397,8 +371,18 @@ def measure_p0(rho: np.ndarray):
 
     A single ``(8, 8)`` density matrix gives a float; a ``(..., 8, 8)``
     stack gives an array of its batch shape.
+
+    Raises:
+        ValueError: if ``rho`` is not ``(..., 8, 8)``, a trace differs from
+            1, or a population is out of range.
     """
-    return _population(_check_density(rho), ENCODED.p0)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected (..., 8, 8) density matrices, got {rho.shape}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(tr.real - 1.0) > 1e-9) or np.any(np.abs(tr.imag) > 1e-9):
+        raise ValueError("density matrix trace differs from 1")
+    return _checked_population(np.einsum("ij,...ji->...", ENCODED.p0, rho))
 
 
 def sector_blocks(op: np.ndarray) -> np.ndarray:
@@ -407,42 +391,26 @@ def sector_blocks(op: np.ndarray) -> np.ndarray:
     return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
 
 
-def sector_state(rho: np.ndarray) -> np.ndarray:
-    """The sector vectors of one ``(8, 8)`` density matrix: the square
-    roots of the eigenvalues of its m_S = +1/2 and -1/2 blocks times their
-    eigenvectors, on the product states :data:`SECTORS`, shape
-    ``(2, 3, r)``.  Columns whose weight is within numpy's rank tolerance
-    of zero in both blocks are dropped, so the outer-pair singlet is one
-    vector per sector.
-
-    Every propagator here is block diagonal and the encoded ``|0>`` lies
-    within the two sectors, so :func:`sector_p0` of the propagated vectors
-    is the ``p0`` of the propagated ``rho``; its coherences between blocks
-    and its m_S = +-3/2 populations do not enter.
-
-    Raises:
-        ValueError: if ``rho`` is not one ``(8, 8)`` matrix of unit trace.
-    """
-    rho = _check_density(rho)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"expected one (8, 8) density matrix, got {rho.shape}")
-    weights, vecs = np.linalg.eigh(sector_blocks(rho))
-    weights = np.clip(weights, 0.0, None)
-    vectors = vecs * np.sqrt(weights)[:, None, :]
-    column_weights = weights.max(axis=0)
-    keep = column_weights > DIM * np.finfo(float).eps * column_weights.max()
-    return vectors[..., keep]
-
-
 # The encoded |0> of each sector on the product states SECTORS
 _ZERO_SECTORS = np.stack([ENCODED.zero[m][SECTORS[m]] for m in (0, 1)])
+
+SINGLET_SECTORS = math.sqrt(0.5) * _ZERO_SECTORS[..., None]
+"""The sector vectors of :func:`initialize_singlet`, shape ``(2, 3, 1)``:
+one per sector, the encoded ``|0>`` times the square root of its weight
+1/2, so their outer products are the state's two sector blocks.  Every
+propagator here is block diagonal and the encoded ``|0>`` lies within the
+sectors, so :func:`sector_p0` of the propagated vectors is the ``p0`` of
+the propagated state.  Read-only."""
+SINGLET_SECTORS.flags.writeable = False
 
 
 def sector_p0(vectors: np.ndarray):
     """Population of the encoded ``|0>`` subspace of sector vectors
-    ``(..., 2, 3, r)`` (:func:`sector_state`), with the range check
-    and clip of :func:`measure_p0`: a float for ``(2, 3, r)``, an array of
-    the batch shape otherwise."""
+    ``(..., 2, 3, k)``, ``k`` vectors per sector whose outer products sum
+    to the state's sector blocks (:data:`SINGLET_SECTORS` and its images
+    under sector propagators), with the range check and clip of
+    :func:`measure_p0`: a float for ``(2, 3, k)``, an array of the batch
+    shape otherwise."""
     amplitudes = np.einsum("mi,...mik->...mk", _ZERO_SECTORS.conj(), vectors)
     return _checked_population(
         np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=(-2, -1))

@@ -330,29 +330,30 @@ def test_out_of_range_pulse_and_noise_are_config_errors(tmp_path, doc, where, ca
     assert "config error" in err and where in err
 
 
-@pytest.mark.parametrize("doc,key", [
-    ({"noise": {"voltage_sigma": 1e-4}}, "'voltage_sigma'"),
-    ({"fields": {"f_uniform": 1e6}}, "'f_uniform'"),
-    ({"exchange_law": {"12": {"A_hz": 1e6, "B_per_v": 52.983, "c": 0.3}}}, "'c'"),
-    ({"dss": {"curvatures": {"12": [2e3, 8e2]}}}, "'curvatures'"),
+@pytest.mark.parametrize("doc,path", [
+    ({"noise": {"voltage_sigma": 1e-4}}, "noise.voltage_sigma"),
+    ({"fields": {"f_uniform": 1e6}}, "fields.f_uniform"),
+    ({"exchange_law": {"12": {"A_hz": 1e6, "B_per_v": 52.983, "c": 0.3}}}, "exchange_law.12.c"),
+    ({"dss": {"curvatures": {"12": [2e3, 8e2]}}}, "dss.curvatures"),
     # keys that no command read, accepted and ignored by earlier versions
-    ({"noise": {"seed": 9}}, "'seed'"),
-    ({"dss": {"location_v": [0.0, 0.0, 0.0]}}, "'location_v'"),
-    ({"idle_v": -0.5}, "'idle_v'"),
+    ({"noise": {"seed": 9}}, "noise.seed"),
+    ({"dss": {"location_v": [0.0, 0.0, 0.0]}}, "dss.location_v"),
+    ({"idle_v": -0.5}, "idle_v"),
     ({"compensation_matrix": [[float(i == k) for k in range(6)] for i in range(6)]},
-     "'compensation_matrix'"),
-])
-def test_unknown_nested_config_keys_are_config_errors(tmp_path, doc, key, capsys):
-    # each of these used to run with the key dropped
+     "compensation_matrix"),
+    # an unknown leaf under a known pair
+    ({"exchange_law": {"12": {"D": 1.0}}}, "exchange_law.12.D"),
+], ids=lambda v: repr(v.rsplit(".", 1)[-1]) if isinstance(v, str) else None)  # the key's own name
+def test_unknown_nested_config_keys_are_config_errors(tmp_path, doc, path, capsys):
+    # each of these used to run with the key dropped; the message names
+    # the key by its full path
     cfg = tmp_path / "dev.json"
     cfg.write_text(json.dumps(doc))
     argv = ["rabi", "--pair", "12", "--v", "0.07", "--times", "0:1e-7:20",
             "--config", str(cfg), "--out", str(tmp_path / "rabi.json")]
     assert run(argv) == 4
     err = capsys.readouterr().err
-    section, value = next(iter(doc.items()))
-    where = section if isinstance(value, dict) else "device config"
-    assert "config error" in err and key in err and f"unknown {where}" in err
+    assert "config error" in err and f"unknown device config key(s) {path!r};" in err
     assert not (tmp_path / "rabi.json").exists()
 
 
@@ -381,7 +382,7 @@ def test_range_edges_of_pulse_and_noise_are_accepted():
     d = dev.device_from_dict({"pulse_s": 1e-300, "noise": {
         "voltage_sigma_v": [0, 1e-4, 0, 0, 0, 0], "gradient_sigma_hz": 0}})
     assert d.pulse_s == 1e-300
-    assert d.noise.sigma_v[1] == 1e-4 and not d.noise.sigma_b.any()
+    assert d.noise.sigmas[1] == 1e-4 and not d.noise.sigmas[6:].any()
 
 
 def test_custom_device_config(tmp_path):

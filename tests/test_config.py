@@ -180,14 +180,15 @@ def _put(doc, path, value):
 
 @st.composite
 def config_docs(draw):
-    """A config document and whether it is broken: valid leaves under
-    known keys, and in a broken one an invalid leaf, an unknown key, or a
-    section that is not an object."""
+    """A config document, whether it is broken, and the path of its unknown
+    key if it has one: valid leaves under known keys, and in a broken one
+    an invalid leaf, an unknown key, or a section that is not an object."""
     doc = {}
     for path, valid in VALID.items():
         if draw(st.booleans()):
             _put(doc, path, draw(valid))
     broken = draw(st.sampled_from([None, None, "leaf", "key", "section"]))
+    unknown = None
     if broken == "leaf":
         path = draw(st.sampled_from(sorted(VALID)))
         _put(doc, path, draw(INVALID))
@@ -200,10 +201,11 @@ def config_docs(draw):
         for part in filter(None, section.split(".")):
             target = target.setdefault(part, {})
         target[key] = 1.0
+        unknown = prefix + key
     elif broken == "section":
         section = draw(st.sampled_from(SECTIONS[1:]))
         _put(doc, section, draw(st.sampled_from([1.0, [], "x", None])))
-    return doc, broken
+    return doc, broken, unknown
 
 
 def _strict_json(text):
@@ -216,13 +218,15 @@ def _strict_json(text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(config_docs())
 def test_fuzzed_config_documents_fail_cleanly_or_run(case):
-    doc, broken = case
+    doc, broken, unknown = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             dev.device_from_dict(doc)
         except ConfigError as exc:
             assert broken, f"valid config refused: {exc}"
+            if broken == "key":
+                assert f"key(s) {unknown!r};" in str(exc), (unknown, str(exc))
             return
         assert broken is None, f"broken ({broken}) config accepted: {doc!r}"
         with tempfile.TemporaryDirectory() as tmp:

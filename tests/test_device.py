@@ -109,7 +109,7 @@ def test_noise_sampling_shapes():
 def test_noise_sigmas_are_computed_once_and_draws_keep_their_values():
     sig_v = (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3)
     for cfg in (dev.NoiseConfig(1e-3, 2e4), dev.NoiseConfig(sig_v, (1e4, 2e4, 3e4))):
-        assert cfg.sigma_v is cfg.sigma_v and not cfg.sigma_v.flags.writeable
+        assert cfg.sigmas is cfg.sigmas and not cfg.sigmas.flags.writeable
         draw = dev.sample_noise(cfg, dev.rng_stream(3, 1))
         rng = dev.rng_stream(3, 1)
         want_v = rng.normal(0.0, 1.0, size=6) * np.broadcast_to(cfg.voltage_sigma_v, (6,))
@@ -245,7 +245,7 @@ def test_stacked_draws_match_per_draw_oracle():
 def test_empty_train_returns_rho_unchanged():
     # an empty train leaves the singlet, so its p0 is the singlet's
     d = dev.default_device()
-    singlet = hb.sector_p0(hb.sector_state(hb.initialize_singlet()))
+    singlet = hb.sector_p0(hb.SINGLET_SECTORS)
     assert singlet == pytest.approx(1.0, abs=1e-15)
     draws = dev.NoiseDraw(np.full((3, 6), 1e-3), np.full((3, 3), 1e5))
     for draw in (None, draws):
@@ -316,7 +316,7 @@ def test_readme_documents_exactly_the_config_keys():
 def test_fingerpinch_map_shape_and_symmetry():
     d = dev.default_device()
     v = np.linspace(0.05, 0.08, 7)
-    p0 = dev.fingerpinch_map(d, ("12", "23"), v, v, apply_cross=False)
+    p0 = dev.fingerpinch_map(d, ("12", "23"), v, v, duration_s=d.pulse_s, apply_cross=False)
     assert p0.shape == (7, 7)
     # equal couplings rotate about -z and preserve the initial state
     np.testing.assert_allclose(np.diag(p0), 1.0, atol=1e-9)
@@ -327,8 +327,9 @@ def test_fingerpinch_map_shape_and_symmetry():
 def test_fingerpinch_hadamard_changes_contrast():
     d = dev.default_device()
     v = np.linspace(0.05, 0.08, 5)
-    plain = dev.fingerpinch_map(d, ("12", "23"), v, v, apply_cross=False)
-    had = dev.fingerpinch_map(d, ("12", "23"), v, v, hadamard=True, apply_cross=False)
+    plain = dev.fingerpinch_map(d, ("12", "23"), v, v, duration_s=d.pulse_s, apply_cross=False)
+    had = dev.fingerpinch_map(d, ("12", "23"), v, v, duration_s=d.pulse_s, apply_cross=False,
+                              hadamard=True)
     assert np.abs(plain - had).max() > 0.05
 
 
@@ -345,12 +346,11 @@ def _couplings(d, pulse, draw, apply_cross):
     return d.exchange_from_voltages(target, plungers, apply_cross=apply_cross)
 
 
-def _one_train_oracle(d, train, draw, apply_cross, rho=None):
+def _one_train_oracle(d, train, draw, apply_cross, vectors=hb.SINGLET_SECTORS):
     """p0 after one train under one draw (or none), unblocked, on the sector
     route: each distinct pulse built once, one sector_propagator call per
-    pulse duration, and the train folded on the sector vectors of
-    ``rho`` (the singlet by default)."""
-    vectors = hb.sector_state(hb.initialize_singlet() if rho is None else rho)
+    pulse duration, and the train folded on the sector vectors (the
+    singlet's by default)."""
     if not train:
         return hb.sector_p0(vectors)
     draw = dev.NoiseDraw(np.zeros(6), np.zeros(3)) if draw is None else draw
@@ -446,21 +446,26 @@ def _random_density(rng, rank):
 @pytest.mark.parametrize("rank", [1, 3, 8])
 def test_any_rho_plays_through_its_eigenvectors(rank):
     # p0 of states with coherence between S_z sectors and weight on
-    # m_S = +-3/2 after noisy trains, read off their sector vectors alone
+    # m_S = +-3/2 after noisy trains, read off their sector vectors alone:
+    # the eigenvectors of rho's two sector blocks, scaled by the square
+    # roots of their eigenvalues
     d = _noisy_device()
     rho = _random_density(np.random.default_rng(rank), rank)
+    weights, vecs = np.linalg.eigh(hb.sector_blocks(rho))
+    vectors = vecs * np.sqrt(np.clip(weights, 0.0, None))[:, None, :]
     rows = _mixed_trains(8)
     draws = [dev.sample_noise(d.noise, dev.rng_stream(6, r)) for r in range(len(rows))]
     for train, draw in zip(rows, draws):
         want = hb.measure_p0(_dense_train(d, rho, train, draw, True))
-        assert abs(_one_train_oracle(d, train, draw, True, rho) - want) < 1e-12
+        assert abs(_one_train_oracle(d, train, draw, True, vectors) - want) < 1e-12
 
 
 @pytest.mark.parametrize("hadamard", [False, True])
 def test_fingerpinch_matches_the_dense_route(hadamard):
     d = dataclasses.replace(_noisy_device(), fields=hb.FieldConfig(2e7, (1e5, -2e5, 3e4)))
     v1, v2 = np.linspace(0.05, 0.08, 9), np.linspace(0.04, 0.09, 7)
-    got = dev.fingerpinch_map(d, ("12", "13"), v1, v2, hadamard=hadamard, apply_cross=True)
+    got = dev.fingerpinch_map(d, ("12", "13"), v1, v2, duration_s=d.pulse_s, apply_cross=True,
+                              hadamard=hadamard)
     h8 = hb.embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
     rho0 = hb.initialize_singlet()
     if hadamard:
@@ -477,7 +482,7 @@ def test_fingerpinch_matches_the_dense_route(hadamard):
 def test_rows_with_empty_trains_keep_rho():
     # rows with an empty train keep the singlet's p0, next to rows that play
     d = _noisy_device()
-    singlet = hb.sector_p0(hb.sector_state(hb.initialize_singlet()))
+    singlet = hb.sector_p0(hb.SINGLET_SECTORS)
     out = _kernel_p0(d, [[], [PLAIN], []])
     assert out[0] == out[2] == singlet and out[1] < singlet - 1e-3
     assert np.array_equal(_kernel_p0(d, [[], []]), [singlet, singlet])
@@ -555,7 +560,7 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
     assert sizes == [256, 44] and front_end == [(300,)]
     sizes.clear()
     v = np.linspace(0.05, 0.08, 41)
-    dev.fingerpinch_map(d, ("12", "23"), v, v)
+    dev.fingerpinch_map(d, ("12", "23"), v, v, duration_s=d.pulse_s, apply_cross=True)
     assert sizes == [246] * 6 + [41 * 5]
 
 
@@ -569,8 +574,8 @@ def test_survival_equals_the_per_train_shot_loop():
     for k, train in enumerate(rows):
         hits = 0
         for rng in dev.rng_streams(seed, 3, k, shape=shots):
-            draw = dev.NoiseDraw(rng.normal(0.0, 1.0, 6) * d.noise.sigma_v,
-                                 rng.normal(0.0, 1.0, 3) * d.noise.sigma_b)
+            draw = dev.NoiseDraw(rng.normal(0.0, 1.0, 6) * d.noise.sigmas[:6],
+                                 rng.normal(0.0, 1.0, 3) * d.noise.sigmas[6:])
             p0 = _one_train_oracle(d, train, draw, True)
             assert abs(p0 - hb.measure_p0(_dense_train(d, rho0, train, draw, True))) < 1e-12
             hits += rng.random() < p0
@@ -684,8 +689,8 @@ def test_sample_noise_draws_nine_normals_as_six_then_three():
     for seed in range(300):
         draw = dev.sample_noise(noise, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        assert np.array_equal(draw.voltage_offsets_v, rng.normal(0.0, 1.0, 6) * noise.sigma_v)
-        assert np.array_equal(draw.gradients_hz, rng.normal(0.0, 1.0, 3) * noise.sigma_b)
+        assert np.array_equal(draw.voltage_offsets_v, rng.normal(0.0, 1.0, 6) * noise.sigmas[:6])
+        assert np.array_equal(draw.gradients_hz, rng.normal(0.0, 1.0, 3) * noise.sigmas[6:])
 
 
 def test_rng_streams_cross_chunk_boundaries_like_the_oracle():

@@ -31,10 +31,6 @@ def test_spin_operator_algebra():
         )
 
 
-def test_zeeman_anchor_one_tesla():
-    assert hb.zeeman_from_tesla(1.0) == pytest.approx(27992489872.0, rel=1e-12)
-
-
 def test_hamiltonian_hermitian_and_real():
     j = random_exchange()
     h = hb.build_hamiltonian(j, hb.FieldConfig(2e9, (1e5, -3e4, 2e4)))
@@ -307,25 +303,13 @@ def test_sector_hamiltonian_equals_the_dense_blocks_bit_for_bit():
         assert np.array_equal(ends, h[..., [0, 7], [0, 7]].real)
 
 
-def _random_density(rng, rank=8):
-    a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 def _states():
-    rng = np.random.default_rng(42)
-    plus = np.zeros(8, dtype=complex)
-    plus[[0, 1, 4]] = (0.6, 0.48j, -0.64)  # m_S = +3/2 and +1/2 together
-    h2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
-    h8 = hb.embed_qubit_unitary(h2)
+    # each state as a density matrix and as its sector vectors
+    h8 = hb.embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
     return {
-        "singlet": hb.initialize_singlet(),
-        "hadamard singlet": h8 @ hb.initialize_singlet() @ h8.conj().T,
-        "mixed": np.eye(8, dtype=complex) / 8,
-        "coherent": _random_density(rng),
-        "coherent rank 2": _random_density(rng, 2),
-        "with m=3/2": np.outer(plus, plus.conj()),
+        "singlet": (hb.initialize_singlet(), hb.SINGLET_SECTORS),
+        "hadamard singlet": (h8 @ hb.initialize_singlet() @ h8.conj().T,
+                             hb.sector_blocks(h8) @ hb.SINGLET_SECTORS),
     }
 
 
@@ -333,8 +317,7 @@ def _states():
 def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
     # the sector unitaries and phases are the blocks of expm, and p0 read
     # off the propagated sector vectors is p0 of the propagated state
-    rho = _states()[name]
-    vectors = hb.sector_state(rho)
+    rho, vectors = _states()[name]
     rng = np.random.default_rng(43)
     j, fields = random_batch(rng, 12)
     zero = np.zeros(12)
@@ -359,25 +342,21 @@ def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
             assert abs(np.asarray(p0)[idx] - hb.measure_p0(want)) < 1e-12
 
 
-def test_sector_state_factors_the_density_matrix():
-    # the vectors factor both sector blocks of rho, whatever lies outside them
-    for name, rho in _states().items():
-        vectors = hb.sector_state(rho)
-        blocks = vectors @ vectors.conj().swapaxes(-1, -2)
-        np.testing.assert_allclose(blocks, hb.sector_blocks(rho), rtol=0, atol=1e-15, err_msg=name)
-        assert abs(hb.sector_p0(vectors) - hb.measure_p0(rho)) < 1e-15
-    # the encoded states: one vector per sector, (1, 0, -1)/sqrt(2) with weight 1/2
-    singlet = hb.sector_state(hb.initialize_singlet())
-    assert singlet.shape == (2, 3, 1)
-    np.testing.assert_allclose(np.abs(singlet[..., 0]), [[0.5, 0, 0.5]] * 2, atol=1e-16)
-    # no weight in either sector: no column, and p0 = 0
-    up = np.zeros((8, 8), dtype=complex)
-    up[0, 0] = 1.0
-    assert hb.sector_state(up).shape == (2, 3, 0) and hb.sector_p0(hb.sector_state(up)) == 0.0
-    with pytest.raises(ValueError):
-        hb.sector_state(np.stack([hb.initialize_singlet()] * 2))
-    with pytest.raises(ValueError):
-        hb.sector_state(2.0 * hb.initialize_singlet())
+def test_singlet_sectors_factor_the_singlet():
+    # one read-only vector per sector, (1, 0, -1)/2: the encoded |0>,
+    # (1, 0, -1)/sqrt(2), times the square root of its weight 1/2
+    singlet = hb.SINGLET_SECTORS
+    assert singlet.shape == (2, 3, 1) and not singlet.flags.writeable
+    blocks = singlet @ singlet.conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(blocks, hb.sector_blocks(hb.initialize_singlet()), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(np.abs(singlet[..., 0]), [[0.5, 0, 0.5]] * 2, rtol=0, atol=1e-16)
+    # p0 is 1 but for the rounding of the basis amplitude 1/sqrt(2)
+    assert 1.0 - hb.sector_p0(singlet) <= np.finfo(float).eps
+    # the Hadamard-prepared vectors factor the Hadamard-conjugated singlet
+    rho, vectors = _states()["hadamard singlet"]
+    blocks = vectors @ vectors.conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(blocks, hb.sector_blocks(rho), rtol=0, atol=1e-15)
+    assert abs(hb.sector_p0(vectors) - hb.measure_p0(rho)) < 1e-15
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
