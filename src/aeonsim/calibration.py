@@ -17,6 +17,7 @@ analytic fidelity surface to pin the target voltages.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -117,17 +118,10 @@ def twirl_fidelity(u: Rotation) -> float:
     return float(np.mean(survivals))
 
 
-_Z_COLUMNS: np.ndarray | None = None
-
-
+@functools.cache
 def _clifford_z_columns() -> np.ndarray:
     """Third column of each canonical Clifford's Bloch rotation matrix."""
-    global _Z_COLUMNS
-    if _Z_COLUMNS is None:
-        _Z_COLUMNS = np.stack(
-            [so3_matrix(el.rotation)[:, 2] for el in canonical_clifford_group()]
-        )
-    return _Z_COLUMNS
+    return np.stack([so3_matrix(el.rotation)[:, 2] for el in canonical_clifford_group()])
 
 
 def _twirl_from_quaternion(w, v):
@@ -235,7 +229,6 @@ class FidelityMap:
     v1: np.ndarray
     v2: np.ndarray
     f: np.ndarray
-    stderr: np.ndarray | None
     pairs: tuple[str, str]
     n_reps: int
     cfg: GermConfig
@@ -322,23 +315,21 @@ def sweep_fidelity(
     w, v = germ_net_quaternion(cfg, aa.phi, aa.theta, n_reps, precal=precal_actual)
     if shots is None:
         f = _twirl_from_quaternion(w, v)
-        return FidelityMap(v1, v2, f, None, tuple(pairs), n_reps, cfg)
+        return FidelityMap(v1, v2, f, tuple(pairs), n_reps, cfg)
     proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
     surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
     rows = surv.reshape(-1, surv.shape[-1])
-    orders = np.empty(rows.shape, dtype=np.intp)
+    # each cell shuffles its own row in place: rng.permutation(24)'s draws
+    orders = np.tile(np.arange(rows.shape[1]), (rows.shape[0], 1))
     draws = np.empty(rows.shape)
     streams = rng_streams(seed, n_reps, shape=surv.shape[:2])
-    for i, (row, rng) in enumerate(zip(rows, streams)):
-        order = rng.permutation(row.size)
-        orders[i] = order
-        draws[i] = rng.binomial(shots, row[order])
+    for order, row, draw, rng in zip(orders, rows, draws, streams):
+        rng.shuffle(order)
+        draw[:] = rng.binomial(shots, row[order])
     est = np.empty_like(rows)
     np.put_along_axis(est, orders, draws, axis=1)
-    est = est.reshape(surv.shape) / shots
-    f = est.mean(axis=-1)
-    err = np.sqrt(np.sum(est * (1 - est) / shots, axis=-1)) / est.shape[-1]
-    return FidelityMap(v1, v2, f, err, tuple(pairs), n_reps, cfg)
+    f = (est.reshape(surv.shape) / shots).mean(axis=-1)
+    return FidelityMap(v1, v2, f, tuple(pairs), n_reps, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +342,6 @@ class PeakEstimate:
     v2: float
     stderr_v1: float
     stderr_v2: float
-    cells: int
 
 
 # The one-cell Gaussian of find_peak, truncated at four cells, with the
@@ -399,15 +389,14 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, n
 
 
-def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) -> PeakEstimate:
+def find_peak(fmap: FidelityMap, previous: tuple[float, float]) -> PeakEstimate:
     """Locate the tracked fidelity peak on a map.
 
     The map is smoothed with a one-cell Gaussian filter and thresholded at
     exactly 0.80 of the filtered maximum; among the connected
     above-threshold regions, the one whose centroid lies nearest the
-    previous peak (Euclidean, voltage space) is selected, or the region
-    containing the global maximum when there is no previous peak.  Returns
-    the intensity-weighted centroid.
+    previous peak (Euclidean, voltage space) is selected.  Returns the
+    intensity-weighted centroid.
 
     Raises:
         DetectionError: if the map has no contrast (flat within 1e-9
@@ -437,21 +426,15 @@ def find_peak(fmap: FidelityMap, previous: tuple[float, float] | None = None) ->
             s2 = float(np.sqrt(np.sum((fmap.v2[rows] - c2) ** 2 * wr) / total))
         if not math.isfinite(s1 + s2):
             raise DetectionError("the peak's spread overflows: sweep voltages too large")
-        return c1, c2, s1, s2, rows.size
+        return c1, c2, s1, s2
 
-    if previous is None:
-        rmax, cmax = np.unravel_index(np.argmax(smooth), smooth.shape)
-        pick = labels[rmax, cmax]
-    else:
-        best, best_d = None, np.inf
-        for lab in range(1, n_regions + 1):
-            c1, c2, *_ = centroid(labels == lab)
-            d = math.hypot(c1 - previous[0], c2 - previous[1])
-            if d < best_d:
-                best, best_d = lab, d
-        pick = best
-    c1, c2, s1, s2, cells = centroid(labels == pick)
-    return PeakEstimate(c1, c2, s1, s2, cells)
+    best, best_d = None, np.inf
+    for lab in range(1, n_regions + 1):
+        c1, c2, *_ = centroid(labels == lab)
+        d = math.hypot(c1 - previous[0], c2 - previous[1])
+        if d < best_d:
+            best, best_d = lab, d
+    return PeakEstimate(*centroid(labels == best))
 
 
 # ---------------------------------------------------------------------------
@@ -498,26 +481,30 @@ def _surface_residuals(fmap: FidelityMap, a_scales):
     return stacked
 
 
+# starts of the surface fit: the assumed laws and seven jittered copies
+FIT_STARTS = 8
+
+
 def fit_final(
     fmap: FidelityMap,
     assumed_laws: dict,
-    peak_v: tuple[float, float] | None = None,
+    peak_v: tuple[float, float],
     seed: int = 0,
-    n_restarts: int = 8,
 ) -> CalFit:
     """Fit the analytic fidelity surface to the final map.
 
     Free parameters are B and C of each swept pair's exchange law plus the
     helper angle chi (A is held at its configured scale: A and C shift the
     same degree of freedom).  :func:`fitting.best_of_starts` runs damped
-    least squares from the assumed laws and ``n_restarts - 1`` jittered
-    copies of them, in order, and stops early once a start's RMS residual
-    falls below 1e-10, which only a noise-free map reaches.
+    least squares from :data:`FIT_STARTS` starts in order, the assumed
+    laws' B with the believed chi and then jittered copies of them, and
+    stops early once a start's RMS residual falls below 1e-10, which only
+    a noise-free map reaches.
 
-    When ``peak_v`` is given (the measured peak of this map), each start's
-    C offsets are chosen so the model's calibration point sits on that
-    peak; without this the start can alias onto a neighboring high-N
-    fringe and the fit converges to a shifted law.
+    Each start's C offsets put the model's calibration point on
+    ``peak_v``, the measured peak of this map; a start from the assumed C
+    can alias onto a neighboring high-N fringe and converge to a shifted
+    law.
 
     Raises:
         FitError: if no start converges, or the best one's RMS residual
@@ -526,22 +513,20 @@ def fit_final(
     cfg = fmap.cfg
     law1, law2 = assumed_laws[fmap.pairs[0]], assumed_laws[fmap.pairs[1]]
     a_scales = (law1.a_hz, law2.a_hz)
-    x0 = np.array([law1.b_per_v, law1.c, law2.b_per_v, law2.c, cfg.chi])
-    if peak_v is not None:
-        omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
-        j_tgt = solve_exchange_for_rotation(cfg.phi_star, omega, fmap.pairs)
+    x0 = np.array([law1.b_per_v, 0.0, law2.b_per_v, 0.0, cfg.chi])
+    omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
+    j_tgt = solve_exchange_for_rotation(cfg.phi_star, omega, fmap.pairs)
     starts = []
-    for k, rng in enumerate(rng_streams(seed, 77, shape=n_restarts)):
+    for k, rng in enumerate(rng_streams(seed, 77, shape=FIT_STARTS)):
         start = x0.copy()
         if k > 0:
-            start[0] *= 1.0 + 0.03 * rng.standard_normal()
-            start[2] *= 1.0 + 0.03 * rng.standard_normal()
-            start[1] += 0.05 * rng.standard_normal()
-            start[3] += 0.05 * rng.standard_normal()
-            start[4] += 0.05 * rng.standard_normal()
-        if peak_v is not None:
-            start[1] = math.log(j_tgt[fmap.pairs[0]] / a_scales[0]) - start[0] * peak_v[0]
-            start[3] = math.log(j_tgt[fmap.pairs[1]] / a_scales[1]) - start[2] * peak_v[1]
+            # chi's jitter is each stream's fifth draw; the peak sets C, so
+            # draws 2 and 3 go unused
+            z = rng.standard_normal(5)
+            start[[0, 2]] *= 1.0 + 0.03 * z[:2]
+            start[4] += 0.05 * z[4]
+        start[1] = math.log(j_tgt[fmap.pairs[0]] / a_scales[0]) - start[0] * peak_v[0]
+        start[3] = math.log(j_tgt[fmap.pairs[1]] / a_scales[1]) - start[2] * peak_v[1]
         starts.append(start)
     # a trial step's law may overflow; MINPACK rejects that step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -573,7 +558,7 @@ def solve_fit_voltages(fit: CalFit, cfg: GermConfig, pairs: tuple[str, str]):
     """Voltages where the fitted laws put the probe exactly on target."""
     omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
     j = solve_exchange_for_rotation(cfg.phi_star, omega, pairs)
-    return tuple(fit.laws[p].v_for(j[p]) for p in pairs)
+    return tuple(fit.laws[p].v_for(j[p], p) for p in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +641,11 @@ def run_calibration(
     laws = dict(device.laws) if assumed_laws is None else dict(assumed_laws)
     omega = theta_star / (TWO_PI * device.pulse_s)
     j_tgt = solve_exchange_for_rotation(phi_star, omega, pairs)
-    center = [laws[p].v_for(j_tgt[p]) for p in pairs]
+    center = [laws[p].v_for(j_tgt[p], p) for p in pairs]
 
     stages: list[CalibrationStage] = []
-    fmap = None
     window = options.window0_v
     resolution = window / (options.grid_points - 1)
-    prev_peak: tuple[float, float] | None = None
-    n0 = options.schedule[0]
     for stage_idx, n_reps in enumerate(options.schedule):
         if stage_idx > 0:
             shrink = options.schedule[stage_idx - 1] / n_reps
@@ -690,13 +672,12 @@ def run_calibration(
             seed=options.seed + stage_idx,
             precal_actual=precal_actual,
         )
-        # anchor stage 0 to the nominal solution: germs are identity on a
-        # lattice of voltage points and the global maximum may sit on a
-        # neighboring lattice point
-        anchor = prev_peak if prev_peak is not None else (center[0], center[1])
-        peak = find_peak(fmap, previous=anchor)
-        if prev_peak is not None:
-            jump = math.hypot(peak.v1 - prev_peak[0], peak.v2 - prev_peak[1])
+        # the peak nearest the centre: the nominal solution at stage 0 (germs
+        # are identity on a lattice of voltage points and the global maximum
+        # may sit on a neighboring lattice point), then the last peak
+        peak = find_peak(fmap, previous=center)
+        if stage_idx > 0:
+            jump = math.hypot(peak.v1 - center[0], peak.v2 - center[1])
             if jump > 1.5 * window:
                 raise CalibrationDiverged(
                     f"peak jumped {jump:.4g} V at stage N={n_reps}", stage_idx
@@ -710,9 +691,8 @@ def run_calibration(
             )
         )
         center = [peak.v1, peak.v2]
-        prev_peak = (peak.v1, peak.v2)
 
-    fit = fit_final(fmap, laws, peak_v=prev_peak, seed=options.seed)
+    fit = fit_final(fmap, laws, center, seed=options.seed)
     v_final = solve_fit_voltages(fit, cfg, pairs)
     aa = fitted_rotation_at(fit, pairs, v_final[0], v_final[1], cfg.pulse_s)
     final = {

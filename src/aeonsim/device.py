@@ -186,10 +186,20 @@ class ExchangeLaw:
     def j_hz(self, v) -> np.ndarray | float:
         return self.a_hz * np.exp(self.b_per_v * np.asarray(v, dtype=float) + self.c)
 
-    def v_for(self, j_hz: float) -> float:
+    def v_for(self, j_hz: float, pair: str) -> float:
+        """Voltage at which the law gives ``j_hz``: ValueError if ``j_hz``
+        is not positive, NonFiniteError naming the law by ``pair`` if
+        ``j_hz / a_hz`` underflows to 0."""
         if j_hz <= 0:
             raise ValueError("exchange must be positive to invert the law")
-        return (math.log(j_hz / self.a_hz) - self.c) / self.b_per_v
+        ratio = j_hz / self.a_hz
+        if ratio == 0.0:
+            raise NonFiniteError(
+                f"exchange_law.{pair}: no voltage gives {j_hz:.3g} Hz (J / A_hz underflows to 0 "
+                f"with A_hz = {self.a_hz:.3g}); the exchange a rotation needs scales as "
+                "1 / pulse_s, so shorten pulse_s or lower A_hz"
+            )
+        return (math.log(ratio) - self.c) / self.b_per_v
 
 
 @dataclass(frozen=True)
@@ -370,7 +380,7 @@ class DeviceModel:
         couplings of exactly zero map to ``-inf``."""
         out = []
         for pair, val in zip(PAIR_ORDER, (j.j12, j.j13, j.j23)):
-            out.append(-np.inf if val == 0.0 else self.laws[pair].v_for(val))
+            out.append(-np.inf if val == 0.0 else self.laws[pair].v_for(val, pair))
         return np.array(out)
 
     def simulate_pulse(

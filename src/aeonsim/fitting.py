@@ -45,15 +45,15 @@ class LmFit:
     nfev: int
 
 
-def two_point(fun, stacked=None):
-    """Residuals of ``fun`` and their 2-point Jacobian, sharing one memo.
+def two_point(stacked):
+    """Residuals of a stacked model and their 2-point Jacobian, sharing one
+    memo.
 
-    ``stacked``, when given, maps a ``(k, n)`` stack of points to the
-    ``(k, m)`` stack of their residuals in one call, row ``i`` equal bit
-    for bit to ``fun`` of point ``i``, and a Jacobian evaluates its ``n``
-    stepped points in that one call; every fit of the package passes one
-    (a model that takes a scalar through ``math`` does so per row).
-    Without it each stepped point is one ``fun`` call.
+    ``stacked`` maps a ``(k, n)`` stack of points to the ``(k, m)`` stack
+    of their residuals in one call, row ``i`` depending on point ``i``
+    alone (a model that takes a scalar through ``math`` does so per row).
+    The residuals at a point are the one row of a one-point stack, and a
+    Jacobian evaluates its ``n`` stepped points in one call.
 
     The memo is keyed on the exact bytes of the point: residuals at the
     point of the last residual call are a copy of those, and a Jacobian
@@ -67,7 +67,7 @@ def two_point(fun, stacked=None):
         nonlocal last_f
         key = x.tobytes()
         if last_f[0] != key:
-            last_f = (key, np.asarray(fun(x), dtype=float))
+            last_f = (key, np.asarray(stacked(x[None])[0], dtype=float))
         return last_f[1].copy()
 
     def jac(x):
@@ -76,12 +76,8 @@ def two_point(fun, stacked=None):
         points = np.empty((x.size, x.size))
         points[:] = x
         points.flat[:: x.size + 1] = x + h
-        if stacked is None:
-            f_steps = np.array([fun(p) for p in points], dtype=float)
-        else:
-            f_steps = stacked(points)
         dx = (x + h) - x
-        return ((f_steps - f) / dx[:, None]).T
+        return ((stacked(points) - f) / dx[:, None]).T
 
     return residuals, jac
 
@@ -163,7 +159,7 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
     Raises:
         FitError: if no start converges.
     """
-    residuals, jac = two_point(lambda x: stacked(x[None])[0], stacked)
+    residuals, jac = two_point(stacked)
     best, used = None, 0
     for k, start in enumerate(starts, 1):
         try:

@@ -239,7 +239,6 @@ class CliffordElement:
     """One of the 24 single-qubit Clifford rotations and the pulses that
     realize it (none for the identity)."""
 
-    index: int
     rotation: Rotation
     decomposition: tuple[AxisAngle, ...]
 
@@ -349,8 +348,7 @@ def generate_clifford_group(generators) -> CliffordGroup:
     for table in (mul, inv, flip_inv):
         table.setflags(write=False)
     elements = tuple(
-        CliffordElement(i, r, tuple(gens[g][0] for g in word))
-        for i, (r, word) in enumerate(found)
+        CliffordElement(r, tuple(gens[g][0] for g in word)) for r, word in found
     )
     group = CliffordGroup(elements, mul, inv, flip_inv, 0)
     # a closed set of 24 rotations that holds the quarter turns about x and

@@ -339,17 +339,22 @@ def _decay_resid(depths, y, with_offset):
 TWO_POINT = fitting.two_point
 
 
+def _per_point(fun):
+    """A per-point residual function as a stacked model: one call per row."""
+    return lambda points: np.array([fun(x) for x in points], dtype=float)
+
+
 def _spy_two_point(monkeypatch, oracles=None):
-    """Record the (fun, stacked) pairs the multi-start driver hands to
-    two_point; with ``oracles``, fit through the i-th oracle's per-column
-    Jacobian instead."""
+    """Record the stacked models the multi-start driver hands to two_point;
+    with ``oracles``, fit through the i-th oracle, one point at a time,
+    instead."""
     seen = []
 
-    def spy(fun, stacked=None):
-        seen.append((fun, stacked))
+    def spy(stacked):
+        seen.append(stacked)
         if oracles is not None:
-            return TWO_POINT(oracles[len(seen) - 1])
-        return TWO_POINT(fun, stacked)
+            return TWO_POINT(_per_point(oracles[len(seen) - 1]))
+        return TWO_POINT(stacked)
 
     monkeypatch.setattr(fitting, "two_point", spy)
     return seen
@@ -371,19 +376,20 @@ def _rb_curves():
     return data, [_decay_resid(data.depths, diff, False), _decay_resid(data.depths, total, True)]
 
 
-def _assert_rows_and_jacobians_equal(fun, stacked, oracle, points):
+def _assert_rows_and_jacobians_equal(stacked, oracle, points):
     rows = stacked(points)
     for x, row in zip(points, rows):
-        assert np.array_equal(row, oracle(x)) and np.array_equal(fun(x), oracle(x))
-        # the stacked Jacobian equals the one built column by column
-        assert np.array_equal(TWO_POINT(fun, stacked)[1](x), TWO_POINT(oracle)[1](x))
+        residuals, jac = TWO_POINT(stacked)
+        assert np.array_equal(row, oracle(x)) and np.array_equal(residuals(x), oracle(x))
+        # the stacked Jacobian equals the one built point by point
+        assert np.array_equal(jac(x), TWO_POINT(_per_point(oracle))[1](x))
 
 
 def test_oscillation_stack_rows_equal_the_per_point_residual(monkeypatch):
     t, y = _rabi_curve()
     seen = _spy_two_point(monkeypatch)
     bench.fit_oscillation_decay(t, y)
-    ((fun, stacked),) = seen
+    (stacked,) = seen
     rng = np.random.default_rng(12)
     points = np.column_stack([
         rng.uniform(0, 1, 40), rng.uniform(-1, 1, 40), rng.uniform(0, 6e8, 40),
@@ -392,7 +398,7 @@ def test_oscillation_stack_rows_equal_the_per_point_residual(monkeypatch):
         np.concatenate([rng.uniform(-40, 40, 34), [700.0, 699.9999999, 700.0000001, 1e4,
                                                    -1e4, 33.0]]),
     ])
-    _assert_rows_and_jacobians_equal(fun, stacked, _oscillation_resid(t, y), points)
+    _assert_rows_and_jacobians_equal(stacked, _oscillation_resid(t, y), points)
 
 
 def test_decay_stack_rows_equal_the_per_point_residual(monkeypatch):
@@ -405,9 +411,9 @@ def test_decay_stack_rows_equal_the_per_point_residual(monkeypatch):
     r = np.concatenate([rng.uniform(-0.2, 1.3, 30),
                         [0.0, -1e-17, 1e-17, 1.0, 1.0 - 1e-16, 1.0 + 1e-16, 1.05, 1.0500000001, 2.0]])
     c = rng.uniform(-1, 1, (r.size, 2))
-    for (fun, stacked), oracle, points in zip(
+    for stacked, oracle, points in zip(
             seen, oracles, (np.column_stack([c[:, 0], r]), np.column_stack([c, r]))):
-        _assert_rows_and_jacobians_equal(fun, stacked, oracle, points)
+        _assert_rows_and_jacobians_equal(stacked, oracle, points)
 
 
 def test_fits_equal_the_per_row_oracle_fits(monkeypatch):

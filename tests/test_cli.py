@@ -668,6 +668,24 @@ def test_fingerpinch_config_pulse_that_overflows_the_kernel_names_pulse_s(tmp_pa
         assert run(argv + ["--duration", "1e-8"]) == 0  # the flag wins over the config
 
 
+@pytest.mark.parametrize("argv", [
+    ["rb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1"],
+    ["calibrate", "--phi-star", "0", "--theta-star", "1.5707963267948966"],
+])
+def test_exchange_law_inverse_that_underflows_names_the_law_and_pulse_s(argv, tmp_path, capsys):
+    # J = theta / (2 pi pulse_s) over A_hz underflows to 0 for pair 13: this
+    # used to exit 2 with "math domain error" from the law's logarithm
+    (tmp_path / "dev.json").write_text(json.dumps(
+        {"exchange_law": {"13": {"A_hz": 1e24}}, "pulse_s": 1e299}))
+    argv = argv + ["--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("aeonsim: exchange_law.13: ") and "pulse_s" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sum_curve_fit_at_the_depth_cap_ignores_the_warning_filter(tmp_path):
     # a trial lambda above 1 overflows lambda^N at depth 100,000: the fit
     # used to leak overflow warnings, and under -W error to fail

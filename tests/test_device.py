@@ -21,9 +21,9 @@ def test_exchange_law_anchors():
     law = dev.ExchangeLaw(a_hz=1e6, b_per_v=52.983, c=0.0)
     assert law.j_hz(0.0) == pytest.approx(1e6, rel=1e-12)
     assert law.j_hz(0.1) == pytest.approx(199.99652672055223e6, rel=1e-12)
-    assert law.v_for(law.j_hz(0.0431)) == pytest.approx(0.0431, abs=1e-12)
+    assert law.v_for(law.j_hz(0.0431), "12") == pytest.approx(0.0431, abs=1e-12)
     with pytest.raises(ValueError):
-        law.v_for(0.0)
+        law.v_for(0.0, "12")
 
 
 def test_detuning_penalty_common_mode_free():
