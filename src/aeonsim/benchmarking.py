@@ -116,7 +116,7 @@ def realize_pulse(device: DeviceModel, aa: AxisAngle) -> PulseSpec:
     """
     if aa.theta < 0:
         aa = AxisAngle(aa.phi + math.pi, -aa.theta)
-    omega = aa.theta / (TWO_PI * device.pulse_s)
+    omega = device.rotation_rate(aa.theta)
     if omega == 0.0:
         return PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=device.pulse_s)
     j = None

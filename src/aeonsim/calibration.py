@@ -40,9 +40,6 @@ from .rotations import (
     solve_exchange_for_rotation,
 )
 
-TWO_PI = 2.0 * math.pi
-
-
 def choose_germ_exponent(theta_star: float) -> tuple[int, int]:
     """Smallest q >= 1 with ``q * theta_star = s * pi`` for odd integer s.
 
@@ -489,6 +486,7 @@ def fit_final(
     fmap: FidelityMap,
     assumed_laws: dict,
     peak_v: tuple[float, float],
+    j_tgt: dict,
     seed: int = 0,
 ) -> CalFit:
     """Fit the analytic fidelity surface to the final map.
@@ -501,10 +499,10 @@ def fit_final(
     stops early once a start's RMS residual falls below 1e-10, which only
     a noise-free map reaches.
 
-    Each start's C offsets put the model's calibration point on
-    ``peak_v``, the measured peak of this map; a start from the assumed C
-    can alias onto a neighboring high-N fringe and converge to a shifted
-    law.
+    Each start's C offsets put the model's calibration point, the
+    target couplings ``j_tgt`` (Hz, by pair), on ``peak_v``, the measured
+    peak of this map; a start from the assumed C can alias onto a
+    neighboring high-N fringe and converge to a shifted law.
 
     Raises:
         FitError: if no start converges, or the best one's RMS residual
@@ -514,8 +512,6 @@ def fit_final(
     law1, law2 = assumed_laws[fmap.pairs[0]], assumed_laws[fmap.pairs[1]]
     a_scales = (law1.a_hz, law2.a_hz)
     x0 = np.array([law1.b_per_v, 0.0, law2.b_per_v, 0.0, cfg.chi])
-    omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
-    j_tgt = solve_exchange_for_rotation(cfg.phi_star, omega, fmap.pairs)
     starts = []
     for k, rng in enumerate(rng_streams(seed, 77, shape=FIT_STARTS)):
         start = x0.copy()
@@ -552,13 +548,6 @@ def fitted_rotation_at(
         law = fit.laws[p]
         j[p] = law.a_hz * math.exp(law.b_per_v * v + law.c)
     return exchange_to_rotation(ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"]), pulse_s)
-
-
-def solve_fit_voltages(fit: CalFit, cfg: GermConfig, pairs: tuple[str, str]):
-    """Voltages where the fitted laws put the probe exactly on target."""
-    omega = cfg.theta_star / (TWO_PI * cfg.pulse_s)
-    j = solve_exchange_for_rotation(cfg.phi_star, omega, pairs)
-    return tuple(fit.laws[p].v_for(j[p], p) for p in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +615,23 @@ def run_calibration(
     previous grid resolution) and re-centers on the peak found by
     :func:`find_peak`.  The last stage's map is fitted with
     :func:`fit_final` and the fitted laws are solved for the voltages that
-    put the probe on target.  The germ is :meth:`GermConfig.for_target` at
-    the device's pulse length.
+    put the probe on target: the target couplings are solved once, and
+    anchor both the start window and the fit.  The germ is
+    :meth:`GermConfig.for_target` at the device's pulse length.
 
     Raises:
         CalibrationDiverged: if a stage's peak jumps by more than 1.5
             windows.
         DetectionError: if a stage's sweep centre, or a swept pair's
             exchange at the edges of its window, is not finite.
+        NonFiniteError: naming ``pulse_s`` if the target's exchange rate
+            overflows (:meth:`DeviceModel.rotation_rate`).
     """
     cfg = GermConfig.for_target(phi_star, theta_star, device.pulse_s)
     if pairs is None:
         pairs = pairs_for_axis(phi_star)
     laws = dict(device.laws) if assumed_laws is None else dict(assumed_laws)
-    omega = theta_star / (TWO_PI * device.pulse_s)
-    j_tgt = solve_exchange_for_rotation(phi_star, omega, pairs)
+    j_tgt = solve_exchange_for_rotation(phi_star, device.rotation_rate(theta_star), pairs)
     center = [laws[p].v_for(j_tgt[p], p) for p in pairs]
 
     stages: list[CalibrationStage] = []
@@ -692,8 +683,8 @@ def run_calibration(
         )
         center = [peak.v1, peak.v2]
 
-    fit = fit_final(fmap, laws, center, seed=options.seed)
-    v_final = solve_fit_voltages(fit, cfg, pairs)
+    fit = fit_final(fmap, laws, center, j_tgt, seed=options.seed)
+    v_final = tuple(fit.laws[p].v_for(j_tgt[p], p) for p in pairs)
     aa = fitted_rotation_at(fit, pairs, v_final[0], v_final[1], cfg.pulse_s)
     final = {
         f"v_x{pairs[0]}": v_final[0],

@@ -252,57 +252,40 @@ class NoiseConfig:
 
     @functools.cached_property
     def sigmas(self) -> np.ndarray:
-        """The six per-gate voltage sigmas then the three per-dot gradient
-        sigmas, shape (9,), in the order :func:`sample_noise` draws them;
-        read-only, computed once per config."""
+        """The sigmas of a noise draw's nine offsets, in its order: plungers
+        P1-P3 and barriers X12, X13, X23 (V), then the per-dot gradients
+        (Hz); read-only, computed once per config."""
         out = np.concatenate([np.broadcast_to(self.voltage_sigma_v, (6,)),
                               np.broadcast_to(self.gradient_sigma_hz, (3,))], dtype=float)
         out.flags.writeable = False
         return out
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One quasi-static noise realization, or a batch of them.
-
-    A single draw holds offsets of shape ``(6,)`` and ``(3,)``; a batch of
-    ``n`` draws holds ``(n, 6)`` and ``(n, 3)``.
-    """
-
-    voltage_offsets_v: np.ndarray
-    gradients_hz: np.ndarray
-
-
-def sample_noise(noise: NoiseConfig, rng: np.random.Generator, out=None):
-    """Draw quasi-static voltage and gradient offsets from ``rng``: nine
-    standard normals, the six gate offsets first, scaled by the sigmas.
-
-    With ``out``, a C-contiguous float 9-vector, the same nine offsets are
-    written there and ``out`` is returned in place of a :class:`NoiseDraw`.
-    """
-    z = rng.standard_normal(9) if out is None else rng.standard_normal(out=out)
-    np.multiply(z, noise.sigmas, out=z)
-    return z if out is not None else NoiseDraw(voltage_offsets_v=z[:6], gradients_hz=z[6:])
+def sample_noise(noise: NoiseConfig, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write one noise draw from ``rng`` into ``out``, a C-contiguous float
+    9-vector: nine standard normals, scaled by :attr:`NoiseConfig.sigmas`."""
+    rng.standard_normal(out=out)
+    np.multiply(out, noise.sigmas, out=out)
 
 
 def sample_shots(noise: NoiseConfig, seed: int, *prefix: int, shape):
     """Noise draws and readout uniforms of the shots ``(seed, *prefix,
     *index)`` for every index of ``shape``, in C order.
 
-    Each shot takes its noise draw (:func:`sample_noise`, written into its
-    row of one ``(n, 9)`` buffer), then one readout uniform, from its own
-    stream; all streams come from one :func:`rng_streams` call.
+    Each shot takes its noise draw (:func:`sample_noise`), then one readout
+    uniform, from its own stream; all streams come from one
+    :func:`rng_streams` call.
 
     Returns:
-        A batched :class:`NoiseDraw` with one row per shot (views of the
-        buffer), and the uniforms, shape ``(n,)``.
+        ``(z, uniforms)``: the draws, one row per shot, shape ``(n, 9)``,
+        and the uniforms, shape ``(n,)``.
     """
     n = math.prod(np.atleast_1d(shape).tolist())
     z, uniforms = np.empty((n, 9)), np.empty(n)
     for k, rng in enumerate(rng_streams(seed, *prefix, shape=shape)):
-        sample_noise(noise, rng, out=z[k])
+        sample_noise(noise, rng, z[k])
         uniforms[k] = rng.random()
-    return NoiseDraw(z[:, :6], z[:, 6:]), uniforms
+    return z, uniforms
 
 
 @dataclass(frozen=True)
@@ -375,32 +358,48 @@ class DeviceModel:
         j = {p: _scalar_or_array(x) for p, x in j.items()}
         return ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])
 
+    def rotation_rate(self, theta: float) -> float:
+        """Total exchange (Hz) that rotates by ``theta`` in one pulse,
+        ``theta / (2 pi pulse_s)``: NonFiniteError naming ``pulse_s`` if it
+        overflows."""
+        omega = theta / (2.0 * math.pi * self.pulse_s)
+        if not math.isfinite(omega):
+            raise NonFiniteError(
+                f"pulse_s: a rotation by {theta:.6g} rad in pulse_s = {self.pulse_s:.3g} s needs "
+                f"an exchange of {omega} Hz, theta / (2 pi pulse_s); lengthen pulse_s"
+            )
+        return omega
+
     def voltages_for_exchange(self, j: ExchangeVector) -> np.ndarray:
         """Barrier voltages (pair order) hitting ``j`` with cross-talk off;
-        couplings of exactly zero map to ``-inf``."""
+        couplings of exactly zero map to ``-inf``, and NonFiniteError names
+        the law of a nonzero one that no finite voltage gives."""
         out = []
         for pair, val in zip(PAIR_ORDER, (j.j12, j.j13, j.j23)):
-            out.append(-np.inf if val == 0.0 else self.laws[pair].v_for(val, pair))
+            law = self.laws[pair]
+            v = -np.inf if val == 0.0 else law.v_for(val, pair)
+            if val != 0.0 and math.isinf(v):
+                raise NonFiniteError(
+                    f"exchange_law.{pair}: no finite voltage gives {val:.3g} Hz; the law's "
+                    f"inverse (ln(J / A_hz) - C) / B_per_v overflows with A_hz = {law.a_hz:.3g}, "
+                    f"B_per_v = {law.b_per_v:.3g}, C = {law.c:.3g}"
+                )
+            out.append(v)
         return np.array(out)
 
-    def simulate_pulse(
-        self,
-        pulses,
-        trains,
-        draws: NoiseDraw | None = None,
-        apply_cross: bool = False,
-    ) -> np.ndarray:
+    def simulate_pulse(self, pulses, trains, draws: np.ndarray | None,
+                       apply_cross: bool) -> np.ndarray:
         """Encoded ``|0>`` population after each row's pulse train, played
         from the outer-pair singlet: the one pulse kernel.
 
         ``pulses`` is the experiment's table of :class:`PulseSpec` (each
         distinct pulse once), and each of ``trains`` an integer array of
-        positions in it, in play order.  ``draws`` is a batch of noise
-        draws, one per row; with ``s = rows / len(trains)``, rows ``k*s``
-        to ``(k+1)*s - 1`` play train ``k``.  Without ``draws`` each train
-        plays once, without noise.  Barrier cross-talk is opt-in
-        (``apply_cross``); a device without a cross matrix ignores the
-        flag.
+        positions in it, in play order.  ``draws`` holds one noise draw per
+        row, shape ``(rows, 9)``, in the order of :attr:`NoiseConfig.sigmas`;
+        with ``s = rows / len(trains)``, rows ``k*s`` to ``(k+1)*s - 1``
+        play train ``k``.  With ``draws`` None each train plays once,
+        without noise.  Barrier cross-talk is ``apply_cross``; a device
+        without a cross matrix ignores the flag.
 
         Each row needs one propagator per distinct pulse of its train.  The
         rows are worked through in blocks (:func:`_blocks`) of at most
@@ -418,16 +417,11 @@ class DeviceModel:
                 or a train holds a position outside the table.
         """
         n_trains, n_table = len(trains), len(pulses)
-        if draws is None:
-            offsets, gradients = np.zeros((n_trains, 6)), np.zeros((n_trains, 3))
-        else:
-            offsets = np.asarray(draws.voltage_offsets_v, dtype=float).reshape(-1, 6)
-            gradients = np.asarray(draws.gradients_hz, dtype=float).reshape(-1, 3)
-        shots, rest = divmod(len(offsets), n_trains) if n_trains else (0, len(offsets))
-        if rest or len(gradients) != len(offsets):
-            raise ValueError(
-                f"{len(offsets)} noise draws do not split evenly among {n_trains} trains"
-            )
+        draws = np.zeros((n_trains, 9)) if draws is None else np.asarray(draws, dtype=float)
+        shots, rest = divmod(len(draws), n_trains) if n_trains else (0, len(draws))
+        if rest or draws.shape[1:] != (9,):
+            raise ValueError(f"noise draws of shape {draws.shape} are not (rows, 9) with the "
+                             f"rows split evenly among {n_trains} trains")
         lengths = np.fromiter(map(len, trains), dtype=np.intp, count=n_trains)
         flat = np.concatenate([np.empty(0, dtype=np.intp), *trains]).astype(np.intp, copy=False)
         if flat.size and not 0 <= flat.min() <= flat.max() < n_table:
@@ -446,19 +440,17 @@ class DeviceModel:
         plungers = np.array([p.plunger_offsets_v for p in pulses], dtype=float).reshape(-1, 3)
         durations = np.array([p.duration_s for p in pulses], dtype=float)
         apply_cross = apply_cross and self.cross is not None
-        out = np.empty(len(offsets))
-        for lo, hi in _blocks(np.maximum(1, distinct), shots):
+        out = np.empty(len(draws))
+        for lo, hi in _blocks(np.repeat(np.maximum(1, distinct), shots)):
             trains_of_rows = np.arange(lo, hi) // shots
             count = distinct[trains_of_rows]
             # one item per distinct pulse of each row, by row then slot
             item_row = np.repeat(np.arange(hi - lo), count)
             item_first = np.cumsum(count) - count
             pulse = pair_slot[np.arange(item_row.size) + (first[trains_of_rows] - item_first)[item_row]]
-            dv = offsets[lo:hi][item_row]
-            u = self._propagators(
-                v_x[pulse] + dv[:, 3:], durations[pulse],
-                plungers[pulse] + dv[:, :3], gradients[lo:hi][item_row], apply_cross,
-            )
+            z = draws[lo:hi][item_row]
+            u = self._propagators(v_x[pulse] + z[:, 3:6], durations[pulse],
+                                  plungers[pulse] + z[:, :3], z[:, 6:], apply_cross)
             out[lo:hi] = _play(u, padded[trains_of_rows] + item_first[:, None],
                                lengths[trains_of_rows])
         return out
@@ -483,7 +475,7 @@ class DeviceModel:
             part = slice(lo, lo + BLOCK_MATRICES)
             couplings = ExchangeVector(j.j12[part], j.j23[part], j.j13[part])
             fields = FieldConfig(self.fields.f_uniform_hz, gradients[part])
-            u[part] = hilbert.sector_propagator(couplings, fields, durations[part])[0]
+            u[part] = hilbert.sector_propagator(couplings, fields, durations[part])
         return u
 
     def survival(self, pulses, trains, shape, shots=None, seed: int = 0, prefix=(),
@@ -553,32 +545,19 @@ def _play(u, pos, lengths) -> np.ndarray:
     return hilbert.sector_p0(vectors)
 
 
-def _blocks(costs, shots: int) -> list[tuple[int, int]]:
-    """Cut the rows of a batch into blocks ``[lo, hi)``, where train ``k``
-    plays the run of rows ``k*shots`` to ``(k+1)*shots - 1`` and each of
-    them stacks ``costs[k]`` matrices (one per distinct pulse of the train,
-    at least one).
-
-    A block takes whole runs while they fit in :data:`BLOCK_MATRICES`; only
-    a run that does not fit in a block of its own is cut within, and a
-    single row over the cap is a block alone.
-    """
-    cuts, used, lo = [0], 0, 0
-    for cost in np.asarray(costs).tolist():
-        hi = lo + shots
-        while lo < hi:
-            if used + (hi - lo) * cost <= BLOCK_MATRICES:
-                used += (hi - lo) * cost
-                lo = hi
-            elif used:
-                cuts.append(lo)
-                used = 0
-            else:
-                lo += max(1, BLOCK_MATRICES // cost)
-                cuts.append(lo)
-    if cuts[-1] != lo:
-        cuts.append(lo)
-    return list(zip(cuts[:-1], cuts[1:]))
+def _blocks(costs) -> list[tuple[int, int]]:
+    """Cut rows that stack ``costs[r]`` matrices each into blocks ``[lo,
+    hi)`` of consecutive rows: a block takes rows while their costs sum to
+    at most :data:`BLOCK_MATRICES`, and a row over the cap is a block
+    alone."""
+    ends = np.cumsum(costs)
+    blocks, lo = [], 0
+    while lo < len(ends):
+        used = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, used + BLOCK_MATRICES, side="right")))
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
 
 
 def default_device() -> DeviceModel:

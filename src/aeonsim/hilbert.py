@@ -9,11 +9,13 @@ Exchange and longitudinal Zeeman terms conserve total S_z, so every
 Hamiltonian here is block diagonal on the product states of equal m_S: the
 two sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
 each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  The pulse
-kernel works in those blocks (:func:`sector_propagator`), starting from
-the outer-pair singlet's sector vectors (:data:`SINGLET_SECTORS`); the
-dense 8x8 route (:func:`initialize_singlet`, :func:`build_hamiltonian`,
-:func:`propagator`, :func:`measure_p0`) stays as the reference the sector
-route is tested against.
+kernel works in the two 3x3 sector blocks alone (:func:`sector_propagator`),
+starting from the outer-pair singlet's sector vectors
+(:data:`SINGLET_SECTORS`): the singlet and the encoded qubit lie within the
+sectors, so no state the kernel plays ever populates m_S = +-3/2.  The dense
+8x8 route (:func:`initialize_singlet`, :func:`build_hamiltonian`,
+:func:`propagator`, :func:`measure_p0`) keeps all eight states and stays as
+the reference the sector route is tested against.
 
 Exchange couplings and magnetic fields are given in Hz; the factor of 2*pi
 that converts them to angular frequencies is applied exactly once, inside
@@ -125,16 +127,13 @@ def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> n
 
 _ZEEMAN_TERMS = {dot: SPIN_OPS[dot][2] for dot in (1, 2, 3)}
 
-# Product-basis indices of the m_S = +1/2 and -1/2 sectors, and of the
-# m_S = +3/2 and -3/2 states.
+# Product-basis indices of the m_S = +1/2 and -1/2 sectors
 SECTORS = np.array([[1, 2, 4], [3, 5, 6]])
-_ENDS = np.array([0, 7])
 
-# The entries of the S_z blocks, flattened: the two 3x3 sector blocks (18
-# entries), then the two m_S = +-3/2 diagonal entries.  Every term of the
-# Hamiltonian is real there.
-_BLOCK_ROWS = np.concatenate([np.repeat(SECTORS, 3, axis=1).ravel(), _ENDS])
-_BLOCK_COLS = np.concatenate([np.tile(SECTORS, 3).ravel(), _ENDS])
+# The 18 entries of the two 3x3 sector blocks, flattened.  Every term of
+# the Hamiltonian is real there.
+_BLOCK_ROWS = np.repeat(SECTORS, 3, axis=1).ravel()
+_BLOCK_COLS = np.tile(SECTORS, 3).ravel()
 _BLOCK_EXCHANGE = {p: op[_BLOCK_ROWS, _BLOCK_COLS].real for p, op in _EXCHANGE_TERMS.items()}
 _BLOCK_ZEEMAN = {dot: op[_BLOCK_ROWS, _BLOCK_COLS].real for dot, op in _ZEEMAN_TERMS.items()}
 
@@ -165,16 +164,11 @@ def _hamiltonian(j: ExchangeVector, fields: FieldConfig | None, exchange, zeeman
     return h
 
 
-def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None):
-    """The S_z blocks of :func:`build_hamiltonian`, built straight from the
-    couplings and fields with the same terms in the same order.
-
-    Returns:
-        ``(blocks, ends)``: the real m_S = +1/2 and -1/2 blocks on the
-        product states :data:`SECTORS`, shape ``batch + (2, 3, 3)``, and
-        the energies of states 0 and 7 (m_S = +3/2, -3/2), shape
-        ``batch + (2,)``; the batch shape is that of
-        :func:`build_hamiltonian`.
+def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
+    """The m_S = +1/2 and -1/2 blocks of :func:`build_hamiltonian` on the
+    product states :data:`SECTORS`, built straight from the couplings and
+    fields with the same terms in the same order: real, shape ``batch +
+    (2, 3, 3)`` with the batch shape of :func:`build_hamiltonian`.
 
     Raises:
         NonFiniteError: if an entry is not finite.
@@ -183,12 +177,13 @@ def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None):
         h = _hamiltonian(j, fields, _BLOCK_EXCHANGE, _BLOCK_ZEEMAN, float)
     if not np.all(np.isfinite(h)):
         raise NonFiniteError("Hamiltonian is not finite")
-    return h[..., :18].reshape(h.shape[:-1] + (2, 3, 3)), h[..., 18:]
+    return h.reshape(h.shape[:-1] + (2, 3, 3))
 
 
-def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
-    """Unitaries exp(-i H tau) of :func:`build_hamiltonian`, block by S_z
-    sector, from one real ``eigh`` of the whole stack of sector blocks.
+def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s) -> np.ndarray:
+    """Unitaries exp(-i H tau) of :func:`build_hamiltonian` on the m_S =
+    +1/2 and -1/2 sectors, from one real ``eigh`` of the whole stack of
+    sector blocks.
 
     Args:
         j, fields: couplings and fields as for :func:`build_hamiltonian`.
@@ -196,33 +191,32 @@ def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s):
             whole stack, or an array that broadcasts to its batch shape.
 
     Returns:
-        ``(u, phases)``: the sector unitaries on the product states
-        :data:`SECTORS`, shape ``batch + (2, 3, 3)``, and the phases
-        picked up by states 0 and 7, shape ``batch + (2,)``.
+        The sector unitaries on the product states :data:`SECTORS`, shape
+        ``batch + (2, 3, 3)``.
 
     Raises:
         ValueError: for a bad duration, and its NonFiniteError for a
-            Hamiltonian or phase (energy times duration) that is not finite.
+            Hamiltonian or phase (block eigenvalue times duration) that is
+            not finite.
     """
     tau = np.asarray(tau_s, dtype=float)
     valid = np.isfinite(tau) & (tau >= 0)
     if not np.all(valid):
         raise ValueError(f"evolution time must be finite and non-negative, got {tau[~valid].flat[0]}")
-    blocks, ends = _sector_hamiltonian(j, fields)
-    vals, vecs = np.linalg.eigh(blocks)
+    vals, vecs = np.linalg.eigh(_sector_hamiltonian(j, fields))
     # each phase below is exactly -1j times one of these products
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = (vals * tau[..., None, None], ends * tau[..., None])
-    if not all(np.isfinite(p).all() for p in phases):
+        phases = vals * tau[..., None, None]
+    if not np.isfinite(phases).all():
         raise NonFiniteError("evolution phase (energy times duration) is not finite")
-    angle = -1j * tau[..., None]
-    left = vecs * np.exp(vals * angle[..., None])[..., None, :]
+    angle = -1j * tau[..., None, None]
+    left = vecs * np.exp(vals * angle)[..., None, :]
     # V diag(phases) V^T summed over the three eigenvectors' outer products,
     # where matmul would make one BLAS call per 3x3 matrix
     u = left[..., :, 0, None] * vecs[..., None, :, 0]
     for k in (1, 2):
         u += left[..., :, k, None] * vecs[..., None, :, k]
-    return u, np.exp(ends * angle)
+    return u
 
 
 def _check_hamiltonian(h) -> np.ndarray:

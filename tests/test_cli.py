@@ -686,6 +686,35 @@ def test_exchange_law_inverse_that_underflows_names_the_law_and_pulse_s(argv, tm
     assert not (tmp_path / "out.json").exists()
 
 
+DEVICE_RB = ["rb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1"]
+DEVICE_IRB = ["irb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1",
+              "--gate-phi", "0", "--gate-theta", "3.141592653589793"]
+
+
+@pytest.mark.parametrize("argv,doc,name", [
+    (DEVICE_RB, {"exchange_law": {"12": {"A_hz": 5e-324}}}, "exchange_law.12"),
+    (DEVICE_IRB, {"exchange_law": {"12": {"A_hz": 5e-324}}}, "exchange_law.12"),
+    (DEVICE_RB, {"pulse_s": 5e-324}, "pulse_s"),
+    (DEVICE_IRB, {"pulse_s": 5e-324}, "pulse_s"),
+    (CAL_PI, {"pulse_s": 5e-324}, "pulse_s"),
+    (DEVICE_RB, {"exchange_law": {"12": {"B_per_v": 1e-300, "C": 1e300}}}, "exchange_law.12"),
+])
+def test_exchange_that_overflows_names_the_config_key(argv, doc, name, tmp_path, capsys):
+    # J / A_hz, or the rate theta / (2 pi pulse_s), overflows to inf: device
+    # RB and IRB used to exit 3 with "Hamiltonian is not finite" alone, and
+    # calibrate to exit 2 with "exchange must be positive to invert the law".
+    # A law inverse of -inf used to switch the coupling off and exit 0
+    (tmp_path / "dev.json").write_text(json.dumps(doc))
+    argv = argv + ["--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"aeonsim: {name}: ")
+    assert ("A_hz" if name.startswith("exchange_law") else "lengthen pulse_s") in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sum_curve_fit_at_the_depth_cap_ignores_the_warning_filter(tmp_path):
     # a trial lambda above 1 overflows lambda^N at depth 100,000: the fit
     # used to leak overflow warnings, and under -W error to fail

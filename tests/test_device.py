@@ -97,25 +97,31 @@ def test_rng_streams_reject_negative_seeds_and_wide_path_entries(seed, path):
         dev.rng_streams(seed, *path, shape=2)
 
 
+def _draw(noise, rng):
+    """One noise draw from ``rng``, a fresh (9,) row."""
+    out = np.full(9, np.nan)
+    assert dev.sample_noise(noise, rng, out) is None
+    return out
+
+
 def test_noise_sampling_shapes():
     cfg = dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=2e4)
-    draw = dev.sample_noise(cfg, dev.rng_stream(0, 1))
-    assert np.asarray(draw.voltage_offsets_v).shape == (6,)
-    assert np.asarray(draw.gradients_hz).shape == (3,)
-    silent = dev.sample_noise(dev.NoiseConfig(), dev.rng_stream(0, 2))
-    assert np.abs(np.asarray(silent.voltage_offsets_v)).max() == 0.0
+    draw = _draw(cfg, dev.rng_stream(0, 1))
+    assert np.all(np.isfinite(draw)) and np.all(draw != 0.0)
+    silent = _draw(dev.NoiseConfig(), dev.rng_stream(0, 2))
+    assert np.abs(silent).max() == 0.0
 
 
 def test_noise_sigmas_are_computed_once_and_draws_keep_their_values():
     sig_v = (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3)
     for cfg in (dev.NoiseConfig(1e-3, 2e4), dev.NoiseConfig(sig_v, (1e4, 2e4, 3e4))):
         assert cfg.sigmas is cfg.sigmas and not cfg.sigmas.flags.writeable
-        draw = dev.sample_noise(cfg, dev.rng_stream(3, 1))
+        draw = _draw(cfg, dev.rng_stream(3, 1))
         rng = dev.rng_stream(3, 1)
         want_v = rng.normal(0.0, 1.0, size=6) * np.broadcast_to(cfg.voltage_sigma_v, (6,))
         want_b = rng.normal(0.0, 1.0, size=3) * np.broadcast_to(cfg.gradient_sigma_hz, (3,))
-        np.testing.assert_array_equal(draw.voltage_offsets_v, want_v)
-        np.testing.assert_array_equal(draw.gradients_hz, want_b)
+        np.testing.assert_array_equal(draw[:6], want_v)
+        np.testing.assert_array_equal(draw[6:], want_b)
 
 
 def test_exchange_from_voltages_minus_inf_is_exactly_off():
@@ -159,12 +165,6 @@ def _table(trains):
 def _kernel_p0(d, trains, draws=None, apply_cross=False):
     """The kernel's p0 per row for trains given as lists of pulses."""
     return d.simulate_pulse(*_table(trains), draws, apply_cross)
-
-
-def _stack(draws):
-    """One batched draw from a sequence of single draws, in order."""
-    return dev.NoiseDraw(np.stack([d.voltage_offsets_v for d in draws]),
-                         np.stack([d.gradients_hz for d in draws]))
 
 
 def _dense_p0(rho, unitaries):
@@ -225,20 +225,19 @@ def test_stacked_draws_match_per_draw_oracle():
     plain = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
                           plunger_offsets_v=(0.0, 1e-3, 0.0))
     train = [shifted, idle, plain, shifted, plain]
-    draws = [dev.sample_noise(d.noise, dev.rng_stream(3, shot)) for shot in range(4)]
-    out = _kernel_p0(d, [train], _stack(draws), apply_cross=True)
+    draws = np.stack([_draw(d.noise, dev.rng_stream(3, shot)) for shot in range(4)])
+    out = _kernel_p0(d, [train], draws, apply_cross=True)
     assert out.shape == (4,)
     for draw, got in zip(draws, out):
-        dv = draw.voltage_offsets_v
-        fields = hb.FieldConfig(2e7, tuple(np.asarray(d.fields.gradients_hz) + draw.gradients_hz))
+        fields = hb.FieldConfig(2e7, tuple(np.asarray(d.fields.gradients_hz) + draw[6:]))
         unitaries = []
         for pulse in train:
-            plungers = np.asarray(pulse.plunger_offsets_v) + dv[:3]
-            j = _oracle_couplings(d, np.asarray(pulse.v_x) + dv[3:], plungers)
+            plungers = np.asarray(pulse.plunger_offsets_v) + draw[:3]
+            j = _oracle_couplings(d, np.asarray(pulse.v_x) + draw[3:6], plungers)
             unitaries.append(expm(-1j * hb.build_hamiltonian(j, fields) * pulse.duration_s))
         assert abs(got - _dense_p0(hb.initialize_singlet(), unitaries)) < 1e-12
         # the draw alone, as a batch of one, gives the same p0
-        one = _kernel_p0(d, [train], _stack([draw]), apply_cross=True)
+        one = _kernel_p0(d, [train], draw[None], apply_cross=True)
         assert one[0] == got
 
 
@@ -247,7 +246,7 @@ def test_empty_train_returns_rho_unchanged():
     d = dev.default_device()
     singlet = hb.sector_p0(hb.SINGLET_SECTORS)
     assert singlet == pytest.approx(1.0, abs=1e-15)
-    draws = dev.NoiseDraw(np.full((3, 6), 1e-3), np.full((3, 3), 1e5))
+    draws = np.repeat([[1e-3] * 6 + [1e5] * 3], 3, axis=0)
     for draw in (None, draws):
         assert np.array_equal(_kernel_p0(d, [[]], draw), [singlet] * (1 if draw is None else 3))
     assert _kernel_p0(d, []).shape == (0,)
@@ -256,10 +255,10 @@ def test_empty_train_returns_rho_unchanged():
 def test_gradient_noise_causes_leakage():
     # at J = 0 a gradient rotates the singlet out of the encoded subspace
     d = dev.default_device()
-    draw = dev.NoiseDraw(np.zeros((1, 6)), np.array([[2e6, -1e6, 0.5e6]]))
+    draw = np.array([[0.0] * 6 + [2e6, -1e6, 0.5e6]])
     pulse = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=400e-9)
     (p0,) = _kernel_p0(d, [[pulse]], draw)
-    fields = hb.FieldConfig(0.0, draw.gradients_hz[0])
+    fields = hb.FieldConfig(0.0, draw[0, 6:])
     u = expm(-1j * hb.build_hamiltonian(hb.ExchangeVector(0.0, 0.0, 0.0), fields) * 400e-9)
     rho = u @ hb.initialize_singlet() @ u.conj().T
     assert np.trace(hb.ENCODED.p_leak @ rho).real > 1e-4  # quadruplet population
@@ -338,11 +337,10 @@ def test_fingerpinch_hadamard_changes_contrast():
 
 
 def _couplings(d, pulse, draw, apply_cross):
-    """The couplings of one pulse under one draw: the front end one pulse
-    at a time."""
-    dv = np.asarray(draw.voltage_offsets_v, dtype=float)
-    plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + dv[:3]
-    target = np.asarray(pulse.v_x, dtype=float) + dv[3:]
+    """The couplings of one pulse under one (9,) draw: the front end one
+    pulse at a time."""
+    plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + draw[:3]
+    target = np.asarray(pulse.v_x, dtype=float) + draw[3:6]
     return d.exchange_from_voltages(target, plungers, apply_cross=apply_cross)
 
 
@@ -353,9 +351,9 @@ def _one_train_oracle(d, train, draw, apply_cross, vectors=hb.SINGLET_SECTORS):
     singlet's by default)."""
     if not train:
         return hb.sector_p0(vectors)
-    draw = dev.NoiseDraw(np.zeros(6), np.zeros(3)) if draw is None else draw
+    draw = np.zeros(9) if draw is None else draw
     fields = hb.FieldConfig(
-        d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
+        d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw[6:]
     )
     cross = apply_cross and d.cross is not None
     by_duration = {}
@@ -365,7 +363,7 @@ def _one_train_oracle(d, train, draw, apply_cross, vectors=hb.SINGLET_SECTORS):
     for dt, pulses in by_duration.items():
         js = [_couplings(d, p, draw, cross) for p in pulses]
         j = hb.ExchangeVector(*(np.array([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
-        pulse_u.update(zip(pulses, hb.sector_propagator(j, fields, dt)[0]))
+        pulse_u.update(zip(pulses, hb.sector_propagator(j, fields, dt)))
     for pulse in train:
         vectors = pulse_u[pulse] @ vectors
     return hb.sector_p0(vectors)
@@ -374,9 +372,9 @@ def _one_train_oracle(d, train, draw, apply_cross, vectors=hb.SINGLET_SECTORS):
 def _dense_train(d, rho, train, draw, apply_cross):
     """The dense reference: one train under one draw, every pulse's 8x8
     propagator from expm of build_hamiltonian, applied to ``rho``."""
-    draw = dev.NoiseDraw(np.zeros(6), np.zeros(3)) if draw is None else draw
+    draw = np.zeros(9) if draw is None else draw
     fields = hb.FieldConfig(
-        d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw.gradients_hz
+        d.fields.f_uniform_hz, np.asarray(d.fields.gradients_hz, dtype=float) + draw[6:]
     )
     for pulse in train:
         j = _couplings(d, pulse, draw, apply_cross and d.cross is not None)
@@ -424,10 +422,10 @@ def test_batched_rows_equal_one_train_at_a_time(monkeypatch, apply_cross, with_d
     # plunger offsets, cross-talk, noise draws and J = 0, each row its own train
     d = _noisy_device()
     rows = _mixed_trains(24)
-    draws = [dev.sample_noise(d.noise, dev.rng_stream(5, r)) for r in range(len(rows))]
-    batch = _stack(draws) if with_draws else None
+    draws = np.stack([_draw(d.noise, dev.rng_stream(5, r)) for r in range(len(rows))])
+    batch = draws if with_draws else None
     monkeypatch.setattr(dev, "BLOCK_MATRICES", 16)
-    assert len(dev._blocks(_costs(rows), 1)) > 2  # the batch spans several blocks
+    assert len(dev._blocks(_costs(rows))) > 2  # the batch spans several blocks
     p0 = _kernel_p0(d, rows, batch, apply_cross)
     assert p0.shape == (len(rows),)
     for r, train in enumerate(rows):
@@ -454,7 +452,7 @@ def test_any_rho_plays_through_its_eigenvectors(rank):
     weights, vecs = np.linalg.eigh(hb.sector_blocks(rho))
     vectors = vecs * np.sqrt(np.clip(weights, 0.0, None))[:, None, :]
     rows = _mixed_trains(8)
-    draws = [dev.sample_noise(d.noise, dev.rng_stream(6, r)) for r in range(len(rows))]
+    draws = [_draw(d.noise, dev.rng_stream(6, r)) for r in range(len(rows))]
     for train, draw in zip(rows, draws):
         want = hb.measure_p0(_dense_train(d, rho, train, draw, True))
         assert abs(_one_train_oracle(d, train, draw, True, vectors) - want) < 1e-12
@@ -490,31 +488,43 @@ def test_rows_with_empty_trains_keep_rho():
 
 def test_single_train_with_a_batch_of_draws_equals_per_row_trains():
     d = _noisy_device()
-    draws = _stack([dev.sample_noise(d.noise, dev.rng_stream(9, s)) for s in range(300)])
-    train = [SHIFTED, PLAIN]  # 2 matrices a row, so 300 rows take 3 blocks of 128
+    draws = np.stack([_draw(d.noise, dev.rng_stream(9, s)) for s in range(300)])
+    train = [SHIFTED, PLAIN]  # 2 matrices a row, so 300 rows take blocks of 128, 128, 44
     table, (index,) = _table([train])
-    shared = d.simulate_pulse(table, [index], draws)
-    assert len(dev._blocks([2], 300)) == 3
-    assert np.array_equal(shared, d.simulate_pulse(table, [index] * 300, draws))
-    draw = dev.NoiseDraw(draws.voltage_offsets_v[123], draws.gradients_hz[123])
+    shared = d.simulate_pulse(table, [index], draws, False)
+    assert dev._blocks([2] * 300) == [(0, 128), (128, 256), (256, 300)]
+    assert np.array_equal(shared, d.simulate_pulse(table, [index] * 300, draws, False))
+    draw = draws[123]
     assert shared[123] == _one_train_oracle(d, train, draw, False)
     dense = _dense_train(d, hb.initialize_singlet(), train, draw, False)
     assert abs(shared[123] - hb.measure_p0(dense)) < 1e-12
+    for bad in (draws[:, :6], draws[0]):
+        with pytest.raises(ValueError, match="split evenly"):
+            d.simulate_pulse(table, [index], bad, False)
     with pytest.raises(ValueError, match="split evenly"):
-        d.simulate_pulse(table, [index] * 7, draws)
+        d.simulate_pulse(table, [index] * 7, draws, False)
     with pytest.raises(ValueError, match="table of 2 pulses"):
-        d.simulate_pulse(table, [np.array([0, 2])])
+        d.simulate_pulse(table, [np.array([0, 2])], None, False)
 
 
-def test_blocks_cut_between_runs_and_respect_the_cap():
-    # ten one-pulse trains of 50 shots each, as in a Rabi sweep
-    assert dev._blocks([1] * 10, 50) == [(0, 250), (250, 500)]
-    # a run larger than the cap is cut within; a row over the cap is alone
-    assert dev._blocks([1], 600) == [(0, 256), (256, 512), (512, 600)]
-    assert dev._blocks([9 * 33, 9 * 33, 1], 1) == [(0, 1), (1, 2), (2, 3)]
-    # the remainder of a cut run shares its block with the next runs
-    assert dev._blocks([100, 1], 3) == [(0, 2), (2, 6)]
-    assert dev._blocks([5], 0) == dev._blocks([], 4) == []
+def test_blocks_cover_the_rows_in_order_within_the_cap():
+    # random per-row costs, some rows over the cap: the blocks tile the
+    # rows in order, each fits the cap or is one row over it, and none
+    # could have taken the row after it
+    rng = np.random.default_rng(22)
+    cap = dev.BLOCK_MATRICES
+    for trial in range(300):
+        n = int(rng.integers(0, 60))
+        costs = rng.integers(1, [3, 40, 300][trial % 3], size=n)
+        blocks = dev._blocks(costs)
+        cuts = [0] + [hi for _, hi in blocks]
+        assert blocks == list(zip(cuts, cuts[1:])) and cuts[-1] == n
+        for lo, hi in blocks:
+            used = int(costs[lo:hi].sum())
+            assert hi > lo and (used <= cap or hi - lo == 1)
+            assert hi == n or used + costs[hi] > cap
+    assert dev._blocks([1] * 600) == [(0, 256), (256, 512), (512, 600)]
+    assert dev._blocks([9 * 33, 9 * 33, 1]) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
@@ -542,15 +552,15 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
     times = np.linspace(1e-9, 100e-9, 20)
     pulses = [dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)) for t in times]
     d.survival(pulses, np.arange(20)[:, None], times.shape, 60, 3, (101,))
-    assert sizes == [240] * 5  # whole runs per block: one call per block
-    assert front_end == [(240,)] * 5  # one front-end call per block
+    assert sizes == [256] * 4 + [176]  # 1,200 one-pulse rows: one call per block
+    assert front_end == [(256,)] * 4 + [(176,)]  # one front-end call per block
     sizes.clear()
     front_end.clear()
     rows = _mixed_trains(40)
     table, index = _table(rows)
     d.survival(table, index, (len(rows),), 7, 3)
     assert max(sizes) <= dev.BLOCK_MATRICES
-    assert len(sizes) == len(front_end) == len(dev._blocks(_costs(rows), 7))
+    assert len(sizes) == len(front_end) == len(dev._blocks(np.repeat(_costs(rows), 7)))
     # one row over the cap: its 300 distinct pulses take two calls, one front end
     sizes.clear()
     front_end.clear()
@@ -574,8 +584,8 @@ def test_survival_equals_the_per_train_shot_loop():
     for k, train in enumerate(rows):
         hits = 0
         for rng in dev.rng_streams(seed, 3, k, shape=shots):
-            draw = dev.NoiseDraw(rng.normal(0.0, 1.0, 6) * d.noise.sigmas[:6],
-                                 rng.normal(0.0, 1.0, 3) * d.noise.sigmas[6:])
+            draw = np.concatenate([rng.normal(0.0, 1.0, 6) * d.noise.sigmas[:6],
+                                   rng.normal(0.0, 1.0, 3) * d.noise.sigmas[6:]])
             p0 = _one_train_oracle(d, train, draw, True)
             assert abs(p0 - hb.measure_p0(_dense_train(d, rho0, train, draw, True))) < 1e-12
             hits += rng.random() < p0
@@ -589,29 +599,13 @@ def test_survival_equals_the_per_train_shot_loop():
 def test_sample_shots_equals_the_per_shot_loop():
     noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
     draws, uniforms = dev.sample_shots(noise, 11, 101, shape=(7, 5))
-    assert draws.voltage_offsets_v.shape == (35, 6) and uniforms.shape == (35,)
+    assert draws.shape == (35, 9) and uniforms.shape == (35,)
     k = 0
     for t in range(7):
         for rng in dev.rng_streams(11, 101, t, shape=5):
-            want = dev.sample_noise(noise, rng)
-            assert np.array_equal(draws.voltage_offsets_v[k], want.voltage_offsets_v)
-            assert np.array_equal(draws.gradients_hz[k], want.gradients_hz)
+            assert np.array_equal(draws[k], _draw(noise, rng))
             assert uniforms[k] == rng.random()
             k += 1
-
-
-def test_sample_noise_into_a_row_equals_the_returned_draw():
-    noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
-    buf = np.full((3, 9), np.nan)
-    for seed in range(50):
-        rng, into = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = dev.sample_noise(noise, rng)
-        got = dev.sample_noise(noise, into, out=buf[1])
-        assert got.base is buf and np.shares_memory(got, buf[1])
-        assert np.array_equal(buf[1, :6], want.voltage_offsets_v)
-        assert np.array_equal(buf[1, 6:], want.gradients_hz)
-        assert np.isnan(buf[[0, 2]]).all()  # other rows untouched
-        assert into.random() == rng.random()  # both leave the stream alike
 
 
 def _counting_pulse_hashes(monkeypatch):
@@ -652,7 +646,7 @@ def test_pulses_are_hashed_once_per_distinct_rotation(monkeypatch):
     d = _noisy_device()
     draws, _ = dev.sample_shots(d.noise, 4, shape=2 * len(trains))
     calls = _counting_pulse_hashes(monkeypatch)
-    d.simulate_pulse(table, trains, draws)
+    d.simulate_pulse(table, trains, draws, False)
     assert calls[0] == 0
 
 
@@ -685,12 +679,16 @@ def test_device_rb_table_merges_equal_pulses(monkeypatch, interleaved):
 
 
 def test_sample_noise_draws_nine_normals_as_six_then_three():
+    # written in place into one row of a buffer, whose other rows it leaves
     noise = dev.NoiseConfig((1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3), (1e4, 2e4, 3e4))
+    buf = np.full((3, 9), np.nan)
     for seed in range(300):
-        draw = dev.sample_noise(noise, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(draw.voltage_offsets_v, rng.normal(0.0, 1.0, 6) * noise.sigmas[:6])
-        assert np.array_equal(draw.gradients_hz, rng.normal(0.0, 1.0, 3) * noise.sigmas[6:])
+        into, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert dev.sample_noise(noise, into, buf[1]) is None
+        assert np.array_equal(buf[1, :6], rng.normal(0.0, 1.0, 6) * noise.sigmas[:6])
+        assert np.array_equal(buf[1, 6:], rng.normal(0.0, 1.0, 3) * noise.sigmas[6:])
+        assert np.isnan(buf[[0, 2]]).all()
+        assert into.random() == rng.random()  # both leave the stream alike
 
 
 def test_rng_streams_cross_chunk_boundaries_like_the_oracle():

@@ -143,7 +143,9 @@ def test_surface_fit_restarts_take_scipy_two_point_iterates(monkeypatch):
     calls = _record_fits(monkeypatch)
     fmap, laws = _surface_problem()
     peak = cal.find_peak(fmap, previous=(0.0735, 0.0736))
-    cal.fit_final(fmap, laws, (peak.v1, peak.v2))
+    omega = dev.default_device().rotation_rate(fmap.cfg.theta_star)
+    j_tgt = cal.solve_exchange_for_rotation(fmap.cfg.phi_star, omega, fmap.pairs)
+    cal.fit_final(fmap, laws, (peak.v1, peak.v2), j_tgt)
     assert len(calls) == cal.FIT_STARTS and all(kw["jac"] is not None for _, _, kw, _ in calls)
     _assert_scipy_iterates(calls, check_plain=False)
 

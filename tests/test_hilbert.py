@@ -296,11 +296,10 @@ def test_sector_hamiltonian_equals_the_dense_blocks_bit_for_bit():
     ]
     for jj, ff in cases:
         h = hb.build_hamiltonian(jj, ff)
-        blocks, ends = hb._sector_hamiltonian(jj, ff)
-        assert blocks.shape == h.shape[:-2] + (2, 3, 3) and ends.shape == h.shape[:-2] + (2,)
+        blocks = hb._sector_hamiltonian(jj, ff)
+        assert blocks.shape == h.shape[:-2] + (2, 3, 3)
         dense = hb.sector_blocks(h)
         assert np.array_equal(blocks, dense.real) and not np.any(dense.imag)
-        assert np.array_equal(ends, h[..., [0, 7], [0, 7]].real)
 
 
 def _states():
@@ -315,8 +314,8 @@ def _states():
 
 @pytest.mark.parametrize("name", list(_states()))
 def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
-    # the sector unitaries and phases are the blocks of expm, and p0 read
-    # off the propagated sector vectors is p0 of the propagated state
+    # the sector unitaries are the blocks of expm, and p0 read off the
+    # propagated sector vectors is p0 of the propagated state
     rho, vectors = _states()[name]
     rng = np.random.default_rng(43)
     j, fields = random_batch(rng, 12)
@@ -331,13 +330,12 @@ def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
     ]
     for jj, ff, tau in cases:
         h = hb.build_hamiltonian(jj, ff)
-        u, phases = hb.sector_propagator(jj, ff, tau)
+        u = hb.sector_propagator(jj, ff, tau)
         p0 = hb.sector_p0(u @ vectors)
         assert u.shape == h.shape[:-2] + (2, 3, 3) and np.shape(p0) == h.shape[:-2]
         for idx in np.ndindex(h.shape[:-2]):
             full = expm(-1j * h[idx] * tau)
             np.testing.assert_allclose(u[idx], hb.sector_blocks(full), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(phases[idx], full[[0, 7], [0, 7]], rtol=0, atol=1e-12)
             want = full @ rho @ full.conj().T
             assert abs(np.asarray(p0)[idx] - hb.measure_p0(want)) < 1e-12
 
@@ -383,11 +381,11 @@ def test_sector_propagator_takes_a_duration_per_row():
     rng = np.random.default_rng(44)
     j, fields = random_batch(rng, 6)
     taus = rng.uniform(0.0, 50e-9, 6)
-    u, phases = hb.sector_propagator(j, fields, taus)
+    u = hb.sector_propagator(j, fields, taus)
     for k in range(6):
         jk = hb.ExchangeVector(j.j12[k : k + 1], j.j23[k : k + 1], j.j13[k : k + 1])
         one = hb.sector_propagator(jk, hb.FieldConfig(0.5e9, fields.gradients_hz[k : k + 1]), taus[k])
-        assert np.array_equal(u[k], one[0][0]) and np.array_equal(phases[k], one[1][0])
+        assert np.array_equal(u[k], one[0])
 
 
 def test_sector_propagator_rejects_an_overflowing_phase():
@@ -395,7 +393,7 @@ def test_sector_propagator_rejects_an_overflowing_phase():
     cases = [
         (hb.ExchangeVector(4e7, 1e7, 0.0), None, 1e300),
         (hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), hb.FieldConfig(), np.array([1e-9, 1e300])),
-        (hb.ExchangeVector(0.0, 0.0, 0.0), hb.FieldConfig(1e9), 1e300),  # the m_S = +-3/2 phases
+        (hb.ExchangeVector(0.0, 0.0, 0.0), hb.FieldConfig(1e9), 1e300),  # a Zeeman phase
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -403,6 +401,6 @@ def test_sector_propagator_rejects_an_overflowing_phase():
             with pytest.raises(ValueError, match="phase .* is not finite"):
                 hb.sector_propagator(j, fields, tau)
         # a zero energy has a zero phase at any finite duration
-        u, _ = hb.sector_propagator(hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), None,
-                                    np.array([1e300, 1e290]))
+        u = hb.sector_propagator(hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), None,
+                                 np.array([1e300, 1e290]))
         assert np.all(np.isfinite(u))
