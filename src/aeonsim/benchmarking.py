@@ -468,8 +468,9 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
 # Reports
 
 
-def rb_report(data: RbData, fit: RbFit) -> str:
-    """JSON report with config hash, per-depth statistics and fit values."""
+def rb_report(data: RbData, fit: RbFit) -> dict:
+    """The rb artifact's document: config hash, per-depth statistics and
+    fit values."""
     cfg = data.config
     cfg_doc = {
         "depths": list(cfg.depths),
@@ -508,4 +509,4 @@ def rb_report(data: RbData, fit: RbFit) -> str:
             "avg_pulses_per_clifford": fit.avg_pulses,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return doc

@@ -18,7 +18,6 @@ analytic fidelity surface to pin the target voltages.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -140,35 +139,22 @@ def _spread(m: int, x):
 
 def _chebyshev_u_orders(orders, x):
     """Chebyshev polynomials of the second kind U_m(x), for each order in
-    ``orders``: trigonometric evaluation for |x| <= 1 and hyperbolic
-    continuation outside, all from one ``arccos`` and one ``sin t``; the
-    inside/outside masks are applied only when some |x| > 1 or ``x`` is
-    0-d."""
+    ``orders``, as ``sin((m + 1) t) / sin t`` with ``t = arccos(x)``, all
+    from one ``arccos`` and one ``sin t``.  ``x`` is clipped to [-1, 1]
+    (the surface passes a unit quaternion's scalar part, which leaves that
+    range only by rounding); at x = +-1, where sin t vanishes, U_m takes
+    its limit (m + 1) (+-1)^m."""
     x = np.asarray(x, dtype=float)
-    inside = np.abs(x) <= 1.0
-    split = x.ndim == 0 or not inside.all()
-    t = np.arccos(x[inside] if split else x)
+    t = np.arccos(np.clip(x.reshape(-1), -1.0, 1.0))
     st = np.sin(t)
-    # limits at the endpoints where sin(t) vanishes
-    ends = st < 1e-9
-    end_sign = np.sign(np.cos(t[ends])) if ends.any() else None
-    if split:
-        xo = x[~inside]
-        a = np.arccosh(np.abs(xo))
-        sinh_a = np.sinh(a)
+    ends = np.flatnonzero(st < 1e-9)
     out = []
     with np.errstate(invalid="ignore", divide="ignore"):
         for m in orders:
             val = np.sin((m + 1) * t) / st
-            if end_sign is not None:
-                val[ends] = (m + 1) * end_sign**m
-            if split:
-                full = np.empty_like(x)
-                full[inside] = val
-                hv = np.sinh((m + 1) * a) / sinh_a
-                full[~inside] = np.where(xo > 0, hv, (-1.0) ** m * hv)
-                val = full
-            out.append(val)
+            if ends.size:
+                val[ends] = (m + 1) * np.sign(np.cos(t[ends])) ** m
+            out.append(val.reshape(x.shape))
     return out
 
 
@@ -416,9 +402,11 @@ def find_peak(fmap: FidelityMap, previous: tuple[float, float]) -> PeakEstimate:
         total = wts.sum()
         rows, cols = np.nonzero(region_mask)
         wr = wts[rows, cols]
-        c1 = float(np.sum(fmap.v1[cols] * wr) / total)
-        c2 = float(np.sum(fmap.v2[rows] * wr) / total)
-        with np.errstate(over="ignore"):  # voltages beyond ~1e154 V
+        # voltages beyond ~1e154 V overflow the spread, and voltages near
+        # the float limit the centroid's sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            c1 = float(np.sum(fmap.v1[cols] * wr) / total)
+            c2 = float(np.sum(fmap.v2[rows] * wr) / total)
             s1 = float(np.sqrt(np.sum((fmap.v1[cols] - c1) ** 2 * wr) / total))
             s2 = float(np.sqrt(np.sum((fmap.v2[rows] - c2) ** 2 * wr) / total))
         if not math.isfinite(s1 + s2):
@@ -555,38 +543,15 @@ def fitted_rotation_at(
 
 
 @dataclass(frozen=True)
-class CalibrationStage:
-    n_reps: int
-    window: tuple[tuple[float, float], tuple[float, float]]
-    peak_v: tuple[float, float]
-    stderr: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
+    """A calibration's report: ``stages`` holds one artifact object per
+    stage (``N``, ``window``, ``peak_v``, ``stderr``)."""
+
     target: dict
     pairs: tuple[str, str]
-    stages: tuple[CalibrationStage, ...]
+    stages: tuple[dict, ...]
     fit: dict
     final: dict
-
-    def to_json(self) -> str:
-        doc = {
-            "target": self.target,
-            "pairs": list(self.pairs),
-            "stages": [
-                {
-                    "N": st.n_reps,
-                    "window": [list(st.window[0]), list(st.window[1])],
-                    "peak_v": list(st.peak_v),
-                    "stderr": list(st.stderr),
-                }
-                for st in self.stages
-            ],
-            "fit": self.fit,
-            "final": self.final,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -634,7 +599,7 @@ def run_calibration(
     j_tgt = solve_exchange_for_rotation(phi_star, device.rotation_rate(theta_star), pairs)
     center = [laws[p].v_for(j_tgt[p], p) for p in pairs]
 
-    stages: list[CalibrationStage] = []
+    stages = []
     window = options.window0_v
     resolution = window / (options.grid_points - 1)
     for stage_idx, n_reps in enumerate(options.schedule):
@@ -673,14 +638,12 @@ def run_calibration(
                 raise CalibrationDiverged(
                     f"peak jumped {jump:.4g} V at stage N={n_reps}", stage_idx
                 )
-        stages.append(
-            CalibrationStage(
-                n_reps=n_reps,
-                window=((v1[0], v1[-1]), (v2[0], v2[-1])),
-                peak_v=(peak.v1, peak.v2),
-                stderr=(peak.stderr_v1, peak.stderr_v2),
-            )
-        )
+        stages.append({
+            "N": n_reps,
+            "window": [[v1[0], v1[-1]], [v2[0], v2[-1]]],
+            "peak_v": [peak.v1, peak.v2],
+            "stderr": [peak.stderr_v1, peak.stderr_v2],
+        })
         center = [peak.v1, peak.v2]
 
     fit = fit_final(fmap, laws, center, j_tgt, seed=options.seed)

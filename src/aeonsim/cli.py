@@ -12,6 +12,7 @@ AEON_OUT.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -318,7 +319,7 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
     result = cal.run_calibration(
         device, args.phi_star, args.theta_star, options=options, pairs=args.pairs
     )
-    _write_text(args.out, result.to_json() + "\n")
+    _write_text(args.out, _json_doc(dataclasses.asdict(result)))
     return EXIT_OK
 
 
@@ -339,7 +340,7 @@ def _rb_common(args, device, interleaved: AxisAngle | None):
     if interleaved is None:
         data = bench.run_rb(device, cfg, engine=args.engine, inject=inject)
         fit = bench.fit_rb(data)
-        out = bench.rb_report(data, fit)
+        doc = bench.rb_report(data, fit)
     else:
         res = bench.interleaved_rb(
             device, cfg, interleaved, engine=args.engine, inject=inject
@@ -359,8 +360,7 @@ def _rb_common(args, device, interleaved: AxisAngle | None):
                 "leakage_per_clifford": res["interleaved"].leak_per_clifford,
             },
         }
-        out = _json_doc(doc)
-    _write_text(args.out, out if out.endswith("\n") else out + "\n")
+    _write_text(args.out, _json_doc(doc))
     if args.emit_plot_data and interleaved is None:
         rows = [
             (int(n), float(np.mean(data.surv_identity[i])), float(np.mean(data.surv_flip[i])))

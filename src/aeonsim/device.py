@@ -39,10 +39,11 @@ DEFAULT_CROSS = np.array(
 )
 
 
-# simulate_pulse propagates a batch in blocks of at most this many stacked
-# pulse propagators (each a pair of 3x3 S_z sector blocks), and no
-# sector_propagator call takes more, so memory does not grow with the
-# number of rows or pulses.
+# Most stacked pulse propagators (each a pair of 3x3 S_z sector blocks) in
+# one sector_propagator call: simulate_pulse cuts its rows into blocks of
+# at most this many (a row over the cap is one call of its own), and
+# fingerpinch_map its grid cells, so memory does not grow with the number
+# of rows, pulses or cells.
 BLOCK_MATRICES = 256
 
 # Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
@@ -462,21 +463,14 @@ class DeviceModel:
         the plunger offsets and the per-dot gradient offsets (added to the
         device's gradients) broadcast to ``(n,)`` and ``(n, 3)``.  One
         :meth:`exchange_from_voltages` call gives every coupling, and one
-        :func:`hilbert.sector_propagator` call per :data:`BLOCK_MATRICES`
-        pulses gives the propagators.
+        :func:`hilbert.sector_propagator` call the propagators; the caller
+        keeps ``n`` within :data:`BLOCK_MATRICES`.
         """
         n = len(v_x)
         j = self.exchange_from_voltages(v_x, plungers, apply_cross=apply_cross)
         gradients = np.asarray(self.fields.gradients_hz, dtype=float) + gradient_offsets
-        gradients = np.broadcast_to(gradients, (n, 3))
-        durations = np.broadcast_to(durations, (n,))
-        u = np.empty((n, 2, 3, 3), dtype=complex)
-        for lo in range(0, n, BLOCK_MATRICES):
-            part = slice(lo, lo + BLOCK_MATRICES)
-            couplings = ExchangeVector(j.j12[part], j.j23[part], j.j13[part])
-            fields = FieldConfig(self.fields.f_uniform_hz, gradients[part])
-            u[part] = hilbert.sector_propagator(couplings, fields, durations[part])
-        return u
+        fields = FieldConfig(self.fields.f_uniform_hz, np.broadcast_to(gradients, (n, 3)))
+        return hilbert.sector_propagator(j, fields, np.broadcast_to(durations, (n,)))
 
     def survival(self, pulses, trains, shape, shots=None, seed: int = 0, prefix=(),
                  apply_cross=False):
@@ -729,16 +723,15 @@ def fingerpinch_map(
         h_sectors = hilbert.sector_blocks(hilbert.embed_qubit_unitary(h2))
         vectors = h_sectors @ vectors
     v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
-    # whole grid rows per block, as many as fit in the block cap
-    rows = max(1, BLOCK_MATRICES // v1.size)
-    out = np.empty((v2.size, v1.size))
-    for r in range(0, v2.size, rows):
-        vb = v2[r : r + rows]
-        v_x = np.full((vb.size, v1.size, 3), -np.inf)
-        v_x[..., PAIR_ORDER.index(pairs[0])] = v1
-        v_x[..., PAIR_ORDER.index(pairs[1])] = vb[:, None]
-        psi = device._propagators(v_x.reshape(-1, 3), duration_s, 0.0, 0.0, apply_cross) @ vectors
+    v_x = np.full((v2.size, v1.size, 3), -np.inf)
+    v_x[..., PAIR_ORDER.index(pairs[0])] = v1
+    v_x[..., PAIR_ORDER.index(pairs[1])] = v2[:, None]
+    v_x = v_x.reshape(-1, 3)
+    out = np.empty(len(v_x))
+    for lo in range(0, len(v_x), BLOCK_MATRICES):
+        part = slice(lo, lo + BLOCK_MATRICES)
+        psi = device._propagators(v_x[part], duration_s, 0.0, 0.0, apply_cross) @ vectors
         if hadamard:
             psi = h_sectors @ psi
-        out[r : r + rows] = hilbert.sector_p0(psi).reshape(vb.size, v1.size)
-    return out
+        out[part] = hilbert.sector_p0(psi)
+    return out.reshape(v2.size, v1.size)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aeonsim import benchmarking as bench
+from aeonsim import cli
 from aeonsim import device as dev
 from aeonsim import fitting
 from aeonsim import rotations as rot
@@ -278,19 +279,21 @@ def test_flat_oscillation_curve_reports_no_oscillation():
     assert fit.amplitude > 0.0 and fit.omega > 0.0
 
 
-def test_rb_report_format():
-    cfg = bench.RbConfig(depths=(1, 2, 4), n_sequences=5, seed=1)
-    data = bench.run_rb(
-        None, cfg, engine="channel", inject=bench.InjectedError(depol_per_pulse=1e-3)
-    )
-    fit = bench.fit_rb(data)
-    doc = json.loads(bench.rb_report(data, fit))
+def test_rb_report_format(tmp_path):
+    argv = ["rb", "--engine", "channel", "--depths", "1,2,4", "--sequences", "5", "--seed", "1",
+            "--inject-depol", "1e-3"]
+    outs = [tmp_path / f"{k}.json" for k in range(2)]
+    for out in outs:
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    text = outs[0].read_text()
+    assert outs[1].read_text() == text
+    doc = json.loads(text)
     assert set(doc) == {"config", "config_hash", "per_depth", "fit"}
     assert len(doc["config_hash"]) == 16
     assert len(doc["per_depth"]) == 3
     assert doc["fit"]["avg_pulses_per_clifford"] == pytest.approx(11.0 / 6.0)
     # keys are sorted for byte-stable output
-    assert bench.rb_report(data, fit) == bench.rb_report(data, fit)
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 def test_benchmarking_binds_nothing_from_calibration():

@@ -10,6 +10,7 @@ from scipy.optimize._numdiff import approx_derivative  # least_squares' own rule
 from scipy.special import eval_chebyu
 
 from aeonsim import calibration as cal
+from aeonsim import cli
 from aeonsim import device as dev
 from aeonsim import fitting
 from aeonsim import rotations as rot
@@ -41,22 +42,16 @@ def _unshared_spread_polynomial(m, x):
 
 
 def _unshared_chebyshev_u(m, x):
+    """U_m(x) for x in [-1, 1], one order on its own, the endpoint limits
+    assigned by mask."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    inside = np.abs(x) <= 1.0
-    t = np.arccos(np.clip(x[inside], -1.0, 1.0))
+    t = np.arccos(x.reshape(-1))
     st = np.sin(t)
     with np.errstate(invalid="ignore", divide="ignore"):
         val = np.sin((m + 1) * t) / st
     ends = st < 1e-9
     val[ends] = (m + 1) * np.sign(np.cos(t[ends])) ** m
-    out[inside] = val
-    if np.any(~inside):
-        xo = x[~inside]
-        a = np.arccosh(np.abs(xo))
-        hv = np.sinh((m + 1) * a) / np.sinh(a)
-        out[~inside] = np.where(xo > 0, hv, (-1.0) ** m * hv)
-    return out
+    return val.reshape(x.shape)
 
 
 def _unshared_analytic_fidelity(phi, theta, eta, chi, n_reps, cfg):
@@ -238,10 +233,9 @@ def test_chebyshev_against_scipy():
 
 def test_shared_chebyshev_kernel_equals_chebyshev_u():
     rng = np.random.default_rng(33)
+    # 1.0 and -1.0 take the endpoint limits, where sin t < 1e-9
     inside = np.concatenate([rng.uniform(-1, 1, 300), [1.0, -1.0, 0.0, 1 - 2**-53]])
-    # with |x| > 1 the masked inside/outside path runs; at x = +-1, sin t < 1e-9
-    outside = np.concatenate([inside, [1.0 + 2**-52, -1.0 - 2**-52, 1.5, -3.0]])
-    for x in (inside, outside, inside.reshape(2, -1, 2), outside[-6:], np.float64(0.3), 1.0):
+    for x in (inside, inside.reshape(2, -1, 2), inside[-6:], np.float64(0.3), 1.0, -1.0):
         for orders in ((1, 3), (7, 15), (47, 95)):
             got = cal._chebyshev_u_orders(orders, x)
             assert len(got) == len(orders)
@@ -249,6 +243,14 @@ def test_shared_chebyshev_kernel_equals_chebyshev_u():
                 want = _unshared_chebyshev_u(m, x)
                 assert u.shape == want.shape == np.shape(x)
                 assert np.array_equal(u, want)
+    # a unit quaternion's scalar part rounded one ulp past +-1 is clipped
+    # onto the endpoint, where U_m takes its limit (m + 1) (+-1)^m
+    for x in (np.array([1.0 + 2**-52, -1.0 - 2**-52]), 1.0 + 2**-52):
+        for orders in ((1, 3), (7, 15), (47, 95)):
+            for m, u in zip(orders, cal._chebyshev_u_orders(orders, x)):
+                limits = np.array([m + 1.0, (-1.0) ** m * (m + 1)])
+                assert u.shape == np.shape(x)
+                assert np.array_equal(u, limits[: u.size].reshape(u.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +546,23 @@ def test_run_calibration_recovers_target():
     assert abs((aa.phi + PI / 2 + PI) % (2 * PI) - PI) < 1e-6
     assert abs(aa.theta - PI) < 1e-6
     assert res.fit["residual_rms"] < 1e-6
-    assert [s.n_reps for s in res.stages] == [1, 2, 4, 8, 16, 24]
+    assert [s["N"] for s in res.stages] == [1, 2, 4, 8, 16, 24]
     # windows shrink monotonically
-    widths = [s.window[0][1] - s.window[0][0] for s in res.stages]
+    widths = [s["window"][0][1] - s["window"][0][0] for s in res.stages]
     assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
 
 
-def test_run_calibration_report_is_stable_json():
-    d = dev.default_device()
-    res = cal.run_calibration(d, -PI / 2, PI)
-    doc = json.loads(res.to_json())
+def test_run_calibration_report_is_stable_json(tmp_path):
+    argv = ["calibrate", "--phi-star", repr(-PI / 2), "--theta-star", repr(PI)]
+    outs = [tmp_path / f"{k}.json" for k in range(2)]
+    for out in outs:
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    text = outs[0].read_text()
+    assert outs[1].read_text() == text
+    doc = json.loads(text)
     assert set(doc) == {"target", "pairs", "stages", "fit", "final"}
-    assert res.to_json() == cal.run_calibration(d, -PI / 2, PI).to_json()
+    assert [set(s) for s in doc["stages"]] == [{"N", "window", "peak_v", "stderr"}] * 6
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 def test_helper_error_transfers_to_fitted_axis():

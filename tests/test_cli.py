@@ -555,11 +555,17 @@ STAGE_0 = "stage 0 (N=1): the exchange of pair 12 is not finite over the sweep w
      {"exchange_law": {"23": {"A_hz": 1e300, "B_per_v": 1e10, "C": 1e300},
                        "13": {"A_hz": 1e-10, "B_per_v": 1e-300, "C": 700}}},
      "the peak's spread overflows"),
+    (["calibrate", "--grid", "9", "--schedule", "1,2", "--phi-star", "0",
+      "--theta-star", "3.141592653589793"],
+     {"exchange_law": {"12": {"A_hz": 9.991457049459439e+299, "C": 0.0},
+                       "13": {"B_per_v": 2.2250738585072014e-308}}},
+     "the peak's spread overflows"),
 ])
 def test_calibration_sweep_that_overflows_fails_without_warnings(argv, doc, message, tmp_path,
                                                                  capsys):
     # the first two used to leak five RuntimeWarnings before the fidelity
-    # map's check, the third to write a stage stderr of Infinity and exit 0
+    # map's check, the third to write a stage stderr of Infinity and exit 0,
+    # the fourth to leak an overflow warning from the peak centroid's sums
     if doc is not None:
         (tmp_path / "dev.json").write_text(json.dumps(doc))
         argv = argv + ["--config", str(tmp_path / "dev.json")]

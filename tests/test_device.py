@@ -561,17 +561,26 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
     d.survival(table, index, (len(rows),), 7, 3)
     assert max(sizes) <= dev.BLOCK_MATRICES
     assert len(sizes) == len(front_end) == len(dev._blocks(np.repeat(_costs(rows), 7)))
-    # one row over the cap: its 300 distinct pulses take two calls, one front end
+    # one row over the cap: its 300 distinct pulses are one call of their own
     sizes.clear()
     front_end.clear()
     many = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9,
                           plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(300)]
     _kernel_p0(d, [many])
-    assert sizes == [256, 44] and front_end == [(300,)]
+    assert sizes == [300] and front_end == [(300,)]
+    # fingerpinch walks its flat grid cells in chunks of the cap
     sizes.clear()
     v = np.linspace(0.05, 0.08, 41)
     dev.fingerpinch_map(d, ("12", "23"), v, v, duration_s=d.pulse_s, apply_cross=True)
-    assert sizes == [246] * 6 + [41 * 5]
+    assert sizes == [256] * 6 + [145]
+    # a row wider than the cap: every call stays within it, and each cell's
+    # p0 is the kernel's for that cell's pulse
+    sizes.clear()
+    v1, v2 = np.linspace(0.05, 0.08, 300), np.linspace(0.06, 0.07, 3)
+    p0 = dev.fingerpinch_map(d, ("12", "13"), v1, v2, duration_s=7e-9, apply_cross=True)
+    assert sizes == [256] * 3 + [132]
+    cells = [dev.PulseSpec(v_x=(a, b, -np.inf), duration_s=7e-9) for b in v2 for a in v1]
+    assert np.array_equal(p0.reshape(-1), _kernel_p0(d, [[c] for c in cells], apply_cross=True))
 
 
 def test_survival_equals_the_per_train_shot_loop():
