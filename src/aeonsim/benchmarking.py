@@ -74,7 +74,6 @@ class InjectedError:
 @dataclass(frozen=True)
 class RbData:
     config: RbConfig
-    depths: tuple[int, ...]
     surv_identity: np.ndarray
     surv_flip: np.ndarray
     avg_pulses: float
@@ -238,7 +237,6 @@ def run_rb(
         avg += 1.0
     return RbData(
         config=cfg,
-        depths=tuple(cfg.depths),
         surv_identity=surv_id,
         surv_flip=surv_fl,
         avg_pulses=avg,
@@ -325,7 +323,8 @@ def fit_rb(data: RbData) -> RbFit:
             of parameters of the sum-curve model c0 + c1 * lambda^N, or
             no start of the difference-curve fit converges.
     """
-    distinct = sorted(set(data.depths))
+    depths = data.config.depths
+    distinct = sorted(set(depths))
     if len(distinct) < 3:
         raise FitError(
             f"RB fit needs at least 3 distinct depths for the three sum-curve "
@@ -333,9 +332,9 @@ def fit_rb(data: RbData) -> RbFit:
         )
     diff = np.mean(data.surv_identity - data.surv_flip, axis=1)
     total = np.mean(data.surv_identity + data.surv_flip, axis=1)
-    _, amp, p = _fit_exponential(data.depths, diff, with_offset=False)
+    _, amp, p = _fit_exponential(depths, diff, with_offset=False)
     try:
-        c0, c1, lam = _fit_exponential(data.depths, total, with_offset=True)
+        c0, c1, lam = _fit_exponential(depths, total, with_offset=True)
     except FitError:
         c0, c1, lam = 0.0, 0.0, 1.0
     # the sum curve carries scatter from the two recovery words differing
@@ -343,7 +342,7 @@ def fit_rb(data: RbData) -> RbFit:
     # decay (lam < 1, positive excess over the asymptote) and beats a flat
     # line decisively, otherwise report no resolvable leakage
     with np.errstate(over="ignore"):  # lam up to 1.05: an infinite rss_decay
-        model = c0 + c1 * lam ** np.asarray(data.depths, dtype=float)
+        model = c0 + c1 * lam ** np.asarray(depths, dtype=float)
     rss_decay = float(np.sum((model - total) ** 2))
     rss_flat = float(np.sum((total - total.mean()) ** 2))
     if lam >= 1.0 or c1 <= 0.0 or rss_flat <= 3.0 * rss_decay:
@@ -369,21 +368,23 @@ def interleaved_rb(
     engine: str = "device",
     inject: InjectedError | None = None,
 ) -> dict:
-    """Reference-plus-interleaved benchmarking of one Clifford gate.
+    """Reference-plus-interleaved benchmarking of one Clifford gate: the
+    irb artifact's document, with each run's fit values.
 
     The gate error is the difference of the two per-Clifford error rates;
     a negative difference is reported unchanged.
     """
-    ref = run_rb(device, cfg, engine=engine, inject=inject)
-    inter = run_rb(device, cfg, engine=engine, inject=inject, interleaved=gate)
-    fit_ref = fit_rb(ref)
-    fit_int = fit_rb(inter)
-    return {
-        "reference": fit_ref,
-        "interleaved": fit_int,
+    fit_ref = fit_rb(run_rb(device, cfg, engine=engine, inject=inject))
+    fit_int = fit_rb(run_rb(device, cfg, engine=engine, inject=inject, interleaved=gate))
+    doc = {
+        "gate": [gate.phi, gate.theta],
         "gate_error": fit_int.err_per_clifford - fit_ref.err_per_clifford,
         "gate_leakage": fit_int.leak_per_clifford - fit_ref.leak_per_clifford,
     }
+    for name, fit in (("reference", fit_ref), ("interleaved", fit_int)):
+        doc[name] = {"p": fit.p, "error_per_clifford": fit.err_per_clifford,
+                     "leakage_per_clifford": fit.leak_per_clifford}
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
     ph = (ph + math.pi) % TWO_PI - math.pi
     n_osc = (w * t_decay / TWO_PI) if math.isfinite(t_decay) else math.inf
     if best.rms > 0.2 * max(abs(a), 1e-12):
-        raise FitError(f"oscillating decay fit residual {best.rms:.3g} too large", best.rms)
+        raise FitError(f"oscillating decay fit residual {best.rms:.3g} too large")
     return OscillationFit(
         baseline=float(b),
         amplitude=float(a),
@@ -495,7 +496,7 @@ def rb_report(data: RbData, fit: RbFit) -> dict:
                 "identity_mean": float(np.mean(data.surv_identity[i])),
                 "flip_mean": float(np.mean(data.surv_flip[i])),
             }
-            for i, n in enumerate(data.depths)
+            for i, n in enumerate(cfg.depths)
         ],
         "fit": {
             "p": fit.p,

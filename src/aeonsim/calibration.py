@@ -518,7 +518,7 @@ def fit_final(
             _surface_residuals(fmap, a_scales), starts, stop_rms=1e-10, xtol=1e-14, ftol=1e-14
         )
     if best.rms > 0.05:
-        raise FitError(f"fidelity surface fit residual {best.rms:.3g} too large", best.rms)
+        raise FitError(f"fidelity surface fit residual {best.rms:.3g} too large")
     b1, c1, b2, c2, chi = best.x
     laws = {
         fmap.pairs[0]: ExchangeLaw(a_scales[0], float(b1), float(c1)),
@@ -635,9 +635,7 @@ def run_calibration(
         if stage_idx > 0:
             jump = math.hypot(peak.v1 - center[0], peak.v2 - center[1])
             if jump > 1.5 * window:
-                raise CalibrationDiverged(
-                    f"peak jumped {jump:.4g} V at stage N={n_reps}", stage_idx
-                )
+                raise CalibrationDiverged(f"peak jumped {jump:.4g} V at stage N={n_reps}")
         stages.append({
             "N": n_reps,
             "window": [[v1[0], v1[-1]], [v2[0], v2[-1]]],

@@ -110,7 +110,7 @@ ARGV_SCHEMA = (
     ("rb irb", "--inject-depol", "real", "[0, 0.5]", 0.0, None,
      "injected depolarizing rate per pulse"),
     ("rb irb", "--inject-leak", "real", "[0, 1]", 0.0, None, "injected leakage rate per pulse"),
-    ("rb irb", "--gate-depol", "real", "[0, 0.5]", 0.0, None,
+    ("irb", "--gate-depol", "real", "[0, 0.5]", 0.0, None,
      "injected depolarizing rate of the interleaved gate"),
     ("irb", "--gate-phi", "real", FINITE, ..., None, "interleaved gate axis (rad)"),
     ("irb", "--gate-theta", "real", FINITE, ..., None, "interleaved gate angle (rad)"),
@@ -323,7 +323,14 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
     return EXIT_OK
 
 
-def _rb_common(args, device, interleaved: AxisAngle | None):
+def _rb_common(args, device, interleaved: AxisAngle | None, gate_depol: float):
+    # the flags the other engine reads, refused when set
+    unread = {"channel": {"--cross": args.cross, "--idle": args.idle},
+              "device": {"--inject-depol": args.inject_depol, "--inject-leak": args.inject_leak,
+                         "--gate-depol": gate_depol}}[args.engine]
+    for flag, value in unread.items():
+        if value:
+            raise ValueError(f"{flag}: does not apply to --engine {args.engine}")
     cfg = bench.RbConfig(
         depths=args.depths,
         n_sequences=args.sequences,
@@ -335,36 +342,18 @@ def _rb_common(args, device, interleaved: AxisAngle | None):
     inject = bench.InjectedError(
         depol_per_pulse=args.inject_depol,
         leak_per_pulse=args.inject_leak,
-        gate_depol=args.gate_depol,
+        gate_depol=gate_depol,
     )
     if interleaved is None:
         data = bench.run_rb(device, cfg, engine=args.engine, inject=inject)
-        fit = bench.fit_rb(data)
-        doc = bench.rb_report(data, fit)
+        doc = bench.rb_report(data, bench.fit_rb(data))
     else:
-        res = bench.interleaved_rb(
-            device, cfg, interleaved, engine=args.engine, inject=inject
-        )
-        doc = {
-            "gate": [interleaved.phi, interleaved.theta],
-            "gate_error": res["gate_error"],
-            "gate_leakage": res["gate_leakage"],
-            "reference": {
-                "p": res["reference"].p,
-                "error_per_clifford": res["reference"].err_per_clifford,
-                "leakage_per_clifford": res["reference"].leak_per_clifford,
-            },
-            "interleaved": {
-                "p": res["interleaved"].p,
-                "error_per_clifford": res["interleaved"].err_per_clifford,
-                "leakage_per_clifford": res["interleaved"].leak_per_clifford,
-            },
-        }
+        doc = bench.interleaved_rb(device, cfg, interleaved, engine=args.engine, inject=inject)
     _write_text(args.out, _json_doc(doc))
     if args.emit_plot_data and interleaved is None:
         rows = [
             (int(n), float(np.mean(data.surv_identity[i])), float(np.mean(data.surv_flip[i])))
-            for i, n in enumerate(data.depths)
+            for i, n in enumerate(cfg.depths)
         ]
         _write_text(
             args.emit_plot_data,
@@ -375,11 +364,11 @@ def _rb_common(args, device, interleaved: AxisAngle | None):
 
 
 def _cmd_rb(args, device: dev.DeviceModel) -> int:
-    return _rb_common(args, device, None)
+    return _rb_common(args, device, None, 0.0)
 
 
 def _cmd_irb(args, device: dev.DeviceModel) -> int:
-    return _rb_common(args, device, AxisAngle(args.gate_phi, args.gate_theta))
+    return _rb_common(args, device, AxisAngle(args.gate_phi, args.gate_theta), args.gate_depol)
 
 
 # ---------------------------------------------------------------------------

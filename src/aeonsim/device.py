@@ -294,13 +294,12 @@ class PulseSpec:
     """One square exchange pulse in virtual-voltage space.
 
     ``v_x`` holds the three virtual barrier voltages (pair order); ``-inf``
-    keeps a coupling switched off exactly.  ``plunger_offsets_v`` are
-    virtual plunger excursions relative to the deep symmetry spot.
+    keeps a coupling switched off exactly.  The plungers sit at the deep
+    symmetry spot, offset only by a shot's noise draw.
     """
 
     v_x: tuple[float, float, float]
     duration_s: float
-    plunger_offsets_v: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -438,7 +437,6 @@ class DeviceModel:
         padded = np.zeros((n_trains, lengths.max(initial=0)), dtype=np.intp)
         padded[np.arange(padded.shape[1]) < lengths[:, None]] = play - first[train_of]
         v_x = np.array([p.v_x for p in pulses], dtype=float).reshape(-1, 3)
-        plungers = np.array([p.plunger_offsets_v for p in pulses], dtype=float).reshape(-1, 3)
         durations = np.array([p.duration_s for p in pulses], dtype=float)
         apply_cross = apply_cross and self.cross is not None
         out = np.empty(len(draws))
@@ -450,8 +448,8 @@ class DeviceModel:
             item_first = np.cumsum(count) - count
             pulse = pair_slot[np.arange(item_row.size) + (first[trains_of_rows] - item_first)[item_row]]
             z = draws[lo:hi][item_row]
-            u = self._propagators(v_x[pulse] + z[:, 3:6], durations[pulse],
-                                  plungers[pulse] + z[:, :3], z[:, 6:], apply_cross)
+            u = self._propagators(v_x[pulse] + z[:, 3:6], durations[pulse], z[:, :3], z[:, 6:],
+                                  apply_cross)
             out[lo:hi] = _play(u, padded[trains_of_rows] + item_first[:, None],
                                lengths[trains_of_rows])
         return out

@@ -20,16 +20,10 @@ class DetectionError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """A nonlinear fit failed to converge or produced unusable parameters."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A nonlinear fit failed to converge or produced unusable parameters;
+    the message gives the residual where one was too large."""
 
 
 class CalibrationDiverged(RuntimeError):
-    """Peak tracking lost the calibration peak between stages."""
-
-    def __init__(self, message: str, stage_index: int | None = None):
-        super().__init__(message)
-        self.stage_index = stage_index
+    """Peak tracking lost the calibration peak between stages; the message
+    gives the jump and the stage's germ repetitions N."""

@@ -122,7 +122,7 @@ def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> n
         batch shape broadcasts the couplings' shapes with the gradients'
         leading shape (``()`` for scalar inputs).
     """
-    return _hamiltonian(j, fields, _EXCHANGE_TERMS, _ZEEMAN_TERMS, complex)
+    return _hamiltonian(j, fields, _EXCHANGE_TERMS, _ZEEMAN_TERMS)
 
 
 _ZEEMAN_TERMS = {dot: SPIN_OPS[dot][2] for dot in (1, 2, 3)}
@@ -130,37 +130,34 @@ _ZEEMAN_TERMS = {dot: SPIN_OPS[dot][2] for dot in (1, 2, 3)}
 # Product-basis indices of the m_S = +1/2 and -1/2 sectors
 SECTORS = np.array([[1, 2, 4], [3, 5, 6]])
 
-# The 18 entries of the two 3x3 sector blocks, flattened.  Every term of
-# the Hamiltonian is real there.
-_BLOCK_ROWS = np.repeat(SECTORS, 3, axis=1).ravel()
-_BLOCK_COLS = np.tile(SECTORS, 3).ravel()
-_BLOCK_EXCHANGE = {p: op[_BLOCK_ROWS, _BLOCK_COLS].real for p, op in _EXCHANGE_TERMS.items()}
-_BLOCK_ZEEMAN = {dot: op[_BLOCK_ROWS, _BLOCK_COLS].real for dot, op in _ZEEMAN_TERMS.items()}
+
+def sector_blocks(op: np.ndarray) -> np.ndarray:
+    """The m_S = +1/2 and -1/2 blocks of ``(..., 8, 8)`` operators on the
+    product states :data:`SECTORS`, shape ``(..., 2, 3, 3)``."""
+    return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
 
 
-def _hamiltonian(j: ExchangeVector, fields: FieldConfig | None, exchange, zeeman, dtype):
+# The sector blocks of each term, where every term is real
+_BLOCK_EXCHANGE = {p: sector_blocks(op).real for p, op in _EXCHANGE_TERMS.items()}
+_BLOCK_ZEEMAN = {dot: sector_blocks(op).real for dot, op in _ZEEMAN_TERMS.items()}
+
+
+def _hamiltonian(j: ExchangeVector, fields: FieldConfig | None, exchange, zeeman):
     """The Hamiltonian of :func:`build_hamiltonian` over the operator
     tables ``exchange`` (per pair) and ``zeeman`` (S_z per dot): the
-    whole matrices, or their entries in the S_z blocks."""
-    b = np.asarray(fields.gradients_hz if fields is not None else (0.0,) * 3, dtype=float)
-    batch = np.broadcast_shapes(np.shape(j.j12), np.shape(j.j23), np.shape(j.j13), b.shape[:-1])
-    tail = exchange["12"].shape
+    whole matrices, or their sector blocks."""
+    ndim = exchange["12"].ndim
 
     def coefficient(x):
         # a scalar or batch of scalars, shaped to scale a stack of tables
-        return np.asarray(x, dtype=float)[(...,) + (None,) * len(tail)]
+        return np.asarray(x, dtype=float)[(...,) + (None,) * ndim]
 
-    # summed in place, in the order of the formula, so no more than one
-    # full-size temporary is alive at a time
-    h = np.empty(batch + tail, dtype=dtype)
-    np.multiply(coefficient(j.j12), exchange["12"], out=h)
-    h += coefficient(j.j23) * exchange["23"]
-    h += coefficient(j.j13) * exchange["13"]
-    h *= 2.0 * np.pi
+    h = 2.0 * np.pi * (coefficient(j.j12) * exchange["12"] + coefficient(j.j23) * exchange["23"]
+                       + coefficient(j.j13) * exchange["13"])
     if fields is not None:
+        b = np.asarray(fields.gradients_hz, dtype=float)
         for k, dot in enumerate((1, 2, 3)):
-            f = coefficient(fields.f_uniform_hz + b[..., k])
-            h += 2.0 * np.pi * f * zeeman[dot]
+            h = h + 2.0 * np.pi * coefficient(fields.f_uniform_hz + b[..., k]) * zeeman[dot]
     return h
 
 
@@ -174,10 +171,10 @@ def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None) -> np.nda
         NonFiniteError: if an entry is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _hamiltonian(j, fields, _BLOCK_EXCHANGE, _BLOCK_ZEEMAN, float)
+        h = _hamiltonian(j, fields, _BLOCK_EXCHANGE, _BLOCK_ZEEMAN)
     if not np.all(np.isfinite(h)):
         raise NonFiniteError("Hamiltonian is not finite")
-    return h.reshape(h.shape[:-1] + (2, 3, 3))
+    return h
 
 
 def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s) -> np.ndarray:
@@ -228,15 +225,9 @@ def _check_hamiltonian(h) -> np.ndarray:
     h = np.asarray(h)
     if h.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected (..., 8, 8) Hamiltonians, got {h.shape}")
-    mag = np.abs(h)
-    atol = 1e-10 * np.maximum(1.0, mag.max(axis=(-2, -1)))
-    # |h - h^dagger| <= atol + 1e-5 |h^dagger|, with |h^dagger| read off |h|
-    # transposed and each full-size temporary reused in place
-    diff = np.conj(np.swapaxes(h, -1, -2))
-    np.subtract(h, diff, out=diff)
-    bound = np.multiply(np.swapaxes(mag, -1, -2), 1e-5)
-    bound += atol[..., None, None]
-    if not np.all(np.abs(diff) <= bound):
+    h_dag = np.conj(np.swapaxes(h, -1, -2))
+    atol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if not np.all(np.abs(h - h_dag) <= atol[..., None, None] + 1e-5 * np.abs(h_dag)):
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
     return h
 
@@ -346,8 +337,7 @@ def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
         raise ValueError(f"evolution time must be finite and non-negative, got {tau_s}")
     vals, vecs = np.linalg.eigh(_check_hamiltonian(h))
     left = vecs * np.exp(vals * (-1j * tau_s))[..., None, :]
-    # conjugated in place, which leaves the layout np.conj would give
-    return left @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
+    return left @ np.conj(vecs).swapaxes(-1, -2)
 
 
 def _checked_population(p):
@@ -377,12 +367,6 @@ def measure_p0(rho: np.ndarray):
     if np.any(np.abs(tr.real - 1.0) > 1e-9) or np.any(np.abs(tr.imag) > 1e-9):
         raise ValueError("density matrix trace differs from 1")
     return _checked_population(np.einsum("ij,...ji->...", ENCODED.p0, rho))
-
-
-def sector_blocks(op: np.ndarray) -> np.ndarray:
-    """The m_S = +1/2 and -1/2 blocks of ``(..., 8, 8)`` operators on the
-    product states :data:`SECTORS`, shape ``(..., 2, 3, 3)``."""
-    return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
 
 
 # The encoded |0> of each sector on the product states SECTORS

@@ -58,10 +58,10 @@ FLAGS = {
                         ["1,,2", "1,-2,4", "1,2.5,4", "1,2,100001", ""]),
            "--sequences": COUNT, "--shots": COUNT, "--idle": DURATION, "--cross": SWITCH,
            "--engine": (["device", "channel"], ["qpu", ""]),
-           "--inject-depol": DEPOL, "--inject-leak": LEAK, "--gate-depol": DEPOL},
+           "--inject-depol": DEPOL, "--inject-leak": LEAK},
 }
 FLAGS["rabi"]["--v"] = (REAL[0] + FLAGS["rabi"]["--v"][0], REAL[1])
-FLAGS["irb"] = {**FLAGS["rb"], "--gate-phi": ANGLE, "--gate-theta": ANGLE}
+FLAGS["irb"] = {**FLAGS["rb"], "--gate-depol": DEPOL, "--gate-phi": ANGLE, "--gate-theta": ANGLE}
 ALWAYS = {"spectrum": (), "fingerpinch": ("--pairs", "--v1", "--v2"),
           "rabi": ("--pair", "--v", "--times"),
           "calibrate": ("--phi-star", "--theta-star", "--schedule", "--grid"),

@@ -376,7 +376,7 @@ def _rb_curves():
     data = bench.run_rb(None, cfg, engine="channel", inject=inject)
     diff = np.mean(data.surv_identity - data.surv_flip, axis=1)
     total = np.mean(data.surv_identity + data.surv_flip, axis=1)
-    return data, [_decay_resid(data.depths, diff, False), _decay_resid(data.depths, total, True)]
+    return data, [_decay_resid(cfg.depths, diff, False), _decay_resid(cfg.depths, total, True)]
 
 
 def _assert_rows_and_jacobians_equal(stacked, oracle, points):

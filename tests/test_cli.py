@@ -214,8 +214,48 @@ def test_injected_rates_out_of_range_are_usage_errors(argv, capsys):
 
 def test_injected_rate_bounds_are_accepted():
     args = cli.build_parser().parse_args(
-        ["rb", "--inject-depol", "0.5", "--inject-leak", "1", "--gate-depol", "0"])
+        ["irb", "--inject-depol", "0.5", "--inject-leak", "1", "--gate-depol", "0",
+         "--gate-phi", "0", "--gate-theta", "0"])
     assert (args.inject_depol, args.inject_leak, args.gate_depol) == (0.5, 1.0, 0.0)
+
+
+RB_SMALL = ["--depths", "1,2,4", "--sequences", "2"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["rb", "--engine", "channel", "--cross"], "--cross"),
+    (["rb", "--engine", "channel", "--idle", "1e-9"], "--idle"),
+    (["rb", "--engine", "device", "--inject-depol", "0.1"], "--inject-depol"),
+    (["rb", "--engine", "device", "--inject-leak", "0.1"], "--inject-leak"),
+    (["irb", "--engine", "device", "--gate-depol", "0.4", "--gate-phi", "0", "--gate-theta",
+      "3.141592653589793"], "--gate-depol"),
+    (["rb", "--engine", "channel", "--gate-depol", "0.4"], "--gate-depol"),  # an irb flag
+])
+def test_a_flag_the_engine_ignores_is_refused(argv, flag, tmp_path, capsys):
+    # each of these used to run, and record or report the flag as if applied
+    out = tmp_path / "out.json"
+    assert run(argv + RB_SMALL + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unset_engine_flags_are_not_refused(tmp_path):
+    # zero is each flag's default, so an explicit zero is not refused
+    for argv in (["rb", "--engine", "channel", "--idle", "0"],
+                 ["irb", "--engine", "device", "--inject-depol", "0", "--inject-leak", "0",
+                  "--gate-depol", "0", "--gate-phi", "0", "--gate-theta", "3.141592653589793"]):
+        assert run(argv + RB_SMALL + ["--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_irb_artifact_is_the_interleaved_rb_document(tmp_path):
+    out = tmp_path / "irb.json"
+    assert run(["irb", "--engine", "channel", "--inject-depol", "1e-3", "--gate-depol", "2e-3",
+                "--gate-phi", "-1.5707963267948966", "--gate-theta", "3.141592653589793",
+                "--shots", "30", "--seed", "5", "--out", str(out)] + RB_SMALL) == 0
+    cfg = bench.RbConfig(depths=(1, 2, 4), n_sequences=2, shots=30, seed=5)
+    doc = bench.interleaved_rb(None, cfg, rot.AxisAngle(-math.pi / 2, math.pi), engine="channel",
+                               inject=bench.InjectedError(depol_per_pulse=1e-3, gate_depol=2e-3))
+    assert out.read_text() == cli._json_doc(doc)
 
 
 CAL = ["calibrate", "--phi-star", "0", "--theta-star", "3.14"]
@@ -733,7 +773,7 @@ def test_sum_curve_fit_at_the_depth_cap_ignores_the_warning_filter(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-IRB = ["irb", "--depths", "1,2,4", "--sequences", "2", "--gate-depol", "1e-3"]
+IRB = ["irb", "--depths", "1,2,4", "--sequences", "2"]
 
 
 @pytest.mark.parametrize("phi,theta,code", [
@@ -749,8 +789,8 @@ IRB = ["irb", "--depths", "1,2,4", "--sequences", "2", "--gate-depol", "1e-3"]
     (-math.pi / 2, math.pi + 2.2e-9, 3),  # 1.1e-9
 ])
 def test_interleaved_gate_is_a_clifford_within_1e_9(phi, theta, code, tmp_path):
-    argv = IRB + ["--engine", "channel", f"--gate-phi={phi!r}", f"--gate-theta={theta!r}",
-                  "--out", str(tmp_path / "irb.json")]
+    argv = IRB + ["--engine", "channel", "--gate-depol", "1e-3", f"--gate-phi={phi!r}",
+                  f"--gate-theta={theta!r}", "--out", str(tmp_path / "irb.json")]
     assert run(argv) == code
 
 
@@ -762,10 +802,11 @@ def test_both_engines_play_a_gate_of_either_sign(phi, theta, tmp_path):
     d = dev.default_device()
     assert bench.realize_pulse(d, rot.AxisAngle(phi, -theta)) == bench.realize_pulse(
         d, rot.AxisAngle(phi + math.pi, theta))
-    for engine in ("device", "channel"):
+    # --gate-depol is the channel engine's alone
+    for engine in (["device"], ["channel", "--gate-depol", "1e-3"]):
         for sign in (1.0, -1.0):
-            out = tmp_path / f"{engine}{sign}.json"
-            argv = IRB + ["--engine", engine, f"--gate-phi={phi!r}",
+            out = tmp_path / f"{engine[0]}{sign}.json"
+            argv = IRB + ["--engine", *engine, f"--gate-phi={phi!r}",
                           f"--gate-theta={sign * theta!r}", "--out", str(out)]
             assert run(argv) == 0, (engine, sign)
             assert json.loads(out.read_text())["gate"] == [phi, sign * theta]

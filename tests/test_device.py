@@ -219,11 +219,9 @@ def test_stacked_draws_match_per_draw_oracle():
         fields=hb.FieldConfig(2e7, (1e5, -2e5, 3e4)),
         noise=dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=1e5),
     )
-    shifted = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
-                            plunger_offsets_v=(2e-3, -1e-3, 5e-4))
+    shifted = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9)
     idle = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=20e-9)
-    plain = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
-                          plunger_offsets_v=(0.0, 1e-3, 0.0))
+    plain = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9)
     train = [shifted, idle, plain, shifted, plain]
     draws = np.stack([_draw(d.noise, dev.rng_stream(3, shot)) for shot in range(4)])
     out = _kernel_p0(d, [train], draws, apply_cross=True)
@@ -232,8 +230,7 @@ def test_stacked_draws_match_per_draw_oracle():
         fields = hb.FieldConfig(2e7, tuple(np.asarray(d.fields.gradients_hz) + draw[6:]))
         unitaries = []
         for pulse in train:
-            plungers = np.asarray(pulse.plunger_offsets_v) + draw[:3]
-            j = _oracle_couplings(d, np.asarray(pulse.v_x) + draw[3:6], plungers)
+            j = _oracle_couplings(d, np.asarray(pulse.v_x) + draw[3:6], draw[:3])
             unitaries.append(expm(-1j * hb.build_hamiltonian(j, fields) * pulse.duration_s))
         assert abs(got - _dense_p0(hb.initialize_singlet(), unitaries)) < 1e-12
         # the draw alone, as a batch of one, gives the same p0
@@ -339,9 +336,8 @@ def test_fingerpinch_hadamard_changes_contrast():
 def _couplings(d, pulse, draw, apply_cross):
     """The couplings of one pulse under one (9,) draw: the front end one
     pulse at a time."""
-    plungers = np.asarray(pulse.plunger_offsets_v, dtype=float) + draw[:3]
     target = np.asarray(pulse.v_x, dtype=float) + draw[3:6]
-    return d.exchange_from_voltages(target, plungers, apply_cross=apply_cross)
+    return d.exchange_from_voltages(target, draw[:3], apply_cross=apply_cross)
 
 
 def _one_train_oracle(d, train, draw, apply_cross, vectors=hb.SINGLET_SECTORS):
@@ -391,17 +387,15 @@ def _noisy_device():
     )
 
 
-SHIFTED = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9,
-                        plunger_offsets_v=(2e-3, -1e-3, 5e-4))
+SHIFTED = dev.PulseSpec(v_x=(0.072, -np.inf, 0.065), duration_s=8e-9)
 IDLE = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=20e-9)
-PLAIN = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9,
-                      plunger_offsets_v=(0.0, 1e-3, 0.0))
+PLAIN = dev.PulseSpec(v_x=(-np.inf, 0.07, 0.068), duration_s=10e-9)
 OTHER = dev.PulseSpec(v_x=(0.071, 0.069, -np.inf), duration_s=10e-9)
 
 
 def _mixed_trains(n_runs):
-    """Runs of rows sharing a train: plunger offsets, three pulse durations,
-    J = 0 (the idle), an empty train among them, lengths from 0 to 6."""
+    """Runs of rows sharing a train: three pulse durations, J = 0 (the
+    idle), an empty train among them, lengths from 0 to 6."""
     shapes = [[SHIFTED, IDLE, PLAIN], [PLAIN, OTHER], [], [OTHER, SHIFTED, PLAIN, IDLE, OTHER, PLAIN],
               [IDLE], [PLAIN, PLAIN, OTHER, SHIFTED]]
     rows = []
@@ -419,7 +413,7 @@ def _costs(trains):
 @pytest.mark.parametrize("apply_cross", [False, True])
 @pytest.mark.parametrize("with_draws", [False, True])
 def test_batched_rows_equal_one_train_at_a_time(monkeypatch, apply_cross, with_draws):
-    # plunger offsets, cross-talk, noise draws and J = 0, each row its own train
+    # cross-talk, noise draws (plunger offsets among them) and J = 0, each row its own train
     d = _noisy_device()
     rows = _mixed_trains(24)
     draws = np.stack([_draw(d.noise, dev.rng_stream(5, r)) for r in range(len(rows))])
@@ -564,8 +558,8 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
     # one row over the cap: its 300 distinct pulses are one call of their own
     sizes.clear()
     front_end.clear()
-    many = [dev.PulseSpec(v_x=(0.07, -np.inf, -np.inf), duration_s=1e-9,
-                          plunger_offsets_v=(k * 1e-5, 0.0, 0.0)) for k in range(300)]
+    many = [dev.PulseSpec(v_x=(0.07 + k * 1e-6, -np.inf, -np.inf), duration_s=1e-9)
+            for k in range(300)]
     _kernel_p0(d, [many])
     assert sizes == [300] and front_end == [(300,)]
     # fingerpinch walks its flat grid cells in chunks of the cap

@@ -205,8 +205,9 @@ def test_embed_qubit_unitary_block_structure():
         np.testing.assert_allclose(iso.conj().T @ u8 @ iso, q, atol=1e-12)
 
 
-def _old_build(j, fields):
-    """The out-of-place formula build_hamiltonian sums in place."""
+def _formula_build(j, fields):
+    """build_hamiltonian's formula, written out here: the exchange terms,
+    then the Zeeman term of each dot, in that order."""
     h = 2.0 * np.pi * (
         np.asarray(j.j12, dtype=float)[..., None, None] * hb._EXCHANGE_TERMS["12"]
         + np.asarray(j.j23, dtype=float)[..., None, None] * hb._EXCHANGE_TERMS["23"]
@@ -219,7 +220,7 @@ def _old_build(j, fields):
     return h
 
 
-def test_in_place_build_and_propagator_equal_the_plain_formulas():
+def test_build_and_propagator_equal_the_formulas_bit_for_bit():
     rng = np.random.default_rng(36)
     j, fields = random_batch(rng, 7)
     mixed = [  # couplings and gradients of different batch shapes
@@ -230,16 +231,16 @@ def test_in_place_build_and_propagator_equal_the_plain_formulas():
     ]
     for jj, ff in mixed:
         h = hb.build_hamiltonian(jj, ff)
-        assert np.array_equal(h, _old_build(jj, ff))
+        assert np.array_equal(h, _formula_build(jj, ff))
         vals, vecs = np.linalg.eigh(h)
-        old = (vecs * np.exp(-1j * vals * 9e-9)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-        assert np.array_equal(hb.propagator(h, 9e-9), old)
+        u = (vecs * np.exp(-1j * vals * 9e-9)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+        assert np.array_equal(hb.propagator(h, 9e-9), u)
     assert np.array_equal(hb.build_hamiltonian(hb.ExchangeVector(1e7, 2e7, 0.0)),
-                          _old_build(hb.ExchangeVector(1e7, 2e7, 0.0), hb.FieldConfig()))
+                          _formula_build(hb.ExchangeVector(1e7, 2e7, 0.0), hb.FieldConfig()))
 
 
-def test_hermiticity_check_keeps_its_verdicts():
-    def old_ok(h):
+def test_hermiticity_check_equals_the_formula():
+    def formula_ok(h):
         h_dag = np.conj(np.swapaxes(h, -1, -2))
         atol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
         return bool(np.all(np.abs(h - h_dag) <= atol[..., None, None] + 1e-5 * np.abs(h_dag)))
@@ -258,7 +259,7 @@ def test_hermiticity_check_keeps_its_verdicts():
                     ok = True
                 except ValueError:
                     ok = False
-                assert ok == old_ok(h), (eps, where)
+                assert ok == formula_ok(h), (eps, where)
                 verdicts.add(ok)
     assert verdicts == {True, False}
 
