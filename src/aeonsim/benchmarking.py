@@ -77,7 +77,6 @@ class RbData:
     surv_identity: np.ndarray
     surv_flip: np.ndarray
     avg_pulses: float
-    interleaved: AxisAngle | None = None
 
 
 def generate_sequence(rng: np.random.Generator, depth: int, group) -> list[int]:
@@ -240,25 +239,11 @@ def run_rb(
         surv_identity=surv_id,
         surv_flip=surv_fl,
         avg_pulses=avg,
-        interleaved=interleaved,
     )
 
 
 # ---------------------------------------------------------------------------
 # Decay fitting
-
-
-@dataclass(frozen=True)
-class RbFit:
-    p: float
-    amplitude: float
-    lam: float
-    c0: float
-    c1: float
-    err_per_clifford: float
-    leak_per_clifford: float
-    err_per_pulse: float
-    avg_pulses: float
 
 
 def _fit_exponential(depths, y, with_offset: bool):
@@ -311,12 +296,15 @@ def _fit_exponential(depths, y, with_offset: bool):
     return float(c0), float(c1), float(r)
 
 
-def fit_rb(data: RbData) -> RbFit:
-    """Fit the paired survival curves and convert to error rates.
+def fit_rb(data: RbData) -> dict:
+    """Fit the paired survival curves and convert to error rates: the rb
+    artifact's ``fit`` object.
 
-    The difference curve fixes the depolarizing parameter p, the sum curve
-    the leakage parameter; error per Clifford combines both, and error per
-    pulse divides by the average pulses per Clifford of the group used.
+    The difference curve ``amplitude * p^N`` fixes the depolarizing
+    parameter ``p``, the sum curve ``c0 + c1 * lambda^N`` the leakage
+    parameter ``lambda``; ``error_per_clifford`` combines both,
+    ``leakage_per_clifford`` is ``1 - lambda``, and ``error_per_pulse``
+    divides by ``avg_pulses_per_clifford`` of the group used.
 
     Raises:
         FitError: if the data has fewer than 3 distinct depths, the number
@@ -348,17 +336,17 @@ def fit_rb(data: RbData) -> RbFit:
     if lam >= 1.0 or c1 <= 0.0 or rss_flat <= 3.0 * rss_decay:
         c0, c1, lam = float(total.mean()), 0.0, 1.0
     epc = 0.5 * (1.0 - p) + 0.5 * (1.0 - lam)
-    return RbFit(
-        p=p,
-        amplitude=amp,
-        lam=lam,
-        c0=c0,
-        c1=c1,
-        err_per_clifford=epc,
-        leak_per_clifford=1.0 - lam,
-        err_per_pulse=epc / data.avg_pulses,
-        avg_pulses=data.avg_pulses,
-    )
+    return {
+        "p": p,
+        "amplitude": amp,
+        "lambda": lam,
+        "c0": c0,
+        "c1": c1,
+        "error_per_clifford": epc,
+        "leakage_per_clifford": 1.0 - lam,
+        "error_per_pulse": epc / data.avg_pulses,
+        "avg_pulses_per_clifford": data.avg_pulses,
+    }
 
 
 def interleaved_rb(
@@ -369,47 +357,52 @@ def interleaved_rb(
     inject: InjectedError | None = None,
 ) -> dict:
     """Reference-plus-interleaved benchmarking of one Clifford gate: the
-    irb artifact's document, with each run's fit values.
+    irb artifact's document, with ``p``, ``error_per_clifford`` and
+    ``leakage_per_clifford`` of each run's :func:`fit_rb`.
 
     The gate error is the difference of the two per-Clifford error rates;
     a negative difference is reported unchanged.
     """
-    fit_ref = fit_rb(run_rb(device, cfg, engine=engine, inject=inject))
-    fit_int = fit_rb(run_rb(device, cfg, engine=engine, inject=inject, interleaved=gate))
-    doc = {
+    ref = fit_rb(run_rb(device, cfg, engine=engine, inject=inject))
+    inter = fit_rb(run_rb(device, cfg, engine=engine, inject=inject, interleaved=gate))
+    keys = ("p", "error_per_clifford", "leakage_per_clifford")
+    return {
         "gate": [gate.phi, gate.theta],
-        "gate_error": fit_int.err_per_clifford - fit_ref.err_per_clifford,
-        "gate_leakage": fit_int.leak_per_clifford - fit_ref.leak_per_clifford,
+        "gate_error": inter["error_per_clifford"] - ref["error_per_clifford"],
+        "gate_leakage": inter["leakage_per_clifford"] - ref["leakage_per_clifford"],
+        "reference": {k: ref[k] for k in keys},
+        "interleaved": {k: inter[k] for k in keys},
     }
-    for name, fit in (("reference", fit_ref), ("interleaved", fit_int)):
-        doc[name] = {"p": fit.p, "error_per_clifford": fit.err_per_clifford,
-                     "leakage_per_clifford": fit.leak_per_clifford}
-    return doc
 
 
 # ---------------------------------------------------------------------------
 # Free-evolution decay
 
 
-@dataclass(frozen=True)
-class OscillationFit:
-    baseline: float
-    amplitude: float
-    omega: float
-    phase: float
-    t_decay_s: float
-    n_oscillations: float
+def _oscillation_doc(b, a, w, ph, t_decay, n_osc) -> dict:
+    """The rabi artifact's ``fit`` object of fitted values; an infinite
+    decay time or oscillation count is None."""
+    return {
+        "baseline": float(b),
+        "amplitude": float(a),
+        "frequency_hz": float(w) / TWO_PI,
+        "phase_rad": float(ph),
+        "t_decay_s": float(t_decay) if math.isfinite(t_decay) else None,
+        "n_oscillations": float(n_osc) if math.isfinite(n_osc) else None,
+    }
 
 
-def fit_oscillation_decay(t_s, y) -> OscillationFit:
-    """Fit y(t) = B + A cos(omega t + phase) exp(-(t/T)^2).
+def fit_oscillation_decay(t_s, y) -> dict:
+    """Fit y(t) = B + A cos(omega t + phase) exp(-(t/T)^2): the rabi
+    artifact's ``fit`` object, with keys ``baseline`` (B), ``amplitude``
+    (A), ``frequency_hz`` (omega / 2 pi), ``phase_rad``, ``t_decay_s`` (T)
+    and ``n_oscillations`` (frequency times T).
 
     A fit whose envelope does not decay over the sampled span reports
-    ``t_decay_s = inf`` (and an infinite oscillation count if the
-    frequency is finite).  A flat curve, whose span is below 1e-12 as in
-    :func:`_fit_exponential`, reports its mean as the baseline, amplitude,
-    frequency and phase 0, and infinite ``t_decay_s`` and oscillation
-    count.
+    ``t_decay_s`` and ``n_oscillations`` as None.  A flat curve, whose span
+    is below 1e-12 as in :func:`_fit_exponential`, reports its mean as the
+    baseline, amplitude, frequency and phase 0, and ``t_decay_s`` and
+    ``n_oscillations`` as None.
 
     Raises:
         FitError: if no start converges.
@@ -420,7 +413,7 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
         raise FitError("need at least 8 samples to fit an oscillating decay")
     if float(y.max() - y.min()) < 1e-12:
         # flat curve: no oscillation resolvable
-        return OscillationFit(float(np.mean(y)), 0.0, 0.0, 0.0, math.inf, math.inf)
+        return _oscillation_doc(np.mean(y), 0.0, 0.0, 0.0, math.inf, math.inf)
     span = float(t.max() - t.min())
     b0 = float(np.mean(y))
     a0 = 0.5 * float(y.max() - y.min())
@@ -455,23 +448,16 @@ def fit_oscillation_decay(t_s, y) -> OscillationFit:
     n_osc = (w * t_decay / TWO_PI) if math.isfinite(t_decay) else math.inf
     if best.rms > 0.2 * max(abs(a), 1e-12):
         raise FitError(f"oscillating decay fit residual {best.rms:.3g} too large")
-    return OscillationFit(
-        baseline=float(b),
-        amplitude=float(a),
-        omega=float(w),
-        phase=float(ph),
-        t_decay_s=float(t_decay),
-        n_oscillations=float(n_osc),
-    )
+    return _oscillation_doc(b, a, w, ph, t_decay, n_osc)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
 
-def rb_report(data: RbData, fit: RbFit) -> dict:
+def rb_report(data: RbData, fit: dict) -> dict:
     """The rb artifact's document: config hash, per-depth statistics and
-    fit values."""
+    ``fit``, the object :func:`fit_rb` returns."""
     cfg = data.config
     cfg_doc = {
         "depths": list(cfg.depths),
@@ -480,12 +466,10 @@ def rb_report(data: RbData, fit: RbFit) -> dict:
         "seed": cfg.seed,
         "idle_s": cfg.idle_s,
         "apply_cross": cfg.apply_cross,
-        "interleaved": (
-            [data.interleaved.phi, data.interleaved.theta] if data.interleaved else None
-        ),
+        "interleaved": None,
     }
     blob = json.dumps(cfg_doc, sort_keys=True).encode()
-    doc = {
+    return {
         "config": cfg_doc,
         "config_hash": hashlib.sha256(blob).hexdigest()[:16],
         "per_depth": [
@@ -498,16 +482,5 @@ def rb_report(data: RbData, fit: RbFit) -> dict:
             }
             for i, n in enumerate(cfg.depths)
         ],
-        "fit": {
-            "p": fit.p,
-            "amplitude": fit.amplitude,
-            "lambda": fit.lam,
-            "c0": fit.c0,
-            "c1": fit.c1,
-            "error_per_clifford": fit.err_per_clifford,
-            "leakage_per_clifford": fit.leak_per_clifford,
-            "error_per_pulse": fit.err_per_pulse,
-            "avg_pulses_per_clifford": fit.avg_pulses,
-        },
+        "fit": fit,
     }
-    return doc

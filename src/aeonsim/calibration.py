@@ -543,18 +543,6 @@ def fitted_rotation_at(
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
-    """A calibration's report: ``stages`` holds one artifact object per
-    stage (``N``, ``window``, ``peak_v``, ``stderr``)."""
-
-    target: dict
-    pairs: tuple[str, str]
-    stages: tuple[dict, ...]
-    fit: dict
-    final: dict
-
-
-@dataclass(frozen=True)
 class CalibrationOptions:
     schedule: tuple[int, ...] = (1, 2, 4, 8, 16, 24)
     grid_points: int = 21
@@ -571,9 +559,16 @@ def run_calibration(
     pairs: tuple[str, str] | None = None,
     assumed_laws: dict | None = None,
     precal_actual: Rotation | None = None,
-) -> CalibrationResult:
+) -> dict:
     """Track the germ fidelity peak through an N-doubling schedule and fit
-    the final map.
+    the final map: the calibrate artifact's document.
+
+    Its keys are ``target`` (``phi``, ``theta`` and the germ's ``q`` and
+    ``s``), ``pairs`` (the swept pairs), ``stages`` (per stage ``N``,
+    ``window``, ``peak_v`` and ``stderr``), ``fit`` (``chi``,
+    ``residual_rms``, and ``laws``: each swept pair's fitted ``A_hz``,
+    ``B_per_v`` and ``C``) and ``final`` (each swept pair's voltage
+    ``v_x<pair>``, and the ``phi`` and ``theta`` the fitted laws give there).
 
     The starting window centers on the assumed-law voltage solution; each
     stage shrinks the window in proportion to 1/N (never below 3x the
@@ -647,24 +642,22 @@ def run_calibration(
     fit = fit_final(fmap, laws, center, j_tgt, seed=options.seed)
     v_final = tuple(fit.laws[p].v_for(j_tgt[p], p) for p in pairs)
     aa = fitted_rotation_at(fit, pairs, v_final[0], v_final[1], cfg.pulse_s)
-    final = {
-        f"v_x{pairs[0]}": v_final[0],
-        f"v_x{pairs[1]}": v_final[1],
-        "phi": aa.phi,
-        "theta": aa.theta,
-    }
-    fit_doc = {
-        "chi": fit.chi,
-        "residual_rms": fit.residual_rms,
-        "laws": {
-            p: {"A_hz": lf.a_hz, "B_per_v": lf.b_per_v, "C": lf.c}
-            for p, lf in fit.laws.items()
+    return {
+        "target": {"phi": phi_star, "theta": theta_star, "q": cfg.q, "s": cfg.s},
+        "pairs": list(pairs),
+        "stages": stages,
+        "fit": {
+            "chi": fit.chi,
+            "residual_rms": fit.residual_rms,
+            "laws": {
+                p: {"A_hz": lf.a_hz, "B_per_v": lf.b_per_v, "C": lf.c}
+                for p, lf in fit.laws.items()
+            },
+        },
+        "final": {
+            f"v_x{pairs[0]}": v_final[0],
+            f"v_x{pairs[1]}": v_final[1],
+            "phi": aa.phi,
+            "theta": aa.theta,
         },
     }
-    return CalibrationResult(
-        target={"phi": phi_star, "theta": theta_star, "q": cfg.q, "s": cfg.s},
-        pairs=tuple(pairs),
-        stages=tuple(stages),
-        fit=fit_doc,
-        final=final,
-    )

@@ -12,10 +12,8 @@ AEON_OUT.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -75,7 +73,7 @@ ARGV_SCHEMA = (
     ("*", "--config", "path", None, None, "AEON_CONFIG", "device config JSON"),
     ("*", "--seed", "integer", "[0, inf)", 0, "AEON_SEED", "sampling seed"),
     ("*", "--out", "path", None, None, "AEON_OUT", "output path (default stdout)"),
-    ("*", "--emit-plot-data", "path", None, None, None, "also write tidy plot CSV here"),
+    ("rabi rb", "--emit-plot-data", "path", None, None, None, "also write tidy plot CSV here"),
     *(("spectrum", flag, "real", f"[-{MAX_SPECTRUM_HZ:g}, {MAX_SPECTRUM_HZ:g}]", 0.0, None, text)
       for flag, text in (("--j12", "J12 (Hz)"), ("--j23", "J23 (Hz)"), ("--j13", "J13 (Hz)"),
                          ("--f-uniform", "uniform Zeeman (Hz)"), ("--b1", "dot-1 gradient (Hz)"),
@@ -282,21 +280,7 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
     pulses = [dev.PulseSpec(v_x=tuple(v_x), duration_s=float(t)) for t in times]
     trains = np.arange(times.size)[:, None]
     p0 = device.survival(pulses, trains, times.shape, args.shots, args.seed, (101,))
-    fit = bench.fit_oscillation_decay(times, p0)
-    doc = {
-        "pair": args.pair,
-        "v_x": args.v,
-        "fit": {
-            "baseline": fit.baseline,
-            "amplitude": fit.amplitude,
-            "frequency_hz": fit.omega / (2.0 * math.pi),
-            "phase_rad": fit.phase,
-            "t_decay_s": fit.t_decay_s if math.isfinite(fit.t_decay_s) else None,
-            "n_oscillations": (
-                fit.n_oscillations if math.isfinite(fit.n_oscillations) else None
-            ),
-        },
-    }
+    doc = {"pair": args.pair, "v_x": args.v, "fit": bench.fit_oscillation_decay(times, p0)}
     _write_text(args.out, _json_doc(doc))
     if args.emit_plot_data:
         rows = [(float(t), float(p)) for t, p in zip(times, p0)]
@@ -316,15 +300,19 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
         shots=args.shots,
         seed=args.seed,
     )
-    result = cal.run_calibration(
+    doc = cal.run_calibration(
         device, args.phi_star, args.theta_star, options=options, pairs=args.pairs
     )
-    _write_text(args.out, _json_doc(dataclasses.asdict(result)))
+    _write_text(args.out, _json_doc(doc))
     return EXIT_OK
 
 
-def _rb_common(args, device, interleaved: AxisAngle | None, gate_depol: float):
-    # the flags the other engine reads, refused when set
+def _rb_inputs(args, gate_depol: float):
+    """The run geometry and injected channels of an rb or irb command.
+
+    Raises:
+        ValueError: naming a set flag that only the other engine reads.
+    """
     unread = {"channel": {"--cross": args.cross, "--idle": args.idle},
               "device": {"--inject-depol": args.inject_depol, "--inject-leak": args.inject_leak,
                          "--gate-depol": gate_depol}}[args.engine]
@@ -344,17 +332,16 @@ def _rb_common(args, device, interleaved: AxisAngle | None, gate_depol: float):
         leak_per_pulse=args.inject_leak,
         gate_depol=gate_depol,
     )
-    if interleaved is None:
-        data = bench.run_rb(device, cfg, engine=args.engine, inject=inject)
-        doc = bench.rb_report(data, bench.fit_rb(data))
-    else:
-        doc = bench.interleaved_rb(device, cfg, interleaved, engine=args.engine, inject=inject)
+    return cfg, inject
+
+
+def _cmd_rb(args, device: dev.DeviceModel) -> int:
+    cfg, inject = _rb_inputs(args, 0.0)
+    data = bench.run_rb(device, cfg, engine=args.engine, inject=inject)
+    doc = bench.rb_report(data, bench.fit_rb(data))
     _write_text(args.out, _json_doc(doc))
-    if args.emit_plot_data and interleaved is None:
-        rows = [
-            (int(n), float(np.mean(data.surv_identity[i])), float(np.mean(data.surv_flip[i])))
-            for i, n in enumerate(cfg.depths)
-        ]
+    if args.emit_plot_data:
+        rows = [(d["N"], d["identity_mean"], d["flip_mean"]) for d in doc["per_depth"]]
         _write_text(
             args.emit_plot_data,
             _csv(["depth (1)", "survival_identity (1)", "survival_flip (1)"], rows),
@@ -363,12 +350,12 @@ def _rb_common(args, device, interleaved: AxisAngle | None, gate_depol: float):
     return EXIT_OK
 
 
-def _cmd_rb(args, device: dev.DeviceModel) -> int:
-    return _rb_common(args, device, None, 0.0)
-
-
 def _cmd_irb(args, device: dev.DeviceModel) -> int:
-    return _rb_common(args, device, AxisAngle(args.gate_phi, args.gate_theta), args.gate_depol)
+    cfg, inject = _rb_inputs(args, args.gate_depol)
+    gate = AxisAngle(args.gate_phi, args.gate_theta)
+    doc = bench.interleaved_rb(device, cfg, gate, engine=args.engine, inject=inject)
+    _write_text(args.out, _json_doc(doc))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def test_c06_closed_loop_calibration_nine_targets():
                 d, phi_star, theta_star, assumed_laws=nominal
             )
             v_x = np.full(3, -np.inf)
-            for p in res.pairs:
-                v_x[order[p]] = res.final[f"v_x{p}"]
+            for p in res["pairs"]:
+                v_x[order[p]] = res["final"][f"v_x{p}"]
             aa = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
             dphi = abs(wrap(aa.phi - phi_star))
             dtheta = abs(aa.theta - theta_star)
@@ -237,10 +237,10 @@ def test_c08_rb_recovers_injected_errors():
                 inject=bench.InjectedError(depol_per_pulse=eps),
             )
         )
-        assert fit.err_per_clifford == pytest.approx(
-            fit.avg_pulses * eps, rel=0.10
+        assert fit["error_per_clifford"] == pytest.approx(
+            fit["avg_pulses_per_clifford"] * eps, rel=0.10
         )
-        recovered[eps] = fit.err_per_pulse
+        recovered[eps] = fit["error_per_pulse"]
     # leakage per pulse
     leak = 1e-3
     nmax = int(2.5 / (leak * 11 / 6))
@@ -255,7 +255,7 @@ def test_c08_rb_recovers_injected_errors():
             inject=bench.InjectedError(leak_per_pulse=leak),
         )
     )
-    leak_pp = 1.0 - (1.0 - fit.leak_per_clifford) ** (1.0 / fit.avg_pulses)
+    leak_pp = 1.0 - (1.0 - fit["leakage_per_clifford"]) ** (1.0 / fit["avg_pulses_per_clifford"])
     assert leak_pp == pytest.approx(leak, rel=0.15)
     # interleaved excess on one gate
     cfg = bench.RbConfig(depths=(1, 2, 4, 8, 16, 32), n_sequences=20, seed=13)
@@ -279,10 +279,10 @@ def test_c09_helper_error_signatures():
     res = cal.run_calibration(d, -PI / 2, PI, precal_actual=actual)
     order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     v_x = np.full(3, -np.inf)
-    for p in res.pairs:
-        v_x[order[p]] = res.final[f"v_x{p}"]
+    for p in res["pairs"]:
+        v_x[order[p]] = res["final"][f"v_x{p}"]
     aa_true = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
-    shift = wrap(res.final["phi"] - aa_true.phi)
+    shift = wrap(res["final"]["phi"] - aa_true.phi)
     assert shift == pytest.approx(-eps, abs=0.1 * eps)
     # angle error on the helper pulse distorts the map but leaves the peak put
     cfg = cal.GermConfig.for_target(-PI / 2, PI)

@@ -37,8 +37,7 @@ LEAK = (["0", "1e-3", "1"], ["1.5", "-0.1", "nan", ""])
 SWITCH = ([True], [])
 COMMON = {"--seed": (["0", "7", "4294967296"], ["-1", "1e3", "abc", ""]),
           "--config": (["<noisy>", "<huge-noise>", "<tiny-law>", "<huge-law>"],
-                       ["<missing>", "<broken>"]),
-          "--emit-plot-data": (["<plot>"], [])}
+                       ["<missing>", "<broken>"])}
 FLAGS = {
     "spectrum": {f: HZ for f in ("--j12", "--j23", "--j13", "--f-uniform", "--b1", "--b2", "--b3")},
     "fingerpinch": {"--pairs": PAIRS, "--v1": SWEEP, "--v2": SWEEP, "--hadamard": SWITCH,
@@ -62,6 +61,9 @@ FLAGS = {
 }
 FLAGS["rabi"]["--v"] = (REAL[0] + FLAGS["rabi"]["--v"][0], REAL[1])
 FLAGS["irb"] = {**FLAGS["rb"], "--gate-depol": DEPOL, "--gate-phi": ANGLE, "--gate-theta": ANGLE}
+# only rabi and rb write plot data; the other commands refuse the flag
+for command in ("rabi", "rb"):
+    FLAGS[command]["--emit-plot-data"] = (["<plot>"], [])
 ALWAYS = {"spectrum": (), "fingerpinch": ("--pairs", "--v1", "--v2"),
           "rabi": ("--pair", "--v", "--times"),
           "calibrate": ("--phi-star", "--theta-star", "--schedule", "--grid"),

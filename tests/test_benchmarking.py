@@ -78,9 +78,9 @@ def test_noiseless_device_rb_is_exact(engine):
     np.testing.assert_allclose(data.surv_identity, 1.0, atol=1e-9)
     np.testing.assert_allclose(data.surv_flip, 0.0, atol=1e-9)
     fit = bench.fit_rb(data)
-    assert fit.p == 1.0
-    assert fit.lam == 1.0
-    assert fit.leak_per_clifford == 0.0
+    assert fit["p"] == 1.0
+    assert fit["lambda"] == 1.0
+    assert fit["leakage_per_clifford"] == 0.0
     for curve in ("surv_identity", "surv_flip"):
         np.testing.assert_allclose(
             getattr(runs["device"], curve), getattr(runs["channel"], curve), rtol=0, atol=1e-12
@@ -94,8 +94,8 @@ def test_channel_engine_depolarizing_recovery():
         None, cfg, engine="channel", inject=bench.InjectedError(depol_per_pulse=eps)
     )
     fit = bench.fit_rb(data)
-    assert fit.err_per_pulse == pytest.approx(eps, rel=0.1)
-    assert fit.leak_per_clifford == 0.0
+    assert fit["error_per_pulse"] == pytest.approx(eps, rel=0.1)
+    assert fit["leakage_per_clifford"] == 0.0
 
 
 def test_channel_engine_leakage_recovery():
@@ -107,7 +107,7 @@ def test_channel_engine_leakage_recovery():
         None, cfg, engine="channel", inject=bench.InjectedError(leak_per_pulse=leak)
     )
     fit = bench.fit_rb(data)
-    per_pulse = 1.0 - (1.0 - fit.leak_per_clifford) ** (1.0 / fit.avg_pulses)
+    per_pulse = 1.0 - (1.0 - fit["leakage_per_clifford"]) ** (1.0 / fit["avg_pulses_per_clifford"])
     assert per_pulse == pytest.approx(leak, rel=0.15)
 
 
@@ -237,26 +237,25 @@ def test_flat_sum_reports_unit_lambda():
         None, cfg, engine="channel", inject=bench.InjectedError(depol_per_pulse=2e-3)
     )
     fit = bench.fit_rb(data)
-    assert fit.lam == 1.0
-    assert fit.leak_per_clifford == 0.0
+    assert fit["lambda"] == 1.0
+    assert fit["leakage_per_clifford"] == 0.0
 
 
 def test_oscillation_fit_recovers_parameters():
     t = np.linspace(0, 3e-6, 240)
     y = 0.5 + 0.4 * np.cos(2 * PI * 2.2e6 * t - 0.7) * np.exp(-((t / 1.1e-6) ** 2))
     fit = bench.fit_oscillation_decay(t, y)
-    assert fit.omega / (2 * PI) == pytest.approx(2.2e6, rel=1e-6)
-    assert fit.t_decay_s == pytest.approx(1.1e-6, rel=1e-6)
-    assert fit.n_oscillations == pytest.approx(2.2e6 * 1.1e-6, rel=1e-6)
+    assert fit["frequency_hz"] == pytest.approx(2.2e6, rel=1e-6)
+    assert fit["t_decay_s"] == pytest.approx(1.1e-6, rel=1e-6)
+    assert fit["n_oscillations"] == pytest.approx(2.2e6 * 1.1e-6, rel=1e-6)
 
 
 def test_oscillation_fit_pure_cosine_sentinel():
     t = np.linspace(0, 2e-6, 150)
     y = 0.2 + 0.35 * np.cos(2 * PI * 4.0e6 * t + 0.1)
     fit = bench.fit_oscillation_decay(t, y)
-    assert math.isinf(fit.t_decay_s)
-    assert math.isinf(fit.n_oscillations)
-    assert fit.omega / (2 * PI) == pytest.approx(4.0e6, rel=1e-9)
+    assert fit["t_decay_s"] is fit["n_oscillations"] is None
+    assert fit["frequency_hz"] == pytest.approx(4.0e6, rel=1e-9)
 
 
 def test_oscillation_fit_rejects_noise():
@@ -271,17 +270,17 @@ def test_flat_oscillation_curve_reports_no_oscillation():
     t = np.linspace(0, 1e-7, 20)
     for y in (np.ones(t.size), 0.3 + 1e-13 * np.cos(2 * PI * 5e7 * t)):
         fit = bench.fit_oscillation_decay(t, y)
-        assert fit.baseline == float(np.mean(y))
-        assert fit.amplitude == fit.omega == fit.phase == 0.0
-        assert math.isinf(fit.t_decay_s) and math.isinf(fit.n_oscillations)
+        assert fit["baseline"] == float(np.mean(y))
+        assert fit["amplitude"] == fit["frequency_hz"] == fit["phase_rad"] == 0.0
+        assert fit["t_decay_s"] is fit["n_oscillations"] is None
     # just above the threshold the curve is fitted
     fit = bench.fit_oscillation_decay(t, 0.3 + 1e-11 * np.cos(2 * PI * 5e7 * t))
-    assert fit.amplitude > 0.0 and fit.omega > 0.0
+    assert fit["amplitude"] > 0.0 and fit["frequency_hz"] > 0.0
 
 
 def test_rb_report_format(tmp_path):
     argv = ["rb", "--engine", "channel", "--depths", "1,2,4", "--sequences", "5", "--seed", "1",
-            "--inject-depol", "1e-3"]
+            "--inject-depol", "1e-3", "--emit-plot-data", str(tmp_path / "plot.csv")]
     outs = [tmp_path / f"{k}.json" for k in range(2)]
     for out in outs:
         assert cli.main(argv + ["--out", str(out)]) == 0
@@ -294,6 +293,15 @@ def test_rb_report_format(tmp_path):
     assert doc["fit"]["avg_pulses_per_clifford"] == pytest.approx(11.0 / 6.0)
     # keys are sorted for byte-stable output
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    # the fit object is fit_rb's, and the plot rows are the per-depth means
+    cfg = bench.RbConfig(depths=(1, 2, 4), n_sequences=5, seed=1)
+    data = bench.run_rb(None, cfg, engine="channel",
+                        inject=bench.InjectedError(depol_per_pulse=1e-3))
+    assert doc["fit"] == bench.fit_rb(data)
+    assert doc["config"]["interleaved"] is None
+    rows = (tmp_path / "plot.csv").read_text().splitlines()[1:]
+    assert rows == [f"{d['N']},{d['identity_mean']!r},{d['flip_mean']!r}"
+                    for d in doc["per_depth"]]
 
 
 def test_benchmarking_binds_nothing_from_calibration():

@@ -537,18 +537,18 @@ def test_run_calibration_recovers_target():
     d = perturbed_device()
     nominal = dev.default_device().laws
     res = cal.run_calibration(d, -PI / 2, PI, assumed_laws=nominal)
-    vf = [res.final[f"v_x{p}"] for p in res.pairs]
+    vf = [res["final"][f"v_x{p}"] for p in res["pairs"]]
     v_x = np.full(3, -np.inf)
     order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
-    for p, vv in zip(res.pairs, vf):
+    for p, vv in zip(res["pairs"], vf):
         v_x[order[p]] = vv
     aa = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
     assert abs((aa.phi + PI / 2 + PI) % (2 * PI) - PI) < 1e-6
     assert abs(aa.theta - PI) < 1e-6
-    assert res.fit["residual_rms"] < 1e-6
-    assert [s["N"] for s in res.stages] == [1, 2, 4, 8, 16, 24]
+    assert res["fit"]["residual_rms"] < 1e-6
+    assert [s["N"] for s in res["stages"]] == [1, 2, 4, 8, 16, 24]
     # windows shrink monotonically
-    widths = [s["window"][0][1] - s["window"][0][0] for s in res.stages]
+    widths = [s["window"][0][1] - s["window"][0][0] for s in res["stages"]]
     assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
 
 
@@ -563,6 +563,9 @@ def test_run_calibration_report_is_stable_json(tmp_path):
     assert set(doc) == {"target", "pairs", "stages", "fit", "final"}
     assert [set(s) for s in doc["stages"]] == [{"N", "window", "peak_v", "stderr"}] * 6
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    # the artifact is run_calibration's document
+    res = cal.run_calibration(dev.default_device(), -PI / 2, PI)
+    assert json.loads(json.dumps(res)) == doc
 
 
 def test_helper_error_transfers_to_fitted_axis():
@@ -572,13 +575,13 @@ def test_helper_error_transfers_to_fitted_axis():
         rot.AxisAngle(-PI / 2 + PI / 2 + eps, PI)
     )
     res = cal.run_calibration(d, -PI / 2, PI, precal_actual=actual)
-    vf = [res.final[f"v_x{p}"] for p in res.pairs]
+    vf = [res["final"][f"v_x{p}"] for p in res["pairs"]]
     v_x = np.full(3, -np.inf)
     order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
-    for p, vv in zip(res.pairs, vf):
+    for p, vv in zip(res["pairs"], vf):
         v_x[order[p]] = vv
     aa_true = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
-    shift = (res.final["phi"] - aa_true.phi + PI) % (2 * PI) - PI
+    shift = (res["final"]["phi"] - aa_true.phi + PI) % (2 * PI) - PI
     assert shift == pytest.approx(-eps, abs=0.1 * eps)
 
 

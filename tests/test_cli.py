@@ -54,7 +54,11 @@ def test_rabi_json_and_plot_data(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["fit"]["frequency_hz"] == pytest.approx(49.906207808511235e6, rel=1e-6)
     assert doc["fit"]["t_decay_s"] is None  # noiseless: no decay
-    assert plot.read_text().splitlines()[0] == "time (s),p0 (1)"
+    header, *rows = plot.read_text().splitlines()
+    assert header == "time (s),p0 (1)"
+    # the fit object is fit_oscillation_decay's of the plotted data
+    t, p0 = zip(*(map(float, row.split(",")) for row in rows))
+    assert doc["fit"] == bench.fit_oscillation_decay(t, p0)
 
 
 def test_calibrate_round_trips_and_is_deterministic(tmp_path):
@@ -283,8 +287,9 @@ CAL_PI = ["calibrate", "--phi-star", "0", "--theta-star", "3.141592653589793"]
 def test_out_of_range_flags_are_usage_errors(argv, tmp_path, capsys):
     # --schedule -1 used to run a stage with N = -1, --idle nan to write
     # "idle_s": NaN, and --phi-star nan to exit as a config error
-    argv = argv + ["--out", str(tmp_path / "out.json"),
-                   "--emit-plot-data", str(tmp_path / "plot.csv")]
+    argv = argv + ["--out", str(tmp_path / "out.json")]
+    if argv[0] in ("rabi", "rb"):
+        argv += ["--emit-plot-data", str(tmp_path / "plot.csv")]
     assert run(argv) == 2
     assert "must " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -529,8 +534,9 @@ def test_bad_durations_and_depths_are_usage_errors_naming_the_flag(argv, flag, t
     # gigabytes and ended in a MemoryError, and are now refused before
     # anything of that size is allocated; calibrate --grid 100000 asked for
     # 224 GiB, and --grid 0 or -3 exited with numpy's messages
-    argv = argv + ["--out", str(tmp_path / "out.json"),
-                   "--emit-plot-data", str(tmp_path / "plot.csv")]
+    argv = argv + ["--out", str(tmp_path / "out.json")]
+    if argv[0] in ("rabi", "rb"):
+        argv += ["--emit-plot-data", str(tmp_path / "plot.csv")]
     cli._parser()  # built once per process, outside the traced allocations
     tracemalloc.start()
     try:
@@ -825,3 +831,17 @@ def test_unwritable_output_names_its_flag(argv, flag, tmp_path, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"aeonsim: {flag}: ") and bad in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--j12", "1e6"],
+    ["fingerpinch", "--pairs", "12,23", "--v1", "0.05:0.08:3", "--v2", "0.05:0.08:3"],
+    CAL_PI + ["--grid", "5", "--schedule", "1"],
+    IRB + ["--engine", "channel", "--gate-phi", "0", "--gate-theta", "3.141592653589793"],
+])
+def test_plot_data_is_refused_where_it_is_not_written(argv, tmp_path, capsys):
+    # each of these used to exit 0 and write no plot file
+    argv = argv + ["--out", str(tmp_path / "out"), "--emit-plot-data", str(tmp_path / "plot.csv")]
+    assert run(argv) == 2
+    assert "--emit-plot-data" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
