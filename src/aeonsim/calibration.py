@@ -31,7 +31,6 @@ from .rotations import (
     AxisAngle,
     Rotation,
     canonical_clifford_group,
-    compose,
     exchange_to_rotation,
     pairs_for_axis,
     quat_multiply,
@@ -77,41 +76,8 @@ class GermConfig:
         return GermConfig(phi_star, theta_star, q, s, phi_star + math.pi / 2.0, math.pi, pulse_s)
 
 
-def build_germ_sequence(
-    cfg: GermConfig, probe: AxisAngle, n_reps: int
-) -> tuple[tuple[str, AxisAngle], ...]:
-    """Expand the germ into a time-ordered pulse list.
-
-    Each entry is ``("probe", probe)`` or ``("precal", R_eta(chi))``.  One
-    angle-amplifying repetition plays q probes, the helper, q probes and
-    the helper again; the N axis-amplifying repetitions then play 2q probes
-    each.  At ``probe = (phi_star, theta_star)`` the whole sequence
-    composes to the identity up to global phase.
-    """
-    if n_reps < 1:
-        raise ValueError(f"germ repetitions must be >= 1, got {n_reps}")
-    precal = ("precal", AxisAngle(cfg.eta, cfg.chi))
-    ang_block = (("probe", probe),) * cfg.q + (precal,)
-    seq = (ang_block * 2) * n_reps + (("probe", probe),) * (2 * cfg.q * n_reps)
-    return seq
-
-
 # ---------------------------------------------------------------------------
 # Twirled survival fidelity
-
-
-def twirl_fidelity(u: Rotation) -> float:
-    """Clifford-twirled survival fidelity of a net rotation, exactly.
-
-    Averages ``|<0| C_i^dag U C_i |0>|^2`` over the 24 single-qubit
-    Cliffords, one quaternion product pair per term: the reference that
-    the closed form :func:`analytic_fidelity` is tested against.
-    """
-    survivals = []
-    for el in canonical_clifford_group():
-        net = compose(compose(el.rotation.inverse(), u), el.rotation)
-        survivals.append(net.w**2 + net.v[2] ** 2)
-    return float(np.mean(survivals))
 
 
 @functools.cache
@@ -242,7 +208,9 @@ def germ_net_quaternion(
     """Net germ rotation quaternion, vectorized over probe arrays.
 
     Uses exact integer-power identities for the repeated blocks; equals the
-    composition of :func:`build_germ_sequence` pulse by pulse.
+    germ composed pulse by pulse, where one angle-amplifying repetition
+    plays q probes, the helper, q probes and the helper again, and each of
+    the N axis-amplifying repetitions plays 2q probes.
     """
     phi = np.asarray(probe_phi, dtype=float)
     theta = np.asarray(probe_theta, dtype=float)

@@ -33,8 +33,7 @@ from .errors import (
 from .hilbert import (  # noqa: F401 - measure_p0 stays bound for perfbench's tracer
     ExchangeVector,
     FieldConfig,
-    build_hamiltonian,
-    eigenspectrum,
+    energy_levels,
     measure_p0,
     sector_propagator,
 )
@@ -47,7 +46,7 @@ EXIT_CONFIG = 4
 
 # Largest magnitude (Hz) of a spectrum coupling or field: with all seven at
 # this size, 2*pi times their sum stays far inside the float range, so the
-# Hamiltonian, its Hermiticity check and its spectrum stay finite.
+# Hamiltonian's entries and its levels stay finite.
 MAX_SPECTRUM_HZ = 1e300
 
 # Longest rabi duration (s).  The oscillation fit scales each squared
@@ -243,9 +242,7 @@ def _cmd_spectrum(args, device: dev.DeviceModel) -> int:
         f_uniform_hz=args.f_uniform,
         gradients_hz=(args.b1, args.b2, args.b3),
     )
-    h = build_hamiltonian(j, fields)
-    energies, _ = eigenspectrum(h)
-    rows = [(k, float(e)) for k, e in enumerate(energies)]
+    rows = [(k, float(e)) for k, e in enumerate(energy_levels(j, fields))]
     _write_text(args.out, _csv(["level (1)", "energy (rad/s)"], rows))
     return EXIT_OK
 
@@ -373,11 +370,30 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but the token after a flag that takes a value is that value
+    even when it starts with ``-`` (argparse alone passes only plain
+    negative numbers such as ``-3``, so ``--b1 -3e4`` would be two flags),
+    unless it is a flag of the same parser, ``-h`` and ``--help`` included.
+    Subparsers are of this class too, and ``parse_args`` and subparsers
+    pass ``args`` (None for ``sys.argv``)."""
+
+    def parse_known_args(self, args, namespace=None):
+        flags, tokens = self._option_string_actions, []
+        for token in sys.argv[1:] if args is None else args:
+            if tokens and token[:1] == "-" and token not in flags \
+                    and getattr(flags.get(tokens[-1]), "nargs", 0) is None:
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argv parser: one subcommand per command, each taking the rows of
     :data:`ARGV_SCHEMA` that name it.  An argument with an environment
     variable parses to None when its flag is absent."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aeonsim",
         description="Simulation and calibration toolchain for exchange-only "
         "triple-dot spin qubits.",

@@ -8,19 +8,20 @@ significant bit and spin-up before spin-down, i.e. index
 Exchange and longitudinal Zeeman terms conserve total S_z, so every
 Hamiltonian here is block diagonal on the product states of equal m_S: the
 two sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
-each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  The pulse
-kernel works in the two 3x3 sector blocks alone (:func:`sector_propagator`),
-starting from the outer-pair singlet's sector vectors
-(:data:`SINGLET_SECTORS`): the singlet and the encoded qubit lie within the
-sectors, so no state the kernel plays ever populates m_S = +-3/2.  The dense
-8x8 route (:func:`initialize_singlet`, :func:`build_hamiltonian`,
-:func:`propagator`, :func:`measure_p0`) keeps all eight states and stays as
-the reference the sector route is tested against.
+each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  One
+function, :func:`_sector_hamiltonian`, builds the Hamiltonian: its two
+real 3x3 sector blocks.  The pulse kernel propagates in them alone
+(:func:`sector_propagator`), starting from the outer-pair singlet's sector
+vectors (:data:`SINGLET_SECTORS`): the singlet and the encoded qubit lie
+within the sectors, so no state the kernel plays ever populates m_S =
++-3/2.  :func:`energy_levels` adds the two m_S = +-3/2 energies, diagonal
+entries in closed form.  The dense 8x8 Hamiltonian, its propagator and
+the singlet density matrix live in the tests (``tests/oracles.py``) as the
+reference the sector route is checked against.
 
-Exchange couplings and magnetic fields are given in Hz; the factor of 2*pi
-that converts them to angular frequencies is applied exactly once, inside
-:func:`build_hamiltonian` (and :func:`qubit_block`).  Hamiltonians are
-therefore in rad/s and evolution times in seconds.
+Couplings and fields are given in Hz; :func:`_sector_hamiltonian` (and
+:func:`energy_levels` for the m_S = +-3/2 energies) applies the factor
+2*pi, so Hamiltonians are in rad/s and evolution times in seconds.
 
 The encoded qubit lives in the two total-spin-1/2 doublets: ``|0>`` is the
 state whose outer pair (dots 1 and 3) forms a singlet, ``|1>`` the
@@ -63,13 +64,6 @@ def _dot_product(i: int, j: int) -> np.ndarray:
     return sum(SPIN_OPS[i][c] @ SPIN_OPS[j][c] for c in range(3))
 
 
-_EXCHANGE_TERMS = {
-    "12": _dot_product(1, 2),
-    "23": _dot_product(2, 3),
-    "13": _dot_product(1, 3),
-}
-
-
 @dataclass(frozen=True)
 class ExchangeVector:
     """Exchange couplings (Hz) for the three dot pairs.
@@ -107,26 +101,6 @@ class FieldConfig:
     gradients_hz: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
-def build_hamiltonian(j: ExchangeVector, fields: FieldConfig | None = None) -> np.ndarray:
-    """Three-spin Hamiltonian (rad/s) in the 8-dim product basis.
-
-    H = sum_pairs 2*pi*J_ij S_i.S_j + sum_i 2*pi*(f_B + b_i) S_z,i
-
-    Args:
-        j: pairwise exchange couplings in Hz, scalars or arrays.
-        fields: Zeeman terms; omitted means zero field.  Per-dot gradients
-            of shape ``(..., 3)`` describe a batch.
-
-    Returns:
-        Hermitian complex array of shape ``batch + (8, 8)``, where the
-        batch shape broadcasts the couplings' shapes with the gradients'
-        leading shape (``()`` for scalar inputs).
-    """
-    return _hamiltonian(j, fields, _EXCHANGE_TERMS, _ZEEMAN_TERMS)
-
-
-_ZEEMAN_TERMS = {dot: SPIN_OPS[dot][2] for dot in (1, 2, 3)}
-
 # Product-basis indices of the m_S = +1/2 and -1/2 sectors
 SECTORS = np.array([[1, 2, 4], [3, 5, 6]])
 
@@ -137,53 +111,73 @@ def sector_blocks(op: np.ndarray) -> np.ndarray:
     return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
 
 
-# The sector blocks of each term, where every term is real
-_BLOCK_EXCHANGE = {p: sector_blocks(op).real for p, op in _EXCHANGE_TERMS.items()}
-_BLOCK_ZEEMAN = {dot: sector_blocks(op).real for dot, op in _ZEEMAN_TERMS.items()}
-
-
-def _hamiltonian(j: ExchangeVector, fields: FieldConfig | None, exchange, zeeman):
-    """The Hamiltonian of :func:`build_hamiltonian` over the operator
-    tables ``exchange`` (per pair) and ``zeeman`` (S_z per dot): the
-    whole matrices, or their sector blocks."""
-    ndim = exchange["12"].ndim
-
-    def coefficient(x):
-        # a scalar or batch of scalars, shaped to scale a stack of tables
-        return np.asarray(x, dtype=float)[(...,) + (None,) * ndim]
-
-    h = 2.0 * np.pi * (coefficient(j.j12) * exchange["12"] + coefficient(j.j23) * exchange["23"]
-                       + coefficient(j.j13) * exchange["13"])
-    if fields is not None:
-        b = np.asarray(fields.gradients_hz, dtype=float)
-        for k, dot in enumerate((1, 2, 3)):
-            h = h + 2.0 * np.pi * coefficient(fields.f_uniform_hz + b[..., k]) * zeeman[dot]
-    return h
+# The sector blocks of each exchange and Zeeman term, where every term is real
+_BLOCK_EXCHANGE = {p: sector_blocks(_dot_product(int(p[0]), int(p[1]))).real
+                   for p in ("12", "23", "13")}
+_BLOCK_ZEEMAN = {dot: sector_blocks(SPIN_OPS[dot][2]).real for dot in (1, 2, 3)}
 
 
 def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
-    """The m_S = +1/2 and -1/2 blocks of :func:`build_hamiltonian` on the
-    product states :data:`SECTORS`, built straight from the couplings and
-    fields with the same terms in the same order: real, shape ``batch +
-    (2, 3, 3)`` with the batch shape of :func:`build_hamiltonian`.
+    """The m_S = +1/2 and -1/2 blocks of the three-spin Hamiltonian (rad/s),
+
+        H = sum_pairs 2*pi*J_ij S_i.S_j + sum_i 2*pi*(f_B + b_i) S_z,i,
+
+    on the product states :data:`SECTORS`, the exchange terms summed first
+    and then the Zeeman term of each dot: real, shape ``batch + (2, 3, 3)``.
+    The couplings (Hz) are scalars or arrays; ``fields`` None is zero
+    field, and per-dot gradients of shape ``(..., 3)`` describe a batch.
+    The batch shape broadcasts the couplings' shapes with the gradients'
+    leading shape (``()`` for scalar inputs).
 
     Raises:
         NonFiniteError: if an entry is not finite.
     """
+
+    def coefficient(x):
+        # a scalar or batch of scalars, shaped to scale a stack of blocks
+        return np.asarray(x, dtype=float)[..., None, None, None]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _hamiltonian(j, fields, _BLOCK_EXCHANGE, _BLOCK_ZEEMAN)
+        h = 2.0 * np.pi * (coefficient(j.j12) * _BLOCK_EXCHANGE["12"]
+                           + coefficient(j.j23) * _BLOCK_EXCHANGE["23"]
+                           + coefficient(j.j13) * _BLOCK_EXCHANGE["13"])
+        if fields is not None:
+            b = np.asarray(fields.gradients_hz, dtype=float)
+            for k, dot in enumerate((1, 2, 3)):
+                h = h + 2.0 * np.pi * coefficient(fields.f_uniform_hz + b[..., k]) * _BLOCK_ZEEMAN[dot]
     if not np.all(np.isfinite(h)):
         raise NonFiniteError("Hamiltonian is not finite")
     return h
 
 
+def energy_levels(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
+    """The eight energies (rad/s) of the Hamiltonian, ascending, shape
+    ``batch + (8,)``: the eigenvalues of its two sector blocks, and its
+    m_S = +-3/2 diagonal entries 2*pi*[(J12 + J23 + J13)/4 +- (3 f_B + b1
+    + b2 + b3)/2].
+
+    Raises:
+        NonFiniteError: if a Hamiltonian entry or a level is not finite.
+    """
+    blocks = np.linalg.eigvalsh(_sector_hamiltonian(j, fields))
+    fields = FieldConfig() if fields is None else fields
+    b = np.asarray(fields.gradients_hz, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exchange = (np.asarray(j.j12, dtype=float) + j.j23 + j.j13) / 4.0
+        zeeman = (3.0 * fields.f_uniform_hz + b[..., 0] + b[..., 1] + b[..., 2]) / 2.0
+        stretched = 2.0 * np.pi * (exchange[..., None] + np.array([1.0, -1.0]) * zeeman[..., None])
+    levels = np.concatenate([blocks.reshape(blocks.shape[:-2] + (6,)), stretched], axis=-1)
+    if not np.all(np.isfinite(levels)):
+        raise NonFiniteError("energy level is not finite")
+    return np.sort(levels, axis=-1)
+
+
 def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s) -> np.ndarray:
-    """Unitaries exp(-i H tau) of :func:`build_hamiltonian` on the m_S =
-    +1/2 and -1/2 sectors, from one real ``eigh`` of the whole stack of
-    sector blocks.
+    """Unitaries exp(-i H tau) on the m_S = +1/2 and -1/2 sectors, from one
+    real ``eigh`` of the whole stack of sector blocks.
 
     Args:
-        j, fields: couplings and fields as for :func:`build_hamiltonian`.
+        j, fields: couplings and fields as for :func:`_sector_hamiltonian`.
         tau_s: durations in seconds, finite and non-negative: one for the
             whole stack, or an array that broadcasts to its batch shape.
 
@@ -214,32 +208,6 @@ def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s) -> n
     for k in (1, 2):
         u += left[..., :, k, None] * vecs[..., None, :, k]
     return u
-
-
-def _check_hamiltonian(h) -> np.ndarray:
-    """Validate a ``(..., 8, 8)`` stack of Hamiltonians in one pass.
-
-    Each matrix must equal its conjugate transpose within ``np.allclose``'s
-    tolerance, with the absolute part scaled by that matrix's largest entry.
-    """
-    h = np.asarray(h)
-    if h.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"expected (..., 8, 8) Hamiltonians, got {h.shape}")
-    h_dag = np.conj(np.swapaxes(h, -1, -2))
-    atol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    if not np.all(np.abs(h - h_dag) <= atol[..., None, None] + 1e-5 * np.abs(h_dag)):
-        raise ValueError("Hamiltonian is not Hermitian within tolerance")
-    return h
-
-
-def eigenspectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, rad/s) and eigenvectors of a Hamiltonian,
-    or of each matrix of a ``(..., 8, 8)`` stack.
-
-    Raises:
-        ValueError: if ``h`` is not 8x8 or not Hermitian within 1e-10.
-    """
-    return np.linalg.eigh(_check_hamiltonian(h))
 
 
 def _basis_vector(*indices_amplitudes: tuple[int, float]) -> np.ndarray:
@@ -311,35 +279,6 @@ ENCODED = EncodedBasis(
 )
 
 
-def initialize_singlet() -> np.ndarray:
-    """Density matrix after outer-pair singlet preparation.
-
-    The preparation leaves dot 2 unpolarized, so the state is the equal
-    mixture of ``|0>`` over both gauge sectors: rank 2, P0 = 1, zero leakage.
-    """
-    return 0.5 * (
-        np.outer(_Z_UP, _Z_UP.conj()) + np.outer(_Z_DN, _Z_DN.conj())
-    )
-
-
-def propagator(h: np.ndarray, tau_s: float) -> np.ndarray:
-    """Unitaries exp(-i H tau) of a stack of Hamiltonians via one ``eigh``.
-
-    Args:
-        h: Hermitian Hamiltonian(s), rad/s, shape ``(..., 8, 8)``.
-        tau_s: one duration in seconds shared by the whole stack; must be
-            finite and non-negative.
-
-    Returns:
-        Unitaries of the same shape as ``h``.
-    """
-    if not math.isfinite(tau_s) or tau_s < 0:
-        raise ValueError(f"evolution time must be finite and non-negative, got {tau_s}")
-    vals, vecs = np.linalg.eigh(_check_hamiltonian(h))
-    left = vecs * np.exp(vals * (-1j * tau_s))[..., None, :]
-    return left @ np.conj(vecs).swapaxes(-1, -2)
-
-
 def _checked_population(p):
     """Real part of a population, clipped to [0, 1], after checking that it
     lies there within 1e-9 with no imaginary part."""
@@ -373,9 +312,11 @@ def measure_p0(rho: np.ndarray):
 _ZERO_SECTORS = np.stack([ENCODED.zero[m][SECTORS[m]] for m in (0, 1)])
 
 SINGLET_SECTORS = math.sqrt(0.5) * _ZERO_SECTORS[..., None]
-"""The sector vectors of :func:`initialize_singlet`, shape ``(2, 3, 1)``:
-one per sector, the encoded ``|0>`` times the square root of its weight
-1/2, so their outer products are the state's two sector blocks.  Every
+"""The sector vectors of the outer-pair singlet, shape ``(2, 3, 1)``: the
+preparation leaves dot 2 unpolarized, so the state is the equal mixture of
+the encoded ``|0>`` over both gauge sectors, and each vector is one
+sector's ``|0>`` times the square root of its weight 1/2, so their outer
+products are the state's two sector blocks.  Every
 propagator here is block diagonal and the encoded ``|0>`` lies within the
 sectors, so :func:`sector_p0` of the propagated vectors is the ``p0`` of
 the propagated state.  Read-only."""
@@ -392,21 +333,6 @@ def sector_p0(vectors: np.ndarray):
     amplitudes = np.einsum("mi,...mik->...mk", _ZERO_SECTORS.conj(), vectors)
     return _checked_population(
         np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=(-2, -1))
-    )
-
-
-def qubit_block(j: ExchangeVector) -> np.ndarray:
-    """Two-level Hamiltonian (rad/s) on the encoded qubit.
-
-    H = -(1/2) * 2*pi * [sqrt(3) J_- sigma_x + (J13 - J_+) sigma_z]
-
-    Equals the projection of :func:`build_hamiltonian` (at zero field) onto
-    either gauge sector, up to a gauge-uniform multiple of the identity.
-    """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return -np.pi * (
-        np.sqrt(3.0) * j.j_minus * sx + (j.j13 - j.j_plus) * sz
     )
 
 

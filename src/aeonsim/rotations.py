@@ -212,15 +212,6 @@ def compose_sequence(pulses) -> Rotation:
     return net
 
 
-def to_unitary(r: Rotation) -> np.ndarray:
-    """SU(2) matrix ``w*I - i*(v . sigma)``."""
-    w = r.w
-    x, y, z = r.v
-    return np.array(
-        [[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex
-    )
-
-
 def so3_matrix(r: Rotation) -> np.ndarray:
     """Bloch-sphere action of the rotation as a 3x3 orthogonal matrix."""
     w = r.w

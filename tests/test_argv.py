@@ -108,11 +108,11 @@ def argv_cases(draw):
     env = {name: values.pop(name) for name in ENV if name in values}
     argv = [command]
     for flag, value in values.items():
-        # argparse takes "-1e300" for a flag, but not "--j12=-1e300"
+        # a value that starts with "-" goes as its own token or as --flag=value
         if value is True:
             argv.append(flag)
         else:
-            argv += [f"{flag}={value}"] if value[:1] == "-" else [flag, value]
+            argv += [f"{flag}={value}"] if value[:1] == "-" and draw(st.booleans()) else [flag, value]
     return tuple(argv), env
 
 

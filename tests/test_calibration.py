@@ -16,6 +16,7 @@ from aeonsim import fitting
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError, DetectionError
 from aeonsim import hilbert as hb
+from oracles import build_germ_sequence, initialize_singlet, to_unitary, twirl_fidelity
 
 PI = math.pi
 
@@ -135,7 +136,7 @@ def test_germ_sequence_layout():
     cfg = default_cfg(theta=PI / 2)  # q = 2
     probe = rot.AxisAngle(cfg.phi_star, cfg.theta_star)
     n = 3
-    seq = cal.build_germ_sequence(cfg, probe, n)
+    seq = build_germ_sequence(cfg, probe, n)
     kinds = [k for k, _ in seq]
     assert len(seq) == 4 * cfg.q * n + 2 * n
     assert kinds.count("precal") == 2 * n
@@ -153,7 +154,7 @@ def test_germ_fast_path_equals_literal_composition():
             cfg.phi_star + float(rng.normal(0, 0.25)),
             cfg.theta_star * (1 + float(rng.normal(0, 0.06))),
         )
-        seq = cal.build_germ_sequence(cfg, probe, n)
+        seq = build_germ_sequence(cfg, probe, n)
         lit = rot.compose_sequence([aa for _, aa in seq])
         w, v = cal.germ_net_quaternion(cfg, probe.phi, probe.theta, n)
         q_lit = np.array([lit.w, *lit.v])
@@ -175,18 +176,18 @@ def test_germ_is_identity_at_calibration_point():
 
 
 def test_twirl_of_identity_and_flip():
-    assert cal.twirl_fidelity(rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-12)
+    assert twirl_fidelity(rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-12)
     # a pi rotation about y averages to exactly 1/3 over the Cliffords
     r = rot.Rotation(w=0.0, v=(0.0, 1.0, 0.0))
-    assert cal.twirl_fidelity(r) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert twirl_fidelity(r) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def _dense_twirl(u8):
     """The twirl on the 8-dim space: each Clifford embedded in both gauge
     sectors, survival read as the encoded-|0> population of the singlet."""
-    rho0, terms = hb.initialize_singlet(), []
+    rho0, terms = initialize_singlet(), []
     for el in rot.canonical_clifford_group():
-        c8 = hb.embed_qubit_unitary(rot.to_unitary(el.rotation))
+        c8 = hb.embed_qubit_unitary(to_unitary(el.rotation))
         v = c8.conj().T @ u8 @ c8
         terms.append(hb.measure_p0(v @ rho0 @ v.conj().T))
     return float(np.mean(terms))
@@ -198,10 +199,10 @@ def test_twirl_eight_dim_agrees_with_rotation_path():
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         r = rot.Rotation(w=float(v[0]), v=tuple(v[1:]))
-        f_rot = cal.twirl_fidelity(r)
+        f_rot = twirl_fidelity(r)
         # the physical propagator is the conjugate SU(2) matrix; the twirl
         # cannot tell them apart
-        u8 = hb.embed_qubit_unitary(rot.to_unitary(r).conj())
+        u8 = hb.embed_qubit_unitary(to_unitary(r).conj())
         assert _dense_twirl(u8) == pytest.approx(f_rot, abs=1e-10)
 
 
@@ -277,9 +278,9 @@ def test_analytic_fidelity_matches_twirl_oracle():
         n = int(rng.integers(1, 25))
         phi = cfg.phi_star + float(rng.normal(0, 0.3))
         theta = cfg.theta_star * (1 + float(rng.normal(0, 0.1)))
-        seq = cal.build_germ_sequence(cfg, rot.AxisAngle(phi, theta), n)
+        seq = build_germ_sequence(cfg, rot.AxisAngle(phi, theta), n)
         net = rot.compose_sequence([aa for _, aa in seq])
-        f_ref = cal.twirl_fidelity(net)
+        f_ref = twirl_fidelity(net)
         f = float(cal.analytic_fidelity(phi, theta, cfg.eta, cfg.chi, n, cfg))
         worst = max(worst, abs(f - f_ref))
     assert worst < 1e-9
@@ -362,12 +363,12 @@ def _cell_survivals(d, cfg, pairs, va, vb, n_reps):
     v_x[dev.PAIR_ORDER.index(pairs[0])] = va
     v_x[dev.PAIR_ORDER.index(pairs[1])] = vb
     aa = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
-    u = rot.compose_sequence(p for _, p in cal.build_germ_sequence(cfg, aa, n_reps))
+    u = rot.compose_sequence(p for _, p in build_germ_sequence(cfg, aa, n_reps))
     terms = []
     for el in rot.canonical_clifford_group():
         net = rot.compose(rot.compose(el.rotation.inverse(), u), el.rotation)
         terms.append(net.w**2 + net.v[2] ** 2)
-    assert np.mean(terms) == pytest.approx(cal.twirl_fidelity(u), abs=1e-15)
+    assert np.mean(terms) == pytest.approx(twirl_fidelity(u), abs=1e-15)
     return np.clip(terms, 0.0, 1.0)
 
 

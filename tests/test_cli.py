@@ -496,6 +496,26 @@ def test_spectrum_takes_every_input_at_its_bound(tmp_path):
     assert len(energies) == 8 and all(math.isfinite(e) for e in energies)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fingerpinch", "--pairs", "12,23", "--v1", "-0.01:0.08:5", "--v2", "0.05:0.08:5"],
+    ["spectrum", "--b1", "-3e4"],
+    ["rabi", "--pair", "12", "--v", "-5e-3", "--times", "0:1e-7:10"],
+    ["irb", "--engine", "channel", "--gate-phi", "-1.6e0", "--gate-theta", "3.141592653589793"],
+])
+def test_a_value_starting_with_a_dash_may_follow_its_flag(argv, tmp_path, capsys):
+    # each exited 2 ("expected one argument") and now runs as its --flag=value
+    # form does; a flag right after a flag is still no value
+    k = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[1:2].isdigit())
+    out, seen = tmp_path / "out", []
+    for form in (argv, argv[:k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1:]):
+        code = run(form + ["--out", str(out)])
+        seen.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert seen[0] == seen[1] and seen[0][0] in (0, 3)
+    assert run(argv[:k] + ["--out", str(out)] + argv[k + 1:]) == 2
+    assert f"argument {argv[k - 1]}: expected one argument" in capsys.readouterr().err
+
+
 def test_json_documents_refuse_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._json_doc({"x": math.nan})

@@ -15,6 +15,7 @@ from aeonsim import device as dev
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError
+from oracles import build_hamiltonian, initialize_singlet
 
 
 def test_exchange_law_anchors():
@@ -178,8 +179,8 @@ def test_simulate_pulse_matches_direct_propagator():
     j = hb.ExchangeVector(j12=42e6, j23=13e6, j13=7e6)
     pulse = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j)), duration_s=10e-9)
     (p0,) = _kernel_p0(d, [[pulse]])
-    u = expm(-1j * hb.build_hamiltonian(j) * 10e-9)
-    assert abs(p0 - _dense_p0(hb.initialize_singlet(), [u])) < 1e-12
+    u = expm(-1j * build_hamiltonian(j) * 10e-9)
+    assert abs(p0 - _dense_p0(initialize_singlet(), [u])) < 1e-12
     assert p0 < 0.9  # the pulse moves the state
 
 
@@ -193,9 +194,9 @@ def test_pulse_train_plays_in_order():
     a, b, c = (dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j)), duration_s=tau)
                for j, tau in zip(js, taus))
     abc, bac = _kernel_p0(d, [[a, b, c], [b, a, c]])
-    u_a, u_b, u_c = (expm(-1j * hb.build_hamiltonian(j) * tau) for j, tau in zip(js, taus))
-    assert abs(abc - _dense_p0(hb.initialize_singlet(), [u_a, u_b, u_c])) < 1e-12
-    assert abs(bac - _dense_p0(hb.initialize_singlet(), [u_b, u_a, u_c])) < 1e-12
+    u_a, u_b, u_c = (expm(-1j * build_hamiltonian(j) * tau) for j, tau in zip(js, taus))
+    assert abs(abc - _dense_p0(initialize_singlet(), [u_a, u_b, u_c])) < 1e-12
+    assert abs(bac - _dense_p0(initialize_singlet(), [u_b, u_a, u_c])) < 1e-12
     assert abs(abc - bac) > 1e-3
 
 
@@ -231,8 +232,8 @@ def test_stacked_draws_match_per_draw_oracle():
         unitaries = []
         for pulse in train:
             j = _oracle_couplings(d, np.asarray(pulse.v_x) + draw[3:6], draw[:3])
-            unitaries.append(expm(-1j * hb.build_hamiltonian(j, fields) * pulse.duration_s))
-        assert abs(got - _dense_p0(hb.initialize_singlet(), unitaries)) < 1e-12
+            unitaries.append(expm(-1j * build_hamiltonian(j, fields) * pulse.duration_s))
+        assert abs(got - _dense_p0(initialize_singlet(), unitaries)) < 1e-12
         # the draw alone, as a batch of one, gives the same p0
         one = _kernel_p0(d, [train], draw[None], apply_cross=True)
         assert one[0] == got
@@ -256,8 +257,8 @@ def test_gradient_noise_causes_leakage():
     pulse = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=400e-9)
     (p0,) = _kernel_p0(d, [[pulse]], draw)
     fields = hb.FieldConfig(0.0, draw[0, 6:])
-    u = expm(-1j * hb.build_hamiltonian(hb.ExchangeVector(0.0, 0.0, 0.0), fields) * 400e-9)
-    rho = u @ hb.initialize_singlet() @ u.conj().T
+    u = expm(-1j * build_hamiltonian(hb.ExchangeVector(0.0, 0.0, 0.0), fields) * 400e-9)
+    rho = u @ initialize_singlet() @ u.conj().T
     assert np.trace(hb.ENCODED.p_leak @ rho).real > 1e-4  # quadruplet population
     assert abs(p0 - hb.measure_p0(rho)) < 1e-12 and p0 < 1.0 - 1e-4
 
@@ -374,7 +375,7 @@ def _dense_train(d, rho, train, draw, apply_cross):
     )
     for pulse in train:
         j = _couplings(d, pulse, draw, apply_cross and d.cross is not None)
-        u = expm(-1j * hb.build_hamiltonian(j, fields) * pulse.duration_s)
+        u = expm(-1j * build_hamiltonian(j, fields) * pulse.duration_s)
         rho = u @ rho @ u.conj().T
     return rho
 
@@ -425,7 +426,7 @@ def test_batched_rows_equal_one_train_at_a_time(monkeypatch, apply_cross, with_d
     for r, train in enumerate(rows):
         draw = draws[r] if with_draws else None
         assert p0[r] == _one_train_oracle(d, train, draw, apply_cross), r
-        dense = _dense_train(d, hb.initialize_singlet(), train, draw, apply_cross)
+        dense = _dense_train(d, initialize_singlet(), train, draw, apply_cross)
         assert abs(p0[r] - hb.measure_p0(dense)) < 1e-12
 
 
@@ -459,12 +460,12 @@ def test_fingerpinch_matches_the_dense_route(hadamard):
     got = dev.fingerpinch_map(d, ("12", "13"), v1, v2, duration_s=d.pulse_s, apply_cross=True,
                               hadamard=hadamard)
     h8 = hb.embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
-    rho0 = hb.initialize_singlet()
+    rho0 = initialize_singlet()
     if hadamard:
         rho0 = h8 @ rho0 @ h8.conj().T
     for r, c in np.ndindex(got.shape):
         j = d.exchange_from_voltages(np.array([v1[c], v2[r], -np.inf]), apply_cross=True)
-        u = expm(-1j * hb.build_hamiltonian(j, d.fields) * d.pulse_s)
+        u = expm(-1j * build_hamiltonian(j, d.fields) * d.pulse_s)
         rho = u @ rho0 @ u.conj().T
         if hadamard:
             rho = h8 @ rho @ h8.conj().T
@@ -490,7 +491,7 @@ def test_single_train_with_a_batch_of_draws_equals_per_row_trains():
     assert np.array_equal(shared, d.simulate_pulse(table, [index] * 300, draws, False))
     draw = draws[123]
     assert shared[123] == _one_train_oracle(d, train, draw, False)
-    dense = _dense_train(d, hb.initialize_singlet(), train, draw, False)
+    dense = _dense_train(d, initialize_singlet(), train, draw, False)
     assert abs(shared[123] - hb.measure_p0(dense)) < 1e-12
     for bad in (draws[:, :6], draws[0]):
         with pytest.raises(ValueError, match="split evenly"):
@@ -535,13 +536,8 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
         front_end.append(np.shape(v_x)[:-1])
         return exchange_from_voltages(self, v_x, *args, **kwargs)
 
-    def dense(*args):
-        raise AssertionError("the kernel never takes the dense route")
-
     monkeypatch.setattr(hb, "sector_propagator", spy)
     monkeypatch.setattr(dev.DeviceModel, "exchange_from_voltages", front_end_spy)
-    monkeypatch.setattr(hb, "propagator", dense)
-    monkeypatch.setattr(hb, "build_hamiltonian", dense)
     d = _noisy_device()
     times = np.linspace(1e-9, 100e-9, 20)
     pulses = [dev.PulseSpec(v_x=(0.072, -np.inf, -np.inf), duration_s=float(t)) for t in times]
@@ -583,7 +579,7 @@ def test_survival_equals_the_per_train_shot_loop():
     shape, shots, seed = (len(rows),), 4, 17
     table, index = _table(rows)
     got = d.survival(table, index, shape, shots, seed, (3,), apply_cross=True)
-    rho0 = hb.initialize_singlet()
+    rho0 = initialize_singlet()
     for k, train in enumerate(rows):
         hits = 0
         for rng in dev.rng_streams(seed, 3, k, shape=shots):
