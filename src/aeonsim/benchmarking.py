@@ -208,7 +208,6 @@ def _run_channel_engine(cfg, group, inject: InjectedError, interleaved):
 def run_rb(
     device: DeviceModel | None,
     cfg: RbConfig,
-    group=None,
     engine: str = "device",
     inject: InjectedError | None = None,
     interleaved: AxisAngle | None = None,
@@ -217,10 +216,10 @@ def run_rb(
 
     ``engine="device"`` plays pulses on ``device``; ``engine="channel"``
     uses injected per-pulse channels and needs no device.  The interleaved
-    rotation, when given, must itself be a Clifford element.
+    rotation, when given, must itself be a Clifford element.  Both engines
+    play the canonical Clifford group.
     """
-    if group is None:
-        group = canonical_clifford_group()
+    group = canonical_clifford_group()
     if engine == "device":
         if device is None:
             raise ValueError("device engine needs a device model")
@@ -304,7 +303,7 @@ def fit_rb(data: RbData) -> dict:
     parameter ``p``, the sum curve ``c0 + c1 * lambda^N`` the leakage
     parameter ``lambda``; ``error_per_clifford`` combines both,
     ``leakage_per_clifford`` is ``1 - lambda``, and ``error_per_pulse``
-    divides by ``avg_pulses_per_clifford`` of the group used.
+    divides by ``avg_pulses_per_clifford`` of the canonical group.
 
     Raises:
         FitError: if the data has fewer than 3 distinct depths, the number

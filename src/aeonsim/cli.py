@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     :data:`ARGV_SCHEMA` that name it.  An argument with an environment
     variable parses to None when its flag is absent."""
     parser = _Parser(
-        prog="aeonsim",
+        prog="aeonsim", allow_abbrev=False,
         description="Simulation and calibration toolchain for exchange-only "
         "triple-dot spin qubits.",
     )
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         common.add_argument(flag, **options)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, text) in _COMMANDS.items():
-        command = sub.add_parser(name, help=text, parents=[common])
+        command = sub.add_parser(name, help=text, parents=[common], allow_abbrev=False)
         for flag, options in arguments[name]:
             command.add_argument(flag, **options)
         command.set_defaults(func=func)

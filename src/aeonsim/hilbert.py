@@ -241,15 +241,14 @@ class EncodedBasis:
     """Encoded qubit basis vectors and subspace projectors.
 
     ``zero``/``one`` hold the two gauge copies (m_S = +1/2 then -1/2) of the
-    logical states; ``leakage`` the four quadruplet states.  ``p0``, ``p1``
-    and ``p_leak`` are the corresponding projectors and resolve the identity.
+    logical states; ``leakage`` the four quadruplet states.  ``p0`` and
+    ``p_leak`` project onto the ``zero`` and ``leakage`` subspaces.
     """
 
     zero: tuple[np.ndarray, np.ndarray]
     one: tuple[np.ndarray, np.ndarray]
     leakage: tuple[np.ndarray, ...]
     p0: np.ndarray
-    p1: np.ndarray
     p_leak: np.ndarray
 
     def gauge_sector(self, m_index: int) -> np.ndarray:
@@ -274,7 +273,6 @@ ENCODED = EncodedBasis(
     one=(_O_UP, _O_DN),
     leakage=tuple(_QUAD),
     p0=_projector([_Z_UP, _Z_DN]),
-    p1=_projector([_O_UP, _O_DN]),
     p_leak=_projector(_QUAD),
 )
 

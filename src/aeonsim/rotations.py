@@ -12,7 +12,6 @@ component, up to sign).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -66,32 +65,6 @@ class Rotation:
             math.cos(aa.theta / 2.0),
             (s * math.cos(aa.phi), 0.0, s * math.sin(aa.phi)),
         )
-
-    @staticmethod
-    def about(axis, theta: float) -> "Rotation":
-        """Rotation by ``theta`` about an arbitrary unit 3-vector."""
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        s = math.sin(theta / 2.0)
-        return Rotation(math.cos(theta / 2.0), tuple(s * axis))
-
-    @property
-    def angle(self) -> float:
-        """Rotation angle in [0, 2*pi)."""
-        return 2.0 * math.atan2(
-            math.sqrt(sum(c * c for c in self.v)), self.w
-        )
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.w, tuple(-c for c in self.v))
-
-    def overlap(self, other: "Rotation") -> float:
-        """|<q1, q2>| in [0, 1]; equals 1 iff same rotation up to phase."""
-        d = self.w * other.w + sum(a * b for a, b in zip(self.v, other.v))
-        return abs(d)
-
-    def approx_equal(self, other: "Rotation", tol: float = 1e-9) -> bool:
-        return 1.0 - self.overlap(other) <= tol
 
 
 def exchange_to_rotation(j, tau_s: float) -> AxisAngle:
@@ -201,15 +174,6 @@ def quat_multiply(w1, v1, w2, v2):
     scalar parts ``w`` of shape (...) and vector parts ``v`` of (..., 3)."""
     w, *v = _product(w1, *np.moveaxis(v1, -1, 0), w2, *np.moveaxis(v2, -1, 0))
     return w, np.stack(v, axis=-1)
-
-
-def compose_sequence(pulses) -> Rotation:
-    """Compose a time-ordered iterable of AxisAngle or Rotation."""
-    net = Rotation.identity()
-    for p in pulses:
-        r = Rotation.from_axis_angle(p) if isinstance(p, AxisAngle) else p
-        net = compose(r, net)
-    return net
 
 
 def so3_matrix(r: Rotation) -> np.ndarray:
@@ -358,131 +322,6 @@ def clifford_generators_2j() -> list[tuple[AxisAngle, Rotation]]:
             aa = AxisAngle(phi, theta)
             gens.append((aa, Rotation.from_axis_angle(aa)))
     return gens
-
-
-# ---------------------------------------------------------------------------
-# Decomposition over two fixed single-coupling axes
-
-
-def _dot3(a, b) -> float:
-    """Dot product of two 3-vectors from plain products and sums, so that
-    it does not depend on how a BLAS build rounds ``a @ b``."""
-    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
-def _axis_vec(phi: float) -> np.ndarray:
-    return np.array([math.cos(phi), 0.0, math.sin(phi)])
-
-
-def _nontrivial(t: float) -> bool:
-    return 1e-9 < t % _TWO_PI < _TWO_PI - 1e-9
-
-
-def _three_word_solutions(target: Rotation, a: np.ndarray, b: np.ndarray):
-    """The (alpha, beta, gamma) with R_a(gamma) R_b(beta) R_a(alpha) = target
-    up to phase, one per sign of cos(beta/2).  Closed form: the scalar part
-    and the component of the vector part along ``a`` fix (alpha+gamma, beta);
-    the remaining vector components fix the split of alpha+gamma.
-    """
-    c = _dot3(a, b)
-    e1 = b - c * a
-    n1 = np.linalg.norm(e1)
-    if n1 < 1e-12:
-        return []
-    e1 = e1 / n1
-    e2 = np.cross(a, e1)
-    w, v = target.w, np.array(target.v)
-    p = _dot3(v, a)
-    s2 = (1.0 - w * w - p * p) / (1.0 - c * c)
-    if s2 < -1e-12 or s2 > 1.0 + 1e-12:
-        return []
-    s_half = math.sqrt(min(1.0, max(0.0, s2)))
-    out = []
-    for c_sign in (1.0, -1.0):
-        c_half = c_sign * math.sqrt(max(0.0, 1.0 - s_half * s_half))
-        den = complex(c_half, c * s_half)
-        if abs(den) < 1e-15:
-            continue
-        sigma = 2.0 * np.angle(complex(w, p) / den)
-        beta = 2.0 * math.atan2(s_half, c_half)
-        if s_half < 1e-9:
-            # beta degenerate: word collapses to a pure-a rotation
-            out.append((0.0, beta, sigma))
-            continue
-        m = compose(Rotation.about(a, -sigma), target)
-        b_rot = np.array(m.v) / s_half
-        alpha = math.atan2(-_dot3(b_rot, e2) / n1, _dot3(b_rot, e1) / n1)
-        gamma = sigma - alpha
-        out.append((alpha, beta, gamma))
-    return out
-
-
-def _candidate_words(target: Rotation, axes_phi: tuple[float, float]):
-    """Time-ordered ``(phi, theta)`` pulses of the candidate words for
-    ``target``, each axis in turn as ``a`` (the caller's first axis first):
-    every a-b-a solution, then every b-a-b-a word whose leading ``R_b(delta)``
-    leaves the remainder ``target * R_b(-delta)`` farthest inside the a-b-a
-    region.
-
-    The remainder's (scalar, a-component) is ``cos(delta/2) u + sin(delta/2)
-    t``, and an a-b-a word exists when its squared length is at least
-    ``(a.b)^2``; ``delta = atan2(2 u.t, |u|^2 - |t|^2)`` maximises it.
-    """
-    w, v = target.w, np.array(target.v)
-    for phi_a, phi_b in (axes_phi, axes_phi[::-1]):
-        a, b = _axis_vec(phi_a), _axis_vec(phi_b)
-        for alpha, beta, gamma in _three_word_solutions(target, a, b):
-            yield (phi_a, alpha), (phi_b, beta), (phi_a, gamma)
-        # (scalar, a-component) pairs, padded to 3-vectors for _dot3
-        u = (w, _dot3(v, a), 0.0)
-        t = (_dot3(v, b), -w * _dot3(a, b) - _dot3(np.cross(v, b), a), 0.0)
-        delta = math.atan2(2.0 * _dot3(u, t), _dot3(u, u) - _dot3(t, t))
-        rest = compose(target, Rotation.about(b, -delta))
-        for alpha, beta, gamma in _three_word_solutions(rest, a, b):
-            yield (phi_b, delta), (phi_a, alpha), (phi_b, beta), (phi_a, gamma)
-
-
-def decompose_rotation(target: Rotation, axes_phi: tuple[float, float]) -> tuple[AxisAngle, ...]:
-    """Minimal pulse sequence about two fixed xz-plane axes realizing
-    ``target`` up to global phase.
-
-    Each candidate word of :func:`_candidate_words` (at most 4 pulses, angles
-    in closed form) drops its trivial pulses; the shortest that composes to
-    ``target`` within 1e-9 wins, the earliest on a tie.  Pulse angles lie
-    in (0, 2*pi).
-
-    Raises:
-        ProtocolError: if no candidate composes to ``target``.
-    """
-    if target.approx_equal(Rotation.identity()):
-        return ()
-    best = None
-    for pulses in _candidate_words(target, axes_phi):
-        word = tuple(AxisAngle(phi, t % _TWO_PI) for phi, t in pulses if _nontrivial(t))
-        if best is None or len(word) < len(best):
-            if compose_sequence(word).approx_equal(target):
-                best = word
-    if best is None:
-        raise ProtocolError(
-            f"no pulse decomposition of at most 4 pulses found for target "
-            f"rotation (angle {target.angle:.6f})"
-        )
-    return best
-
-
-def compile_clifford_group(axes_phi: tuple[float, float]) -> CliffordGroup:
-    """The 24 Clifford rotations compiled as minimal-length pulse words
-    about two single-coupling axes (continuous pulse angles).
-
-    The rotations, their order and tables are the canonical group's; each
-    element's ``decomposition`` is :func:`decompose_rotation`'s word, so the
-    identity needs 0 pulses and no element more than 4.
-    """
-    group = canonical_clifford_group()
-    return dataclasses.replace(group, elements=tuple(
-        dataclasses.replace(el, decomposition=decompose_rotation(el.rotation, axes_phi))
-        for el in group
-    ))
 
 
 _CANONICAL: CliffordGroup | None = None

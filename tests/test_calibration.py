@@ -16,7 +16,8 @@ from aeonsim import fitting
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError, DetectionError
 from aeonsim import hilbert as hb
-from oracles import build_germ_sequence, initialize_singlet, to_unitary, twirl_fidelity
+from oracles import (build_germ_sequence, compose_sequence, initialize_singlet, inverse, to_unitary,
+                     twirl_fidelity)
 
 PI = math.pi
 
@@ -155,7 +156,7 @@ def test_germ_fast_path_equals_literal_composition():
             cfg.theta_star * (1 + float(rng.normal(0, 0.06))),
         )
         seq = build_germ_sequence(cfg, probe, n)
-        lit = rot.compose_sequence([aa for _, aa in seq])
+        lit = compose_sequence([aa for _, aa in seq])
         w, v = cal.germ_net_quaternion(cfg, probe.phi, probe.theta, n)
         q_lit = np.array([lit.w, *lit.v])
         q_fast = np.array([float(w), *np.asarray(v).ravel()])
@@ -279,7 +280,7 @@ def test_analytic_fidelity_matches_twirl_oracle():
         phi = cfg.phi_star + float(rng.normal(0, 0.3))
         theta = cfg.theta_star * (1 + float(rng.normal(0, 0.1)))
         seq = build_germ_sequence(cfg, rot.AxisAngle(phi, theta), n)
-        net = rot.compose_sequence([aa for _, aa in seq])
+        net = compose_sequence([aa for _, aa in seq])
         f_ref = twirl_fidelity(net)
         f = float(cal.analytic_fidelity(phi, theta, cfg.eta, cfg.chi, n, cfg))
         worst = max(worst, abs(f - f_ref))
@@ -363,10 +364,10 @@ def _cell_survivals(d, cfg, pairs, va, vb, n_reps):
     v_x[dev.PAIR_ORDER.index(pairs[0])] = va
     v_x[dev.PAIR_ORDER.index(pairs[1])] = vb
     aa = rot.exchange_to_rotation(d.exchange_from_voltages(v_x), d.pulse_s)
-    u = rot.compose_sequence(p for _, p in build_germ_sequence(cfg, aa, n_reps))
+    u = compose_sequence(p for _, p in build_germ_sequence(cfg, aa, n_reps))
     terms = []
     for el in rot.canonical_clifford_group():
-        net = rot.compose(rot.compose(el.rotation.inverse(), u), el.rotation)
+        net = rot.compose(rot.compose(inverse(el.rotation), u), el.rotation)
         terms.append(net.w**2 + net.v[2] ** 2)
     assert np.mean(terms) == pytest.approx(twirl_fidelity(u), abs=1e-15)
     return np.clip(terms, 0.0, 1.0)

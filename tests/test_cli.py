@@ -178,11 +178,18 @@ def test_rb_with_two_distinct_depths_is_a_numeric_failure(inject, tmp_path, caps
     assert not out.exists()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert run(["rabi", "--pair", "99", "--v", "0.07", "--times", "0:1e-7:20"]) == 2
     assert run(["fingerpinch", "--pairs", "12,23", "--v1", "oops",
                 "--v2", "0:1:5"]) == 2
     assert run(["no-such-command"]) == 2
+    # flags are not abbreviated
+    for argv in (["spectrum", "--f-uni", "3e4"], ["spectrum", "--f-uni=-3e4"],
+                 ["spectrum", "--f-uni", "-3e4"],
+                 ["rb", "--eng", "channel", "--depths", "1,2,4", "--seq", "2"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,7 +81,8 @@ def test_encoded_basis_orthonormal_complete():
     vecs += list(hb.ENCODED.leakage)
     mat = np.stack([np.asarray(v) for v in vecs])
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(8), atol=1e-12)
-    p_sum = hb.ENCODED.p0 + hb.ENCODED.p1 + hb.ENCODED.p_leak
+    p1 = sum(np.outer(v, v.conj()) for v in hb.ENCODED.one)
+    p_sum = hb.ENCODED.p0 + p1 + hb.ENCODED.p_leak
     np.testing.assert_allclose(p_sum, np.eye(8), atol=1e-12)
 
 

@@ -1,11 +1,13 @@
 """Distribution tests of the sampled streams, pooled over SEEDS seeds: the
-shots' noise draws and readout uniforms, and the cells of a shot sweep.
+shots' noise draws and readout uniforms, the cells of a shot sweep, and
+the per-depth survivals of channel-engine RB.
 
 Each check is a z-score, a pooled sum of independent draws against its
 exact mean in units of its standard error, and passes within K = 5.  A
 correct sampler fails one check with probability 2 Phi(-5) = 5.7e-7, so
-by the Bonferroni bound the 70 checks of this file (21 shot moments, 49
-sweep cells) raise a false alarm with probability below 4e-5.
+by the Bonferroni bound the 78 checks of this file (21 shot moments, 49
+sweep cells, 8 RB depth means) raise a false alarm with probability below
+5e-5.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from aeonsim import benchmarking as bench
 from aeonsim import calibration as cal
 from aeonsim import device as dev
 
@@ -50,3 +53,25 @@ def test_shot_sweep_cell_means_match_the_exact_twirl():
     # sum p_i (1 - p_i) / (24^2 shots) is at most f (1 - f) / (24 shots)
     stderr = np.sqrt(f * (1.0 - f) / (24 * shots * len(SEEDS)))
     assert np.all(np.abs(mean - f) <= K * stderr), np.max(np.abs(mean - f) / stderr)
+
+
+def test_channel_rb_shot_means_match_the_shot_free_run():
+    # the injected channels keep every p0 strictly inside (0, 1), so every
+    # cell's binomial has a nonzero variance; only a sequence of identities,
+    # which plays no pulse, keeps p0 at 1, and from depth 4 one in 24^4 is
+    inject, shots = bench.InjectedError(depol_per_pulse=1e-2, leak_per_pulse=1e-2), 200
+    cfg = bench.RbConfig(depths=(4, 16, 64, 256), n_sequences=16)
+
+    def survivals(n):  # (seed, identity/flip, depth, sequence)
+        runs = (bench.run_rb(None, dataclasses.replace(cfg, shots=n, seed=seed),
+                             engine="channel", inject=inject) for seed in SEEDS)
+        return np.array([(d.surv_identity, d.surv_flip) for d in runs])
+
+    p0, hits = survivals(None), np.round(survivals(shots) * shots)
+    assert np.all((p0 > 0.0) & (p0 < 1.0))
+    # per depth, identity and flip apart: the hits of every seed and
+    # sequence against shots * p0 of the same cells
+    scores = ((hits - shots * p0).sum(axis=(0, 3))
+              / np.sqrt((shots * p0 * (1.0 - p0)).sum(axis=(0, 3))))
+    assert scores.shape == (2, len(cfg.depths))
+    assert np.all(np.abs(scores) < K), scores
