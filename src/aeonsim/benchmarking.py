@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -458,15 +458,7 @@ def rb_report(data: RbData, fit: dict) -> dict:
     """The rb artifact's document: config hash, per-depth statistics and
     ``fit``, the object :func:`fit_rb` returns."""
     cfg = data.config
-    cfg_doc = {
-        "depths": list(cfg.depths),
-        "n_sequences": cfg.n_sequences,
-        "shots": cfg.shots,
-        "seed": cfg.seed,
-        "idle_s": cfg.idle_s,
-        "apply_cross": cfg.apply_cross,
-        "interleaved": None,
-    }
+    cfg_doc = {**asdict(cfg), "interleaved": None}
     blob = json.dumps(cfg_doc, sort_keys=True).encode()
     return {
         "config": cfg_doc,

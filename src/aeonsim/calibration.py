@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import PAIR_ORDER, DeviceModel, ExchangeLaw, rng_streams
+from .device import PAIR_ORDER, DeviceModel, ExchangeLaw, barrier_grid, rng_streams
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
 from .fitting import best_of_starts
 from .hilbert import ExchangeVector
@@ -84,13 +84,6 @@ class GermConfig:
 def _clifford_z_columns() -> np.ndarray:
     """Third column of each canonical Clifford's Bloch rotation matrix."""
     return np.stack([so3_matrix(el.rotation)[:, 2] for el in canonical_clifford_group()])
-
-
-def _twirl_from_quaternion(w, v):
-    """Vectorized exact twirl from net quaternions (w (...,), v (..., 3))."""
-    z = _clifford_z_columns()
-    proj = np.einsum("...j,kj->...k", v, z)
-    return w**2 + np.mean(proj**2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +249,13 @@ def sweep_fidelity(
     ``precal_actual`` injects a helper pulse differing from the believed
     ``(eta, chi)`` (calibration-transfer error studies).
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    idx = {p: i for i, p in enumerate(PAIR_ORDER)}
-    v_x = np.full((v2.size, v1.size, 3), -np.inf)
-    v_x[..., idx[pairs[0]]] = v1
-    v_x[..., idx[pairs[1]]] = v2[:, None]
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    v_x = barrier_grid(pairs, v1, v2)
     aa = exchange_to_rotation(device.exchange_from_voltages(v_x), cfg.pulse_s)
     w, v = germ_net_quaternion(cfg, aa.phi, aa.theta, n_reps, precal=precal_actual)
-    if shots is None:
-        f = _twirl_from_quaternion(w, v)
-        return FidelityMap(v1, v2, f, tuple(pairs), n_reps, cfg)
     proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
+    if shots is None:  # the exact twirl
+        return FidelityMap(v1, v2, w**2 + np.mean(proj**2, axis=-1), tuple(pairs), n_reps, cfg)
     surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
     rows = surv.reshape(-1, surv.shape[-1])
     # each cell shuffles its own row in place: rng.permutation(24)'s draws
@@ -510,23 +498,19 @@ def fitted_rotation_at(
 # Staged closed loop
 
 
-@dataclass(frozen=True)
-class CalibrationOptions:
-    schedule: tuple[int, ...] = (1, 2, 4, 8, 16, 24)
-    grid_points: int = 21
-    window0_v: float = 0.030
-    shots: int | None = None
-    seed: int = 0
-
-
 def run_calibration(
     device: DeviceModel,
     phi_star: float,
     theta_star: float,
-    options: CalibrationOptions = CalibrationOptions(),
     pairs: tuple[str, str] | None = None,
     assumed_laws: dict | None = None,
     precal_actual: Rotation | None = None,
+    *,
+    schedule: tuple[int, ...] = (1, 2, 4, 8, 16, 24),
+    grid_points: int = 21,
+    window0_v: float = 0.030,
+    shots: int | None = None,
+    seed: int = 0,
 ) -> dict:
     """Track the germ fidelity peak through an N-doubling schedule and fit
     the final map: the calibrate artifact's document.
@@ -546,8 +530,14 @@ def run_calibration(
     put the probe on target: the target couplings are solved once, and
     anchor both the start window and the fit.  The germ is
     :meth:`GermConfig.for_target` at the device's pulse length.
+    ``schedule`` lists the stages' N; stage k sweeps ``grid_points``
+    voltages per axis (over ``window0_v`` at k = 0) and samples ``shots``
+    per cell (None: exact) with seed ``seed + k``.
 
     Raises:
+        ConfigError: if ``theta_star`` has no germ exponent, or ``phi_star``
+            lies on a single-coupling axis with no ``pairs`` given or needs
+            a negative coupling of the pairs.
         CalibrationDiverged: if a stage's peak jumps by more than 1.5
             windows.
         DetectionError: if a stage's sweep centre, or a swept pair's
@@ -563,11 +553,11 @@ def run_calibration(
     center = [laws[p].v_for(j_tgt[p], p) for p in pairs]
 
     stages = []
-    window = options.window0_v
-    resolution = window / (options.grid_points - 1)
-    for stage_idx, n_reps in enumerate(options.schedule):
+    window = window0_v
+    resolution = window / (grid_points - 1)
+    for stage_idx, n_reps in enumerate(schedule):
         if stage_idx > 0:
-            shrink = options.schedule[stage_idx - 1] / n_reps
+            shrink = schedule[stage_idx - 1] / n_reps
             window = max(window * shrink, 3.0 * resolution)
         for c, pair in zip(center, pairs):
             with np.errstate(over="ignore"):
@@ -577,9 +567,9 @@ def run_calibration(
                     f"stage {stage_idx} (N={n_reps}): the exchange of pair {pair} is not "
                     f"finite over the sweep window centred at {c:.6g} V"
                 )
-        v1 = np.linspace(center[0] - window / 2, center[0] + window / 2, options.grid_points)
-        v2 = np.linspace(center[1] - window / 2, center[1] + window / 2, options.grid_points)
-        resolution = window / (options.grid_points - 1)
+        v1 = np.linspace(center[0] - window / 2, center[0] + window / 2, grid_points)
+        v2 = np.linspace(center[1] - window / 2, center[1] + window / 2, grid_points)
+        resolution = window / (grid_points - 1)
         fmap = sweep_fidelity(
             device,
             cfg,
@@ -587,8 +577,8 @@ def run_calibration(
             v1,
             v2,
             n_reps,
-            shots=options.shots,
-            seed=options.seed + stage_idx,
+            shots=shots,
+            seed=seed + stage_idx,
             precal_actual=precal_actual,
         )
         # the peak nearest the centre: the nominal solution at stage 0 (germs
@@ -607,7 +597,7 @@ def run_calibration(
         })
         center = [peak.v1, peak.v2]
 
-    fit = fit_final(fmap, laws, center, j_tgt, seed=options.seed)
+    fit = fit_final(fmap, laws, center, j_tgt, seed=seed)
     v_final = tuple(fit.laws[p].v_for(j_tgt[p], p) for p in pairs)
     aa = fitted_rotation_at(fit, pairs, v_final[0], v_final[1], cfg.pulse_s)
     return {

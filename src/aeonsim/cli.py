@@ -96,7 +96,8 @@ ARGV_SCHEMA = (
     ("calibrate", "--grid", "integer", f"[1, {MAX_SWEEP_POINTS}]", 21, None,
      "points per sweep axis"),
     ("calibrate", "--window", "real", "(0, inf)", 0.030, None, "first window (V)"),
-    ("calibrate", "--pairs", "pairs", None, None, None, "swept pairs override, e.g. 12,23"),
+    ("calibrate", "--pairs", "pairs", None, None, None,
+     "swept pairs, needed only on a single-coupling axis"),
     ("rb irb", "--depths", "integers", f"[0, {MAX_DEPTH}]", "1,2,4,8,12,16,24", None,
      "sequence depths"),
     ("rb irb", "--sequences", "integer", "[1, inf)", 20, None, "random sequences per depth"),
@@ -249,9 +250,7 @@ def _cmd_spectrum(args, device: dev.DeviceModel) -> int:
 
 def _cmd_fingerpinch(args, device: dev.DeviceModel) -> int:
     pairs, v1, v2 = args.pairs, args.v1, args.v2
-    corners = np.full((2, 2, 3), -np.inf)
-    corners[..., dev.PAIR_ORDER.index(pairs[0])] = v1[[0, -1]][:, None]
-    corners[..., dev.PAIR_ORDER.index(pairs[1])] = v2[[0, -1]]
+    corners = dev.barrier_grid(pairs, v1[[0, -1]], v2[[0, -1]])
     names = {pairs[0]: "--v1", pairs[1]: "--v2"}
     if args.cross:
         names = dict.fromkeys(pairs, "--v1/--v2 with --cross")
@@ -290,16 +289,12 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
         cal.choose_germ_exponent(args.theta_star)
     except ConfigError as exc:
         raise ValueError(f"--theta-star: {exc}") from exc
-    options = cal.CalibrationOptions(
-        schedule=args.schedule,
-        grid_points=args.grid,
-        window0_v=args.window,
-        shots=args.shots,
-        seed=args.seed,
-    )
-    doc = cal.run_calibration(
-        device, args.phi_star, args.theta_star, options=options, pairs=args.pairs
-    )
+    try:  # with the angle checked, a target fault is the axis's or the pairs'
+        doc = cal.run_calibration(device, args.phi_star, args.theta_star, args.pairs,
+                                  schedule=args.schedule, grid_points=args.grid,
+                                  window0_v=args.window, shots=args.shots, seed=args.seed)
+    except ConfigError as exc:
+        raise ValueError(f"--phi-star/--pairs: {exc}") from exc
     _write_text(args.out, _json_doc(doc))
     return EXIT_OK
 

@@ -221,7 +221,7 @@ def detuning_penalty(plunger_offsets, sensitivities: dict[str, DetuningSensitivi
     (volts, relative to the deep symmetry spot).
 
     Offsets of shape ``(..., 3)`` give a penalty array of the batch shape
-    per pair; a single offset vector gives floats.
+    per pair.
     """
     e = np.asarray(plunger_offsets, dtype=float)
     e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
@@ -230,13 +230,8 @@ def detuning_penalty(plunger_offsets, sensitivities: dict[str, DetuningSensitivi
     out = {}
     for pair in PAIR_ORDER:
         s = sensitivities.get(pair, DetuningSensitivity())
-        out[pair] = _scalar_or_array(np.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2))
+        out[pair] = np.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2)
     return out
-
-
-def _scalar_or_array(x):
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -304,25 +299,31 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Ground-truth device used by the simulated experiments."""
+    """Ground-truth device used by the simulated experiments; the defaults
+    are the reference device: printed cross matrix, exchange laws spanning
+    1 MHz at 0 V to 200 MHz at 100 mV, moderate detuning curvature, no
+    noise.  A ``cross`` of None is the identity: no cross-talk."""
 
     laws: dict = field(
         default_factory=lambda: {p: ExchangeLaw(1.0e6, 52.983, 0.0) for p in PAIR_ORDER}
     )
-    cross: np.ndarray | None = field(default_factory=lambda: DEFAULT_CROSS.copy())
-    sensitivities: dict = field(default_factory=dict)
+    cross: np.ndarray = field(default_factory=lambda: DEFAULT_CROSS.copy())
+    sensitivities: dict = field(default_factory=lambda: {
+        "12": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
+        "13": DetuningSensitivity(alpha_tilt=5.0e2, alpha_dimple=2.0e3),
+        "23": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
+    })
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     fields: FieldConfig = FieldConfig()
     pulse_s: float = 10e-9
 
     def __post_init__(self):
-        if self.cross is not None:
-            m = np.asarray(self.cross, dtype=float)
-            if m.shape != (3, 3):
-                raise ConfigError(f"cross matrix must be 3x3, got {m.shape}")
-            if not np.allclose(np.diag(m), 1.0, atol=1e-12):
-                raise ConfigError("cross matrix diagonal must be 1")
-            object.__setattr__(self, "cross", m)
+        m = np.eye(3) if self.cross is None else np.asarray(self.cross, dtype=float)
+        if m.shape != (3, 3):
+            raise ConfigError(f"cross matrix must be 3x3, got {m.shape}")
+        if not np.allclose(np.diag(m), 1.0, atol=1e-12):
+            raise ConfigError("cross matrix diagonal must be 1")
+        object.__setattr__(self, "cross", m)
         for p in PAIR_ORDER:
             if p not in self.laws:
                 raise ConfigError(f"missing exchange law for pair {p}")
@@ -336,8 +337,8 @@ class DeviceModel:
         """Exchange couplings (Hz) for virtual barrier voltages (pair order).
 
         ``v_x`` of shape ``(..., 3)`` and plunger offsets broadcasting to it
-        give couplings of the batch shape; a single voltage vector gives
-        floats.  Cross-talk between barriers is opt-in; the detuning
+        give couplings of the batch shape (0-d for a single voltage
+        vector).  Cross-talk between barriers is opt-in; the detuning
         penalty applies whenever plunger offsets are nonzero.  A coupling
         that overflows is left non-finite, without a warning, for the
         caller to check (:func:`hilbert.sector_propagator` refuses it).
@@ -347,7 +348,7 @@ class DeviceModel:
             raise ValueError(f"expected 3 barrier voltages, got {v.shape}")
         plungers = np.asarray(plunger_offsets, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            if apply_cross and self.cross is not None:
+            if apply_cross:
                 off = np.isinf(v)
                 mixed = (self.cross @ np.where(off, 0.0, v)[..., None])[..., 0]
                 v = np.where(off, v, mixed)
@@ -355,7 +356,6 @@ class DeviceModel:
             if np.any(plungers != 0.0):
                 pen = detuning_penalty(plungers, self.sensitivities)
                 j = {p: j[p] * pen[p] for p in PAIR_ORDER}
-        j = {p: _scalar_or_array(x) for p, x in j.items()}
         return ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])
 
     def rotation_rate(self, theta: float) -> float:
@@ -398,8 +398,7 @@ class DeviceModel:
         row, shape ``(rows, 9)``, in the order of :attr:`NoiseConfig.sigmas`;
         with ``s = rows / len(trains)``, rows ``k*s`` to ``(k+1)*s - 1``
         play train ``k``.  With ``draws`` None each train plays once,
-        without noise.  Barrier cross-talk is ``apply_cross``; a device
-        without a cross matrix ignores the flag.
+        without noise.  Barrier cross-talk is ``apply_cross``.
 
         Each row needs one propagator per distinct pulse of its train.  The
         rows are worked through in blocks (:func:`_blocks`) of at most
@@ -438,7 +437,6 @@ class DeviceModel:
         padded[np.arange(padded.shape[1]) < lengths[:, None]] = play - first[train_of]
         v_x = np.array([p.v_x for p in pulses], dtype=float).reshape(-1, 3)
         durations = np.array([p.duration_s for p in pulses], dtype=float)
-        apply_cross = apply_cross and self.cross is not None
         out = np.empty(len(draws))
         for lo, hi in _blocks(np.repeat(np.maximum(1, distinct), shots)):
             trains_of_rows = np.arange(lo, hi) // shots
@@ -553,15 +551,8 @@ def _blocks(costs) -> list[tuple[int, int]]:
 
 
 def default_device() -> DeviceModel:
-    """Reference device: printed cross matrix, exchange laws spanning 1 MHz
-    at 0 V to 200 MHz at 100 mV, moderate detuning curvature, no noise."""
-    return DeviceModel(
-        sensitivities={
-            "12": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
-            "13": DetuningSensitivity(alpha_tilt=5.0e2, alpha_dimple=2.0e3),
-            "23": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
-        },
-    )
+    """The reference device, :class:`DeviceModel`'s defaults."""
+    return DeviceModel()
 
 
 def load_device(path) -> DeviceModel:
@@ -701,30 +692,21 @@ def fingerpinch_map(
             coupling stays off.
         v1, v2: swept virtual barrier voltages.
         duration_s: the pulse duration, s.
-        apply_cross: apply the device's barrier cross-talk (ignored by a
-            device without a cross matrix).
+        apply_cross: apply the device's barrier cross-talk.
         hadamard: sandwich the pulse between ideal Hadamard rotations
             (needed to resolve rotations about the x-like axes).
 
     Returns:
         Array of shape ``(len(v2), len(v1))`` with P0 per cell.
     """
-    for p in pairs:
-        if p not in PAIR_ORDER:
-            raise ConfigError(f"unknown exchange pair {p!r}")
-    if pairs[0] == pairs[1]:
-        raise ConfigError("fingerpinch needs two distinct pairs")
     vectors = hilbert.SINGLET_SECTORS
     if hadamard:
         h2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
         # the embedded Hadamard acts within each S_z sector
         h_sectors = hilbert.sector_blocks(hilbert.embed_qubit_unitary(h2))
         vectors = h_sectors @ vectors
-    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
-    v_x = np.full((v2.size, v1.size, 3), -np.inf)
-    v_x[..., PAIR_ORDER.index(pairs[0])] = v1
-    v_x[..., PAIR_ORDER.index(pairs[1])] = v2[:, None]
-    v_x = v_x.reshape(-1, 3)
+    grid = barrier_grid(pairs, v1, v2)
+    v_x = grid.reshape(-1, 3)
     out = np.empty(len(v_x))
     for lo in range(0, len(v_x), BLOCK_MATRICES):
         part = slice(lo, lo + BLOCK_MATRICES)
@@ -732,4 +714,15 @@ def fingerpinch_map(
         if hadamard:
             psi = h_sectors @ psi
         out[part] = hilbert.sector_p0(psi)
-    return out.reshape(v2.size, v1.size)
+    return out.reshape(grid.shape[:2])
+
+
+def barrier_grid(pairs: tuple[str, str], v1, v2) -> np.ndarray:
+    """Barrier voltages (pair order) of a two-pair sweep, shape ``(len(v2),
+    len(v1), 3)``: ``pairs[0]`` at ``v1`` along each row, ``pairs[1]`` at
+    ``v2`` down each column, and the third barrier at ``-inf`` (off)."""
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    v_x = np.full((v2.size, v1.size, 3), -np.inf)
+    v_x[..., PAIR_ORDER.index(pairs[0])] = v1
+    v_x[..., PAIR_ORDER.index(pairs[1])] = v2[:, None]
+    return v_x

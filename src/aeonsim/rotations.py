@@ -112,8 +112,8 @@ def pairs_for_axis(phi: float) -> tuple[str, str]:
         if 1e-12 < d < width - 1e-12:
             return pairs
     raise ConfigError(
-        f"axis phi={phi:.6f} lies on a single-coupling axis; pick the pair "
-        "explicitly"
+        f"axis phi={phi:.6f} lies on a single-coupling axis; pick the two "
+        "swept pairs explicitly"
     )
 
 

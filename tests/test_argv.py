@@ -2,6 +2,8 @@
 environment, and README's list of the arguments."""
 
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -13,6 +15,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from aeonsim import benchmarking as bench
+from aeonsim import calibration as cal
 from aeonsim import cli
 
 # Value pools per flag, written out here rather than read from
@@ -218,3 +222,21 @@ def test_readme_documents_exactly_the_argv_schema():
         for names, flag, kind, rng, default, env, text in cli.ARGV_SCHEMA
     ]
     assert documented == expected
+
+
+def test_cli_run_defaults_equal_the_library_defaults():
+    # an argv that leaves these flags out sends, through ARGV_SCHEMA's
+    # defaults, what the library's own defaults are
+    parse = cli.build_parser().parse_args
+    args = parse(["calibrate", "--phi-star", "0", "--theta-star", "3.14"])
+    cal_defaults = {k: p.default for k, p in
+                    inspect.signature(cal.run_calibration).parameters.items()}
+    assert (args.schedule, args.grid, args.window) == (
+        cal_defaults["schedule"], cal_defaults["grid_points"], cal_defaults["window0_v"])
+    args = parse(["irb", "--gate-phi", "0", "--gate-theta", "3.14"])
+    rb_cfg = bench.RbConfig()
+    assert (args.depths, args.sequences, args.idle) == (
+        rb_cfg.depths, rb_cfg.n_sequences, rb_cfg.idle_s)
+    assert (args.inject_depol, args.inject_leak, args.gate_depol) == dataclasses.astuple(
+        bench.InjectedError())
+    assert args.engine == inspect.signature(bench.run_rb).parameters["engine"].default

@@ -190,6 +190,14 @@ def test_usage_error_exit_code(capsys):
         capsys.readouterr()
         assert run(argv) == 2
         assert "unrecognized arguments: --" in capsys.readouterr().err
+    # a calibration target that the swept pairs cannot reach, or that lies
+    # on a single-coupling axis with no --pairs, is the flags' fault
+    for argv in (["--phi-star", "0", "--theta-star", "3.141592653589793", "--pairs", "12,23"],
+                 ["--phi-star", "1.5707963267948966", "--theta-star", "3.141592653589793"]):
+        capsys.readouterr()
+        assert run(["calibrate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "--phi-star" in err and "--pairs" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,9 +328,6 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["spectrum", "--config", str(bad)]) == 4
-    # single-coupling target axis cannot be calibrated in a wedge
-    assert run(["calibrate", "--phi-star", "1.5707963267948966",
-                "--theta-star", "3.141592653589793"]) == 4
 
 
 @pytest.mark.parametrize("doc", [
@@ -336,6 +341,22 @@ def test_config_must_be_an_object_of_known_keys(tmp_path, doc, capsys):
     cfg.write_text(json.dumps(doc))
     assert run(["spectrum", "--config", str(cfg)]) == 4
     assert "config error" in capsys.readouterr().err
+
+
+def test_null_cross_matrix_is_no_cross_talk(tmp_path):
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps({"cross_matrix": None}))
+    argv = ["rb", "--engine", "device", "--depths", "1,2,4", "--sequences", "1",
+            "--config", str(cfg)]
+    docs, plots = [], []
+    for flags in ([], ["--cross"]):
+        out, plot = tmp_path / "rb.json", tmp_path / "plot.csv"
+        assert run(argv + flags + ["--out", str(out), "--emit-plot-data", str(plot)]) == 0
+        doc = json.loads(out.read_text())
+        del doc["config"], doc["config_hash"]  # they record the flag itself
+        docs.append(doc)
+        plots.append(plot.read_bytes())
+    assert docs[0] == docs[1] and plots[0] == plots[1]
 
 
 @pytest.mark.parametrize("doc,where", [

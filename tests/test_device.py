@@ -143,6 +143,21 @@ def test_cross_talk_is_opt_in():
     assert off.j13 == 0.0
 
 
+def test_cross_none_is_the_identity_bit_for_bit():
+    # a device without cross-talk plays the same bits with the flag on or off
+    d = dataclasses.replace(dev.default_device(), cross=None)
+    v = np.array([[0.07, -np.inf, 0.06], [0.05, 0.08, -np.inf], [0.065, -0.02, 0.075]])
+    plain, crossed = (d.exchange_from_voltages(v, apply_cross=c) for c in (False, True))
+    for pair in ("j12", "j13", "j23"):
+        assert np.array_equal(getattr(plain, pair), getattr(crossed, pair))
+    pulses = [dev.PulseSpec(v_x=tuple(row), duration_s=7e-9) for row in v]
+    trains = [np.array([0, 1, 2]), np.array([2, 0])]
+    noise = dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=1e6)
+    for draws in (None, dev.sample_shots(noise, 3, shape=(2, 2))[0]):
+        assert np.array_equal(d.simulate_pulse(pulses, trains, draws, False),
+                              d.simulate_pulse(pulses, trains, draws, True))
+
+
 def test_voltages_for_exchange_round_trip():
     d = dev.default_device()
     j = hb.ExchangeVector(j12=35e6, j23=18e6, j13=0.0)
