@@ -33,12 +33,12 @@ from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose, match_element and so3_matrix stay bound for perfbench's tracer
     AxisAngle,
     ONE_J_AXES,
-    Rotation,
     canonical_clifford_group,
     avg_pulse_count,
     compose,
     match_element,
     pairs_for_axis,
+    quaternion,
     so3_matrix,
     solve_exchange_for_rotation,
 )
@@ -88,7 +88,8 @@ def _sequences(cfg: RbConfig, group, interleaved: AxisAngle | None):
     """Each (depth, sequence) cell's Clifford indices and the position of
     its net element, in stream path order: ``(di, si, indices, net)``.
     The interleaved gate, when given, follows every Clifford."""
-    inter = None if interleaved is None else group.position(Rotation.from_axis_angle(interleaved))
+    inter = None if interleaved is None else group.position(
+        quaternion(interleaved.phi, interleaved.theta))
     mul = group.mul.tolist()
     grid = (len(cfg.depths), cfg.n_sequences)
     for (di, si), rng in zip(np.ndindex(grid), rng_streams(cfg.seed, shape=grid)):

@@ -29,11 +29,11 @@ from .fitting import best_of_starts
 from .hilbert import ExchangeVector
 from .rotations import (
     AxisAngle,
-    Rotation,
     canonical_clifford_group,
+    compose,
     exchange_to_rotation,
     pairs_for_axis,
-    quat_multiply,
+    quaternion,
     so3_matrix,
     solve_exchange_for_rotation,
 )
@@ -82,8 +82,10 @@ class GermConfig:
 
 @functools.cache
 def _clifford_z_columns() -> np.ndarray:
-    """Third column of each canonical Clifford's Bloch rotation matrix."""
-    return np.stack([so3_matrix(el.rotation)[:, 2] for el in canonical_clifford_group()])
+    """Third column of each canonical Clifford's Bloch rotation matrix,
+    C-contiguous: the twirl's ``einsum`` sums in its operands' memory
+    order, and this layout keeps its results' last bits."""
+    return np.ascontiguousarray(so3_matrix(canonical_clifford_group().quaternions)[..., 2])
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +178,18 @@ class FidelityMap:
     cfg: GermConfig
 
 
-def _quat_power(w, v, n: int):
-    """Integer power of unit quaternions, vectorized."""
+def _quat_power(q, n: int):
+    """Integer power of ``(..., 4)`` unit quaternions, vectorized."""
+    w, v = q[..., 0], q[..., 1:]
     norm_v = np.sqrt(np.sum(v**2, axis=-1))
     half = np.arctan2(norm_v, w)
     with np.errstate(invalid="ignore", divide="ignore"):
         axis = v / norm_v[..., None]
     axis = np.where(norm_v[..., None] > 1e-300, axis, 0.0)
-    wn = np.cos(n * half)
     vn = np.sin(n * half)[..., None] * axis
     # pure-scalar quaternions: w = +-1
-    scalar = norm_v <= 1e-300
-    wn = np.where(scalar, np.sign(w) ** n, wn)
-    return wn, vn
+    wn = np.where(norm_v <= 1e-300, np.sign(w) ** n, np.cos(n * half))
+    return np.concatenate([wn[..., None], vn], axis=-1)
 
 
 def germ_net_quaternion(
@@ -196,34 +197,19 @@ def germ_net_quaternion(
     probe_phi,
     probe_theta,
     n_reps: int,
-    precal: Rotation | None = None,
-):
-    """Net germ rotation quaternion, vectorized over probe arrays.
+    precal: np.ndarray | None = None,
+) -> np.ndarray:
+    """Net germ rotation, shape ``(..., 4)``, vectorized over probe arrays.
 
     Uses exact integer-power identities for the repeated blocks; equals the
     germ composed pulse by pulse, where one angle-amplifying repetition
     plays q probes, the helper, q probes and the helper again, and each of
     the N axis-amplifying repetitions plays 2q probes.
     """
-    phi = np.asarray(probe_phi, dtype=float)
-    theta = np.asarray(probe_theta, dtype=float)
     if precal is None:
-        precal = Rotation.from_axis_angle(AxisAngle(cfg.eta, cfg.chi))
-    pw = np.broadcast_to(np.cos(0.5 * cfg.q * theta), phi.shape).copy()
-    sin_q = np.sin(0.5 * cfg.q * theta)
-    pv = np.stack(
-        [sin_q * np.cos(phi), np.zeros_like(phi), sin_q * np.sin(phi)], axis=-1
-    )
-    cw = np.asarray(precal.w, dtype=float)
-    cv = np.asarray(precal.v, dtype=float)
-    gw, gv = quat_multiply(cw, np.broadcast_to(cv, pv.shape), pw, pv)
-    aw, av = _quat_power(gw, gv, 2 * n_reps)
-    ax_w = np.cos(0.5 * 2 * cfg.q * n_reps * theta)
-    sin_ax = np.sin(0.5 * 2 * cfg.q * n_reps * theta)
-    ax_v = np.stack(
-        [sin_ax * np.cos(phi), np.zeros_like(phi), sin_ax * np.sin(phi)], axis=-1
-    )
-    return quat_multiply(ax_w, ax_v, aw, av)
+        precal = quaternion(cfg.eta, cfg.chi)
+    ang = _quat_power(compose(precal, quaternion(probe_phi, cfg.q * probe_theta)), 2 * n_reps)
+    return compose(quaternion(probe_phi, 2 * cfg.q * n_reps * probe_theta), ang)
 
 
 def sweep_fidelity(
@@ -235,7 +221,7 @@ def sweep_fidelity(
     n_reps: int,
     shots: int | None = None,
     seed: int = 0,
-    precal_actual: Rotation | None = None,
+    precal_actual: np.ndarray | None = None,
 ) -> FidelityMap:
     """Measure the germ's twirled fidelity over a barrier-voltage grid.
 
@@ -252,7 +238,9 @@ def sweep_fidelity(
     v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
     v_x = barrier_grid(pairs, v1, v2)
     aa = exchange_to_rotation(device.exchange_from_voltages(v_x), cfg.pulse_s)
-    w, v = germ_net_quaternion(cfg, aa.phi, aa.theta, n_reps, precal=precal_actual)
+    q = germ_net_quaternion(cfg, aa.phi, aa.theta, n_reps, precal=precal_actual)
+    # the vector part C-contiguous, as the einsum below needs (see _clifford_z_columns)
+    w, v = q[..., 0], np.ascontiguousarray(q[..., 1:])
     proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
     if shots is None:  # the exact twirl
         return FidelityMap(v1, v2, w**2 + np.mean(proj**2, axis=-1), tuple(pairs), n_reps, cfg)
@@ -504,7 +492,7 @@ def run_calibration(
     theta_star: float,
     pairs: tuple[str, str] | None = None,
     assumed_laws: dict | None = None,
-    precal_actual: Rotation | None = None,
+    precal_actual: np.ndarray | None = None,
     *,
     schedule: tuple[int, ...] = (1, 2, 4, 8, 16, 24),
     grid_points: int = 21,

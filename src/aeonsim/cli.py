@@ -286,15 +286,17 @@ def _cmd_rabi(args, device: dev.DeviceModel) -> int:
 
 def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
     try:
-        cal.choose_germ_exponent(args.theta_star)
-    except ConfigError as exc:
-        raise ValueError(f"--theta-star: {exc}") from exc
-    try:  # with the angle checked, a target fault is the axis's or the pairs'
         doc = cal.run_calibration(device, args.phi_star, args.theta_star, args.pairs,
                                   schedule=args.schedule, grid_points=args.grid,
                                   window0_v=args.window, shots=args.shots, seed=args.seed)
     except ConfigError as exc:
-        raise ValueError(f"--phi-star/--pairs: {exc}") from exc
+        # the angle's fault if it has one (checked first), else the axis's or the pairs'
+        flags = "--phi-star/--pairs"
+        try:
+            cal.choose_germ_exponent(args.theta_star)
+        except ConfigError:
+            flags = "--theta-star"
+        raise ValueError(f"{flags}: {exc}") from exc
     _write_text(args.out, _json_doc(doc))
     return EXIT_OK
 
@@ -345,7 +347,10 @@ def _cmd_rb(args, device: dev.DeviceModel) -> int:
 def _cmd_irb(args, device: dev.DeviceModel) -> int:
     cfg, inject = _rb_inputs(args, args.gate_depol)
     gate = AxisAngle(args.gate_phi, args.gate_theta)
-    doc = bench.interleaved_rb(device, cfg, gate, engine=args.engine, inject=inject)
+    try:  # the one protocol fault of an irb run is a gate outside the group
+        doc = bench.interleaved_rb(device, cfg, gate, engine=args.engine, inject=inject)
+    except ProtocolError as exc:
+        raise ProtocolError(f"--gate-phi/--gate-theta: {exc}") from exc
     _write_text(args.out, _json_doc(doc))
     return EXIT_OK
 

@@ -1,13 +1,16 @@
 """SU(2) rotation algebra on the encoded qubit.
 
-Rotations are unit quaternions ``(w, v)`` identified up to global sign,
-mapping to SU(2) as ``U = w*I - i*(v . sigma)``.  A pulse with axis angle
-``phi`` (axis in the xz-plane of the Bloch sphere) and rotation angle
-``theta`` has ``w = cos(theta/2)`` and ``v = sin(theta/2)*(cos phi, 0,
-sin phi)``; composed rotations acquire y-components.  The 24 Cliffords
-are one :class:`CliffordGroup`: the elements, their multiplication and
-inversion tables, and one membership test (within 1e-9, component by
-component, up to sign).
+A rotation is a float array of shape ``(..., 4)``: the unit quaternion
+``(w, x, y, z)``, identified up to global sign, mapping to SU(2) as
+``U = w*I - i*((x, y, z) . sigma)``.  :func:`quaternion` builds the
+rotation of a pulse with axis angle ``phi`` (axis in the xz-plane of the
+Bloch sphere) and rotation angle ``theta``, ``(cos(theta/2),
+sin(theta/2) cos phi, 0, sin(theta/2) sin phi)``; composed rotations
+acquire y-components.  :func:`compose` is the one product and
+:func:`so3_matrix` the Bloch-sphere action.  The 24 Cliffords are one
+:class:`CliffordGroup`: their ``(24, 4)`` quaternion table, the pulses of
+each element, their multiplication and inversion tables, and one
+membership test (within 1e-9, component by component, up to sign).
 """
 
 from __future__ import annotations
@@ -37,34 +40,6 @@ class AxisAngle:
 
     phi: float
     theta: float
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Unit quaternion ``w + v . (i, j, k)``; ``-q`` is the same rotation."""
-
-    w: float
-    v: tuple[float, float, float]
-
-    def __post_init__(self):
-        n = math.sqrt(self.w**2 + sum(c * c for c in self.v))
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"quaternion norm {n} is not 1")
-        if abs(n - 1.0) > 1e-15:
-            object.__setattr__(self, "w", self.w / n)
-            object.__setattr__(self, "v", tuple(c / n for c in self.v))
-
-    @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(1.0, (0.0, 0.0, 0.0))
-
-    @staticmethod
-    def from_axis_angle(aa: AxisAngle) -> "Rotation":
-        s = math.sin(aa.theta / 2.0)
-        return Rotation(
-            math.cos(aa.theta / 2.0),
-            (s * math.cos(aa.phi), 0.0, s * math.sin(aa.phi)),
-        )
 
 
 def exchange_to_rotation(j, tau_s: float) -> AxisAngle:
@@ -152,49 +127,51 @@ def solve_exchange_for_rotation(
     return j
 
 
-def _product(w1, x1, y1, z1, w2, x2, y2, z2):
-    """Components of the quaternion product ``q1 * q2`` (``q2`` applied
-    first); floats, or arrays that broadcast."""
-    return (
+def quaternion(phi, theta) -> np.ndarray:
+    """Rotation by ``theta`` about the xz-plane axis at angle ``phi``,
+    shape ``(..., 4)`` over the broadcast shape of the inputs.  Floats take
+    ``math``'s sin and cos, as :func:`exchange_to_rotation` does."""
+    if np.ndim(phi) == 0 and np.ndim(theta) == 0:
+        s = math.sin(theta / 2.0)
+        return np.array([math.cos(theta / 2.0), s * math.cos(phi), 0.0, s * math.sin(phi)])
+    half = 0.5 * np.asarray(theta, dtype=float)
+    s = np.sin(half)
+    w, x, z = np.broadcast_arrays(np.cos(half), s * np.cos(phi), s * np.sin(phi))
+    return np.stack([w, x, np.zeros_like(x), z], axis=-1)
+
+
+def compose(second, first) -> np.ndarray:
+    """Rotation equivalent to applying ``first`` then ``second``: the
+    quaternion product ``second * first`` of ``(..., 4)`` arrays that
+    broadcast."""
+    w1, x1, y1, z1 = np.moveaxis(second, -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(first, -1, 0)
+    return np.stack([
         w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2),
         w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
         w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2),
         w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2),
-    )
+    ], axis=-1)
 
 
-def compose(second: Rotation, first: Rotation) -> Rotation:
-    """Rotation equivalent to applying ``first`` then ``second``."""
-    w, x, y, z = _product(second.w, *second.v, first.w, *first.v)
-    return Rotation(w, (x, y, z))
+def so3_matrix(q) -> np.ndarray:
+    """Bloch-sphere action of ``(..., 4)`` rotations as 3x3 orthogonal
+    matrices, shape ``(..., 3, 3)``."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(np.shape(q)[:-1] + (3, 3))
 
 
-def quat_multiply(w1, v1, w2, v2):
-    """Quaternion product ``q1 * q2`` (``q2`` applied first), vectorized:
-    scalar parts ``w`` of shape (...) and vector parts ``v`` of (..., 3)."""
-    w, *v = _product(w1, *np.moveaxis(v1, -1, 0), w2, *np.moveaxis(v2, -1, 0))
-    return w, np.stack(v, axis=-1)
-
-
-def so3_matrix(r: Rotation) -> np.ndarray:
-    """Bloch-sphere action of the rotation as a 3x3 orthogonal matrix."""
-    w = r.w
-    x, y, z = r.v
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordElement:
-    """One of the 24 single-qubit Clifford rotations and the pulses that
-    realize it (none for the identity)."""
+    """One of the 24 single-qubit Clifford rotations, a row of its group's
+    quaternion table, and the pulses that realize it (none for the
+    identity)."""
 
-    rotation: Rotation
+    rotation: np.ndarray
     decomposition: tuple[AxisAngle, ...]
 
     @property
@@ -202,12 +179,8 @@ class CliffordElement:
         return len(self.decomposition)
 
 
-FLIP = Rotation.from_axis_angle(AxisAngle(0.0, math.pi))  # pi about x
-
-
-def _quaternions(rotations) -> np.ndarray:
-    """Rows ``(w, x, y, z)`` of the rotations, shape (n, 4)."""
-    return np.array([[r.w, *r.v] for r in rotations], dtype=float).reshape(-1, 4)
+FLIP = quaternion(0.0, math.pi)  # pi about x
+FLIP.setflags(write=False)
 
 
 def _nearest(q: np.ndarray, targets: np.ndarray):
@@ -221,9 +194,9 @@ def _nearest(q: np.ndarray, targets: np.ndarray):
     return k, d <= 1e-9
 
 
-def _positions(q: np.ndarray, w, v) -> np.ndarray:
-    """Rows of ``q`` that match the quaternions ``(w, v)``, or ProtocolError."""
-    k, ok = _nearest(q, np.concatenate([np.expand_dims(w, -1), v], axis=-1))
+def _positions(q: np.ndarray, targets) -> np.ndarray:
+    """Rows of ``q`` that match the quaternions ``targets``, or ProtocolError."""
+    k, ok = _nearest(q, np.asarray(targets, dtype=float))
     if not ok.all():
         raise ProtocolError("rotation is not an element of the Clifford group")
     return k
@@ -234,13 +207,15 @@ class CliffordGroup(Sequence):
     """The 24 single-qubit Clifford rotations in a fixed order, and their
     tables by position: a read-only sequence of :class:`CliffordElement`.
 
-    ``mul[a, b]`` is the position of ``self[a]`` applied after ``self[b]``;
-    ``inv[a]`` that of the inverse of ``self[a]``; ``flip_inv[a]`` that of
-    that inverse followed by :data:`FLIP`; ``identity`` that of the
-    identity.  The arrays are read-only.
+    ``quaternions[a]`` is the rotation of ``self[a]``; ``mul[a, b]`` is the
+    position of ``self[a]`` applied after ``self[b]``; ``inv[a]`` that of
+    the inverse of ``self[a]``; ``flip_inv[a]`` that of that inverse
+    followed by :data:`FLIP`; ``identity`` that of the identity.  The
+    arrays are read-only.
     """
 
     elements: tuple[CliffordElement, ...]
+    quaternions: np.ndarray
     mul: np.ndarray
     inv: np.ndarray
     flip_inv: np.ndarray
@@ -252,17 +227,18 @@ class CliffordGroup(Sequence):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def position(self, r: Rotation) -> int:
-        """Position of the element within 1e-9 of ``r``, component by
-        component, up to sign; ProtocolError if there is none."""
-        return int(_positions(_quaternions(el.rotation for el in self), r.w, np.array(r.v)))
+    def position(self, q) -> int:
+        """Position of the element within 1e-9 of the rotation ``q``,
+        component by component, up to sign; ProtocolError if there is
+        none."""
+        return int(_positions(self.quaternions, q))
 
 
 def generate_clifford_group(generators) -> CliffordGroup:
     """Breadth-first closure of Clifford generators, up to global phase.
 
     Args:
-        generators: (AxisAngle, Rotation) pairs, one per pulse.
+        generators: AxisAngle pulses.
 
     Returns:
         The 24 Clifford elements with minimal words (lexicographic tie-break
@@ -273,55 +249,48 @@ def generate_clifford_group(generators) -> CliffordGroup:
             within word length 8, or these are not the Clifford group.
     """
     gens = list(generators)
-    found = [(Rotation.identity(), ())]
-    frontier = list(found)
-    depth = 0
-    while len(found) < 24 and depth < 8:
-        depth += 1
-        cands = [(compose(rot, base), word + (gi,))
-                 for base, word in frontier for gi, (_, rot) in enumerate(gens)]
-        q = _quaternions(r for r, _ in cands)
-        _, known = _nearest(_quaternions(r for r, _ in found), q)
-        fresh = np.flatnonzero(~known)
-        frontier = []
+    g = np.stack([quaternion(aa.phi, aa.theta) for aa in gens])
+    found, words, start = np.array([[1.0, 0.0, 0.0, 0.0]]), [()], 0
+    while len(found) < 24 and start < len(found) and len(words[-1]) < 8:
+        # row k: the rotation found[start + k // len(gens)], then generator k % len(gens)
+        cands = compose(g, found[start:, None]).reshape(-1, 4)
+        _, known = _nearest(found, cands)
+        fresh, keep = np.flatnonzero(~known), []
         while fresh.size:  # the first of each new rotation joins; its repeats do not
-            frontier.append(cands[fresh[0]])
-            _, repeat = _nearest(q[fresh[:1]], q[fresh])
+            keep.append(fresh[0])
+            _, repeat = _nearest(cands[fresh[:1]], cands[fresh])
             fresh = fresh[~repeat]
-        found += frontier
+        words += [words[start + k // len(gens)] + (k % len(gens),) for k in keep]
+        start, found = len(found), np.concatenate([found, cands[keep]])
     if len(found) != 24:
         raise ProtocolError(
             f"generator set does not close into the 24-element Clifford "
             f"group within depth 8 (reached {len(found)} elements)"
         )
 
-    q = _quaternions(r for r, _ in found)
-    w, v = q[:, 0], q[:, 1:]
-    mul = _positions(q, *quat_multiply(w[:, None], v[:, None], w, v))
-    inv = _positions(q, w, -v)
-    flip_inv = _positions(q, *quat_multiply(np.asarray(FLIP.w), np.asarray(FLIP.v), w, -v))
-    for table in (mul, inv, flip_inv):
+    inverse = found * np.array([1.0, -1.0, -1.0, -1.0])
+    mul = _positions(found, compose(found[:, None], found))
+    inv = _positions(found, inverse)
+    flip_inv = _positions(found, compose(FLIP, inverse))
+    for table in (found, mul, inv, flip_inv):
         table.setflags(write=False)
     elements = tuple(
-        CliffordElement(r, tuple(gens[g][0] for g in word)) for r, word in found
+        CliffordElement(q, tuple(gens[i] for i in word)) for q, word in zip(found, words)
     )
-    group = CliffordGroup(elements, mul, inv, flip_inv, 0)
+    group = CliffordGroup(elements, found, mul, inv, flip_inv, 0)
     # a closed set of 24 rotations that holds the quarter turns about x and
     # z is the Clifford group
     for phi in (0.0, PHI_Z):
-        group.position(Rotation.from_axis_angle(AxisAngle(phi, math.pi / 2.0)))
+        group.position(quaternion(phi, math.pi / 2.0))
     return group
 
 
-def clifford_generators_2j() -> list[tuple[AxisAngle, Rotation]]:
+def clifford_generators_2j() -> list[AxisAngle]:
     """The nine calibrated two-coupling pulses: {pi/2, pi, 3pi/2} about
     +x, -x and -z."""
-    gens = []
-    for phi in (0.0, math.pi, -math.pi / 2.0):
-        for theta in (math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0):
-            aa = AxisAngle(phi, theta)
-            gens.append((aa, Rotation.from_axis_angle(aa)))
-    return gens
+    return [AxisAngle(phi, theta)
+            for phi in (0.0, math.pi, -math.pi / 2.0)
+            for theta in (math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)]
 
 
 _CANONICAL: CliffordGroup | None = None
@@ -336,14 +305,10 @@ def canonical_clifford_group() -> CliffordGroup:
     return _CANONICAL
 
 
-def match_element(group: CliffordGroup, r: Rotation) -> CliffordElement:
-    """Group element equal to ``r`` up to global phase.
-
-    Raises:
-        ProtocolError: if ``r`` is not in the group (see
-            :meth:`CliffordGroup.position`).
-    """
-    return group[group.position(r)]
+def match_element(group: CliffordGroup, q) -> CliffordElement:
+    """Group element equal to the rotation ``q`` up to global phase;
+    ProtocolError if there is none (see :meth:`CliffordGroup.position`)."""
+    return group[group.position(q)]
 
 
 def avg_pulse_count(group) -> float:

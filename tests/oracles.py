@@ -1,8 +1,10 @@
 """Code that the tests use and no command runs: reference routes, each the
 plain formula (the dense 8x8 Hamiltonian and its propagator, the singlet
 density matrix, the 2x2 qubit block, and the germ's pulse list with its
-exact Clifford twirl); rotation helpers beyond ``rotations.Rotation``; and
-the 1-J Clifford compiler, c07's subject, which calls ``rot.compose``,
+exact Clifford twirl); helpers on ``(w, x, y, z)`` quaternion arrays
+beyond ``rotations.quaternion``, ``compose`` and ``so3_matrix``; a
+pure-float product that pins the group's quaternions bit for bit; and the
+1-J Clifford compiler, c07's subject, which calls ``rot.compose``,
 ``rot.canonical_clifford_group`` and ``_dot3`` through their modules, so
 that tests can swap them.  pytest does not collect this module.
 """
@@ -62,10 +64,9 @@ def qubit_block(j):
     return -np.pi * (np.sqrt(3.0) * j.j_minus * sx + (j.j13 - j.j_plus) * sz)
 
 
-def to_unitary(r):
-    """SU(2) matrix ``w*I - i*(v . sigma)`` of a Rotation."""
-    w = r.w
-    x, y, z = r.v
+def to_unitary(q):
+    """SU(2) matrix ``w*I - i*((x, y, z) . sigma)`` of a rotation."""
+    w, x, y, z = q
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex)
 
 
@@ -85,31 +86,32 @@ def twirl_fidelity(u):
     survivals = []
     for el in rot.canonical_clifford_group():
         net = rot.compose(rot.compose(inverse(el.rotation), u), el.rotation)
-        survivals.append(net.w**2 + net.v[2] ** 2)
+        survivals.append(net[0] ** 2 + net[3] ** 2)
     return float(np.mean(survivals))
+
+
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def about(axis, theta: float):
     """Rotation by ``theta`` about an arbitrary unit 3-vector."""
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    s = math.sin(theta / 2.0)
-    return rot.Rotation(math.cos(theta / 2.0), tuple(s * axis))
+    return np.array([math.cos(theta / 2.0), *(math.sin(theta / 2.0) * axis)])
 
 
-def angle(r) -> float:
+def angle(q) -> float:
     """Rotation angle in [0, 2*pi)."""
-    return 2.0 * math.atan2(math.sqrt(sum(c * c for c in r.v)), r.w)
+    return 2.0 * math.atan2(math.sqrt(sum(c * c for c in q[1:])), q[0])
 
 
-def inverse(r):
-    return rot.Rotation(r.w, tuple(-c for c in r.v))
+def inverse(q):
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def overlap(a, b) -> float:
     """|<q1, q2>| in [0, 1]; equals 1 iff same rotation up to phase."""
-    d = a.w * b.w + sum(x * y for x, y in zip(a.v, b.v))
-    return abs(d)
+    return abs(sum(x * y for x, y in zip(a, b)))
 
 
 def approx_equal(a, b, tol: float = 1e-9) -> bool:
@@ -117,12 +119,31 @@ def approx_equal(a, b, tol: float = 1e-9) -> bool:
 
 
 def compose_sequence(pulses):
-    """Compose a time-ordered iterable of AxisAngle or Rotation."""
-    net = rot.Rotation.identity()
+    """Compose a time-ordered iterable of AxisAngle pulses or rotations."""
+    net = IDENTITY
     for p in pulses:
-        r = rot.Rotation.from_axis_angle(p) if isinstance(p, rot.AxisAngle) else p
-        net = rot.compose(r, net)
+        q = rot.quaternion(p.phi, p.theta) if isinstance(p, rot.AxisAngle) else p
+        net = rot.compose(q, net)
     return net
+
+
+def float_word(pulses) -> tuple[float, float, float, float]:
+    """The rotation of a time-ordered word of AxisAngle pulses in Python
+    floats: each pulse as ``(cos(theta/2), sin(theta/2) cos phi, 0,
+    sin(theta/2) sin phi)`` from ``math``, applied to the identity by the
+    quaternion product written out component by component, in the order
+    of sums that ``rot.compose`` uses."""
+    w1, x1, y1, z1 = 1.0, 0.0, 0.0, 0.0
+    for p in pulses:
+        s = math.sin(p.theta / 2.0)
+        w2, x2, y2, z2 = math.cos(p.theta / 2.0), s * math.cos(p.phi), 0.0, s * math.sin(p.phi)
+        w1, x1, y1, z1 = (
+            w2 * w1 - (x2 * x1 + y2 * y1 + z2 * z1),
+            w2 * x1 + w1 * x2 + (y2 * z1 - z2 * y1),
+            w2 * y1 + w1 * y2 + (z2 * x1 - x2 * z1),
+            w2 * z1 + w1 * z2 + (x2 * y1 - y2 * x1),
+        )
+    return w1, x1, y1, z1
 
 
 def _dot3(a, b) -> float:
@@ -152,7 +173,7 @@ def _three_word_solutions(target, a: np.ndarray, b: np.ndarray):
         return []
     e1 = e1 / n1
     e2 = np.cross(a, e1)
-    w, v = target.w, np.array(target.v)
+    w, v = target[0], target[1:]
     p = _dot3(v, a)
     s2 = (1.0 - w * w - p * p) / (1.0 - c * c)
     if s2 < -1e-12 or s2 > 1.0 + 1e-12:
@@ -171,7 +192,7 @@ def _three_word_solutions(target, a: np.ndarray, b: np.ndarray):
             out.append((0.0, beta, sigma))
             continue
         m = rot.compose(about(a, -sigma), target)
-        b_rot = np.array(m.v) / s_half
+        b_rot = m[1:] / s_half
         alpha = math.atan2(-_dot3(b_rot, e2) / n1, _dot3(b_rot, e1) / n1)
         gamma = sigma - alpha
         out.append((alpha, beta, gamma))
@@ -189,7 +210,7 @@ def _candidate_words(target, axes_phi: tuple[float, float]):
     t``, and an a-b-a word exists when its squared length is at least
     ``(a.b)^2``; ``delta = atan2(2 u.t, |u|^2 - |t|^2)`` maximises it.
     """
-    w, v = target.w, np.array(target.v)
+    w, v = target[0], target[1:]
     for phi_a, phi_b in (axes_phi, axes_phi[::-1]):
         a, b = _axis_vec(phi_a), _axis_vec(phi_b)
         for alpha, beta, gamma in _three_word_solutions(target, a, b):
@@ -215,7 +236,7 @@ def decompose_rotation(target, axes_phi: tuple[float, float]):
     Raises:
         ProtocolError: if no candidate composes to ``target``.
     """
-    if approx_equal(target, rot.Rotation.identity()):
+    if approx_equal(target, IDENTITY):
         return ()
     best = None
     for pulses in _candidate_words(target, axes_phi):

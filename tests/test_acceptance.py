@@ -274,7 +274,7 @@ def test_c09_helper_error_signatures():
     d = dev.default_device()
     # axis error on the helper pulse moves the recovered axis the other way
     eps = 0.02
-    actual = rot.Rotation.from_axis_angle(rot.AxisAngle(-PI / 2 + PI / 2 + eps, PI))
+    actual = rot.quaternion(-PI / 2 + PI / 2 + eps, PI)
     res = cal.run_calibration(d, -PI / 2, PI, precal_actual=actual)
     order = {p: i for i, p in enumerate(dev.PAIR_ORDER)}
     v_x = np.full(3, -np.inf)
@@ -295,7 +295,7 @@ def test_c09_helper_error_signatures():
     v1 = np.linspace(c1 - 0.002, c1 + 0.002, 21)
     v2 = np.linspace(c2 - 0.002, c2 + 0.002, 21)
     f0 = cal.sweep_fidelity(d, cfg, pairs, v1, v2, 8)
-    bent = rot.Rotation.from_axis_angle(rot.AxisAngle(cfg.eta, cfg.chi + 0.2))
+    bent = rot.quaternion(cfg.eta, cfg.chi + 0.2)
     f1 = cal.sweep_fidelity(d, cfg, pairs, v1, v2, 8, precal_actual=bent)
     assert np.max(np.abs(f1.f - f0.f)) > 1e-3  # visibly distorted
     p0 = cal.find_peak(f0, previous=(c1, c2))

@@ -14,7 +14,7 @@ from aeonsim import device as dev
 from aeonsim import fitting
 from aeonsim import rotations as rot
 from aeonsim.errors import FitError
-from oracles import approx_equal, compile_clifford_group, inverse, overlap
+from oracles import IDENTITY, approx_equal, compile_clifford_group, inverse, overlap
 
 PI = math.pi
 
@@ -34,7 +34,7 @@ def test_recovery_completes_to_identity_and_flip():
     for grp in (rot.canonical_clifford_group(), compile_clifford_group((rot.PHI_M, rot.PHI_N))):
         for _ in range(40):
             seq = bench.generate_sequence(rng, int(rng.integers(1, 12)), grp)
-            net, pos = rot.Rotation.identity(), grp.identity
+            net, pos = IDENTITY, grp.identity
             for k in seq:
                 net = rot.compose(grp[k].rotation, net)
                 pos = grp.mul[k, pos]
@@ -44,7 +44,7 @@ def test_recovery_completes_to_identity_and_flip():
             # the engines read the recovery off the tables
             rec_i = grp[int(grp.inv[pos])]
             total = rot.compose(rec_i.rotation, net)
-            assert overlap(total, rot.Rotation.identity()) == pytest.approx(1.0, abs=1e-9)
+            assert overlap(total, IDENTITY) == pytest.approx(1.0, abs=1e-9)
             rec_f = grp[int(grp.flip_inv[pos])]
             total = rot.compose(rec_f.rotation, net)
             assert overlap(total, flip) == pytest.approx(1.0, abs=1e-9)
@@ -149,12 +149,12 @@ def _channel_engine_so3_oracle(cfg, group, inject, interleaved):
     lam_gate = 1.0 - 2.0 * inject.gate_depol
     inter = None
     if interleaved is not None:
-        inter = rot.match_element(group, rot.Rotation.from_axis_angle(interleaved))
+        inter = rot.match_element(group, rot.quaternion(interleaved.phi, interleaved.theta))
     surv = np.empty((2, len(cfg.depths), cfg.n_sequences))
     for di, depth in enumerate(cfg.depths):
         for si in range(cfg.n_sequences):
             indices = bench.generate_sequence(dev.rng_stream(cfg.seed, di, si), depth, group)
-            net, r, trace = rot.Rotation.identity(), np.array([0.0, 0.0, 1.0]), 1.0
+            net, r, trace = IDENTITY, np.array([0.0, 0.0, 1.0]), 1.0
             for k in indices:
                 el = group[k]
                 r = rot.so3_matrix(el.rotation) @ r * (lam_dep * keep) ** el.pulse_count

@@ -316,11 +316,21 @@ def test_flag_range_edges_are_accepted():
     assert cli.build_parser().parse_args(["rb", "--idle", "0"]).idle == 0.0
 
 
-def test_numeric_failure_exit_code(tmp_path):
+def test_numeric_failure_exit_code(tmp_path, capsys):
     # too few samples for the oscillation fit
     code = run(["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:100e-9:5",
                 "--out", str(tmp_path / "x.json")])
     assert code == 3
+    # an irb gate that is not a Clifford element names its flags
+    out = tmp_path / "irb.json"
+    for engine in ("channel", "device"):
+        capsys.readouterr()
+        assert run(["irb", "--engine", engine, "--gate-phi", "-1.5707963267948966",
+                    "--gate-theta", "1.0", "--depths", "1,2,4", "--sequences", "2",
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("aeonsim: --gate-phi/--gate-theta: rotation is not an element")
+        assert not out.exists()
 
 
 def test_config_error_exit_code(tmp_path):
@@ -624,6 +634,12 @@ def test_theta_star_without_a_germ_exponent_is_a_usage_error(tmp_path, capsys):
     assert run(["calibrate", "--phi-star", "0", "--theta-star", "3.14159", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--theta-star" in err and "germ exponent" in err
+    assert not out.exists()
+    # an angle without a germ exponent is named before an axis with no pairs
+    assert run(["calibrate", "--phi-star", "1.5707963267948966", "--theta-star", "1.0",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aeonsim: --theta-star: ") and "--pairs" not in err
     assert not out.exists()
 
 

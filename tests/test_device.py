@@ -684,7 +684,7 @@ def test_device_rb_table_merges_equal_pulses(monkeypatch, interleaved):
             if interleaved is not None:
                 body.append(bench.realize_pulse(d, interleaved))
                 net = group.mul[group.index(rot.match_element(
-                    group, rot.Rotation.from_axis_angle(interleaved))), net]
+                    group, rot.quaternion(interleaved.phi, interleaved.theta))), net]
             body.append(idle)
         for flip in (False, True):
             rec = group[int(group.flip_inv[net] if flip else group.inv[net])]

@@ -5,25 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from aeonsim import calibration as cal
 from aeonsim import rotations as rot
 from aeonsim.errors import ProtocolError
 from aeonsim.hilbert import ExchangeVector
 import oracles
-from oracles import (angle, approx_equal, compile_clifford_group, compose_sequence,
-                     decompose_rotation, inverse, to_unitary)
+from oracles import (IDENTITY, angle, approx_equal, compile_clifford_group, compose_sequence,
+                     decompose_rotation, float_word, inverse, to_unitary)
 
 
 def random_rotation(rng):
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return rot.Rotation(w=float(v[0]), v=tuple(v[1:]))
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
 
 
 def test_identity_and_inverse():
     rng = np.random.default_rng(3)
     for _ in range(50):
         r = random_rotation(rng)
-        assert approx_equal(rot.compose(r, inverse(r)), rot.Rotation.identity())
+        assert approx_equal(rot.compose(r, inverse(r)), IDENTITY)
         assert 0.0 <= angle(r) < 2.0 * math.pi + 1e-12
 
 
@@ -51,8 +51,12 @@ def test_so3_is_a_homomorphism():
 
 
 def test_rotation_normalization_guard():
-    with pytest.raises(ValueError):
-        rot.Rotation(w=1.0, v=(0.5, 0.0, 0.0))
+    # a quaternion that is not of unit norm is no rotation, so no element
+    grp = rot.canonical_clifford_group()
+    with pytest.raises(ProtocolError):
+        grp.position(np.array([1.0, 0.5, 0.0, 0.0]))
+    with pytest.raises(ProtocolError):
+        rot.match_element(grp, np.array([1.0, 0.5, 0.0, 0.0]))
 
 
 def test_single_coupling_axes():
@@ -96,9 +100,7 @@ def test_group_elements_compose_to_their_words():
         if not el.decomposition:
             continue
         net = compose_sequence(el.decomposition)
-        assert approx_equal(net, el.rotation) or approx_equal(
-            net, rot.Rotation(w=-el.rotation.w, v=tuple(-x for x in el.rotation.v))
-        )
+        assert approx_equal(net, el.rotation) or approx_equal(net, -el.rotation)
 
 
 def test_group_closure_under_composition():
@@ -115,17 +117,13 @@ def test_clifford_detection():
     for i, el in enumerate(grp):
         assert grp.position(el.rotation) == i
     with pytest.raises(ProtocolError):
-        grp.position(rot.Rotation.from_axis_angle(rot.AxisAngle(0.3, 1.0)))
-
-
-def _pulses(*axis_angles):
-    return [(aa, rot.Rotation.from_axis_angle(aa)) for aa in axis_angles]
+        grp.position(rot.quaternion(0.3, 1.0))
 
 
 def test_single_coupling_quarter_turns_do_not_close():
     # 90-degree pulses about two tilted single-coupling axes are not
     # Clifford rotations, so breadth-first closure must refuse them
-    gens = _pulses(rot.AxisAngle(rot.PHI_Z, math.pi / 2), rot.AxisAngle(rot.PHI_N, math.pi / 2))
+    gens = [rot.AxisAngle(rot.PHI_Z, math.pi / 2), rot.AxisAngle(rot.PHI_N, math.pi / 2)]
     with pytest.raises(ProtocolError):
         rot.generate_clifford_group(gens)
 
@@ -157,8 +155,8 @@ def test_compiled_words_use_only_their_axes():
         if el.decomposition:
             net = compose_sequence(el.decomposition)
             assert min(
-                abs(net.w - el.rotation.w) + np.abs(np.subtract(net.v, el.rotation.v)).max(),
-                abs(net.w + el.rotation.w) + np.abs(np.add(net.v, el.rotation.v)).max(),
+                abs(net[0] - el.rotation[0]) + np.abs(net[1:] - el.rotation[1:]).max(),
+                abs(net[0] + el.rotation[0]) + np.abs(net[1:] + el.rotation[1:]).max(),
             ) < 1e-8
 
 
@@ -170,15 +168,15 @@ def test_decompose_rotation_arbitrary_target():
         word = decompose_rotation(target, axes)
         net = compose_sequence(word)
         assert min(
-            abs(net.w - target.w) + np.abs(np.subtract(net.v, target.v)).max(),
-            abs(net.w + target.w) + np.abs(np.add(net.v, target.v)).max(),
+            abs(net[0] - target[0]) + np.abs(net[1:] - target[1:]).max(),
+            abs(net[0] + target[0]) + np.abs(net[1:] + target[1:]).max(),
         ) < 1e-6
 
 
 def test_match_element_rejects_non_member():
     grp = rot.canonical_clifford_group()
     with pytest.raises(ProtocolError):
-        rot.match_element(grp, rot.Rotation.from_axis_angle(rot.AxisAngle(0.0, 0.7)))
+        rot.match_element(grp, rot.quaternion(0.0, 0.7))
 
 
 def test_exchange_to_rotation_arrays_match_scalar_calls():
@@ -222,11 +220,15 @@ def test_cayley_tables_match_compose_and_match_element(group):
         inv = inverse(grp[a].rotation)
         assert grp.inv[a] == position(inv)
         assert grp.flip_inv[a] == position(rot.compose(rot.FLIP, inv))
-    assert grp.identity == position(rot.Rotation.identity())
-    assert not grp.mul.flags.writeable
+    assert grp.identity == position(IDENTITY)
+    assert not grp.mul.flags.writeable and not grp.quaternions.flags.writeable
+    assert not rot.FLIP.flags.writeable
+    # each element's rotation is its row of the quaternion table
+    assert all(el.rotation.base is grp.quaternions for el in grp)
+    assert np.array_equal([el.rotation for el in grp], grp.quaternions)
     # a compiled group keeps the canonical rotations, order and tables
     canonical = rot.canonical_clifford_group()
-    assert [el.rotation for el in grp] == [el.rotation for el in canonical]
+    assert grp.quaternions is canonical.quaternions
     assert grp.mul is canonical.mul and grp.flip_inv is canonical.flip_inv
 
 
@@ -234,12 +236,12 @@ def test_cayley_tables_reject_non_groups():
     z = rot.PHI_Z
     # pi turns about x and z close into the four Pauli rotations only
     with pytest.raises(ProtocolError, match="reached 4 elements"):
-        rot.generate_clifford_group(_pulses(rot.AxisAngle(0.0, math.pi), rot.AxisAngle(z, math.pi)))
+        rot.generate_clifford_group([rot.AxisAngle(0.0, math.pi), rot.AxisAngle(z, math.pi)])
     # closed sets of 24 rotations that are not the Clifford group: the
     # cyclic group about z, and the dihedral group that adds the flip
     for gens in (
-        _pulses(rot.AxisAngle(z, math.pi / 12), rot.AxisAngle(z, math.pi / 3)),
-        _pulses(rot.AxisAngle(z, math.pi / 6), rot.AxisAngle(0.0, math.pi)),
+        [rot.AxisAngle(z, math.pi / 12), rot.AxisAngle(z, math.pi / 3)],
+        [rot.AxisAngle(z, math.pi / 6), rot.AxisAngle(0.0, math.pi)],
     ):
         with pytest.raises(ProtocolError, match="not an element"):
             rot.generate_clifford_group(gens)
@@ -257,7 +259,7 @@ def test_position_accepts_exactly_the_rotations_within_1e_9(d):
     grp = rot.canonical_clifford_group()
     rng = np.random.default_rng(5)
     for i, el in enumerate(grp):
-        q = np.array([el.rotation.w, *el.rotation.v])
+        q = el.rotation
         for sign in (1.0, -1.0):
             e = rng.standard_normal(4)
             e -= (e @ q) * q
@@ -265,78 +267,71 @@ def test_position_accepts_exactly_the_rotations_within_1e_9(d):
             moved = sign * _offset(q, e, d)
             dist = min(np.abs(moved - q).max(), np.abs(moved + q).max())
             assert dist == pytest.approx(d, rel=1e-3)
-            r = rot.Rotation(moved[0], tuple(moved[1:]))
             if d <= 1e-9:
-                assert grp.position(r) == i
+                assert grp.position(moved) == i
             else:
                 with pytest.raises(ProtocolError):
-                    grp.position(r)
+                    grp.position(moved)
 
 
-# The quaternion products as written before they shared one component
-# product: numpy arrays and np.cross.  Kept here as the bit-exact oracles.
-def _np_cross_product(second, first):
-    w1, v1 = second.w, np.array(second.v)
-    w2, v2 = first.w, np.array(first.v)
-    return w1 * w2 - float(v1 @ v2), w1 * v2 + w2 * v1 + np.cross(v1, v2)
-
-
+# The quaternion product as written before it became one component
+# product: numpy arrays and np.cross.  Kept here as the bit-exact oracle.
 def _np_cross_compose(second, first):
-    w, v = _np_cross_product(second, first)
-    return rot.Rotation(w, tuple(v))
-
-
-def _np_cross_quat_multiply(w1, v1, w2, v2):
+    w1, v1 = second[..., 0], second[..., 1:]
+    w2, v2 = first[..., 0], first[..., 1:]
     w = w1 * w2 - np.sum(v1 * v2, axis=-1)
     v = w1[..., None] * v2 + w2[..., None] * v1 + np.cross(v1, v2)
-    return w, v
+    return np.concatenate([w[..., None], v], axis=-1)
 
 
 def _unit_quaternions(rng, shape):
     q = rng.normal(size=shape + (4,))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    return q[..., 0], q[..., 1:]
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 @pytest.mark.parametrize("shape1,shape2", [
     ((300,), (300,)),
     ((5, 1), (1, 7)),  # an outer product, as the Cayley table builds it
     ((), (4, 6)),  # one quaternion against a grid, as the germ sweep does
+    ((), ()),  # one quaternion against one, as the group's search and the tests do
 ])
 def test_quat_multiply_equals_np_cross_oracle(shape1, shape2):
     rng = np.random.default_rng(31)
-    w1, v1 = _unit_quaternions(rng, shape1)
-    w2, v2 = _unit_quaternions(rng, shape2)
-    w, v = rot.quat_multiply(w1, v1, w2, v2)
-    w_ref, v_ref = _np_cross_quat_multiply(np.asarray(w1), v1, np.asarray(w2), v2)
-    assert w.shape == w_ref.shape and v.shape == v_ref.shape
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    q1 = _unit_quaternions(rng, shape1)
+    q2 = _unit_quaternions(rng, shape2)
+    got = rot.compose(q1, q2)
+    want = _np_cross_compose(q1, q2)
+    assert got.shape == want.shape == np.broadcast_shapes(shape1, shape2) + (4,)
+    assert np.array_equal(got, want)
+    # a row of a batched product equals the product of its rows, also
+    # when those rows are Python floats
+    flat1, flat2 = np.broadcast_arrays(q1, q2)
+    for k in np.ndindex(got.shape[:-1]):
+        one = rot.compose(np.array(flat1[k].tolist()), np.array(flat2[k].tolist()))
+        assert np.array_equal(one, got[k])
 
 
-def test_compose_equals_quat_multiply_and_np_cross_oracle():
-    rng = np.random.default_rng(32)
-    w1, v1 = _unit_quaternions(rng, (300,))
-    w2, v2 = _unit_quaternions(rng, (300,))
-    w, v = rot.quat_multiply(w1, v1, w2, v2)
-    for k in range(300):
-        # Python floats, as Rotation holds them
-        a = rot.Rotation(float(w1[k]), tuple(map(float, v1[k])))
-        b = rot.Rotation(float(w2[k]), tuple(map(float, v2[k])))
-        got = rot._product(a.w, *a.v, b.w, *b.v)
-        assert got == (w[k], *v[k])
-        assert rot.compose(a, b) == rot.Rotation(got[0], got[1:])
-        # the old vector part is elementwise numpy and matches bit for bit;
-        # its scalar part went through a BLAS dot, which may fuse
-        # multiply-adds, so it can differ in the last place
-        old_w, old_v = _np_cross_product(a, b)
-        assert got[1:] == tuple(old_v)
-        assert abs(got[0] - old_w) <= math.ulp(1.0)
+def test_group_quaternions_equal_float_words():
+    # every element, FLIP and the default helper pulse are, bit for bit,
+    # the pure-float product of their pulses
+    grp = rot.canonical_clifford_group()
+    for el in grp:
+        assert tuple(el.rotation) == float_word(el.decomposition)
+    assert tuple(rot.FLIP) == float_word([rot.AxisAngle(0.0, math.pi)])
+    rng = np.random.default_rng(33)
+    for phi_star in [-math.pi / 2, 0.0, *rng.uniform(-math.pi, math.pi, 20)]:
+        cfg = cal.GermConfig.for_target(float(phi_star), math.pi)
+        helper = rot.AxisAngle(cfg.eta, cfg.chi)
+        assert tuple(rot.quaternion(helper.phi, helper.theta)) == float_word([helper])
+
+
+def test_clifford_z_columns_equal_so3_matrix_columns():
+    z = cal._clifford_z_columns()
+    want = np.stack([rot.so3_matrix(el.rotation)[:, 2] for el in rot.canonical_clifford_group()])
+    assert z.flags.c_contiguous and np.array_equal(z, want)
 
 
 def test_clifford_groups_equal_np_cross_compose_oracle(monkeypatch):
-    def quaternions(group):
-        return [(el.rotation.w, *el.rotation.v) for el in group]
-
     def words(group):
         return [tuple((aa.phi, aa.theta) for aa in el.decomposition) for el in group]
 
@@ -347,8 +342,8 @@ def test_clifford_groups_equal_np_cross_compose_oracle(monkeypatch):
     monkeypatch.setattr(rot, "_CANONICAL", None)
     canonical_ref = rot.canonical_clifford_group()
     compiled_ref = compile_clifford_group(axes)
-    assert quaternions(canonical) == quaternions(canonical_ref)
-    assert quaternions(compiled) == quaternions(compiled_ref)
+    assert np.array_equal(canonical.quaternions, canonical_ref.quaternions)
+    assert np.array_equal(compiled.quaternions, compiled_ref.quaternions)
     assert words(canonical) == words(canonical_ref)
     assert words(compiled) == words(compiled_ref)
 
