@@ -17,6 +17,7 @@ exact and fast.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -246,6 +247,21 @@ def run_rb(
 # Decay fitting
 
 
+def _decay_residuals(depths, y, with_offset: bool, x) -> np.ndarray:
+    """Residuals of ``c0 + c1 * r^N`` (``with_offset``), or of ``c1 * r^N``,
+    for a ``(k, 3)`` or ``(k, 2)`` stack of parameter sets, shape ``(k,
+    depths)``.  With the offset, r may reach 1.05 so the optimizer can
+    cross the boundary freely; the caller discards non-decaying results."""
+    # r^N of a trial r > 1 overflows from depths of ~15,000; MINPACK rejects
+    # the infinite residuals, whatever the warning filters
+    with np.errstate(over="ignore", invalid="ignore"):
+        if with_offset:
+            c0, c1, r = x.T[..., None]
+            return c0 + c1 * np.clip(r, 0.0, 1.05) ** depths - y
+        c1, r = x.T[..., None]
+        return c1 * np.clip(r, 0.0, 1.0) ** depths - y
+
+
 def _fit_exponential(depths, y, with_offset: bool):
     """Least-squares fit of y = c0 + c1 * r^N (c0 optionally fixed at 0)."""
     depths = np.asarray(depths, dtype=float)
@@ -257,23 +273,14 @@ def _fit_exponential(depths, y, with_offset: bool):
             return float(np.mean(y)), 0.0, 1.0
         return 0.0, float(np.mean(y)), 1.0
 
+    stacked = functools.partial(_decay_residuals, depths, y, with_offset)
     if with_offset:
-        # allow r slightly above 1 so the optimizer can cross the boundary
-        # freely; non-decaying results are discarded by the caller
-        def stacked(x):
-            c0, c1, r = x.T[..., None]
-            return c0 + c1 * np.clip(r, 0.0, 1.05) ** depths - y
-
         guesses = [
             np.array([y[-1], y[0] - y[-1], 0.99]),
             np.array([0.0, y[0], 0.95]),
             np.array([np.mean(y), span, 0.9]),
         ]
     else:
-        def stacked(x):
-            c1, r = x.T[..., None]
-            return c1 * np.clip(r, 0.0, 1.0) ** depths - y
-
         slope = None
         pos = y > 1e-12
         if pos.sum() >= 2:
@@ -283,10 +290,7 @@ def _fit_exponential(depths, y, with_offset: bool):
         if slope is not None:
             guesses.insert(0, np.array([slope[0], min(1.0, slope[1])]))
 
-    # r^N of a trial r > 1 overflows from depths of ~15,000; MINPACK rejects
-    # the infinite residuals, whatever the warning filters
-    with np.errstate(over="ignore", invalid="ignore"):
-        best, _ = best_of_starts(stacked, guesses)
+    best, _ = best_of_starts(stacked, guesses)
     if with_offset:
         c0, c1, r = best.x
         r = min(max(r, 0.0), 1.05)
@@ -392,6 +396,16 @@ def _oscillation_doc(b, a, w, ph, t_decay, n_osc) -> dict:
     }
 
 
+def _oscillation_residuals(t, y, x) -> np.ndarray:
+    """Residuals of ``B + A cos(omega t + phase) exp(-(t/T)^2)`` for a ``(k,
+    5)`` stack of parameter sets ``(B, A, omega, phase, log(1/T^2))``,
+    shape ``(k, samples)``."""
+    b, a, w, ph, log_g = x.T[..., None]
+    rate = [math.exp(min(v, 700.0)) for v in log_g[:, 0].tolist()]
+    damp = np.exp(-np.minimum(t**2 * np.array(rate)[:, None], 700.0))
+    return b + a * np.cos(w * t + ph) * damp - y
+
+
 def fit_oscillation_decay(t_s, y) -> dict:
     """Fit y(t) = B + A cos(omega t + phase) exp(-(t/T)^2): the rabi
     artifact's ``fit`` object, with keys ``baseline`` (B), ``amplitude``
@@ -405,7 +419,9 @@ def fit_oscillation_decay(t_s, y) -> dict:
     ``n_oscillations`` as None.
 
     Raises:
-        FitError: if no start converges.
+        FitError: if no start converges, or the fit's amplitude exceeds 1,
+            its oscillations in the sampled span are fewer than 0.5, or its
+            RMS residual exceeds 0.2 times its amplitude.
     """
     t = np.asarray(t_s, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -424,18 +440,12 @@ def fit_oscillation_decay(t_s, y) -> dict:
     freqs = np.fft.rfftfreq(tu.size, tu[1] - tu[0])
     w0 = TWO_PI * freqs[int(np.argmax(spec))] if spec.size > 1 else 0.0
 
-    def stacked(x):
-        b, a, w, ph, log_g = x.T[..., None]
-        rate = [math.exp(min(v, 700.0)) for v in log_g[:, 0].tolist()]
-        damp = np.exp(-np.minimum(t**2 * np.array(rate)[:, None], 700.0))
-        return b + a * np.cos(w * t + ph) * damp - y
-
     starts = [
         np.array([b0, a0, w0, ph0, -2.0 * math.log(tdec)])
         for ph0 in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
         for tdec in (span, 0.3 * span, 3.0 * span)
     ]
-    best, _ = best_of_starts(stacked, starts)
+    best, _ = best_of_starts(functools.partial(_oscillation_residuals, t, y), starts)
     b, a, w, ph, log_g = best.x
     t_decay = math.inf if log_g < -1400.0 else math.exp(-0.5 * log_g)
     if t_decay > 50.0 * span:
@@ -446,6 +456,15 @@ def fit_oscillation_decay(t_s, y) -> dict:
     w = abs(w)
     ph = (ph + math.pi) % TWO_PI - math.pi
     n_osc = (w * t_decay / TWO_PI) if math.isfinite(t_decay) else math.inf
+    # the residual bound below grows with the amplitude, so a fit that
+    # trades a huge amplitude for a sliver of one cycle would pass it
+    if a > 1.0:
+        raise FitError(f"oscillating decay fit amplitude {a:.3g} exceeds 1, "
+                       "which no probability can have")
+    cycles = w / TWO_PI * span
+    if cycles < 0.5:
+        raise FitError(f"oscillating decay fit puts {cycles:.3g} oscillations in the sampled "
+                       "span, fewer than 0.5")
     if best.rms > 0.2 * max(abs(a), 1e-12):
         raise FitError(f"oscillating decay fit residual {best.rms:.3g} too large")
     return _oscillation_doc(b, a, w, ph, t_decay, n_osc)

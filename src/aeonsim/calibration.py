@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import PAIR_ORDER, DeviceModel, ExchangeLaw, barrier_grid, rng_streams
+from .device import PAIR_ORDER, DeviceModel, ExchangeLaw, barrier_grid, rng_streams, split_calls
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
 from .fitting import best_of_starts
 from .hilbert import ExchangeVector
@@ -230,7 +230,10 @@ def sweep_fidelity(
     through the exchange law, the rotation map, the germ's net rotation
     and the exact twirl as arrays.  With ``shots``, per-cell binomial
     sampling uses counter-split RNG streams, so each cell's result depends
-    only on the seed and its grid position.
+    only on the seed and its grid position; the helper process
+    (:func:`device.split_calls`) samples the first half of the cells, in
+    C order, while this process samples the rest, and the map is the same
+    bytes wherever they run.
 
     ``precal_actual`` injects a helper pulse differing from the believed
     ``(eta, chi)`` (calibration-transfer error studies).
@@ -246,17 +249,34 @@ def sweep_fidelity(
         return FidelityMap(v1, v2, w**2 + np.mean(proj**2, axis=-1), tuple(pairs), n_reps, cfg)
     surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
     rows = surv.reshape(-1, surv.shape[-1])
-    # each cell shuffles its own row in place: rng.permutation(24)'s draws
+    # a stream pass derives the states of up to 512 cells, so the pass over
+    # the first half derives some of the second half's too: that half is
+    # this process's, and the helper process bears the spare derivations
+    half = len(rows) // 2
+    tail, head = split_calls(
+        _shot_counts,
+        (rows[half:], shots, seed, n_reps, surv.shape[:2], half),
+        (rows[:half], shots, seed, n_reps, surv.shape[:2], 0),
+    )
+    est = np.concatenate([head, tail]).reshape(surv.shape)
+    return FidelityMap(v1, v2, (est / shots).mean(axis=-1), tuple(pairs), n_reps, cfg)
+
+
+def _shot_counts(rows, shots: int, seed: int, n_reps: int, shape, start: int) -> np.ndarray:
+    """Binomial shot counts of the cells at flat indices ``start`` on of a
+    sweep grid of ``shape``, one row of Clifford survival probabilities
+    each, drawn from each cell's stream ``(seed, n_reps, row, col)``: the
+    cell shuffles its Clifford order (``rng.permutation``'s draws) and
+    samples in that order.  Each count returns to its Clifford's place."""
     orders = np.tile(np.arange(rows.shape[1]), (rows.shape[0], 1))
     draws = np.empty(rows.shape)
-    streams = rng_streams(seed, n_reps, shape=surv.shape[:2])
+    streams = rng_streams(seed, n_reps, shape=shape, start=start)
     for order, row, draw, rng in zip(orders, rows, draws, streams):
         rng.shuffle(order)
         draw[:] = rng.binomial(shots, row[order])
-    est = np.empty_like(rows)
-    np.put_along_axis(est, orders, draws, axis=1)
-    f = (est.reshape(surv.shape) / shots).mean(axis=-1)
-    return FidelityMap(v1, v2, f, tuple(pairs), n_reps, cfg)
+    counts = np.empty_like(draws)
+    np.put_along_axis(counts, orders, draws, axis=1)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +417,14 @@ def _map_model(params, fmap: FidelityMap, a_scales, eta: float) -> np.ndarray:
     return analytic_fidelity(aa.phi, aa.theta, eta, chi, fmap.n_reps, cfg)
 
 
-def _surface_residuals(fmap: FidelityMap, a_scales):
+def _surface_residuals(fmap: FidelityMap, a_scales, stack) -> np.ndarray:
     """The surface fit's stacked residual model: a ``(k, 5)`` stack of
     parameter sets ``(B1, C1, B2, C2, chi)`` to the ``(k, cells)`` stack of
     their residuals, so that a Jacobian's five stepped points are one model
-    call."""
-
-    def stacked(stack):
+    call.  A trial step's law may overflow; MINPACK rejects that step."""
+    with np.errstate(over="ignore", invalid="ignore"):
         model = _map_model(stack, fmap, a_scales, fmap.cfg.eta)
         return (model - fmap.f).reshape(len(stack), -1)
-
-    return stacked
 
 
 # starts of the surface fit: the assumed laws and seven jittered copies
@@ -456,11 +473,13 @@ def fit_final(
         start[1] = math.log(j_tgt[fmap.pairs[0]] / a_scales[0]) - start[0] * peak_v[0]
         start[3] = math.log(j_tgt[fmap.pairs[1]] / a_scales[1]) - start[2] * peak_v[1]
         starts.append(start)
-    # a trial step's law may overflow; MINPACK rejects that step
-    with np.errstate(over="ignore", invalid="ignore"):
-        best, used = best_of_starts(
-            _surface_residuals(fmap, a_scales), starts, stop_rms=1e-10, xtol=1e-14, ftol=1e-14
-        )
+    best, used = best_of_starts(
+        functools.partial(_surface_residuals, fmap, a_scales),
+        starts,
+        stop_rms=1e-10,
+        xtol=1e-14,
+        ftol=1e-14,
+    )
     if best.rms > 0.05:
         raise FitError(f"fidelity surface fit residual {best.rms:.3g} too large")
     b1, c1, b2, c2, chi = best.x

@@ -14,10 +14,12 @@ exchange pair vectors ``(12, 13, 23)`` throughout.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -121,21 +123,22 @@ def _pcg64_states(seed: int, paths: np.ndarray) -> list[tuple[int, int]]:
 _STREAM_CHUNK = 512
 
 
-def rng_streams(seed: int, *prefix: int, shape):
+def rng_streams(seed: int, *prefix: int, shape, start: int = 0):
     """Deterministic RNG streams ``(seed, *prefix, *index)`` for every index
-    of ``shape``, in C order.
+    of ``shape`` from the flat (C-order) index ``start`` on, in C order.
 
     Each yielded Generator is in exactly the state of
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=prefix
     + index))``; the states are derived in array passes of at most 512
-    paths.  The same Generator object is re-seeded at each step, so a
-    caller takes its draws from one step before advancing and keeps no
-    reference to it.  Streams of different paths are independent whatever
-    the order in which they are consumed.
+    paths, and none for the indices before ``start``.  The same Generator
+    object is re-seeded at each step, so a caller takes its draws from one
+    step before advancing and keeps no reference to it.  Streams of
+    different paths are independent whatever the order in which they are
+    consumed.
 
     Raises:
-        ValueError: for a negative seed, or a path entry outside
-            ``[0, 2**32)``.
+        ValueError: for a negative seed or ``start``, or a path entry
+            outside ``[0, 2**32)``.
     """
     shape = (operator.index(shape),) if np.ndim(shape) == 0 else tuple(map(operator.index, shape))
     prefix = [operator.index(x) for x in prefix]
@@ -144,16 +147,20 @@ def rng_streams(seed: int, *prefix: int, shape):
             raise ValueError(f"stream path entries must lie in [0, 2**32), got {x}")
     if not all(0 <= s <= _MASK32 + 1 for s in shape):
         raise ValueError(f"stream shape {shape} has indices outside [0, 2**32)")
+    start = operator.index(start)
+    if start < 0:
+        raise ValueError(f"streams start at a flat index >= 0, got {start}")
     # any PCG64 will do, as it is re-seeded before use; one built from the
     # cached SeedSequence is the cheapest to construct (and validates seed)
     bit_gen = np.random.PCG64(_seed_sequence(seed)[0])
-    return _reseeded(np.random.Generator(bit_gen), seed, prefix, shape)
+    return _reseeded(np.random.Generator(bit_gen), seed, prefix, shape, start)
 
 
-def _reseeded(rng: np.random.Generator, seed: int, prefix: list[int], shape: tuple):
-    """Yield ``rng`` re-seeded to the stream of each path in turn."""
+def _reseeded(rng: np.random.Generator, seed: int, prefix: list[int], shape: tuple, start: int):
+    """Yield ``rng`` re-seeded to the stream of each path in turn, from the
+    flat index ``start`` on."""
     n = math.prod(shape)
-    for lo in range(0, n, _STREAM_CHUNK):
+    for lo in range(start, n, _STREAM_CHUNK):
         flat = np.arange(lo, min(n, lo + _STREAM_CHUNK))
         paths = np.empty((flat.size, len(prefix) + len(shape)), dtype=np.uint32)
         paths[:, : len(prefix)] = prefix
@@ -726,3 +733,124 @@ def barrier_grid(pairs: tuple[str, str], v1, v2) -> np.ndarray:
     v_x[..., PAIR_ORDER.index(pairs[0])] = v1
     v_x[..., PAIR_ORDER.index(pairs[1])] = v2[:, None]
     return v_x
+
+
+# ---------------------------------------------------------------------------
+# The helper process
+
+# True in the helper itself, and in a process whose helper has died
+_serial = False
+# True while the helper's reply to the last call is unread
+_unread = False
+
+
+@functools.cache
+def _helper():
+    """This process's end of a pipe to its helper process, forked on the
+    first call, or None where none may run: without ``os.fork`` or
+    ``os.sched_getaffinity``, with fewer than 2 usable CPUs, or when the
+    pipe or the fork fails.
+
+    The helper receives ``(fn, args)`` and replies ``(True, fn(*args))``,
+    or ``(False, exception)``, until the pipe closes.  It leaves through
+    ``os._exit`` then, and on any exception of its own, Ctrl-C included,
+    so that it runs no exit handler and flushes no buffer of this
+    process.  At exit this process closes the pipe, and then reaps the
+    helper.
+    """
+    global _serial
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    import multiprocessing  # here, so that importing the package does not load it
+
+    try:
+        conn, child = multiprocessing.Pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        conn.close()
+        child.close()
+        return None
+    if pid == 0:
+        _serial = True
+        conn.close()
+        try:
+            while True:
+                fn, args = child.recv()
+                try:
+                    reply = (True, fn(*args))
+                except Exception as exc:  # noqa: BLE001 - the caller raises it
+                    reply = (False, exc)
+                child.send(reply)
+        finally:
+            os._exit(0)
+    child.close()
+    # run last-in first-out: the pipe closes, the helper sees EOF and leaves
+    atexit.register(os.waitpid, pid, 0)
+    atexit.register(conn.close)
+    return conn
+
+
+def call_in_helper(fn, args):
+    """Start ``fn(*args)`` in the helper process, which is forked on the
+    first call; ``fn`` and ``args`` must pickle.
+
+    Returns a function of no arguments that waits for the call and returns
+    its value, or raises its exception; if the helper has died by then
+    (its pipe at EOF or failing), it computes ``fn(*args)`` in this process
+    and the helper is not used again.  Returns None, and starts nothing,
+    in the helper itself, where no helper may run (see :func:`_helper`)
+    and once the helper has died.  The helper runs one call at a time: a
+    call whose value nobody asked for is waited for, and dropped, before
+    the next one starts.
+
+    The helper is forked after OpenBLAS has started its threads, so ``fn``
+    must call no BLAS routine (matmul, ``einsum``, ``linalg``).  It runs
+    under the helper's own numpy error state and warning filters, not the
+    caller's.
+    """
+    global _serial, _unread
+    conn = None if _serial else _helper()
+    if conn is None:
+        return None
+    try:
+        if _unread:
+            conn.recv()
+        conn.send((fn, args))
+    except (EOFError, OSError):
+        _serial = True
+        return None
+    _unread = True
+
+    def result():
+        global _serial, _unread
+        try:
+            ok, value = conn.recv()
+        except (EOFError, OSError):
+            _serial = True
+            return fn(*args)
+        _unread = False
+        if not ok:
+            raise value
+        return value
+
+    return result
+
+
+def split_calls(fn, here, there):
+    """``(fn(*here), fn(*there))``, the second computed by the helper
+    process (:func:`call_in_helper`) while this process computes the
+    first, and raised here if it raises there.
+
+    Both run in this process, ``there`` after ``here``, wherever
+    :func:`call_in_helper` starts nothing, and ``there`` runs here again
+    if the helper dies before it replies; the results are the same either
+    way for any ``fn`` whose value depends on its arguments alone.
+    """
+    result = call_in_helper(fn, there)
+    first = fn(*here)
+    return first, fn(*there) if result is None else result()

@@ -29,9 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import call_in_helper
 from .errors import FitError
 
 _REL_STEP = math.sqrt(np.finfo(float).eps)
+
+# Fewest residuals at which best_of_starts hands half its starts to the
+# helper process: the 441-cell calibration surface splits, while the
+# 100-sample Rabi fit of a default rabi run, and every RB decay curve, stay
+# in one process, where the round trip costs more than half the starts.
+SPLIT_RESIDUALS = 256
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,14 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
     wins, and on a tie the earliest start.  With ``stop_rms`` the starts
     stop once the winner's RMS residual falls below it.
 
+    With at least 2 starts and :data:`SPLIT_RESIDUALS` residuals at the
+    first, the helper process (:func:`device.call_in_helper`) fits the
+    second half of the starts while this process fits the first half, and
+    the two merge by the rule above: the first half's fit stands if it
+    stopped on ``stop_rms``, and the second half's wins only at a strictly
+    lower cost.  The result is the one a single process gives; ``stacked``
+    must then pickle and call no BLAS routine.
+
     Returns:
         ``(fit, used)``: the winning fit, and the number of starts up to
         and including the last one that converged.
@@ -160,8 +175,16 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
         FitError: if no start converges.
     """
     residuals, jac = two_point(stacked)
+    starts = list(starts)
+    half, second = len(starts), None
+    # the size check's residuals are the first start's, through the memo
+    if half >= 2 and _residual_count(residuals, starts[0]) >= SPLIT_RESIDUALS:
+        fit = functools.partial(best_of_starts, stop_rms=stop_rms, **tolerances)
+        second = call_in_helper(fit, (stacked, starts[half // 2 :]))
+        if second is not None:
+            half //= 2
     best, used = None, 0
-    for k, start in enumerate(starts, 1):
+    for k, start in enumerate(starts[:half], 1):
         try:
             res = levenberg_marquardt(residuals, start, jac=jac, **tolerances)
         except Exception:  # noqa: BLE001 - a start that breaks down is skipped
@@ -170,7 +193,25 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
         if best is None or res.cost < best.cost:
             best = res
         if stop_rms is not None and best.rms < stop_rms:
-            break
+            return best, used  # the helper's reply is dropped at its next call
+    if second is not None:
+        try:
+            other, other_used = second()
+        except FitError:
+            pass  # no start of the second half converged
+        else:
+            used = half + other_used
+            if best is None or other.cost < best.cost:
+                best = other
     if best is None:
         raise FitError(f"none of the {len(starts)} starts of the fit converged")
     return best, used
+
+
+def _residual_count(residuals, start) -> int:
+    """The number of residuals at ``start``, or 0 if they cannot be
+    evaluated there."""
+    try:
+        return residuals(np.array(start, dtype=float)).size
+    except Exception:  # noqa: BLE001 - the start itself is skipped
+        return 0

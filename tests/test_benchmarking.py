@@ -265,6 +265,22 @@ def test_oscillation_fit_rejects_noise():
         bench.fit_oscillation_decay(t, rng.normal(size=t.size))
 
 
+def test_oscillation_fit_rejects_what_no_probability_or_span_supports(capsys):
+    # one shot at each of 8 times: the fit reported amplitude 81.1 and
+    # 0.0048 oscillations, under a residual bound that grows with the
+    # amplitude
+    argv = ["rabi", "--pair", "12", "--v", "0.0738", "--times", "0:1e-7:8", "--shots", "1"]
+    assert cli.main(argv) == 3
+    assert "amplitude 81.1 exceeds 1" in capsys.readouterr().err
+    # a fifth of a cycle in the sampled span fits exactly, but shows no
+    # oscillation
+    t = np.linspace(0, 1e-7, 40)
+    with pytest.raises(FitError, match="0.2 oscillations in the sampled span, fewer than 0.5"):
+        bench.fit_oscillation_decay(t, 0.5 + 0.4 * np.cos(2 * PI * 2e6 * t + 0.3))
+    fit = bench.fit_oscillation_decay(t, 0.5 + 0.4 * np.cos(2 * PI * 6e6 * t + 0.3))
+    assert fit["frequency_hz"] == pytest.approx(6e6, rel=1e-9)
+
+
 def test_flat_oscillation_curve_reports_no_oscillation():
     # a flat trace used to be fitted with a tiny amplitude and a decay time
     t = np.linspace(0, 1e-7, 20)

@@ -1,6 +1,7 @@
 """Germ construction, twirled fidelity, peak tracking, closed-loop runs."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -400,6 +401,41 @@ def test_sweep_shots_match_per_term_binomial_loop():
             assert fmap.f[r, c] == est.mean()
 
 
+def _single_process_sweep(d, cfg, pairs, v1, v2, n_reps, shots, seed):
+    """The shot map drawn cell by cell in C order in one loop, as
+    sweep_fidelity drew it before the helper process took half the cells."""
+    aa = rot.exchange_to_rotation(d.exchange_from_voltages(dev.barrier_grid(pairs, v1, v2)),
+                                  cfg.pulse_s)
+    q = cal.germ_net_quaternion(cfg, aa.phi, aa.theta, n_reps)
+    w, v = q[..., 0], np.ascontiguousarray(q[..., 1:])
+    proj = np.einsum("...j,kj->...k", v, cal._clifford_z_columns())
+    surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
+    rows = surv.reshape(-1, surv.shape[-1])
+    orders = np.tile(np.arange(rows.shape[1]), (rows.shape[0], 1))
+    draws = np.empty(rows.shape)
+    streams = dev.rng_streams(seed, n_reps, shape=surv.shape[:2])
+    for order, row, draw, rng in zip(orders, rows, draws, streams):
+        rng.shuffle(order)
+        draw[:] = rng.binomial(shots, row[order])
+    est = np.empty_like(rows)
+    np.put_along_axis(est, orders, draws, axis=1)
+    return (est.reshape(surv.shape) / shots).mean(axis=-1)
+
+
+@pytest.mark.parametrize("n", [7, 21, 1])
+def test_shot_sweep_equals_the_single_process_loop(n):
+    # the helper process draws the first half of the cells, this process
+    # the rest (both here on one CPU); the map is the same bytes
+    d, cfg, pairs = dev.default_device(), default_cfg(), ("12", "23")
+    v1 = np.linspace(0.0725, 0.0745, n)
+    v2 = np.linspace(0.0726, 0.0746, n)
+    for n_reps, shots, seed in ((2, 30, 6), (16, 200, 2**33 + 1)):
+        fmap = cal.sweep_fidelity(d, cfg, pairs, v1, v2, n_reps, shots=shots, seed=seed)
+        want = _single_process_sweep(d, cfg, pairs, v1, v2, n_reps, shots, seed)
+        assert fmap.f.shape == (n, n)
+        assert fmap.f.tobytes() == want.tobytes()
+
+
 def _fit_problem():
     d, cfg, pairs = dev.default_device(), default_cfg(), ("12", "23")
     fmap = cal.sweep_fidelity(
@@ -413,7 +449,7 @@ def _fit_problem():
 def _surface_pair(fmap, a_scales):
     """The residuals and Jacobian the multi-start driver builds over the
     surface fit's stacked model."""
-    return fitting.two_point(cal._surface_residuals(fmap, a_scales))
+    return fitting.two_point(functools.partial(cal._surface_residuals, fmap, a_scales))
 
 
 def test_stacked_map_model_equals_per_row_evaluation():

@@ -705,11 +705,29 @@ def test_sample_noise_draws_nine_normals_as_six_then_three():
         assert into.random() == rng.random()  # both leave the stream alike
 
 
-def test_rng_streams_cross_chunk_boundaries_like_the_oracle():
+def test_rng_streams_cross_chunk_boundaries_like_the_oracle(monkeypatch):
     got = [rng.bit_generator.state for rng in dev.rng_streams(2**40 + 7, 5, shape=(13, 100))]
     assert len(got) == 1300 > 2 * dev._STREAM_CHUNK
     for index, state in zip(np.ndindex(13, 100), got):
         assert state == _oracle(2**40 + 7, (5,) + index).bit_generator.state
+    # started at a flat index, the streams are the tail of the full
+    # iteration, and no state before that index is derived
+    derived = []
+    states = dev._pcg64_states
+
+    def counted(seed, paths):
+        derived.append(len(paths))
+        return states(seed, paths)
+
+    monkeypatch.setattr(dev, "_pcg64_states", counted)
+    for start in (1, dev._STREAM_CHUNK - 1, dev._STREAM_CHUNK, dev._STREAM_CHUNK + 3, 1299, 1300):
+        derived.clear()
+        tail = dev.rng_streams(2**40 + 7, 5, shape=(13, 100), start=start)
+        assert [rng.bit_generator.state for rng in tail] == got[start:]
+        assert sum(derived) == 1300 - start
+    assert list(dev.rng_streams(3, shape=4, start=9)) == []
+    with pytest.raises(ValueError, match="flat index"):
+        dev.rng_streams(3, shape=4, start=-1)
 
 
 def test_kernel_memory_does_not_grow_with_trains_times_table():

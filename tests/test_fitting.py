@@ -3,7 +3,9 @@ least_squares with the 2-point rule, the edges least_squares has, and no
 repeated work at the start point."""
 
 import ast
+import functools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +219,8 @@ def test_surface_start_point_is_one_model_map(monkeypatch):
         return model(params, *args)
 
     monkeypatch.setattr(cal, "_map_model", counted)
-    fitting.best_of_starts(cal._surface_residuals(fmap, a_scales), [x0], xtol=1e-14, ftol=1e-14)
+    stacked = functools.partial(cal._surface_residuals, fmap, a_scales)
+    fitting.best_of_starts(stacked, [x0], xtol=1e-14, ftol=1e-14)
     assert rows.count(x0.tobytes()) == 1
 
 
@@ -328,3 +331,66 @@ def test_only_the_multi_start_driver_runs_levenberg_marquardt():
     ):
         assert _callers_of_driver_parts(ast.parse(code)), code
     assert not _callers_of_driver_parts(ast.parse("from .fitting import best_of_starts"))
+
+
+# ---------------------------------------------------------------------------
+# The split of a large fit's starts with the helper process
+
+
+def _mirrored(points):
+    """x^2 = 1, repeated over SPLIT_RESIDUALS residuals: mirrored starts
+    end at -1 and +1 at one cost.  A module-level model, as the helper
+    process receives the model by pickle."""
+    return np.repeat(points**2 - 1.0, fitting.SPLIT_RESIDUALS, axis=1)
+
+
+def _serial_replay(stacked, starts, stop_rms=None, **tolerances):
+    """Each start through levenberg_marquardt in one process, in order,
+    and the multi-start rule: lowest cost, the earliest on a tie, stop
+    below stop_rms, count up to the last start that converged."""
+    residuals, jac = fitting.two_point(stacked)
+    best, used = None, 0
+    for k, start in enumerate(starts, 1):
+        try:
+            res = fitting.levenberg_marquardt(residuals, start, jac=jac, **tolerances)
+        except (ValueError, FitError):
+            continue
+        used = k
+        if best is None or res.cost < best.cost:
+            best = res
+        if stop_rms is not None and best.rms < stop_rms:
+            break
+    if best is None:
+        raise FitError(f"none of the {len(starts)} starts of the fit converged")
+    return best, used
+
+
+def test_split_starts_equal_the_serial_replay(monkeypatch):
+    nan, plus, minus, inf = (np.array([v]) for v in (math.nan, 2.0, -2.0, math.inf))
+    cases = [
+        ([plus, nan, minus, inf], None),  # a tie across the halves: the earlier start wins
+        ([minus, plus, plus, minus, nan], None),  # odd: two starts here, three in the helper
+        ([plus, minus, plus, minus], 1e-6),  # stop_rms in the first half
+        ([nan, inf, plus, minus], 1e-6),  # stop_rms in the second half
+        ([nan, inf, minus, plus], None),  # no start of the first half converges
+        ([plus, nan, nan, minus, inf, inf], None),  # the last to converge is the helper's first
+    ]
+    split = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
+    for starts, stop_rms in cases:
+        want, want_used = _serial_replay(_mirrored, starts, stop_rms, xtol=1e-12)
+        calls = _record_fits(monkeypatch)
+        fit, used = fitting.best_of_starts(_mirrored, starts, stop_rms=stop_rms, xtol=1e-12)
+        assert fit.x.tobytes() == want.x.tobytes() and fit.cost == want.cost
+        assert (fit.rms, fit.nfev, used) == (want.rms, want.nfev, want_used)
+        # with two CPUs this process fits only the first half of the starts
+        mine = starts[: len(starts) // 2] if split else starts
+        if stop_rms is not None:
+            mine = mine[: want_used]
+        assert [start.tobytes() for _, start, _, _ in calls] == [s.tobytes() for s in mine]
+    with pytest.raises(FitError, match="none of the 4 starts of the fit converged"):
+        fitting.best_of_starts(_mirrored, [nan, inf, inf, nan])
+    # below SPLIT_RESIDUALS residuals, or with one start, all starts run here
+    for stacked, starts in ((_mirrored, [plus]), (lambda p: p**2 - 1.0, [plus, minus, plus])):
+        calls = _record_fits(monkeypatch)
+        fitting.best_of_starts(stacked, starts)
+        assert len(calls) == len(starts)
