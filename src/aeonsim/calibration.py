@@ -176,6 +176,7 @@ class FidelityMap:
     pairs: tuple[str, str]
     n_reps: int
     cfg: GermConfig
+    shots: int | None  # per Clifford and cell; None for the exact twirl
 
 
 def _quat_power(q, n: int):
@@ -232,8 +233,9 @@ def sweep_fidelity(
     sampling uses counter-split RNG streams, so each cell's result depends
     only on the seed and its grid position; the helper process
     (:func:`device.split_calls`) samples the first half of the cells, in
-    C order, while this process samples the rest, and the map is the same
-    bytes wherever they run.
+    C order, while this process samples the rest, each half deriving only
+    its own cells' streams, and the map is the same bytes wherever they
+    run.  The exact twirl forks no helper.
 
     ``precal_actual`` injects a helper pulse differing from the believed
     ``(eta, chi)`` (calibration-transfer error studies).
@@ -246,31 +248,29 @@ def sweep_fidelity(
     w, v = q[..., 0], np.ascontiguousarray(q[..., 1:])
     proj = np.einsum("...j,kj->...k", v, _clifford_z_columns())
     if shots is None:  # the exact twirl
-        return FidelityMap(v1, v2, w**2 + np.mean(proj**2, axis=-1), tuple(pairs), n_reps, cfg)
-    surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
-    rows = surv.reshape(-1, surv.shape[-1])
-    # a stream pass derives the states of up to 512 cells, so the pass over
-    # the first half derives some of the second half's too: that half is
-    # this process's, and the helper process bears the spare derivations
-    half = len(rows) // 2
-    tail, head = split_calls(
-        _shot_counts,
-        (rows[half:], shots, seed, n_reps, surv.shape[:2], half),
-        (rows[:half], shots, seed, n_reps, surv.shape[:2], 0),
-    )
-    est = np.concatenate([head, tail]).reshape(surv.shape)
-    return FidelityMap(v1, v2, (est / shots).mean(axis=-1), tuple(pairs), n_reps, cfg)
+        f = w**2 + np.mean(proj**2, axis=-1)
+    else:
+        surv = np.clip(w[..., None] ** 2 + proj**2, 0.0, 1.0)
+        rows = surv.reshape(-1, surv.shape[-1])
+        half = len(rows) // 2
+        tail, head = split_calls(
+            _shot_counts,
+            (rows[half:], shots, seed, n_reps, surv.shape[:2], range(half, len(rows))),
+            (rows[:half], shots, seed, n_reps, surv.shape[:2], range(half)),
+        )
+        f = (np.concatenate([head, tail]).reshape(surv.shape) / shots).mean(axis=-1)
+    return FidelityMap(v1, v2, f, tuple(pairs), n_reps, cfg, shots)
 
 
-def _shot_counts(rows, shots: int, seed: int, n_reps: int, shape, start: int) -> np.ndarray:
-    """Binomial shot counts of the cells at flat indices ``start`` on of a
+def _shot_counts(rows, shots: int, seed: int, n_reps: int, shape, cells: range) -> np.ndarray:
+    """Binomial shot counts of the cells at flat indices ``cells`` of a
     sweep grid of ``shape``, one row of Clifford survival probabilities
     each, drawn from each cell's stream ``(seed, n_reps, row, col)``: the
     cell shuffles its Clifford order (``rng.permutation``'s draws) and
     samples in that order.  Each count returns to its Clifford's place."""
     orders = np.tile(np.arange(rows.shape[1]), (rows.shape[0], 1))
     draws = np.empty(rows.shape)
-    streams = rng_streams(seed, n_reps, shape=shape, start=start)
+    streams = rng_streams(seed, n_reps, shape=shape, cells=cells)
     for order, row, draw, rng in zip(orders, rows, draws, streams):
         rng.shuffle(order)
         draw[:] = rng.binomial(shots, row[order])
@@ -444,9 +444,10 @@ def fit_final(
     helper angle chi (A is held at its configured scale: A and C shift the
     same degree of freedom).  :func:`fitting.best_of_starts` runs damped
     least squares from :data:`FIT_STARTS` starts in order, the assumed
-    laws' B with the believed chi and then jittered copies of them, and
-    stops early once a start's RMS residual falls below 1e-10, which only
-    a noise-free map reaches.
+    laws' B with the believed chi and then jittered copies of them.  On an
+    exact map (no shots) they stop once a start's RMS residual falls below
+    1e-10, which only such a map reaches; a sampled map's fit runs every
+    start, and may split them with the helper process.
 
     Each start's C offsets put the model's calibration point, the
     target couplings ``j_tgt`` (Hz, by pair), on ``peak_v``, the measured
@@ -476,7 +477,7 @@ def fit_final(
     best, used = best_of_starts(
         functools.partial(_surface_residuals, fmap, a_scales),
         starts,
-        stop_rms=1e-10,
+        stop_rms=1e-10 if fmap.shots is None else None,
         xtol=1e-14,
         ftol=1e-14,
     )

@@ -123,22 +123,23 @@ def _pcg64_states(seed: int, paths: np.ndarray) -> list[tuple[int, int]]:
 _STREAM_CHUNK = 512
 
 
-def rng_streams(seed: int, *prefix: int, shape, start: int = 0):
-    """Deterministic RNG streams ``(seed, *prefix, *index)`` for every index
-    of ``shape`` from the flat (C-order) index ``start`` on, in C order.
+def rng_streams(seed: int, *prefix: int, shape, cells: range | None = None):
+    """Deterministic RNG streams ``(seed, *prefix, *index)`` for the indices
+    of ``shape`` at the flat (C-order) indices ``cells`` (default: all of
+    them), in that order.
 
     Each yielded Generator is in exactly the state of
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=prefix
     + index))``; the states are derived in array passes of at most 512
-    paths, and none for the indices before ``start``.  The same Generator
+    paths, and none for the indices outside ``cells``.  The same Generator
     object is re-seeded at each step, so a caller takes its draws from one
     step before advancing and keeps no reference to it.  Streams of
     different paths are independent whatever the order in which they are
     consumed.
 
     Raises:
-        ValueError: for a negative seed or ``start``, or a path entry
-            outside ``[0, 2**32)``.
+        ValueError: for a negative seed, a path entry outside ``[0,
+            2**32)``, or ``cells`` not a step-1 range within the shape.
     """
     shape = (operator.index(shape),) if np.ndim(shape) == 0 else tuple(map(operator.index, shape))
     prefix = [operator.index(x) for x in prefix]
@@ -147,21 +148,21 @@ def rng_streams(seed: int, *prefix: int, shape, start: int = 0):
             raise ValueError(f"stream path entries must lie in [0, 2**32), got {x}")
     if not all(0 <= s <= _MASK32 + 1 for s in shape):
         raise ValueError(f"stream shape {shape} has indices outside [0, 2**32)")
-    start = operator.index(start)
-    if start < 0:
-        raise ValueError(f"streams start at a flat index >= 0, got {start}")
+    n = math.prod(shape)
+    cells = range(n) if cells is None else cells
+    if not isinstance(cells, range) or cells.step != 1 or not 0 <= cells.start <= cells.stop <= n:
+        raise ValueError(f"stream cells must be a step-1 range within range({n}), got {cells!r}")
     # any PCG64 will do, as it is re-seeded before use; one built from the
     # cached SeedSequence is the cheapest to construct (and validates seed)
     bit_gen = np.random.PCG64(_seed_sequence(seed)[0])
-    return _reseeded(np.random.Generator(bit_gen), seed, prefix, shape, start)
+    return _reseeded(np.random.Generator(bit_gen), seed, prefix, shape, cells)
 
 
-def _reseeded(rng: np.random.Generator, seed: int, prefix: list[int], shape: tuple, start: int):
-    """Yield ``rng`` re-seeded to the stream of each path in turn, from the
-    flat index ``start`` on."""
-    n = math.prod(shape)
-    for lo in range(start, n, _STREAM_CHUNK):
-        flat = np.arange(lo, min(n, lo + _STREAM_CHUNK))
+def _reseeded(rng: np.random.Generator, seed: int, prefix: list[int], shape: tuple, cells: range):
+    """Yield ``rng`` re-seeded to the stream of each path at the flat
+    indices ``cells`` in turn."""
+    for lo in range(cells.start, cells.stop, _STREAM_CHUNK):
+        flat = np.arange(lo, min(cells.stop, lo + _STREAM_CHUNK))
         paths = np.empty((flat.size, len(prefix) + len(shape)), dtype=np.uint32)
         paths[:, : len(prefix)] = prefix
         if shape:
@@ -740,8 +741,6 @@ def barrier_grid(pairs: tuple[str, str], v1, v2) -> np.ndarray:
 
 # True in the helper itself, and in a process whose helper has died
 _serial = False
-# True while the helper's reply to the last call is unread
-_unread = False
 
 
 @functools.cache
@@ -795,62 +794,42 @@ def _helper():
     return conn
 
 
-def call_in_helper(fn, args):
-    """Start ``fn(*args)`` in the helper process, which is forked on the
-    first call; ``fn`` and ``args`` must pickle.
-
-    Returns a function of no arguments that waits for the call and returns
-    its value, or raises its exception; if the helper has died by then
-    (its pipe at EOF or failing), it computes ``fn(*args)`` in this process
-    and the helper is not used again.  Returns None, and starts nothing,
-    in the helper itself, where no helper may run (see :func:`_helper`)
-    and once the helper has died.  The helper runs one call at a time: a
-    call whose value nobody asked for is waited for, and dropped, before
-    the next one starts.
-
-    The helper is forked after OpenBLAS has started its threads, so ``fn``
-    must call no BLAS routine (matmul, ``einsum``, ``linalg``).  It runs
-    under the helper's own numpy error state and warning filters, not the
-    caller's.
-    """
-    global _serial, _unread
-    conn = None if _serial else _helper()
-    if conn is None:
-        return None
-    try:
-        if _unread:
-            conn.recv()
-        conn.send((fn, args))
-    except (EOFError, OSError):
-        _serial = True
-        return None
-    _unread = True
-
-    def result():
-        global _serial, _unread
-        try:
-            ok, value = conn.recv()
-        except (EOFError, OSError):
-            _serial = True
-            return fn(*args)
-        _unread = False
-        if not ok:
-            raise value
-        return value
-
-    return result
-
-
 def split_calls(fn, here, there):
     """``(fn(*here), fn(*there))``, the second computed by the helper
-    process (:func:`call_in_helper`) while this process computes the
-    first, and raised here if it raises there.
+    process, which is forked on the first call, while this process
+    computes the first; an exception of either call is raised here.
 
-    Both run in this process, ``there`` after ``here``, wherever
-    :func:`call_in_helper` starts nothing, and ``there`` runs here again
-    if the helper dies before it replies; the results are the same either
-    way for any ``fn`` whose value depends on its arguments alone.
+    This process reads the helper's reply before it returns or raises,
+    also when ``fn(*here)`` raises, so that no reply is left on the pipe.
+    Both calls run in this process, ``there`` after ``here``, in the helper
+    itself, where no helper may run (see :func:`_helper`), and once the
+    helper has died; ``there`` runs here again if the helper dies before it
+    replies.  The results are the same either way for any ``fn`` whose
+    value depends on its arguments alone.
+
+    ``fn`` and ``there`` must pickle.  The helper is forked after OpenBLAS
+    has started its threads, so ``fn`` must call no BLAS routine (matmul,
+    ``einsum``, ``linalg``).  In the helper it runs under the helper's own
+    numpy error state and warning filters, not the caller's.
     """
-    result = call_in_helper(fn, there)
-    first = fn(*here)
-    return first, fn(*there) if result is None else result()
+    global _serial
+    conn = None if _serial else _helper()
+    if conn is not None:
+        try:
+            conn.send((fn, there))
+        except OSError:  # the helper has died
+            _serial, conn = True, None
+    if conn is None:
+        return fn(*here), fn(*there)
+    try:
+        first = fn(*here)
+    finally:
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):  # the helper has died
+            _serial, reply = True, None
+    if reply is None:  # there runs here
+        return first, fn(*there)
+    if not reply[0]:
+        raise reply[1]
+    return first, reply[1]

@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import call_in_helper
+from .device import split_calls
 from .errors import FitError
 
 _REL_STEP = math.sqrt(np.finfo(float).eps)
 
-# Fewest residuals at which best_of_starts hands half its starts to the
-# helper process: the 441-cell calibration surface splits, while the
+# Fewest residuals at which best_of_starts splits a fit without stop_rms:
+# the 441-cell surface fit of a calibration with shots splits, while the
 # 100-sample Rabi fit of a default rabi run, and every RB decay curve, stay
 # in one process, where the round trip costs more than half the starts.
 SPLIT_RESIDUALS = 256
@@ -153,19 +153,18 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
     over a list of starts.
 
     ``stacked`` maps a ``(k, n)`` stack of points to the ``(k, m)`` stack
-    of their residuals, as for :func:`two_point`, whose memoized pair is
-    built once and shared by every start.  The starts run in order, each
-    with ``tolerances``; a start that raises is skipped.  The lowest cost
-    wins, and on a tie the earliest start.  With ``stop_rms`` the starts
-    stop once the winner's RMS residual falls below it.
+    of their residuals, as for :func:`two_point`.  The starts run in order
+    (:func:`_fit_starts`), each with ``tolerances``; a start that raises is
+    skipped.  The lowest cost wins, and on a tie the earliest start.  With
+    ``stop_rms`` the starts stop once the winner's RMS residual falls below
+    it, and they all run in this process.
 
-    With at least 2 starts and :data:`SPLIT_RESIDUALS` residuals at the
-    first, the helper process (:func:`device.call_in_helper`) fits the
-    second half of the starts while this process fits the first half, and
-    the two merge by the rule above: the first half's fit stands if it
-    stopped on ``stop_rms``, and the second half's wins only at a strictly
-    lower cost.  The result is the one a single process gives; ``stacked``
-    must then pickle and call no BLAS routine.
+    A fit without ``stop_rms`` runs every start.  With at least 2 starts and
+    :data:`SPLIT_RESIDUALS` residuals at the first, the helper process
+    (:func:`device.split_calls`) fits the second half of them while this
+    process fits the first half, and the second half's fit wins only at a
+    strictly lower cost: the result is the one a single process gives.
+    ``stacked`` must then pickle and call no BLAS routine.
 
     Returns:
         ``(fit, used)``: the winning fit, and the number of starts up to
@@ -174,17 +173,30 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
     Raises:
         FitError: if no start converges.
     """
-    residuals, jac = two_point(stacked)
     starts = list(starts)
-    half, second = len(starts), None
-    # the size check's residuals are the first start's, through the memo
-    if half >= 2 and _residual_count(residuals, starts[0]) >= SPLIT_RESIDUALS:
-        fit = functools.partial(best_of_starts, stop_rms=stop_rms, **tolerances)
-        second = call_in_helper(fit, (stacked, starts[half // 2 :]))
-        if second is not None:
-            half //= 2
+    half = len(starts) // 2
+    if stop_rms is None and half and _residual_count(stacked, starts[0]) >= SPLIT_RESIDUALS:
+        (best, used), (other, other_used) = split_calls(
+            _fit_starts, (stacked, starts[:half], None, tolerances),
+            (stacked, starts[half:], None, tolerances))
+        if other_used:
+            used = half + other_used
+            if best is None or other.cost < best.cost:
+                best = other
+    else:
+        best, used = _fit_starts(stacked, starts, stop_rms, tolerances)
+    if best is None:
+        raise FitError(f"none of the {len(starts)} starts of the fit converged")
+    return best, used
+
+
+def _fit_starts(stacked, starts, stop_rms, tolerances: dict):
+    """``(fit, used)`` of :func:`best_of_starts` over ``starts`` in order,
+    with one :func:`two_point` pair shared by every start; ``(None, 0)`` if
+    no start converges."""
+    residuals, jac = two_point(stacked)
     best, used = None, 0
-    for k, start in enumerate(starts[:half], 1):
+    for k, start in enumerate(starts, 1):
         try:
             res = levenberg_marquardt(residuals, start, jac=jac, **tolerances)
         except Exception:  # noqa: BLE001 - a start that breaks down is skipped
@@ -193,25 +205,13 @@ def best_of_starts(stacked, starts, stop_rms: float | None = None, **tolerances)
         if best is None or res.cost < best.cost:
             best = res
         if stop_rms is not None and best.rms < stop_rms:
-            return best, used  # the helper's reply is dropped at its next call
-    if second is not None:
-        try:
-            other, other_used = second()
-        except FitError:
-            pass  # no start of the second half converged
-        else:
-            used = half + other_used
-            if best is None or other.cost < best.cost:
-                best = other
-    if best is None:
-        raise FitError(f"none of the {len(starts)} starts of the fit converged")
+            break
     return best, used
 
 
-def _residual_count(residuals, start) -> int:
-    """The number of residuals at ``start``, or 0 if they cannot be
-    evaluated there."""
+def _residual_count(stacked, start) -> int:
+    """The number of residuals of ``stacked`` at ``start``, or 0 on error."""
     try:
-        return residuals(np.array(start, dtype=float)).size
+        return np.asarray(stacked(np.array(start, dtype=float)[None])).size
     except Exception:  # noqa: BLE001 - the start itself is skipped
         return 0

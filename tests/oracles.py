@@ -1,7 +1,8 @@
 """Code that the tests use and no command runs: reference routes, each the
 plain formula (the dense 8x8 Hamiltonian and its propagator, the singlet
-density matrix, the 2x2 qubit block, and the germ's pulse list with its
-exact Clifford twirl); helpers on ``(w, x, y, z)`` quaternion arrays
+density matrix, the 2x2 qubit block, the germ's pulse list with its
+exact Clifford twirl, and the average infidelity of the device's Clifford
+gates under quasi-static noise); helpers on ``(w, x, y, z)`` quaternion arrays
 beyond ``rotations.quaternion``, ``compose`` and ``so3_matrix``; a
 pure-float product that pins the group's quaternions bit for bit; and the
 1-J Clifford compiler, c07's subject, which calls ``rot.compose``,
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from aeonsim import benchmarking as bench
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
 from aeonsim.errors import ProtocolError
@@ -88,6 +90,40 @@ def twirl_fidelity(u):
         net = rot.compose(rot.compose(inverse(el.rotation), u), el.rotation)
         survivals.append(net[0] ** 2 + net[3] ** 2)
     return float(np.mean(survivals))
+
+
+def clifford_infidelity(device, n_draws: int, seed: int = 0) -> float:
+    """Average gate infidelity ``r = 1 - F`` of the Cliffords that device
+    RB plays, under ``n_draws`` quasi-static noise draws of
+    ``device.noise`` (one draw held over a whole Clifford).
+
+    Each Clifford's pulses (:func:`benchmarking.realize_pulse`) are
+    composed from the kernel's sector propagators
+    (``DeviceModel._propagators``), with a draw and without one.  ``V`` is
+    the encoded 2x2 block of ``U0^dag Un`` in one gauge sector, and ``F =
+    (|Tr V|^2 + Tr V^dag V) / 6`` its average gate fidelity, leakage out of
+    the block included; ``F`` is averaged over the draws, the 24 Cliffords
+    and both sectors.  The draws are standard normals from
+    ``default_rng(seed)`` scaled by ``NoiseConfig.sigmas``.
+    """
+    iso = np.stack([hb.ENCODED.gauge_sector(m)[hb.SECTORS[m]] for m in (0, 1)])
+    z = np.random.default_rng(seed).standard_normal((n_draws, 9)) * device.noise.sigmas
+    fidelity = []
+    for el in rot.canonical_clifford_group():
+        pulses = [bench.realize_pulse(device, aa) for aa in el.decomposition]
+
+        def played(z):
+            u = np.broadcast_to(np.eye(3), (len(z), 2, 3, 3))
+            for p in pulses:
+                u = device._propagators(np.add(p.v_x, z[:, 3:6]), p.duration_s, z[:, :3],
+                                        z[:, 6:], False) @ u
+            return u
+
+        v = np.einsum("mia,mji,nmjk,mkb->nmab", iso.conj(), played(np.zeros((1, 9)))[0].conj(),
+                      played(z), iso)
+        fidelity.append((abs(np.trace(v, axis1=-2, axis2=-1)) ** 2
+                         + np.sum(abs(v) ** 2, axis=(-2, -1))) / 6.0)
+    return 1.0 - float(np.mean(fidelity))
 
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])

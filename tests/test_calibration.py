@@ -551,7 +551,7 @@ def test_find_peak_centroid_and_region_choice():
     f = np.exp(-((xx - 0.5) ** 2 + yy**2) / 0.01)
     f = f + 0.95 * np.exp(-((xx + 0.5) ** 2 + yy**2) / 0.01)
     cfg = default_cfg()
-    fmap = cal.FidelityMap(v, v, f, ("12", "23"), 1, cfg)
+    fmap = cal.FidelityMap(v, v, f, ("12", "23"), 1, cfg, None)
     near_right = cal.find_peak(fmap, previous=(0.4, 0.0))
     assert near_right.v1 == pytest.approx(0.5, abs=0.02)
     near_left = cal.find_peak(fmap, previous=(-0.4, 0.0))
@@ -560,7 +560,7 @@ def test_find_peak_centroid_and_region_choice():
 
 def test_find_peak_rejects_flat_map():
     v = np.linspace(0, 1, 11)
-    fmap = cal.FidelityMap(v, v, np.full((11, 11), 0.7), ("12", "23"), 1, default_cfg())
+    fmap = cal.FidelityMap(v, v, np.full((11, 11), 0.7), ("12", "23"), 1, default_cfg(), None)
     with pytest.raises(DetectionError):
         cal.find_peak(fmap, previous=(0.5, 0.5))
 

@@ -710,8 +710,8 @@ def test_rng_streams_cross_chunk_boundaries_like_the_oracle(monkeypatch):
     assert len(got) == 1300 > 2 * dev._STREAM_CHUNK
     for index, state in zip(np.ndindex(13, 100), got):
         assert state == _oracle(2**40 + 7, (5,) + index).bit_generator.state
-    # started at a flat index, the streams are the tail of the full
-    # iteration, and no state before that index is derived
+    # over a range of flat indices, the streams are that slice of the full
+    # iteration, and no state outside it is derived
     derived = []
     states = dev._pcg64_states
 
@@ -721,13 +721,15 @@ def test_rng_streams_cross_chunk_boundaries_like_the_oracle(monkeypatch):
 
     monkeypatch.setattr(dev, "_pcg64_states", counted)
     for start in (1, dev._STREAM_CHUNK - 1, dev._STREAM_CHUNK, dev._STREAM_CHUNK + 3, 1299, 1300):
-        derived.clear()
-        tail = dev.rng_streams(2**40 + 7, 5, shape=(13, 100), start=start)
-        assert [rng.bit_generator.state for rng in tail] == got[start:]
-        assert sum(derived) == 1300 - start
-    assert list(dev.rng_streams(3, shape=4, start=9)) == []
-    with pytest.raises(ValueError, match="flat index"):
-        dev.rng_streams(3, shape=4, start=-1)
+        for stop in {s for s in (start, start + 1, 650, 1299, 1300) if start <= s <= 1300}:
+            derived.clear()
+            part = dev.rng_streams(2**40 + 7, 5, shape=(13, 100), cells=range(start, stop))
+            assert [rng.bit_generator.state for rng in part] == got[start:stop]
+            assert sum(derived) == stop - start
+    assert list(dev.rng_streams(3, shape=4, cells=range(4, 4))) == []
+    for cells in (range(-1, 4), range(0, 5), range(9, 9), range(0, 4, 2), [0, 1]):
+        with pytest.raises(ValueError, match="step-1 range"):
+            dev.rng_streams(3, shape=4, cells=cells)
 
 
 def test_kernel_memory_does_not_grow_with_trains_times_table():

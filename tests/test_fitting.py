@@ -315,13 +315,14 @@ def _callers_of_driver_parts(tree) -> set:
 
 
 def test_only_the_multi_start_driver_runs_levenberg_marquardt():
-    # every fit hands its stacked model and starts to fitting.best_of_starts;
-    # a hand-written start loop elsewhere names one of these two
+    # every fit hands its stacked model and starts to fitting.best_of_starts,
+    # whose start loop is _fit_starts; a hand-written start loop elsewhere
+    # names one of these two
     for path in sorted(SRC.glob("*.py")):
         if path.name != "fitting.py":
             assert not _callers_of_driver_parts(ast.parse(path.read_text())), path.name
     found = _callers_of_driver_parts(ast.parse((SRC / "fitting.py").read_text()))
-    assert found == {("levenberg_marquardt", "best_of_starts"), ("two_point", "best_of_starts")}
+    assert found == {("levenberg_marquardt", "_fit_starts"), ("two_point", "_fit_starts")}
     for code in (
         "from .fitting import levenberg_marquardt",
         "from .fitting import two_point as pair",
@@ -344,10 +345,10 @@ def _mirrored(points):
     return np.repeat(points**2 - 1.0, fitting.SPLIT_RESIDUALS, axis=1)
 
 
-def _serial_replay(stacked, starts, stop_rms=None, **tolerances):
+def _serial_replay(stacked, starts, **tolerances):
     """Each start through levenberg_marquardt in one process, in order,
-    and the multi-start rule: lowest cost, the earliest on a tie, stop
-    below stop_rms, count up to the last start that converged."""
+    and the multi-start rule: lowest cost, the earliest on a tie, count up
+    to the last start that converged."""
     residuals, jac = fitting.two_point(stacked)
     best, used = None, 0
     for k, start in enumerate(starts, 1):
@@ -358,8 +359,6 @@ def _serial_replay(stacked, starts, stop_rms=None, **tolerances):
         used = k
         if best is None or res.cost < best.cost:
             best = res
-        if stop_rms is not None and best.rms < stop_rms:
-            break
     if best is None:
         raise FitError(f"none of the {len(starts)} starts of the fit converged")
     return best, used
@@ -368,29 +367,28 @@ def _serial_replay(stacked, starts, stop_rms=None, **tolerances):
 def test_split_starts_equal_the_serial_replay(monkeypatch):
     nan, plus, minus, inf = (np.array([v]) for v in (math.nan, 2.0, -2.0, math.inf))
     cases = [
-        ([plus, nan, minus, inf], None),  # a tie across the halves: the earlier start wins
-        ([minus, plus, plus, minus, nan], None),  # odd: two starts here, three in the helper
-        ([plus, minus, plus, minus], 1e-6),  # stop_rms in the first half
-        ([nan, inf, plus, minus], 1e-6),  # stop_rms in the second half
-        ([nan, inf, minus, plus], None),  # no start of the first half converges
-        ([plus, nan, nan, minus, inf, inf], None),  # the last to converge is the helper's first
+        [plus, nan, minus, inf],  # a tie across the halves: the earlier start wins
+        [minus, plus, plus, minus, nan],  # odd: two starts here, three in the helper
+        [nan, inf, minus, plus],  # no start of the first half converges
+        [plus, nan, nan, minus, inf, inf],  # the last to converge is the helper's first
     ]
     split = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
-    for starts, stop_rms in cases:
-        want, want_used = _serial_replay(_mirrored, starts, stop_rms, xtol=1e-12)
+    for starts in cases:
+        want, want_used = _serial_replay(_mirrored, starts, xtol=1e-12)
         calls = _record_fits(monkeypatch)
-        fit, used = fitting.best_of_starts(_mirrored, starts, stop_rms=stop_rms, xtol=1e-12)
+        fit, used = fitting.best_of_starts(_mirrored, starts, xtol=1e-12)
         assert fit.x.tobytes() == want.x.tobytes() and fit.cost == want.cost
         assert (fit.rms, fit.nfev, used) == (want.rms, want.nfev, want_used)
         # with two CPUs this process fits only the first half of the starts
         mine = starts[: len(starts) // 2] if split else starts
-        if stop_rms is not None:
-            mine = mine[: want_used]
         assert [start.tobytes() for _, start, _, _ in calls] == [s.tobytes() for s in mine]
     with pytest.raises(FitError, match="none of the 4 starts of the fit converged"):
         fitting.best_of_starts(_mirrored, [nan, inf, inf, nan])
-    # below SPLIT_RESIDUALS residuals, or with one start, all starts run here
-    for stacked, starts in ((_mirrored, [plus]), (lambda p: p**2 - 1.0, [plus, minus, plus])):
+    # below SPLIT_RESIDUALS residuals, with one start, or with stop_rms (a
+    # fit that may stop early), all starts run here, in order
+    for stacked, starts, stop_rms in ((_mirrored, [plus], None),
+                                      (lambda p: p**2 - 1.0, [plus, minus, plus], None),
+                                      (_mirrored, [nan, plus, minus, plus], 0.0)):
         calls = _record_fits(monkeypatch)
-        fitting.best_of_starts(stacked, starts)
-        assert len(calls) == len(starts)
+        fitting.best_of_starts(stacked, starts, stop_rms=stop_rms)
+        assert [start.tobytes() for _, start, _, _ in calls] == [s.tobytes() for s in starts]

@@ -1,7 +1,8 @@
 """The helper process that takes half of a shot sweep's cells and half of
-a large fit's starts: it leaves no process behind, whether its parent
-exits or is killed, a dead helper changes no result, and on one CPU none
-is forked.  Linux only: processes are read from ``/proc``."""
+the starts of a large fit that runs every start: it leaves no process
+behind, whether its parent exits or is killed, a dead helper changes no
+result, and none is forked on one CPU or by a shot-free calibration.
+Linux only: processes are read from ``/proc``."""
 
 import json
 import math
@@ -22,9 +23,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TWO_CPUS = pytest.mark.skipif(
     hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
     reason="no helper runs on one CPU")
-# 17 x 17 cells: 289 residuals, so the surface fit splits too
-CALIBRATE = ("calibrate", "--phi-star", "0", "--theta-star", repr(math.pi), "--shots", "50",
-             "--grid", "17")
+# 17 x 17 cells: 289 residuals, so the surface fit of a map with shots
+# splits too
+EXACT = ("calibrate", "--phi-star", "0", "--theta-star", repr(math.pi), "--grid", "17")
+CALIBRATE = EXACT + ("--shots", "50")
 
 
 def _env():
@@ -68,14 +70,25 @@ def children():
     return out
 """
 
-ONE_CPU = CHILDREN + r"""
+# argv: "1" to run on one CPU or "2", the output path, then the command
+FORKS = CHILDREN + r"""
 import sys
 from aeonsim import cli
 
-os.sched_setaffinity(0, {0})
-code = cli.main(sys.argv[2:] + ["--out", sys.argv[1]])
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {0})
+code = cli.main(sys.argv[3:] + ["--out", sys.argv[2]])
 print(code, len(children()))
 """
+
+
+def _forks(cpus, out, argv, cwd):
+    """The exit code of a command run through ``cli.main`` in a fresh
+    interpreter, and the number of processes it forked."""
+    done = subprocess.run([sys.executable, "-c", FORKS, cpus, out, *argv], cwd=cwd, env=_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stderr == ""
+    return done.stdout.split()
 
 
 def test_calibrate_leaves_no_process_and_one_cpu_writes_the_same_bytes(tmp_path):
@@ -84,17 +97,24 @@ def test_calibrate_leaves_no_process_and_one_cpu_writes_the_same_bytes(tmp_path)
     assert proc.returncode == 0 and out == "" and err == ""
     assert _in_session(proc.pid) == []
     # on one CPU no helper is forked, and the artifact is the same bytes
-    one = subprocess.run([sys.executable, "-c", ONE_CPU, "one.json", *CALIBRATE], cwd=tmp_path,
-                         env=_env(), capture_output=True, text=True, timeout=120, check=True)
-    assert one.stdout.split() == ["0", "0"] and one.stderr == ""
+    assert _forks("1", "one.json", CALIBRATE, tmp_path) == ["0", "0"]
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "cal.json").read_bytes()
     assert json.loads((tmp_path / "cal.json").read_text())["fit"]["residual_rms"] < 0.05
 
 
 @TWO_CPUS
+def test_only_a_calibration_with_shots_forks_a_helper(tmp_path):
+    # the exact map's surface fit may stop at its first start, so it runs
+    # in one process, and its sweeps have no shots to split
+    assert _forks("2", "exact.json", EXACT, tmp_path) == ["0", "0"]
+    assert _forks("2", "shots.json", CALIBRATE, tmp_path) == ["0", "1"]
+
+
+@TWO_CPUS
 def test_killed_parent_leaves_no_helper(tmp_path):
     # a 101 x 101 sweep: the helper appears at the first stage's shots
-    proc = _run(["-m", "aeonsim.cli", *CALIBRATE[:-1], "101", "--out", "cal.json"], tmp_path)
+    proc = _run(["-m", "aeonsim.cli", *EXACT[:-1], "101", "--shots", "50", "--out", "cal.json"],
+                tmp_path)
     try:
         deadline = time.monotonic() + 60
         while len(_in_session(proc.pid)) < 2:
@@ -110,7 +130,7 @@ def test_killed_parent_leaves_no_helper(tmp_path):
 
 
 KILLED_HELPER = CHILDREN + r"""
-import math, signal, time
+import functools, math, signal, time
 import numpy as np
 from aeonsim import benchmarking as bench, calibration as cal, device as dev
 
@@ -125,21 +145,35 @@ def results():
     return fmap.f.tobytes(), bench.fit_oscillation_decay(t, y)
 
 
-def slow_pid():
-    time.sleep(0.5)
-    return os.getpid()
+def tagged(tag, delay=0.0, then=None):
+    time.sleep(delay)
+    if then is not None:
+        then()
+    return tag, os.getpid()
+
+
+def raises(*args):
+    try:
+        dev.split_calls(tagged, *args)
+    except ValueError:
+        return True
+    return False
 
 
 first = results()
 (helper,) = children()
-assert dev.call_in_helper(slow_pid, ())() == helper
+me = os.getpid()
+assert dev.split_calls(tagged, ("a",), ("b",)) == (("a", me), ("b", helper))
+# a call that raises, here or in the helper, leaves no reply on the pipe
+fail = functools.partial(int, "x")
+assert raises(("c", 0.0, fail), ("d", 0.2)) and raises(("e",), ("f", 0.0, fail))
+assert dev.split_calls(tagged, ("g",), ("h",)) == (("g", me), ("h", helper))
 # killed while it runs a call: the call runs again in this process
-pending = dev.call_in_helper(slow_pid, ())
-time.sleep(0.1)
-os.kill(helper, signal.SIGKILL)
-assert pending() == os.getpid() and dev._serial
+kill = functools.partial(os.kill, helper, signal.SIGKILL)
+assert dev.split_calls(tagged, ("i", 0.1, kill), ("j", 0.5)) == (("i", me), ("j", me))
+assert dev._serial
 # killed between calls: the next splits run here, with the same results
-assert results() == first and dev.call_in_helper(time.sleep, (0.0,)) is None
+assert results() == first
 assert children() == [helper]  # the dead helper, not reaped before exit; none forked since
 print("ok")
 """

@@ -27,9 +27,6 @@ ALLOWED = {
     "rotations.match_element": "perfbench's tracer binds it as benchmarking.match_element",
 }
 
-if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
-    ALLOWED["device.call_in_helper.result"] = "on one CPU no helper process runs to reply"
-
 PI = repr(math.pi)
 RB = ("--depths", "1,2,4", "--sequences", "2")
 GATE = ("--gate-phi", repr(-math.pi / 2), "--gate-theta", PI)
