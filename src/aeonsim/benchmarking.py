@@ -30,7 +30,6 @@ from .device import (  # noqa: F401 - sample_noise stays bound for perfbench's t
 )
 from .errors import FitError
 from .fitting import best_of_starts
-from .hilbert import ExchangeVector
 from .rotations import (  # noqa: F401 - compose, match_element and so3_matrix stay bound for perfbench's tracer
     AxisAngle,
     ONE_J_AXES,
@@ -119,17 +118,13 @@ def realize_pulse(device: DeviceModel, aa: AxisAngle) -> PulseSpec:
     omega = device.rotation_rate(aa.theta)
     if omega == 0.0:
         return PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=device.pulse_s)
-    j = None
     for pair, axis_phi in ONE_J_AXES.items():
         if abs((aa.phi - axis_phi + math.pi) % TWO_PI - math.pi) < 1e-9:
-            j = {p: (omega if p == pair else 0.0) for p in PAIR_ORDER}
+            j = [omega if p == pair else 0.0 for p in PAIR_ORDER]
             break
-    if j is None:
+    else:
         j = solve_exchange_for_rotation(aa.phi, omega, pairs_for_axis(aa.phi))
-    v = device.voltages_for_exchange(
-        ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])
-    )
-    return PulseSpec(v_x=tuple(v), duration_s=device.pulse_s)
+    return PulseSpec(v_x=tuple(device.voltages_for_exchange(j)), duration_s=device.pulse_s)
 
 
 def _run_device_engine(device, cfg, group, interleaved):

@@ -26,7 +26,6 @@ import numpy as np
 from .device import PAIR_ORDER, DeviceModel, ExchangeLaw, barrier_grid, rng_streams, split_calls
 from .errors import CalibrationDiverged, ConfigError, DetectionError, FitError
 from .fitting import best_of_starts
-from .hilbert import ExchangeVector
 from .rotations import (
     AxisAngle,
     canonical_clifford_group,
@@ -406,13 +405,9 @@ def _map_model(params, fmap: FidelityMap, a_scales, eta: float) -> np.ndarray:
     rotation map broadcasts them over the grid."""
     b1, c1, b2, c2, chi = np.asarray(params, dtype=float).T[:, :, None, None]
     cfg = fmap.cfg
-    by_pair = {
-        fmap.pairs[0]: a_scales[0] * np.exp(b1 * fmap.v1 + c1),
-        fmap.pairs[1]: a_scales[1] * np.exp(b2 * fmap.v2[:, None] + c2),
-    }
-    j = ExchangeVector(
-        j12=by_pair.get("12", 0.0), j23=by_pair.get("23", 0.0), j13=by_pair.get("13", 0.0)
-    )
+    j = np.zeros((len(b1), fmap.v2.size, fmap.v1.size, 3))
+    j[..., PAIR_ORDER.index(fmap.pairs[0])] = a_scales[0] * np.exp(b1 * fmap.v1 + c1)
+    j[..., PAIR_ORDER.index(fmap.pairs[1])] = a_scales[1] * np.exp(b2 * fmap.v2[:, None] + c2)
     aa = exchange_to_rotation(j, cfg.pulse_s)
     return analytic_fidelity(aa.phi, aa.theta, eta, chi, fmap.n_reps, cfg)
 
@@ -435,7 +430,7 @@ def fit_final(
     fmap: FidelityMap,
     assumed_laws: dict,
     peak_v: tuple[float, float],
-    j_tgt: dict,
+    j_tgt,
     seed: int = 0,
 ) -> CalFit:
     """Fit the analytic fidelity surface to the final map.
@@ -450,7 +445,7 @@ def fit_final(
     start, and may split them with the helper process.
 
     Each start's C offsets put the model's calibration point, the
-    target couplings ``j_tgt`` (Hz, by pair), on ``peak_v``, the measured
+    target couplings ``j_tgt`` (Hz, in pair order), on ``peak_v``, the measured
     peak of this map; a start from the assumed C can alias onto a
     neighboring high-N fringe and converge to a shifted law.
 
@@ -462,6 +457,7 @@ def fit_final(
     law1, law2 = assumed_laws[fmap.pairs[0]], assumed_laws[fmap.pairs[1]]
     a_scales = (law1.a_hz, law2.a_hz)
     x0 = np.array([law1.b_per_v, 0.0, law2.b_per_v, 0.0, cfg.chi])
+    j_pairs = [j_tgt[PAIR_ORDER.index(p)] for p in fmap.pairs]
     starts = []
     for k, rng in enumerate(rng_streams(seed, 77, shape=FIT_STARTS)):
         start = x0.copy()
@@ -471,8 +467,8 @@ def fit_final(
             z = rng.standard_normal(5)
             start[[0, 2]] *= 1.0 + 0.03 * z[:2]
             start[4] += 0.05 * z[4]
-        start[1] = math.log(j_tgt[fmap.pairs[0]] / a_scales[0]) - start[0] * peak_v[0]
-        start[3] = math.log(j_tgt[fmap.pairs[1]] / a_scales[1]) - start[2] * peak_v[1]
+        start[1] = math.log(j_pairs[0] / a_scales[0]) - start[0] * peak_v[0]
+        start[3] = math.log(j_pairs[1] / a_scales[1]) - start[2] * peak_v[1]
         starts.append(start)
     best, used = best_of_starts(
         functools.partial(_surface_residuals, fmap, a_scales),
@@ -495,11 +491,11 @@ def fitted_rotation_at(
     fit: CalFit, pairs: tuple[str, str], v1: float, v2: float, pulse_s: float
 ) -> AxisAngle:
     """Probe rotation the fitted model assigns to a voltage point."""
-    j = dict.fromkeys(PAIR_ORDER, 0.0)
+    j = [0.0, 0.0, 0.0]
     for p, v in zip(pairs, (v1, v2)):
         law = fit.laws[p]
-        j[p] = law.a_hz * math.exp(law.b_per_v * v + law.c)
-    return exchange_to_rotation(ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"]), pulse_s)
+        j[PAIR_ORDER.index(p)] = law.a_hz * math.exp(law.b_per_v * v + law.c)
+    return exchange_to_rotation(j, pulse_s)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +554,7 @@ def run_calibration(
         pairs = pairs_for_axis(phi_star)
     laws = dict(device.laws) if assumed_laws is None else dict(assumed_laws)
     j_tgt = solve_exchange_for_rotation(phi_star, device.rotation_rate(theta_star), pairs)
-    center = [laws[p].v_for(j_tgt[p], p) for p in pairs]
+    center = [laws[p].v_for(j_tgt[PAIR_ORDER.index(p)], p) for p in pairs]
 
     stages = []
     window = window0_v
@@ -606,7 +602,7 @@ def run_calibration(
         center = [peak.v1, peak.v2]
 
     fit = fit_final(fmap, laws, center, j_tgt, seed=seed)
-    v_final = tuple(fit.laws[p].v_for(j_tgt[p], p) for p in pairs)
+    v_final = tuple(fit.laws[p].v_for(j_tgt[PAIR_ORDER.index(p)], p) for p in pairs)
     aa = fitted_rotation_at(fit, pairs, v_final[0], v_final[1], cfg.pulse_s)
     return {
         "target": {"phi": phi_star, "theta": theta_star, "q": cfg.q, "s": cfg.s},

@@ -31,7 +31,6 @@ from .errors import (
     ProtocolError,
 )
 from .hilbert import (  # noqa: F401 - measure_p0 stays bound for perfbench's tracer
-    ExchangeVector,
     FieldConfig,
     energy_levels,
     measure_p0,
@@ -211,7 +210,7 @@ def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool
     """
     j = device.exchange_from_voltages(v_x, apply_cross=apply_cross)
     for pair, name in names.items():
-        if not np.all(np.isfinite(getattr(j, f"j{pair}"))):
+        if not np.all(np.isfinite(j[..., dev.PAIR_ORDER.index(pair)])):
             raise ValueError(
                 f"{name}: the exchange law of pair {pair} overflows at these barrier voltages"
             )
@@ -238,7 +237,7 @@ def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool
 
 
 def _cmd_spectrum(args, device: dev.DeviceModel) -> int:
-    j = ExchangeVector(j12=args.j12, j23=args.j23, j13=args.j13)
+    j = np.array([args.j12, args.j13, args.j23], dtype=float)
     fields = FieldConfig(
         f_uniform_hz=args.f_uniform,
         gradients_hz=(args.b1, args.b2, args.b3),

@@ -8,8 +8,10 @@ physical-to-virtual transform.
 Quasi-static Gaussian noise draws perturb the virtual voltages and add a
 magnetic gradient; a draw is held fixed for the duration of one shot.
 
-Virtual gate vectors are ordered ``(P1, P2, P3, X12, X13, X23)`` and
-exchange pair vectors ``(12, 13, 23)`` throughout.
+Virtual gate vectors are ordered ``(P1, P2, P3, X12, X13, X23)``.  Barrier
+voltages, the exchange couplings they set and the detuning curvature's
+rows run in pair order :data:`PAIR_ORDER`, ``(12, 13, 23)``, over their
+last axis, as every coupling in :mod:`hilbert` does.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import ConfigError, NonFiniteError
-from .hilbert import ExchangeVector, FieldConfig
-
-PAIR_ORDER = ("12", "13", "23")
+from .hilbert import PAIR_ORDER, FieldConfig
 
 # Relative cross-response of each exchange coupling to the other barrier
 # gates (rows/columns in pair order 12, 13, 23).
@@ -211,35 +211,23 @@ class ExchangeLaw:
         return (math.log(ratio) - self.c) / self.b_per_v
 
 
-@dataclass(frozen=True)
-class DetuningSensitivity:
-    """Quadratic sensitivity of one coupling to tilt and dimple detuning.
+def detuning_penalty(plunger_offsets, curvature) -> np.ndarray:
+    """Multiplicative exchange penalty in pair order for virtual plunger
+    offsets (volts, relative to the deep symmetry spot), shape ``(..., 3)``
+    for offsets of shape ``(..., 3)``.
 
-    The penalty is ``exp(alpha_tilt * eps_t**2 + alpha_dimple * eps_d**2)``
-    with ``eps_t = (eps2 - eps1)/2`` and ``eps_d = eps3 - (eps1 + eps2)/2``;
-    a common-mode plunger shift changes nothing.
-    """
-
-    alpha_tilt: float = 0.0
-    alpha_dimple: float = 0.0
-
-
-def detuning_penalty(plunger_offsets, sensitivities: dict[str, DetuningSensitivity]) -> dict:
-    """Multiplicative exchange penalty per pair for virtual plunger offsets
-    (volts, relative to the deep symmetry spot).
-
-    Offsets of shape ``(..., 3)`` give a penalty array of the batch shape
-    per pair.
+    Row ``k`` of the ``(3, 2)`` ``curvature`` holds ``(alpha_tilt,
+    alpha_dimple)`` of pair ``PAIR_ORDER[k]``, whose penalty is
+    ``exp(alpha_tilt * eps_t**2 + alpha_dimple * eps_d**2)`` with ``eps_t =
+    (eps2 - eps1)/2`` and ``eps_d = eps3 - (eps1 + eps2)/2``; a common-mode
+    plunger shift changes nothing.
     """
     e = np.asarray(plunger_offsets, dtype=float)
     e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
     eps_t = 0.5 * (e2 - e1)
     eps_d = e3 - 0.5 * (e1 + e2)
-    out = {}
-    for pair in PAIR_ORDER:
-        s = sensitivities.get(pair, DetuningSensitivity())
-        out[pair] = np.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2)
-    return out
+    alpha = np.asarray(curvature, dtype=float)
+    return np.exp(alpha[:, 0] * eps_t[..., None]**2 + alpha[:, 1] * eps_d[..., None]**2)
 
 
 @dataclass(frozen=True)
@@ -309,18 +297,17 @@ class PulseSpec:
 class DeviceModel:
     """Ground-truth device used by the simulated experiments; the defaults
     are the reference device: printed cross matrix, exchange laws spanning
-    1 MHz at 0 V to 200 MHz at 100 mV, moderate detuning curvature, no
-    noise.  A ``cross`` of None is the identity: no cross-talk."""
+    1 MHz at 0 V to 200 MHz at 100 mV, moderate detuning curvature (rows
+    in pair order, see :func:`detuning_penalty`), no noise.  A ``cross``
+    of None is the identity: no cross-talk."""
 
     laws: dict = field(
         default_factory=lambda: {p: ExchangeLaw(1.0e6, 52.983, 0.0) for p in PAIR_ORDER}
     )
     cross: np.ndarray = field(default_factory=lambda: DEFAULT_CROSS.copy())
-    sensitivities: dict = field(default_factory=lambda: {
-        "12": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
-        "13": DetuningSensitivity(alpha_tilt=5.0e2, alpha_dimple=2.0e3),
-        "23": DetuningSensitivity(alpha_tilt=2.0e3, alpha_dimple=8.0e2),
-    })
+    curvature: np.ndarray = field(
+        default_factory=lambda: np.array([[2.0e3, 8.0e2], [5.0e2, 2.0e3], [2.0e3, 8.0e2]])
+    )
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     fields: FieldConfig = FieldConfig()
     pulse_s: float = 10e-9
@@ -341,14 +328,15 @@ class DeviceModel:
         v_x,
         plunger_offsets=(0.0, 0.0, 0.0),
         apply_cross: bool = False,
-    ) -> ExchangeVector:
-        """Exchange couplings (Hz) for virtual barrier voltages (pair order).
+    ) -> np.ndarray:
+        """Exchange couplings (Hz) for virtual barrier voltages, both in
+        pair order.
 
         ``v_x`` of shape ``(..., 3)`` and plunger offsets broadcasting to it
-        give couplings of the batch shape (0-d for a single voltage
-        vector).  Cross-talk between barriers is opt-in; the detuning
-        penalty applies whenever plunger offsets are nonzero.  A coupling
-        that overflows is left non-finite, without a warning, for the
+        give couplings of shape ``(..., 3)``, column ``k`` from the law of
+        pair ``PAIR_ORDER[k]``.  Cross-talk between barriers is opt-in; the
+        detuning penalty applies whenever plunger offsets are nonzero.  A
+        coupling that overflows is left non-finite, without a warning, for the
         caller to check (:func:`hilbert.sector_propagator` refuses it).
         """
         v = np.asarray(v_x, dtype=float)
@@ -360,11 +348,10 @@ class DeviceModel:
                 off = np.isinf(v)
                 mixed = (self.cross @ np.where(off, 0.0, v)[..., None])[..., 0]
                 v = np.where(off, v, mixed)
-            j = {p: self.laws[p].j_hz(v[..., i]) for i, p in enumerate(PAIR_ORDER)}
+            j = np.stack([self.laws[p].j_hz(v[..., i]) for i, p in enumerate(PAIR_ORDER)], axis=-1)
             if np.any(plungers != 0.0):
-                pen = detuning_penalty(plungers, self.sensitivities)
-                j = {p: j[p] * pen[p] for p in PAIR_ORDER}
-        return ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"])
+                j = j * detuning_penalty(plungers, self.curvature)
+        return j
 
     def rotation_rate(self, theta: float) -> float:
         """Total exchange (Hz) that rotates by ``theta`` in one pulse,
@@ -378,12 +365,14 @@ class DeviceModel:
             )
         return omega
 
-    def voltages_for_exchange(self, j: ExchangeVector) -> np.ndarray:
-        """Barrier voltages (pair order) hitting ``j`` with cross-talk off;
-        couplings of exactly zero map to ``-inf``, and NonFiniteError names
-        the law of a nonzero one that no finite voltage gives."""
+    def voltages_for_exchange(self, j) -> np.ndarray:
+        """Barrier voltages hitting the couplings ``j`` (Hz) with cross-talk
+        off, both 3-vectors in pair order; couplings of exactly zero map to
+        ``-inf``, and NonFiniteError names the law of a nonzero one that no
+        finite voltage gives."""
         out = []
-        for pair, val in zip(PAIR_ORDER, (j.j12, j.j13, j.j23)):
+        # Python floats, whose arithmetic in the law's inverse warns on no overflow
+        for pair, val in zip(PAIR_ORDER, np.asarray(j, dtype=float).tolist()):
             law = self.laws[pair]
             v = -np.inf if val == 0.0 else law.v_for(val, pair)
             if val != 0.0 and math.isinf(v):
@@ -598,7 +587,8 @@ CONFIG_SCHEMA = {
 def device_from_dict(raw: dict) -> DeviceModel:
     """Device from a parsed config object; an omitted leaf of
     :data:`CONFIG_SCHEMA` keeps the default device's value, but a given
-    ``dss.curvature`` replaces every pair's curvature.
+    ``dss.curvature`` replaces every pair's curvature, leaving a pair it
+    omits with none.
 
     Raises:
         ConfigError: naming the path of the first key outside the schema,
@@ -615,8 +605,8 @@ def device_from_dict(raw: dict) -> DeviceModel:
     return _under(
         "cross_matrix", replace, base, laws=laws,
         cross=cfg.get("cross_matrix", base.cross),
-        sensitivities=base.sensitivities if curvature is None else {
-            p: DetuningSensitivity(*ab) for p, ab in curvature.items()},
+        curvature=base.curvature if curvature is None else np.array(
+            [curvature.get(p, (0.0, 0.0)) for p in PAIR_ORDER], dtype=float),
         noise=replace(base.noise, **cfg.get("noise", {})),
         fields=replace(base.fields, **cfg.get("fields", {})),
         pulse_s=cfg.get("pulse_s", base.pulse_s),

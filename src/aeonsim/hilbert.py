@@ -19,9 +19,11 @@ entries in closed form.  The dense 8x8 Hamiltonian, its propagator and
 the singlet density matrix live in the tests (``tests/oracles.py``) as the
 reference the sector route is checked against.
 
-Couplings and fields are given in Hz; :func:`_sector_hamiltonian` (and
-:func:`energy_levels` for the m_S = +-3/2 energies) applies the factor
-2*pi, so Hamiltonians are in rad/s and evolution times in seconds.
+Exchange couplings are one array of shape ``(..., 3)`` in pair order
+:data:`PAIR_ORDER`.  Couplings and fields are given in Hz;
+:func:`_sector_hamiltonian` (and :func:`energy_levels` for the m_S =
++-3/2 energies) applies the factor 2*pi, so Hamiltonians are in rad/s
+and evolution times in seconds.
 
 The encoded qubit lives in the two total-spin-1/2 doublets: ``|0>`` is the
 state whose outer pair (dots 1 and 3) forms a singlet, ``|1>`` the
@@ -40,6 +42,9 @@ import numpy as np
 from .errors import NonFiniteError
 
 DIM = 8
+
+# The pairs along the last axis of every coupling array: J12, J13, J23
+PAIR_ORDER = ("12", "13", "23")
 
 _SZ = np.diag([0.5, -0.5]).astype(complex)
 _SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -62,29 +67,6 @@ SPIN_OPS = {
 
 def _dot_product(i: int, j: int) -> np.ndarray:
     return sum(SPIN_OPS[i][c] @ SPIN_OPS[j][c] for c in range(3))
-
-
-@dataclass(frozen=True)
-class ExchangeVector:
-    """Exchange couplings (Hz) for the three dot pairs.
-
-    Each coupling is a float, or an array when the vector describes a
-    batch; the three must then broadcast to one batch shape.
-    """
-
-    j12: float
-    j23: float
-    j13: float
-
-    @property
-    def j_plus(self) -> float:
-        """(J12 + J23) / 2."""
-        return 0.5 * (self.j12 + self.j23)
-
-    @property
-    def j_minus(self) -> float:
-        """(J12 - J23) / 2."""
-        return 0.5 * (self.j12 - self.j23)
 
 
 @dataclass(frozen=True)
@@ -113,21 +95,22 @@ def sector_blocks(op: np.ndarray) -> np.ndarray:
 
 # The sector blocks of each exchange and Zeeman term, where every term is real
 _BLOCK_EXCHANGE = {p: sector_blocks(_dot_product(int(p[0]), int(p[1]))).real
-                   for p in ("12", "23", "13")}
+                   for p in PAIR_ORDER}
 _BLOCK_ZEEMAN = {dot: sector_blocks(SPIN_OPS[dot][2]).real for dot in (1, 2, 3)}
 
 
-def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
+def _sector_hamiltonian(j, fields: FieldConfig | None) -> np.ndarray:
     """The m_S = +1/2 and -1/2 blocks of the three-spin Hamiltonian (rad/s),
 
         H = sum_pairs 2*pi*J_ij S_i.S_j + sum_i 2*pi*(f_B + b_i) S_z,i,
 
     on the product states :data:`SECTORS`, the exchange terms summed first
-    and then the Zeeman term of each dot: real, shape ``batch + (2, 3, 3)``.
-    The couplings (Hz) are scalars or arrays; ``fields`` None is zero
-    field, and per-dot gradients of shape ``(..., 3)`` describe a batch.
-    The batch shape broadcasts the couplings' shapes with the gradients'
-    leading shape (``()`` for scalar inputs).
+    (J12, then J23, then J13) and then the Zeeman term of each dot: real,
+    shape ``batch + (2, 3, 3)``.  The couplings ``j`` (Hz) are of shape
+    ``(..., 3)`` in pair order; ``fields`` None is zero field, and per-dot
+    gradients of shape ``(..., 3)`` describe a batch.  The batch shape
+    broadcasts the couplings' leading shape with the gradients' (``()``
+    for one vector of each).
 
     Raises:
         NonFiniteError: if an entry is not finite.
@@ -137,10 +120,11 @@ def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None) -> np.nda
         # a scalar or batch of scalars, shaped to scale a stack of blocks
         return np.asarray(x, dtype=float)[..., None, None, None]
 
+    j = np.asarray(j, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = 2.0 * np.pi * (coefficient(j.j12) * _BLOCK_EXCHANGE["12"]
-                           + coefficient(j.j23) * _BLOCK_EXCHANGE["23"]
-                           + coefficient(j.j13) * _BLOCK_EXCHANGE["13"])
+        h = 2.0 * np.pi * (coefficient(j[..., 0]) * _BLOCK_EXCHANGE["12"]
+                           + coefficient(j[..., 2]) * _BLOCK_EXCHANGE["23"]
+                           + coefficient(j[..., 1]) * _BLOCK_EXCHANGE["13"])
         if fields is not None:
             b = np.asarray(fields.gradients_hz, dtype=float)
             for k, dot in enumerate((1, 2, 3)):
@@ -150,7 +134,7 @@ def _sector_hamiltonian(j: ExchangeVector, fields: FieldConfig | None) -> np.nda
     return h
 
 
-def energy_levels(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
+def energy_levels(j, fields: FieldConfig | None) -> np.ndarray:
     """The eight energies (rad/s) of the Hamiltonian, ascending, shape
     ``batch + (8,)``: the eigenvalues of its two sector blocks, and its
     m_S = +-3/2 diagonal entries 2*pi*[(J12 + J23 + J13)/4 +- (3 f_B + b1
@@ -161,9 +145,9 @@ def energy_levels(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
     """
     blocks = np.linalg.eigvalsh(_sector_hamiltonian(j, fields))
     fields = FieldConfig() if fields is None else fields
-    b = np.asarray(fields.gradients_hz, dtype=float)
+    j, b = np.asarray(j, dtype=float), np.asarray(fields.gradients_hz, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        exchange = (np.asarray(j.j12, dtype=float) + j.j23 + j.j13) / 4.0
+        exchange = (j[..., 0] + j[..., 2] + j[..., 1]) / 4.0
         zeeman = (3.0 * fields.f_uniform_hz + b[..., 0] + b[..., 1] + b[..., 2]) / 2.0
         stretched = 2.0 * np.pi * (exchange[..., None] + np.array([1.0, -1.0]) * zeeman[..., None])
     levels = np.concatenate([blocks.reshape(blocks.shape[:-2] + (6,)), stretched], axis=-1)
@@ -172,7 +156,7 @@ def energy_levels(j: ExchangeVector, fields: FieldConfig | None) -> np.ndarray:
     return np.sort(levels, axis=-1)
 
 
-def sector_propagator(j: ExchangeVector, fields: FieldConfig | None, tau_s) -> np.ndarray:
+def sector_propagator(j, fields: FieldConfig | None, tau_s) -> np.ndarray:
     """Unitaries exp(-i H tau) on the m_S = +1/2 and -1/2 sectors, from one
     real ``eigh`` of the whole stack of sector blocks.
 

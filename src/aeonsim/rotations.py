@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
+from .hilbert import PAIR_ORDER
 
 # Axis angles phi of the rotations driven by a single exchange coupling:
 # J13 alone is +z, J12 alone is 30 degrees below +x, J23 alone its mirror.
@@ -46,21 +47,25 @@ def exchange_to_rotation(j, tau_s: float) -> AxisAngle:
     """Axis and angle of the rotation driven by an exchange pulse.
 
     Args:
-        j: ExchangeVector (Hz); its couplings may be floats or arrays that
-            broadcast to one batch shape.
+        j: couplings (Hz) of shape ``(..., 3)`` in pair order (J12, J13,
+            J23).
         tau_s: pulse duration, seconds.
 
     Returns:
         AxisAngle with ``phi = atan2(J13 - J_+, sqrt(3) J_-)`` and
-        ``theta = 2*pi * sqrt(3 J_-^2 + (J13 - J_+)^2) * tau``: floats for
-        float couplings, arrays of the batch shape otherwise.  Zero total
-        coupling maps to ``(0, 0)``.
+        ``theta = 2*pi * sqrt(3 J_-^2 + (J13 - J_+)^2) * tau``, where
+        ``J_+- = (J12 +- J23) / 2``: Python floats for one coupling vector,
+        arrays of the batch shape otherwise.  Zero total coupling maps to
+        ``(0, 0)``.
     """
-    x = math.sqrt(3.0) * j.j_minus
-    z = j.j13 - j.j_plus
-    if np.ndim(x) == 0 and np.ndim(z) == 0:
-        # math.hypot/atan2 and their numpy forms differ in the last bit for
-        # some inputs; floats keep the math results that reports carry
+    j = np.asarray(j, dtype=float)
+    # one vector goes in Python floats, which warn on no overflow, through
+    # math.hypot/atan2: their numpy forms differ in the last bit for some
+    # inputs, and floats keep the math results that reports carry
+    j12, j13, j23 = j.tolist() if j.ndim == 1 else np.moveaxis(j, -1, 0)
+    x = math.sqrt(3.0) * (0.5 * (j12 - j23))
+    z = j13 - 0.5 * (j12 + j23)
+    if j.ndim == 1:
         omega_hz = math.hypot(x, z)
         if omega_hz == 0.0:
             return AxisAngle(0.0, 0.0)
@@ -94,9 +99,10 @@ def pairs_for_axis(phi: float) -> tuple[str, str]:
 
 def solve_exchange_for_rotation(
     phi: float, omega_hz: float, pairs: tuple[str, str]
-) -> dict[str, float]:
-    """Couplings (Hz) of the two active pairs so the pulse rotates about
-    ``phi`` at total rate ``omega_hz``; the third pair stays at zero.
+) -> list[float]:
+    """Couplings (Hz) in pair order (J12, J13, J23) so the pulse rotates
+    about ``phi`` at total rate ``omega_hz``: the two pairs of ``pairs``
+    active, the third at zero.
 
     Raises:
         ConfigError: if the axis is not reachable with non-negative
@@ -106,24 +112,23 @@ def solve_exchange_for_rotation(
     z = omega_hz * math.sin(phi)
     active = set(pairs)
     if active == {"12", "23"}:
-        j_minus = x / math.sqrt(3.0)
-        j_plus = -z
-        j = {"12": j_plus + j_minus, "23": j_plus - j_minus, "13": 0.0}
+        j = [-z + x / math.sqrt(3.0), 0.0, -z - x / math.sqrt(3.0)]
     elif active == {"12", "13"}:
         j12 = 2.0 * x / math.sqrt(3.0)
-        j = {"12": j12, "13": z + 0.5 * j12, "23": 0.0}
+        j = [j12, z + 0.5 * j12, 0.0]
     elif active == {"13", "23"}:
         j23 = -2.0 * x / math.sqrt(3.0)
-        j = {"23": j23, "13": z + 0.5 * j23, "12": 0.0}
+        j = [0.0, z + 0.5 * j23, j23]
     else:
         raise ConfigError(f"unknown pair combination {pairs}")
     for p in pairs:
-        if j[p] < -1e-9:
+        k = PAIR_ORDER.index(p)
+        if j[k] < -1e-9:
             raise ConfigError(
                 f"axis phi={phi:.6f} needs negative J{p}; not reachable with "
                 f"pairs {pairs}"
             )
-        j[p] = max(0.0, j[p])
+        j[k] = max(0.0, j[k])
     return j
 
 

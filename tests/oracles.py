@@ -29,15 +29,17 @@ EXCHANGE_TERMS = {
 
 def build_hamiltonian(j, fields=None):
     """Three-spin Hamiltonian (rad/s) in the 8-dim product basis, shape
-    ``batch + (8, 8)``: the terms of ``hilbert._sector_hamiltonian`` over
-    the whole matrices, summed in the same order."""
+    ``batch + (8, 8)``, for couplings ``j`` of shape ``(..., 3)`` in pair
+    order: the terms of ``hilbert._sector_hamiltonian`` over the whole
+    matrices, summed in the same order."""
 
     def coefficient(x):
         return np.asarray(x, dtype=float)[..., None, None]
 
-    h = 2.0 * np.pi * (coefficient(j.j12) * EXCHANGE_TERMS["12"]
-                       + coefficient(j.j23) * EXCHANGE_TERMS["23"]
-                       + coefficient(j.j13) * EXCHANGE_TERMS["13"])
+    j = np.asarray(j, dtype=float)
+    h = 2.0 * np.pi * (coefficient(j[..., 0]) * EXCHANGE_TERMS["12"]
+                       + coefficient(j[..., 2]) * EXCHANGE_TERMS["23"]
+                       + coefficient(j[..., 1]) * EXCHANGE_TERMS["13"])
     if fields is not None:
         b = np.asarray(fields.gradients_hz, dtype=float)
         for k, dot in enumerate((1, 2, 3)):
@@ -59,11 +61,13 @@ def initialize_singlet():
 
 def qubit_block(j):
     """Two-level Hamiltonian (rad/s) on the encoded qubit, -(1/2) * 2*pi *
-    [sqrt(3) J_- sigma_x + (J13 - J_+) sigma_z]: :func:`build_hamiltonian`
-    at zero field in either gauge sector, up to a multiple of identity."""
+    [sqrt(3) J_- sigma_x + (J13 - J_+) sigma_z] with J_+- = (J12 +- J23) / 2,
+    for couplings (J12, J13, J23): :func:`build_hamiltonian` at zero field
+    in either gauge sector, up to a multiple of identity."""
+    j12, j13, j23 = np.moveaxis(np.asarray(j, dtype=float), -1, 0)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
-    return -np.pi * (np.sqrt(3.0) * j.j_minus * sx + (j.j13 - j.j_plus) * sz)
+    return -np.pi * (np.sqrt(3.0) * (0.5 * (j12 - j23)) * sx + (j13 - 0.5 * (j12 + j23)) * sz)
 
 
 def to_unitary(q):

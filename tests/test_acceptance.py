@@ -42,7 +42,7 @@ def perturbed_device(b_factor=1.015, c_shift=0.02):
 def test_c01_uniform_exchange_gap_and_level_topology():
     t0 = time.perf_counter()
     for f in (20e6, 100e6, 173.2e6):
-        e = hb.energy_levels(hb.ExchangeVector(f, f, f), None)
+        e = hb.energy_levels(np.full(3, f), None)
         gap = e[4] - e[3]
         assert gap == pytest.approx(1.5 * 2.0 * PI * f, rel=1e-10)
     # one coupling swept against a fixed 100 MHz partner: the four
@@ -50,7 +50,7 @@ def test_c01_uniform_exchange_gap_and_level_topology():
     # exactly when both couplings are on
     j23 = 100e6
     for j12 in np.linspace(0.0, 200e6, 21):
-        e = hb.energy_levels(hb.ExchangeVector(float(j12), j23, 0.0), None)
+        e = hb.energy_levels(np.array([j12, 0.0, j23]), None)
         e_top = 2.0 * PI * (j12 + j23) / 4.0
         tol = 1e-6 * 2.0 * PI * j23
         at_top = int(np.sum(np.abs(e - e_top) < tol))
@@ -69,7 +69,7 @@ def test_c02_qubit_block_matches_full_evolution():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(1000):
-        j = hb.ExchangeVector(*(float(x) for x in rng.uniform(0, 200e6, 3)))
+        j = rng.uniform(0, 200e6, 3)[[0, 2, 1]]  # drawn as J12, J23, J13
         tau = float(rng.uniform(1e-9, 40e-9))
         u8 = propagator(build_hamiltonian(j), tau)
         u2 = expm(-1j * qubit_block(j) * tau)
@@ -85,18 +85,14 @@ def test_c02_qubit_block_matches_full_evolution():
 
 
 def test_c03_single_coupling_axes_and_anchor_pulse():
-    cases = {
-        hb.ExchangeVector(60e6, 0, 0): rot.PHI_M,
-        hb.ExchangeVector(0, 60e6, 0): rot.PHI_N,
-        hb.ExchangeVector(0, 0, 60e6): rot.PHI_Z,
-    }
-    for j, phi_expected in cases.items():
+    for j, pair in zip(60e6 * np.eye(3), dev.PAIR_ORDER):  # one coupling on
+        phi_expected = rot.ONE_J_AXES[pair]
         aa = rot.exchange_to_rotation(j, 10e-9)
         assert abs(wrap(aa.phi - phi_expected)) <= 1e-12
         axis = np.array([math.cos(aa.phi), 0.0, math.sin(aa.phi)])
         want = np.array([math.cos(phi_expected), 0.0, math.sin(phi_expected)])
         assert np.max(np.abs(axis - want)) <= 1e-12
-    aa = rot.exchange_to_rotation(hb.ExchangeVector(50e6, 50e6, 0.0), 10e-9)
+    aa = rot.exchange_to_rotation([50e6, 0.0, 50e6], 10e-9)
     assert abs(wrap(aa.phi + PI / 2)) <= 1e-12  # -z axis
     assert abs(aa.theta - PI) <= 1e-12
     print("\nPASS c03: coupling axes and the 50/50 MHz 10 ns pulse at 1e-12")
@@ -288,9 +284,7 @@ def test_c09_helper_error_signatures():
     pairs = cal.pairs_for_axis(-PI / 2)
     omega = cfg.theta_star / (2 * PI * cfg.pulse_s)
     j = cal.solve_exchange_for_rotation(cfg.phi_star, omega, pairs)
-    v = d.voltages_for_exchange(
-        hb.ExchangeVector(j.get("12", 0.0), j.get("23", 0.0), j.get("13", 0.0))
-    )
+    v = d.voltages_for_exchange(j)
     c1, c2 = v[order[pairs[0]]], v[order[pairs[1]]]
     v1 = np.linspace(c1 - 0.002, c1 + 0.002, 21)
     v2 = np.linspace(c2 - 0.002, c2 + 0.002, 21)

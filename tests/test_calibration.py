@@ -116,11 +116,7 @@ def test_solve_exchange_round_trip():
         phi = (phi + PI) % (2 * PI) - PI
         omega = float(rng.uniform(5e6, 90e6))
         j = cal.solve_exchange_for_rotation(phi, omega, pairs_set[k])
-        from aeonsim.hilbert import ExchangeVector
-
-        aa = rot.exchange_to_rotation(
-            ExchangeVector(j12=j["12"], j23=j["23"], j13=j["13"]), 1.0 / (2 * PI)
-        )
+        aa = rot.exchange_to_rotation(j, 1.0 / (2 * PI))
         assert aa.theta == pytest.approx(omega, rel=1e-9)
         assert abs((aa.phi - phi + PI) % (2 * PI) - PI) < 1e-9
 
@@ -465,14 +461,10 @@ def test_stacked_map_model_equals_per_row_evaluation():
         row = cal._map_model(params[None], fmap, a_scales, fmap.cfg.eta)[0]
         assert np.array_equal(stacked[k], row)
         # a float chi gives the same map as the stacked array chi
-        aa = rot.exchange_to_rotation(
-            dev.ExchangeVector(
-                j12=a_scales[0] * np.exp(params[0] * grids[0] + params[1]),
-                j23=a_scales[1] * np.exp(params[2] * grids[1] + params[3]),
-                j13=0.0,
-            ),
-            fmap.cfg.pulse_s,
-        )
+        j12 = a_scales[0] * np.exp(params[0] * grids[0] + params[1])
+        j23 = a_scales[1] * np.exp(params[2] * grids[1] + params[3])
+        aa = rot.exchange_to_rotation(np.stack([j12, np.zeros_like(j12), j23], axis=-1),
+                                      fmap.cfg.pulse_s)
         scalar = cal.analytic_fidelity(
             aa.phi, aa.theta, fmap.cfg.eta, float(params[4]), fmap.n_reps, fmap.cfg
         )

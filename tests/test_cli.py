@@ -448,6 +448,9 @@ def test_known_nested_config_keys_are_accepted():
         "fields": {"f_uniform_hz": 1e9, "gradients_hz": [1.0, 0.0, -1.0]},
     })
     assert d.laws["12"].c == 0.1 and d.noise.gradient_sigma_hz == 3e4
+    # a given dss.curvature leaves the pairs it omits with none; an absent one keeps the default
+    assert d.curvature.tolist() == [[1, 2], [0, 0], [0, 0]]
+    assert dev.device_from_dict({}).curvature.tolist() == [[2e3, 8e2], [5e2, 2e3], [2e3, 8e2]]
 
 
 def test_flat_rabi_trace_reports_no_oscillation(tmp_path):

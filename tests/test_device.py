@@ -29,13 +29,13 @@ def test_exchange_law_anchors():
 
 def test_detuning_penalty_common_mode_free():
     d = dev.default_device()
-    base = dev.detuning_penalty((1e-3, -2e-3, 0.5e-3), d.sensitivities)
-    shifted = dev.detuning_penalty((6e-3, 3e-3, 5.5e-3), d.sensitivities)
-    for pair in base:
-        assert base[pair] == pytest.approx(shifted[pair], rel=1e-12)
-    neutral = dev.detuning_penalty((2e-3, 2e-3, 2e-3), d.sensitivities)
-    for pair in neutral:
-        assert neutral[pair] == pytest.approx(1.0, rel=1e-12)
+    base = dev.detuning_penalty((1e-3, -2e-3, 0.5e-3), d.curvature)
+    shifted = dev.detuning_penalty((6e-3, 3e-3, 5.5e-3), d.curvature)
+    for k in range(3):
+        assert base[k] == pytest.approx(shifted[k], rel=1e-12)
+    neutral = dev.detuning_penalty((2e-3, 2e-3, 2e-3), d.curvature)
+    for k in range(3):
+        assert neutral[k] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rng_streams_are_independent_and_stable():
@@ -127,9 +127,9 @@ def test_noise_sigmas_are_computed_once_and_draws_keep_their_values():
 
 def test_exchange_from_voltages_minus_inf_is_exactly_off():
     d = dev.default_device()
-    j = d.exchange_from_voltages(np.array([0.07, -np.inf, 0.07]))
-    assert j.j13 == 0.0
-    assert j.j12 > 0 and j.j23 > 0
+    j12, j13, j23 = d.exchange_from_voltages(np.array([0.07, -np.inf, 0.07]))
+    assert j13 == 0.0
+    assert j12 > 0 and j23 > 0
 
 
 def test_cross_talk_is_opt_in():
@@ -137,10 +137,10 @@ def test_cross_talk_is_opt_in():
     v = np.array([0.07, 0.05, 0.06])
     j_plain = d.exchange_from_voltages(v)
     j_cross = d.exchange_from_voltages(v, apply_cross=True)
-    assert j_plain.j12 != j_cross.j12
+    assert j_plain[0] != j_cross[0]
     # a pulse simulation defaults to no cross-talk
     off = d.exchange_from_voltages(np.array([0.07, -np.inf, 0.07]), apply_cross=True)
-    assert off.j13 == 0.0
+    assert off[1] == 0.0
 
 
 def test_cross_none_is_the_identity_bit_for_bit():
@@ -148,8 +148,9 @@ def test_cross_none_is_the_identity_bit_for_bit():
     d = dataclasses.replace(dev.default_device(), cross=None)
     v = np.array([[0.07, -np.inf, 0.06], [0.05, 0.08, -np.inf], [0.065, -0.02, 0.075]])
     plain, crossed = (d.exchange_from_voltages(v, apply_cross=c) for c in (False, True))
-    for pair in ("j12", "j13", "j23"):
-        assert np.array_equal(getattr(plain, pair), getattr(crossed, pair))
+    for k, pair in enumerate(dev.PAIR_ORDER):  # column k from the law of PAIR_ORDER[k]
+        assert np.array_equal(plain[:, k], d.laws[pair].j_hz(v[:, k]))
+        assert np.array_equal(plain[:, k], crossed[:, k])
     pulses = [dev.PulseSpec(v_x=tuple(row), duration_s=7e-9) for row in v]
     trains = [np.array([0, 1, 2]), np.array([2, 0])]
     noise = dev.NoiseConfig(voltage_sigma_v=1e-3, gradient_sigma_hz=1e6)
@@ -160,13 +161,12 @@ def test_cross_none_is_the_identity_bit_for_bit():
 
 def test_voltages_for_exchange_round_trip():
     d = dev.default_device()
-    j = hb.ExchangeVector(j12=35e6, j23=18e6, j13=0.0)
-    v = d.voltages_for_exchange(j)
+    v = d.voltages_for_exchange([35e6, 0.0, 18e6])
     assert v[1] == -np.inf
-    back = d.exchange_from_voltages(v)
-    assert back.j12 == pytest.approx(35e6, rel=1e-12)
-    assert back.j23 == pytest.approx(18e6, rel=1e-12)
-    assert back.j13 == 0.0
+    j12, j13, j23 = d.exchange_from_voltages(v)
+    assert j12 == pytest.approx(35e6, rel=1e-12)
+    assert j23 == pytest.approx(18e6, rel=1e-12)
+    assert j13 == 0.0
 
 
 def _table(trains):
@@ -191,7 +191,7 @@ def _dense_p0(rho, unitaries):
 
 def test_simulate_pulse_matches_direct_propagator():
     d = dev.default_device()
-    j = hb.ExchangeVector(j12=42e6, j23=13e6, j13=7e6)
+    j = [42e6, 7e6, 13e6]
     pulse = dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j)), duration_s=10e-9)
     (p0,) = _kernel_p0(d, [[pulse]])
     u = expm(-1j * build_hamiltonian(j) * 10e-9)
@@ -203,8 +203,7 @@ def test_pulse_train_plays_in_order():
     # a train must play its pulses in time order; the three pulses here do
     # not commute, so a swap of the first two changes the result
     d = dev.default_device()
-    js = [hb.ExchangeVector(60e6, 0.0, 0.0), hb.ExchangeVector(0.0, 55e6, 10e6),
-          hb.ExchangeVector(30e6, 45e6, 0.0)]
+    js = [[60e6, 0.0, 0.0], [0.0, 10e6, 55e6], [30e6, 0.0, 45e6]]
     taus = (7e-9, 9e-9, 5e-9)
     a, b, c = (dev.PulseSpec(v_x=tuple(d.voltages_for_exchange(j)), duration_s=tau)
                for j, tau in zip(js, taus))
@@ -221,12 +220,12 @@ def _oracle_couplings(d, v, plungers):
     v = np.where(off, v, d.cross @ np.where(off, 0.0, v))
     e1, e2, e3 = plungers
     eps_t, eps_d = 0.5 * (e2 - e1), e3 - 0.5 * (e1 + e2)
-    j = {}
+    j = []
     for i, pair in enumerate(dev.PAIR_ORDER):
-        law, s = d.laws[pair], d.sensitivities[pair]
-        pen = math.exp(s.alpha_tilt * eps_t**2 + s.alpha_dimple * eps_d**2)
-        j[pair] = law.a_hz * math.exp(law.b_per_v * v[i] + law.c) * pen
-    return hb.ExchangeVector(j["12"], j["23"], j["13"])
+        law, (alpha_tilt, alpha_dimple) = d.laws[pair], d.curvature[i]
+        pen = math.exp(alpha_tilt * eps_t**2 + alpha_dimple * eps_d**2)
+        j.append(law.a_hz * math.exp(law.b_per_v * v[i] + law.c) * pen)
+    return j
 
 
 def test_stacked_draws_match_per_draw_oracle():
@@ -272,7 +271,7 @@ def test_gradient_noise_causes_leakage():
     pulse = dev.PulseSpec(v_x=(-np.inf, -np.inf, -np.inf), duration_s=400e-9)
     (p0,) = _kernel_p0(d, [[pulse]], draw)
     fields = hb.FieldConfig(0.0, draw[0, 6:])
-    u = expm(-1j * build_hamiltonian(hb.ExchangeVector(0.0, 0.0, 0.0), fields) * 400e-9)
+    u = expm(-1j * build_hamiltonian(np.zeros(3), fields) * 400e-9)
     rho = u @ initialize_singlet() @ u.conj().T
     assert np.trace(hb.ENCODED.p_leak @ rho).real > 1e-4  # quadruplet population
     assert abs(p0 - hb.measure_p0(rho)) < 1e-12 and p0 < 1.0 - 1e-4
@@ -373,8 +372,7 @@ def _one_train_oracle(d, train, draw, apply_cross, vectors=hb.SINGLET_SECTORS):
         by_duration.setdefault(pulse.duration_s, []).append(pulse)
     pulse_u = {}
     for dt, pulses in by_duration.items():
-        js = [_couplings(d, p, draw, cross) for p in pulses]
-        j = hb.ExchangeVector(*(np.array([getattr(x, f) for x in js]) for f in ("j12", "j23", "j13")))
+        j = np.array([_couplings(d, p, draw, cross) for p in pulses])
         pulse_u.update(zip(pulses, hb.sector_propagator(j, fields, dt)))
     for pulse in train:
         vectors = pulse_u[pulse] @ vectors
@@ -544,7 +542,7 @@ def test_propagator_stacks_stay_within_the_block_cap(monkeypatch):
 
     def spy(j, fields, tau_s):
         sizes.append(math.prod(np.broadcast_shapes(
-            *(np.shape(c) for c in (j.j12, j.j23, j.j13)), np.shape(fields.gradients_hz)[:-1])))
+            np.shape(j)[:-1], np.shape(fields.gradients_hz)[:-1])))
         return sector_propagator(j, fields, tau_s)
 
     def front_end_spy(self, v_x, *args, **kwargs):

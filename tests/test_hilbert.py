@@ -15,11 +15,8 @@ RNG = np.random.default_rng(1234)
 
 
 def random_exchange(rng=RNG, scale=80e6):
-    return hb.ExchangeVector(
-        j12=float(rng.uniform(0, scale)),
-        j23=float(rng.uniform(0, scale)),
-        j13=float(rng.uniform(0, scale)),
-    )
+    j12, j23, j13 = (float(rng.uniform(0, scale)) for _ in range(3))
+    return np.array([j12, j13, j23])
 
 
 def test_spin_operator_algebra():
@@ -43,7 +40,7 @@ def test_uniform_exchange_spectrum_gap():
     # uniform J couples total spin only: quadruplet sits 3*pi*J above the
     # two doublets
     for j_hz in (1e6, 40e6, 173.2e6):
-        energies = hb.energy_levels(hb.ExchangeVector(j_hz, j_hz, j_hz), None)
+        energies = hb.energy_levels(np.full(3, j_hz), None)
         gap = energies[4] - energies[3]
         assert gap == pytest.approx(3.0 * math.pi * j_hz, rel=1e-12)
         assert np.ptp(energies[:4]) < 1e-6 * abs(gap)
@@ -58,7 +55,7 @@ def test_energy_levels_match_the_dense_eigvalsh():
     x = 10.0 ** rng.uniform(0, 9, (7, 20000)) * rng.choice([-1.0, 0.0, 1.0], (7, 20000))
     bound = cli.MAX_SPECTRUM_HZ * np.stack(np.meshgrid(*[[-1.0, 1.0]] * 7)).reshape(7, -1)
     for inputs in (x, bound):
-        j, fields = hb.ExchangeVector(*inputs[:3]), hb.FieldConfig(inputs[3], inputs[4:].T)
+        j, fields = inputs[[0, 2, 1]].T, hb.FieldConfig(inputs[3], inputs[4:].T)
         levels = hb.energy_levels(j, fields)
         want = np.linalg.eigvalsh(build_hamiltonian(j, fields))
         scale = np.abs(want).max(axis=-1, keepdims=True)
@@ -67,9 +64,7 @@ def test_energy_levels_match_the_dense_eigvalsh():
 
 
 def test_zeeman_term_diagonal_product_basis():
-    h = build_hamiltonian(
-        hb.ExchangeVector(0, 0, 0), hb.FieldConfig(1e9, (0.0, 0.0, 0.0))
-    )
+    h = build_hamiltonian(np.zeros(3), hb.FieldConfig(1e9, (0.0, 0.0, 0.0)))
     off = h - np.diag(np.diag(h))
     assert np.abs(off).max() < 1e-9
     # basis index 0 = all spins up: +3/2 * 2pi * f
@@ -137,7 +132,7 @@ def test_block_and_full_propagators_agree():
 
 
 def random_batch(rng, n, scale=80e6):
-    j = hb.ExchangeVector(*(rng.uniform(0, scale, size=n) for _ in range(3)))
+    j = np.stack([rng.uniform(0, scale, size=n) for _ in range(3)], axis=-1)[:, [0, 2, 1]]
     fields = hb.FieldConfig(0.5e9, rng.normal(0.0, 2e5, size=(n, 3)))
     return j, fields
 
@@ -148,10 +143,7 @@ def test_stacked_hamiltonian_matches_scalar_build():
     h = build_hamiltonian(j, fields)
     assert h.shape == (6, 8, 8)
     for k in range(6):
-        one = build_hamiltonian(
-            hb.ExchangeVector(float(j.j12[k]), float(j.j23[k]), float(j.j13[k])),
-            hb.FieldConfig(0.5e9, tuple(fields.gradients_hz[k])),
-        )
+        one = build_hamiltonian(j[k], hb.FieldConfig(0.5e9, tuple(fields.gradients_hz[k])))
         np.testing.assert_array_equal(h[k], one)
 
 
@@ -172,8 +164,7 @@ def test_stacked_propagator_matches_qubit_block():
     tau = 23e-9
     u8 = propagator(build_hamiltonian(j), tau)
     for k in range(10):
-        jk = hb.ExchangeVector(float(j.j12[k]), float(j.j23[k]), float(j.j13[k]))
-        u2 = expm(-1j * qubit_block(jk) * tau)
+        u2 = expm(-1j * qubit_block(j[k]) * tau)
         for m_index in (0, 1):
             iso = hb.ENCODED.gauge_sector(m_index)
             overlap = abs(np.trace(u2.conj().T @ (iso.conj().T @ u8[k] @ iso))) / 2.0
@@ -231,10 +222,11 @@ def test_sector_hamiltonian_equals_the_dense_blocks_bit_for_bit():
     cases = [
         (j, fields),
         (j, None),
-        (hb.ExchangeVector(3e7, j.j23, 0.0), fields),
-        (hb.ExchangeVector(j.j12[:, None], j.j23[None, :], 5e6), hb.FieldConfig(1e8, (1e5, 0.0, -2e5))),
-        (hb.ExchangeVector(1e7, 2e7, 0.0), hb.FieldConfig()),
-        (hb.ExchangeVector(-4e6, 1e300, 7e299), hb.FieldConfig(-1e300, (1e299, 0.0, 3.0))),
+        (np.stack(np.broadcast_arrays(3e7, 0.0, j[:, 2]), axis=-1), fields),
+        (np.stack(np.broadcast_arrays(j[:, None, 0], 5e6, j[None, :, 2]), axis=-1),
+         hb.FieldConfig(1e8, (1e5, 0.0, -2e5))),
+        (np.array([1e7, 0.0, 2e7]), hb.FieldConfig()),
+        (np.array([-4e6, 7e299, 1e300]), hb.FieldConfig(-1e300, (1e299, 0.0, 3.0))),
     ]
     for jj, ff in cases:
         h = build_hamiltonian(jj, ff)
@@ -261,14 +253,13 @@ def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
     rho, vectors = _states()[name]
     rng = np.random.default_rng(43)
     j, fields = random_batch(rng, 12)
-    zero = np.zeros(12)
     cases = [
         (j, fields, 17e-9),  # noise-like gradients on a uniform field
-        (hb.ExchangeVector(zero, zero, zero), fields, 40e-9),  # J = 0: diagonal, degenerate
-        (hb.ExchangeVector(0.0, 0.0, 0.0), None, 1e-6),  # a zero-field idle
-        (hb.ExchangeVector(0.0, 0.0, 0.0), hb.FieldConfig(), 1e-6),
-        (hb.ExchangeVector(1e300, 3e299, 7e299), hb.FieldConfig(2e299, (1e299, 0.0, -5e298)), 1e-300),
-        (hb.ExchangeVector(np.array([1e300, 0.0]), 0.0, 0.0), None, 2e-300),
+        (np.zeros((12, 3)), fields, 40e-9),  # J = 0: diagonal, degenerate
+        (np.zeros(3), None, 1e-6),  # a zero-field idle
+        (np.zeros(3), hb.FieldConfig(), 1e-6),
+        (np.array([1e300, 7e299, 3e299]), hb.FieldConfig(2e299, (1e299, 0.0, -5e298)), 1e-300),
+        (np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]), None, 2e-300),
     ]
     for jj, ff, tau in cases:
         h = build_hamiltonian(jj, ff)
@@ -301,13 +292,12 @@ def test_singlet_sectors_factor_the_singlet():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sector_propagator_rejects_non_finite_input(bad):
-    arr = np.array([1e7, bad, 2e7])
     cases = [
-        (hb.ExchangeVector(bad, 1e7, 0.0), None),
-        (hb.ExchangeVector(arr, 1e7, 0.0), hb.FieldConfig()),
-        (hb.ExchangeVector(1e7, 1e7, 0.0), hb.FieldConfig(bad)),
-        (hb.ExchangeVector(1e7, 1e7, 0.0), hb.FieldConfig(1e9, np.array([[0.0, bad, 0.0]]))),
-        (hb.ExchangeVector(1e308, 1e308, 1e308), hb.FieldConfig(1e308, (1e308,) * 3)),  # overflows
+        (np.array([bad, 0.0, 1e7]), None),
+        (np.array([[1e7, 0.0, 1e7], [bad, 0.0, 1e7], [2e7, 0.0, 1e7]]), hb.FieldConfig()),
+        (np.array([1e7, 0.0, 1e7]), hb.FieldConfig(bad)),
+        (np.array([1e7, 0.0, 1e7]), hb.FieldConfig(1e9, np.array([[0.0, bad, 0.0]]))),
+        (np.full(3, 1e308), hb.FieldConfig(1e308, (1e308,) * 3)),  # overflows
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -316,7 +306,7 @@ def test_sector_propagator_rejects_non_finite_input(bad):
                 hb.sector_propagator(j, fields, 1e-9)
         for tau in (bad, -1e-9, np.array([1e-9, bad]), np.array([1e-9, -1e-9])):
             with pytest.raises(ValueError):
-                hb.sector_propagator(hb.ExchangeVector(np.full(2, 1e7), 0.0, 0.0), None, tau)
+                hb.sector_propagator(np.array([[1e7, 0.0, 0.0]] * 2), None, tau)
 
 
 def test_sector_propagator_takes_a_duration_per_row():
@@ -325,17 +315,16 @@ def test_sector_propagator_takes_a_duration_per_row():
     taus = rng.uniform(0.0, 50e-9, 6)
     u = hb.sector_propagator(j, fields, taus)
     for k in range(6):
-        jk = hb.ExchangeVector(j.j12[k : k + 1], j.j23[k : k + 1], j.j13[k : k + 1])
-        one = hb.sector_propagator(jk, hb.FieldConfig(0.5e9, fields.gradients_hz[k : k + 1]), taus[k])
+        one = hb.sector_propagator(j[k : k + 1], hb.FieldConfig(0.5e9, fields.gradients_hz[k : k + 1]), taus[k])
         assert np.array_equal(u[k], one[0])
 
 
 def test_sector_propagator_rejects_an_overflowing_phase():
     # finite couplings and a finite duration whose product overflows
     cases = [
-        (hb.ExchangeVector(4e7, 1e7, 0.0), None, 1e300),
-        (hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), hb.FieldConfig(), np.array([1e-9, 1e300])),
-        (hb.ExchangeVector(0.0, 0.0, 0.0), hb.FieldConfig(1e9), 1e300),  # a Zeeman phase
+        (np.array([4e7, 0.0, 1e7]), None, 1e300),
+        (np.array([[0.0, 0.0, 0.0], [4e7, 0.0, 0.0]]), hb.FieldConfig(), np.array([1e-9, 1e300])),
+        (np.zeros(3), hb.FieldConfig(1e9), 1e300),  # a Zeeman phase
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -343,6 +332,6 @@ def test_sector_propagator_rejects_an_overflowing_phase():
             with pytest.raises(ValueError, match="phase .* is not finite"):
                 hb.sector_propagator(j, fields, tau)
         # a zero energy has a zero phase at any finite duration
-        u = hb.sector_propagator(hb.ExchangeVector(np.array([0.0, 4e7]), 0.0, 0.0), None,
+        u = hb.sector_propagator(np.array([[0.0, 0.0, 0.0], [4e7, 0.0, 0.0]]), None,
                                  np.array([1e300, 1e290]))
         assert np.all(np.isfinite(u))

@@ -8,7 +8,6 @@ import pytest
 from aeonsim import calibration as cal
 from aeonsim import rotations as rot
 from aeonsim.errors import ProtocolError
-from aeonsim.hilbert import ExchangeVector
 import oracles
 from oracles import (IDENTITY, angle, approx_equal, compile_clifford_group, compose_sequence,
                      decompose_rotation, float_word, inverse, to_unitary)
@@ -60,19 +59,19 @@ def test_rotation_normalization_guard():
 
 
 def test_single_coupling_axes():
-    assert rot.exchange_to_rotation(ExchangeVector(40e6, 0, 0), 1e-9).phi == pytest.approx(rot.PHI_M)
-    assert rot.exchange_to_rotation(ExchangeVector(0, 40e6, 0), 1e-9).phi == pytest.approx(rot.PHI_N)
-    assert rot.exchange_to_rotation(ExchangeVector(0, 0, 40e6), 1e-9).phi == pytest.approx(rot.PHI_Z)
+    assert rot.exchange_to_rotation([40e6, 0, 0], 1e-9).phi == pytest.approx(rot.PHI_M)
+    assert rot.exchange_to_rotation([0, 0, 40e6], 1e-9).phi == pytest.approx(rot.PHI_N)
+    assert rot.exchange_to_rotation([0, 40e6, 0], 1e-9).phi == pytest.approx(rot.PHI_Z)
 
 
 def test_balanced_pair_pulse_is_pi_about_minus_z():
-    aa = rot.exchange_to_rotation(ExchangeVector(50e6, 50e6, 0.0), 10e-9)
+    aa = rot.exchange_to_rotation([50e6, 0.0, 50e6], 10e-9)
     assert aa.phi == pytest.approx(-math.pi / 2.0, abs=1e-12)
     assert aa.theta == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_rotation_angle_scales_with_duration():
-    j = ExchangeVector(30e6, 10e6, 5e6)
+    j = [30e6, 5e6, 10e6]
     a1 = rot.exchange_to_rotation(j, 10e-9)
     a2 = rot.exchange_to_rotation(j, 20e-9)
     assert a2.theta == pytest.approx(2 * a1.theta, rel=1e-12)
@@ -80,7 +79,7 @@ def test_rotation_angle_scales_with_duration():
 
 
 def test_exchange_to_rotation_zero():
-    aa = rot.exchange_to_rotation(ExchangeVector(0.0, 0.0, 0.0), 10e-9)
+    aa = rot.exchange_to_rotation(np.zeros(3), 10e-9)
     assert aa.theta == 0.0
 
 
@@ -186,18 +185,17 @@ def test_exchange_to_rotation_arrays_match_scalar_calls():
     j13[1, :] = 0.0  # two-pair cells
     j23[2, :] = 0.0
     tau = 10e-9
-    aa = rot.exchange_to_rotation(ExchangeVector(j12, j23, j13), tau)
+    j = np.stack([j12, j13, j23], axis=-1)
+    aa = rot.exchange_to_rotation(j, tau)
     assert aa.phi.shape == aa.theta.shape == (5, 7)
     for idx in np.ndindex(5, 7):
-        one = rot.exchange_to_rotation(
-            ExchangeVector(float(j12[idx]), float(j23[idx]), float(j13[idx])), tau
-        )
+        one = rot.exchange_to_rotation(j[idx], tau)  # one numpy vector gives Python floats
         assert type(one.phi) is float and type(one.theta) is float
         assert aa.phi[idx] == pytest.approx(one.phi, rel=1e-15, abs=1e-15)
         assert aa.theta[idx] == pytest.approx(one.theta, rel=1e-15, abs=0.0)
     assert np.all(aa.phi[0, :3] == 0.0) and np.all(aa.theta[0, :3] == 0.0)
-    # an array beside float couplings broadcasts
-    mixed = rot.exchange_to_rotation(ExchangeVector(j12[1], 0.0, 0.0), tau)
+    # a batch of J12-only rows
+    mixed = rot.exchange_to_rotation(j12[1][:, None] * [1.0, 0.0, 0.0], tau)
     np.testing.assert_allclose(mixed.phi, rot.PHI_M, atol=1e-15)
 
 
