@@ -199,7 +199,8 @@ def _check_exchange(device: dev.DeviceModel, v_x, names: dict, apply_cross: bool
                     duration_s: float, duration_flag: str | None):
     """Raise an error naming the input that makes the pulse kernel overflow
     at barrier voltages ``v_x`` (pair order, shape ``(..., 3)``); ``names``
-    gives, per swept pair, the argument that sets its voltage.
+    gives, per swept pair, the argument that sets its voltage (none for an
+    idle, whose barriers are all off).
 
     An exchange law that overflows, or a kernel Hamiltonian that does at
     zero duration, is a usage error naming ``names``.  A kernel phase that
@@ -300,11 +301,13 @@ def _cmd_calibrate(args, device: dev.DeviceModel) -> int:
     return EXIT_OK
 
 
-def _rb_inputs(args, gate_depol: float):
+def _rb_inputs(args, device: dev.DeviceModel, gate_depol: float):
     """The run geometry and injected channels of an rb or irb command.
 
     Raises:
-        ValueError: naming a set flag that only the other engine reads.
+        ValueError: naming a set flag that only the other engine reads, or
+            ``--idle`` if the device's idle pulse (every barrier off)
+            overflows the pulse kernel.
     """
     unread = {"channel": {"--cross": args.cross, "--idle": args.idle},
               "device": {"--inject-depol": args.inject_depol, "--inject-leak": args.inject_leak,
@@ -312,6 +315,9 @@ def _rb_inputs(args, gate_depol: float):
     for flag, value in unread.items():
         if value:
             raise ValueError(f"{flag}: does not apply to --engine {args.engine}")
+    if args.engine == "device":
+        _check_exchange(device, np.full(3, -np.inf), {}, apply_cross=args.cross,
+                        duration_s=args.idle, duration_flag="--idle")
     cfg = bench.RbConfig(
         depths=args.depths,
         n_sequences=args.sequences,
@@ -329,7 +335,7 @@ def _rb_inputs(args, gate_depol: float):
 
 
 def _cmd_rb(args, device: dev.DeviceModel) -> int:
-    cfg, inject = _rb_inputs(args, 0.0)
+    cfg, inject = _rb_inputs(args, device, 0.0)
     data = bench.run_rb(device, cfg, engine=args.engine, inject=inject)
     doc = bench.rb_report(data, bench.fit_rb(data))
     _write_text(args.out, _json_doc(doc))
@@ -344,7 +350,7 @@ def _cmd_rb(args, device: dev.DeviceModel) -> int:
 
 
 def _cmd_irb(args, device: dev.DeviceModel) -> int:
-    cfg, inject = _rb_inputs(args, args.gate_depol)
+    cfg, inject = _rb_inputs(args, device, args.gate_depol)
     gate = AxisAngle(args.gate_phi, args.gate_theta)
     try:  # the one protocol fault of an irb run is a gate outside the group
         doc = bench.interleaved_rb(device, cfg, gate, engine=args.engine, inject=inject)

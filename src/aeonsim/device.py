@@ -699,10 +699,7 @@ def fingerpinch_map(
     """
     vectors = hilbert.SINGLET_SECTORS
     if hadamard:
-        h2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
-        # the embedded Hadamard acts within each S_z sector
-        h_sectors = hilbert.sector_blocks(hilbert.embed_qubit_unitary(h2))
-        vectors = h_sectors @ vectors
+        vectors = hilbert.HADAMARD_SECTORS @ vectors
     grid = barrier_grid(pairs, v1, v2)
     v_x = grid.reshape(-1, 3)
     out = np.empty(len(v_x))
@@ -710,7 +707,7 @@ def fingerpinch_map(
         part = slice(lo, lo + BLOCK_MATRICES)
         psi = device._propagators(v_x[part], duration_s, 0.0, 0.0, apply_cross) @ vectors
         if hadamard:
-            psi = h_sectors @ psi
+            psi = hilbert.HADAMARD_SECTORS @ psi
         out[part] = hilbert.sector_p0(psi)
     return out.reshape(grid.shape[:2])
 

@@ -1,23 +1,31 @@
-"""Exact dynamics of three exchange-coupled spins-1/2.
+"""Exact dynamics of three exchange-coupled spins-1/2, in the two S_z
+sectors that hold the encoded qubit.
 
-States and operators live on the 8-dimensional product space of three
-spins.  The product basis is ordered ``|s1 s2 s3>`` with dot 1 as the most
-significant bit and spin-up before spin-down, i.e. index
+The product basis of three spins is ordered ``|s1 s2 s3>`` with dot 1 as
+the most significant bit and spin-up before spin-down, i.e. index
 ``4*d1 + 2*d2 + d3`` where ``d_i = 0`` for up and ``1`` for down.
+Exchange and longitudinal Zeeman terms conserve total S_z, so the
+Hamiltonian is block diagonal on the product states of equal m_S: the two
+sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
+each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).
 
-Exchange and longitudinal Zeeman terms conserve total S_z, so every
-Hamiltonian here is block diagonal on the product states of equal m_S: the
-two sectors m_S = +1/2 (indices 1, 2, 4) and -1/2 (3, 5, 6), three states
-each, and the single states 0 (m_S = +3/2) and 7 (m_S = -3/2).  One
-function, :func:`_sector_hamiltonian`, builds the Hamiltonian: its two
-real 3x3 sector blocks.  The pulse kernel propagates in them alone
-(:func:`sector_propagator`), starting from the outer-pair singlet's sector
-vectors (:data:`SINGLET_SECTORS`): the singlet and the encoded qubit lie
-within the sectors, so no state the kernel plays ever populates m_S =
-+-3/2.  :func:`energy_levels` adds the two m_S = +-3/2 energies, diagonal
-entries in closed form.  The dense 8x8 Hamiltonian, its propagator and
-the singlet density matrix live in the tests (``tests/oracles.py``) as the
-reference the sector route is checked against.
+Every state and operator here lives in the two sectors, as ``(2, 3, ...)``
+arrays on the product states :data:`SECTORS`; the 8-dimensional space is
+never built.  Each sector state has one odd spin (the down spin at m_S =
++1/2, the up spin at -1/2), so its exchange blocks follow from S_i.S_j =
+P_ij/2 - 1/4, where the swap P_ij moves the odd spin between dots i and j,
+and its Zeeman blocks are diagonals of +-1/2.  One function,
+:func:`_sector_hamiltonian`, builds the Hamiltonian's two real 3x3 blocks.
+The pulse kernel propagates in them alone (:func:`sector_propagator`),
+starting from the outer-pair singlet's sector vectors
+(:data:`SINGLET_SECTORS`): the singlet and the encoded qubit lie within
+the sectors, so no state the kernel plays ever populates m_S = +-3/2.
+:func:`energy_levels` adds the two m_S = +-3/2 energies, diagonal entries
+in closed form.  :func:`measure_p0` takes 8x8 density matrices only so
+that the benchmark's tracer can keep its binding ``cli.measure_p0``; no
+command calls it.  The dense 8x8 spin operators, Hamiltonian, propagator
+and encoded basis live in the tests (``tests/oracles.py``), built apart
+from this module, as the reference the sector route is checked against.
 
 Exchange couplings are one array of shape ``(..., 3)`` in pair order
 :data:`PAIR_ORDER`.  Couplings and fields are given in Hz;
@@ -46,28 +54,6 @@ DIM = 8
 # The pairs along the last axis of every coupling array: J12, J13, J23
 PAIR_ORDER = ("12", "13", "23")
 
-_SZ = np.diag([0.5, -0.5]).astype(complex)
-_SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
-
-def _embed(op: np.ndarray, dot: int) -> np.ndarray:
-    """Embed a single-spin operator acting on ``dot`` (1, 2 or 3)."""
-    ops = [_ID2, _ID2, _ID2]
-    ops[dot - 1] = op
-    return np.kron(ops[0], np.kron(ops[1], ops[2]))
-
-
-# Spin operators S_{x,y,z} for each dot, in the product basis.
-SPIN_OPS = {
-    dot: tuple(_embed(c, dot) for c in (_SX, _SY, _SZ)) for dot in (1, 2, 3)
-}
-
-
-def _dot_product(i: int, j: int) -> np.ndarray:
-    return sum(SPIN_OPS[i][c] @ SPIN_OPS[j][c] for c in range(3))
-
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -86,17 +72,31 @@ class FieldConfig:
 # Product-basis indices of the m_S = +1/2 and -1/2 sectors
 SECTORS = np.array([[1, 2, 4], [3, 5, 6]])
 
+# The dot of each sector state's odd spin: the down spin of |uud>, |udu>,
+# |duu> and the up spin of |udd>, |dud>, |ddu>
+_ODD_DOT = np.array([[3, 2, 1], [1, 2, 3]])
 
-def sector_blocks(op: np.ndarray) -> np.ndarray:
-    """The m_S = +1/2 and -1/2 blocks of ``(..., 8, 8)`` operators on the
-    product states :data:`SECTORS`, shape ``(..., 2, 3, 3)``."""
-    return np.asarray(op)[..., SECTORS[:, :, None], SECTORS[:, None, :]]
+
+def _exchange_block(pair: str) -> np.ndarray:
+    """S_i.S_j = P_ij/2 - 1/4 on the sectors, shape ``(2, 3, 3)``."""
+    i, j = int(pair[0]), int(pair[1])
+    swapped = np.where(_ODD_DOT == i, j, np.where(_ODD_DOT == j, i, _ODD_DOT))
+    return 0.5 * (_ODD_DOT[:, :, None] == swapped[:, None, :]) - 0.25 * np.eye(3)
+
+
+def _zeeman_block(dot: int) -> np.ndarray:
+    """S_z of ``dot`` on the sectors, shape ``(2, 3, 3)``: +-1/2 on the
+    diagonal as the dot is up or down.  Each zero is signed as in the
+    Kronecker product of single-spin operators, negative where the dot is
+    down in both states, so that ``eigh`` sees the bits of the dense
+    Hamiltonian, signed zeros of negative couplings included."""
+    s = np.where((_ODD_DOT == dot) == [[True], [False]], -0.5, 0.5)
+    return np.maximum(s[:, :, None], s[:, None, :]) * np.eye(3)
 
 
 # The sector blocks of each exchange and Zeeman term, where every term is real
-_BLOCK_EXCHANGE = {p: sector_blocks(_dot_product(int(p[0]), int(p[1]))).real
-                   for p in PAIR_ORDER}
-_BLOCK_ZEEMAN = {dot: sector_blocks(SPIN_OPS[dot][2]).real for dot in (1, 2, 3)}
+_BLOCK_EXCHANGE = {p: _exchange_block(p) for p in PAIR_ORDER}
+_BLOCK_ZEEMAN = {dot: _zeeman_block(dot) for dot in (1, 2, 3)}
 
 
 def _sector_hamiltonian(j, fields: FieldConfig | None) -> np.ndarray:
@@ -194,71 +194,15 @@ def sector_propagator(j, fields: FieldConfig | None, tau_s) -> np.ndarray:
     return u
 
 
-def _basis_vector(*indices_amplitudes: tuple[int, float]) -> np.ndarray:
-    v = np.zeros(DIM, dtype=complex)
-    for idx, amp in indices_amplitudes:
-        v[idx] = amp
-    return v
+_S2, _S3, _S6, _S23 = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(6.0), np.sqrt(2.0 / 3.0)
 
-
-def _build_encoded_basis():
-    s2 = 1.0 / np.sqrt(2.0)
-    s3 = 1.0 / np.sqrt(3.0)
-    s6 = 1.0 / np.sqrt(6.0)
-    s23 = np.sqrt(2.0 / 3.0)
-    # Product-basis indices: 4*d1 + 2*d2 + d3, 0 = up.
-    zero_up = _basis_vector((0b001, s2), (0b100, -s2))
-    zero_dn = _basis_vector((0b011, s2), (0b110, -s2))
-    one_up = _basis_vector((0b010, s23), (0b001, -s6), (0b100, -s6))
-    one_dn = _basis_vector((0b011, s6), (0b110, s6), (0b101, -s23))
-    quad = [
-        _basis_vector((0b000, 1.0)),
-        _basis_vector((0b010, s3), (0b001, s3), (0b100, s3)),
-        _basis_vector((0b011, s3), (0b110, s3), (0b101, s3)),
-        _basis_vector((0b111, 1.0)),
-    ]
-    return zero_up, zero_dn, one_up, one_dn, quad
-
-
-@dataclass(frozen=True)
-class EncodedBasis:
-    """Encoded qubit basis vectors and subspace projectors.
-
-    ``zero``/``one`` hold the two gauge copies (m_S = +1/2 then -1/2) of the
-    logical states; ``leakage`` the four quadruplet states.  ``p0`` and
-    ``p_leak`` project onto the ``zero`` and ``leakage`` subspaces.
-    """
-
-    zero: tuple[np.ndarray, np.ndarray]
-    one: tuple[np.ndarray, np.ndarray]
-    leakage: tuple[np.ndarray, ...]
-    p0: np.ndarray
-    p_leak: np.ndarray
-
-    def gauge_sector(self, m_index: int) -> np.ndarray:
-        """(8, 2) isometry onto the qubit block of one gauge sector.
-
-        Columns are ``|0, m>`` and ``|1, m>``; ``m_index`` 0 is m_S = +1/2.
-        """
-        return np.column_stack([self.zero[m_index], self.one[m_index]])
-
-
-def _projector(vectors) -> np.ndarray:
-    p = np.zeros((DIM, DIM), dtype=complex)
-    for v in vectors:
-        p += np.outer(v, v.conj())
-    return p
-
-
-_Z_UP, _Z_DN, _O_UP, _O_DN, _QUAD = _build_encoded_basis()
-
-ENCODED = EncodedBasis(
-    zero=(_Z_UP, _Z_DN),
-    one=(_O_UP, _O_DN),
-    leakage=tuple(_QUAD),
-    p0=_projector([_Z_UP, _Z_DN]),
-    p_leak=_projector(_QUAD),
-)
+# The encoded |0> and |1> and the m_S = +-1/2 quadruplet state of each
+# sector, on the product states SECTORS: |0> = (|uud> - |duu>)/sqrt(2) and
+# (|udd> - |ddu>)/sqrt(2); |1> = (2|udu> - |uud> - |duu>)/sqrt(6) and
+# (|udd> + |ddu> - 2|dud>)/sqrt(6); the quadruplet the equal sum
+_ZERO_SECTORS = np.array([[_S2, 0.0, -_S2]] * 2, dtype=complex)
+_ONE_SECTORS = np.array([[-_S6, _S23, -_S6], [_S6, -_S23, _S6]], dtype=complex)
+_QUAD_SECTORS = np.full((2, 3), _S3, dtype=complex)
 
 
 def _checked_population(p):
@@ -271,8 +215,17 @@ def _checked_population(p):
     return float(p) if p.ndim == 0 else p
 
 
+# The projector onto the encoded |0> of both sectors, scattered onto the
+# product space for measure_p0
+_P0 = np.zeros((DIM, DIM), dtype=complex)
+_P0[SECTORS[:, :, None], SECTORS[:, None, :]] = (_ZERO_SECTORS[:, :, None]
+                                                 * _ZERO_SECTORS.conj()[:, None, :])
+
+
 def measure_p0(rho: np.ndarray):
-    """Population of the encoded ``|0>`` subspace (both gauge sectors).
+    """Population of the encoded ``|0>`` subspace (both gauge sectors) of
+    8x8 density matrices in the product basis.  No command calls it; it
+    stays for the benchmark tracer's binding ``cli.measure_p0``.
 
     A single ``(8, 8)`` density matrix gives a float; a ``(..., 8, 8)``
     stack gives an array of its batch shape.
@@ -287,11 +240,8 @@ def measure_p0(rho: np.ndarray):
     tr = np.trace(rho, axis1=-2, axis2=-1)
     if np.any(np.abs(tr.real - 1.0) > 1e-9) or np.any(np.abs(tr.imag) > 1e-9):
         raise ValueError("density matrix trace differs from 1")
-    return _checked_population(np.einsum("ij,...ji->...", ENCODED.p0, rho))
+    return _checked_population(np.einsum("ij,...ji->...", _P0, rho))
 
-
-# The encoded |0> of each sector on the product states SECTORS
-_ZERO_SECTORS = np.stack([ENCODED.zero[m][SECTORS[m]] for m in (0, 1)])
 
 SINGLET_SECTORS = math.sqrt(0.5) * _ZERO_SECTORS[..., None]
 """The sector vectors of the outer-pair singlet, shape ``(2, 3, 1)``: the
@@ -303,6 +253,16 @@ propagator here is block diagonal and the encoded ``|0>`` lies within the
 sectors, so :func:`sector_p0` of the propagated vectors is the ``p0`` of
 the propagated state.  Read-only."""
 SINGLET_SECTORS.flags.writeable = False
+
+# Each sector's qubit isometry, columns |0> and |1>, and the 2x2 Hadamard
+_QUBIT_SECTORS = np.stack([_ZERO_SECTORS, _ONE_SECTORS], axis=-1)
+_H2 = (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex)
+HADAMARD_SECTORS = (_QUAD_SECTORS[:, :, None] * _QUAD_SECTORS.conj()[:, None, :]
+                    + _QUBIT_SECTORS @ _H2 @ _QUBIT_SECTORS.conj().swapaxes(-1, -2))
+"""The ideal Hadamard on the encoded qubit, the same in both gauge sectors
+and the identity on the quadruplet, as its two sector blocks, shape ``(2,
+3, 3)``.  Read-only."""
+HADAMARD_SECTORS.flags.writeable = False
 
 
 def sector_p0(vectors: np.ndarray):
@@ -316,18 +276,3 @@ def sector_p0(vectors: np.ndarray):
     return _checked_population(
         np.sum(amplitudes.real**2 + amplitudes.imag**2, axis=(-2, -1))
     )
-
-
-def embed_qubit_unitary(u2: np.ndarray) -> np.ndarray:
-    """Lift a 2x2 qubit unitary to the 8-dim space.
-
-    Acts identically on both gauge sectors and as the identity on the
-    leakage quadruplet.
-    """
-    u2 = np.asarray(u2, dtype=complex)
-    u8 = ENCODED.p_leak.copy()
-    for m in (0, 1):
-        iso = ENCODED.gauge_sector(m)
-        u8 += iso @ u2 @ iso.conj().T
-    return u8
-

@@ -1,13 +1,24 @@
 """Code that the tests use and no command runs: reference routes, each the
-plain formula (the dense 8x8 Hamiltonian and its propagator, the singlet
-density matrix, the 2x2 qubit block, the germ's pulse list with its
-exact Clifford twirl, and the average infidelity of the device's Clifford
-gates under quasi-static noise); helpers on ``(w, x, y, z)`` quaternion arrays
-beyond ``rotations.quaternion``, ``compose`` and ``so3_matrix``; a
-pure-float product that pins the group's quaternions bit for bit; and the
-1-J Clifford compiler, c07's subject, which calls ``rot.compose``,
-``rot.canonical_clifford_group`` and ``_dot3`` through their modules, so
-that tests can swap them.  pytest does not collect this module.
+plain formula, and the dense basis that ``aeonsim.hilbert`` never builds.
+
+- The 8-dim product space of three spins, built here from Kronecker
+  products and apart from the src sector constants: the spin operators
+  :data:`SPIN_OPS`, the encoded basis :data:`ENCODED` (``|0>``, ``|1>``
+  per gauge sector, the quadruplet, and the projectors ``p0`` and
+  ``p_leak``), :func:`sector_blocks` and :func:`embed_qubit_unitary`.
+- On it, the dense 8x8 Hamiltonian and its propagator, and the singlet
+  density matrix.
+- The 2x2 qubit block, the germ's pulse list with its exact Clifford
+  twirl, and the average infidelity of the device's Clifford gates under
+  quasi-static noise.
+- Helpers on ``(w, x, y, z)`` quaternion arrays beyond
+  ``rotations.quaternion``, ``compose`` and ``so3_matrix``, and a
+  pure-float product that pins the group's quaternions bit for bit.
+- The 1-J Clifford compiler, c07's subject, which calls ``rot.compose``,
+  ``rot.canonical_clifford_group`` and ``_dot3`` through their modules, so
+  that tests can swap them.
+
+pytest does not collect this module.
 """
 
 import dataclasses
@@ -20,11 +31,84 @@ from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
 from aeonsim.errors import ProtocolError
 
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1.0, -1.0]).astype(complex))
+
+
+def _on_dot(op, dot):
+    """A one-spin operator on ``dot`` in the product basis ``|s1 s2 s3>``:
+    dot 1 the most significant factor and up before down, as in
+    ``hilbert.SECTORS``."""
+    factors = [np.eye(2, dtype=complex)] * 3
+    factors[dot - 1] = op
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+# S_{x,y,z} of each dot on the product space
+SPIN_OPS = {dot: tuple(_on_dot(0.5 * p, dot) for p in _PAULI) for dot in (1, 2, 3)}
+
 # S_i.S_j per pair, in the product basis
 EXCHANGE_TERMS = {
-    pair: sum(hb.SPIN_OPS[int(pair[0])][c] @ hb.SPIN_OPS[int(pair[1])][c] for c in range(3))
+    pair: sum(SPIN_OPS[int(pair[0])][c] @ SPIN_OPS[int(pair[1])][c] for c in range(3))
     for pair in ("12", "23", "13")
 }
+
+
+def _ket(spins: str) -> np.ndarray:
+    """Product state of three spins, e.g. ``_ket("udu")``, dot 1 first."""
+    spin = {"u": np.array([1.0, 0.0]), "d": np.array([0.0, 1.0])}
+    return np.kron(np.kron(spin[spins[0]], spin[spins[1]]), spin[spins[2]]).astype(complex)
+
+
+@dataclasses.dataclass(frozen=True)
+class EncodedBasis:
+    """The encoded qubit on the product space: ``zero`` and ``one`` hold the
+    gauge copies m_S = +1/2 then -1/2 of ``|0>`` (the outer pair in a
+    singlet) and ``|1>`` (the other total-spin-1/2 doublet), ``leakage``
+    the four quadruplet states; ``p0`` and ``p_leak`` project onto the
+    ``zero`` and ``leakage`` spans."""
+
+    zero: tuple
+    one: tuple
+    leakage: tuple
+
+    @property
+    def p0(self):
+        return sum(np.outer(v, v.conj()) for v in self.zero)
+
+    @property
+    def p_leak(self):
+        return sum(np.outer(v, v.conj()) for v in self.leakage)
+
+    def gauge_sector(self, m_index: int) -> np.ndarray:
+        """(8, 2) isometry onto the qubit block of one gauge sector, columns
+        ``|0, m>`` and ``|1, m>``; ``m_index`` 0 is m_S = +1/2."""
+        return np.column_stack([self.zero[m_index], self.one[m_index]])
+
+
+ENCODED = EncodedBasis(
+    zero=((_ket("uud") - _ket("duu")) / math.sqrt(2.0), (_ket("udd") - _ket("ddu")) / math.sqrt(2.0)),
+    one=((2.0 * _ket("udu") - _ket("uud") - _ket("duu")) / math.sqrt(6.0),
+         (_ket("udd") + _ket("ddu") - 2.0 * _ket("dud")) / math.sqrt(6.0)),
+    leakage=(_ket("uuu"), (_ket("uud") + _ket("udu") + _ket("duu")) / math.sqrt(3.0),
+             (_ket("udd") + _ket("dud") + _ket("ddu")) / math.sqrt(3.0), _ket("ddd")),
+)
+
+
+def sector_blocks(op):
+    """The m_S = +1/2 and -1/2 blocks of ``(..., 8, 8)`` operators on the
+    product states ``hilbert.SECTORS``, shape ``(..., 2, 3, 3)``."""
+    return np.asarray(op)[..., hb.SECTORS[:, :, None], hb.SECTORS[:, None, :]]
+
+
+def embed_qubit_unitary(u2):
+    """A 2x2 qubit unitary on the 8-dim space: the same in both gauge
+    sectors and the identity on the quadruplet."""
+    u8 = ENCODED.p_leak
+    for m in (0, 1):
+        iso = ENCODED.gauge_sector(m)
+        u8 = u8 + iso @ np.asarray(u2, dtype=complex) @ iso.conj().T
+    return u8
 
 
 def build_hamiltonian(j, fields=None):
@@ -43,7 +127,7 @@ def build_hamiltonian(j, fields=None):
     if fields is not None:
         b = np.asarray(fields.gradients_hz, dtype=float)
         for k, dot in enumerate((1, 2, 3)):
-            h = h + 2.0 * np.pi * coefficient(fields.f_uniform_hz + b[..., k]) * hb.SPIN_OPS[dot][2]
+            h = h + 2.0 * np.pi * coefficient(fields.f_uniform_hz + b[..., k]) * SPIN_OPS[dot][2]
     return h
 
 
@@ -56,7 +140,7 @@ def propagator(h, tau_s):
 def initialize_singlet():
     """Density matrix of the outer-pair singlet: the equal mixture of the
     encoded ``|0>`` over both gauge sectors."""
-    return 0.5 * sum(np.outer(v, v.conj()) for v in hb.ENCODED.zero)
+    return 0.5 * ENCODED.p0
 
 
 def qubit_block(j):
@@ -110,7 +194,7 @@ def clifford_infidelity(device, n_draws: int, seed: int = 0) -> float:
     and both sectors.  The draws are standard normals from
     ``default_rng(seed)`` scaled by ``NoiseConfig.sigmas``.
     """
-    iso = np.stack([hb.ENCODED.gauge_sector(m)[hb.SECTORS[m]] for m in (0, 1)])
+    iso = np.stack([ENCODED.gauge_sector(m)[hb.SECTORS[m]] for m in (0, 1)])
     z = np.random.default_rng(seed).standard_normal((n_draws, 9)) * device.noise.sigmas
     fidelity = []
     for el in rot.canonical_clifford_group():

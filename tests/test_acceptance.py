@@ -19,7 +19,7 @@ from aeonsim import cli
 from aeonsim import device as dev
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
-from oracles import (approx_equal, build_germ_sequence, build_hamiltonian, compile_clifford_group,
+from oracles import (ENCODED, approx_equal, build_germ_sequence, build_hamiltonian, compile_clifford_group,
                      compose_sequence, propagator, qubit_block, twirl_fidelity)
 
 PI = math.pi
@@ -74,7 +74,7 @@ def test_c02_qubit_block_matches_full_evolution():
         u8 = propagator(build_hamiltonian(j), tau)
         u2 = expm(-1j * qubit_block(j) * tau)
         for m_index in (0, 1):
-            iso = hb.ENCODED.gauge_sector(m_index)
+            iso = ENCODED.gauge_sector(m_index)
             sub = iso.conj().T @ u8 @ iso
             overlap = abs(np.trace(sub.conj().T @ u2)) / 2.0
             worst = max(worst, 1.0 - overlap**2)

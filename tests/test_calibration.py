@@ -17,8 +17,8 @@ from aeonsim import fitting
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError, DetectionError
 from aeonsim import hilbert as hb
-from oracles import (IDENTITY, build_germ_sequence, compose_sequence, initialize_singlet, inverse,
-                     to_unitary, twirl_fidelity)
+from oracles import (IDENTITY, build_germ_sequence, compose_sequence, embed_qubit_unitary, initialize_singlet,
+                     inverse, to_unitary, twirl_fidelity)
 
 PI = math.pi
 
@@ -184,7 +184,7 @@ def _dense_twirl(u8):
     sectors, survival read as the encoded-|0> population of the singlet."""
     rho0, terms = initialize_singlet(), []
     for el in rot.canonical_clifford_group():
-        c8 = hb.embed_qubit_unitary(to_unitary(el.rotation))
+        c8 = embed_qubit_unitary(to_unitary(el.rotation))
         v = c8.conj().T @ u8 @ c8
         terms.append(hb.measure_p0(v @ rho0 @ v.conj().T))
     return float(np.mean(terms))
@@ -198,7 +198,7 @@ def test_twirl_eight_dim_agrees_with_rotation_path():
         f_rot = twirl_fidelity(r)
         # the physical propagator is the conjugate SU(2) matrix; the twirl
         # cannot tell them apart
-        u8 = hb.embed_qubit_unitary(to_unitary(r).conj())
+        u8 = embed_qubit_unitary(to_unitary(r).conj())
         assert _dense_twirl(u8) == pytest.approx(f_rot, abs=1e-10)
 
 

@@ -755,6 +755,27 @@ def test_kernel_side_usage_errors_name_the_flag(argv, flag, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+GATE_PI = ["--gate-phi", "0", "--gate-theta", "3.141592653589793"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rb"], ["irb"] + GATE_PI, ["irb", "--shots", "2"] + GATE_PI, ["rb", "--cross"],
+])
+def test_device_idle_that_overflows_the_kernel_names_idle(argv, tmp_path, capsys):
+    # the idle plays with every barrier off, so its phase is the gradients'
+    # Zeeman energy over --idle: this used to exit 3 naming no input
+    (tmp_path / "dev.json").write_text(json.dumps({"fields": {"gradients_hz": [1e20, 0, 0]}}))
+    argv = argv + ["--engine", "device", "--depths", "1,2,4", "--sequences", "1",
+                   "--config", str(tmp_path / "dev.json"), "--out", str(tmp_path / "rb.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--idle", "1e300"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "aeonsim: --idle: evolution phase (energy times duration) is not finite")
+        assert not (tmp_path / "rb.json").exists()
+        assert run(argv + ["--idle", "1e-30"]) == 0  # an idle the kernel can play
+
+
 @pytest.mark.parametrize("extra", [["--duration", "1e-9"], []])
 def test_fingerpinch_coupling_that_overflows_the_kernel_names_the_voltages(extra, tmp_path,
                                                                            capsys):

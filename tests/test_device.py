@@ -15,7 +15,7 @@ from aeonsim import device as dev
 from aeonsim import hilbert as hb
 from aeonsim import rotations as rot
 from aeonsim.errors import ConfigError
-from oracles import build_hamiltonian, initialize_singlet
+from oracles import ENCODED, build_hamiltonian, embed_qubit_unitary, initialize_singlet, sector_blocks
 
 
 def test_exchange_law_anchors():
@@ -273,7 +273,7 @@ def test_gradient_noise_causes_leakage():
     fields = hb.FieldConfig(0.0, draw[0, 6:])
     u = expm(-1j * build_hamiltonian(np.zeros(3), fields) * 400e-9)
     rho = u @ initialize_singlet() @ u.conj().T
-    assert np.trace(hb.ENCODED.p_leak @ rho).real > 1e-4  # quadruplet population
+    assert np.trace(ENCODED.p_leak @ rho).real > 1e-4  # quadruplet population
     assert abs(p0 - hb.measure_p0(rho)) < 1e-12 and p0 < 1.0 - 1e-4
 
 
@@ -457,7 +457,7 @@ def test_any_rho_plays_through_its_eigenvectors(rank):
     # roots of their eigenvalues
     d = _noisy_device()
     rho = _random_density(np.random.default_rng(rank), rank)
-    weights, vecs = np.linalg.eigh(hb.sector_blocks(rho))
+    weights, vecs = np.linalg.eigh(sector_blocks(rho))
     vectors = vecs * np.sqrt(np.clip(weights, 0.0, None))[:, None, :]
     rows = _mixed_trains(8)
     draws = [_draw(d.noise, dev.rng_stream(6, r)) for r in range(len(rows))]
@@ -472,7 +472,7 @@ def test_fingerpinch_matches_the_dense_route(hadamard):
     v1, v2 = np.linspace(0.05, 0.08, 9), np.linspace(0.04, 0.09, 7)
     got = dev.fingerpinch_map(d, ("12", "13"), v1, v2, duration_s=d.pulse_s, apply_cross=True,
                               hadamard=hadamard)
-    h8 = hb.embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+    h8 = embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
     rho0 = initialize_singlet()
     if hadamard:
         rho0 = h8 @ rho0 @ h8.conj().T

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from aeonsim import cli
 from aeonsim import hilbert as hb
-from oracles import build_hamiltonian, initialize_singlet, propagator, qubit_block
+from oracles import (ENCODED, SPIN_OPS, build_hamiltonian, embed_qubit_unitary, initialize_singlet, propagator,
+                     qubit_block, sector_blocks)
 
 RNG = np.random.default_rng(1234)
 
@@ -21,12 +22,12 @@ def random_exchange(rng=RNG, scale=80e6):
 
 def test_spin_operator_algebra():
     for dot in (1, 2, 3):
-        sx, sy, sz = hb.SPIN_OPS[dot]
+        sx, sy, sz = SPIN_OPS[dot]
         comm = sx @ sy - sy @ sx
         np.testing.assert_allclose(comm, 1j * sz, atol=1e-14)
         # spin-1/2 Casimir per site: 3/4 on the full space
         np.testing.assert_allclose(
-            sx @ sx + sy @ sy + sz @ sz, 0.75 * np.eye(hb.DIM), atol=1e-14
+            sx @ sx + sy @ sy + sz @ sz, 0.75 * np.eye(8), atol=1e-14
         )
 
 
@@ -72,20 +73,31 @@ def test_zeeman_term_diagonal_product_basis():
 
 
 def test_encoded_basis_orthonormal_complete():
-    vecs = [hb.ENCODED.zero[0], hb.ENCODED.zero[1], hb.ENCODED.one[0], hb.ENCODED.one[1]]
-    vecs += list(hb.ENCODED.leakage)
+    vecs = [ENCODED.zero[0], ENCODED.zero[1], ENCODED.one[0], ENCODED.one[1]]
+    vecs += list(ENCODED.leakage)
     mat = np.stack([np.asarray(v) for v in vecs])
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(8), atol=1e-12)
-    p1 = sum(np.outer(v, v.conj()) for v in hb.ENCODED.one)
-    p_sum = hb.ENCODED.p0 + p1 + hb.ENCODED.p_leak
+    p1 = sum(np.outer(v, v.conj()) for v in ENCODED.one)
+    p_sum = ENCODED.p0 + p1 + ENCODED.p_leak
     np.testing.assert_allclose(p_sum, np.eye(8), atol=1e-12)
+    # total spin 1/2 on the qubit and 3/2 on the leakage; |0> has its outer
+    # pair in a singlet, at m_S = +1/2 and then -1/2
+    total = [sum(SPIN_OPS[dot][c] for dot in (1, 2, 3)) for c in range(3)]
+    outer = [SPIN_OPS[1][c] + SPIN_OPS[3][c] for c in range(3)]
+    s2, s13 = sum(s @ s for s in total), sum(s @ s for s in outer)
+    for states, spin in ((ENCODED.zero + ENCODED.one, 0.5), (ENCODED.leakage, 1.5)):
+        for v in states:
+            np.testing.assert_allclose(s2 @ v, spin * (spin + 1) * v, atol=1e-12)
+    for v, m_s in zip(ENCODED.zero, (0.5, -0.5)):
+        np.testing.assert_allclose(s13 @ v, 0.0, atol=1e-12)
+        np.testing.assert_allclose(total[2] @ v, m_s * v, atol=1e-12)
 
 
 def test_initial_state_is_singlet_mixture():
     rho = initialize_singlet()
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert hb.measure_p0(rho) == pytest.approx(1.0, abs=1e-12)
-    assert np.trace(hb.ENCODED.p_leak @ rho).real == pytest.approx(0.0, abs=1e-12)
+    assert np.trace(ENCODED.p_leak @ rho).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_propagator_unitary_and_matches_expm():
@@ -111,7 +123,7 @@ def test_qubit_block_matches_projected_hamiltonian():
         h = build_hamiltonian(j)
         blk = qubit_block(j)
         for m_index in (0, 1):
-            iso = hb.ENCODED.gauge_sector(m_index)
+            iso = ENCODED.gauge_sector(m_index)
             proj = iso.conj().T @ h @ iso
             shift = np.trace(proj - blk) / 2.0
             np.testing.assert_allclose(proj - blk, shift * np.eye(2), atol=1e-6)
@@ -125,7 +137,7 @@ def test_block_and_full_propagators_agree():
         u8 = propagator(build_hamiltonian(j), tau)
         u2 = expm(-1j * qubit_block(j) * tau)
         for m_index in (0, 1):
-            iso = hb.ENCODED.gauge_sector(m_index)
+            iso = ENCODED.gauge_sector(m_index)
             sub = iso.conj().T @ u8 @ iso
             overlap = abs(np.trace(sub.conj().T @ u2)) / 2.0
             assert 1.0 - overlap**2 < 1e-9
@@ -166,7 +178,7 @@ def test_stacked_propagator_matches_qubit_block():
     for k in range(10):
         u2 = expm(-1j * qubit_block(j[k]) * tau)
         for m_index in (0, 1):
-            iso = hb.ENCODED.gauge_sector(m_index)
+            iso = ENCODED.gauge_sector(m_index)
             overlap = abs(np.trace(u2.conj().T @ (iso.conj().T @ u8[k] @ iso))) / 2.0
             assert 1.0 - overlap**2 < 1e-12
 
@@ -175,7 +187,7 @@ def test_stacked_inputs_are_validated():
     rho = np.stack([initialize_singlet()] * 4)
     np.testing.assert_allclose(hb.measure_p0(rho), np.ones(4), atol=1e-12)
     over = rho.copy()
-    over[2] += 0.5 * hb.ENCODED.p0 - 0.25 * hb.ENCODED.p_leak  # trace 1, P0 = 2
+    over[2] += 0.5 * ENCODED.p0 - 0.25 * ENCODED.p_leak  # trace 1, P0 = 2
     with pytest.raises(ValueError):
         hb.measure_p0(over)
 
@@ -184,15 +196,15 @@ def test_embed_qubit_unitary_block_structure():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(a)
-    u8 = hb.embed_qubit_unitary(q)
+    u8 = embed_qubit_unitary(q)
     np.testing.assert_allclose(u8 @ u8.conj().T, np.eye(8), atol=1e-12)
     # identity on the leakage quadruplet
-    for vec in hb.ENCODED.leakage:
+    for vec in ENCODED.leakage:
         v = np.asarray(vec)
         np.testing.assert_allclose(u8 @ v, v, atol=1e-12)
     # same 2x2 action in both gauge sectors
     for m_index in (0, 1):
-        iso = hb.ENCODED.gauge_sector(m_index)
+        iso = ENCODED.gauge_sector(m_index)
         np.testing.assert_allclose(iso.conj().T @ u8 @ iso, q, atol=1e-12)
 
 
@@ -227,22 +239,26 @@ def test_sector_hamiltonian_equals_the_dense_blocks_bit_for_bit():
          hb.FieldConfig(1e8, (1e5, 0.0, -2e5))),
         (np.array([1e7, 0.0, 2e7]), hb.FieldConfig()),
         (np.array([-4e6, 7e299, 1e300]), hb.FieldConfig(-1e300, (1e299, 0.0, 3.0))),
+        (-j, hb.FieldConfig(-0.5e9, -fields.gradients_hz)),
+        (np.array([-4e6, -0.0, -1e6]), hb.FieldConfig(-2e5, (-1e5, 0.0, 3.0))),
     ]
     for jj, ff in cases:
         h = build_hamiltonian(jj, ff)
         blocks = hb._sector_hamiltonian(jj, ff)
         assert blocks.shape == h.shape[:-2] + (2, 3, 3)
-        dense = hb.sector_blocks(h)
+        dense = sector_blocks(h)
         assert np.array_equal(blocks, dense.real) and not np.any(dense.imag)
+        # signed zeros too: eigh of a block can round differently on -0.0
+        assert np.array_equal(np.signbit(blocks), np.signbit(dense.real))
 
 
 def _states():
     # each state as a density matrix and as its sector vectors
-    h8 = hb.embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+    h8 = embed_qubit_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
     return {
         "singlet": (initialize_singlet(), hb.SINGLET_SECTORS),
         "hadamard singlet": (h8 @ initialize_singlet() @ h8.conj().T,
-                             hb.sector_blocks(h8) @ hb.SINGLET_SECTORS),
+                             hb.HADAMARD_SECTORS @ hb.SINGLET_SECTORS),
     }
 
 
@@ -268,7 +284,7 @@ def test_sector_route_matches_expm_of_the_dense_hamiltonian(name):
         assert u.shape == h.shape[:-2] + (2, 3, 3) and np.shape(p0) == h.shape[:-2]
         for idx in np.ndindex(h.shape[:-2]):
             full = expm(-1j * h[idx] * tau)
-            np.testing.assert_allclose(u[idx], hb.sector_blocks(full), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u[idx], sector_blocks(full), rtol=0, atol=1e-12)
             want = full @ rho @ full.conj().T
             assert abs(np.asarray(p0)[idx] - hb.measure_p0(want)) < 1e-12
 
@@ -279,14 +295,15 @@ def test_singlet_sectors_factor_the_singlet():
     singlet = hb.SINGLET_SECTORS
     assert singlet.shape == (2, 3, 1) and not singlet.flags.writeable
     blocks = singlet @ singlet.conj().swapaxes(-1, -2)
-    np.testing.assert_allclose(blocks, hb.sector_blocks(initialize_singlet()), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(blocks, sector_blocks(initialize_singlet()), rtol=0, atol=1e-16)
     np.testing.assert_allclose(np.abs(singlet[..., 0]), [[0.5, 0, 0.5]] * 2, rtol=0, atol=1e-16)
     # p0 is 1 but for the rounding of the basis amplitude 1/sqrt(2)
     assert 1.0 - hb.sector_p0(singlet) <= np.finfo(float).eps
     # the Hadamard-prepared vectors factor the Hadamard-conjugated singlet
+    assert not hb.HADAMARD_SECTORS.flags.writeable
     rho, vectors = _states()["hadamard singlet"]
     blocks = vectors @ vectors.conj().swapaxes(-1, -2)
-    np.testing.assert_allclose(blocks, hb.sector_blocks(rho), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(blocks, sector_blocks(rho), rtol=0, atol=1e-15)
     assert abs(hb.sector_p0(vectors) - hb.measure_p0(rho)) < 1e-15
 
 
